@@ -18,7 +18,7 @@ driven by a small sectioned config file:
     eps_list = 0.01, 0.02, 0.04
 
     [output]
-    format = json
+    out = results
 
 Keys appearing before any section header belong to [model].  Unknown
 sections or keys are errors (no silent typos).  Exit codes: 0 all verdicts
@@ -56,7 +56,6 @@ _KEY_SCHEMA = {
     ("search", "samples"): int,
     ("search", "workers"): int,
     ("search", "rng_seed"): int,
-    ("output", "format"): str,
     ("output", "out"): str,
 }
 _SECTIONS = ("model", "perturbation", "search", "output")
@@ -147,17 +146,15 @@ def parse_config(path):
         max_iter=get("search", "max_iter", 25),
     )
     # surface regime problems at parse time, with the offending numbers
-    if not cfg.strength**2 + cfg.kappa > 0:
+    zollref.check_zoll_regime(cfg.kappa, cfg.strength)
+    samples = get("search", "samples", 1_000_000)
+    if samples < volume.MIN_SAMPLES:
         raise ValidationError(
-            f"Zoll regime violated: s^2+kappa <= 0 "
-            f"(kappa = {cfg.kappa:g}, strength = {cfg.strength:g})")
-    fmt = get("output", "format", "json")
-    if fmt not in ("json", "csv"):
-        raise ValidationError(f"unknown output format {fmt!r}")
+            f"samples = {samples} is below {volume.MIN_SAMPLES}: the volume oracle "
+            "needs two antithetic pairs in each of its cells to estimate its error")
     extras = {
         "eps_list": get("search", "eps_list", (0.0,)),
-        "samples": get("search", "samples", 1_000_000),
-        "format": fmt,
+        "samples": samples,
         "out": get("output", "out", "."),
     }
     provenance = {
@@ -216,8 +213,8 @@ def cmd_orbit(cfg, extras, provenance, args):
     reporting.ensure_outdir(outdir)
     records = [{"seed_id": orb.seed_id, "period": orb.period,
                 "residual": orb.residual,
-                "magnetic_length": functionals.magnetic_length(sys_p, orb)}
-               for orb in found]
+                "magnetic_length": lmag}
+               for orb, lmag in zip(found, found.magnetic_lengths)]
     reporting.write_json({"orbits": records, "provenance": provenance},
                          os.path.join(outdir, "orbits.json"))
     for orb in found:
@@ -341,7 +338,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default=None, choices=["json", "csv"])
         p.add_argument("--seed", type=int, default=None, help="rng seed override")
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--tol-orbit", type=float, default=None, dest="tol_orbit")
@@ -369,8 +365,6 @@ def main(argv=None):
             overrides["tol_quad"] = args.tol_quad
         if overrides:
             cfg = replace(cfg, **overrides)
-        if args.format is not None:
-            extras["format"] = args.format
         args.out_given = args.out is not None
         if args.out is not None:
             extras["out"] = args.out

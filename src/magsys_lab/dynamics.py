@@ -16,9 +16,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepFailure
-from .geometry import (Chart, MagneticSystem, TangentState, conf_log_diff,
-                       g_dot, g_norm, magnetic_density, polar_weight,
-                       rotate90, tangent_state)
+from .geometry import (MagneticSystem, TangentState, conf_log_diff, g_dot,
+                       g_norm, rotate90, tangent_state)
+from .reporting import samples_csv
 
 DEFAULT_TOL = 1e-10
 MAX_REFERENCE_PERIODS = 100.0
@@ -46,57 +46,7 @@ def reference_period(sys: MagneticSystem):
 
 def rhs(sys: MagneticSystem):
     """Right-hand side of the first-order system y = (q, v)."""
-    surface = sys.surface
-    s = sys.strength
-
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        kap = surface.kappa
-        sqk = math.sqrt(kap)
-
-        def f(t, y):
-            q, v = y[:3], y[3:]
-            n = q * sqk
-            v0sq = float(v @ v)
-            acc = -v0sq * kap * q
-            if not sys.is_unperturbed():
-                dl = conf_log_diff(sys, q)
-                grad = dl - float(dl @ n) * n
-                acc += -2.0 * float(dl @ v) * v + v0sq * grad
-                b = float(magnetic_density(sys, q))
-            else:
-                b = 1.0
-            acc += s * b * np.cross(n, v)
-            return np.concatenate([v, acc])
-
-        return f
-
-    hyperbolic = surface.chart is Chart.HYPERBOLIC_POLAR
-    kap = surface.kappa
-
-    def f(t, y):
-        q, v = y[:2], y[2:]
-        rho = q[0]
-        if hyperbolic:
-            sk = math.sqrt(-kap)
-            w = math.sinh(sk * rho) / sk
-            wp = math.cosh(sk * rho)
-            acc = np.array([w * wp * v[1] ** 2, -2.0 * (wp / w) * v[0] * v[1]])
-        else:
-            w = 1.0
-            acc = np.zeros(2)
-        if not sys.is_unperturbed():
-            dl = conf_log_diff(sys, q)
-            v0sq = v[0] ** 2 + w**2 * v[1] ** 2
-            grad = np.array([dl[0], dl[1] / w**2])
-            acc += -2.0 * float(dl @ v) * v + v0sq * grad
-            b = float(magnetic_density(sys, q))
-        else:
-            b = 1.0
-        jv = np.array([-w * v[1], v[0] / w])
-        acc += s * b * jv
-        return np.concatenate([v, acc])
-
-    return f
+    return sys.surface.ops.rhs(sys)
 
 
 def _pack(state: TangentState):
@@ -104,7 +54,7 @@ def _pack(state: TangentState):
 
 
 def _unpack(surface, y):
-    d = 3 if surface.chart is Chart.SPHERE_AMBIENT else 2
+    d = surface.ops.dim
     return TangentState(position=y[:d].copy(), velocity=y[d:].copy())
 
 
@@ -172,44 +122,11 @@ def flow(sys: MagneticSystem, start: TangentState, duration, tol=DEFAULT_TOL,
 def latitude_seed(sys: MagneticSystem) -> TangentState:
     """A state lying exactly on a closed orbit of the unperturbed Zoll flow.
 
-    Placement: the circle whose signed geodesic curvature equals s, i.e.
-    tan(sqrt(kappa) theta*) = sqrt(kappa)/s on the sphere,
-    tanh(sqrt(-kappa) theta*) = sqrt(-kappa)/s on the hyperbolic chart,
-    radius 1/s on the torus.  Orientation keeps the enclosed center on the
-    J-side of the velocity.
+    Placement: the circle whose signed geodesic curvature equals s (each
+    chart object's ``latitude_seed`` gives its radius).  Orientation keeps
+    the enclosed center on the J-side of the velocity.
     """
-    surface = sys.surface
-    s = sys.strength
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        sk = math.sqrt(surface.kappa)
-        R = surface.radius
-        alpha = math.atan2(sk, abs(s))    # polar angle from the enclosed pole
-        pole = 1.0 if s >= 0 else -1.0
-        q = np.array([R * math.sin(alpha), 0.0, pole * R * math.cos(alpha)])
-        v = np.array([0.0, pole, 0.0])
-        return tangent_state(sys, q, v)
-    if surface.chart is Chart.HYPERBOLIC_POLAR:
-        sk = math.sqrt(-surface.kappa)
-        if abs(s) <= sk:
-            # construction guarantees s^2+kappa>0, so this cannot trigger
-            raise StepFailure("no latitude circle below the horocycle threshold")
-        rho = math.atanh(sk / abs(s)) / sk
-        w = float(polar_weight(surface, rho))
-        return tangent_state(sys, np.array([rho, 0.0]),
-                             np.array([0.0, math.copysign(1.0, s) / w]))
-    p1, p2 = surface.torus_periods
-    if s == 0:
-        # straight lines never close into short loops; seed along x anyway
-        return tangent_state(sys, np.array([0.5 * p1, 0.5 * p2]), np.array([1.0, 0.0]))
-    center = np.array([0.5 * p1, 0.5 * p2])
-    q = center + np.array([1.0 / abs(s), 0.0])
-    v = np.array([0.0, math.copysign(1.0, s)])
-    return tangent_state(sys, q, v)
-
-
-def chart_coordinates(sys, state: TangentState):
-    """Chart coordinates of a state for export (sphere states stay ambient)."""
-    return np.concatenate([state.position, state.velocity])
+    return sys.surface.ops.latitude_seed(sys)
 
 
 def geodesic_curvature_series(sys, traj: Trajectory):
@@ -256,55 +173,17 @@ def measure_geodesic_curvature(sys, state: TangentState, fd_step=1e-3):
 
 
 def _signed_curvature(sys, q, v, dv):
-    surface = sys.surface
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        nvec = q * math.sqrt(surface.kappa)
-        cov = dv - float(dv @ nvec) * nvec
-    else:
-        gam = christoffel_background(sys, q)
-        cov = dv + np.einsum("kij,i,j->k", gam, v, v)
+    ops = sys.surface.ops
+    cov = ops.covariant(q, v, dv)
     if not sys.is_unperturbed():
         dl = conf_log_diff(sys, q)
-        if surface.chart is Chart.SPHERE_AMBIENT:
-            nvec = q * math.sqrt(surface.kappa)
-            grad = dl - float(dl @ nvec) * nvec
-            v0sq = float(v @ v)
-        else:
-            w = float(polar_weight(surface, q[0])) if \
-                surface.chart is Chart.HYPERBOLIC_POLAR else 1.0
-            grad = np.array([dl[0], dl[1] / w**2])
-            v0sq = v[0] ** 2 + w**2 * v[1] ** 2
+        grad, v0sq = ops.g0_terms(q, v, dl)
         cov = cov + 2.0 * float(dl @ v) * v - v0sq * grad
     jv = rotate90(sys, q, v)
     return float(g_dot(sys, q, cov, jv)) / float(g_norm(sys, q, v)) ** 3
 
 
-def christoffel_background(sys, q):
-    """Gamma of the *unperturbed* chart metric at chart point q."""
-    surface = sys.surface
-    gam = np.zeros((2, 2, 2))
-    if surface.chart is Chart.HYPERBOLIC_POLAR:
-        sk = math.sqrt(-surface.kappa)
-        w = math.sinh(sk * q[0]) / sk
-        wp = math.cosh(sk * q[0])
-        gam[0, 1, 1] = -w * wp
-        gam[1, 0, 1] = gam[1, 1, 0] = wp / w
-    return gam
-
-
 def trajectory_to_csv(sys, traj: Trajectory, path):
     """Write t, chart coordinates, velocity and measured geodesic curvature."""
-    surface = sys.surface
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        cols = ["t", "qx", "qy", "qz", "vx", "vy", "vz", "geodesic_curvature"]
-    elif surface.chart is Chart.HYPERBOLIC_POLAR:
-        cols = ["t", "rho", "phi", "v_rho", "v_phi", "geodesic_curvature"]
-    else:
-        cols = ["t", "x", "y", "vx", "vy", "geodesic_curvature"]
-    kappa_g = geodesic_curvature_series(sys, traj)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(traj.times):
-            st = traj.states[i]
-            row = [t, *st.position, *st.velocity, kappa_g[i]]
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    samples_csv(sys, traj.times, traj.states, path,
+                extra={"geodesic_curvature": geodesic_curvature_series(sys, traj)})

@@ -5,10 +5,6 @@ class MagsysError(Exception):
     """Base class for all magsys-lab errors."""
 
 
-class ZollRegimeViolation(MagsysError):
-    """Raised when (kappa, strength) lies outside the Zoll regime s^2 + kappa > 0."""
-
-
 class QuadratureFailure(MagsysError):
     """Raised when an adaptive quadrature cannot reach the requested tolerance."""
 
@@ -47,6 +43,10 @@ class ParseError(MagsysError):
 
 class ValidationError(MagsysError):
     """Raised on structurally valid configs with bad keys or values."""
+
+
+class ZollRegimeViolation(ValidationError):
+    """Raised when (kappa, strength) lies outside the Zoll regime; see check_zoll_regime."""
 
 
 class IoError(MagsysError):

@@ -5,15 +5,10 @@ fields), magnetic perturbations as 1-forms eta with closed-form exterior
 derivative.  Fields are referenced by name plus a coefficient list, so
 configs stay declarative (no code loading) and systems stay picklable.
 
-Conventions per chart:
-
-* ``sphere_ambient`` -- points are ambient R^3 vectors on the radius-R
-  sphere; differentials are returned as Euclidean covectors (project onto
-  the tangent plane to get the intrinsic gradient).
-* ``hyperbolic_polar`` -- points are (rho, phi); covectors are (d_rho, d_phi)
-  components.
-* ``flat_torus`` -- points are (x, y) in the fundamental domain (or its
-  universal cover); covectors are (dx, dy) components.
+Points are in each chart's own coordinates (see the chart objects in
+``geometry``), and so are covectors: on the sphere a differential is an
+ambient Euclidean covector (project onto the tangent plane to get the
+intrinsic gradient), elsewhere it has (d_rho, d_phi) or (dx, dy) components.
 
 ``OneForm.density`` returns d(eta)/sigma0, the exterior derivative measured
 against the unperturbed area form.
@@ -26,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import Chart
 
-_SPHERE = "sphere_ambient"
-_HYPER = "hyperbolic_polar"
-_TORUS = "flat_torus"
+_SPHERE = Chart.SPHERE_AMBIENT
+_HYPER = Chart.HYPERBOLIC_POLAR
+_TORUS = Chart.FLAT_TORUS
 
 
 def _axis(coeffs):
@@ -114,35 +110,43 @@ _SCALAR_FIELDS = {
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """A named built-in scalar field with a coefficient tuple."""
+class _NamedField:
+    """A named built-in field with a coefficient tuple.  Subclasses set ``_kind``
+    and ``_table``: name -> (function, function, chart or None, coefficient count).
+    """
 
     name: str
     coeffs: tuple = (1.0,)
 
     def __post_init__(self):
-        if self.name not in _SCALAR_FIELDS:
+        if self.name not in self._table:
             raise ValidationError(
-                f"unknown scalar field {self.name!r}; known: {sorted(_SCALAR_FIELDS)}")
-        needed = _SCALAR_FIELDS[self.name][3]
+                f"unknown {self._kind} {self.name!r}; known: {sorted(self._table)}")
+        needed = self._table[self.name][3]
         if len(self.coeffs) < needed:
-            raise ValidationError(
-                f"scalar field {self.name!r} needs {needed} coefficient(s)")
+            raise ValidationError(f"{self._kind} {self.name!r} needs {needed} coefficient(s)")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
-    def _check_chart(self, surface):
-        chart = _SCALAR_FIELDS[self.name][2]
-        if chart is not None and surface.chart.value != chart:
-            raise ValidationError(
-                f"scalar field {self.name!r} is defined on {chart}, not {surface.chart.value}")
+    def _function(self, slot, surface):
+        """The table function in slot, after checking the surface's chart."""
+        entry = self._table[self.name]
+        chart = entry[2]
+        if chart is not None and surface.chart is not chart:
+            raise ValidationError(f"{self._kind} {self.name!r} is defined on "
+                                  f"{chart.value}, not {surface.chart.value}")
+        return entry[slot]
+
+
+class ScalarField(_NamedField):
+    """A named built-in scalar field with a coefficient tuple."""
+
+    _kind, _table = "scalar field", _SCALAR_FIELDS
 
     def value(self, surface, q):
-        self._check_chart(surface)
-        return _SCALAR_FIELDS[self.name][0](self.coeffs, surface, q)
+        return self._function(0, surface)(self.coeffs, surface, q)
 
     def differential(self, surface, q):
-        self._check_chart(surface)
-        return _SCALAR_FIELDS[self.name][1](self.coeffs, surface, q)
+        return self._function(1, surface)(self.coeffs, surface, q)
 
 
 # --- 1-forms ------------------------------------------------------------------
@@ -209,36 +213,17 @@ _ONE_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(_NamedField):
     """A named built-in 1-form perturbation with closed-form d(eta)."""
 
-    name: str
-    coeffs: tuple = (1.0,)
-
-    def __post_init__(self):
-        if self.name not in _ONE_FORMS:
-            raise ValidationError(
-                f"unknown 1-form {self.name!r}; known: {sorted(_ONE_FORMS)}")
-        needed = _ONE_FORMS[self.name][3]
-        if len(self.coeffs) < needed:
-            raise ValidationError(f"1-form {self.name!r} needs {needed} coefficient(s)")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    def _check_chart(self, surface):
-        chart = _ONE_FORMS[self.name][2]
-        if chart is not None and surface.chart.value != chart:
-            raise ValidationError(
-                f"1-form {self.name!r} is defined on {chart}, not {surface.chart.value}")
+    _kind, _table = "1-form", _ONE_FORMS
 
     def components(self, surface, q):
-        self._check_chart(surface)
-        return _ONE_FORMS[self.name][0](self.coeffs, surface, q)
+        return self._function(0, surface)(self.coeffs, surface, q)
 
     def density(self, surface, q):
         """Exterior-derivative density d(eta)/sigma0 at q."""
-        self._check_chart(surface)
-        return _ONE_FORMS[self.name][1](self.coeffs, surface, q)
+        return self._function(1, surface)(self.coeffs, surface, q)
 
 
 def scalar_field_names():

@@ -2,18 +2,10 @@
 
 The capping disk is fixed by the inward-normal convention: of the two
 regions a short loop bounds, take the one the rotated velocity J v (the
-acceleration side) points into.  On the model charts this is the region
-enclosed on the concave side -- the polar cap around the orbit's axis on
-the sphere, the literal disk in the plane of the torus chart, the
-origin-side region on the hyperbolic chart.
-
-Flux integrals run in a local azimuthal-equidistant picture of the cap,
-where the area form has an explicit smooth planar density:
-
-* sphere about the cap center c:  sin(sqrt(k) t)/(sqrt(k) t)  at map radius t,
-* hyperbolic chart image (X, Y) = rho (cos phi, sin phi):  sinh(sqrt(-k) r)/(sqrt(-k) r)
-  at origin distance r,
-* flat torus:  1.
+acceleration side) points into.  Flux integrals run in a local
+azimuthal-equidistant picture of the cap, where the area form has an
+explicit smooth planar density; each chart object's ``cap_picture`` gives
+the region and the density on that chart.
 
 ``cap_quadrature`` integrates that density over the region bounded by the
 sampled loop (Gauss nodes radially, trapezoid in angle, periodic cubic
@@ -32,7 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import CapNotFound, ValidationError
-from .geometry import Chart, MagneticSystem, g_norm
+from .geometry import MagneticSystem, g_norm
 from .orbits import Orbit
 from . import zollref
 
@@ -71,84 +63,11 @@ def length(sys: MagneticSystem, orbit: Orbit) -> float:
 
 # --- cap geometry -----------------------------------------------------------------
 
-def _closed_positions(orbit: Orbit):
-    pos = orbit.positions()
-    return pos[:-1]
-
-
-def _sphere_cap_center(sys, orbit):
-    pos = _closed_positions(orbit)
-    vel = np.array([s.velocity for s in orbit.samples[:-1]])
-    axis = np.cross(pos, vel).mean(axis=0)
-    nrm = np.linalg.norm(axis)
-    if nrm == 0.0:
-        raise CapNotFound("orbit has no preferred axis")
-    return axis / nrm * sys.surface.radius
-
-
-def _cap_plane(sys, orbit):
-    """Planar boundary points, area density, and map back to chart points."""
-    surface = sys.surface
-    pos = _closed_positions(orbit)
-    k = surface.kappa
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        c = _sphere_cap_center(sys, orbit)
-        R = surface.radius
-        chat = c / R
-        ref = np.array([0.0, 0.0, 1.0]) if abs(chat[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        e1 = np.cross(chat, ref)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(chat, e1)
-        theta = R * np.arccos(np.clip(pos @ chat / R, -1.0, 1.0))
-        ang = np.arctan2(pos @ e2, pos @ e1)
-        plane = np.stack([theta * np.cos(ang), theta * np.sin(ang)], axis=1)
-        sk = math.sqrt(k)
-
-        def density(P):
-            t = np.linalg.norm(P, axis=-1)
-            return np.where(t < 1e-12, 1.0, np.sin(sk * np.minimum(t, math.pi / sk))
-                            / np.where(t < 1e-12, 1.0, sk * t))
-
-        def to_chart(P):
-            t = np.linalg.norm(P, axis=-1)
-            t_safe = np.where(t < 1e-300, 1.0, t)
-            u = P / t_safe[..., None]
-            alpha = t / R
-            q = (np.cos(alpha)[..., None] * chat
-                 + np.sin(alpha)[..., None] * (u[..., 0:1] * e1 + u[..., 1:2] * e2)) * R
-            return q
-
-        center = np.zeros(2)
-    elif surface.chart is Chart.HYPERBOLIC_POLAR:
-        rho, phi = pos[:, 0], pos[:, 1]
-        plane = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=1)
-        sk = math.sqrt(-k)
-
-        def density(P):
-            r = np.linalg.norm(P, axis=-1)
-            return np.where(r < 1e-12, 1.0, np.sinh(sk * r) / np.where(r < 1e-12, 1.0, sk * r))
-
-        def to_chart(P):
-            r = np.linalg.norm(P, axis=-1)
-            return np.stack([r, np.arctan2(P[..., 1], P[..., 0])], axis=-1)
-
-        center = plane.mean(axis=0)
-    else:
-        plane = pos.copy()
-
-        def density(P):
-            return np.ones(P.shape[:-1])
-
-        def to_chart(P):
-            return P
-
-        center = plane.mean(axis=0)
-        p1, p2 = surface.torus_periods
-        closure = orbit.samples[-1].position - orbit.samples[0].position
-        wind = np.round(closure / np.array([p1, p2]))
-        if np.any(wind != 0):
-            raise CapNotFound("orbit winds around the torus; no capping disk in the chart")
-    return plane, density, to_chart, center
+def _loop(orbit: Orbit):
+    """Positions and velocities of the samples, without the closing repeat."""
+    n = len(orbit.samples) - 1
+    return (np.array([s.position for s in orbit.samples[:n]]),
+            np.array([s.velocity for s in orbit.samples[:n]]))
 
 
 def _boundary_spline(plane, center):
@@ -185,7 +104,8 @@ def _eta_density(sys, q):
 
 
 def _cap_quadrature(sys, orbit, n_angle=2048, n_radial=48):
-    plane, density, to_chart, center = _cap_plane(sys, orbit)
+    closure = orbit.samples[-1].position - orbit.samples[0].position
+    plane, density, to_chart, center = sys.surface.ops.cap_picture(*_loop(orbit), closure)
     spline = _boundary_spline(plane, center)
     orient = _orientation(plane)
 
@@ -211,44 +131,19 @@ def _wrap_to(x0, psi):
 def _green_boundary(sys, orbit):
     """Boundary-integral flux: exact primitive for sigma0, direct loop
     integral for the exact perturbation (int_D d(eta) = oint eta)."""
-    surface = sys.surface
-    k = surface.kappa
-    n = len(orbit.samples) - 1
-    h = orbit.period / n
-    pos = np.array([s.position for s in orbit.samples[:n]])
-    vel = np.array([s.velocity for s in orbit.samples[:n]])
-
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        c = _sphere_cap_center(sys, orbit)
-        R = surface.radius
-        chat = c / R
-        ref = np.array([0.0, 0.0, 1.0]) if abs(chat[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        e1 = np.cross(chat, ref)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(chat, e1)
-        x1, x2 = pos @ e1, pos @ e2
-        v1, v2 = vel @ e1, vel @ e2
-        phi_dot = (x1 * v2 - x2 * v1) / (x1**2 + x2**2)
-        theta = R * np.arccos(np.clip(pos @ chat / R, -1.0, 1.0))
-        prim = (1.0 - np.cos(math.sqrt(k) * theta)) / k
-        base = float(h * np.sum(prim * phi_dot))
-    elif surface.chart is Chart.HYPERBOLIC_POLAR:
-        sk = math.sqrt(-k)
-        prim = (np.cosh(sk * pos[:, 0]) - 1.0) / (-k)
-        base = float(h * np.sum(prim * vel[:, 1]))
-    else:
-        base = float(h * np.sum(pos[:, 0] * vel[:, 1]))
-
+    h = orbit.period / (len(orbit.samples) - 1)
+    pos, vel = _loop(orbit)
+    base = float(h * np.sum(sys.surface.ops.green_integrand(pos, vel)))
     eta_part = 0.0
     if sys.sigma_perturbation is not None and sys.conformal_eps != 0.0:
-        comp = sys.sigma_perturbation.components(surface, pos)
+        comp = sys.sigma_perturbation.components(sys.surface, pos)
         eta_part = sys.conformal_eps * float(h * np.sum(np.sum(comp * vel, axis=1)))
     return base + eta_part
 
 
 def closed_form_flux(kappa, strength):
     """Exact unperturbed cap flux s * int_D sigma0 (continuous across kappa=0)."""
-    zollref.check_reference_regime(kappa, strength)
+    zollref.check_zoll_regime(kappa, strength)
     rt = math.sqrt(strength**2 + kappa)
     return 2.0 * math.pi * strength / (rt * (rt + strength))
 

@@ -8,16 +8,13 @@ on the section are parametrized by two reduced coordinates (a, b): offset
 along the in-section direction and velocity angle (unit speed fixes the
 rest), and closed orbits are fixed points of the reduced return map.
 
-The sphere works in ambient coordinates; the hyperbolic and torus charts
-work in a planar chart image ((X, Y) = rho (cos phi, sin phi) on the
-hyperbolic side) so that loops winding around the chart origin are handled
-uniformly.
+Sections are planes of the chart's planar image (``to_plane`` of the chart
+object: ambient on the sphere, the identity on the torus).
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +22,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
                      TangencyError)
-from .geometry import (Chart, TangentState, g_norm, polar_weight,
-                       rotate90, state_distance, tangent_state)
+from .geometry import TangentState, state_distance, tangent_state
 from .dynamics import flow, latitude_seed, reference_period, rhs
 
 log = logging.getLogger(__name__)
@@ -39,37 +35,9 @@ DEDUP_TOL = 1e-4
 TRANSVERSALITY_MIN = 1e-3
 
 
-# --- planar chart image ---------------------------------------------------------
-
-def _to_plane(surface, q):
-    if surface.chart is Chart.HYPERBOLIC_POLAR:
-        rho, phi = q[0], q[1]
-        return np.array([rho * math.cos(phi), rho * math.sin(phi)])
-    return np.asarray(q, dtype=float)
-
-
-def _plane_jacobian(surface, q):
-    """d(plane)/d(chart) at chart point q."""
-    if surface.chart is Chart.HYPERBOLIC_POLAR:
-        rho, phi = q[0], q[1]
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([[c, -rho * s], [s, rho * c]])
-    return np.eye(2)
-
-
-def _from_plane(surface, p):
-    if surface.chart is Chart.HYPERBOLIC_POLAR:
-        return np.array([math.hypot(p[0], p[1]), math.atan2(p[1], p[0])])
-    return np.asarray(p, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class SectionSpec:
-    """Transversal slice anchored at a seed state.
-
-    normal/tangent live in ambient coordinates on the sphere and in the
-    planar chart image otherwise.
-    """
+    """Transversal slice anchored at a seed state (normal, tangent in the planar image)."""
 
     anchor: TangentState
     normal: np.ndarray
@@ -77,93 +45,23 @@ class SectionSpec:
 
 
 def make_section(sys, anchor: TangentState) -> SectionSpec:
-    surface = sys.surface
-    q, v = anchor.position, anchor.velocity
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        m = v / np.linalg.norm(v)
-        n = q * math.sqrt(surface.kappa)
-        e1 = np.cross(n, m)
-    else:
-        vp = _plane_jacobian(surface, q) @ v
-        m = vp / np.linalg.norm(vp)
-        e1 = np.array([-m[1], m[0]])
-    return SectionSpec(anchor=anchor, normal=m, tangent=e1)
+    normal, tangent = sys.surface.ops.section_frame(anchor.position, anchor.velocity)
+    return SectionSpec(anchor=anchor, normal=normal, tangent=tangent)
 
 
 def _section_value(sys, spec, q):
-    surface = sys.surface
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        return float((q - spec.anchor.position) @ spec.normal)
-    return float((_to_plane(surface, q) - _to_plane(surface, spec.anchor.position))
-                 @ spec.normal)
+    ops = sys.surface.ops
+    return float((ops.to_plane(q) - ops.to_plane(spec.anchor.position)) @ spec.normal)
 
 
 def _crossing_speed(sys, spec, q, v):
-    surface = sys.surface
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        vv = v
-    else:
-        vv = _plane_jacobian(surface, q) @ v
+    vv = sys.surface.ops.plane_velocity(q, v)
     return float(vv @ spec.normal) / np.linalg.norm(vv)
 
 
 def section_state(sys, spec: SectionSpec, a, b) -> TangentState:
     """The section state with reduced coordinates (a, b)."""
-    surface = sys.surface
-    anchor = spec.anchor
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        R = surface.radius
-        q = anchor.position + a * spec.tangent
-        q *= R / np.linalg.norm(q)
-        n = q / R
-        vref = anchor.velocity - float(anchor.velocity @ n) * n
-        vref /= np.linalg.norm(vref)
-        v = math.cos(b) * vref + math.sin(b) * np.cross(n, vref)
-        return tangent_state(sys, q, v)
-    p = _to_plane(surface, anchor.position) + a * spec.tangent
-    q = _from_plane(surface, p)
-    jac = _plane_jacobian(surface, q)
-    dir_plane = _plane_jacobian(surface, anchor.position) @ anchor.velocity
-    vref = np.linalg.solve(jac, dir_plane)
-    jvref = rotate90(sys, q, vref)
-    nrm0, jnrm0 = g_norm(sys, q, vref), g_norm(sys, q, jvref)
-    v = math.cos(b) * vref / nrm0 + math.sin(b) * jvref / jnrm0
-    return tangent_state(sys, q, v)
-
-
-def section_coords(sys, spec: SectionSpec, state: TangentState):
-    """Invert section_state for states lying on the section."""
-    surface = sys.surface
-    anchor = spec.anchor
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        R = surface.radius
-        q, v = state.position, state.velocity
-        denom = float(q @ anchor.position) / R**2
-        a = float(q @ spec.tangent) / denom
-        n = q / R
-        vref = anchor.velocity - float(anchor.velocity @ n) * n
-        vref /= np.linalg.norm(vref)
-        b = math.atan2(float(v @ np.cross(n, vref)), float(v @ vref))
-        return np.array([a, b])
-    p = _to_plane(surface, state.position) - _to_plane(surface, anchor.position)
-    a = float(p @ spec.tangent)
-    jac = _plane_jacobian(surface, state.position)
-    dir_plane = _plane_jacobian(surface, anchor.position) @ anchor.velocity
-    vref = np.linalg.solve(jac, dir_plane)
-    jvref = rotate90(sys, state.position, vref)
-    x = float(state.velocity @ _lower(sys, state.position, vref))
-    y = float(state.velocity @ _lower(sys, state.position, jvref))
-    b = math.atan2(y, x)    # J is a g0-isometry, so the common scale cancels
-    return np.array([a, b])
-
-
-def _lower(sys, q, v):
-    """g0-metric lowering in chart components (used only for angles)."""
-    surface = sys.surface
-    if surface.chart is Chart.HYPERBOLIC_POLAR:
-        w = float(polar_weight(surface, q[0]))
-        return np.array([v[0], w**2 * v[1]])
-    return np.asarray(v, dtype=float)
+    return sys.surface.ops.section_state(sys, spec, a, b)
 
 
 def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
@@ -185,7 +83,7 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
     sol = solve_ivp(f, (0.0, head), y0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise StepFailure(sol.message)
-    d = 3 if sys.surface.chart is Chart.SPHERE_AMBIENT else 2
+    d = sys.surface.ops.dim
 
     def event(t, y):
         return _section_value(sys, section, y[:d])
@@ -228,7 +126,8 @@ def _reduced_map(sys, spec, tol):
     def F(x):
         st = section_state(sys, spec, x[0], x[1])
         st2, t_ret = return_map(sys, spec, st, tol=tol)
-        return section_coords(sys, spec, st2), t_ret, state_distance(sys, st2, st)
+        x2 = sys.surface.ops.section_coords(sys, spec, st2)
+        return x2, t_ret, state_distance(sys, st2, st)
     return F
 
 
@@ -305,92 +204,14 @@ def _build_orbit(sys, spec, x, tol, seed_id, n_samples, ivp_tol, iterations=0):
 # --- seed grids and enumeration ---------------------------------------------------
 
 def _sphere_axis_seed(sys, axis):
-    surface = sys.surface
-    R = surface.radius
-    s = sys.strength
-    alpha = math.atan2(math.sqrt(surface.kappa), abs(s))
-    n_hat = np.asarray(axis, dtype=float)
-    n_hat /= np.linalg.norm(n_hat)
-    ref = np.array([0.0, 0.0, 1.0]) if abs(n_hat[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(n_hat, ref)
-    e1 /= np.linalg.norm(e1)
-    q = R * (math.cos(alpha) * n_hat + math.sin(alpha) * e1)
-    v = np.cross(n_hat, q)
-    if s < 0:
-        v = -v
-    return tangent_state(sys, q, v)
-
-
-def _hyperbolic_translate(surface, state, dist, psi):
-    """Push a chart state out to distance dist along direction psi (isometry)."""
-    rh = 1.0 / math.sqrt(-surface.kappa)
-    rho, phi = state.position
-    vr, vp = state.velocity
-    ch, sh = math.cosh(rho / rh), math.sinh(rho / rh)
-    X = rh * np.array([ch, sh * math.cos(phi), sh * math.sin(phi)])
-    dX_drho = np.array([sh, ch * math.cos(phi), ch * math.sin(phi)])
-    dX_dphi = rh * np.array([0.0, -sh * math.sin(phi), sh * math.cos(phi)])
-    V = vr * dX_drho + vp * dX_dphi
-
-    z = dist / rh
-    cz, sz = math.cosh(z), math.sinh(z)
-    cp, sp = math.cos(psi), math.sin(psi)
-    rot = np.array([[1, 0, 0], [0, cp, -sp], [0, sp, cp]])
-    boost = np.array([[cz, sz, 0], [sz, cz, 0], [0, 0, 1]])
-    B = rot @ boost @ rot.T
-    Xb, Vb = B @ X, B @ V
-
-    rho_b = rh * math.acosh(max(Xb[0] / rh, 1.0))
-    phi_b = math.atan2(Xb[2], Xb[1])
-    denom = math.sqrt(max(Xb[0] ** 2 - rh**2, 1e-300))
-    vr_b = rh * Vb[0] / denom
-    r2 = Xb[1] ** 2 + Xb[2] ** 2
-    vp_b = (Xb[1] * Vb[2] - Xb[2] * Vb[1]) / r2
-    return TangentState(np.array([rho_b, phi_b]), np.array([vr_b, vp_b]))
+    return sys.surface.ops.axis_seed(sys, axis)
 
 
 def seed_grid(sys, grid_density, rng_seed=0):
     """Deterministic (seed_id, TangentState) pairs covering the Zoll family."""
     if grid_density <= 0:
         return []
-    rng = np.random.default_rng(rng_seed)
-    surface = sys.surface
-    seeds = []
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        # the two poles are always seeded; rings of axes cover the rest
-        seeds.append(("axis_north", _sphere_axis_seed(sys, np.array([0.0, 0.0, 1.0]))))
-        seeds.append(("axis_south", _sphere_axis_seed(sys, np.array([0.0, 0.0, -1.0]))))
-        for i in range(grid_density):
-            alpha = math.pi * (i + 0.5) / grid_density + 0.02 * rng.uniform(-1, 1)
-            sz, cz = math.sin(alpha), math.cos(alpha)
-            for j in range(grid_density):
-                beta = 2.0 * math.pi * (j + 0.3 + 0.05 * rng.uniform(-1, 1)) / grid_density
-                axis = np.array([sz * math.cos(beta), sz * math.sin(beta), cz])
-                seeds.append((f"axis_{i}_{j}", _sphere_axis_seed(sys, axis)))
-    elif surface.chart is Chart.FLAT_TORUS:
-        p1, p2 = surface.torus_periods
-        r = 1.0 / abs(sys.strength) if sys.strength != 0 else 0.0
-        base = latitude_seed(sys)
-        for i in range(grid_density):
-            for j in range(grid_density):
-                cx = (i + 0.5) * p1 / grid_density
-                cy = (j + 0.5) * p2 / grid_density
-                q = np.array([cx + r, cy])
-                seeds.append((f"center_{i}_{j}",
-                              tangent_state(sys, q, base.velocity)))
-    else:
-        base = latitude_seed(sys)
-        rho_star = base.position[0]
-        d_max = max(0.2, min(1.0, surface.domain_rho - rho_star - 0.3))
-        for i in range(grid_density):
-            d = d_max * i / max(grid_density - 1, 1)
-            for j in range(grid_density):
-                psi = 2.0 * math.pi * j / grid_density
-                if d == 0.0 and j > 0:
-                    continue
-                seeds.append((f"boost_{i}_{j}",
-                              _hyperbolic_translate(surface, base, d, psi)))
-    return seeds
+    return sys.surface.ops.seed_family(sys, grid_density, np.random.default_rng(rng_seed))
 
 
 def _poly_hausdorff(sys, pa, pb):
@@ -399,14 +220,7 @@ def _poly_hausdorff(sys, pa, pb):
     Distances are measured point-to-polyline so that phase-shifted samplings
     of the same curve compare as close.
     """
-    surface = sys.surface
-    if surface.chart is Chart.FLAT_TORUS:
-        periods = np.asarray(surface.torus_periods)
-        shift = periods * np.round((np.mean(pa, axis=0) - np.mean(pb, axis=0)) / periods)
-        pb = pb + shift
-    elif surface.chart is Chart.HYPERBOLIC_POLAR:
-        pa = np.stack([pa[:, 0] * np.cos(pa[:, 1]), pa[:, 0] * np.sin(pa[:, 1])], axis=1)
-        pb = np.stack([pb[:, 0] * np.cos(pb[:, 1]), pb[:, 0] * np.sin(pb[:, 1])], axis=1)
+    pa, pb = sys.surface.ops.align_loops(pa, pb)
 
     def one_sided(P, Q):
         A, B = Q[:-1], Q[1:]
@@ -434,43 +248,46 @@ def deduplicate(sys, orbits, dedup_tol=DEDUP_TOL):
     return unique
 
 
-def _run_seed(args):
-    sys, seed_id, seed, tol, max_iter, n_samples = args
-    return find_closed_orbit(sys, seed, tol=tol, max_iter=max_iter,
-                             seed_id=seed_id, n_samples=n_samples)
+class Census(list):
+    """Distinct closed orbits in order of magnetic length, with each orbit's
+    ``magnetic_lengths`` entry and the size ``seeds_attempted`` of the grid."""
+
+    def __init__(self, orbits, magnetic_lengths, seeds_attempted):
+        super().__init__(orbits)
+        self.magnetic_lengths = list(magnetic_lengths)
+        self.seeds_attempted = seeds_attempted
 
 
 def enumerate_orbits(sys, grid_density=4, tol=1e-9, max_iter=25, workers=1,
                      rng_seed=0, n_samples=512, dedup_tol=DEDUP_TOL):
     """Closed orbits from a deterministic seed grid, deduplicated and sorted
-    by magnetic length.  Failed seeds are logged and skipped."""
+    by magnetic length, as a Census.  Failed seeds are logged and skipped."""
     seeds = seed_grid(sys, grid_density, rng_seed=rng_seed)
     tasks = [(sys, sid, st, tol, max_iter, n_samples) for sid, st in seeds]
-    found = []
     if workers > 1 and len(tasks) > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=workers) as ex:
-            for (sid, _), res in zip(seeds, ex.map(_run_seed_safe, tasks)):
-                if isinstance(res, Orbit):
-                    found.append(res)
-                elif res is not None:
-                    log.info("seed %s skipped: %s", sid, res)
+            results = list(ex.map(_run_seed_safe, tasks))
     else:
-        for task in tasks:
-            res = _run_seed_safe(task)
-            if isinstance(res, Orbit):
-                found.append(res)
-            elif res is not None:
-                log.info("seed %s skipped: %s", task[1], res)
+        results = map(_run_seed_safe, tasks)
+    found = []
+    for (sid, _), res in zip(seeds, results):
+        if isinstance(res, Orbit):
+            found.append(res)
+        elif res is not None:
+            log.info("seed %s skipped: %s", sid, res)
     unique = deduplicate(sys, found, dedup_tol=dedup_tol)
     from .functionals import magnetic_length
-    unique.sort(key=lambda orb: magnetic_length(sys, orb))
-    return unique
+    lengths = [magnetic_length(sys, orb) for orb in unique]
+    order = sorted(range(len(unique)), key=lengths.__getitem__)
+    return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds))
 
 
 def _run_seed_safe(args):
+    sys, seed_id, seed, tol, max_iter, n_samples = args
     try:
-        return _run_seed(args)
+        return find_closed_orbit(sys, seed, tol=tol, max_iter=max_iter,
+                                 seed_id=seed_id, n_samples=n_samples)
     except (NoConvergence, DivergedFromFamily, NoReturn, TangencyError,
             StepFailure) as exc:
         return f"{type(exc).__name__}: {exc}"

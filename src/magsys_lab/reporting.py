@@ -76,25 +76,26 @@ def ensure_outdir(outdir):
         raise IoError(f"cannot create output directory {outdir}: {exc}") from exc
 
 
-def orbit_samples_csv(sys, orbit, path):
-    """Per-orbit sample path: t plus chart coordinates and velocity."""
-    from .geometry import Chart
-    if sys.surface.chart is Chart.SPHERE_AMBIENT:
-        cols = ["t", "qx", "qy", "qz", "vx", "vy", "vz"]
-    elif sys.surface.chart is Chart.HYPERBOLIC_POLAR:
-        cols = ["t", "rho", "phi", "v_rho", "v_phi"]
-    else:
-        cols = ["t", "x", "y", "vx", "vy"]
-    n = len(orbit.samples)
+def samples_csv(sys, times, states, path, extra=None):
+    """Sample path: t, the chart's coordinate and velocity columns, then one
+    column per entry of extra (name -> per-sample values)."""
+    extra = extra or {}
+    cols = ["t", *sys.surface.ops.columns, *extra]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(cols) + "\n")
-            for i, st in enumerate(orbit.samples):
-                t = orbit.period * i / (n - 1)
-                row = [t, *st.position, *st.velocity]
+            for i, (t, st) in enumerate(zip(times, states)):
+                row = [t, *st.position, *st.velocity, *(vals[i] for vals in extra.values())]
                 fh.write(",".join(fmt_float(float(x)) for x in row) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def orbit_samples_csv(sys, orbit, path):
+    """Per-orbit sample path: t plus chart coordinates and velocity."""
+    n = len(orbit.samples)
+    times = [orbit.period * i / (n - 1) for i in range(n)]
+    samples_csv(sys, times, orbit.samples, path)
 
 
 # --- experiment-report schema -----------------------------------------------------

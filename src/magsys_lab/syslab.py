@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from . import functionals, orbits, zollref
+from . import orbits, zollref
 from .errors import MagsysError, NoOrbitsFound, ValidationError
 from .fields import OneForm, ScalarField
 from .geometry import (conformal_perturb, make_model, riemannian_volume,
@@ -139,16 +139,15 @@ def run_experiment_full(cfg: ExperimentConfig):
     """run_experiment plus the experiment system and the orbit list."""
     sys0, sys = build_system(cfg)
     ref = zollref.reference_length(cfg.kappa, cfg.strength)
-    seeds = orbits.seed_grid(sys, cfg.grid_density, rng_seed=cfg.rng_seed)
     found = orbits.enumerate_orbits(sys, grid_density=cfg.grid_density,
                                     tol=cfg.tol_orbit, max_iter=cfg.max_iter,
                                     workers=cfg.workers, rng_seed=cfg.rng_seed)
     if not found:
         raise NoOrbitsFound(
-            f"no closed orbits from {len(seeds)} seeds; eps may exceed the "
+            f"no closed orbits from {found.seeds_attempted} seeds; eps may exceed the "
             "perturbative regime")
 
-    lmags = [functionals.magnetic_length(sys, orb) for orb in found]
+    lmags = found.magnetic_lengths
     l_min, l_max = min(lmags), max(lmags)
     vol_g0 = unperturbed_volume(sys.surface)
     vol_g = vol_g0 if sys.is_unperturbed() else \
@@ -194,7 +193,7 @@ def run_experiment_full(cfg: ExperimentConfig):
         full_lhs=lhs,
         full_rhs_affine=rhs_affine,
         full_rhs_ratio=rhs_ratio,
-        seeds_attempted=len(seeds),
+        seeds_attempted=found.seeds_attempted,
     )
     return report, sys, found
 

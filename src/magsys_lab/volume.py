@@ -16,8 +16,9 @@ general-dimension constant 2 pi^{2n}/(n-1)! of the same identity.)
 ``vol_quadrature_oracle`` evaluates the defining integral directly: it
 Monte-Carlo samples the 3-dimensional unit tangent bundle in explicit
 coordinates ((x, y, phi) on the torus, (theta, phi, psi) in spherical
-coordinates), evaluates the full 3-form alpha ^ (Omega0 + r d(alpha))
-pointwise with the r-integral done exactly, and averages.  Sampling is
+coordinates; the chart object's ``oracle`` gives the integrand and the
+box), evaluates the full 3-form alpha ^ (Omega0 + r d(alpha)) pointwise
+with the r-integral done exactly, and averages.  Sampling is
 stratified over base cells with antithetic fiber angles; partial sums are
 combined in fixed cell order, so a fixed seed gives a bit-identical result.
 """
@@ -30,8 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (Chart, MagneticSystem, conf_log, riemannian_volume,
-                       unperturbed_volume)
+from .geometry import MagneticSystem, riemannian_volume, unperturbed_volume
+
+CELLS_PER_SIDE = 16
+# two antithetic pairs in every cell, the fewest that estimate a variance
+MIN_SAMPLES = 2 * CELLS_PER_SIDE**2 + 1
 
 ORIENTATION_NOTE = ("orientation: characteristic flow positively oriented; "
                     "fiber length 2 pi; surface constant +pi")
@@ -76,72 +80,12 @@ def _check_pair(sys0, sys):
         raise ValidationError("reference and perturbed systems must share strength")
 
 
-def _torus_integrand(sys):
-    surface = sys.surface
-    s = sys.strength
-    eps = sys.conformal_eps
-    eta = sys.sigma_perturbation
-
-    def F(q, fib):
-        f = np.exp(conf_log(sys, q))
-        main = f - 1.0
-        if eta is not None and eps != 0.0:
-            comp = eta.components(surface, q)
-            main = main - s * eps * (comp[..., 0] * np.cos(fib)
-                                     + comp[..., 1] * np.sin(fib))
-        return 0.5 * (f + 1.0) * main
-
-    return F
-
-
-def _sphere_integrand(sys):
-    surface = sys.surface
-    R = surface.radius
-    sk = math.sqrt(surface.kappa)
-    s = sys.strength
-    eps = sys.conformal_eps
-    eta = sys.sigma_perturbation
-
-    def F(q, fib):
-        theta, phib = q[..., 0], q[..., 1]
-        alpha = theta / R
-        W = np.sin(sk * theta) / sk
-        amb = np.stack([R * np.sin(alpha) * np.cos(phib),
-                        R * np.sin(alpha) * np.sin(phib),
-                        R * np.cos(alpha)], axis=-1)
-        f = np.exp(conf_log(sys, amb))
-        main = W * (f - 1.0)
-        if eta is not None and eps != 0.0:
-            comp = eta.components(surface, amb)
-            dq_dtheta = np.stack([np.cos(alpha) * np.cos(phib),
-                                  np.cos(alpha) * np.sin(phib),
-                                  -np.sin(alpha)], axis=-1)
-            dq_dphib = np.stack([-R * np.sin(alpha) * np.sin(phib),
-                                 R * np.sin(alpha) * np.cos(phib),
-                                 np.zeros_like(phib)], axis=-1)
-            eta_th = np.sum(comp * dq_dtheta, axis=-1)
-            eta_ph = np.sum(comp * dq_dphib, axis=-1)
-            main = main - s * eps * (W * eta_th * np.cos(fib) + eta_ph * np.sin(fib))
-        return 0.5 * (f + 1.0) * main
-
-    return F
-
-
 def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
-                          samples=1_000_000, rng_seed=0, cells_per_side=16):
+                          samples=1_000_000, rng_seed=0, cells_per_side=CELLS_PER_SIDE):
     """Unbiased Monte Carlo estimate of the volume functional with its
     standard error.  Deterministic under a fixed rng_seed."""
     _check_pair(sys0, sys)
-    surface = sys.surface
-    if surface.chart is Chart.SPHERE_AMBIENT:
-        F = _sphere_integrand(sys)
-        box = (math.pi / math.sqrt(surface.kappa), 2.0 * math.pi)
-    elif surface.chart is Chart.FLAT_TORUS:
-        F = _torus_integrand(sys)
-        box = surface.torus_periods
-    else:
-        raise ValidationError(
-            "the volume oracle needs explicit coordinates: flat-torus or sphere chart")
+    F, box = sys.surface.ops.oracle(sys)
     vol_box = box[0] * box[1] * 2.0 * math.pi
 
     n_cells = cells_per_side**2

@@ -26,16 +26,13 @@ from dataclasses import dataclass
 from .errors import ValidationError, ZollRegimeViolation
 
 
-def check_reference_regime(kappa, strength):
-    """Zoll-reference regime: s^2 + kappa > 0 and sqrt(s^2+kappa) + s > 0."""
+def check_zoll_regime(kappa, strength):
+    """The one check of the Zoll regime: s^2 + kappa > 0 and sqrt(s^2+kappa) + s > 0."""
     disc = strength**2 + kappa
-    if not disc > 0:
+    if not (disc > 0 and math.sqrt(disc) + strength > 0):
         raise ZollRegimeViolation(
-            f"Zoll regime violated: s^2+kappa = {disc:g} <= 0")
-    if not math.sqrt(disc) + strength > 0:
-        raise ZollRegimeViolation(
-            "reference constants need sqrt(s^2+kappa) + s > 0 "
-            f"(got s = {strength:g}, kappa = {kappa:g})")
+            "Zoll regime violated: need s^2+kappa > 0 and sqrt(s^2+kappa) + s > 0 "
+            f"(kappa = {kappa:g}, strength = {strength:g})")
 
 
 def a_of_r(kappa, s, r):
@@ -49,7 +46,7 @@ def a_of_r(kappa, s, r):
 
 def a1_squared(kappa, s):
     """a(1)^2 = 2/(sqrt(s^2+kappa) + s); equals 1/s at kappa = 0."""
-    check_reference_regime(kappa, s)
+    check_zoll_regime(kappa, s)
     return 2.0 / (math.sqrt(s * s + kappa) + s)
 
 

@@ -30,7 +30,6 @@ class TestParseConfig:
             write(tmp_path, "min.cfg", "kappa = 1\nstrength = 1\n"))
         assert cfg.kappa == 1.0 and cfg.strength == 1.0
         assert cfg.grid_density == 3 and cfg.normalize is True
-        assert extras["format"] == "json"
         assert "model.kappa" in prov["keys_from_file"]
         assert "search.grid_density" in prov["defaulted_keys"]
 
@@ -78,15 +77,37 @@ normalize = true
 [search]
 grid_density = 4
 eps_list = 0.01, 0.02
-
-[output]
-format = csv
 """
         cfg, extras, _ = parse_config(write(tmp_path, "full.cfg", text))
         assert cfg.eps == 0.05
         assert cfg.perturbation_name == "sphere_harmonic_z"
         assert extras["eps_list"] == (0.01, 0.02)
-        assert extras["format"] == "csv"
+
+    def test_output_format_key_refused(self, tmp_path):
+        # every command writes a fixed set of formats, so there is nothing to pick
+        path = write(tmp_path, "fmt.cfg", "kappa = 1\nstrength = 1\n[output]\nformat = csv\n")
+        with pytest.raises(ValidationError, match="'format'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("kappa, strength", [(0.0, -1.0), (-1.0, -2.0)])
+    def test_negative_strength_outside_zoll_regime(self, tmp_path, kappa, strength):
+        # s^2 + kappa > 0 holds, but sqrt(s^2 + kappa) + s <= 0
+        path = write(tmp_path, "neg.cfg", f"kappa = {kappa}\nstrength = {strength}\n")
+        with pytest.raises(ValidationError, match="Zoll regime violated"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("samples", [-5, 512])
+    def test_too_few_volume_samples_refused(self, tmp_path, samples):
+        # below 513 the oracle has one antithetic pair per cell and reports
+        # a standard error of 0
+        path = write(tmp_path, "few.cfg",
+                     f"kappa = 1\nstrength = 1\n[search]\nsamples = {samples}\n")
+        with pytest.raises(ValidationError, match="samples"):
+            parse_config(path)
+
+    def test_fewest_volume_samples_accepted(self, tmp_path):
+        path = write(tmp_path, "ok.cfg", "kappa = 1\nstrength = 1\n[search]\nsamples = 513\n")
+        assert parse_config(path)[1]["samples"] == 513
 
 
 class TestCliRuns:

@@ -175,13 +175,19 @@ class TestFlowApi:
         traj = flow(sys, latitude_seed(sys), 2.0, n_samples=100)
         assert np.all(np.diff(traj.times) > 0)
 
-    def test_csv_export(self, tmp_path):
-        sys = make_model(1.0, 1.0)
+    @pytest.mark.parametrize("kappa, s, header", [
+        (1.0, 1.0, "t,qx,qy,qz,vx,vy,vz,geodesic_curvature"),
+        (-1.0, 2.0, "t,rho,phi,v_rho,v_phi,geodesic_curvature"),
+        (0.0, 1.0, "t,x,y,vx,vy,geodesic_curvature"),
+    ], ids=["sphere", "hyperbolic", "torus"])
+    def test_csv_export(self, tmp_path, kappa, s, header):
+        sys = make_model(kappa, s)
         traj = flow(sys, latitude_seed(sys), 1.0, tol=1e-8, n_samples=80)
         path = tmp_path / "traj.csv"
         trajectory_to_csv(sys, traj, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,qx,qy,qz,vx,vy,vz,geodesic_curvature"
+        assert lines[0] == header
         assert len(lines) == 82
+        # an unperturbed Zoll orbit has geodesic curvature s
         kappa_g = float(lines[40].split(",")[-1])
-        assert kappa_g == pytest.approx(1.0, abs=1e-6)
+        assert kappa_g == pytest.approx(s, abs=1e-6)

@@ -144,6 +144,14 @@ class TestEnumerate:
         lmags = [magnetic_length(sysp, orb) for orb in found]
         assert lmags == sorted(lmags)
 
+    def test_census_carries_lengths_and_seed_count(self):
+        # the lengths that order the census are the ones reports print, so
+        # no caller has to compute them a second time
+        sys = make_model(0.0, 1.0)
+        found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
+        assert found.seeds_attempted == len(orbits_mod.seed_grid(sys, 2)) == 4
+        assert found.magnetic_lengths == [magnetic_length(sys, orb) for orb in found]
+
     def test_dedup_idempotence(self):
         sysp = perturbed_sphere(0.05)
         a = enumerate_orbits(sysp, grid_density=2, tol=1e-9)
