@@ -148,10 +148,7 @@ def parse_config(path):
     # surface regime problems at parse time, with the offending numbers
     zollref.check_zoll_regime(cfg.kappa, cfg.strength)
     samples = get("search", "samples", 1_000_000)
-    if samples < volume.MIN_SAMPLES:
-        raise ValidationError(
-            f"samples = {samples} is below {volume.MIN_SAMPLES}: the volume oracle "
-            "needs two antithetic pairs in each of its cells to estimate its error")
+    volume.check_samples(samples)
     extras = {
         "eps_list": get("search", "eps_list", (0.0,)),
         "samples": samples,
@@ -278,14 +275,11 @@ def cmd_zollpoly(cfg, extras, provenance, args):
         if have_generic:
             row["P_generic"] = zollref.zoll_polynomial_generic(coh, a)
         rows.append(row)
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(reporting.fmt_float(row[c]) for c in cols))
-    text = "\n".join(lines)
-    print(text)
+    text = reporting.csv_text(rows, cols)
+    print(text, end="")
     if args.out_given:
         reporting.ensure_outdir(extras["out"])
-        reporting.write_csv(rows, cols, os.path.join(extras["out"], "zollpoly.csv"))
+        reporting.write_text(text, os.path.join(extras["out"], "zollpoly.csv"))
     return 0
 
 

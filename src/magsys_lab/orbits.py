@@ -203,10 +203,6 @@ def _build_orbit(sys, spec, x, tol, seed_id, n_samples, ivp_tol, iterations=0):
 
 # --- seed grids and enumeration ---------------------------------------------------
 
-def _sphere_axis_seed(sys, axis):
-    return sys.surface.ops.axis_seed(sys, axis)
-
-
 def seed_grid(sys, grid_density, rng_seed=0):
     """Deterministic (seed_id, TangentState) pairs covering the Zoll family."""
     if grid_density <= 0:
@@ -217,8 +213,9 @@ def seed_grid(sys, grid_density, rng_seed=0):
 def _poly_hausdorff(sys, pa, pb):
     """Symmetric Hausdorff distance between closed sample loops.
 
-    Distances are measured point-to-polyline so that phase-shifted samplings
-    of the same curve compare as close.
+    Distances are measured from each loop's vertices to the other loop's
+    polyline, so that phase-shifted samplings of the same curve compare as
+    close.
     """
     pa, pb = sys.surface.ops.align_loops(pa, pb)
 
@@ -236,15 +233,39 @@ def _poly_hausdorff(sys, pa, pb):
     return max(one_sided(pa, pb), one_sided(pb, pa))
 
 
+def _support_gap(pa, pb):
+    """A lower bound on the ``_poly_hausdorff`` distance of two aligned loops.
+
+    The bound is max |h_A(u) - h_B(u)| over the directions u = +-e_i, with
+    h_P(u) = max <p, u> over the vertices p of P (the support function).  The
+    vertex of A that attains h_A(u) lies at least h_A(u) - h_B(u) from every
+    point of the polyline B, whose points are convex combinations of B's
+    vertices; the pass from B's vertices covers the other sign.
+    """
+    return float(np.max(np.abs(np.concatenate(
+        [pa.max(axis=0) - pb.max(axis=0), pa.min(axis=0) - pb.min(axis=0)]))))
+
+
 def deduplicate(sys, orbits, dedup_tol=DEDUP_TOL):
-    """Drop orbits whose position loops coincide within dedup_tol."""
-    unique = []
+    """Drop orbits whose position loops coincide within dedup_tol.
+
+    Two loops coincide when ``_poly_hausdorff``, the larger of the two
+    vertex-to-polyline distances, is below dedup_tol; the first orbit of each
+    such group is kept.  A pair whose ``_support_gap`` in the aligned picture
+    is at least 2 dedup_tol is distinct without the O(N^2) exact pass.  The
+    gap never exceeds the exact distance, and the factor 2 leaves room for
+    rounding (a few ulps of the coordinates, far below dedup_tol), so the
+    pre-check cannot change a decision.
+    """
+    align = sys.surface.ops.align_loops
+    unique, loops = [], []
     for orb in orbits:
         pa = orb.positions()
-        if any(_poly_hausdorff(sys, pa, kept.positions()) < dedup_tol
-               for kept in unique):
+        if any(_support_gap(*align(pa, pb)) < 2.0 * dedup_tol
+               and _poly_hausdorff(sys, pa, pb) < dedup_tol for pb in loops):
             continue
         unique.append(orb)
+        loops.append(pa)
     return unique
 
 

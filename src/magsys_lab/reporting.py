@@ -49,24 +49,33 @@ def write_json(doc, path):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(rows, columns, path):
+def csv_text(rows, columns):
     """Plain deterministic CSV (floats via fmt_float, no quoting needed)."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = []
+        for col in columns:
+            v = row[col] if isinstance(row, dict) else getattr(row, col)
+            if isinstance(v, float):
+                cells.append(fmt_float(v))
+            elif isinstance(v, bool):
+                cells.append("true" if v else "false")
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def write_text(text, path):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                cells = []
-                for col in columns:
-                    v = row[col] if isinstance(row, dict) else getattr(row, col)
-                    if isinstance(v, float):
-                        cells.append(fmt_float(v))
-                    elif isinstance(v, bool):
-                        cells.append("true" if v else "false")
-                    else:
-                        cells.append(str(v))
-                fh.write(",".join(cells) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(rows, columns, path):
+    write_text(csv_text(rows, columns), path)
 
 
 def ensure_outdir(outdir):

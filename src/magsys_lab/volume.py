@@ -34,8 +34,6 @@ from .errors import ValidationError
 from .geometry import MagneticSystem, riemannian_volume, unperturbed_volume
 
 CELLS_PER_SIDE = 16
-# two antithetic pairs in every cell, the fewest that estimate a variance
-MIN_SAMPLES = 2 * CELLS_PER_SIDE**2 + 1
 
 ORIENTATION_NOTE = ("orientation: characteristic flow positively oriented; "
                     "fiber length 2 pi; surface constant +pi")
@@ -80,16 +78,29 @@ def _check_pair(sys0, sys):
         raise ValidationError("reference and perturbed systems must share strength")
 
 
+def check_samples(samples, cells_per_side=CELLS_PER_SIDE):
+    """Refuse a sample count that leaves one antithetic pair in a cell (513
+    at the default 16 x 16 cells): two pairs per cell are the fewest that
+    estimate a variance, and with one the standard error would read 0."""
+    fewest = 2 * cells_per_side**2 + 1
+    if samples < fewest:
+        raise ValidationError(
+            f"samples = {samples} is below {fewest}: the volume oracle "
+            "needs two antithetic pairs in each of its cells to estimate its error")
+
+
 def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
                           samples=1_000_000, rng_seed=0, cells_per_side=CELLS_PER_SIDE):
     """Unbiased Monte Carlo estimate of the volume functional with its
-    standard error.  Deterministic under a fixed rng_seed."""
+    standard error.  Deterministic under a fixed rng_seed; samples must be at
+    least 2 cells_per_side^2 + 1 (``check_samples``)."""
     _check_pair(sys0, sys)
+    check_samples(samples, cells_per_side)
     F, box = sys.surface.ops.oracle(sys)
     vol_box = box[0] * box[1] * 2.0 * math.pi
 
     n_cells = cells_per_side**2
-    pairs_per_cell = max(1, int(math.ceil(samples / (2 * n_cells))))
+    pairs_per_cell = math.ceil(samples / (2 * n_cells))
     root = np.random.SeedSequence(rng_seed)
     children = root.spawn(n_cells)
 
@@ -107,7 +118,7 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
             fib = rng.uniform(0.0, 2.0 * math.pi, size=pairs_per_cell)
             pair_mean = 0.5 * (F(q, fib) + F(q, fib + math.pi))
             cell_means[idx] = pair_mean.mean()
-            cell_vars[idx] = pair_mean.var(ddof=1) if pairs_per_cell > 1 else 0.0
+            cell_vars[idx] = pair_mean.var(ddof=1)
             idx += 1
 
     estimate = vol_box * float(cell_means.mean())

@@ -1,0 +1,50 @@
+"""The benchmark's workload configs stay valid inputs of the program.
+
+perfbench/workloads.py is not a package module; its source is read and run
+here, so the suite writes nothing (not even a bytecode cache) into perfbench/.
+"""
+
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from magsys_lab.cli import parse_config
+from magsys_lab.zollref import reference_length
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    module = types.ModuleType("perfbench_workloads")
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(WORKLOADS_PY.read_text(encoding="utf-8"), str(WORKLOADS_PY), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+workloads = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_config_parses(tmp_path, name):
+    w = workloads.WORKLOADS[name]
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(w.config, encoding="utf-8")
+    cfg, extras, _ = parse_config(str(path))
+    assert (cfg.kappa, cfg.strength) == (w.kappa, w.strength)
+    assert cfg.workers == 1
+    if not w.is_census:
+        assert extras["samples"] == w.recorded["samples"]
+
+
+@pytest.mark.parametrize("kappa,strength",
+                         [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0), (4.0, 0.5), (-0.99, 1.0)])
+def test_zoll_length_agrees_with_zollref(kappa, strength):
+    assert workloads.zoll_magnetic_length(kappa, strength) == pytest.approx(
+        reference_length(kappa, strength), rel=1e-12)

@@ -201,6 +201,15 @@ samples = 100000
         assert float(mid[0]) == 0.0
         assert float(mid[1]) == 0.0
 
+    @pytest.mark.parametrize("model", ["kappa = 1\nstrength = 1\n",
+                                       "kappa = -1\nstrength = 2\n"])
+    def test_zollpoly_stdout_is_the_csv_file(self, tmp_path, capsys, model):
+        cfg_path = write(tmp_path, "z.cfg", model)
+        out = tmp_path / "zp"
+        assert main(["zollpoly", "--config", cfg_path, "--num", "5",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (out / "zollpoly.csv").read_bytes()
+
     def test_constants_output(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "c.cfg", "kappa = 1\nstrength = 1\n")
         assert main(["constants", "--config", cfg_path]) == 0

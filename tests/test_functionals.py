@@ -10,7 +10,7 @@ from magsys_lab import (CapNotFound, FluxMethod, ValidationError,
                         reference_length, with_sigma_perturbation)
 from magsys_lab.fields import ScalarField
 from magsys_lab.geometry import TangentState
-from magsys_lab.orbits import Orbit, _sphere_axis_seed
+from magsys_lab.orbits import Orbit
 
 
 def zoll_orbit(kappa, s, tol=1e-10):
@@ -122,7 +122,7 @@ class TestMagneticAction:
                                  0.05, normalize=True)
         north = find_closed_orbit(sysp, latitude_seed(sysp), tol=1e-9)
         south = find_closed_orbit(
-            sysp, _sphere_axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
+            sysp, sysp.surface.ops.axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
         vals = [magnetic_action(sysp, o).value for o in (north, south)]
         assert min(vals) < 0 < max(vals)
 

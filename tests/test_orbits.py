@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from magsys_lab import (DivergedFromFamily, NoConvergence, TangencyError,
                         conformal_perturb, enumerate_orbits, find_closed_orbit,
@@ -9,7 +12,9 @@ from magsys_lab import (DivergedFromFamily, NoConvergence, TangencyError,
                         make_section, reference_period, return_map,
                         state_distance)
 from magsys_lab import orbits as orbits_mod
-from magsys_lab.orbits import _poly_hausdorff, _sphere_axis_seed, section_state
+from magsys_lab.geometry import TangentState
+from magsys_lab.orbits import (Orbit, _poly_hausdorff, _support_gap,
+                               section_state)
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -35,7 +40,7 @@ class TestReturnMap:
 
     def test_perturbed_displacement_scales_with_eps(self):
         sys_seed = make_model(1.0, 1.0)
-        seed = _sphere_axis_seed(sys_seed, np.array([0.6, 0.0, 0.8]))
+        seed = sys_seed.surface.ops.axis_seed(sys_seed, np.array([0.6, 0.0, 0.8]))
         spec = make_section(sys_seed, seed)
         gaps = []
         for eps in (0.05, 0.025):
@@ -68,7 +73,7 @@ class TestFindClosedOrbit:
         sysp = perturbed_sphere(eps)
         north = find_closed_orbit(sysp, latitude_seed(sysp), tol=1e-9)
         south = find_closed_orbit(
-            sysp, _sphere_axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
+            sysp, sysp.surface.ops.axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
         lmag_n = magnetic_length(sysp, north)
         lmag_s = magnetic_length(sysp, south)
         lo, hi = ORACLE_LMAG[eps]
@@ -113,7 +118,7 @@ class TestFindClosedOrbit:
         # under the axisymmetric perturbation, equatorial axes sit on the
         # degenerate direction of the orbit family
         sysp = perturbed_sphere(0.05)
-        seed = _sphere_axis_seed(sysp, np.array([1.0, 0.0, 0.0]))
+        seed = sysp.surface.ops.axis_seed(sysp, np.array([1.0, 0.0, 0.0]))
         with pytest.raises((DivergedFromFamily, NoConvergence)):
             find_closed_orbit(sysp, seed, tol=1e-12, max_iter=4)
 
@@ -184,3 +189,116 @@ class TestEnumerate:
                                          ref_orbit.positions()))
         for a, b in zip(dists, dists[1:]):
             assert a / b == pytest.approx(2.0, rel=0.3)
+
+
+def circle_orbit(seed_id, centre, e1, e2, radius, phase, n=512):
+    """A closed n-segment sampling of a circle, starting at angle phase."""
+    t = phase + np.linspace(0.0, 2.0 * math.pi, n + 1)
+    pos = centre + radius * (np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2)
+    vel = -np.sin(t)[:, None] * e1 + np.cos(t)[:, None] * e2
+    return Orbit(period=2.0 * math.pi, samples=[TangentState(q, v) for q, v in zip(pos, vel)],
+                 residual=0.0, seed_id=seed_id)
+
+
+def sphere_circle(seed_id, axis, alpha, phase):
+    """The circle at angular radius alpha about axis on the unit sphere."""
+    n_hat = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    e1 = np.cross(n_hat, [0.0, 1.0, 0.0] if abs(n_hat[1]) < 0.9 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    return circle_orbit(seed_id, math.cos(alpha) * n_hat, e1, np.cross(n_hat, e1),
+                        math.sin(alpha), phase)
+
+
+def torus_circle(seed_id, centre, phase):
+    return circle_orbit(seed_id, np.asarray(centre, dtype=float), np.array([1.0, 0.0]),
+                        np.array([0.0, 1.0]), 1.0, phase)
+
+
+def keep_all_pairs(sys, orbits, tol=orbits_mod.DEDUP_TOL):
+    """Reference deduplication: the exact distance on every pair."""
+    kept = []
+    for orb in orbits:
+        if not any(_poly_hausdorff(sys, orb.positions(), k.positions()) < tol
+                   for k in kept):
+            kept.append(orb)
+    return [orb.seed_id for orb in kept]
+
+
+def counting_hausdorff(monkeypatch):
+    calls = []
+    exact = orbits_mod._poly_hausdorff
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(orbits_mod, "_poly_hausdorff", counted)
+    return calls
+
+
+def closed_loops(dim):
+    return st.integers(2, 24).flatmap(lambda n: hnp.arrays(
+        np.float64, (n, dim), elements=st.floats(-3.0, 3.0))).map(
+        lambda a: np.vstack([a, a[:1]]))
+
+
+class TestDeduplicate:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]))
+    def test_support_gap_bounds_poly_hausdorff(self, data, dim):
+        # 3-D loops in the sphere chart (aligned as they are), 2-D loops in
+        # the torus chart, where the second may be a noisy copy of the first
+        # shifted by whole periods before alignment
+        sys = make_model(1.0, 1.0) if dim == 3 else make_model(0.0, 1.0)
+        pa = data.draw(closed_loops(dim))
+        if data.draw(st.booleans()):
+            noise = data.draw(hnp.arrays(np.float64, pa.shape,
+                                         elements=st.floats(-1e-3, 1e-3)))
+            pb = pa + noise
+        else:
+            pb = data.draw(closed_loops(dim))
+        if dim == 2:
+            k = data.draw(hnp.arrays(np.float64, 2, elements=st.integers(-2, 2)))
+            pb = pb + k * np.asarray(sys.surface.ops.box)
+        gap = _support_gap(*sys.surface.ops.align_loops(pa, pb))
+        # slack: rounding of coordinates up to ~16 in size
+        assert gap <= _poly_hausdorff(sys, pa, pb) + 1e-12
+
+    def test_sphere_decisions_match_all_pairs(self, monkeypatch):
+        sys = make_model(1.0, 1.0)
+        z, x = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]
+        found = [sphere_circle("a", z, 0.6, 0.0),
+                 sphere_circle("a_phase", z, 0.6, 0.3),
+                 sphere_circle("a_near", z, 0.6 + 5e-5, 1.1),     # within tol
+                 sphere_circle("b", z, 0.6 + 1.5e-4, 0.0),       # just beyond tol
+                 sphere_circle("c", x, 0.6, 0.2),
+                 sphere_circle("c_phase", x, 0.6, 2.0),
+                 sphere_circle("b_near", z, 0.6 + 1.6e-4, 0.7)]  # beyond a, within b
+        expected = keep_all_pairs(sys, found)
+        assert expected == ["a", "b", "c"]
+        calls = counting_hausdorff(monkeypatch)
+        assert [o.seed_id for o in orbits_mod.deduplicate(sys, found)] == expected
+        # six near pairs need the exact pass; the bound settles the far ones
+        assert len(calls) == 6
+
+    def test_torus_decisions_match_all_pairs(self, monkeypatch):
+        sys = make_model(0.0, 1.0)
+        p1, p2 = sys.surface.ops.box
+        found = [torus_circle("a", [1.0, 1.0], 0.0),
+                 torus_circle("a_period", [1.0 + p1, 1.0], 0.4),
+                 torus_circle("a_near", [1.0 + 3e-5, 1.0 - p2], 2.5),
+                 torus_circle("b", [1.0 + 1.5e-4, 1.0], 0.0),
+                 torus_circle("c", [3.0, 2.0], 1.0),
+                 torus_circle("c_period", [3.0 + p1, 2.0 + p2], 2.0)]
+        expected = keep_all_pairs(sys, found)
+        assert expected == ["a", "b", "c"]
+        calls = counting_hausdorff(monkeypatch)
+        assert [o.seed_id for o in orbits_mod.deduplicate(sys, found)] == expected
+        assert len(calls) == 4
+
+    def test_zoll_sphere_census_needs_no_exact_pass(self, monkeypatch):
+        # every seed of the Zoll sphere closes on its own circle, O(1) apart
+        calls = counting_hausdorff(monkeypatch)
+        found = enumerate_orbits(make_model(1.0, 1.0), grid_density=3, tol=1e-9)
+        assert len(found) == found.seeds_attempted == 11
+        assert calls == []

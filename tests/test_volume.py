@@ -107,6 +107,19 @@ class TestOracle:
         with pytest.raises(ValidationError):
             vol_quadrature_oracle(sys0, sysp)
 
+    @pytest.mark.parametrize("samples", [-5, 512])
+    def test_too_few_samples_refused(self, samples):
+        # below 513 every cell holds one antithetic pair and the standard
+        # error would read 0
+        sys0, sysp = torus_pair(0.05)
+        with pytest.raises(ValidationError, match="samples"):
+            vol_quadrature_oracle(sys0, sysp, samples=samples)
+
+    def test_fewest_samples_estimate_an_error(self):
+        sys0, sysp = torus_pair(0.05)
+        _, se = vol_quadrature_oracle(sys0, sysp, samples=513)
+        assert se > 0.0
+
     def test_report(self):
         sys0, sysp = torus_pair()
         rep = volume_report(sys0, sysp, samples=50_000, rng_seed=2)
