@@ -170,7 +170,7 @@ _SUMMARY_COLS = ["eps", "orbit_count", "l_min", "l_max", "slack_lower",
                  "verdict_two_sided", "verdict_full", "error"]
 
 
-def _emit_experiment(sys, found, report, extras, provenance, outdir, prefix=""):
+def _emit_experiment(sys, found, report, provenance, outdir, prefix=""):
     reporting.ensure_outdir(outdir)
     doc = report.to_dict()
     reporting.write_json(doc, os.path.join(outdir, f"{prefix}report.json"))
@@ -191,7 +191,7 @@ def _exit_code(verdicts):
 
 def cmd_systole(cfg, extras, provenance, args):
     report, sys_p, found = syslab.run_experiment_full(cfg)
-    _emit_experiment(sys_p, found, report, extras, provenance, extras["out"])
+    _emit_experiment(sys_p, found, report, provenance, extras["out"])
     print(f"orbits={report.orbit_count} l_min={report.l_min:.9g} "
           f"l_max={report.l_max:.9g} reference={report.reference:.9g} "
           f"zoll_flag={report.zoll_flag}")

@@ -26,17 +26,23 @@ MAX_REFERENCE_PERIODS = 100.0
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered samples of the flow, parametrized by arc length."""
+    """Samples of the flow on a uniform arc-length grid: row i of the (N, 2d)
+    array ``states`` is the state (q, v) at ``times[i]``.  ``positions`` and
+    ``velocities`` are views of its column halves, ``state(i)`` copies row i
+    out as a TangentState, and ``speed_drift`` is max |(|v|_g - 1)|."""
 
-    states: list
+    states: np.ndarray
     times: np.ndarray
     speed_drift: float
 
+    def state(self, i) -> TangentState:
+        return unpack_state(self.states[i])
+
     def positions(self):
-        return np.array([s.position for s in self.states])
+        return self.states[:, :self.states.shape[1] // 2]
 
     def velocities(self):
-        return np.array([s.velocity for s in self.states])
+        return self.states[:, self.states.shape[1] // 2:]
 
 
 def reference_period(sys: MagneticSystem):
@@ -49,19 +55,18 @@ def rhs(sys: MagneticSystem):
     return sys.surface.ops.rhs(sys)
 
 
-def _pack(state: TangentState):
+def pack_state(state: TangentState):
     return np.concatenate([state.position, state.velocity])
 
 
-def _unpack(surface, y):
-    d = surface.ops.dim
+def unpack_state(y) -> TangentState:
+    d = len(y) // 2
     return TangentState(position=y[:d].copy(), velocity=y[d:].copy())
 
 
 def _renormalize(sys, y):
-    st = _unpack(sys.surface, y)
-    st = tangent_state(sys, st.position, st.velocity)
-    return _pack(st)
+    st = unpack_state(y)
+    return pack_state(tangent_state(sys, st.position, st.velocity))
 
 
 def flow(sys: MagneticSystem, start: TangentState, duration, tol=DEFAULT_TOL,
@@ -87,7 +92,7 @@ def flow(sys: MagneticSystem, start: TangentState, duration, tol=DEFAULT_TOL,
     times = np.linspace(0.0, duration, n_samples + 1)
 
     f = rhs(sys)
-    y = _pack(start)
+    y = pack_state(start)
     out = np.empty((n_samples + 1, y.size))
     out[0] = y
     chunk = t_ref if duration >= 0 else -t_ref
@@ -113,10 +118,9 @@ def flow(sys: MagneticSystem, start: TangentState, duration, tol=DEFAULT_TOL,
     if filled <= n_samples:
         out[filled:] = out[filled - 1]
 
-    states = [_unpack(sys.surface, row) for row in out]
-    speeds = np.array([g_norm(sys, st.position, st.velocity) for st in states])
+    speeds = g_norm(sys, *np.hsplit(out, 2))
     drift = float(np.max(np.abs(speeds - 1.0)))
-    return Trajectory(states=states, times=times, speed_drift=drift)
+    return Trajectory(states=out, times=times, speed_drift=drift)
 
 
 def latitude_seed(sys: MagneticSystem) -> TangentState:
@@ -166,8 +170,8 @@ def measure_geodesic_curvature(sys, state: TangentState, fd_step=1e-3):
     h = fd_step
     fwd = flow(sys, state, 2 * h, tol=1e-12, n_samples=2)
     bwd = flow(sys, state, -2 * h, tol=1e-12, n_samples=2)
-    sts = [bwd.states[2], bwd.states[1], state, fwd.states[1], fwd.states[2]]
-    vel = np.array([s.velocity for s in sts])
+    # velocities at -2h, -h, 0, h, 2h
+    vel = np.vstack([bwd.velocities()[:0:-1], state.velocity, fwd.velocities()[1:]])
     dv = (vel[0] - 8 * vel[1] + 8 * vel[3] - vel[4]) / (12 * h)
     return _signed_curvature(sys, state.position, state.velocity, dv)
 
@@ -185,5 +189,5 @@ def _signed_curvature(sys, q, v, dv):
 
 def trajectory_to_csv(sys, traj: Trajectory, path):
     """Write t, chart coordinates, velocity and measured geodesic curvature."""
-    samples_csv(sys, traj.times, traj.states, path,
+    samples_csv(sys, traj, path,
                 extra={"geodesic_curvature": geodesic_curvature_series(sys, traj)})

@@ -54,20 +54,15 @@ def length(sys: MagneticSystem, orbit: Orbit) -> float:
     Re-measured by a periodic trapezoid rule over the samples rather than
     trusting the arc-length parametrization, so speed drift shows up here.
     """
-    n = len(orbit.samples) - 1
-    h = orbit.period / n
-    speeds = np.array([g_norm(sys, st.position, st.velocity)
-                       for st in orbit.samples[:n]])
-    return float(h * speeds.sum())
+    h = orbit.period / (len(orbit.states) - 1)
+    return float(h * g_norm(sys, *_loop(orbit)).sum())
 
 
 # --- cap geometry -----------------------------------------------------------------
 
 def _loop(orbit: Orbit):
     """Positions and velocities of the samples, without the closing repeat."""
-    n = len(orbit.samples) - 1
-    return (np.array([s.position for s in orbit.samples[:n]]),
-            np.array([s.velocity for s in orbit.samples[:n]]))
+    return orbit.positions()[:-1], orbit.velocities()[:-1]
 
 
 def _boundary_spline(plane, center):
@@ -104,7 +99,7 @@ def _eta_density(sys, q):
 
 
 def _cap_quadrature(sys, orbit, n_angle=2048, n_radial=48):
-    closure = orbit.samples[-1].position - orbit.samples[0].position
+    closure = orbit.positions()[-1] - orbit.positions()[0]
     plane, density, to_chart, center = sys.surface.ops.cap_picture(*_loop(orbit), closure)
     spline = _boundary_spline(plane, center)
     orient = _orientation(plane)
@@ -131,7 +126,7 @@ def _wrap_to(x0, psi):
 def _green_boundary(sys, orbit):
     """Boundary-integral flux: exact primitive for sigma0, direct loop
     integral for the exact perturbation (int_D d(eta) = oint eta)."""
-    h = orbit.period / (len(orbit.samples) - 1)
+    h = orbit.period / (len(orbit.states) - 1)
     pos, vel = _loop(orbit)
     base = float(h * np.sum(sys.surface.ops.green_integrand(pos, vel)))
     eta_part = 0.0

@@ -23,7 +23,8 @@ from scipy.integrate import solve_ivp
 from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
                      TangencyError)
 from .geometry import TangentState, state_distance, tangent_state
-from .dynamics import flow, latitude_seed, reference_period, rhs
+from .dynamics import (Trajectory, flow, pack_state, reference_period, rhs,
+                       unpack_state)
 
 log = logging.getLogger(__name__)
 
@@ -76,17 +77,16 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
         raise TangencyError("flow is tangent to the section at the given state")
 
     f = rhs(sys)
-    y0 = np.concatenate([state.position, state.velocity])
+    y0 = pack_state(state)
     rtol = max(tol * 0.1, 1e-13)
     atol = max(tol * 1e-3, 1e-14)
     head = 0.3 * t_ref
     sol = solve_ivp(f, (0.0, head), y0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise StepFailure(sol.message)
-    d = sys.surface.ops.dim
 
     def event(t, y):
-        return _section_value(sys, section, y[:d])
+        return _section_value(sys, section, unpack_state(y).position)
 
     event.terminal = True
     event.direction = 1.0
@@ -99,27 +99,26 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
     if len(sol2.t_events[0]) == 0:
         raise NoReturn("no section crossing within 2 reference periods")
     t_ev = float(sol2.t_events[0][0])
-    y_ev = sol2.y_events[0][0]
-    q, v = y_ev[:d], y_ev[d:]
-    if abs(_crossing_speed(sys, section, q, v)) < TRANSVERSALITY_MIN:
+    st = unpack_state(sol2.y_events[0][0])
+    if abs(_crossing_speed(sys, section, st.position, st.velocity)) < TRANSVERSALITY_MIN:
         raise TangencyError("return crossing is tangent to the section")
-    return tangent_state(sys, q, v), t_ev
+    return tangent_state(sys, st.position, st.velocity), t_ev
 
 
 # --- orbits ---------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class Orbit:
-    """A closed magnetic geodesic: period, closed sample loop, closure defect."""
+class Orbit(Trajectory):
+    """A closed magnetic geodesic: the Trajectory of one period, whose last
+    sample returns to the first within the closure defect ``residual``."""
 
-    period: float
-    samples: list
     residual: float
     seed_id: str
     newton_iterations: int = 0
 
-    def positions(self):
-        return np.array([s.position for s in self.samples])
+    @property
+    def period(self) -> float:
+        return float(self.times[-1])
 
 
 def _reduced_map(sys, spec, tol):
@@ -195,8 +194,8 @@ def _build_orbit(sys, spec, x, tol, seed_id, n_samples, ivp_tol, iterations=0):
         raise DivergedFromFamily(
             f"period {period:.6g} outside the short-loop window around {t_ref:.6g}")
     traj = flow(sys, st, period, tol=ivp_tol, n_samples=n_samples)
-    residual = state_distance(sys, traj.states[-1], traj.states[0])
-    return Orbit(period=float(period), samples=traj.states,
+    residual = state_distance(sys, traj.state(-1), traj.state(0))
+    return Orbit(traj.states, traj.times, traj.speed_drift,
                  residual=float(residual), seed_id=str(seed_id),
                  newton_iterations=int(iterations))
 

@@ -11,6 +11,8 @@ import json
 import math
 import os
 
+import numpy as np
+
 from .errors import IoError, ValidationError
 
 
@@ -85,26 +87,19 @@ def ensure_outdir(outdir):
         raise IoError(f"cannot create output directory {outdir}: {exc}") from exc
 
 
-def samples_csv(sys, times, states, path, extra=None):
-    """Sample path: t, the chart's coordinate and velocity columns, then one
-    column per entry of extra (name -> per-sample values)."""
+def samples_csv(sys, traj, path, extra=None):
+    """Sample path of a Trajectory (or Orbit): t, the chart's coordinate and
+    velocity columns, then one column per entry of extra (name -> per-sample
+    values)."""
     extra = extra or {}
     cols = ["t", *sys.surface.ops.columns, *extra]
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i, (t, st) in enumerate(zip(times, states)):
-                row = [t, *st.position, *st.velocity, *(vals[i] for vals in extra.values())]
-                fh.write(",".join(fmt_float(float(x)) for x in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    table = np.column_stack([traj.times, traj.states, *extra.values()])
+    write_text(csv_text((dict(zip(cols, row)) for row in table.tolist()), cols), path)
 
 
 def orbit_samples_csv(sys, orbit, path):
     """Per-orbit sample path: t plus chart coordinates and velocity."""
-    n = len(orbit.samples)
-    times = [orbit.period * i / (n - 1) for i in range(n)]
-    samples_csv(sys, times, orbit.samples, path)
+    samples_csv(sys, orbit, path)
 
 
 # --- experiment-report schema -----------------------------------------------------

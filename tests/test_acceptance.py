@@ -192,14 +192,14 @@ class TestAcceptance:
                 st = random_state(sys, rng)
                 n = 100
                 fwd = flow(sys, st, 2.5, tol=tol, n_samples=n)
-                end = fwd.states[-1]
+                end = fwd.state(-1)
                 rev = flow(back, tangent_state(back, end.position,
                                                -end.velocity),
                            2.5, tol=tol, n_samples=n)
                 worst = max(
-                    state_distance(sys, rev.states[i],
-                                   TangentState(fwd.states[n - i].position,
-                                                -fwd.states[n - i].velocity))
+                    state_distance(sys, rev.state(i),
+                                   TangentState(fwd.positions()[n - i],
+                                                -fwd.velocities()[n - i]))
                     for i in range(0, n + 1, 10))
                 ok = ok and worst <= 10 * tol
         _report("9b", "time-reversal symmetry under strength flip", ok)

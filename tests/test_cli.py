@@ -133,7 +133,10 @@ class TestCliRuns:
             assert main(["systole", "--config", cfg_path, "--out",
                          str(out), "--seed", "3"]) == 0
             outs.append(out)
-        for fname in ("report.json", "summary.csv"):
+        orbit_csvs = sorted(p.name for p in outs[0].glob("orbit_*.csv"))
+        assert orbit_csvs
+        assert orbit_csvs == sorted(p.name for p in outs[1].glob("orbit_*.csv"))
+        for fname in ("report.json", "summary.csv", *orbit_csvs):
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b

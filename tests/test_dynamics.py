@@ -4,15 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magsys_lab import (conformal_perturb, flow, latitude_seed,
-                        geodesic_curvature_series, make_model, random_state,
-                        reference_period, state_distance, tangent_state,
-                        trajectory_to_csv)
-from magsys_lab.geometry import TangentState
+from magsys_lab import (ScalarField, conformal_perturb, flow, latitude_seed,
+                        geodesic_curvature_series, length, make_model,
+                        random_state, reference_period, state_distance,
+                        tangent_state, trajectory_to_csv)
+from magsys_lab.geometry import TangentState, g_norm
+from magsys_lab.orbits import Orbit
 
 
 def closure_defect(sys, traj):
-    return state_distance(sys, traj.states[-1], traj.states[0])
+    return state_distance(sys, traj.state(-1), traj.state(0))
 
 
 class TestZollClosures:
@@ -34,12 +35,12 @@ class TestZollClosures:
         s = sys.strength
         center = seed.position + np.array([-1.0 / s, 0.0])
         traj = flow(sys, seed, math.pi, n_samples=200)
-        for t, st in zip(traj.times, traj.states):
+        for t, q, v in zip(traj.times, traj.positions(), traj.velocities()):
             exact_q = center + (1.0 / s) * np.array([math.cos(s * t),
                                                      math.sin(s * t)])
             exact_v = np.array([-math.sin(s * t), math.cos(s * t)])
-            assert np.max(np.abs(st.position - exact_q)) < 1e-8
-            assert np.max(np.abs(st.velocity - exact_v)) < 1e-8
+            assert np.max(np.abs(q - exact_q)) < 1e-8
+            assert np.max(np.abs(v - exact_v)) < 1e-8
         assert closure_defect(sys, traj) < 1e-8
 
     def test_hyperbolic_orbit_closes(self):
@@ -96,13 +97,13 @@ class TestConservation:
         st = random_state(sys, np.random.default_rng(3))
         n = 200
         fwd = flow(sys, st, 3.0, tol=tol, n_samples=n)
-        end = fwd.states[-1]
+        end = fwd.state(-1)
         rev = flow(back, tangent_state(back, end.position, -end.velocity),
                    3.0, tol=tol, n_samples=n)
         worst = max(
-            state_distance(sys, rev.states[i],
-                           TangentState(fwd.states[n - i].position,
-                                        -fwd.states[n - i].velocity))
+            state_distance(sys, rev.state(i),
+                           TangentState(fwd.positions()[n - i],
+                                        -fwd.velocities()[n - i]))
             for i in range(n + 1))
         assert worst <= 10 * tol
 
@@ -115,7 +116,7 @@ class TestGeodesicCurvature:
         sys = make_model(kappa, s)
         st = random_state(sys, np.random.default_rng(9))
         traj = flow(sys, st, reference_period(sys), tol=tol, n_samples=64)
-        for probe in traj.states[::8]:
+        for probe in map(traj.state, range(0, len(traj.times), 8)):
             assert abs(measure_geodesic_curvature(sys, probe) - s) <= 10 * tol
 
     @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (-1.0, 2.0), (0.0, 2.0)])
@@ -134,8 +135,7 @@ class TestGeodesicCurvature:
         st = random_state(sys, np.random.default_rng(2))
         traj = flow(sys, st, 4.0, tol=1e-10)
         kg = geodesic_curvature_series(sys, traj)
-        b = np.array([float(magnetic_density(sys, s_.position))
-                      for s_ in traj.states])
+        b = np.array([float(magnetic_density(sys, q)) for q in traj.positions()])
         assert np.max(np.abs(kg - sys.strength * b)) < 1e-6
 
     @pytest.mark.parametrize("kappa,s,field,coeffs", [
@@ -153,7 +153,7 @@ class TestGeodesicCurvature:
         traj = flow(sys, st, 1.5 * reference_period(sys), tol=1e-10,
                     n_samples=60)
         assert traj.speed_drift <= 1e-9
-        for probe in traj.states[::12]:
+        for probe in map(traj.state, range(0, len(traj.times), 12)):
             want = s * float(magnetic_density(sys, probe.position))
             got = measure_geodesic_curvature(sys, probe)
             assert abs(got - want) < 1e-8
@@ -191,3 +191,27 @@ class TestFlowApi:
         # an unperturbed Zoll orbit has geodesic curvature s
         kappa_g = float(lines[40].split(",")[-1])
         assert kappa_g == pytest.approx(s, abs=1e-6)
+
+
+class TestSampleArrays:
+    @pytest.mark.parametrize("kappa,s,field,normalize", [
+        (1.0, 1.0, "sphere_harmonic_z", True),
+        (0.0, 1.0, "torus_cos_x", True),
+        (-1.0, 2.0, ScalarField("hyperbolic_bump", (0.5, 1.0)), False),
+    ], ids=["sphere", "torus", "hyperbolic"])
+    def test_speeds_equal_the_per_sample_loop(self, kappa, s, field, normalize):
+        # reference: g_norm on one TangentState at a time; the array code
+        # must give the very same floats
+        sys = conformal_perturb(make_model(kappa, s), field, 0.05,
+                                normalize=normalize)
+        traj = flow(sys, latitude_seed(sys), reference_period(sys))
+        states = [traj.state(i) for i in range(len(traj.times))]
+        speeds = np.array([g_norm(sys, st.position, st.velocity) for st in states])
+        assert traj.speed_drift == float(np.max(np.abs(speeds - 1.0)))
+
+        orb = Orbit(traj.states, traj.times, traj.speed_drift, residual=0.0,
+                    seed_id="ref")
+        n = len(states) - 1
+        h = orb.period / n
+        loop = np.array([g_norm(sys, st.position, st.velocity) for st in states[:n]])
+        assert length(sys, orb) == float(h * loop.sum())

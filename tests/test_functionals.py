@@ -166,9 +166,9 @@ class TestCapFailures:
         sys = make_model(0.0, 1.0)
         p1, _ = sys.surface.torus_periods
         ts = np.linspace(0.0, p1, 65)
-        samples = [TangentState(np.array([t, math.pi]), np.array([1.0, 0.0]))
-                   for t in ts]
-        fake = Orbit(period=p1, samples=samples, residual=0.0, seed_id="wind")
+        states = np.column_stack([ts, np.full_like(ts, math.pi),
+                                  np.ones_like(ts), np.zeros_like(ts)])
+        fake = Orbit(states, ts, 0.0, residual=0.0, seed_id="wind")
         with pytest.raises(CapNotFound):
             flux_through_cap(sys, fake)
 
@@ -176,13 +176,9 @@ class TestCapFailures:
         # a limacon with an inner loop is not star-shaped about its centroid
         sys = make_model(0.0, 1.0)
         ts = np.linspace(0.0, 2 * math.pi, 129)
-        pts = []
-        for t in ts:
-            r = 0.3 + 0.8 * math.cos(t)
-            pts.append(np.array([math.pi + r * math.cos(t),
-                                 math.pi + r * math.sin(t)]))
-        samples = [TangentState(p, np.array([1.0, 0.0])) for p in pts]
-        fake = Orbit(period=2 * math.pi, samples=samples, residual=0.0,
-                     seed_id="limacon")
+        r = 0.3 + 0.8 * np.cos(ts)
+        states = np.column_stack([math.pi + r * np.cos(ts), math.pi + r * np.sin(ts),
+                                  np.ones_like(ts), np.zeros_like(ts)])
+        fake = Orbit(states, ts, 0.0, residual=0.0, seed_id="limacon")
         with pytest.raises(CapNotFound):
             flux_through_cap(sys, fake)

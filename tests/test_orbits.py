@@ -12,7 +12,6 @@ from magsys_lab import (DivergedFromFamily, NoConvergence, TangencyError,
                         make_section, reference_period, return_map,
                         state_distance)
 from magsys_lab import orbits as orbits_mod
-from magsys_lab.geometry import TangentState
 from magsys_lab.orbits import (Orbit, _poly_hausdorff, _support_gap,
                                section_state)
 
@@ -125,8 +124,8 @@ class TestFindClosedOrbit:
     def test_orbit_reintegrates_to_closure(self):
         sys = make_model(-1.0, 2.0)
         orb = find_closed_orbit(sys, latitude_seed(sys), tol=1e-9)
-        traj = flow(sys, orb.samples[0], orb.period)
-        dist = state_distance(sys, traj.states[-1], orb.samples[0])
+        traj = flow(sys, orb.state(0), orb.period)
+        dist = state_distance(sys, traj.state(-1), orb.state(0))
         assert dist <= max(2 * orb.residual, 5e-12)
 
 
@@ -157,6 +156,16 @@ class TestEnumerate:
         assert found.seeds_attempted == len(orbits_mod.seed_grid(sys, 2)) == 4
         assert found.magnetic_lengths == [magnetic_length(sys, orb) for orb in found]
 
+    def test_process_pool_matches_serial(self):
+        # the pool sends each seed's Orbit back pickled; two workers, no more
+        sys = make_model(0.0, 1.0)
+        serial = enumerate_orbits(sys, grid_density=2, tol=1e-9, workers=1)
+        pooled = enumerate_orbits(sys, grid_density=2, tol=1e-9, workers=2)
+        assert [o.seed_id for o in pooled] == [o.seed_id for o in serial]
+        assert [o.period for o in pooled] == [o.period for o in serial]
+        assert pooled.magnetic_lengths == serial.magnetic_lengths
+        assert all(np.array_equal(a.states, b.states) for a, b in zip(pooled, serial))
+
     def test_dedup_idempotence(self):
         sysp = perturbed_sphere(0.05)
         a = enumerate_orbits(sysp, grid_density=2, tol=1e-9)
@@ -167,7 +176,7 @@ class TestEnumerate:
     def test_same_circle_deduplicates(self):
         sys = make_model(0.0, 1.0)
         seed1 = latitude_seed(sys)
-        shifted = flow(sys, seed1, reference_period(sys) / 3).states[-1]
+        shifted = flow(sys, seed1, reference_period(sys) / 3).state(-1)
         orb1 = find_closed_orbit(sys, seed1, tol=1e-9, seed_id="a")
         orb2 = find_closed_orbit(sys, shifted, tol=1e-9, seed_id="b")
         assert _poly_hausdorff(sys, orb1.positions(), orb2.positions()) < 1e-4
@@ -193,11 +202,11 @@ class TestEnumerate:
 
 def circle_orbit(seed_id, centre, e1, e2, radius, phase, n=512):
     """A closed n-segment sampling of a circle, starting at angle phase."""
-    t = phase + np.linspace(0.0, 2.0 * math.pi, n + 1)
+    times = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    t = phase + times
     pos = centre + radius * (np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2)
     vel = -np.sin(t)[:, None] * e1 + np.cos(t)[:, None] * e2
-    return Orbit(period=2.0 * math.pi, samples=[TangentState(q, v) for q, v in zip(pos, vel)],
-                 residual=0.0, seed_id=seed_id)
+    return Orbit(np.hstack([pos, vel]), times, 0.0, residual=0.0, seed_id=seed_id)
 
 
 def sphere_circle(seed_id, axis, alpha, phase):
