@@ -154,10 +154,7 @@ def geodesic_curvature_series(sys, traj: Trajectory):
         dv[i] = sum(c[j] * vel[i + j] for j in range(5)) / h
         dv[-1 - i] = -sum(c[j] * vel[-1 - i - j] for j in range(5)) / h
 
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = _signed_curvature(sys, pos[i], vel[i], dv[i])
-    return out
+    return _signed_curvature(sys, pos, vel, dv)
 
 
 def measure_geodesic_curvature(sys, state: TangentState, fd_step=1e-3):
@@ -173,18 +170,20 @@ def measure_geodesic_curvature(sys, state: TangentState, fd_step=1e-3):
     # velocities at -2h, -h, 0, h, 2h
     vel = np.vstack([bwd.velocities()[:0:-1], state.velocity, fwd.velocities()[1:]])
     dv = (vel[0] - 8 * vel[1] + 8 * vel[3] - vel[4]) / (12 * h)
-    return _signed_curvature(sys, state.position, state.velocity, dv)
+    return float(_signed_curvature(sys, state.position, state.velocity, dv))
 
 
 def _signed_curvature(sys, q, v, dv):
+    """kappa_g at the states (q, v) with chart acceleration dv: (..., d) arrays."""
     ops = sys.surface.ops
     cov = ops.covariant(q, v, dv)
     if not sys.is_unperturbed():
         dl = conf_log_diff(sys, q)
         grad, v0sq = ops.g0_terms(q, v, dl)
-        cov = cov + 2.0 * float(dl @ v) * v - v0sq * grad
+        cov = (cov + 2.0 * np.sum(dl * v, axis=-1, keepdims=True) * v
+               - v0sq[..., None] * grad)
     jv = rotate90(sys, q, v)
-    return float(g_dot(sys, q, cov, jv)) / float(g_norm(sys, q, v)) ** 3
+    return g_dot(sys, q, cov, jv) / g_norm(sys, q, v) ** 3
 
 
 def trajectory_to_csv(sys, traj: Trajectory, path):

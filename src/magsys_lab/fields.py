@@ -59,9 +59,9 @@ def _sphere_harmonic_val(coeffs, surface, q):
 def _sphere_harmonic_diff(coeffs, surface, q):
     c = float(coeffs[0])
     ax = _axis(coeffs) if len(coeffs) >= 4 else np.array([0.0, 0.0, 1.0])
+    out = c * np.sqrt(surface.kappa) * ax
     q = np.asarray(q, dtype=float)
-    out = np.broadcast_to(c * np.sqrt(surface.kappa) * ax, q.shape)
-    return np.array(out, dtype=float)
+    return out if q.ndim == 1 else np.array(np.broadcast_to(out, q.shape))
 
 
 def _torus_cos_val(idx):
@@ -127,14 +127,15 @@ class _NamedField:
             raise ValidationError(f"{self._kind} {self.name!r} needs {needed} coefficient(s)")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
-    def _function(self, slot, surface):
-        """The table function in slot, after checking the surface's chart."""
-        entry = self._table[self.name]
-        chart = entry[2]
+    def functions(self, surface):
+        """The field's two table functions, each called as fn(coeffs, surface, q),
+        after checking the surface's chart: (value, differential) of a scalar
+        field, (components, density) of a 1-form."""
+        first, second, chart, _ = self._table[self.name]
         if chart is not None and surface.chart is not chart:
             raise ValidationError(f"{self._kind} {self.name!r} is defined on "
                                   f"{chart.value}, not {surface.chart.value}")
-        return entry[slot]
+        return first, second
 
 
 class ScalarField(_NamedField):
@@ -143,10 +144,10 @@ class ScalarField(_NamedField):
     _kind, _table = "scalar field", _SCALAR_FIELDS
 
     def value(self, surface, q):
-        return self._function(0, surface)(self.coeffs, surface, q)
+        return self.functions(surface)[0](self.coeffs, surface, q)
 
     def differential(self, surface, q):
-        return self._function(1, surface)(self.coeffs, surface, q)
+        return self.functions(surface)[1](self.coeffs, surface, q)
 
 
 # --- 1-forms ------------------------------------------------------------------
@@ -219,11 +220,11 @@ class OneForm(_NamedField):
     _kind, _table = "1-form", _ONE_FORMS
 
     def components(self, surface, q):
-        return self._function(0, surface)(self.coeffs, surface, q)
+        return self.functions(surface)[0](self.coeffs, surface, q)
 
     def density(self, surface, q):
         """Exterior-derivative density d(eta)/sigma0 at q."""
-        return self._function(1, surface)(self.coeffs, surface, q)
+        return self.functions(surface)[1](self.coeffs, surface, q)
 
 
 def scalar_field_names():

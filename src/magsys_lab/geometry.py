@@ -359,9 +359,10 @@ class ChartOps:
 
     Every chart has metric coordinates (r, p) with g0 = dr^2 + w(r)^2 dp^2,
     where w = 1 on the torus; ``weight`` gives w with numpy and ``w_wp``
-    gives (w, w') with ``math``.  Sections and caps are worked in a planar
-    image of the chart (``to_plane``).  The capping disk is the region that
-    the rotated velocity J v points into, and ``cap_picture`` maps it
+    gives (w, w') with ``math`` (or with the module passed as ``fn``).
+    Sections and caps are worked in a planar image of the chart
+    (``to_plane``).  The capping disk is the region that the rotated
+    velocity J v points into, and ``cap_picture`` maps it
     azimuthal-equidistantly to the plane with an explicit area density.
     """
 
@@ -372,29 +373,27 @@ class ChartOps:
         self.surface = surface
         self.kappa = surface.kappa
 
-    def rhs(self, sys):
-        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v.
+    def _perturbation(self, sys):
+        """(dl, b) for a perturbed system's ``rhs``: dl(q) is ``conf_log_diff``
+        and b(q) the float ``magnetic_density`` at a 1-D chart point, with the
+        field functions and constants resolved here, once."""
+        surface, eps = self.surface, sys.conformal_eps
+        lam_part = 0.5 * math.log(sys.conformal_scale)
+        u = sys.conformal_exponent if eps != 0.0 else None
+        eta = sys.sigma_perturbation if eps != 0.0 else None
+        value, diff = u.functions(surface) if u is not None else (None, None)
+        density = eta.functions(surface)[1] if eta is not None else None
+        zero = np.zeros(self.dim)
 
-        The chart's pieces take a frame from ``_geodesic``: the outward
-        normal on the sphere, the polar weight w on the other charts.
-        """
-        d, s = self.dim, sys.strength
-        perturbed = not sys.is_unperturbed()
-        geodesic, terms, rotate = self._geodesic, self._g0_terms, self._rotate
+        def dl(q):
+            return zero if u is None else eps * diff(u.coeffs, surface, q)
 
-        def f(t, y):
-            q, v = y[:d], y[d:]
-            acc, frame = geodesic(q, v)
-            b = 1.0
-            if perturbed:
-                dl = conf_log_diff(sys, q)
-                grad, v0sq = terms(q, v, dl, frame)
-                acc += -2.0 * float(dl @ v) * v + v0sq * grad
-                b = float(magnetic_density(sys, q))
-            acc += s * b * rotate(v, frame)
-            return np.concatenate([v, acc])
+        def b(q):
+            lam = lam_part if u is None else eps * value(u.coeffs, surface, q) + lam_part
+            dens = 1.0 if eta is None else 1.0 + eps * density(eta.coeffs, surface, q)
+            return float(dens * np.exp(-2.0 * lam))
 
-        return f
+        return dl, b
 
     def g0_dot(self, q, u, v):
         return np.sum(u * v, axis=-1)
@@ -458,8 +457,8 @@ class SphereChart(ChartOps):
     def weight(self, rho):
         return np.sin(self.sk * np.asarray(rho, dtype=float)) / self.sk
 
-    def w_wp(self, rho):
-        return math.sin(self.sk * rho) / self.sk, math.cos(self.sk * rho)
+    def w_wp(self, rho, fn=math):
+        return fn.sin(self.sk * rho) / self.sk, fn.cos(self.sk * rho)
 
     def to_polar(self, q):
         """(theta, phi) of an ambient point; polar input passes through."""
@@ -500,23 +499,55 @@ class SphereChart(ChartOps):
         n = np.asarray(q, dtype=float) * self.sk
         return np.sum(n * np.cross(u, v), axis=-1)
 
-    def _geodesic(self, q, v):
-        return -float(v @ v) * self.kappa * q, q * self.sk
+    def rhs(self, sys):
+        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v.
 
-    def _g0_terms(self, q, v, dl, n):
-        return dl - float(dl @ n) * n, float(v @ v)
+        With n = sqrt(kappa) q the outward normal, the g0 part is
+        -|v|^2 kappa q + s n x v, and a perturbed system adds
+        -2 (dl.v) v + |v|^2 (dl - (dl.n) n) and the density b.  Elementwise
+        arithmetic runs on Python floats in the order numpy would use; the
+        dot products stay numpy ``@``, whose sums round differently.
+        """
+        s, kappa, sk = sys.strength, self.kappa, self.sk
+        s1 = float(s)    # s b with b = 1
+        perturbed = not sys.is_unperturbed()
+        if perturbed:
+            dl_at, b_at = self._perturbation(sys)
 
-    def _rotate(self, v, n):
-        return np.cross(n, v)
+        def f(t, y):
+            q0, q1, q2, v0, v1, v2 = y.tolist()
+            v = y[3:]
+            vv = float(v @ v)
+            c = -vv * kappa
+            a0, a1, a2 = c * q0, c * q1, c * q2
+            n0, n1, n2 = q0 * sk, q1 * sk, q2 * sk
+            sb = s1
+            if perturbed:
+                q = y[:3]
+                dl = dl_at(q)
+                dn, dv = float(dl @ (q * sk)), -2.0 * float(dl @ v)
+                l0, l1, l2 = dl.tolist()
+                a0 += dv * v0 + vv * (l0 - dn * n0)
+                a1 += dv * v1 + vv * (l1 - dn * n1)
+                a2 += dv * v2 + vv * (l2 - dn * n2)
+                sb = s * b_at(q)
+            return np.array([v0, v1, v2,
+                             a0 + sb * (n1 * v2 - n2 * v1),
+                             a1 + sb * (n2 * v0 - n0 * v2),
+                             a2 + sb * (n0 * v1 - n1 * v0)])
+
+        return f
 
     def g0_terms(self, q, v, dl):
-        """(g0-gradient of Lambda, |v|^2_g0) from the differential dl at q."""
-        return self._g0_terms(q, v, dl, q * self.sk)
+        """(g0-gradient of Lambda, |v|^2_g0) from the differential dl at q;
+        q, v and dl are (..., 3) arrays."""
+        n = q * self.sk
+        return dl - np.sum(dl * n, axis=-1, keepdims=True) * n, np.sum(v * v, axis=-1)
 
     def covariant(self, q, v, dv):
         """g0-covariant derivative of the velocity from its chart derivative dv."""
         n = q * self.sk
-        return dv - float(dv @ n) * n
+        return dv - np.sum(dv * n, axis=-1, keepdims=True) * n
 
     def project(self, q, v):
         q *= self.R / np.linalg.norm(q)
@@ -692,19 +723,53 @@ class _PlanarChart(ChartOps):
         w = self.weight(np.asarray(q, dtype=float)[..., 0])
         return w * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
-    def _g0_terms(self, q, v, dl, w):
-        return np.array([dl[0], dl[1] / w**2]), v[0] ** 2 + w**2 * v[1] ** 2
+    def rhs(self, sys):
+        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v.
 
-    def _rotate(self, v, w):
-        return np.array([-w * v[1], v[0] / w])
+        The g0 part is (w w' v_p^2, -2 (w'/w) v_r v_p) + s (-w v_p, v_r / w),
+        with (w, w') = (1, 0) on the torus, and a perturbed system adds
+        -2 (dl.v) v + |v|^2_g0 (dl_r, dl_p / w^2) and the density b.
+        Elementwise arithmetic runs on Python floats in the order numpy
+        would use; the dot product stays numpy ``@``.
+        """
+        s, w_wp = sys.strength, self.w_wp
+        s1 = float(s)    # s b with b = 1
+        perturbed = not sys.is_unperturbed()
+        if perturbed:
+            dl_at, b_at = self._perturbation(sys)
+
+        def f(t, y):
+            r, _, v0, v1 = y.tolist()
+            w, wp = w_wp(r)
+            sb = s1
+            a0 = w * wp * v1 ** 2
+            a1 = -2.0 * (wp / w) * v0 * v1
+            if perturbed:
+                q = y[:2]
+                dl = dl_at(q)
+                dv = -2.0 * float(dl @ y[2:])
+                l0, l1 = dl.tolist()
+                vv = v0 ** 2 + w**2 * v1 ** 2
+                a0 += dv * v0 + vv * l0
+                a1 += dv * v1 + vv * (l1 / w**2)
+                sb = s * b_at(q)
+            return np.array([v0, v1, a0 + sb * (-w * v1), a1 + sb * (v0 / w)])
+
+        return f
 
     def g0_terms(self, q, v, dl):
-        """(g0-gradient of Lambda, |v|^2_g0) from the differential dl at q."""
-        return self._g0_terms(q, v, dl, float(self.weight(q[0])))
+        """(g0-gradient of Lambda, |v|^2_g0) from the differential dl at q;
+        q, v and dl are (..., 2) arrays."""
+        w2 = self.weight(q[..., 0]) ** 2
+        return (np.stack([dl[..., 0], dl[..., 1] / w2], axis=-1),
+                v[..., 0] ** 2 + w2 * v[..., 1] ** 2)
 
     def covariant(self, q, v, dv):
-        """g0-covariant derivative of the velocity from its chart derivative dv."""
-        return dv + np.einsum("kij,i,j->k", _christoffel0(*self.w_wp(q[0])), v, v)
+        """g0-covariant derivative of the velocity from its chart derivative dv:
+        dv^k + Gamma^k_ij v^i v^j with the symbols of ``_christoffel0``."""
+        w, wp = self.w_wp(q[..., 0], np)
+        return dv + np.stack([-w * wp * v[..., 1] ** 2,
+                              2.0 * (wp / w) * v[..., 0] * v[..., 1]], axis=-1)
 
     def area_integrand(self, weight):
         """weight dA_g0 in metric coordinates, then the dblquad limits."""
@@ -787,16 +852,12 @@ class HyperbolicChart(_PlanarChart):
     def weight(self, rho):
         return np.sinh(self.sk * np.asarray(rho, dtype=float)) / self.sk
 
-    def w_wp(self, rho):
-        return math.sinh(self.sk * rho) / self.sk, math.cosh(self.sk * rho)
+    def w_wp(self, rho, fn=math):
+        return fn.sinh(self.sk * rho) / self.sk, fn.cosh(self.sk * rho)
 
     def g0_dot(self, q, u, v):
         w = self.weight(np.asarray(q, dtype=float)[..., 0])
         return u[..., 0] * v[..., 0] + w**2 * u[..., 1] * v[..., 1]
-
-    def _geodesic(self, q, v):
-        w, wp = self.w_wp(q[0])
-        return np.array([w * wp * v[1] ** 2, -2.0 * (wp / w) * v[0] * v[1]]), w
 
     def wrap(self, q, ref):
         two_pi = 2.0 * math.pi
@@ -931,11 +992,8 @@ class TorusChart(_PlanarChart):
     def weight(self, rho):
         return 1.0
 
-    def w_wp(self, rho):
+    def w_wp(self, rho, fn=math):
         return 1.0, 0.0
-
-    def _geodesic(self, q, v):
-        return np.zeros(2), 1.0
 
     def wrap(self, q, ref):
         periods = np.asarray(self.box)

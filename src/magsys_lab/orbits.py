@@ -92,8 +92,7 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
     event.direction = 1.0
     # cap the step so one step cannot straddle two section crossings
     sol2 = solve_ivp(f, (head, 2.0 * t_ref), sol.y[:, -1], method="DOP853",
-                     rtol=rtol, atol=atol, events=event, dense_output=True,
-                     max_step=0.2 * t_ref)
+                     rtol=rtol, atol=atol, events=event, max_step=0.2 * t_ref)
     if not sol2.success:
         raise StepFailure(sol2.message)
     if len(sol2.t_events[0]) == 0:
@@ -219,17 +218,21 @@ def _poly_hausdorff(sys, pa, pb):
     pa, pb = sys.surface.ops.align_loops(pa, pb)
 
     def one_sided(P, Q):
-        A, B = Q[:-1], Q[1:]
-        AB = B - A
-        denom = np.sum(AB * AB, axis=1)
-        denom[denom == 0.0] = 1.0
-        AP = P[:, None, :] - A[None, :, :]
-        t = np.clip(np.einsum("psd,sd->ps", AP, AB) / denom[None, :], 0.0, 1.0)
-        proj = A[None, :, :] + t[:, :, None] * AB[None, :, :]
-        d = np.linalg.norm(P[:, None, :] - proj, axis=2)
+        d = _segment_distances(P[:, None, :], Q[None, :-1, :], Q[None, 1:, :])
         return float(np.max(np.min(d, axis=1)))
 
     return max(one_sided(pa, pb), one_sided(pb, pa))
+
+
+def _segment_distances(P, A, B):
+    """Distances from the points P to the segments [A, B], broadcast over the
+    leading axes of the (..., d) arrays."""
+    AB = B - A
+    denom = np.einsum("...d,...d->...", AB, AB)
+    AP = P - A
+    t = np.clip(np.einsum("...d,...d->...", AP, AB) / np.where(denom == 0.0, 1.0, denom),
+                0.0, 1.0)
+    return np.linalg.norm(AP - t[..., None] * AB, axis=-1)
 
 
 def _support_gap(pa, pb):
@@ -245,27 +248,59 @@ def _support_gap(pa, pb):
         [pa.max(axis=0) - pb.max(axis=0), pa.min(axis=0) - pb.min(axis=0)]))))
 
 
+def _matched_bound(pa, pb):
+    """An upper bound on the ``_poly_hausdorff`` distance of two aligned loops.
+
+    Each vertex of one loop is measured against only four segments of the
+    other, around its phase-matched index: vertex i of A against the
+    segments i + k - 2 to i + k + 1 of B, where B's vertex k is the one
+    nearest A[0] and indices run cyclically over the closed loop.  A distance
+    to some of B's segments is never below the distance to the polyline, so
+    the larger of the two one-sided maxima bounds the exact distance from
+    above.  It is close to it when the loops are the same orbit sampled at
+    the same rate from different starting points.
+    """
+    def one_sided(P, Q):
+        m = len(Q) - 1      # segments of the closed loop; Q[m] repeats Q[0]
+        k = int(np.argmin(np.sum((Q[:m] - P[0]) ** 2, axis=1)))
+        seg = (np.arange(len(P))[:, None] + k + np.arange(-2, 2)) % m
+        d = _segment_distances(P[:, None, :], Q[seg], Q[seg + 1])
+        return float(np.max(np.min(d, axis=1)))
+
+    return max(one_sided(pa, pb), one_sided(pb, pa))
+
+
 def deduplicate(sys, orbits, dedup_tol=DEDUP_TOL):
     """Drop orbits whose position loops coincide within dedup_tol.
 
     Two loops coincide when ``_poly_hausdorff``, the larger of the two
     vertex-to-polyline distances, is below dedup_tol; the first orbit of each
-    such group is kept.  A pair whose ``_support_gap`` in the aligned picture
-    is at least 2 dedup_tol is distinct without the O(N^2) exact pass.  The
-    gap never exceeds the exact distance, and the factor 2 leaves room for
-    rounding (a few ulps of the coordinates, far below dedup_tol), so the
-    pre-check cannot change a decision.
+    such group is kept.  Two O(N) bounds in the aligned picture settle most
+    pairs without that O(N^2) exact pass: a pair whose ``_support_gap``
+    is at least 2 dedup_tol is distinct, and a pair whose ``_matched_bound``
+    is below dedup_tol / 2 is a duplicate.  The gap never exceeds the exact
+    distance and the matched bound never falls below it, and the factors 2
+    leave room for rounding (a few ulps of the coordinates, far below
+    dedup_tol), so neither bound can change a decision.
     """
-    align = sys.surface.ops.align_loops
     unique, loops = [], []
     for orb in orbits:
         pa = orb.positions()
-        if any(_support_gap(*align(pa, pb)) < 2.0 * dedup_tol
-               and _poly_hausdorff(sys, pa, pb) < dedup_tol for pb in loops):
+        if any(_same_loop(sys, pa, pb, dedup_tol) for pb in loops):
             continue
         unique.append(orb)
         loops.append(pa)
     return unique
+
+
+def _same_loop(sys, pa, pb, dedup_tol):
+    """Whether the loops pa and pb coincide within dedup_tol (see ``deduplicate``)."""
+    a, b = sys.surface.ops.align_loops(pa, pb)
+    if _support_gap(a, b) >= 2.0 * dedup_tol:
+        return False
+    if _matched_bound(a, b) < 0.5 * dedup_tol:
+        return True
+    return _poly_hausdorff(sys, pa, pb) < dedup_tol
 
 
 class Census(list):

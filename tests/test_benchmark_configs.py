@@ -1,9 +1,13 @@
-"""The benchmark's workload configs stay valid inputs of the program.
+"""The benchmark's workload configs stay valid inputs of the program, and the
+functions its tracer rebinds still exist.
 
-perfbench/workloads.py is not a package module; its source is read and run
-here, so the suite writes nothing (not even a bytecode cache) into perfbench/.
+perfbench/ holds no package modules; workloads.py is read and run here and
+tracer.py only parsed, so the suite writes nothing (not even a bytecode
+cache) into perfbench/.
 """
 
+import ast
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -13,7 +17,9 @@ import pytest
 from magsys_lab.cli import parse_config
 from magsys_lab.zollref import reference_length
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
+TRACER_PY = PERFBENCH / "tracer.py"
 
 
 def load_workloads():
@@ -48,3 +54,28 @@ def test_workload_config_parses(tmp_path, name):
 def test_zoll_length_agrees_with_zollref(kappa, strength):
     assert workloads.zoll_magnetic_length(kappa, strength) == pytest.approx(
         reference_length(kappa, strength), rel=1e-12)
+
+
+def tracer_constants():
+    """The literal module-level tuples of perfbench/tracer.py, by name."""
+    tree = ast.parse(TRACER_PY.read_text(encoding="utf-8"), str(TRACER_PY))
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            try:
+                out[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    return out
+
+
+def test_tracer_hooks_exist():
+    # a renamed hook makes the traced benchmark raise TraceError; fail here first
+    consts = tracer_constants()
+    package = consts["PACKAGE"]
+    hooks = [entry[:2] for entry in consts["TARGETS"]] + list(consts["RHS_TARGETS"])
+    assert hooks
+    missing = [f"{module}.{attr}" for module, attr in hooks
+               if not hasattr(importlib.import_module(f"{package}.{module}"), attr)]
+    assert missing == []

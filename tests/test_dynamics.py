@@ -7,8 +7,12 @@ import pytest
 from magsys_lab import (ScalarField, conformal_perturb, flow, latitude_seed,
                         geodesic_curvature_series, length, make_model,
                         random_state, reference_period, state_distance,
-                        tangent_state, trajectory_to_csv)
-from magsys_lab.geometry import TangentState, g_norm
+                        tangent_state, trajectory_to_csv,
+                        with_sigma_perturbation)
+from magsys_lab.dynamics import rhs
+from magsys_lab.geometry import (SphereChart, TangentState, TorusChart,
+                                 _christoffel0, conf_log_diff, g_dot, g_norm,
+                                 magnetic_density, rotate90)
 from magsys_lab.orbits import Orbit
 
 
@@ -215,3 +219,132 @@ class TestSampleArrays:
         h = orb.period / n
         loop = np.array([g_norm(sys, st.position, st.velocity) for st in states[:n]])
         assert length(sys, orb) == float(h * loop.sum())
+
+
+# --- reference formulas, kept here as the generic composition ---------------------
+
+def _geodesic(ops, q, v):
+    """(g0 geodesic acceleration, frame): the unit normal on the sphere, w elsewhere."""
+    if isinstance(ops, SphereChart):
+        return -float(v @ v) * ops.kappa * q, q * ops.sk
+    if isinstance(ops, TorusChart):
+        return np.zeros(2), 1.0
+    w, wp = ops.w_wp(q[0])
+    return np.array([w * wp * v[1] ** 2, -2.0 * (wp / w) * v[0] * v[1]]), w
+
+
+def _g0_terms(ops, q, v, dl, frame):
+    if isinstance(ops, SphereChart):
+        return dl - float(dl @ frame) * frame, float(v @ v)
+    w = frame
+    return np.array([dl[0], dl[1] / w**2]), v[0] ** 2 + w**2 * v[1] ** 2
+
+
+def _rotate(ops, v, frame):
+    if isinstance(ops, SphereChart):
+        return np.cross(frame, v)
+    return np.array([-frame * v[1], v[0] / frame])
+
+
+def reference_rhs(sys):
+    """nabla^g_v v = s b(q) J v composed from the public field functions."""
+    ops = sys.surface.ops
+    d, s = ops.dim, sys.strength
+    perturbed = not sys.is_unperturbed()
+
+    def f(t, y):
+        q, v = y[:d], y[d:]
+        acc, frame = _geodesic(ops, q, v)
+        b = 1.0
+        if perturbed:
+            dl = conf_log_diff(sys, q)
+            grad, v0sq = _g0_terms(ops, q, v, dl, frame)
+            acc += -2.0 * float(dl @ v) * v + v0sq * grad
+            b = float(magnetic_density(sys, q))
+        acc += s * b * _rotate(ops, v, frame)
+        return np.concatenate([v, acc])
+
+    return f
+
+
+def reference_curvature(sys, q, v, dv):
+    """Signed geodesic curvature at one sample, from the Christoffel symbols."""
+    ops = sys.surface.ops
+    if isinstance(ops, SphereChart):
+        n = q * ops.sk
+        cov = dv - float(dv @ n) * n
+        frame = n
+    else:
+        cov = dv + np.einsum("kij,i,j->k", _christoffel0(*ops.w_wp(q[0])), v, v)
+        frame = float(ops.weight(q[0]))
+    if not sys.is_unperturbed():
+        dl = conf_log_diff(sys, q)
+        grad, v0sq = _g0_terms(ops, q, v, dl, frame)
+        cov = cov + 2.0 * float(dl @ v) * v - v0sq * grad
+    jv = rotate90(sys, q, v)
+    return float(g_dot(sys, q, cov, jv)) / float(g_norm(sys, q, v)) ** 3
+
+
+FIELDS = {1.0: ScalarField("sphere_harmonic_z"), 0.0: ScalarField("torus_cos_x"),
+          -1.0: ScalarField("hyperbolic_bump", (0.5, 1.0))}
+ETAS = {1.0: "sphere_eta_axial", 0.0: "torus_eta_sin_x", -1.0: "hyperbolic_eta_radial"}
+STRENGTH = {1.0: 1.0, 0.0: 1.0, -1.0: 2.0}
+
+
+def kernel_system(kappa, case):
+    sys = make_model(kappa, STRENGTH[kappa])
+    if case == "unperturbed":
+        return sys
+    if case == "eta_only":
+        return with_sigma_perturbation(sys, ETAS[kappa], eps=0.05)
+    if case == "axis":
+        field = ScalarField("sphere_harmonic_axis", (1.0, 1.0, 1.0, 0.0))
+    else:
+        field = FIELDS[kappa]
+    sys = conformal_perturb(sys, field, 0.05, normalize=case != "conformal")
+    return with_sigma_perturbation(sys, ETAS[kappa]) if case == "conformal_eta" else sys
+
+
+KERNEL_CASES = [(kappa, case) for kappa in (1.0, 0.0, -1.0)
+                for case in ("unperturbed", "conformal", "conformal_normalized", "eta_only")]
+KERNEL_CASES += [(1.0, "conformal_eta"), (0.0, "conformal_eta"), (1.0, "axis")]
+
+
+class TestRhsKernel:
+    @pytest.mark.parametrize("kappa,case", KERNEL_CASES,
+                             ids=[f"{k:g}-{c}" for k, c in KERNEL_CASES])
+    def test_equals_the_generic_composition(self, kappa, case):
+        sys = kernel_system(kappa, case)
+        assert sys.is_unperturbed() == (case == "unperturbed")
+        f, ref = rhs(sys), reference_rhs(sys)
+        rng = np.random.default_rng(17)
+        for _ in range(250):
+            st = random_state(sys, rng)
+            # unit and non-unit speeds: the formula holds for any (q, v)
+            scale = rng.choice([1.0, rng.uniform(0.1, 3.0)])
+            y = np.concatenate([st.position, scale * st.velocity])
+            got, want = f(0.0, y), ref(0.0, y.copy())
+            assert np.array_equal(got, want), (y, got - want)
+
+
+class TestCurvatureSeries:
+    @pytest.mark.parametrize("kappa,case", [(1.0, "conformal_eta"), (0.0, "conformal_eta"),
+                                            (-1.0, "conformal_normalized"),
+                                            (-1.0, "unperturbed")])
+    def test_equals_the_per_sample_loop(self, kappa, case):
+        sys = kernel_system(kappa, case)
+        traj = flow(sys, latitude_seed(sys), reference_period(sys), n_samples=256)
+        # reference: the five-point stencil, then one sample at a time
+        h = traj.times[1] - traj.times[0]
+        vel = traj.velocities()
+        dv = np.empty_like(vel)
+        dv[2:-2] = (vel[:-4] - 8 * vel[1:-3] + 8 * vel[3:-1] - vel[4:]) / (12 * h)
+        c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+        for i in (0, 1):
+            dv[i] = sum(c[j] * vel[i + j] for j in range(5)) / h
+            dv[-1 - i] = -sum(c[j] * vel[-1 - i - j] for j in range(5)) / h
+        want = np.array([reference_curvature(sys, q, v, a)
+                         for q, v, a in zip(traj.positions(), vel, dv)])
+        got = geodesic_curvature_series(sys, traj)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12

@@ -12,8 +12,8 @@ from magsys_lab import (DivergedFromFamily, NoConvergence, TangencyError,
                         make_section, reference_period, return_map,
                         state_distance)
 from magsys_lab import orbits as orbits_mod
-from magsys_lab.orbits import (Orbit, _poly_hausdorff, _support_gap,
-                               section_state)
+from magsys_lab.orbits import (Orbit, _matched_bound, _poly_hausdorff,
+                               _support_gap, section_state)
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -273,6 +273,30 @@ class TestDeduplicate:
         # slack: rounding of coordinates up to ~16 in size
         assert gap <= _poly_hausdorff(sys, pa, pb) + 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]))
+    def test_matched_bound_bounds_poly_hausdorff(self, data, dim):
+        # the second loop is a fresh loop, or a copy of the first started at
+        # another vertex, maybe reversed and noisy; on the torus it may also
+        # be shifted by whole periods before alignment
+        sys = make_model(1.0, 1.0) if dim == 3 else make_model(0.0, 1.0)
+        pa = data.draw(closed_loops(dim))
+        kind = data.draw(st.sampled_from(["fresh", "phase", "reversed"]))
+        if kind == "fresh":
+            pb = data.draw(closed_loops(dim))
+        else:
+            ring = np.roll(pa[:-1], data.draw(st.integers(0, len(pa) - 2)), axis=0)
+            if kind == "reversed":
+                ring = ring[::-1]
+            ring = ring + data.draw(hnp.arrays(np.float64, ring.shape,
+                                               elements=st.floats(-1e-3, 1e-3)))
+            pb = np.vstack([ring, ring[:1]])
+        if dim == 2:
+            k = data.draw(hnp.arrays(np.float64, 2, elements=st.integers(-2, 2)))
+            pb = pb + k * np.asarray(sys.surface.ops.box)
+        bound = _matched_bound(*sys.surface.ops.align_loops(pa, pb))
+        assert bound >= _poly_hausdorff(sys, pa, pb) - 1e-12
+
     def test_sphere_decisions_match_all_pairs(self, monkeypatch):
         sys = make_model(1.0, 1.0)
         z, x = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]
@@ -287,8 +311,10 @@ class TestDeduplicate:
         assert expected == ["a", "b", "c"]
         calls = counting_hausdorff(monkeypatch)
         assert [o.seed_id for o in orbits_mod.deduplicate(sys, found)] == expected
-        # six near pairs need the exact pass; the bound settles the far ones
-        assert len(calls) == 6
+        # the support gap settles the far pairs and the matched bound the
+        # phase-shifted copies; three pairs within 2 dedup_tol of each other
+        # but not within dedup_tol / 2 need the exact pass
+        assert len(calls) == 3
 
     def test_torus_decisions_match_all_pairs(self, monkeypatch):
         sys = make_model(0.0, 1.0)
@@ -303,11 +329,29 @@ class TestDeduplicate:
         assert expected == ["a", "b", "c"]
         calls = counting_hausdorff(monkeypatch)
         assert [o.seed_id for o in orbits_mod.deduplicate(sys, found)] == expected
-        assert len(calls) == 4
+        # only b against a (1.5e-4 apart) is left to the exact pass
+        assert len(calls) == 1
 
     def test_zoll_sphere_census_needs_no_exact_pass(self, monkeypatch):
         # every seed of the Zoll sphere closes on its own circle, O(1) apart
         calls = counting_hausdorff(monkeypatch)
         found = enumerate_orbits(make_model(1.0, 1.0), grid_density=3, tol=1e-9)
         assert len(found) == found.seeds_attempted == 11
+        assert calls == []
+
+    def test_perturbed_sphere_census_needs_no_exact_pass(self, monkeypatch):
+        # seeds that converge onto the same orbit are phase-shifted samplings
+        # of one loop, which the matched bound settles
+        calls = counting_hausdorff(monkeypatch)
+        dedup_in = []
+        dedup = orbits_mod.deduplicate
+
+        def counted(sys, orbits, **kw):
+            dedup_in.append(len(orbits))
+            return dedup(sys, orbits, **kw)
+
+        monkeypatch.setattr(orbits_mod, "deduplicate", counted)
+        # (at grid density 2 only the two distinct orbits converge)
+        found = enumerate_orbits(perturbed_sphere(0.05), grid_density=3, tol=1e-9)
+        assert dedup_in == [8] and len(found) == 2
         assert calls == []
