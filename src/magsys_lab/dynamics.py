@@ -50,9 +50,15 @@ def reference_period(sys: MagneticSystem):
     return 2.0 * math.pi / math.sqrt(sys.strength**2 + sys.kappa)
 
 
-def rhs(sys: MagneticSystem):
-    """Right-hand side of the first-order system y = (q, v)."""
-    return sys.surface.ops.rhs(sys)
+def rhs(sys: MagneticSystem, tangents=0):
+    """Right-hand side of the first-order system y = (q, v).
+
+    With tangents = m > 0 the closure also carries m tangent columns: it maps
+    Y = (y, X_1, ..., X_m) to (f(y), Df(y) X_1, ..., Df(y) X_m), the
+    variational equations of the flow, and its first block is the m = 0
+    result bit for bit.
+    """
+    return sys.surface.ops.rhs(sys, tangents)
 
 
 def pack_state(state: TangentState):

@@ -92,12 +92,6 @@ def _orientation(plane):
     return 1.0 if area2 > 0 else -1.0
 
 
-def _eta_density(sys, q):
-    if sys.sigma_perturbation is None or sys.conformal_eps == 0.0:
-        return np.zeros(np.asarray(q).shape[:-1])
-    return sys.conformal_eps * sys.sigma_perturbation.density(sys.surface, q)
-
-
 def _cap_quadrature(sys, orbit, n_angle=2048, n_radial=48):
     closure = orbit.positions()[-1] - orbit.positions()[0]
     plane, density, to_chart, center = sys.surface.ops.cap_picture(*_loop(orbit), closure)
@@ -112,7 +106,11 @@ def _cap_quadrature(sys, orbit, n_angle=2048, n_radial=48):
     r = rb[None, :] * t[:, None]                 # (n_radial, n_angle)
     e = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
     P = center[None, None, :] + r[..., None] * e[None, :, :]
-    dens = density(P) * (1.0 + _eta_density(sys, to_chart(P)))
+    dens = density(P)
+    eta = sys.sigma_perturbation
+    if eta is not None and sys.conformal_eps != 0.0:
+        # an unperturbed sigma would scale dens by exactly 1.0: skip the map back
+        dens = dens * (1.0 + sys.conformal_eps * eta.density(sys.surface, to_chart(P)))
     integrand = dens * r
     inner = np.sum(integrand * wts[:, None], axis=0) * rb
     area = float(inner.mean() * 2.0 * math.pi)

@@ -374,26 +374,41 @@ class ChartOps:
         self.kappa = surface.kappa
 
     def _perturbation(self, sys):
-        """(dl, b) for a perturbed system's ``rhs``: dl(q) is ``conf_log_diff``
-        and b(q) the float ``magnetic_density`` at a 1-D chart point, with the
-        field functions and constants resolved here, once."""
-        surface, eps = self.surface, sys.conformal_eps
+        """The perturbed terms of ``rhs`` as one function at(q, second) of a
+        (dim,) chart point, returning (dl, b, ddl, db): dl is ``conf_log_diff``
+        and b the ``magnetic_density``, as floats; with second true, ddl is the
+        Hessian of Lambda (dim x dim floats, row by row) and db the gradient of
+        b, else both are None.  The fields' point formulas and the constants
+        are resolved here, once."""
+        surface, eps, dim = self.surface, sys.conformal_eps, self.dim
         lam_part = 0.5 * math.log(sys.conformal_scale)
         u = sys.conformal_exponent if eps != 0.0 else None
         eta = sys.sigma_perturbation if eps != 0.0 else None
-        value, diff = u.functions(surface) if u is not None else (None, None)
-        density = eta.functions(surface)[1] if eta is not None else None
-        zero = np.zeros(self.dim)
+        if u is not None:
+            u_value, u_diff, u_hess = u.point(surface)
+        if eta is not None:
+            eta_density, eta_gradient = eta.point(surface)
+        zero, zero2 = [0.0] * dim, [0.0] * (dim * dim)
 
-        def dl(q):
-            return zero if u is None else eps * diff(u.coeffs, surface, q)
+        def at(q, second):
+            if u is None:
+                dl, lam = zero, lam_part
+            else:
+                dl, lam = [eps * x for x in u_diff(q)], eps * u_value(q) + lam_part
+            dens = 1.0 if eta is None else 1.0 + eps * eta_density(q)
+            e2l = np.exp(-2.0 * lam)
+            b = float(dens * e2l)
+            if not second:
+                return dl, b, None, None
+            # b = dens e^{-2 Lambda}: db = e^{-2 Lambda} d(dens) - 2 b dl
+            db = [-2.0 * b * x for x in dl]
+            if eta is not None:
+                ce = eps * float(e2l)
+                db = [x + ce * g for x, g in zip(db, eta_gradient(q))]
+            ddl = zero2 if u is None else [eps * h for h in u_hess(q)]
+            return dl, b, ddl, db
 
-        def b(q):
-            lam = lam_part if u is None else eps * value(u.coeffs, surface, q) + lam_part
-            dens = 1.0 if eta is None else 1.0 + eps * density(eta.coeffs, surface, q)
-            return float(dens * np.exp(-2.0 * lam))
-
-        return dl, b
+        return at
 
     def g0_dot(self, q, u, v):
         return np.sum(u * v, axis=-1)
@@ -406,6 +421,10 @@ class ChartOps:
 
     def to_plane(self, q):
         return np.asarray(q, dtype=float)
+
+    def plane_jacobian(self, q):
+        """d(plane)/d(chart) at chart point q."""
+        return np.eye(self.dim)
 
     def align_loops(self, pa, pb):
         """Two sampled loops, brought into one picture for comparison."""
@@ -499,24 +518,32 @@ class SphereChart(ChartOps):
         n = np.asarray(q, dtype=float) * self.sk
         return np.sum(n * np.cross(u, v), axis=-1)
 
-    def rhs(self, sys):
-        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v.
+    def rhs(self, sys, tangents=0):
+        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v, and with
+        tangents = m > 0 its derivative applied to m tangent columns.
 
         With n = sqrt(kappa) q the outward normal, the g0 part is
         -|v|^2 kappa q + s n x v, and a perturbed system adds
         -2 (dl.v) v + |v|^2 (dl - (dl.n) n) and the density b.  Elementwise
         arithmetic runs on Python floats in the order numpy would use; the
-        dot products stay numpy ``@``, whose sums round differently.
+        dot products stay numpy's, whose sums round differently.
+
+        With m > 0 the closure takes Y = (y, X_1, ..., X_m), each X_k a
+        state-space vector of length 6, and returns (f(y), Df(y) X_1, ...,
+        Df(y) X_m); its first block is the m = 0 result bit for bit.
         """
         s, kappa, sk = sys.strength, self.kappa, self.sk
         s1 = float(s)    # s b with b = 1
         perturbed = not sys.is_unperturbed()
         if perturbed:
-            dl_at, b_at = self._perturbation(sys)
+            at = self._perturbation(sys)
+        second = tangents > 0
+        zero3 = (0.0,) * 9
 
         def f(t, y):
-            q0, q1, q2, v0, v1, v2 = y.tolist()
-            v = y[3:]
+            L = y.tolist()
+            q0, q1, q2, v0, v1, v2 = L[:6]
+            v = y[3:6]
             vv = float(v @ v)
             c = -vv * kappa
             a0, a1, a2 = c * q0, c * q1, c * q2
@@ -524,17 +551,63 @@ class SphereChart(ChartOps):
             sb = s1
             if perturbed:
                 q = y[:3]
-                dl = dl_at(q)
-                dn, dv = float(dl @ (q * sk)), -2.0 * float(dl @ v)
-                l0, l1, l2 = dl.tolist()
+                dl, b, ddl, db = at(q, second)
+                dla = np.array(dl)
+                dn = float(dla.dot(np.array((n0, n1, n2))))
+                dv = -2.0 * float(dla.dot(v))
+                l0, l1, l2 = dl
                 a0 += dv * v0 + vv * (l0 - dn * n0)
                 a1 += dv * v1 + vv * (l1 - dn * n1)
                 a2 += dv * v2 + vv * (l2 - dn * n2)
-                sb = s * b_at(q)
-            return np.array([v0, v1, v2,
-                             a0 + sb * (n1 * v2 - n2 * v1),
-                             a1 + sb * (n2 * v0 - n0 * v2),
-                             a2 + sb * (n0 * v1 - n1 * v0)])
+                sb = s * b
+            jv0, jv1, jv2 = n1 * v2 - n2 * v1, n2 * v0 - n0 * v2, n0 * v1 - n1 * v0
+            out = [v0, v1, v2, a0 + sb * jv0, a1 + sb * jv1, a2 + sb * jv2]
+            if not second:
+                return np.array(out)
+            if not perturbed:
+                l0 = l1 = l2 = dn = dv = 0.0
+                ddl, db = zero3, (0.0, 0.0, 0.0)
+            h00, h01, h02, h10, h11, h12, h20, h21, h22 = ddl
+            g0, g1, g2 = db
+            # d(acc)/dq = -|v|^2 (kappa + dn sk) I + |v|^2 H - 2 v (H^T v)^T
+            #   - |v|^2 n (H^T n + sk dl)^T + s (n x v) db^T + s b sk (dq -> dq x v)
+            # d(acc)/dv = dv I + 2 (dl - dn n - kappa q) v^T - 2 v dl^T + s b (dv -> n x dv)
+            hv0, hv1, hv2 = (h00 * v0 + h10 * v1 + h20 * v2, h01 * v0 + h11 * v1 + h21 * v2,
+                             h02 * v0 + h12 * v1 + h22 * v2)
+            hn0 = h00 * n0 + h10 * n1 + h20 * n2 + sk * l0
+            hn1 = h01 * n0 + h11 * n1 + h21 * n2 + sk * l1
+            hn2 = h02 * n0 + h12 * n1 + h22 * n2 + sk * l2
+            diag, ssk = -vv * (kappa + dn * sk), sb * sk
+            p0, p1, p2 = (2.0 * (l0 - dn * n0 - kappa * q0), 2.0 * (l1 - dn * n1 - kappa * q1),
+                          2.0 * (l2 - dn * n2 - kappa * q2))
+            m0, m1, m2 = -2.0 * v0, -2.0 * v1, -2.0 * v2
+            u0, u1, u2 = -vv * n0, -vv * n1, -vv * n2
+            sg0, sg1, sg2 = s * g0, s * g1, s * g2
+            a00 = diag + vv * h00 + m0 * hv0 + u0 * hn0 + jv0 * sg0
+            a01 = vv * h01 + m0 * hv1 + u0 * hn1 + jv0 * sg1 + ssk * v2
+            a02 = vv * h02 + m0 * hv2 + u0 * hn2 + jv0 * sg2 - ssk * v1
+            a10 = vv * h10 + m1 * hv0 + u1 * hn0 + jv1 * sg0 - ssk * v2
+            a11 = diag + vv * h11 + m1 * hv1 + u1 * hn1 + jv1 * sg1
+            a12 = vv * h12 + m1 * hv2 + u1 * hn2 + jv1 * sg2 + ssk * v0
+            a20 = vv * h20 + m2 * hv0 + u2 * hn0 + jv2 * sg0 + ssk * v1
+            a21 = vv * h21 + m2 * hv1 + u2 * hn1 + jv2 * sg1 - ssk * v0
+            a22 = diag + vv * h22 + m2 * hv2 + u2 * hn2 + jv2 * sg2
+            b00 = dv + p0 * v0 + m0 * l0
+            b01 = p0 * v1 + m0 * l1 - sb * n2
+            b02 = p0 * v2 + m0 * l2 + sb * n1
+            b10 = p1 * v0 + m1 * l0 + sb * n2
+            b11 = dv + p1 * v1 + m1 * l1
+            b12 = p1 * v2 + m1 * l2 - sb * n0
+            b20 = p2 * v0 + m2 * l0 - sb * n1
+            b21 = p2 * v1 + m2 * l1 + sb * n0
+            b22 = dv + p2 * v2 + m2 * l2
+            for k in range(6, len(L), 6):
+                x0, x1, x2, y0, y1, y2 = L[k:k + 6]
+                out += (y0, y1, y2,
+                        a00 * x0 + a01 * x1 + a02 * x2 + b00 * y0 + b01 * y1 + b02 * y2,
+                        a10 * x0 + a11 * x1 + a12 * x2 + b10 * y0 + b11 * y1 + b12 * y2,
+                        a20 * x0 + a21 * x1 + a22 * x2 + b20 * y0 + b21 * y1 + b22 * y2)
+            return np.array(out)
 
         return f
 
@@ -723,37 +796,74 @@ class _PlanarChart(ChartOps):
         w = self.weight(np.asarray(q, dtype=float)[..., 0])
         return w * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
-    def rhs(self, sys):
-        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v.
+    def rhs(self, sys, tangents=0):
+        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v, and with
+        tangents = m > 0 its derivative applied to m tangent columns.
 
         The g0 part is (w w' v_p^2, -2 (w'/w) v_r v_p) + s (-w v_p, v_r / w),
         with (w, w') = (1, 0) on the torus, and a perturbed system adds
         -2 (dl.v) v + |v|^2_g0 (dl_r, dl_p / w^2) and the density b.
         Elementwise arithmetic runs on Python floats in the order numpy
-        would use; the dot product stays numpy ``@``.
+        would use.
+
+        With m > 0 the closure takes Y = (y, X_1, ..., X_m), each X_k a
+        state-space vector of length 4, and returns (f(y), Df(y) X_1, ...,
+        Df(y) X_m); its first block is the m = 0 result bit for bit.  The
+        derivative uses w'' = -kappa w.
+
+        dl.v is the float sum dl_r v_r + dl_p v_p.  Every planar field's
+        differential has at most one nonzero component, and then the sum
+        equals numpy's dot product bit for bit.
         """
-        s, w_wp = sys.strength, self.w_wp
+        s, kappa, w_wp = sys.strength, self.kappa, self.w_wp
         s1 = float(s)    # s b with b = 1
         perturbed = not sys.is_unperturbed()
         if perturbed:
-            dl_at, b_at = self._perturbation(sys)
+            at = self._perturbation(sys)
+        second = tangents > 0
+        zero2 = (0.0,) * 4
 
         def f(t, y):
-            r, _, v0, v1 = y.tolist()
+            L = y.tolist()
+            r, _, v0, v1 = L[:4]
             w, wp = w_wp(r)
             sb = s1
             a0 = w * wp * v1 ** 2
             a1 = -2.0 * (wp / w) * v0 * v1
             if perturbed:
-                q = y[:2]
-                dl = dl_at(q)
-                dv = -2.0 * float(dl @ y[2:])
-                l0, l1 = dl.tolist()
+                (l0, l1), b, ddl, db = at(y[:2], second)
+                dv = -2.0 * (l0 * v0 + l1 * v1)
                 vv = v0 ** 2 + w**2 * v1 ** 2
                 a0 += dv * v0 + vv * l0
                 a1 += dv * v1 + vv * (l1 / w**2)
-                sb = s * b_at(q)
-            return np.array([v0, v1, a0 + sb * (-w * v1), a1 + sb * (v0 / w)])
+                sb = s * b
+            out = [v0, v1, a0 + sb * (-w * v1), a1 + sb * (v0 / w)]
+            if not second:
+                return np.array(out)
+            if not perturbed:
+                l0 = l1 = dv = vv = 0.0
+                ddl, db = zero2, (0.0, 0.0)
+            h00, h01, h10, h11 = ddl
+            g0, g1 = db
+            iw, rw = 1.0 / w, wp / w
+            hv0, hv1 = h00 * v0 + h10 * v1, h01 * v0 + h11 * v1    # (H v)_j
+            dvv_r = 2.0 * w * wp * v1 * v1                          # d|v|^2/dr
+            # d(acc)/d(r, p, v_r, v_p), one row per acceleration component; j02 = dv
+            j00 = ((wp * wp - kappa * w * w) * v1 * v1 - 2.0 * hv0 * v0 + dvv_r * l0
+                   + vv * h00 - s * g0 * w * v1 - sb * wp * v1)
+            j01 = -2.0 * hv1 * v0 + vv * h01 - s * g1 * w * v1
+            j03 = 2.0 * w * (wp * v1 + w * v1 * l0) - 2.0 * l1 * v0 - sb * w
+            j10 = (2.0 * (kappa + rw * rw) * v0 * v1 - 2.0 * hv0 * v1
+                   + (dvv_r * l1 + vv * h10 - 2.0 * vv * l1 * rw) * iw * iw
+                   + s * g0 * v0 * iw - sb * v0 * rw * iw)
+            j11 = -2.0 * hv1 * v1 + vv * h11 * iw * iw + s * g1 * v0 * iw
+            j12 = -2.0 * (rw + l0) * v1 + 2.0 * v0 * l1 * iw * iw + sb * iw
+            j13 = -2.0 * rw * v0 + dv
+            for k in range(4, len(L), 4):
+                dr, dp, dv0, dv1 = L[k:k + 4]
+                out += (dv0, dv1, j00 * dr + j01 * dp + dv * dv0 + j03 * dv1,
+                        j10 * dr + j11 * dp + j12 * dv0 + j13 * dv1)
+            return np.array(out)
 
         return f
 
@@ -781,10 +891,6 @@ class _PlanarChart(ChartOps):
     # sections: planes of the planar image through the anchor
     def from_plane(self, p):
         return np.asarray(p, dtype=float)
-
-    def plane_jacobian(self, q):
-        """d(plane)/d(chart) at chart point q."""
-        return np.eye(2)
 
     def plane_velocity(self, q, v):
         return self.plane_jacobian(q) @ v

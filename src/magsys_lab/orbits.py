@@ -10,6 +10,12 @@ rest), and closed orbits are fixed points of the reduced return map.
 
 Sections are planes of the chart's planar image (``to_plane`` of the chart
 object: ambient on the sphere, the identity on the torus).
+
+Newton uses the exact Jacobian of the reduced map, J = dC D dS: the return
+map carries the tangent vectors dS of the section parametrization through the
+variational equations and corrects them for the change of return time (D),
+and dS and the derivative dC of the reduced coordinates come from central
+differences of closed-form maps, with no ODE solve.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
                      TangencyError)
-from .geometry import TangentState, state_distance, tangent_state
+from .geometry import TangentState, state_distance, tangent_state, wrap_position
 from .dynamics import (Trajectory, flow, pack_state, reference_period, rhs,
                        unpack_state)
 
@@ -30,7 +36,7 @@ log = logging.getLogger(__name__)
 
 SHORT_LOOP_PERIOD_WINDOW = 0.5     # |T - T_ref| <= window * T_ref
 SEED_RESIDUAL_GATE = 0.3           # chart units; beyond this a seed is rejected
-NEWTON_FD_STEP = 1e-6
+SECTION_FD_STEP = 1e-6            # central differences of the closed-form section maps
 NEWTON_DAMPING = 0.8
 DEDUP_TOL = 1e-4
 TRANSVERSALITY_MIN = 1e-3
@@ -65,19 +71,35 @@ def section_state(sys, spec: SectionSpec, a, b) -> TangentState:
     return sys.surface.ops.section_state(sys, spec, a, b)
 
 
-def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
-    """First forward return of the flow to the section.
+def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
+               tangents=None):
+    """First forward return of the flow to the section: (state, return time).
 
     The crossing must be in the direction of the anchor velocity; the search
     is capped at twice the Zoll reference period.
+
+    With tangents, a (2d, k) array of state-space vectors at state, the flow
+    also carries them and a column w with w' = Df w + f and w(0) = 0, so that
+    w(t) = t f(y(t)) gives f at the return without an RHS call of its own; all
+    components share one error control.  The result is then (state, return
+    time, D) with D the (2d, k) derivative of the return map along the
+    tangents: the carried columns T corrected for the change of return time,
+    D = T - f (grad sigma . T) / (grad sigma . f).
     """
     t_ref = reference_period(sys)
     if abs(_crossing_speed(sys, section, state.position, state.velocity)) \
             < TRANSVERSALITY_MIN:
         raise TangencyError("flow is tangent to the section at the given state")
 
-    f = rhs(sys)
+    d = sys.surface.ops.dim
+    n = 2 * d
     y0 = pack_state(state)
+    if tangents is None:
+        f = rhs(sys)
+    else:
+        k = tangents.shape[1]
+        f = _with_time_column(rhs(sys, tangents=k + 1), n)
+        y0 = np.concatenate([y0, tangents.T.ravel(), np.zeros(n)])
     rtol = max(tol * 0.1, 1e-13)
     atol = max(tol * 1e-3, 1e-14)
     head = 0.3 * t_ref
@@ -86,7 +108,7 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
         raise StepFailure(sol.message)
 
     def event(t, y):
-        return _section_value(sys, section, unpack_state(y).position)
+        return _section_value(sys, section, y[:d])
 
     event.terminal = True
     event.direction = 1.0
@@ -98,10 +120,28 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
     if len(sol2.t_events[0]) == 0:
         raise NoReturn("no section crossing within 2 reference periods")
     t_ev = float(sol2.t_events[0][0])
-    st = unpack_state(sol2.y_events[0][0])
+    y_ev = sol2.y_events[0][0]
+    st = unpack_state(y_ev[:n])
     if abs(_crossing_speed(sys, section, st.position, st.velocity)) < TRANSVERSALITY_MIN:
         raise TangencyError("return crossing is tangent to the section")
-    return tangent_state(sys, st.position, st.velocity), t_ev
+    st = tangent_state(sys, st.position, st.velocity)
+    if tangents is None:
+        return st, t_ev
+    T = y_ev[n:-n].reshape(k, n).T
+    f_ev = y_ev[-n:] / t_ev
+    grad = np.zeros(n)
+    grad[:d] = sys.surface.ops.plane_jacobian(y_ev[:d]).T @ section.normal
+    return st, t_ev, T - np.outer(f_ev, grad @ T) / float(grad @ f_ev)
+
+
+def _with_time_column(g, n):
+    """The closure g on (y, X_1, ..., X_m) with f(y) added to the derivative of
+    the last column, which then solves w' = Df w + f."""
+    def f(t, y):
+        out = g(t, y)
+        out[-n:] += out[:n]
+        return out
+    return f
 
 
 # --- orbits ---------------------------------------------------------------------
@@ -121,73 +161,97 @@ class Orbit(Trajectory):
 
 
 def _reduced_map(sys, spec, tol):
-    def F(x):
+    """The reduced return map at x: (F(x), return time, state residual,
+    dF/dx).  The Jacobian is None unless asked for; with jacobian=True the
+    return map carries the section's tangents (see the module docstring)."""
+    ops = sys.surface.ops
+    anchor, d = spec.anchor.position, ops.dim
+
+    def section_point(x):
         st = section_state(sys, spec, x[0], x[1])
-        st2, t_ret = return_map(sys, spec, st, tol=tol)
-        x2 = sys.surface.ops.section_coords(sys, spec, st2)
-        return x2, t_ret, state_distance(sys, st2, st)
+        return np.concatenate([wrap_position(sys.surface, st.position, ref=anchor),
+                               st.velocity])
+
+    def coords(y):
+        return ops.section_coords(sys, spec, tangent_state(sys, y[:d], y[d:]))
+
+    def F(x, jacobian=False):
+        st = section_state(sys, spec, x[0], x[1])
+        if not jacobian:
+            st2, t_ret = return_map(sys, spec, st, tol=tol)
+            jac = None
+        else:
+            dS = _central_differences(section_point, x, np.eye(2))
+            st2, t_ret, D = return_map(sys, spec, st, tol=tol, tangents=dS)
+            jac = _central_differences(coords, pack_state(st2), D)
+        x2 = ops.section_coords(sys, spec, st2)
+        return x2, t_ret, state_distance(sys, st2, st), jac
     return F
+
+
+def _central_differences(fn, x, directions, h=SECTION_FD_STEP):
+    """(fn(x + h u) - fn(x - h u)) / 2h for each column u of directions."""
+    return np.column_stack([(fn(x + h * u) - fn(x - h * u)) / (2.0 * h)
+                            for u in directions.T])
 
 
 def find_closed_orbit(sys, seed: TangentState, tol=1e-9, max_iter=25,
                       seed_id="seed", n_samples=512, ivp_tol=None):
     """Newton iteration on the reduced return map, starting from seed.
 
-    The seed anchors the section.  Raises DivergedFromFamily when the seed's
-    return residual exceeds the short-loop gate or iterates leave the
+    The seed anchors the section.  Its first return map is a plain one, so a
+    seed that already closes costs one map; every later map carries the
+    tangents that give the Jacobian.  Raises DivergedFromFamily when the
+    seed's return residual exceeds the short-loop gate or iterates leave the
     neighborhood; NoConvergence when the iteration budget runs out.
     """
     ivp_tol = min(tol * 1e-2, 1e-10) if ivp_tol is None else ivp_tol
     spec = make_section(sys, seed)
     F = _reduced_map(sys, spec, ivp_tol)
     x = np.zeros(2)
-    fx, t_ret, resid = F(x)
+    fx, t_ret, resid, jac = F(x)
     if resid >= SEED_RESIDUAL_GATE:
         raise DivergedFromFamily(
             f"seed return residual {resid:.3g} >= {SEED_RESIDUAL_GATE}")
 
     for it in range(max_iter):
         if resid <= tol:
-            return _build_orbit(sys, spec, x, tol, seed_id, n_samples, ivp_tol,
+            return _build_orbit(sys, spec, x, t_ret, seed_id, n_samples, ivp_tol,
                                 iterations=it)
         try:
-            jac = np.empty((2, 2))
-            for j in range(2):
-                xp = x.copy()
-                xp[j] += NEWTON_FD_STEP
-                fp, _, _ = F(xp)
-                jac[:, j] = (fp - xp) - (fx - x)
-            jac /= NEWTON_FD_STEP
+            if jac is None:
+                fx, t_ret, resid, jac = F(x, jacobian=True)
             g = fx - x
+            A = jac - np.eye(2)
             try:
-                dx = np.linalg.solve(jac, -g)
+                dx = np.linalg.solve(A, -g)
             except np.linalg.LinAlgError:
-                dx = np.linalg.lstsq(jac.T @ jac + 1e-12 * np.eye(2),
-                                     -jac.T @ g, rcond=None)[0]
+                dx = np.linalg.lstsq(A.T @ A + 1e-12 * np.eye(2),
+                                     -A.T @ g, rcond=None)[0]
             trial = x + dx
-            f_t, t_t, r_t = F(trial)
+            f_t, t_t, r_t, j_t = F(trial, jacobian=True)
             shrinks = 0
             while r_t > resid and shrinks < 8:
                 dx *= NEWTON_DAMPING
                 trial = x + dx
-                f_t, t_t, r_t = F(trial)
+                f_t, t_t, r_t, j_t = F(trial, jacobian=True)
                 shrinks += 1
         except (NoReturn, TangencyError) as exc:
             # an iterate wandered off the section geometry entirely
             raise DivergedFromFamily(f"iterate lost the section: {exc}") from exc
-        x, fx, t_ret, resid = trial, f_t, t_t, r_t
+        x, fx, t_ret, resid, jac = trial, f_t, t_t, r_t, j_t
         if abs(x[0]) > 1.0 or abs(x[1]) > 1.0:
             raise DivergedFromFamily(
                 f"iterate left the short-loop neighborhood (|x| = {np.abs(x).max():.3g})")
     if resid <= tol:
-        return _build_orbit(sys, spec, x, tol, seed_id, n_samples, ivp_tol,
+        return _build_orbit(sys, spec, x, t_ret, seed_id, n_samples, ivp_tol,
                             iterations=max_iter)
     raise NoConvergence(f"residual {resid:.3g} after {max_iter} Newton steps")
 
 
-def _build_orbit(sys, spec, x, tol, seed_id, n_samples, ivp_tol, iterations=0):
+def _build_orbit(sys, spec, x, period, seed_id, n_samples, ivp_tol, iterations=0):
+    """The Orbit through the section point x, whose return time is period."""
     st = section_state(sys, spec, x[0], x[1])
-    _, period = return_map(sys, spec, st, tol=ivp_tol)
     t_ref = reference_period(sys)
     if abs(period - t_ref) > SHORT_LOOP_PERIOD_WINDOW * t_ref:
         raise DivergedFromFamily(

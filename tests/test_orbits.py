@@ -11,9 +11,11 @@ from magsys_lab import (DivergedFromFamily, NoConvergence, TangencyError,
                         flow, latitude_seed, magnetic_length, make_model,
                         make_section, reference_period, return_map,
                         state_distance)
+from magsys_lab import ScalarField
+from magsys_lab import dynamics as dynamics_mod
 from magsys_lab import orbits as orbits_mod
 from magsys_lab.orbits import (Orbit, _matched_bound, _poly_hausdorff,
-                               _support_gap, section_state)
+                               _reduced_map, _support_gap, section_state)
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -127,6 +129,116 @@ class TestFindClosedOrbit:
         traj = flow(sys, orb.state(0), orb.period)
         dist = state_distance(sys, traj.state(-1), orb.state(0))
         assert dist <= max(2 * orb.residual, 5e-12)
+
+
+def perturbed_system(kappa):
+    """A conformally perturbed system on each chart (the census workloads'
+    fields on the sphere and the torus, a bump on the hyperbolic plane)."""
+    if kappa > 0:
+        return perturbed_sphere(0.05)
+    if kappa == 0:
+        return conformal_perturb(make_model(0.0, 1.0), "torus_cos_x", 0.05, normalize=True)
+    return conformal_perturb(make_model(-1.0, 2.0), ScalarField("hyperbolic_bump", (1.0, 0.5)),
+                             0.05, normalize=True)
+
+
+def counting_return_maps(monkeypatch):
+    """Count orbits.return_map calls: [plain, with tangents]."""
+    calls = [0, 0]
+    plain = orbits_mod.return_map
+
+    def counted(*args, **kw):
+        calls[kw.get("tangents") is not None] += 1
+        return plain(*args, **kw)
+
+    monkeypatch.setattr(orbits_mod, "return_map", counted)
+    return calls
+
+
+def finite_difference_jacobian(F, x, h=1e-6):
+    """The Newton Jacobian as computed before the variational equations:
+    forward differences of g(x) = F(x) - x, two more return maps, step 1e-6."""
+    fx = F(x)[0]
+    jac = np.empty((2, 2))
+    for j in range(2):
+        xp = x.copy()
+        xp[j] += h
+        fp = F(xp)[0]
+        jac[:, j] = (fp - xp) - (fx - x)
+    return jac / h
+
+
+class TestVariationalNewton:
+    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+    def test_jacobian_matches_finite_differences(self, kappa):
+        sys = perturbed_system(kappa)
+        seed = latitude_seed(sys)
+        F = _reduced_map(sys, make_section(sys, seed), 1e-11)
+        x = np.array([0.02, -0.015])     # not a fixed point
+        fx, t_ret, resid, jac = F(x, jacobian=True)
+        assert resid > 1e-4
+        plain = F(x)
+        assert np.max(np.abs(fx - plain[0])) < 1e-9
+        assert t_ret == pytest.approx(plain[1], abs=1e-9)
+        assert plain[3] is None
+        ref = finite_difference_jacobian(F, x)
+        assert np.max(np.abs((jac - np.eye(2)) - ref)) < 1e-5
+
+    def test_tangents_are_corrected_for_the_return_time(self):
+        # D moves the return state along the section: grad sigma . D = 0
+        sys = perturbed_system(1.0)
+        seed = latitude_seed(sys)
+        spec = make_section(sys, seed)
+        D0 = np.random.default_rng(2).normal(size=(6, 2))
+        st, t_ret, D = return_map(sys, spec, seed, tangents=D0)
+        st_plain, t_plain = return_map(sys, spec, seed)
+        assert D.shape == (6, 2)
+        assert np.max(np.abs(spec.normal @ D[:3])) < 1e-9
+        assert state_distance(sys, st, st_plain) < 1e-9
+        assert t_ret == pytest.approx(t_plain, abs=1e-9)
+
+    @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
+    def test_zoll_seed_costs_one_return_map(self, kappa, s, monkeypatch):
+        calls = counting_return_maps(monkeypatch)
+        sys = make_model(kappa, s)
+        orb = find_closed_orbit(sys, latitude_seed(sys), tol=1e-9)
+        assert orb.newton_iterations == 0
+        assert calls == [1, 0]
+
+    def test_perturbed_sphere_census_return_maps(self, monkeypatch):
+        # one plain map per seed, then one map with tangents per Newton step
+        # and line-search trial (three plain maps per step before)
+        calls = counting_return_maps(monkeypatch)
+        found = enumerate_orbits(perturbed_sphere(0.05), grid_density=3, tol=1e-9)
+        assert len(found) == 2
+        assert calls[0] == found.seeds_attempted == 11
+        assert sum(calls) <= 80
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+    def test_every_rhs_evaluation_is_counted_by_solve_ivp(self, kappa, monkeypatch):
+        # the invariant a tracer of the census relies on: each call of an RHS
+        # closure happens inside solve_ivp and shows up in its nfev
+        counts = {"closure": 0, "nfev": 0}
+        for mod in (orbits_mod, dynamics_mod):
+            def counted_rhs(*args, _factory=mod.rhs, **kw):
+                f = _factory(*args, **kw)
+
+                def counted(t, y):
+                    counts["closure"] += 1
+                    return f(t, y)
+                return counted
+
+            def counted_ivp(*args, _solve=mod.solve_ivp, **kw):
+                sol = _solve(*args, **kw)
+                counts["nfev"] += sol.nfev
+                return sol
+
+            monkeypatch.setattr(mod, "rhs", counted_rhs)
+            monkeypatch.setattr(mod, "solve_ivp", counted_ivp)
+        calls = counting_return_maps(monkeypatch)
+        enumerate_orbits(perturbed_system(kappa), grid_density=2, tol=1e-9)
+        assert calls[1] > 0      # Newton ran, with tangents
+        assert counts["closure"] == counts["nfev"] > 0
 
 
 class TestEnumerate:

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -133,3 +134,38 @@ class TestReproducibility:
             ExperimentConfig(kappa=1.0, strength=1.0, tol_orbit=0.0)
         with pytest.raises(ValidationError):
             ExperimentConfig(kappa=1.0, strength=1.0, eps=-0.1)
+
+
+# orbit count, verdict, seeds and magnetic lengths (in census order) of each
+# run, recorded to full precision with Newton on a forward-difference
+# Jacobian (step 1e-6, two extra return maps per step); the variational
+# Jacobian may move a converged orbit only within tol_orbit
+FD_NEWTON_RECORD = {
+    "sphere": (dict(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
+                    eps=0.05, grid_density=3),
+               2, "PASS", ["axis_north", "axis_south"],
+               [2.4446766734808882, 2.7586394964029424]),
+    "torus": (dict(kappa=0.0, strength=1.0, perturbation_name="torus_cos_x",
+                   eps=0.05, grid_density=4),
+              8, "PASS", [f"center_{i}_{j}" for i in range(2) for j in range(4)],
+              [2.8989133495542205, 2.8989133495542214, 2.898913349554222,
+               2.8989133495542796, 3.3787699424992415, 3.378769942499278,
+               3.3787699424992805, 3.378769942499283]),
+    "hyperbolic": (dict(kappa=-1.0, strength=2.0, perturbation_name="hyperbolic_bump",
+                        perturbation_coeffs=(1.0, 0.5), eps=0.05, grid_density=3),
+                   4, "FAIL", ["boost_0_0", "boost_1_0", "boost_1_1", "boost_1_2"],
+                   [1.736375621675979, 1.7372459945494019, 1.7372459945506056,
+                    1.7372459945506975]),
+}
+
+
+class TestVariationalNewtonPipeline:
+    @pytest.mark.parametrize("name", sorted(FD_NEWTON_RECORD))
+    def test_same_census_as_finite_difference_newton(self, name):
+        cfg, count, verdict, seeds, lengths = FD_NEWTON_RECORD[name]
+        rep = run_experiment(ExperimentConfig(**cfg))
+        assert rep.orbit_count == count
+        assert rep.all_verdicts() == [verdict] * 3
+        # seeds whose lengths agree to ~1e-13 may swap places in the census
+        assert sorted(rep.seed_ids) == seeds
+        assert np.max(np.abs(np.array(rep.magnetic_lengths) - lengths)) < 1e-9
