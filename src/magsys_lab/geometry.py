@@ -207,10 +207,10 @@ def unperturbed_volume(surface):
 def _conf_weight(sys):
     eps = sys.conformal_eps
     u = sys.conformal_exponent
-    surface = sys.surface
     if u is None or eps == 0.0:
         return lambda q: 1.0
-    return lambda q: math.exp(2.0 * eps * float(u.value(surface, q)))
+    value = u.formulas(sys.surface)[0]    # resolved once, not per quadrature point
+    return lambda q: math.exp(2.0 * eps * float(value(q)))
 
 
 def _quad_area(sys, weight, rel_tol):
@@ -374,38 +374,42 @@ class ChartOps:
         self.kappa = surface.kappa
 
     def _perturbation(self, sys):
-        """The perturbed terms of ``rhs`` as one function at(q, second) of a
-        (dim,) chart point, returning (dl, b, ddl, db): dl is ``conf_log_diff``
-        and b the ``magnetic_density``, as floats; with second true, ddl is the
-        Hessian of Lambda (dim x dim floats, row by row) and db the gradient of
-        b, else both are None.  The fields' point formulas and the constants
-        are resolved here, once."""
+        """The perturbed terms of ``rhs`` as one function at(x, second) of the
+        components x of one chart point, returning (dl, b, ddl, db): dl is
+        ``conf_log_diff`` and b the ``magnetic_density``, as floats; with
+        second true, ddl is the Hessian of Lambda (dim x dim floats, row by
+        row) and db the gradient of b, else both are None.  The fields'
+        formulas (``formulas``) and the constants are resolved here, once.
+        The sphere's kernel passes x as its (3,) array, for the harmonic's
+        numpy dot product; the planar kernels pass a list of floats."""
         surface, eps, dim = self.surface, sys.conformal_eps, self.dim
         lam_part = 0.5 * math.log(sys.conformal_scale)
         u = sys.conformal_exponent if eps != 0.0 else None
         eta = sys.sigma_perturbation if eps != 0.0 else None
         if u is not None:
-            u_value, u_diff, u_hess = u.point(surface)
+            u_value, u_diff, u_hess = u.formulas(surface)
         if eta is not None:
-            eta_density, eta_gradient = eta.point(surface)
+            _, eta_density, eta_gradient = eta.formulas(surface)
         zero, zero2 = [0.0] * dim, [0.0] * (dim * dim)
 
-        def at(q, second):
+        def at(x, second):
             if u is None:
                 dl, lam = zero, lam_part
             else:
-                dl, lam = [eps * x for x in u_diff(q)], eps * u_value(q) + lam_part
-            dens = 1.0 if eta is None else 1.0 + eps * eta_density(q)
+                dl = [eps * float(g) for g in u_diff(x)]
+                lam = eps * float(u_value(x)) + lam_part
+            dens = 1.0 if eta is None else 1.0 + eps * float(eta_density(x))
             e2l = np.exp(-2.0 * lam)
             b = float(dens * e2l)
             if not second:
                 return dl, b, None, None
             # b = dens e^{-2 Lambda}: db = e^{-2 Lambda} d(dens) - 2 b dl
-            db = [-2.0 * b * x for x in dl]
-            if eta is not None:
+            if eta is None:
+                db = [-2.0 * b * g for g in dl]
+            else:
                 ce = eps * float(e2l)
-                db = [x + ce * g for x, g in zip(db, eta_gradient(q))]
-            ddl = zero2 if u is None else [eps * h for h in u_hess(q)]
+                db = [-2.0 * b * g + ce * float(h) for g, h in zip(dl, eta_gradient(x))]
+            ddl = zero2 if u is None else [eps * float(h) for h in u_hess(x)]
             return dl, b, ddl, db
 
         return at
@@ -831,7 +835,7 @@ class _PlanarChart(ChartOps):
             a0 = w * wp * v1 ** 2
             a1 = -2.0 * (wp / w) * v0 * v1
             if perturbed:
-                (l0, l1), b, ddl, db = at(y[:2], second)
+                (l0, l1), b, ddl, db = at(L[:2], second)
                 dv = -2.0 * (l0 * v0 + l1 * v1)
                 vv = v0 ** 2 + w**2 * v1 ** 2
                 a0 += dv * v0 + vv * l0

@@ -29,6 +29,7 @@ from scipy.integrate import solve_ivp
 from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
                      TangencyError)
 from .geometry import TangentState, state_distance, tangent_state, wrap_position
+from .reporting import round_sig
 from .dynamics import (Trajectory, flow, pack_state, reference_period, rhs,
                        unpack_state)
 
@@ -380,7 +381,12 @@ class Census(list):
 def enumerate_orbits(sys, grid_density=4, tol=1e-9, max_iter=25, workers=1,
                      rng_seed=0, n_samples=512, dedup_tol=DEDUP_TOL):
     """Closed orbits from a deterministic seed grid, deduplicated and sorted
-    by magnetic length, as a Census.  Failed seeds are logged and skipped."""
+    by magnetic length, as a Census.  Failed seeds are logged and skipped.
+
+    The sort key is the length as reports print it (``reporting.round_sig``),
+    then the seed's position in the grid, so that orbits whose lengths agree
+    up to rounding noise (translates and rotations of one orbit) keep the
+    grid's order."""
     seeds = seed_grid(sys, grid_density, rng_seed=rng_seed)
     tasks = [(sys, sid, st, tol, max_iter, n_samples) for sid, st in seeds]
     if workers > 1 and len(tasks) > 1:
@@ -398,7 +404,8 @@ def enumerate_orbits(sys, grid_density=4, tol=1e-9, max_iter=25, workers=1,
     unique = deduplicate(sys, found, dedup_tol=dedup_tol)
     from .functionals import magnetic_length
     lengths = [magnetic_length(sys, orb) for orb in unique]
-    order = sorted(range(len(unique)), key=lengths.__getitem__)
+    # a stable sort: ``unique`` is in grid order
+    order = sorted(range(len(unique)), key=lambda i: round_sig(lengths[i]))
     return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds))
 
 

@@ -67,6 +67,14 @@ class ExperimentConfig:
             raise ValidationError("eps must be >= 0")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
+        for name, least in (("grid_density", 0), ("max_iter", 0), ("workers", 1)):
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        # unknown field names and wrong coefficient counts fail here, not mid-run
+        if self.perturbation_name is not None:
+            ScalarField(self.perturbation_name, tuple(self.perturbation_coeffs))
+        if self.eta_name is not None:
+            OneForm(self.eta_name, tuple(self.eta_coeffs))
 
 
 @dataclass

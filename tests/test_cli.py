@@ -109,6 +109,16 @@ eps_list = 0.01, 0.02
         path = write(tmp_path, "ok.cfg", "kappa = 1\nstrength = 1\n[search]\nsamples = 513\n")
         assert parse_config(path)[1]["samples"] == 513
 
+    @pytest.mark.parametrize("lines,name,count", [
+        ("field = torus_cos_x\ncoeffs = 1.0, 99.0", "torus_cos_x", 2),
+        ("field = sphere_harmonic_z\ncoeffs = 1, 1, 0, 0", "sphere_harmonic_z", 4),
+        ("eta = sphere_eta_axial\neta_coeffs = 1, 2", "sphere_eta_axial", 2)])
+    def test_wrong_coefficient_count_refused(self, tmp_path, lines, name, count):
+        path = write(tmp_path, "co.cfg",
+                     f"kappa = 1\nstrength = 1\n[perturbation]\n{lines}\neps = 0.05\n")
+        with pytest.raises(ValidationError, match=rf"{name}.*got {count}"):
+            parse_config(path)
+
 
 class TestCliRuns:
     def test_systole_zoll_torus(self, tmp_path, capsys):
@@ -124,6 +134,12 @@ class TestCliRuns:
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 2
         assert summary[0].startswith("eps,orbit_count,l_min")
+
+    def test_workers_override_refused(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, "run.cfg", ZOLL_TORUS)
+        assert main(["systole", "--config", cfg_path, "--workers", "0",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "workers" in capsys.readouterr().err
 
     def test_byte_determinism(self, tmp_path):
         cfg_path = write(tmp_path, "run.cfg", ZOLL_TORUS)

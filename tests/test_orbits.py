@@ -268,6 +268,28 @@ class TestEnumerate:
         assert found.seeds_attempted == len(orbits_mod.seed_grid(sys, 2)) == 4
         assert found.magnetic_lengths == [magnetic_length(sys, orb) for orb in found]
 
+    def test_order_ignores_rounding_noise_in_the_lengths(self, monkeypatch):
+        # the Zoll torus circles share one length up to rounding noise; a
+        # jitter of 1e-14 that falls along the grid reverses a sort by the raw
+        # length, but not one by the length as reports print it
+        from magsys_lab import functionals
+        sys = make_model(0.0, 1.0)
+        plain = enumerate_orbits(sys, grid_density=2, tol=1e-9)
+        grid = [sid for sid, _ in orbits_mod.seed_grid(sys, 2)]
+        assert len(plain) >= 2
+        assert [o.seed_id for o in plain] == [sid for sid in grid if sid in
+                                              {o.seed_id for o in plain}]
+        exact, calls = functionals.magnetic_length, []
+
+        def jittered(sys, orb):
+            calls.append(orb.seed_id)
+            return exact(sys, orb) - 1e-14 * len(calls)
+
+        monkeypatch.setattr(functionals, "magnetic_length", jittered)
+        found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
+        assert found.magnetic_lengths != sorted(found.magnetic_lengths)
+        assert [o.seed_id for o in found] == [o.seed_id for o in plain]
+
     def test_process_pool_matches_serial(self):
         # the pool sends each seed's Orbit back pickled; two workers, no more
         sys = make_model(0.0, 1.0)

@@ -135,6 +135,12 @@ class TestReproducibility:
         with pytest.raises(ValidationError):
             ExperimentConfig(kappa=1.0, strength=1.0, eps=-0.1)
 
+    @pytest.mark.parametrize("key,value", [("grid_density", -2), ("max_iter", -1),
+                                           ("workers", 0), ("workers", -4)])
+    def test_search_values_refused(self, key, value):
+        with pytest.raises(ValidationError, match=key):
+            ExperimentConfig(kappa=1.0, strength=1.0, **{key: value})
+
 
 # orbit count, verdict, seeds and magnetic lengths (in census order) of each
 # run, recorded to full precision with Newton on a forward-difference
