@@ -21,8 +21,10 @@ driven by a small sectioned config file:
     out = results
 
 Keys appearing before any section header belong to [model].  Unknown
-sections or keys are errors (no silent typos).  Exit codes: 0 all verdicts
-PASS, 2 at least one verdict FAIL, 1 error.
+sections or keys are errors (no silent typos).  A key the file omits keeps
+its ExperimentConfig default.  Each subcommand accepts only the flags it
+reads (``_COMMANDS``).  Exit codes: 0 all verdicts PASS, 2 at least one
+verdict FAIL, 1 error.
 """
 
 from __future__ import annotations
@@ -36,27 +38,28 @@ from dataclasses import replace
 from . import functionals, orbits, reporting, syslab, volume, zollref
 from .errors import MagsysError, ParseError, ValidationError
 
+# (section, key) -> (value type, the ExperimentConfig field it sets or None)
 _KEY_SCHEMA = {
-    ("model", "kappa"): float,
-    ("model", "strength"): float,
-    ("model", "n"): int,
-    ("perturbation", "field"): str,
-    ("perturbation", "coeffs"): "floats",
-    ("perturbation", "eps"): float,
-    ("perturbation", "eta"): str,
-    ("perturbation", "eta_coeffs"): "floats",
-    ("perturbation", "normalize"): bool,
-    ("search", "grid_density"): int,
-    ("search", "tol_orbit"): float,
-    ("search", "tol_quad"): float,
-    ("search", "equality_tol"): float,
-    ("search", "ineq_tol"): float,
-    ("search", "max_iter"): int,
-    ("search", "eps_list"): "floats",
-    ("search", "samples"): int,
-    ("search", "workers"): int,
-    ("search", "rng_seed"): int,
-    ("output", "out"): str,
+    ("model", "kappa"): (float, "kappa"),
+    ("model", "strength"): (float, "strength"),
+    ("model", "n"): (int, "n"),
+    ("perturbation", "field"): (str, "perturbation_name"),
+    ("perturbation", "coeffs"): ("floats", "perturbation_coeffs"),
+    ("perturbation", "eps"): (float, "eps"),
+    ("perturbation", "eta"): (str, "eta_name"),
+    ("perturbation", "eta_coeffs"): ("floats", "eta_coeffs"),
+    ("perturbation", "normalize"): (bool, "normalize"),
+    ("search", "grid_density"): (int, "grid_density"),
+    ("search", "tol_orbit"): (float, "tol_orbit"),
+    ("search", "tol_quad"): (float, "tol_quad"),
+    ("search", "equality_tol"): (float, "equality_tol"),
+    ("search", "ineq_tol"): (float, "ineq_tol"),
+    ("search", "max_iter"): (int, "max_iter"),
+    ("search", "eps_list"): ("floats", None),
+    ("search", "samples"): (int, None),
+    ("search", "workers"): (int, "workers"),
+    ("search", "rng_seed"): (int, "rng_seed"),
+    ("output", "out"): (str, None),
 }
 _SECTIONS = ("model", "perturbation", "search", "output")
 
@@ -111,7 +114,7 @@ def read_config_file(path):
                 f"line {lineno}: unknown key {key!r} in section [{section}]")
         if (section, key) in values:
             raise ValidationError(f"line {lineno}: duplicate key {key!r}")
-        values[(section, key)] = _convert(raw, _KEY_SCHEMA[(section, key)],
+        values[(section, key)] = _convert(raw, _KEY_SCHEMA[(section, key)][0],
                                           key, lineno)
     return values
 
@@ -123,36 +126,18 @@ def parse_config(path):
         if required not in values:
             raise ValidationError(f"config is missing required key {required[1]!r}")
 
-    def get(section, key, default):
-        return values.get((section, key), default)
-
-    cfg = syslab.ExperimentConfig(
-        kappa=values[("model", "kappa")],
-        strength=values[("model", "strength")],
-        n=get("model", "n", 1),
-        perturbation_name=get("perturbation", "field", None),
-        perturbation_coeffs=get("perturbation", "coeffs", (1.0,)),
-        eps=get("perturbation", "eps", 0.0),
-        eta_name=get("perturbation", "eta", None),
-        eta_coeffs=get("perturbation", "eta_coeffs", (1.0,)),
-        normalize=get("perturbation", "normalize", True),
-        grid_density=get("search", "grid_density", 3),
-        tol_orbit=get("search", "tol_orbit", 1e-9),
-        tol_quad=get("search", "tol_quad", 1e-9),
-        equality_tol=get("search", "equality_tol", 1e-5),
-        ineq_tol=get("search", "ineq_tol", 1e-4),
-        rng_seed=get("search", "rng_seed", 0),
-        workers=get("search", "workers", 1),
-        max_iter=get("search", "max_iter", 25),
-    )
+    # the file's keys only: every other field keeps its ExperimentConfig default
+    cfg = syslab.ExperimentConfig(**{field: values[key]
+                                     for key, (_, field) in _KEY_SCHEMA.items()
+                                     if field is not None and key in values})
     # surface regime problems at parse time, with the offending numbers
     zollref.check_zoll_regime(cfg.kappa, cfg.strength)
-    samples = get("search", "samples", 1_000_000)
+    samples = values.get(("search", "samples"), 1_000_000)
     volume.check_samples(samples)
     extras = {
-        "eps_list": get("search", "eps_list", (0.0,)),
+        "eps_list": values.get(("search", "eps_list"), (0.0,)),
         "samples": samples,
-        "out": get("output", "out", "."),
+        "out": values.get(("output", "out")),
     }
     provenance = {
         "config_file": os.path.abspath(path),
@@ -170,28 +155,29 @@ _SUMMARY_COLS = ["eps", "orbit_count", "l_min", "l_max", "slack_lower",
                  "verdict_two_sided", "verdict_full", "error"]
 
 
-def _emit_experiment(sys, found, report, provenance, outdir, prefix=""):
+def _outdir(extras):
+    """The output directory (--out, else [output] out, else the working
+    directory), created if missing."""
+    outdir = "." if extras["out"] is None else extras["out"]
     reporting.ensure_outdir(outdir)
-    doc = report.to_dict()
-    reporting.write_json(doc, os.path.join(outdir, f"{prefix}report.json"))
-    reporting.write_csv(syslab.sweep_table([report]), _SUMMARY_COLS,
-                        os.path.join(outdir, f"{prefix}summary.csv"))
-    reporting.write_json({"provenance": provenance},
-                         os.path.join(outdir, f"{prefix}run_meta.json"))
-    for orb in found or []:
-        reporting.orbit_samples_csv(
-            sys, orb, os.path.join(outdir, f"{prefix}orbit_{orb.seed_id}.csv"))
+    return outdir
 
 
 def _exit_code(verdicts):
-    if any(v == "ERROR" for v in verdicts):
-        return 2
     return 0 if all(v == "PASS" for v in verdicts) else 2
 
 
 def cmd_systole(cfg, extras, provenance, args):
     report, sys_p, found = syslab.run_experiment_full(cfg)
-    _emit_experiment(sys_p, found, report, provenance, extras["out"])
+    outdir = _outdir(extras)
+    reporting.write_json(report.to_dict(), os.path.join(outdir, "report.json"))
+    reporting.write_csv(syslab.sweep_table([report]), _SUMMARY_COLS,
+                        os.path.join(outdir, "summary.csv"))
+    reporting.write_json({"provenance": provenance},
+                         os.path.join(outdir, "run_meta.json"))
+    for orb in found:
+        reporting.orbit_samples_csv(
+            sys_p, orb, os.path.join(outdir, f"orbit_{orb.seed_id}.csv"))
     print(f"orbits={report.orbit_count} l_min={report.l_min:.9g} "
           f"l_max={report.l_max:.9g} reference={report.reference:.9g} "
           f"zoll_flag={report.zoll_flag}")
@@ -206,8 +192,7 @@ def cmd_orbit(cfg, extras, provenance, args):
     found = orbits.enumerate_orbits(sys_p, grid_density=cfg.grid_density,
                                     tol=cfg.tol_orbit, max_iter=cfg.max_iter,
                                     workers=cfg.workers, rng_seed=cfg.rng_seed)
-    outdir = extras["out"]
-    reporting.ensure_outdir(outdir)
+    outdir = _outdir(extras)
     records = [{"seed_id": orb.seed_id, "period": orb.period,
                 "residual": orb.residual,
                 "magnetic_length": lmag}
@@ -223,8 +208,7 @@ def cmd_orbit(cfg, extras, provenance, args):
 
 def cmd_sweep(cfg, extras, provenance, args):
     reports = syslab.sweep(cfg, extras["eps_list"])
-    outdir = extras["out"]
-    reporting.ensure_outdir(outdir)
+    outdir = _outdir(extras)
     reporting.write_csv(syslab.sweep_table(reports), _SUMMARY_COLS,
                         os.path.join(outdir, "summary.csv"))
     reporting.write_json({"provenance": provenance,
@@ -249,8 +233,7 @@ def cmd_volume(cfg, extras, provenance, args):
            "constant_convention": rep.constant_convention,
            "verdict_3sigma": "PASS" if agree else "FAIL",
            "provenance": provenance}
-    reporting.ensure_outdir(extras["out"])
-    reporting.write_json(doc, os.path.join(extras["out"], "volume.json"))
+    reporting.write_json(doc, os.path.join(_outdir(extras), "volume.json"))
     print(f"closed_form={rep.closed_form:.9g} quadrature={rep.quadrature:.9g} "
           f"std_error={rep.std_error:.3g} verdict={doc['verdict_3sigma']}")
     return 0 if agree else 2
@@ -277,9 +260,8 @@ def cmd_zollpoly(cfg, extras, provenance, args):
         rows.append(row)
     text = reporting.csv_text(rows, cols)
     print(text, end="")
-    if args.out_given:
-        reporting.ensure_outdir(extras["out"])
-        reporting.write_text(text, os.path.join(extras["out"], "zollpoly.csv"))
+    if extras["out"] is not None:
+        reporting.write_text(text, os.path.join(_outdir(extras), "zollpoly.csv"))
     return 0
 
 
@@ -299,9 +281,8 @@ def cmd_constants(cfg, extras, provenance, args):
         if cfg.kappa != 0 else None,
         "provenance": provenance,
     }
-    if args.out_given:
-        reporting.ensure_outdir(extras["out"])
-        reporting.write_json(doc, os.path.join(extras["out"], "constants.json"))
+    if extras["out"] is not None:
+        reporting.write_json(doc, os.path.join(_outdir(extras), "constants.json"))
     for key, val in doc.items():
         if key == "provenance":
             continue
@@ -312,13 +293,22 @@ def cmd_constants(cfg, extras, provenance, args):
     return 0
 
 
+# flag -> (the ExperimentConfig field it overrides, value type)
+_FLAGS = {
+    "--seed": ("rng_seed", int),
+    "--workers": ("workers", int),
+    "--tol-orbit": ("tol_orbit", float),
+    "--tol-quad": ("tol_quad", float),
+}
+
+# subcommand -> (function, the flags it reads)
 _COMMANDS = {
-    "orbit": cmd_orbit,
-    "sweep": cmd_sweep,
-    "systole": cmd_systole,
-    "volume": cmd_volume,
-    "zollpoly": cmd_zollpoly,
-    "constants": cmd_constants,
+    "orbit": (cmd_orbit, tuple(_FLAGS)),
+    "sweep": (cmd_sweep, tuple(_FLAGS)),
+    "systole": (cmd_systole, tuple(_FLAGS)),
+    "volume": (cmd_volume, ("--seed", "--tol-quad")),
+    "zollpoly": (cmd_zollpoly, ()),
+    "constants": (cmd_constants, ()),
 }
 
 
@@ -328,14 +318,15 @@ def build_parser():
         description="Magnetic geodesic flows and local systolic inequalities "
                     "on constant-curvature model surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="rng seed override")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--tol-orbit", type=float, default=None, dest="tol_orbit")
-        p.add_argument("--tol-quad", type=float, default=None, dest="tol_quad")
+        for flag in flags:
+            field, typ = _FLAGS[flag]
+            # absent unless given, so that only given flags override the file
+            p.add_argument(flag, type=typ, dest=field, default=argparse.SUPPRESS,
+                           help=f"overrides [search] {field}")
         if name == "zollpoly":
             p.add_argument("--amin", type=float, default=None)
             p.add_argument("--amax", type=float, default=None)
@@ -348,21 +339,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg, extras, provenance = parse_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["rng_seed"] = args.seed
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.tol_orbit is not None:
-            overrides["tol_orbit"] = args.tol_orbit
-        if args.tol_quad is not None:
-            overrides["tol_quad"] = args.tol_quad
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        args.out_given = args.out is not None
+        given = vars(args)
+        cfg = replace(cfg, **{field: given[field] for field, _ in _FLAGS.values()
+                              if field in given})
         if args.out is not None:
             extras["out"] = args.out
-        return _COMMANDS[args.command](cfg, extras, provenance, args)
+        return _COMMANDS[args.command][0](cfg, extras, provenance, args)
     except MagsysError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -163,14 +163,14 @@ def geodesic_curvature_series(sys, traj: Trajectory):
     return _signed_curvature(sys, pos, vel, dv)
 
 
-def measure_geodesic_curvature(sys, state: TangentState, fd_step=1e-3):
+def measure_geodesic_curvature(sys, state: TangentState):
     """High-accuracy signed geodesic curvature at one state.
 
     Integrates a short burst through the state and differentiates the
-    five-point velocity stencil; measurement error is ~1e-11, far below the
-    flow tolerances it is used to certify.
+    five-point velocity stencil of step 1e-3; measurement error is ~1e-11,
+    far below the flow tolerances it is used to certify.
     """
-    h = fd_step
+    h = 1e-3
     fwd = flow(sys, state, 2 * h, tol=1e-12, n_samples=2)
     bwd = flow(sys, state, -2 * h, tol=1e-12, n_samples=2)
     # velocities at -2h, -h, 0, h, 2h

@@ -86,9 +86,9 @@ def _sphere_harmonic(coeffs, surface):
 
 
 def _torus_cos(idx):
-    # u = c cos(2 pi x_idx / P_idx)
+    # u = c cos(2 pi x_idx / P_idx), with the periods P of the chart's box
     def make(coeffs, surface):
-        c, period = coeffs[0], surface.torus_periods[idx]
+        c, period = coeffs[0], surface.ops.box[idx]
         two_pi, k = 2.0 * np.pi, 2.0 * np.pi / period
         ck, ckk = -c * k, -c * k * k
 
@@ -184,7 +184,7 @@ class ScalarField(_NamedField):
 def _torus_eta(coeffs, surface):
     # eta = c sin(k x) dy with k = 2 pi / P1, so d(eta) = c k cos(k x) dx^dy
     c = coeffs[0]
-    k = 2.0 * np.pi / surface.torus_periods[0]
+    k = 2.0 * np.pi / surface.ops.box[0]
     ck, ckk = c * k, -c * k * k
     return ((lambda x: (0.0, c * np.sin(k * x[0]))),
             (lambda x: ck * np.cos(k * x[0])),

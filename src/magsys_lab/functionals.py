@@ -28,6 +28,9 @@ from .geometry import MagneticSystem, g_norm
 from .orbits import Orbit
 from . import zollref
 
+CAP_ANGLES = 2048     # trapezoid nodes in angle
+CAP_RADIAL = 48       # Gauss nodes along each radius
+
 
 class FluxMethod(Enum):
     CLOSED_FORM = "closed_form"
@@ -38,7 +41,6 @@ class FluxMethod(Enum):
 @dataclass(frozen=True)
 class FluxResult:
     value: float
-    disk_convention: str = "InwardNormal"
     method: FluxMethod = FluxMethod.CAP_QUADRATURE
 
 
@@ -92,15 +94,15 @@ def _orientation(plane):
     return 1.0 if area2 > 0 else -1.0
 
 
-def _cap_quadrature(sys, orbit, n_angle=2048, n_radial=48):
+def _cap_quadrature(sys, orbit):
     closure = orbit.positions()[-1] - orbit.positions()[0]
     plane, density, to_chart, center = sys.surface.ops.cap_picture(*_loop(orbit), closure)
     spline = _boundary_spline(plane, center)
     orient = _orientation(plane)
 
-    psi = np.linspace(0.0, 2.0 * math.pi, n_angle, endpoint=False)
+    psi = np.linspace(0.0, 2.0 * math.pi, CAP_ANGLES, endpoint=False)
     rb = spline(_wrap_to(spline.x[0], psi))
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    nodes, weights = np.polynomial.legendre.leggauss(CAP_RADIAL)
     t = 0.5 * (nodes + 1.0)                      # radial fraction in (0, 1)
     wts = 0.5 * weights
     r = rb[None, :] * t[:, None]                 # (n_radial, n_angle)

@@ -40,15 +40,11 @@ class Chart(Enum):
 class ModelSurface:
     """A constant-curvature model surface.
 
-    ``domain_rho`` bounds the hyperbolic chart for volume bookkeeping (the
-    hyperbolic plane itself is not compact); it defaults to 3/sqrt(-kappa).
     ``ops`` is the chart object, built (and the data checked) on creation.
     """
 
     kappa: float
     chart: Chart
-    torus_periods: tuple = (2.0 * math.pi, 2.0 * math.pi)
-    domain_rho: float = 0.0
     ops: ChartOps = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,16 +56,14 @@ class ModelSurface:
         return 1.0 / math.sqrt(self.kappa)
 
 
-def make_surface(kappa, torus_periods=None, domain_rho=None):
+def make_surface(kappa):
     """Build the model surface of curvature kappa (chart chosen by sign)."""
     kappa = float(kappa)
     if kappa > 0:
         return ModelSurface(kappa, Chart.SPHERE_AMBIENT)
     if kappa < 0:
-        dom = 3.0 / math.sqrt(-kappa) if domain_rho is None else float(domain_rho)
-        return ModelSurface(kappa, Chart.HYPERBOLIC_POLAR, domain_rho=dom)
-    periods = tuple(float(p) for p in (torus_periods or (2.0 * math.pi, 2.0 * math.pi)))
-    return ModelSurface(0.0, Chart.FLAT_TORUS, torus_periods=periods)
+        return ModelSurface(kappa, Chart.HYPERBOLIC_POLAR)
+    return ModelSurface(0.0, Chart.FLAT_TORUS)
 
 
 @dataclass(frozen=True)
@@ -254,13 +248,18 @@ def with_sigma_perturbation(sys, eta, eps=None):
     """Attach an exact magnetic perturbation: sigma = sigma0 + eps d(eta).
 
     eps defaults to the system's conformal_eps so metric and magnetic
-    perturbations share one small parameter.
+    perturbations share one small parameter; with a conformal exponent any
+    other eps would rescale it (and void a volume normalization): refused.
     """
     from .fields import OneForm
     if isinstance(eta, str):
         eta = OneForm(eta)
     if eps is None:
         eps = sys.conformal_eps
+    if sys.conformal_exponent is not None and eps != sys.conformal_eps:
+        raise ValidationError(
+            f"eps = {eps:g} differs from the conformal perturbation's eps = "
+            f"{sys.conformal_eps:g}; the two perturbations share one eps")
     return replace(sys, sigma_perturbation=eta, conformal_eps=float(eps))
 
 
@@ -305,15 +304,16 @@ def christoffel(sys, position):
     return gam
 
 
-def gaussian_curvature(sys, position, fd_step=1e-3):
+def gaussian_curvature(sys, position):
     """Gaussian curvature probe by finite differences of the metric.
 
     Uses the Brioschi formula for a diagonal metric E drho^2 + G dphi^2 with
-    5-point stencils; independent of any closed-form curvature expression.
+    5-point stencils of step 1e-3; independent of any closed-form curvature
+    expression.
     """
     q = sys.surface.ops.to_polar(np.asarray(position, dtype=float))
     rho, phi = float(q[0]), float(q[1])
-    h = fd_step
+    h = 1e-3
 
     def E(r, p):
         return _metric_components(sys, r, p)[0]
@@ -942,7 +942,8 @@ class _PlanarChart(ChartOps):
 class HyperbolicChart(_PlanarChart):
     """kappa < 0: geodesic polar coordinates (rho, phi) with metric
     drho^2 + (sinh^2(sqrt(-kappa) rho)/(-kappa)) dphi^2, bounded by
-    ``domain_rho`` for area bookkeeping.  The planar image is
+    ``domain_rho`` = 3/sqrt(-kappa) for area bookkeeping, and singular at its
+    origin rho = 0, where ``project`` refuses a state.  The planar image is
     (X, Y) = rho (cos phi, sin phi), so loops winding around the chart origin
     are handled uniformly.  The capping disk is the origin-side region, with
     area density sinh(sqrt(-k) r)/(sqrt(-k) r) at origin distance r.
@@ -955,9 +956,10 @@ class HyperbolicChart(_PlanarChart):
             raise ValidationError("HyperbolicPolar requires kappa < 0")
         super().__init__(surface)
         self.sk = math.sqrt(-surface.kappa)
-        self.box = (surface.domain_rho, 2.0 * math.pi)
+        self.domain_rho = 3.0 / self.sk
+        self.box = (self.domain_rho, 2.0 * math.pi)
         # random and probe points stay inside this radius
-        self.rho_max = min(2.5 / self.sk, surface.domain_rho)
+        self.rho_max = min(2.5 / self.sk, self.domain_rho)
 
     def weight(self, rho):
         return np.sinh(self.sk * np.asarray(rho, dtype=float)) / self.sk
@@ -969,6 +971,10 @@ class HyperbolicChart(_PlanarChart):
         w = self.weight(np.asarray(q, dtype=float)[..., 0])
         return u[..., 0] * v[..., 0] + w**2 * u[..., 1] * v[..., 1]
 
+    def project(self, q, v):
+        if q[0] == 0.0:
+            raise StepFailure("state at rho = 0, where the polar chart is singular")
+
     def wrap(self, q, ref):
         two_pi = 2.0 * math.pi
         if ref is None:
@@ -978,7 +984,7 @@ class HyperbolicChart(_PlanarChart):
         return q
 
     def area(self):
-        rho = self.surface.domain_rho
+        rho = self.domain_rho
         return 2.0 * math.pi * (math.cosh(self.sk * rho) - 1.0) / (-self.kappa)
 
     def oracle(self, sys):
@@ -1033,7 +1039,7 @@ class HyperbolicChart(_PlanarChart):
         """The latitude seed pushed out along rings of directions by isometries."""
         base = self.latitude_seed(sys)
         rho_star = base.position[0]
-        d_max = max(0.2, min(1.0, self.surface.domain_rho - rho_star - 0.3))
+        d_max = max(0.2, min(1.0, self.domain_rho - rho_star - 0.3))
         seeds = []
         for i in range(grid_density):
             d = d_max * i / max(grid_density - 1, 1)
@@ -1082,10 +1088,10 @@ class HyperbolicChart(_PlanarChart):
 
 
 class TorusChart(_PlanarChart):
-    """kappa = 0: a flat fundamental domain (x, y) with periods (P1, P2);
-    positions may live on the universal cover.  The chart is its own planar
-    image, and the capping disk the literal disk in it (area density 1); a
-    loop that winds around the torus bounds no disk in the chart.
+    """kappa = 0: the flat fundamental domain (x, y) with periods box =
+    (2 pi, 2 pi); positions may live on the universal cover.  The chart is its
+    own planar image, and the capping disk the literal disk in it (area density
+    1); a loop that winds around the torus bounds no disk in the chart.
     """
 
     columns = ("x", "y", "vx", "vy")
@@ -1093,11 +1099,8 @@ class TorusChart(_PlanarChart):
     def __init__(self, surface):
         if surface.kappa != 0:
             raise ValidationError("FlatTorus requires kappa = 0")
-        p1, p2 = surface.torus_periods
-        if not (p1 > 0 and p2 > 0):
-            raise ValidationError("torus periods must be positive")
         super().__init__(surface)
-        self.box = surface.torus_periods
+        self.box = (2.0 * math.pi, 2.0 * math.pi)
 
     def weight(self, rho):
         return 1.0

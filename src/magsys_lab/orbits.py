@@ -40,6 +40,7 @@ SEED_RESIDUAL_GATE = 0.3           # chart units; beyond this a seed is rejected
 SECTION_FD_STEP = 1e-6            # central differences of the closed-form section maps
 NEWTON_DAMPING = 0.8
 DEDUP_TOL = 1e-4
+ORBIT_SAMPLES = 512               # samples of each orbit's period
 TRANSVERSALITY_MIN = 1e-3
 
 
@@ -197,7 +198,7 @@ def _central_differences(fn, x, directions, h=SECTION_FD_STEP):
 
 
 def find_closed_orbit(sys, seed: TangentState, tol=1e-9, max_iter=25,
-                      seed_id="seed", n_samples=512, ivp_tol=None):
+                      seed_id="seed"):
     """Newton iteration on the reduced return map, starting from seed.
 
     The seed anchors the section.  Its first return map is a plain one, so a
@@ -206,7 +207,7 @@ def find_closed_orbit(sys, seed: TangentState, tol=1e-9, max_iter=25,
     seed's return residual exceeds the short-loop gate or iterates leave the
     neighborhood; NoConvergence when the iteration budget runs out.
     """
-    ivp_tol = min(tol * 1e-2, 1e-10) if ivp_tol is None else ivp_tol
+    ivp_tol = min(tol * 1e-2, 1e-10)
     spec = make_section(sys, seed)
     F = _reduced_map(sys, spec, ivp_tol)
     x = np.zeros(2)
@@ -217,8 +218,7 @@ def find_closed_orbit(sys, seed: TangentState, tol=1e-9, max_iter=25,
 
     for it in range(max_iter):
         if resid <= tol:
-            return _build_orbit(sys, spec, x, t_ret, seed_id, n_samples, ivp_tol,
-                                iterations=it)
+            return _build_orbit(sys, spec, x, t_ret, seed_id, ivp_tol, iterations=it)
         try:
             if jac is None:
                 fx, t_ret, resid, jac = F(x, jacobian=True)
@@ -245,19 +245,18 @@ def find_closed_orbit(sys, seed: TangentState, tol=1e-9, max_iter=25,
             raise DivergedFromFamily(
                 f"iterate left the short-loop neighborhood (|x| = {np.abs(x).max():.3g})")
     if resid <= tol:
-        return _build_orbit(sys, spec, x, t_ret, seed_id, n_samples, ivp_tol,
-                            iterations=max_iter)
+        return _build_orbit(sys, spec, x, t_ret, seed_id, ivp_tol, iterations=max_iter)
     raise NoConvergence(f"residual {resid:.3g} after {max_iter} Newton steps")
 
 
-def _build_orbit(sys, spec, x, period, seed_id, n_samples, ivp_tol, iterations=0):
+def _build_orbit(sys, spec, x, period, seed_id, ivp_tol, iterations=0):
     """The Orbit through the section point x, whose return time is period."""
     st = section_state(sys, spec, x[0], x[1])
     t_ref = reference_period(sys)
     if abs(period - t_ref) > SHORT_LOOP_PERIOD_WINDOW * t_ref:
         raise DivergedFromFamily(
             f"period {period:.6g} outside the short-loop window around {t_ref:.6g}")
-    traj = flow(sys, st, period, tol=ivp_tol, n_samples=n_samples)
+    traj = flow(sys, st, period, tol=ivp_tol, n_samples=ORBIT_SAMPLES)
     residual = state_distance(sys, traj.state(-1), traj.state(0))
     return Orbit(traj.states, traj.times, traj.speed_drift,
                  residual=float(residual), seed_id=str(seed_id),
@@ -335,37 +334,37 @@ def _matched_bound(pa, pb):
     return max(one_sided(pa, pb), one_sided(pb, pa))
 
 
-def deduplicate(sys, orbits, dedup_tol=DEDUP_TOL):
-    """Drop orbits whose position loops coincide within dedup_tol.
+def deduplicate(sys, orbits):
+    """Drop orbits whose position loops coincide within DEDUP_TOL.
 
     Two loops coincide when ``_poly_hausdorff``, the larger of the two
-    vertex-to-polyline distances, is below dedup_tol; the first orbit of each
+    vertex-to-polyline distances, is below DEDUP_TOL; the first orbit of each
     such group is kept.  Two O(N) bounds in the aligned picture settle most
     pairs without that O(N^2) exact pass: a pair whose ``_support_gap``
-    is at least 2 dedup_tol is distinct, and a pair whose ``_matched_bound``
-    is below dedup_tol / 2 is a duplicate.  The gap never exceeds the exact
+    is at least 2 DEDUP_TOL is distinct, and a pair whose ``_matched_bound``
+    is below DEDUP_TOL / 2 is a duplicate.  The gap never exceeds the exact
     distance and the matched bound never falls below it, and the factors 2
     leave room for rounding (a few ulps of the coordinates, far below
-    dedup_tol), so neither bound can change a decision.
+    DEDUP_TOL), so neither bound can change a decision.
     """
     unique, loops = [], []
     for orb in orbits:
         pa = orb.positions()
-        if any(_same_loop(sys, pa, pb, dedup_tol) for pb in loops):
+        if any(_same_loop(sys, pa, pb) for pb in loops):
             continue
         unique.append(orb)
         loops.append(pa)
     return unique
 
 
-def _same_loop(sys, pa, pb, dedup_tol):
-    """Whether the loops pa and pb coincide within dedup_tol (see ``deduplicate``)."""
+def _same_loop(sys, pa, pb):
+    """Whether the loops pa and pb coincide within DEDUP_TOL (see ``deduplicate``)."""
     a, b = sys.surface.ops.align_loops(pa, pb)
-    if _support_gap(a, b) >= 2.0 * dedup_tol:
+    if _support_gap(a, b) >= 2.0 * DEDUP_TOL:
         return False
-    if _matched_bound(a, b) < 0.5 * dedup_tol:
+    if _matched_bound(a, b) < 0.5 * DEDUP_TOL:
         return True
-    return _poly_hausdorff(sys, pa, pb) < dedup_tol
+    return _poly_hausdorff(sys, pa, pb) < DEDUP_TOL
 
 
 class Census(list):
@@ -379,7 +378,7 @@ class Census(list):
 
 
 def enumerate_orbits(sys, grid_density=4, tol=1e-9, max_iter=25, workers=1,
-                     rng_seed=0, n_samples=512, dedup_tol=DEDUP_TOL):
+                     rng_seed=0):
     """Closed orbits from a deterministic seed grid, deduplicated and sorted
     by magnetic length, as a Census.  Failed seeds are logged and skipped.
 
@@ -388,7 +387,7 @@ def enumerate_orbits(sys, grid_density=4, tol=1e-9, max_iter=25, workers=1,
     up to rounding noise (translates and rotations of one orbit) keep the
     grid's order."""
     seeds = seed_grid(sys, grid_density, rng_seed=rng_seed)
-    tasks = [(sys, sid, st, tol, max_iter, n_samples) for sid, st in seeds]
+    tasks = [(sys, sid, st, tol, max_iter) for sid, st in seeds]
     if workers > 1 and len(tasks) > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -401,7 +400,7 @@ def enumerate_orbits(sys, grid_density=4, tol=1e-9, max_iter=25, workers=1,
             found.append(res)
         elif res is not None:
             log.info("seed %s skipped: %s", sid, res)
-    unique = deduplicate(sys, found, dedup_tol=dedup_tol)
+    unique = deduplicate(sys, found)
     from .functionals import magnetic_length
     lengths = [magnetic_length(sys, orb) for orb in unique]
     # a stable sort: ``unique`` is in grid order
@@ -410,10 +409,9 @@ def enumerate_orbits(sys, grid_density=4, tol=1e-9, max_iter=25, workers=1,
 
 
 def _run_seed_safe(args):
-    sys, seed_id, seed, tol, max_iter, n_samples = args
+    sys, seed_id, seed, tol, max_iter = args
     try:
-        return find_closed_orbit(sys, seed, tol=tol, max_iter=max_iter,
-                                 seed_id=seed_id, n_samples=n_samples)
+        return find_closed_orbit(sys, seed, tol=tol, max_iter=max_iter, seed_id=seed_id)
     except (NoConvergence, DivergedFromFamily, NoReturn, TangencyError,
             StepFailure) as exc:
         return f"{type(exc).__name__}: {exc}"

@@ -36,7 +36,6 @@ from .geometry import (conformal_perturb, make_model, riemannian_volume,
                        unperturbed_volume, with_sigma_perturbation)
 
 SHORT_LOOP_WINDOW = orbits.SHORT_LOOP_PERIOD_WINDOW
-DEFAULT_INEQ_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class ExperimentConfig:
     tol_orbit: float = 1e-9
     tol_quad: float = 1e-9
     equality_tol: float = 1e-5
-    ineq_tol: float = DEFAULT_INEQ_TOL
+    ineq_tol: float = 1e-4
     rng_seed: int = 0
     workers: int = 1
     max_iter: int = 25
@@ -130,6 +129,11 @@ def _verdict(ok):
     return "PASS" if ok else "FAIL"
 
 
+def _two_sided(l_min, l_max, reference, tol):
+    """The sandwich l_min <= pi a^2(1) <= l_max, within tol on each side."""
+    return l_min <= reference + tol and l_max >= reference - tol
+
+
 def _full_coefficient(kappa, s, n, vol_g0):
     """Coefficient of (vol_g - vol_g0) in the affine full inequality."""
     if kappa != 0:
@@ -168,7 +172,7 @@ def run_experiment_full(cfg: ExperimentConfig):
 
     zoll_flag = max(abs(lm - ref) for lm in lmags) < cfg.equality_tol
     reduced_ok = l_min <= ref + cfg.ineq_tol
-    two_sided_ok = reduced_ok and (l_max >= ref - cfg.ineq_tol)
+    two_sided_ok = _two_sided(l_min, l_max, ref, cfg.ineq_tol)
 
     coeff = _full_coefficient(cfg.kappa, cfg.strength, cfg.n, vol_g0)
     lhs = (l_min / ref) ** (2 * cfg.n)
@@ -215,9 +219,7 @@ def check_two_sided(report: ExperimentReport, tol=None):
     if not report.config.get("normalize", False) and report.config.get("eps", 0) > 0:
         raise ValidationError("two-sided check needs a volume-normalized experiment")
     tol = report.config["ineq_tol"] if tol is None else tol
-    ok = (report.l_min <= report.reference + tol
-          and report.l_max >= report.reference - tol)
-    return _verdict(ok)
+    return _verdict(_two_sided(report.l_min, report.l_max, report.reference, tol))
 
 
 def sweep(cfg_template: ExperimentConfig, eps_list):

@@ -55,8 +55,9 @@ def identity_constant(n):
     return 2.0 * math.pi ** (2 * n) / math.factorial(n - 1)
 
 
-def vol_closed_form(sys0: MagneticSystem, sys: MagneticSystem, rel_tol=1e-9):
-    """pi * (vol_g - vol_g0) for a perturbation sys of the model sys0.
+def vol_closed_form(sys0: MagneticSystem, sys: MagneticSystem):
+    """pi * (vol_g - vol_g0) for a perturbation sys of the model sys0, with
+    vol_g by quadrature to relative tolerance 1e-9.
 
     Volume-normalized systems have vol_g = vol_g0 by construction, so the
     value is exactly zero without quadrature noise.
@@ -64,7 +65,7 @@ def vol_closed_form(sys0: MagneticSystem, sys: MagneticSystem, rel_tol=1e-9):
     _check_pair(sys0, sys)
     if sys.volume_normalized or sys.is_unperturbed():
         return 0.0
-    vol_g = riemannian_volume(sys, rel_tol=rel_tol)
+    vol_g = riemannian_volume(sys, rel_tol=1e-9)
     vol_g0 = unperturbed_volume(sys0.surface)
     return math.pi * (vol_g - vol_g0)
 
@@ -78,11 +79,11 @@ def _check_pair(sys0, sys):
         raise ValidationError("reference and perturbed systems must share strength")
 
 
-def check_samples(samples, cells_per_side=CELLS_PER_SIDE):
+def check_samples(samples):
     """Refuse a sample count that leaves one antithetic pair in a cell (513
-    at the default 16 x 16 cells): two pairs per cell are the fewest that
-    estimate a variance, and with one the standard error would read 0."""
-    fewest = 2 * cells_per_side**2 + 1
+    at the 16 x 16 cells): two pairs per cell are the fewest that estimate a
+    variance, and with one the standard error would read 0."""
+    fewest = 2 * CELLS_PER_SIDE**2 + 1
     if samples < fewest:
         raise ValidationError(
             f"samples = {samples} is below {fewest}: the volume oracle "
@@ -90,30 +91,30 @@ def check_samples(samples, cells_per_side=CELLS_PER_SIDE):
 
 
 def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
-                          samples=1_000_000, rng_seed=0, cells_per_side=CELLS_PER_SIDE):
+                          samples=1_000_000, rng_seed=0):
     """Unbiased Monte Carlo estimate of the volume functional with its
     standard error.  Deterministic under a fixed rng_seed; samples must be at
-    least 2 cells_per_side^2 + 1 (``check_samples``).  Each cell draws
-    ceil(samples / (2 cells_per_side^2)) antithetic pairs, so the integrand is
-    evaluated at up to 2 cells_per_side^2 - 1 points more than ``samples``
+    least 2 CELLS_PER_SIDE^2 + 1 (``check_samples``).  Each cell draws
+    ceil(samples / (2 CELLS_PER_SIDE^2)) antithetic pairs, so the integrand is
+    evaluated at up to 2 CELLS_PER_SIDE^2 - 1 points more than ``samples``
     (4,000,256 for 4e6 at 16 x 16 cells)."""
     _check_pair(sys0, sys)
-    check_samples(samples, cells_per_side)
+    check_samples(samples)
     F, box = sys.surface.ops.oracle(sys)
     vol_box = box[0] * box[1] * 2.0 * math.pi
 
-    n_cells = cells_per_side**2
+    n_cells = CELLS_PER_SIDE**2
     pairs_per_cell = math.ceil(samples / (2 * n_cells))
     root = np.random.SeedSequence(rng_seed)
     children = root.spawn(n_cells)
 
     cell_means = np.empty(n_cells)
     cell_vars = np.empty(n_cells)
-    dx = box[0] / cells_per_side
-    dy = box[1] / cells_per_side
+    dx = box[0] / CELLS_PER_SIDE
+    dy = box[1] / CELLS_PER_SIDE
     idx = 0
-    for i in range(cells_per_side):
-        for j in range(cells_per_side):
+    for i in range(CELLS_PER_SIDE):
+        for j in range(CELLS_PER_SIDE):
             rng = np.random.default_rng(children[idx])
             q = np.empty((pairs_per_cell, 2))
             q[:, 0] = rng.uniform(i * dx, (i + 1) * dx, size=pairs_per_cell)

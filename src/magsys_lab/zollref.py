@@ -67,13 +67,19 @@ class ZollReference:
     vol_g0: float
 
 
+def _model_volume(kappa):
+    """The g0-area vol_g0 of the model surface of curvature kappa (on the
+    hyperbolic chart, of its domain)."""
+    from .geometry import make_surface, unperturbed_volume
+    return unperturbed_volume(make_surface(kappa))
+
+
 def make_reference(kappa, strength, n=1, vol_g0=None):
     if n < 1:
         raise ValidationError("complex dimension n must be >= 1")
     a2 = a1_squared(kappa, strength)
     if vol_g0 is None:
-        from .geometry import make_surface, unperturbed_volume
-        vol_g0 = unperturbed_volume(make_surface(kappa))
+        vol_g0 = _model_volume(kappa)
     return ZollReference(kappa=float(kappa), strength=float(strength), n=int(n),
                          a1_squared=a2, reference_magnetic_length=math.pi * a2,
                          vol_g0=float(vol_g0))
@@ -154,8 +160,7 @@ def kahler_bundle_pairings(kappa, s0, n=1, vol_g0=None):
     a2 = a1_squared(kappa, s0)
     if kappa != 0:
         if vol_g0 is None:
-            from .geometry import make_surface, unperturbed_volume
-            vol_g0 = unperturbed_volume(make_surface(kappa))
+            vol_g0 = _model_volume(kappa)
         keff = k_tilde(kappa, s0, n) * vol_g0
     else:
         keff = 2.0 * math.pi ** (2 * n + 1) / math.factorial(2 * n) * a2 ** (4 * n)

@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from magsys_lab import ParseError, ValidationError
-from magsys_lab.cli import main, parse_config
+from magsys_lab import ExperimentConfig, ParseError, ValidationError
+from magsys_lab.cli import _KEY_SCHEMA, build_parser, main, parse_config
 from magsys_lab.reporting import validate_report_doc
 
 
@@ -119,6 +121,84 @@ eps_list = 0.01, 0.02
         with pytest.raises(ValidationError, match=rf"{name}.*got {count}"):
             parse_config(path)
 
+    def test_defaults_are_the_experiment_config_defaults(self, tmp_path):
+        cfg, _, _ = parse_config(write(tmp_path, "min.cfg", "kappa = 1\nstrength = 1\n"))
+        assert cfg == ExperimentConfig(kappa=1.0, strength=1.0)
+
+    # a value other than the default for every key that sets a config field
+    FIELD_VALUES = {
+        "kappa": ("2.0", 2.0), "strength": ("3.0", 3.0), "n": ("2", 2),
+        "field": ("sphere_harmonic_z", "sphere_harmonic_z"),
+        "coeffs": ("0.5", (0.5,)), "eps": ("0.03", 0.03),
+        "eta": ("sphere_eta_axial", "sphere_eta_axial"),
+        "eta_coeffs": ("0.5", (0.5,)), "normalize": ("false", False),
+        "grid_density": ("5", 5), "tol_orbit": ("1e-8", 1e-8),
+        "tol_quad": ("1e-8", 1e-8), "equality_tol": ("1e-6", 1e-6),
+        "ineq_tol": ("1e-3", 1e-3), "max_iter": ("7", 7), "workers": ("2", 2),
+        "rng_seed": ("9", 9),
+    }
+
+    @pytest.mark.parametrize("section, key", sorted(
+        k for k, (_, field) in _KEY_SCHEMA.items() if field is not None))
+    def test_each_key_sets_its_field(self, tmp_path, section, key):
+        field = _KEY_SCHEMA[(section, key)][1]
+        raw, value = self.FIELD_VALUES[key]
+        model = {"kappa": "1", "strength": "1"}
+        if section == "model":
+            model[key] = raw
+        text = "".join(f"{k} = {v}\n" for k, v in model.items())
+        if section != "model":
+            text += f"[{section}]\n{key} = {raw}\n"
+        cfg, _, _ = parse_config(write(tmp_path, "one.cfg", text))
+        assert getattr(cfg, field) == value
+        assert getattr(ExperimentConfig(kappa=1.0, strength=1.0), field) != value
+
+    def test_readme_config_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        examples = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert examples
+        for text in examples:
+            cfg, extras, _ = parse_config(write(tmp_path, "readme.cfg", text))
+            assert cfg.perturbation_name == "sphere_harmonic_z"
+            assert extras["eps_list"] == (0.01, 0.02, 0.04)
+
+
+# the flags each subcommand reads; every other flag is refused
+FLAGS_READ = {
+    "systole": {"--seed", "--workers", "--tol-orbit", "--tol-quad"},
+    "orbit": {"--seed", "--workers", "--tol-orbit", "--tol-quad"},
+    "sweep": {"--seed", "--workers", "--tol-orbit", "--tol-quad"},
+    "volume": {"--seed", "--tol-quad"},
+    "zollpoly": set(),
+    "constants": set(),
+}
+FLAG_FIELDS = {"--seed": ("rng_seed", "3", 3), "--workers": ("workers", "2", 2),
+               "--tol-orbit": ("tol_orbit", "1e-8", 1e-8),
+               "--tol-quad": ("tol_quad", "1e-8", 1e-8)}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(FLAGS_READ))
+    @pytest.mark.parametrize("flag", sorted(FLAG_FIELDS))
+    def test_subcommand_takes_only_the_flags_it_reads(self, capsys, command, flag):
+        field, raw, value = FLAG_FIELDS[flag]
+        argv = [command, "--config", "run.cfg", flag, raw]
+        if flag in FLAGS_READ[command]:
+            assert vars(build_parser().parse_args(argv))[field] == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flag_overrides_only_its_field(self, tmp_path):
+        cfg_path = write(tmp_path, "run.cfg", ZOLL_TORUS + "rng_seed = 5\ntol_quad = 1e-7\n")
+        out = tmp_path / "out"
+        assert main(["systole", "--config", cfg_path, "--out", str(out), "--seed", "3"]) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config["rng_seed"] == 3 and config["tol_quad"] == 1e-7
+
 
 class TestCliRuns:
     def test_systole_zoll_torus(self, tmp_path, capsys):
@@ -228,6 +308,17 @@ samples = 100000
         assert main(["zollpoly", "--config", cfg_path, "--num", "5",
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (out / "zollpoly.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, name", [("zollpoly", "zollpoly.csv"),
+                                               ("constants", "constants.json")])
+    def test_config_out_writes_the_file(self, tmp_path, monkeypatch, capsys, command, name):
+        monkeypatch.chdir(tmp_path)
+        bare = write(tmp_path, "bare.cfg", "kappa = 1\nstrength = 1\n")
+        assert main([command, "--config", bare]) == 0
+        assert not list(tmp_path.glob(name))
+        cfg_path = write(tmp_path, "o.cfg", "kappa = 1\nstrength = 1\n[output]\nout = res\n")
+        assert main([command, "--config", cfg_path]) == 0
+        assert (tmp_path / "res" / name).is_file()
 
     def test_constants_output(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "c.cfg", "kappa = 1\nstrength = 1\n")

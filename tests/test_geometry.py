@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from magsys_lab import (Chart, ValidationError, ZollRegimeViolation,
-                        christoffel, conformal_perturb, curvature_probe,
-                        g_dot, g_norm, make_model, make_surface,
+from magsys_lab import (Chart, StepFailure, ValidationError,
+                        ZollRegimeViolation, christoffel, conformal_perturb,
+                        curvature_probe, flow, g_dot, g_norm, make_model,
                         random_state, riemannian_volume, rotate90,
                         sigma0_pair, state_distance, tangent_state,
-                        unperturbed_volume)
+                        unperturbed_volume, with_sigma_perturbation)
 from magsys_lab.geometry import TangentState, wrap_position
 
 
@@ -34,10 +34,6 @@ class TestMakeModel:
         with pytest.raises(ZollRegimeViolation):
             make_model(-4.0, 1.0)
 
-    def test_chart_kappa_consistency(self):
-        with pytest.raises(ValidationError):
-            make_surface(0.0, torus_periods=(2 * math.pi, -1.0))
-
 
 @pytest.mark.parametrize("sys", models(), ids=["sphere", "hyperbolic", "torus"])
 def test_curvature_probe_matches_kappa(sys):
@@ -56,7 +52,7 @@ class TestVolume:
 
     def test_hyperbolic_domain_area(self):
         sys = make_model(-1.0, 2.0)
-        expected = 2 * math.pi * (math.cosh(sys.surface.domain_rho) - 1)
+        expected = 2 * math.pi * (math.cosh(sys.surface.ops.domain_rho) - 1)
         assert riemannian_volume(sys) == pytest.approx(expected, rel=1e-9)
         assert unperturbed_volume(sys.surface) == pytest.approx(expected, rel=1e-15)
 
@@ -96,6 +92,17 @@ class TestConformalPerturb:
                                 0.05, normalize=False)
         assert sys.conformal_scale == 1.0
         assert not sys.volume_normalized
+
+    def test_sigma_perturbation_keeps_the_conformal_eps(self):
+        # a second eps would rescale u and leave the volume normalization
+        # claiming vol_g = vol_g0 for a metric whose area is 12.88, not 4 pi
+        sys = conformal_perturb(make_model(1.0, 1.0), "sphere_harmonic_z",
+                                0.05, normalize=True)
+        with pytest.raises(ValidationError, match="eps"):
+            with_sigma_perturbation(sys, "sphere_eta_axial", eps=0.2)
+        for eps in (None, 0.05):
+            both = with_sigma_perturbation(sys, "sphere_eta_axial", eps=eps)
+            assert both.conformal_eps == 0.05 and both.volume_normalized
 
 
 class TestComplexStructure:
@@ -137,6 +144,13 @@ class TestTangentState:
         s1 = TangentState(np.array([0.01, 0.0]), np.array([1.0, 0.0]))
         s2 = TangentState(np.array([p - 0.01, 0.0]), np.array([1.0, 0.0]))
         assert state_distance(sys, s1, s2) == pytest.approx(0.02, abs=1e-14)
+
+    def test_hyperbolic_origin_refused(self):
+        # the polar chart is singular at rho = 0: a named StepFailure, which
+        # a census skips, not a ZeroDivisionError inside the flow's kernel
+        sys = make_model(-1.0, 2.0)
+        with pytest.raises(StepFailure, match="rho = 0"):
+            flow(sys, tangent_state(sys, [0.0, 0.0], [1.0, 0.0]), 1.0)
 
     def test_hyperbolic_phi_wraps(self):
         sys = make_model(-1.0, 2.0)
