@@ -435,25 +435,28 @@ class ChartOps:
         return pa, pb
 
     def oracle(self, sys):
-        """The volume oracle's integrand on (box) x (fiber angle), and the box.
-
-        The chart gives the area weight and the field point (``_oracle_point``)
-        and eta along the box coordinates (``_oracle_eta``).
+        """The volume oracle's integrand and the box.  The integrand takes the
+        (M, 2) box points q and fiber angles fib of M antithetic pairs and
+        returns each pair's mean at fib and fib + pi.  The pair shares its base
+        point's terms (``_oracle_base``: area weight, field point, eta along the
+        box coordinates), f and W (f - 1); only cos and sin of fib are taken twice.
         """
-        s = sys.strength
-        eps = sys.conformal_eps
+        s, eps = sys.strength, sys.conformal_eps
         eta = sys.sigma_perturbation
+        comp = eta.formulas(self.surface)[0] if eta is not None and eps != 0.0 else None
 
-        def F(q, fib):
-            W, amb = self._oracle_point(q)
+        def pair_mean(q, fib):
+            W, amb, eta_q = self._oracle_base(q, comp)
             f = np.exp(conf_log(sys, amb))
-            main = W * (f - 1.0)
-            if eta is not None and eps != 0.0:
-                eta_1, eta_2 = self._oracle_eta(eta.components(self.surface, amb), q)
-                main = main - s * eps * (W * eta_1 * np.cos(fib) + eta_2 * np.sin(fib))
-            return 0.5 * (f + 1.0) * main
+            half, main = 0.5 * (f + 1.0), W * (f - 1.0)
+            if eta_q is None:
+                return half * main    # the two ends of the pair agree
+            w_eta_1, eta_2 = W * eta_q[0], eta_q[1]
+            lo, hi = (half * (main - s * eps * (w_eta_1 * np.cos(a) + eta_2 * np.sin(a)))
+                      for a in (fib, fib + math.pi))
+            return 0.5 * (lo + hi)
 
-        return F, self.box
+        return pair_mean, self.box
 
 
 class SphereChart(ChartOps):
@@ -499,19 +502,18 @@ class SphereChart(ChartOps):
                          R * np.sin(alpha) * np.sin(phi),
                          R * np.cos(alpha)], axis=-1)
 
-    def polar_jacobian(self, theta, phi, fn=np):
-        """(dq/dtheta, dq/dphi) of ``from_polar``; fn is numpy or math."""
+    def polar_jacobian(self, theta, phi):
+        """(dq/dtheta, dq/dphi) of ``from_polar`` at one point."""
         R = self.R
         alpha = theta / R
-        sa, ca = fn.sin(alpha), fn.cos(alpha)
-        sp, cp = fn.sin(phi), fn.cos(phi)
-        return (np.stack([ca * cp, ca * sp, -sa], axis=-1),
-                np.stack([-R * sa * sp, R * sa * cp, np.zeros_like(phi)], axis=-1))
+        sa, ca = math.sin(alpha), math.cos(alpha)
+        sp, cp = math.sin(phi), math.cos(phi)
+        return np.array([ca * cp, ca * sp, -sa]), np.array([-R * sa * sp, R * sa * cp, 0.0])
 
     def polar_differential(self, sys, rho, phi):
         """d(Lambda) in polar components, pulled back from the ambient covector."""
         dl_amb = conf_log_diff(sys, self.from_polar(rho, phi))
-        dq_drho, dq_dphi = self.polar_jacobian(rho, phi, math)
+        dq_drho, dq_dphi = self.polar_jacobian(rho, phi)
         return np.array([float(dl_amb @ dq_drho), float(dl_amb @ dq_dphi)])
 
     # g0, J, sigma0 and the flow
@@ -646,12 +648,20 @@ class SphereChart(ChartOps):
 
         return f, 0.0, 2.0 * math.pi, 0.0, math.pi
 
-    def _oracle_point(self, q):
-        return self.weight(q[..., 0]), self.from_polar(q[..., 0], q[..., 1])
-
-    def _oracle_eta(self, comp, q):
-        dq_dtheta, dq_dphi = self.polar_jacobian(q[..., 0], q[..., 1])
-        return np.sum(comp * dq_dtheta, axis=-1), np.sum(comp * dq_dphi, axis=-1)
+    def _oracle_base(self, q, comp):
+        """Area weight, field point and, given eta's components formula comp,
+        eta along (theta, phi) at the (M, 2) box points q: ``from_polar`` and
+        ``polar_jacobian`` written out on one sin/cos of theta/R and of phi."""
+        R, theta, phi = self.R, q[:, 0], q[:, 1]
+        alpha = theta / R
+        sa, ca, sp, cp = np.sin(alpha), np.cos(alpha), np.sin(phi), np.cos(phi)
+        x, y = R * sa * cp, R * sa * sp
+        W, amb = self.weight(theta), np.stack([x, y, R * ca], axis=-1)
+        if comp is None:
+            return W, amb, None
+        c0, c1, c2 = comp(amb.T)
+        # dq/dtheta = (ca cp, ca sp, -sa), dq/dphi = (-y, x, 0)
+        return W, amb, (c0 * (ca * cp) + c1 * (ca * sp) + c2 * -sa, c0 * -y + c1 * x)
 
     # sample points and seeds
     def random_point(self, rng):
@@ -915,7 +925,12 @@ class _PlanarChart(ChartOps):
         q = self.from_plane(p)
         jac = self.plane_jacobian(q)
         dir_plane = self.plane_jacobian(anchor.position) @ anchor.velocity
-        vref = np.linalg.solve(jac, dir_plane)
+        try:
+            vref = np.linalg.solve(jac, dir_plane)
+        except np.linalg.LinAlgError:
+            # only the hyperbolic chart's plane map is singular, at its origin
+            raise StepFailure("section point at rho = 0, where the polar chart "
+                              "is singular") from None
         jvref = rotate90(sys, q, vref)
         nrm0, jnrm0 = g_norm(sys, q, vref), g_norm(sys, q, jvref)
         v = math.cos(b) * vref / nrm0 + math.sin(b) * jvref / jnrm0
@@ -1120,11 +1135,8 @@ class TorusChart(_PlanarChart):
         p1, p2 = self.box
         return p1 * p2
 
-    def _oracle_point(self, q):
-        return 1.0, q
-
-    def _oracle_eta(self, comp, q):
-        return comp[..., 0], comp[..., 1]
+    def _oracle_base(self, q, comp):
+        return 1.0, q, None if comp is None else comp(q.T)
 
     def random_point(self, rng):
         p1, p2 = self.box

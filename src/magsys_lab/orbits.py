@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .config import ExperimentConfig
 from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
                      TangencyError)
 from .geometry import TangentState, state_distance, tangent_state, wrap_position
@@ -197,8 +198,8 @@ def _central_differences(fn, x, directions, h=SECTION_FD_STEP):
                             for u in directions.T])
 
 
-def find_closed_orbit(sys, seed: TangentState, tol=1e-9, max_iter=25,
-                      seed_id="seed"):
+def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
+                      max_iter=ExperimentConfig.max_iter, seed_id="seed"):
     """Newton iteration on the reduced return map, starting from seed.
 
     The seed anchors the section.  Its first return map is a plain one, so a
@@ -265,7 +266,7 @@ def _build_orbit(sys, spec, x, period, seed_id, ivp_tol, iterations=0):
 
 # --- seed grids and enumeration ---------------------------------------------------
 
-def seed_grid(sys, grid_density, rng_seed=0):
+def seed_grid(sys, grid_density, rng_seed=ExperimentConfig.rng_seed):
     """Deterministic (seed_id, TangentState) pairs covering the Zoll family."""
     if grid_density <= 0:
         return []
@@ -377,8 +378,9 @@ class Census(list):
         self.seeds_attempted = seeds_attempted
 
 
-def enumerate_orbits(sys, grid_density=4, tol=1e-9, max_iter=25, workers=1,
-                     rng_seed=0):
+def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
+                     max_iter=ExperimentConfig.max_iter, workers=ExperimentConfig.workers,
+                     rng_seed=ExperimentConfig.rng_seed):
     """Closed orbits from a deterministic seed grid, deduplicated and sorted
     by magnetic length, as a Census.  Failed seeds are logged and skipped.
 

@@ -30,50 +30,13 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import orbits, zollref
+from .config import ExperimentConfig
 from .errors import MagsysError, NoOrbitsFound, ValidationError
 from .fields import OneForm, ScalarField
 from .geometry import (conformal_perturb, make_model, riemannian_volume,
                        unperturbed_volume, with_sigma_perturbation)
 
 SHORT_LOOP_WINDOW = orbits.SHORT_LOOP_PERIOD_WINDOW
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kappa: float
-    strength: float
-    n: int = 1
-    perturbation_name: str | None = None
-    perturbation_coeffs: tuple = (1.0,)
-    eps: float = 0.0
-    eta_name: str | None = None
-    eta_coeffs: tuple = (1.0,)
-    normalize: bool = True
-    grid_density: int = 3
-    tol_orbit: float = 1e-9
-    tol_quad: float = 1e-9
-    equality_tol: float = 1e-5
-    ineq_tol: float = 1e-4
-    rng_seed: int = 0
-    workers: int = 1
-    max_iter: int = 25
-
-    def __post_init__(self):
-        for name in ("tol_orbit", "tol_quad", "equality_tol", "ineq_tol"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.eps < 0:
-            raise ValidationError("eps must be >= 0")
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
-        for name, least in (("grid_density", 0), ("max_iter", 0), ("workers", 1)):
-            if getattr(self, name) < least:
-                raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        # unknown field names and wrong coefficient counts fail here, not mid-run
-        if self.perturbation_name is not None:
-            ScalarField(self.perturbation_name, tuple(self.perturbation_coeffs))
-        if self.eta_name is not None:
-            OneForm(self.eta_name, tuple(self.eta_coeffs))
 
 
 @dataclass

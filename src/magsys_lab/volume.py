@@ -19,8 +19,11 @@ coordinates ((x, y, phi) on the torus, (theta, phi, psi) in spherical
 coordinates; the chart object's ``oracle`` gives the integrand and the
 box), evaluates the full 3-form alpha ^ (Omega0 + r d(alpha)) pointwise
 with the r-integral done exactly, and averages.  Sampling is
-stratified over base cells with antithetic fiber angles; partial sums are
-combined in fixed cell order, so a fixed seed gives a bit-identical result.
+stratified over base cells with antithetic fiber angles (a and a + pi
+over one base point); the integrand returns each pair's mean, computing the
+base point's terms once and only the fiber's cos and sin at both angles.
+Partial sums are combined in fixed cell order, so a fixed seed gives a
+bit-identical result.
 """
 
 from __future__ import annotations
@@ -97,10 +100,12 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
     least 2 CELLS_PER_SIDE^2 + 1 (``check_samples``).  Each cell draws
     ceil(samples / (2 CELLS_PER_SIDE^2)) antithetic pairs, so the integrand is
     evaluated at up to 2 CELLS_PER_SIDE^2 - 1 points more than ``samples``
-    (4,000,256 for 4e6 at 16 x 16 cells)."""
+    (4,000,256 for 4e6 at 16 x 16 cells).  The chart's integrand returns pair
+    means: a pair shares its base point's terms (area weight, field point,
+    e^Lambda and eta), so they are computed once per pair."""
     _check_pair(sys0, sys)
     check_samples(samples)
-    F, box = sys.surface.ops.oracle(sys)
+    pair_mean_at, box = sys.surface.ops.oracle(sys)
     vol_box = box[0] * box[1] * 2.0 * math.pi
 
     n_cells = CELLS_PER_SIDE**2
@@ -120,7 +125,7 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
             q[:, 0] = rng.uniform(i * dx, (i + 1) * dx, size=pairs_per_cell)
             q[:, 1] = rng.uniform(j * dy, (j + 1) * dy, size=pairs_per_cell)
             fib = rng.uniform(0.0, 2.0 * math.pi, size=pairs_per_cell)
-            pair_mean = 0.5 * (F(q, fib) + F(q, fib + math.pi))
+            pair_mean = pair_mean_at(q, fib)
             cell_means[idx] = pair_mean.mean()
             cell_vars[idx] = pair_mean.var(ddof=1)
             idx += 1

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from magsys_lab import (DivergedFromFamily, NoConvergence, TangencyError,
-                        conformal_perturb, enumerate_orbits, find_closed_orbit,
-                        flow, latitude_seed, magnetic_length, make_model,
+from magsys_lab import (DivergedFromFamily, ExperimentConfig, NoConvergence,
+                        StepFailure, TangencyError, TangentState,
+                        conformal_perturb, enumerate_orbits, find_closed_orbit, flow,
+                        latitude_seed, magnetic_length, make_model,
                         make_section, reference_period, return_map,
                         state_distance)
 from magsys_lab import ScalarField
@@ -122,6 +124,12 @@ class TestFindClosedOrbit:
         seed = sysp.surface.ops.axis_seed(sysp, np.array([1.0, 0.0, 0.0]))
         with pytest.raises((DivergedFromFamily, NoConvergence)):
             find_closed_orbit(sysp, seed, tol=1e-12, max_iter=4)
+
+    def test_seed_at_hyperbolic_origin_is_a_step_failure(self):
+        # the plane map is singular at rho = 0; the census skips StepFailure
+        seed = TangentState(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(StepFailure, match="rho = 0"):
+            find_closed_orbit(make_model(-1.0, 2.0), seed)
 
     def test_orbit_reintegrates_to_closure(self):
         sys = make_model(-1.0, 2.0)
@@ -244,6 +252,17 @@ class TestVariationalNewton:
 class TestEnumerate:
     def test_empty_grid(self):
         assert enumerate_orbits(make_model(1.0, 1.0), grid_density=0) == []
+
+    def test_census_defaults_are_the_experiment_config_s(self):
+        with pytest.raises(TypeError, match="grid_density"):
+            enumerate_orbits(make_model(1.0, 1.0))
+        cfg = ExperimentConfig(kappa=1.0, strength=1.0)
+        for fn, names in ((enumerate_orbits, ("tol", "max_iter", "workers", "rng_seed")),
+                          (find_closed_orbit, ("tol", "max_iter"))):
+            params = inspect.signature(fn).parameters
+            for name in names:
+                field = "tol_orbit" if name == "tol" else name
+                assert params[name].default == getattr(cfg, field)
 
     @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
     def test_zoll_family_one_period(self, kappa, s):

@@ -7,13 +7,46 @@ from magsys_lab import (ValidationError, conformal_perturb, identity_constant,
                         make_model, riemannian_volume, vol_closed_form,
                         vol_quadrature_oracle, volume_report,
                         with_sigma_perturbation)
+from magsys_lab import fields
 from magsys_lab.fields import ScalarField
+from magsys_lab.volume import CELLS_PER_SIDE
 
 
 def torus_pair(eps=0.1, normalize=False):
     sys0 = make_model(0.0, 1.0)
     sysp = conformal_perturb(sys0, "torus_cos_x", eps, normalize=normalize)
     return sys0, sysp
+
+
+def sphere_pair(kappa=1.0, eta=True):
+    sys0 = make_model(kappa, 1.0)
+    sysp = conformal_perturb(sys0, "sphere_harmonic_z", 0.05, normalize=False)
+    return sys0, with_sigma_perturbation(sysp, "sphere_eta_axial") if eta else sysp
+
+
+# (estimate, std_error) at 50,000 samples and rng_seed 11, recorded when the
+# integrand evaluated each end of an antithetic pair in full; sharing the
+# pair's base-point terms must not move a bit
+EXACT_ORACLE = {
+    "sphere_eta": (0.06310596021771306, 0.0015674016370621983),
+    "sphere": (0.06310596021771306, 0.0015674016370621983),
+    "torus_eta": (1.2486398723057817, 0.012695741682456907),
+    # kappa = 4: theta / R and sqrt(kappa) theta round differently
+    "sphere_eta_kappa4": (0.015776490054428265, 0.0003918504092655496),
+    # eta alone: rounding noise of the pair's cancellation, so every
+    # operation of the eta term shows
+    "sphere_eta_only": (-2.6733053114995438e-18, 7.184452171680245e-18),
+}
+
+
+def exact_case(name):
+    if name == "torus_eta":
+        sys0, sysp = torus_pair()
+        return sys0, with_sigma_perturbation(sysp, "torus_eta_sin_x")
+    if name == "sphere_eta_only":
+        sys0 = make_model(1.0, 1.0)
+        return sys0, with_sigma_perturbation(sys0, "sphere_eta_axial", eps=0.1)
+    return sphere_pair(4.0 if name.endswith("kappa4") else 1.0, eta="eta" in name)
 
 
 class TestClosedForm:
@@ -119,6 +152,32 @@ class TestOracle:
         sys0, sysp = torus_pair(0.05)
         _, se = vol_quadrature_oracle(sys0, sysp, samples=513)
         assert se > 0.0
+
+    @pytest.mark.parametrize("name", sorted(EXACT_ORACLE))
+    def test_estimate_is_bit_for_bit(self, name):
+        sys0, sysp = exact_case(name)
+        assert vol_quadrature_oracle(sys0, sysp, samples=50_000,
+                                     rng_seed=11) == EXACT_ORACLE[name]
+
+    def test_eta_components_once_per_pair(self, monkeypatch):
+        # one evaluation per cell serves both ends of every pair in it
+        make, chart, n_coeffs = fields._ONE_FORMS["sphere_eta_axial"]
+        calls = []
+
+        def counting(coeffs, surface):
+            comp, dens, grad = make(coeffs, surface)
+
+            def counted(x):
+                calls.append(len(x[0]))
+                return comp(x)
+
+            return counted, dens, grad
+
+        monkeypatch.setitem(fields._ONE_FORMS, "sphere_eta_axial", (counting, chart, n_coeffs))
+        sys0, sysp = sphere_pair()
+        vol_quadrature_oracle(sys0, sysp, samples=50_000, rng_seed=11)
+        assert len(calls) == CELLS_PER_SIDE**2
+        assert sum(calls) == CELLS_PER_SIDE**2 * math.ceil(50_000 / (2 * CELLS_PER_SIDE**2))
 
     def test_report(self):
         sys0, sysp = torus_pair()
