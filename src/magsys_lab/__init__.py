@@ -12,12 +12,10 @@ from .errors import (CapNotFound, DivergedFromFamily, IoError, MagsysError,
                      ValidationError, ZollRegimeViolation)
 from .fields import OneForm, ScalarField, one_form_names, scalar_field_names
 from .geometry import (Chart, MagneticSystem, ModelSurface, TangentState,
-                       christoffel, conformal_perturb, curvature_probe,
-                       gaussian_curvature, g_dot, g_norm, make_model,
-                       make_surface, magnetic_density, random_state,
-                       riemannian_volume, rotate90, sigma0_pair,
-                       state_distance, tangent_state, unperturbed_volume,
-                       with_sigma_perturbation)
+                       conformal_perturb, g_dot, g_norm, make_model,
+                       make_surface, magnetic_density, riemannian_volume,
+                       rotate90, state_distance, tangent_state,
+                       unperturbed_volume, with_sigma_perturbation)
 from .dynamics import (Trajectory, flow, geodesic_curvature_series,
                        latitude_seed, measure_geodesic_curvature,
                        reference_period, trajectory_to_csv)

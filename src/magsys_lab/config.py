@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .fields import OneForm, ScalarField
 
@@ -31,6 +33,12 @@ class ExperimentConfig:
     max_iter: int = 25
 
     def __post_init__(self):
+        # a nan passes "eps > 0" as false and an infinite tol_orbit accepts any
+        # seed, so every real-valued field is checked finite first
+        for name in ("eps", "tol_orbit", "tol_quad", "equality_tol", "ineq_tol",
+                     "perturbation_coeffs", "eta_coeffs"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("tol_orbit", "tol_quad", "equality_tol", "ineq_tol"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")

@@ -61,6 +61,14 @@ def rhs(sys: MagneticSystem, tangents=0):
     return sys.surface.ops.rhs(sys, tangents)
 
 
+def stepper_tolerances(tol):
+    """(rtol, atol) of the DOP853 stepper for the requested tolerance tol.
+
+    The stepper runs a decade below tol so that derived quantities (speed
+    drift, closure defects) meet tol-level bounds with margin."""
+    return max(tol * 0.1, 1e-13), max(tol * 1e-3, 1e-14)
+
+
 def pack_state(state: TangentState):
     return np.concatenate([state.position, state.velocity])
 
@@ -89,10 +97,7 @@ def flow(sys: MagneticSystem, start: TangentState, duration, tol=DEFAULT_TOL,
         raise ValueError(
             f"duration {duration:g} exceeds the {MAX_REFERENCE_PERIODS:g} "
             "reference-period cap")
-    # the stepper runs a decade below the requested tolerance so that derived
-    # quantities (speed drift, closure defects) meet tol-level bounds with margin
-    rtol = max(tol * 0.1, 1e-13)
-    atol = max(tol * 1e-3, 1e-14)
+    rtol, atol = stepper_tolerances(tol)
     if n_samples is None:
         n_samples = max(64, int(math.ceil(512 * abs(duration) / t_ref)))
     times = np.linspace(0.0, duration, n_samples + 1)

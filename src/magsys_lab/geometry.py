@@ -116,14 +116,10 @@ def conf_log_diff(sys: MagneticSystem, q):
     return sys.conformal_eps * sys.conformal_exponent.differential(sys.surface, q)
 
 
-def g0_dot(surface, q, u, v):
-    """Unperturbed metric pairing of chart vectors u, v at q."""
-    return surface.ops.g0_dot(q, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-
-
 def g_dot(sys, q, u, v):
-    """Perturbed metric pairing g = lam e^{2 eps u} g0."""
-    return np.exp(2.0 * conf_log(sys, q)) * g0_dot(sys.surface, q, u, v)
+    """Perturbed metric pairing g = lam e^{2 eps u} g0 of chart vectors u, v at q."""
+    g0 = sys.surface.ops.g0_dot(q, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    return np.exp(2.0 * conf_log(sys, q)) * g0
 
 
 def g_norm(sys, q, v):
@@ -138,11 +134,6 @@ def rotate90(sys, q, v):
     """
     surface = sys.surface if isinstance(sys, MagneticSystem) else sys
     return surface.ops.rotate90(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
-
-
-def sigma0_pair(surface, q, u, v):
-    """Unperturbed area form sigma0(u, v) at q."""
-    return surface.ops.sigma0(q, u, v)
 
 
 def magnetic_density(sys, q):
@@ -261,95 +252,6 @@ def with_sigma_perturbation(sys, eta, eps=None):
             f"eps = {eps:g} differs from the conformal perturbation's eps = "
             f"{sys.conformal_eps:g}; the two perturbations share one eps")
     return replace(sys, sigma_perturbation=eta, conformal_eps=float(eps))
-
-
-# --- curvature probes --------------------------------------------------------------
-
-def _metric_components(sys, rho, phi):
-    """(E, G) of g = E drho^2 + G dphi^2 in the model's metric coordinates."""
-    ops = sys.surface.ops
-    e2l = math.exp(2.0 * float(conf_log(sys, ops.from_polar(rho, phi))))
-    return e2l, e2l * float(ops.weight(rho)) ** 2
-
-
-def _christoffel0(w, wp):
-    """Christoffel symbols of g0 = dr^2 + w^2 dp^2, given w and w' at r."""
-    gam = np.zeros((2, 2, 2))
-    gam[0, 1, 1] = -w * wp
-    gam[1, 0, 1] = gam[1, 1, 0] = wp / w if w != 0.0 else 0.0
-    return gam
-
-
-def christoffel(sys, position):
-    """Christoffel symbols Gamma[k, i, j] of the perturbed metric.
-
-    Coordinates are the model's own chart: (rho, phi) for the polar charts
-    (the sphere position may be given in ambient form and is converted),
-    (x, y) on the torus.
-    """
-    ops = sys.surface.ops
-    q = ops.to_polar(np.asarray(position, dtype=float))
-    rho, phi = float(q[0]), float(q[1])
-    w, wp = ops.w_wp(rho)
-    gam = _christoffel0(w, wp)
-
-    if sys.conformal_exponent is not None and sys.conformal_eps != 0.0:
-        dl = ops.polar_differential(sys, rho, phi)
-        grad = np.array([dl[0], dl[1] / w**2])
-        g0 = np.diag([1.0, w**2])
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    gam[k, i, j] += (i == k) * dl[j] + (j == k) * dl[i] - g0[i, j] * grad[k]
-    return gam
-
-
-def gaussian_curvature(sys, position):
-    """Gaussian curvature probe by finite differences of the metric.
-
-    Uses the Brioschi formula for a diagonal metric E drho^2 + G dphi^2 with
-    5-point stencils of step 1e-3; independent of any closed-form curvature
-    expression.
-    """
-    q = sys.surface.ops.to_polar(np.asarray(position, dtype=float))
-    rho, phi = float(q[0]), float(q[1])
-    h = 1e-3
-
-    def E(r, p):
-        return _metric_components(sys, r, p)[0]
-
-    def G(r, p):
-        return _metric_components(sys, r, p)[1]
-
-    def root_eg(r, p):
-        e, g = _metric_components(sys, r, p)
-        return math.sqrt(e * g)
-
-    dr = _fd1(lambda r, p: _fd1(G, r, p, 0, h) / root_eg(r, p), rho, phi, 0, h)
-    dp = _fd1(lambda r, p: _fd1(E, r, p, 1, h) / root_eg(r, p), rho, phi, 1, h)
-    return -0.5 / root_eg(rho, phi) * (dr + dp)
-
-
-def _fd1(f, rho, phi, axis, h):
-    vals = []
-    for i in (-2, -1, 1, 2):
-        r = rho + (i * h if axis == 0 else 0.0)
-        p = phi + (i * h if axis == 1 else 0.0)
-        vals.append(f(r, p))
-    return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-
-
-def random_state(sys, rng):
-    """A random unit-g-speed tangent state away from polar-chart singularities."""
-    q = sys.surface.ops.random_point(rng)
-    return tangent_state(sys, q, rng.normal(size=sys.surface.ops.dim))
-
-
-def curvature_probe(sys, n=100, seed=0):
-    """Gaussian curvature at n random probe points (polar-chart safe)."""
-    rng = np.random.default_rng(seed)
-    return np.array([gaussian_curvature(sys, sys.surface.ops.probe_point(rng))
-                     for _ in range(n)])
 
 
 # --- chart objects -------------------------------------------------------------------
@@ -486,43 +388,9 @@ class SphereChart(ChartOps):
     def w_wp(self, rho, fn=math):
         return fn.sin(self.sk * rho) / self.sk, fn.cos(self.sk * rho)
 
-    def to_polar(self, q):
-        """(theta, phi) of an ambient point; polar input passes through."""
-        if q.shape[-1] != 3:
-            return q
-        R = self.R
-        theta = np.arccos(np.clip(q[..., 2] / R, -1.0, 1.0)) * R
-        phi = np.arctan2(q[..., 1], q[..., 0])
-        return np.stack([theta, phi], axis=-1)
-
-    def from_polar(self, theta, phi):
-        R = self.R
-        alpha = np.asarray(theta, dtype=float) / R
-        return np.stack([R * np.sin(alpha) * np.cos(phi),
-                         R * np.sin(alpha) * np.sin(phi),
-                         R * np.cos(alpha)], axis=-1)
-
-    def polar_jacobian(self, theta, phi):
-        """(dq/dtheta, dq/dphi) of ``from_polar`` at one point."""
-        R = self.R
-        alpha = theta / R
-        sa, ca = math.sin(alpha), math.cos(alpha)
-        sp, cp = math.sin(phi), math.cos(phi)
-        return np.array([ca * cp, ca * sp, -sa]), np.array([-R * sa * sp, R * sa * cp, 0.0])
-
-    def polar_differential(self, sys, rho, phi):
-        """d(Lambda) in polar components, pulled back from the ambient covector."""
-        dl_amb = conf_log_diff(sys, self.from_polar(rho, phi))
-        dq_drho, dq_dphi = self.polar_jacobian(rho, phi)
-        return np.array([float(dl_amb @ dq_drho), float(dl_amb @ dq_dphi)])
-
-    # g0, J, sigma0 and the flow
+    # g0, J and the flow
     def rotate90(self, q, v):
         return np.cross(q * self.sk, v)
-
-    def sigma0(self, q, u, v):
-        n = np.asarray(q, dtype=float) * self.sk
-        return np.sum(n * np.cross(u, v), axis=-1)
 
     def rhs(self, sys, tangents=0):
         """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v, and with
@@ -650,8 +518,9 @@ class SphereChart(ChartOps):
 
     def _oracle_base(self, q, comp):
         """Area weight, field point and, given eta's components formula comp,
-        eta along (theta, phi) at the (M, 2) box points q: ``from_polar`` and
-        ``polar_jacobian`` written out on one sin/cos of theta/R and of phi."""
+        eta along (theta, phi) at the (M, 2) box points q: the ambient point
+        of (theta, phi) and its two partial derivatives, from one sin/cos of
+        theta/R and of phi."""
         R, theta, phi = self.R, q[:, 0], q[:, 1]
         alpha = theta / R
         sa, ca, sp, cp = np.sin(alpha), np.cos(alpha), np.sin(phi), np.cos(phi)
@@ -663,15 +532,7 @@ class SphereChart(ChartOps):
         # dq/dtheta = (ca cp, ca sp, -sa), dq/dphi = (-y, x, 0)
         return W, amb, (c0 * (ca * cp) + c1 * (ca * sp) + c2 * -sa, c0 * -y + c1 * x)
 
-    # sample points and seeds
-    def random_point(self, rng):
-        q = rng.normal(size=3)
-        return q / np.linalg.norm(q) * self.R
-
-    def probe_point(self, rng):
-        theta = rng.uniform(0.3, math.pi - 0.3) * self.R
-        return np.array([theta, rng.uniform(0.0, 2.0 * math.pi)])
-
+    # seeds
     def latitude_seed(self, sys):
         """On the circle tan(sqrt(kappa) theta*) = sqrt(kappa)/s about the pole."""
         s = sys.strength
@@ -790,25 +651,12 @@ class SphereChart(ChartOps):
 class _PlanarChart(ChartOps):
     """Formulas shared by the two charts whose points are (r, p) pairs."""
 
-    def from_polar(self, rho, phi):
-        return np.array([rho, phi])
-
-    def to_polar(self, q):
-        return q
-
-    def polar_differential(self, sys, rho, phi):
-        return conf_log_diff(sys, np.array([rho, phi]))
-
     def rotate90(self, q, v):
         w = self.weight(q[..., 0])
         out = np.empty_like(v)
         out[..., 0] = -w * v[..., 1]
         out[..., 1] = v[..., 0] / w
         return out
-
-    def sigma0(self, q, u, v):
-        w = self.weight(np.asarray(q, dtype=float)[..., 0])
-        return w * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
     def rhs(self, sys, tangents=0):
         """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v, and with
@@ -890,7 +738,8 @@ class _PlanarChart(ChartOps):
 
     def covariant(self, q, v, dv):
         """g0-covariant derivative of the velocity from its chart derivative dv:
-        dv^k + Gamma^k_ij v^i v^j with the symbols of ``_christoffel0``."""
+        dv^k + Gamma^k_ij v^i v^j, whose only nonzero symbols are
+        Gamma^r_pp = -w w' and Gamma^p_rp = Gamma^p_pr = w'/w."""
         w, wp = self.w_wp(q[..., 0], np)
         return dv + np.stack([-w * wp * v[..., 1] ** 2,
                               2.0 * (wp / w) * v[..., 0] * v[..., 1]], axis=-1)
@@ -973,8 +822,6 @@ class HyperbolicChart(_PlanarChart):
         self.sk = math.sqrt(-surface.kappa)
         self.domain_rho = 3.0 / self.sk
         self.box = (self.domain_rho, 2.0 * math.pi)
-        # random and probe points stay inside this radius
-        self.rho_max = min(2.5 / self.sk, self.domain_rho)
 
     def weight(self, rho):
         return np.sinh(self.sk * np.asarray(rho, dtype=float)) / self.sk
@@ -1005,12 +852,6 @@ class HyperbolicChart(_PlanarChart):
     def oracle(self, sys):
         raise ValidationError(
             "the volume oracle needs explicit coordinates: flat-torus or sphere chart")
-
-    def random_point(self, rng):
-        return np.array([rng.uniform(0.15, self.rho_max), rng.uniform(0.0, 2.0 * math.pi)])
-
-    def probe_point(self, rng):
-        return np.array([rng.uniform(0.2, self.rho_max), rng.uniform(0.0, 2.0 * math.pi)])
 
     def latitude_seed(self, sys):
         """On the circle tanh(sqrt(-kappa) rho*) = sqrt(-kappa)/s about the origin."""
@@ -1137,12 +978,6 @@ class TorusChart(_PlanarChart):
 
     def _oracle_base(self, q, comp):
         return 1.0, q, None if comp is None else comp(q.T)
-
-    def random_point(self, rng):
-        p1, p2 = self.box
-        return np.array([rng.uniform(0.0, p1), rng.uniform(0.0, p2)])
-
-    probe_point = random_point
 
     def latitude_seed(self, sys):
         """On the circle of radius 1/s about the centre of the domain."""

@@ -32,7 +32,7 @@ from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
 from .geometry import TangentState, state_distance, tangent_state, wrap_position
 from .reporting import round_sig
 from .dynamics import (Trajectory, flow, pack_state, reference_period, rhs,
-                       unpack_state)
+                       stepper_tolerances, unpack_state)
 
 log = logging.getLogger(__name__)
 
@@ -69,11 +69,6 @@ def _crossing_speed(sys, spec, q, v):
     return float(vv @ spec.normal) / np.linalg.norm(vv)
 
 
-def section_state(sys, spec: SectionSpec, a, b) -> TangentState:
-    """The section state with reduced coordinates (a, b)."""
-    return sys.surface.ops.section_state(sys, spec, a, b)
-
-
 def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
                tangents=None):
     """First forward return of the flow to the section: (state, return time).
@@ -103,8 +98,7 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
         k = tangents.shape[1]
         f = _with_time_column(rhs(sys, tangents=k + 1), n)
         y0 = np.concatenate([y0, tangents.T.ravel(), np.zeros(n)])
-    rtol = max(tol * 0.1, 1e-13)
-    atol = max(tol * 1e-3, 1e-14)
+    rtol, atol = stepper_tolerances(tol)
     head = 0.3 * t_ref
     sol = solve_ivp(f, (0.0, head), y0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
@@ -171,7 +165,7 @@ def _reduced_map(sys, spec, tol):
     anchor, d = spec.anchor.position, ops.dim
 
     def section_point(x):
-        st = section_state(sys, spec, x[0], x[1])
+        st = ops.section_state(sys, spec, x[0], x[1])
         return np.concatenate([wrap_position(sys.surface, st.position, ref=anchor),
                                st.velocity])
 
@@ -179,7 +173,7 @@ def _reduced_map(sys, spec, tol):
         return ops.section_coords(sys, spec, tangent_state(sys, y[:d], y[d:]))
 
     def F(x, jacobian=False):
-        st = section_state(sys, spec, x[0], x[1])
+        st = ops.section_state(sys, spec, x[0], x[1])
         if not jacobian:
             st2, t_ret = return_map(sys, spec, st, tol=tol)
             jac = None
@@ -252,7 +246,7 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
 
 def _build_orbit(sys, spec, x, period, seed_id, ivp_tol, iterations=0):
     """The Orbit through the section point x, whose return time is period."""
-    st = section_state(sys, spec, x[0], x[1])
+    st = sys.surface.ops.section_state(sys, spec, x[0], x[1])
     t_ref = reference_period(sys)
     if abs(period - t_ref) > SHORT_LOOP_PERIOD_WINDOW * t_ref:
         raise DivergedFromFamily(

@@ -117,6 +117,9 @@ def run_experiment_full(cfg: ExperimentConfig):
     found = orbits.enumerate_orbits(sys, grid_density=cfg.grid_density,
                                     tol=cfg.tol_orbit, max_iter=cfg.max_iter,
                                     workers=cfg.workers, rng_seed=cfg.rng_seed)
+    if found.seeds_attempted == 0:
+        raise NoOrbitsFound(f"no closed orbits: the seed grid is empty "
+                            f"(grid_density = {cfg.grid_density})")
     if not found:
         raise NoOrbitsFound(
             f"no closed orbits from {found.seeds_attempted} seeds; eps may exceed the "

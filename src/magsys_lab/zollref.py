@@ -27,7 +27,11 @@ from .errors import ValidationError, ZollRegimeViolation
 
 
 def check_zoll_regime(kappa, strength):
-    """The one check of the Zoll regime: s^2 + kappa > 0 and sqrt(s^2+kappa) + s > 0."""
+    """The one check of the Zoll regime: kappa and s finite, s^2 + kappa > 0
+    and sqrt(s^2+kappa) + s > 0."""
+    if not (math.isfinite(kappa) and math.isfinite(strength)):
+        raise ZollRegimeViolation(
+            f"kappa and strength must be finite (kappa = {kappa:g}, strength = {strength:g})")
     disc = strength**2 + kappa
     if not (disc > 0 and math.sqrt(disc) + strength > 0):
         raise ZollRegimeViolation(

@@ -21,7 +21,7 @@ from magsys_lab import (ExperimentConfig, check_two_sided, conformal_perturb,
                         enumerate_orbits, find_closed_orbit, flow,
                         flux_through_cap, kahler_bundle_pairings,
                         latitude_seed, length, magnetic_length, make_model,
-                        random_state, reference_length, reference_period,
+                        reference_length, reference_period,
                         run_experiment, state_distance, sweep, tangent_state,
                         vol_closed_form, vol_quadrature_oracle,
                         zoll_polynomial_generic, zoll_polynomial_kahler)
@@ -29,6 +29,8 @@ from magsys_lab.cli import main
 from magsys_lab.geometry import TangentState
 from magsys_lab.orbits import deduplicate
 from magsys_lab.zollref import CohomologyData
+
+from instruments import random_state
 
 PERIOD_SPHERE = 4.442882938158366        # 2 pi / sqrt(2)
 FLUX_SPHERE = 1.8403023690212201         # 2 pi (1 - 1/sqrt(2))

@@ -242,6 +242,26 @@ class TestCliRuns:
         assert main(["constants", "--config", cfg_path]) == 1
         assert "Zoll regime violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,named", [
+        # a nan eps failed every "> 0" test and ran the unperturbed system
+        ("kappa = 1\nstrength = 1\n[perturbation]\nfield = sphere_harmonic_z\n"
+         "eps = nan\n", "eps must be finite, got nan"),
+        ("kappa = inf\nstrength = 1\n", "kappa = inf, strength = 1"),
+        ("kappa = 1\nstrength = inf\n", "kappa = 1, strength = inf"),
+        # an infinite tol_orbit accepted every seed as a closed orbit
+        ("kappa = 1\nstrength = 1\n[search]\ntol_orbit = inf\n",
+         "tol_orbit must be finite, got inf"),
+        # an infinite eta coefficient ran the census without end
+        ("kappa = 1\nstrength = 1\n[perturbation]\neps = 0.05\neta = sphere_eta_axial\n"
+         "eta_coeffs = inf\n", "eta_coeffs must be finite, got (inf,)"),
+    ], ids=["eps-nan", "kappa-inf", "strength-inf", "tol-orbit-inf", "eta-coeffs-inf"])
+    def test_non_finite_input_refused(self, tmp_path, capsys, text, named):
+        cfg_path = write(tmp_path, "bad.cfg", text)
+        out = tmp_path / "out"
+        assert main(["systole", "--config", cfg_path, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fail_exit_code_via_error_run(self, tmp_path):
         text = """kappa = 1.0
 strength = 1.0

@@ -6,14 +6,15 @@ import pytest
 
 from magsys_lab import (ScalarField, conformal_perturb, flow, latitude_seed,
                         geodesic_curvature_series, length, make_model,
-                        random_state, reference_period, state_distance,
-                        tangent_state, trajectory_to_csv,
-                        with_sigma_perturbation)
+                        reference_period, state_distance, tangent_state,
+                        trajectory_to_csv, with_sigma_perturbation)
 from magsys_lab.dynamics import rhs
 from magsys_lab.geometry import (SphereChart, TangentState, TorusChart,
-                                 _christoffel0, conf_log_diff, g_dot, g_norm,
+                                 conf_log_diff, g_dot, g_norm,
                                  magnetic_density, rotate90)
 from magsys_lab.orbits import Orbit
+
+from instruments import christoffel0, random_state
 
 
 def closure_defect(sys, traj):
@@ -275,7 +276,7 @@ def reference_curvature(sys, q, v, dv):
         cov = dv - float(dv @ n) * n
         frame = n
     else:
-        cov = dv + np.einsum("kij,i,j->k", _christoffel0(*ops.w_wp(q[0])), v, v)
+        cov = dv + np.einsum("kij,i,j->k", christoffel0(*ops.w_wp(q[0])), v, v)
         frame = float(ops.weight(q[0]))
     if not sys.is_unperturbed():
         dl = conf_log_diff(sys, q)

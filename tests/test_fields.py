@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from magsys_lab import (OneForm, ScalarField, ValidationError, make_model, one_form_names,
-                        random_state)
+from magsys_lab import OneForm, ScalarField, ValidationError, make_model, one_form_names
 from magsys_lab.fields import _ONE_FORMS, _SCALAR_FIELDS
+
+from instruments import random_state
 
 # every built-in field on a surface of its chart, with non-default coefficients
 SCALAR_CASES = [("const", (0.7,), 1.0), ("const", (0.7,), 0.0), ("const", (0.7,), -1.0),

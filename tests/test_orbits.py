@@ -17,7 +17,7 @@ from magsys_lab import ScalarField
 from magsys_lab import dynamics as dynamics_mod
 from magsys_lab import orbits as orbits_mod
 from magsys_lab.orbits import (Orbit, _matched_bound, _poly_hausdorff,
-                               _reduced_map, _support_gap, section_state)
+                               _reduced_map, _support_gap)
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -58,7 +58,7 @@ class TestReturnMap:
         sys = make_model(1.0, 1.0)
         seed = latitude_seed(sys)
         spec = make_section(sys, seed)
-        tangent = section_state(sys, spec, 0.0, math.pi / 2)
+        tangent = sys.surface.ops.section_state(sys, spec, 0.0, math.pi / 2)
         with pytest.raises(TangencyError):
             return_map(sys, spec, tangent)
 

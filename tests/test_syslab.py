@@ -119,7 +119,9 @@ class TestSweep:
 
 class TestReproducibility:
     def test_no_orbits_raises(self):
-        with pytest.raises(NoOrbitsFound):
+        # the empty grid is named, not "eps may exceed the perturbative regime"
+        with pytest.raises(NoOrbitsFound, match=r"^no closed orbits: the seed grid is "
+                                                r"empty \(grid_density = 0\)$"):
             run_experiment(zoll_cfg(1.0, 1.0, grid_density=0))
 
     def test_bit_identical_reports(self):
