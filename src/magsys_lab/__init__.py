@@ -11,11 +11,10 @@ from .errors import (CapNotFound, DivergedFromFamily, IoError, MagsysError,
                      QuadratureFailure, StepFailure, TangencyError,
                      ValidationError, ZollRegimeViolation)
 from .fields import OneForm, ScalarField, one_form_names, scalar_field_names
-from .geometry import (Chart, MagneticSystem, ModelSurface, TangentState,
-                       conformal_perturb, g_dot, g_norm, make_model,
-                       make_surface, magnetic_density, riemannian_volume,
-                       rotate90, state_distance, tangent_state,
-                       unperturbed_volume, with_sigma_perturbation)
+from .geometry import (MagneticSystem, TangentState, conformal_perturb, g_dot,
+                       g_norm, make_model, make_surface, magnetic_density,
+                       riemannian_volume, state_distance, tangent_state,
+                       with_sigma_perturbation)
 from .dynamics import (Trajectory, flow, geodesic_curvature_series,
                        latitude_seed, measure_geodesic_curvature,
                        reference_period, trajectory_to_csv)

@@ -134,8 +134,11 @@ def parse_config(path):
     zollref.check_zoll_regime(cfg.kappa, cfg.strength)
     samples = values.get(("search", "samples"), 1_000_000)
     volume.check_samples(samples)
+    eps_list = values.get(("search", "eps_list"), (0.0,))
+    for eps in eps_list:    # each entry is checked as a config now, before any census
+        replace(cfg, eps=eps)
     extras = {
-        "eps_list": values.get(("search", "eps_list"), (0.0,)),
+        "eps_list": eps_list,
         "samples": samples,
         "out": values.get(("output", "out")),
     }

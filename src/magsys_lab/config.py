@@ -43,7 +43,7 @@ class ExperimentConfig:
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
         if self.eps < 0:
-            raise ValidationError("eps must be >= 0")
+            raise ValidationError(f"eps must be >= 0, got {self.eps}")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
         for name, least in (("grid_density", 0), ("max_iter", 0), ("workers", 1)):

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import StepFailure
 from .geometry import (MagneticSystem, TangentState, conf_log_diff, g_dot,
-                       g_norm, rotate90, tangent_state)
+                       g_norm, tangent_state)
 from .reporting import samples_csv
 
 DEFAULT_TOL = 1e-10
@@ -58,7 +58,7 @@ def rhs(sys: MagneticSystem, tangents=0):
     variational equations of the flow, and its first block is the m = 0
     result bit for bit.
     """
-    return sys.surface.ops.rhs(sys, tangents)
+    return sys.surface.rhs(sys, tangents)
 
 
 def stepper_tolerances(tol):
@@ -141,7 +141,7 @@ def latitude_seed(sys: MagneticSystem) -> TangentState:
     chart object's ``latitude_seed`` gives its radius).  Orientation keeps
     the enclosed center on the J-side of the velocity.
     """
-    return sys.surface.ops.latitude_seed(sys)
+    return sys.surface.latitude_seed(sys)
 
 
 def geodesic_curvature_series(sys, traj: Trajectory):
@@ -186,14 +186,14 @@ def measure_geodesic_curvature(sys, state: TangentState):
 
 def _signed_curvature(sys, q, v, dv):
     """kappa_g at the states (q, v) with chart acceleration dv: (..., d) arrays."""
-    ops = sys.surface.ops
-    cov = ops.covariant(q, v, dv)
+    surface = sys.surface
+    cov = surface.covariant(q, v, dv)
     if not sys.is_unperturbed():
         dl = conf_log_diff(sys, q)
-        grad, v0sq = ops.g0_terms(q, v, dl)
+        grad, v0sq = surface.g0_terms(q, v, dl)
         cov = (cov + 2.0 * np.sum(dl * v, axis=-1, keepdims=True) * v
                - v0sq[..., None] * grad)
-    jv = rotate90(sys, q, v)
+    jv = surface.rotate90(q, v)
     return g_dot(sys, q, cov, jv) / g_norm(sys, q, v) ** 3
 
 

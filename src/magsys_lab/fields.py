@@ -5,10 +5,13 @@ fields), magnetic perturbations as 1-forms eta with closed-form exterior
 derivative.  Fields are referenced by name plus a coefficient list, so
 configs stay declarative (no code loading) and systems stay picklable.
 
-Points are in each chart's own coordinates (see the chart objects in
-``geometry``), and so are covectors: on the sphere a differential is an
-ambient Euclidean covector (project onto the tangent plane to get the
-intrinsic gradient), elsewhere it has (d_rho, d_phi) or (dx, dy) components.
+A field is evaluated on a surface, which is a chart object of ``geometry``
+(``sys.surface``).  The field tables name the chart class a field is defined
+on, or None for every chart, and ``formulas`` refuses a surface of another
+class.  Points are in each chart's own coordinates, and so are covectors:
+on the sphere a differential is an ambient Euclidean covector (project onto
+the tangent plane to get the intrinsic gradient), elsewhere it has
+(d_rho, d_phi) or (dx, dy) components.
 Hessians are the matrices of second partial derivatives in the same
 coordinates (ambient on the sphere, where the fields are restrictions of
 functions of the ambient point).
@@ -33,11 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Chart
+from .geometry import HyperbolicChart, SphereChart, TorusChart
 
-_SPHERE = Chart.SPHERE_AMBIENT
-_HYPER = Chart.HYPERBOLIC_POLAR
-_TORUS = Chart.FLAT_TORUS
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
@@ -66,7 +66,7 @@ def _on_points(formula, q):
 # --- scalar fields: make(coeffs, surface) -> (value, diff, hess) ---------------
 
 def _const(coeffs, surface):
-    c, dim = coeffs[0], surface.ops.dim
+    c, dim = coeffs[0], surface.dim
     zero, zero2 = (0.0,) * dim, (0.0,) * (dim * dim)
     return (lambda x: c), (lambda x: zero), (lambda x: zero2)
 
@@ -88,7 +88,7 @@ def _sphere_harmonic(coeffs, surface):
 def _torus_cos(idx):
     # u = c cos(2 pi x_idx / P_idx), with the periods P of the chart's box
     def make(coeffs, surface):
-        c, period = coeffs[0], surface.ops.box[idx]
+        c, period = coeffs[0], surface.box[idx]
         two_pi, k = 2.0 * np.pi, 2.0 * np.pi / period
         ck, ckk = -c * k, -c * k * k
 
@@ -128,11 +128,11 @@ def _hyper_bump(coeffs, surface):
 # name -> (factory, chart or None for every chart, coefficient count)
 _SCALAR_FIELDS = {
     "const": (_const, None, 1),
-    "sphere_harmonic_z": (_sphere_harmonic, _SPHERE, 1),
-    "sphere_harmonic_axis": (_sphere_harmonic, _SPHERE, 4),
-    "torus_cos_x": (_torus_cos(0), _TORUS, 1),
-    "torus_cos_y": (_torus_cos(1), _TORUS, 1),
-    "hyperbolic_bump": (_hyper_bump, _HYPER, 2),
+    "sphere_harmonic_z": (_sphere_harmonic, SphereChart, 1),
+    "sphere_harmonic_axis": (_sphere_harmonic, SphereChart, 4),
+    "torus_cos_x": (_torus_cos(0), TorusChart, 1),
+    "torus_cos_y": (_torus_cos(1), TorusChart, 1),
+    "hyperbolic_bump": (_hyper_bump, HyperbolicChart, 2),
 }
 
 
@@ -160,9 +160,9 @@ class _NamedField:
         differential, Hessian) of a scalar field, (components, density,
         density gradient) of a 1-form."""
         make, chart, _ = self._table[self.name]
-        if chart is not None and surface.chart is not chart:
+        if chart is not None and type(surface) is not chart:
             raise ValidationError(f"{self._kind} {self.name!r} is defined on "
-                                  f"{chart.value}, not {surface.chart.value}")
+                                  f"{chart.__name__}, not {type(surface).__name__}")
         return make(self.coeffs, surface)
 
 
@@ -184,7 +184,7 @@ class ScalarField(_NamedField):
 def _torus_eta(coeffs, surface):
     # eta = c sin(k x) dy with k = 2 pi / P1, so d(eta) = c k cos(k x) dx^dy
     c = coeffs[0]
-    k = 2.0 * np.pi / surface.ops.box[0]
+    k = 2.0 * np.pi / surface.box[0]
     ck, ckk = c * k, -c * k * k
     return ((lambda x: (0.0, c * np.sin(k * x[0]))),
             (lambda x: ck * np.cos(k * x[0])),
@@ -224,9 +224,9 @@ def _hyper_eta(coeffs, surface):
 
 
 _ONE_FORMS = {
-    "torus_eta_sin_x": (_torus_eta, _TORUS, 1),
-    "sphere_eta_axial": (_sphere_eta, _SPHERE, 1),
-    "hyperbolic_eta_radial": (_hyper_eta, _HYPER, 1),
+    "torus_eta_sin_x": (_torus_eta, TorusChart, 1),
+    "sphere_eta_axial": (_sphere_eta, SphereChart, 1),
+    "hyperbolic_eta_radial": (_hyper_eta, HyperbolicChart, 1),
 }
 
 

@@ -96,7 +96,7 @@ def _orientation(plane):
 
 def _cap_quadrature(sys, orbit):
     closure = orbit.positions()[-1] - orbit.positions()[0]
-    plane, density, to_chart, center = sys.surface.ops.cap_picture(*_loop(orbit), closure)
+    plane, density, to_chart, center = sys.surface.cap_picture(*_loop(orbit), closure)
     spline = _boundary_spline(plane, center)
     orient = _orientation(plane)
 
@@ -128,7 +128,7 @@ def _green_boundary(sys, orbit):
     integral for the exact perturbation (int_D d(eta) = oint eta)."""
     h = orbit.period / (len(orbit.states) - 1)
     pos, vel = _loop(orbit)
-    base = float(h * np.sum(sys.surface.ops.green_integrand(pos, vel)))
+    base = float(h * np.sum(sys.surface.green_integrand(pos, vel)))
     eta_part = 0.0
     if sys.sigma_perturbation is not None and sys.conformal_eps != 0.0:
         comp = sys.sigma_perturbation.components(sys.surface, pos)

@@ -2,9 +2,10 @@
 
 Three constant-curvature charts are supported, one object each:
 ``SphereChart`` (kappa > 0), ``HyperbolicChart`` (kappa < 0) and
-``TorusChart`` (kappa = 0).  ``surface.ops`` is the object of a surface's
-chart; it owns every formula that depends on the chart, and the rest of the
-package calls it without knowing which chart it is on.
+``TorusChart`` (kappa = 0).  The chart object is the surface: built from
+kappa alone by ``make_surface``, it owns every formula that depends on the
+chart, and the rest of the package calls it as ``sys.surface`` without
+knowing which chart it is on.
 
 The magnetic 2-form of an unperturbed model is the area form sigma0 of the
 unperturbed metric g0.  Perturbations are conformal, g = lam e^{2 eps u} g0,
@@ -16,8 +17,7 @@ fixed so that sigma0(v, Jv) > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,47 +30,21 @@ if TYPE_CHECKING:
     from .fields import OneForm, ScalarField
 
 
-class Chart(Enum):
-    SPHERE_AMBIENT = "sphere_ambient"
-    HYPERBOLIC_POLAR = "hyperbolic_polar"
-    FLAT_TORUS = "flat_torus"
-
-
-@dataclass(frozen=True)
-class ModelSurface:
-    """A constant-curvature model surface.
-
-    ``ops`` is the chart object, built (and the data checked) on creation.
-    """
-
-    kappa: float
-    chart: Chart
-    ops: ChartOps = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", _CHART_OPS[self.chart](self))
-
-    @property
-    def radius(self):
-        """Sphere radius 1/sqrt(kappa)."""
-        return 1.0 / math.sqrt(self.kappa)
-
-
 def make_surface(kappa):
-    """Build the model surface of curvature kappa (chart chosen by sign)."""
+    """The chart object of the model surface of curvature kappa (chosen by sign)."""
     kappa = float(kappa)
     if kappa > 0:
-        return ModelSurface(kappa, Chart.SPHERE_AMBIENT)
+        return SphereChart(kappa)
     if kappa < 0:
-        return ModelSurface(kappa, Chart.HYPERBOLIC_POLAR)
-    return ModelSurface(0.0, Chart.FLAT_TORUS)
+        return HyperbolicChart(kappa)
+    return TorusChart(0.0)
 
 
 @dataclass(frozen=True)
 class MagneticSystem:
     """A model surface with magnetic strength and optional perturbation data."""
 
-    surface: ModelSurface
+    surface: ChartOps
     strength: float
     conformal_exponent: ScalarField | None = None
     conformal_eps: float = 0.0
@@ -118,22 +92,12 @@ def conf_log_diff(sys: MagneticSystem, q):
 
 def g_dot(sys, q, u, v):
     """Perturbed metric pairing g = lam e^{2 eps u} g0 of chart vectors u, v at q."""
-    g0 = sys.surface.ops.g0_dot(q, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    g0 = sys.surface.g0_dot(q, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     return np.exp(2.0 * conf_log(sys, q)) * g0
 
 
 def g_norm(sys, q, v):
     return np.sqrt(g_dot(sys, q, v, v))
-
-
-def rotate90(sys, q, v):
-    """The complex structure J: g-orthogonal positive rotation (J^2 = -Id).
-
-    On the sphere J v = n x v with n the outward unit normal; on the chart
-    surfaces it is the standard positive rotation of the oriented frame.
-    """
-    surface = sys.surface if isinstance(sys, MagneticSystem) else sys
-    return surface.ops.rotate90(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
 
 
 def magnetic_density(sys, q):
@@ -162,32 +126,21 @@ def tangent_state(sys, position, velocity):
     """Construct a TangentState, projecting to the surface and to unit g-speed."""
     q = np.asarray(position, dtype=float).copy()
     v = np.asarray(velocity, dtype=float).copy()
-    sys.surface.ops.project(q, v)
+    sys.surface.project(q, v)
     nrm = g_norm(sys, q, v)
     if not nrm > 0:
         raise ValidationError("velocity must be nonzero")
     return TangentState(position=q, velocity=v / nrm)
 
 
-def wrap_position(surface, q, ref=None):
-    """Shift periodic chart coordinates of q next to ref (or into one period)."""
-    return surface.ops.wrap(np.asarray(q, dtype=float).copy(), ref)
-
-
 def state_distance(sys, s1: TangentState, s2: TangentState):
     """Chart-Euclidean distance in state space (periodic coordinates wrap)."""
-    surface = sys.surface
-    dq = wrap_position(surface, s1.position, ref=s2.position) - s2.position
+    dq = sys.surface.wrap(s1.position, s2.position) - s2.position
     dv = s1.velocity - s2.velocity
     return math.sqrt(float(np.dot(dq, dq) + np.dot(dv, dv)))
 
 
 # --- volume quadrature ---------------------------------------------------------
-
-def unperturbed_volume(surface):
-    """Closed-form g0-area of the model (hyperbolic: of the chart domain)."""
-    return surface.ops.area()
-
 
 def _conf_weight(sys):
     eps = sys.conformal_eps
@@ -200,7 +153,7 @@ def _conf_weight(sys):
 
 def _quad_area(sys, weight, rel_tol):
     """Nested adaptive quadrature of weight(q) dA_{g0} over the chart."""
-    f, *limits = sys.surface.ops.area_integrand(weight)
+    f, *limits = sys.surface.area_integrand(weight)
     val, err = integrate.dblquad(f, *limits, epsabs=0.0, epsrel=0.1 * rel_tol)
     if not math.isfinite(val) or err > rel_tol * abs(val) + 1e-300:
         raise QuadratureFailure(
@@ -231,7 +184,7 @@ def conformal_perturb(sys, u, eps, normalize, rel_tol=1e-10):
     if not normalize:
         return probe
     raw = _quad_area(probe, _conf_weight(probe), rel_tol)
-    lam = unperturbed_volume(sys.surface) / raw
+    lam = sys.surface.area() / raw
     return replace(probe, conformal_scale=lam, volume_normalized=True)
 
 
@@ -257,11 +210,12 @@ def with_sigma_perturbation(sys, eta, eps=None):
 # --- chart objects -------------------------------------------------------------------
 
 class ChartOps:
-    """The formulas of one chart, bound to its surface.
+    """A model surface: the formulas of its chart, built from kappa alone.
+    Two surfaces are equal, and hash alike, when they share class and kappa.
 
     Every chart has metric coordinates (r, p) with g0 = dr^2 + w(r)^2 dp^2,
-    where w = 1 on the torus; ``weight`` gives w with numpy and ``w_wp``
-    gives (w, w') with ``math`` (or with the module passed as ``fn``).
+    where w = 1 on the torus; ``w_wp`` gives (w, w') with ``math``, or with
+    the module passed as ``fn`` (numpy for arrays).
     Sections and caps are worked in a planar image of the chart
     (``to_plane``).  The capping disk is the region that the rotated
     velocity J v points into, and ``cap_picture`` maps it
@@ -271,9 +225,17 @@ class ChartOps:
     dim = 2
     columns = ()
 
-    def __init__(self, surface):
-        self.surface = surface
-        self.kappa = surface.kappa
+    def __init__(self, kappa):
+        self.kappa = float(kappa)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.kappa == other.kappa
+
+    def __hash__(self):
+        return hash((type(self), self.kappa))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.kappa!r})"
 
     def _perturbation(self, sys):
         """The perturbed terms of ``rhs`` as one function at(x, second) of the
@@ -284,14 +246,14 @@ class ChartOps:
         formulas (``formulas``) and the constants are resolved here, once.
         The sphere's kernel passes x as its (3,) array, for the harmonic's
         numpy dot product; the planar kernels pass a list of floats."""
-        surface, eps, dim = self.surface, sys.conformal_eps, self.dim
+        eps, dim = sys.conformal_eps, self.dim
         lam_part = 0.5 * math.log(sys.conformal_scale)
         u = sys.conformal_exponent if eps != 0.0 else None
         eta = sys.sigma_perturbation if eps != 0.0 else None
         if u is not None:
-            u_value, u_diff, u_hess = u.formulas(surface)
+            u_value, u_diff, u_hess = u.formulas(self)
         if eta is not None:
-            _, eta_density, eta_gradient = eta.formulas(surface)
+            _, eta_density, eta_gradient = eta.formulas(self)
         zero, zero2 = [0.0] * dim, [0.0] * (dim * dim)
 
         def at(x, second):
@@ -323,6 +285,7 @@ class ChartOps:
         """Project a position and velocity onto the surface, in place."""
 
     def wrap(self, q, ref):
+        """q with its periodic chart coordinates shifted next to ref."""
         return q
 
     def to_plane(self, q):
@@ -345,7 +308,7 @@ class ChartOps:
         """
         s, eps = sys.strength, sys.conformal_eps
         eta = sys.sigma_perturbation
-        comp = eta.formulas(self.surface)[0] if eta is not None and eps != 0.0 else None
+        comp = eta.formulas(self)[0] if eta is not None and eps != 0.0 else None
 
         def pair_mean(q, fib):
             W, amb, eta_q = self._oracle_base(q, comp)
@@ -373,18 +336,15 @@ class SphereChart(ChartOps):
     dim = 3
     columns = ("qx", "qy", "qz", "vx", "vy", "vz")
 
-    def __init__(self, surface):
-        if not surface.kappa > 0:
-            raise ValidationError("SphereAmbient requires kappa > 0")
-        super().__init__(surface)
-        self.sk = math.sqrt(surface.kappa)
-        self.R = surface.radius
+    def __init__(self, kappa):
+        if not kappa > 0:
+            raise ValidationError("SphereChart requires kappa > 0")
+        super().__init__(kappa)
+        self.sk = math.sqrt(self.kappa)
+        self.R = 1.0 / self.sk
         self.box = (math.pi / self.sk, 2.0 * math.pi)    # (theta, phi) of the oracle
 
     # metric coordinates
-    def weight(self, rho):
-        return np.sin(self.sk * np.asarray(rho, dtype=float)) / self.sk
-
     def w_wp(self, rho, fn=math):
         return fn.sin(self.sk * rho) / self.sk, fn.cos(self.sk * rho)
 
@@ -525,7 +485,7 @@ class SphereChart(ChartOps):
         alpha = theta / R
         sa, ca, sp, cp = np.sin(alpha), np.cos(alpha), np.sin(phi), np.cos(phi)
         x, y = R * sa * cp, R * sa * sp
-        W, amb = self.weight(theta), np.stack([x, y, R * ca], axis=-1)
+        W, amb = self.w_wp(theta, np)[0], np.stack([x, y, R * ca], axis=-1)
         if comp is None:
             return W, amb, None
         c0, c1, c2 = comp(amb.T)
@@ -652,7 +612,7 @@ class _PlanarChart(ChartOps):
     """Formulas shared by the two charts whose points are (r, p) pairs."""
 
     def rotate90(self, q, v):
-        w = self.weight(q[..., 0])
+        w = self.w_wp(q[..., 0], np)[0]
         out = np.empty_like(v)
         out[..., 0] = -w * v[..., 1]
         out[..., 1] = v[..., 0] / w
@@ -732,7 +692,7 @@ class _PlanarChart(ChartOps):
     def g0_terms(self, q, v, dl):
         """(g0-gradient of Lambda, |v|^2_g0) from the differential dl at q;
         q, v and dl are (..., 2) arrays."""
-        w2 = self.weight(q[..., 0]) ** 2
+        w2 = self.w_wp(q[..., 0], np)[0] ** 2
         return (np.stack([dl[..., 0], dl[..., 1] / w2], axis=-1),
                 v[..., 0] ** 2 + w2 * v[..., 1] ** 2)
 
@@ -747,7 +707,7 @@ class _PlanarChart(ChartOps):
     def area_integrand(self, weight):
         """weight dA_g0 in metric coordinates, then the dblquad limits."""
         def f(r, p):
-            return weight(np.array([r, p])) * float(self.weight(r))
+            return weight(np.array([r, p])) * float(self.w_wp(r, np)[0])
 
         return f, 0.0, self.box[1], 0.0, self.box[0]
 
@@ -765,7 +725,7 @@ class _PlanarChart(ChartOps):
 
     def _lower(self, q, v):
         """g0-metric lowering in chart components (used only for angles)."""
-        w = float(self.weight(q[0]))
+        w = float(self.w_wp(q[0], np)[0])
         return np.array([v[0], w**2 * v[1]])
 
     def section_state(self, sys, spec, a, b):
@@ -780,7 +740,7 @@ class _PlanarChart(ChartOps):
             # only the hyperbolic chart's plane map is singular, at its origin
             raise StepFailure("section point at rho = 0, where the polar chart "
                               "is singular") from None
-        jvref = rotate90(sys, q, vref)
+        jvref = self.rotate90(q, vref)
         nrm0, jnrm0 = g_norm(sys, q, vref), g_norm(sys, q, jvref)
         v = math.cos(b) * vref / nrm0 + math.sin(b) * jvref / jnrm0
         return tangent_state(sys, q, v)
@@ -792,7 +752,7 @@ class _PlanarChart(ChartOps):
         jac = self.plane_jacobian(state.position)
         dir_plane = self.plane_jacobian(anchor.position) @ anchor.velocity
         vref = np.linalg.solve(jac, dir_plane)
-        jvref = rotate90(sys, state.position, vref)
+        jvref = self.rotate90(state.position, vref)
         x = float(state.velocity @ self._lower(state.position, vref))
         y = float(state.velocity @ self._lower(state.position, jvref))
         b = math.atan2(y, x)    # J is a g0-isometry, so the common scale cancels
@@ -815,22 +775,19 @@ class HyperbolicChart(_PlanarChart):
 
     columns = ("rho", "phi", "v_rho", "v_phi")
 
-    def __init__(self, surface):
-        if not surface.kappa < 0:
-            raise ValidationError("HyperbolicPolar requires kappa < 0")
-        super().__init__(surface)
-        self.sk = math.sqrt(-surface.kappa)
+    def __init__(self, kappa):
+        if not kappa < 0:
+            raise ValidationError("HyperbolicChart requires kappa < 0")
+        super().__init__(kappa)
+        self.sk = math.sqrt(-self.kappa)
         self.domain_rho = 3.0 / self.sk
         self.box = (self.domain_rho, 2.0 * math.pi)
-
-    def weight(self, rho):
-        return np.sinh(self.sk * np.asarray(rho, dtype=float)) / self.sk
 
     def w_wp(self, rho, fn=math):
         return fn.sinh(self.sk * rho) / self.sk, fn.cosh(self.sk * rho)
 
     def g0_dot(self, q, u, v):
-        w = self.weight(np.asarray(q, dtype=float)[..., 0])
+        w = self.w_wp(np.asarray(q, dtype=float)[..., 0], np)[0]
         return u[..., 0] * v[..., 0] + w**2 * u[..., 1] * v[..., 1]
 
     def project(self, q, v):
@@ -839,11 +796,7 @@ class HyperbolicChart(_PlanarChart):
 
     def wrap(self, q, ref):
         two_pi = 2.0 * math.pi
-        if ref is None:
-            q[1] = q[1] % two_pi
-        else:
-            q[1] -= two_pi * round((q[1] - float(ref[1])) / two_pi)
-        return q
+        return np.array([q[0], q[1] - two_pi * round((q[1] - float(ref[1])) / two_pi)])
 
     def area(self):
         rho = self.domain_rho
@@ -855,14 +808,9 @@ class HyperbolicChart(_PlanarChart):
 
     def latitude_seed(self, sys):
         """On the circle tanh(sqrt(-kappa) rho*) = sqrt(-kappa)/s about the origin."""
-        s = sys.strength
-        if abs(s) <= self.sk:
-            # construction guarantees s^2+kappa>0, so this cannot trigger
-            raise StepFailure("no latitude circle below the horocycle threshold")
-        rho = math.atanh(self.sk / abs(s)) / self.sk
-        w = float(self.weight(rho))
-        return tangent_state(sys, np.array([rho, 0.0]),
-                             np.array([0.0, math.copysign(1.0, s) / w]))
+        rho = math.atanh(self.sk / sys.strength) / self.sk    # the Zoll regime has s > sk
+        w = float(self.w_wp(rho, np)[0])
+        return tangent_state(sys, np.array([rho, 0.0]), np.array([0.0, 1.0 / w]))
 
     def _translate(self, state, dist, psi):
         """Push a chart state out to distance dist along direction psi (isometry)."""
@@ -952,25 +900,18 @@ class TorusChart(_PlanarChart):
 
     columns = ("x", "y", "vx", "vy")
 
-    def __init__(self, surface):
-        if surface.kappa != 0:
-            raise ValidationError("FlatTorus requires kappa = 0")
-        super().__init__(surface)
+    def __init__(self, kappa):
+        if kappa != 0:
+            raise ValidationError("TorusChart requires kappa = 0")
+        super().__init__(kappa)
         self.box = (2.0 * math.pi, 2.0 * math.pi)
-
-    def weight(self, rho):
-        return 1.0
 
     def w_wp(self, rho, fn=math):
         return 1.0, 0.0
 
     def wrap(self, q, ref):
         periods = np.asarray(self.box)
-        if ref is None:
-            q -= periods * np.floor(q / periods)
-        else:
-            q -= periods * np.round((q - np.asarray(ref, dtype=float)) / periods)
-        return q
+        return q - periods * np.round((q - ref) / periods)
 
     def area(self):
         p1, p2 = self.box
@@ -980,21 +921,16 @@ class TorusChart(_PlanarChart):
         return 1.0, q, None if comp is None else comp(q.T)
 
     def latitude_seed(self, sys):
-        """On the circle of radius 1/s about the centre of the domain."""
+        """On the circle of radius 1/s about the centre of the domain (the Zoll
+        regime has s > 0)."""
         p1, p2 = self.box
-        s = sys.strength
-        center = np.array([0.5 * p1, 0.5 * p2])
-        if s == 0:
-            # straight lines never close into short loops; seed along x anyway
-            return tangent_state(sys, center, np.array([1.0, 0.0]))
-        q = center + np.array([1.0 / abs(s), 0.0])
-        v = np.array([0.0, math.copysign(1.0, s)])
-        return tangent_state(sys, q, v)
+        q = np.array([0.5 * p1 + 1.0 / sys.strength, 0.5 * p2])
+        return tangent_state(sys, q, np.array([0.0, 1.0]))
 
     def seed_family(self, sys, grid_density, rng):
         """The latitude circle moved to the centres of a grid of cells."""
         p1, p2 = self.box
-        r = 1.0 / abs(sys.strength) if sys.strength != 0 else 0.0
+        r = 1.0 / sys.strength
         base = self.latitude_seed(sys)
         seeds = []
         for i in range(grid_density):
@@ -1027,7 +963,3 @@ class TorusChart(_PlanarChart):
     def _green_primitive(self, pos):
         return pos[:, 0]
 
-
-_CHART_OPS = {Chart.SPHERE_AMBIENT: SphereChart,
-              Chart.HYPERBOLIC_POLAR: HyperbolicChart,
-              Chart.FLAT_TORUS: TorusChart}

@@ -29,7 +29,7 @@ from scipy.integrate import solve_ivp
 from .config import ExperimentConfig
 from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
                      TangencyError)
-from .geometry import TangentState, state_distance, tangent_state, wrap_position
+from .geometry import TangentState, state_distance, tangent_state
 from .reporting import round_sig
 from .dynamics import (Trajectory, flow, pack_state, reference_period, rhs,
                        stepper_tolerances, unpack_state)
@@ -55,17 +55,17 @@ class SectionSpec:
 
 
 def make_section(sys, anchor: TangentState) -> SectionSpec:
-    normal, tangent = sys.surface.ops.section_frame(anchor.position, anchor.velocity)
+    normal, tangent = sys.surface.section_frame(anchor.position, anchor.velocity)
     return SectionSpec(anchor=anchor, normal=normal, tangent=tangent)
 
 
 def _section_value(sys, spec, q):
-    ops = sys.surface.ops
-    return float((ops.to_plane(q) - ops.to_plane(spec.anchor.position)) @ spec.normal)
+    surface = sys.surface
+    return float((surface.to_plane(q) - surface.to_plane(spec.anchor.position)) @ spec.normal)
 
 
 def _crossing_speed(sys, spec, q, v):
-    vv = sys.surface.ops.plane_velocity(q, v)
+    vv = sys.surface.plane_velocity(q, v)
     return float(vv @ spec.normal) / np.linalg.norm(vv)
 
 
@@ -89,7 +89,7 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
             < TRANSVERSALITY_MIN:
         raise TangencyError("flow is tangent to the section at the given state")
 
-    d = sys.surface.ops.dim
+    d = sys.surface.dim
     n = 2 * d
     y0 = pack_state(state)
     if tangents is None:
@@ -127,7 +127,7 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
     T = y_ev[n:-n].reshape(k, n).T
     f_ev = y_ev[-n:] / t_ev
     grad = np.zeros(n)
-    grad[:d] = sys.surface.ops.plane_jacobian(y_ev[:d]).T @ section.normal
+    grad[:d] = sys.surface.plane_jacobian(y_ev[:d]).T @ section.normal
     return st, t_ev, T - np.outer(f_ev, grad @ T) / float(grad @ f_ev)
 
 
@@ -161,19 +161,18 @@ def _reduced_map(sys, spec, tol):
     """The reduced return map at x: (F(x), return time, state residual,
     dF/dx).  The Jacobian is None unless asked for; with jacobian=True the
     return map carries the section's tangents (see the module docstring)."""
-    ops = sys.surface.ops
-    anchor, d = spec.anchor.position, ops.dim
+    surface = sys.surface
+    anchor, d = spec.anchor.position, surface.dim
 
     def section_point(x):
-        st = ops.section_state(sys, spec, x[0], x[1])
-        return np.concatenate([wrap_position(sys.surface, st.position, ref=anchor),
-                               st.velocity])
+        st = surface.section_state(sys, spec, x[0], x[1])
+        return np.concatenate([surface.wrap(st.position, anchor), st.velocity])
 
     def coords(y):
-        return ops.section_coords(sys, spec, tangent_state(sys, y[:d], y[d:]))
+        return surface.section_coords(sys, spec, tangent_state(sys, y[:d], y[d:]))
 
     def F(x, jacobian=False):
-        st = ops.section_state(sys, spec, x[0], x[1])
+        st = surface.section_state(sys, spec, x[0], x[1])
         if not jacobian:
             st2, t_ret = return_map(sys, spec, st, tol=tol)
             jac = None
@@ -181,7 +180,7 @@ def _reduced_map(sys, spec, tol):
             dS = _central_differences(section_point, x, np.eye(2))
             st2, t_ret, D = return_map(sys, spec, st, tol=tol, tangents=dS)
             jac = _central_differences(coords, pack_state(st2), D)
-        x2 = ops.section_coords(sys, spec, st2)
+        x2 = surface.section_coords(sys, spec, st2)
         return x2, t_ret, state_distance(sys, st2, st), jac
     return F
 
@@ -246,7 +245,7 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
 
 def _build_orbit(sys, spec, x, period, seed_id, ivp_tol, iterations=0):
     """The Orbit through the section point x, whose return time is period."""
-    st = sys.surface.ops.section_state(sys, spec, x[0], x[1])
+    st = sys.surface.section_state(sys, spec, x[0], x[1])
     t_ref = reference_period(sys)
     if abs(period - t_ref) > SHORT_LOOP_PERIOD_WINDOW * t_ref:
         raise DivergedFromFamily(
@@ -264,7 +263,7 @@ def seed_grid(sys, grid_density, rng_seed=ExperimentConfig.rng_seed):
     """Deterministic (seed_id, TangentState) pairs covering the Zoll family."""
     if grid_density <= 0:
         return []
-    return sys.surface.ops.seed_family(sys, grid_density, np.random.default_rng(rng_seed))
+    return sys.surface.seed_family(sys, grid_density, np.random.default_rng(rng_seed))
 
 
 def _poly_hausdorff(sys, pa, pb):
@@ -274,7 +273,7 @@ def _poly_hausdorff(sys, pa, pb):
     polyline, so that phase-shifted samplings of the same curve compare as
     close.
     """
-    pa, pb = sys.surface.ops.align_loops(pa, pb)
+    pa, pb = sys.surface.align_loops(pa, pb)
 
     def one_sided(P, Q):
         d = _segment_distances(P[:, None, :], Q[None, :-1, :], Q[None, 1:, :])
@@ -354,7 +353,7 @@ def deduplicate(sys, orbits):
 
 def _same_loop(sys, pa, pb):
     """Whether the loops pa and pb coincide within DEDUP_TOL (see ``deduplicate``)."""
-    a, b = sys.surface.ops.align_loops(pa, pb)
+    a, b = sys.surface.align_loops(pa, pb)
     if _support_gap(a, b) >= 2.0 * DEDUP_TOL:
         return False
     if _matched_bound(a, b) < 0.5 * DEDUP_TOL:

@@ -92,7 +92,7 @@ def samples_csv(sys, traj, path, extra=None):
     velocity columns, then one column per entry of extra (name -> per-sample
     values)."""
     extra = extra or {}
-    cols = ["t", *sys.surface.ops.columns, *extra]
+    cols = ["t", *sys.surface.columns, *extra]
     table = np.column_stack([traj.times, traj.states, *extra.values()])
     write_text(csv_text((dict(zip(cols, row)) for row in table.tolist()), cols), path)
 

@@ -26,7 +26,6 @@ short-loop window so a failure can be attributed to census incompleteness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 from . import orbits, zollref
@@ -34,7 +33,8 @@ from .config import ExperimentConfig
 from .errors import MagsysError, NoOrbitsFound, ValidationError
 from .fields import OneForm, ScalarField
 from .geometry import (conformal_perturb, make_model, riemannian_volume,
-                       unperturbed_volume, with_sigma_perturbation)
+                       with_sigma_perturbation)
+from .volume import identity_constant
 
 SHORT_LOOP_WINDOW = orbits.SHORT_LOOP_PERIOD_WINDOW
 
@@ -98,11 +98,12 @@ def _two_sided(l_min, l_max, reference, tol):
 
 
 def _full_coefficient(kappa, s, n, vol_g0):
-    """Coefficient of (vol_g - vol_g0) in the affine full inequality."""
+    """Coefficient C = 2 pi^{2n} / ((n-1)! K) of (vol_g - vol_g0) in the affine
+    full inequality, with K the leading constant of the Kahler Zoll polynomial:
+    ``zollref.inequality_constant_C`` at kappa != 0."""
     if kappa != 0:
         return zollref.inequality_constant_C(kappa, s, n, vol_g0)
-    a2 = zollref.a1_squared(kappa, s)
-    return math.factorial(2 * n) / (math.factorial(n - 1) * math.pi * a2 ** (8 * n))
+    return identity_constant(n) / zollref.kahler_leading_constant(kappa, s, n)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -127,7 +128,7 @@ def run_experiment_full(cfg: ExperimentConfig):
 
     lmags = found.magnetic_lengths
     l_min, l_max = min(lmags), max(lmags)
-    vol_g0 = unperturbed_volume(sys.surface)
+    vol_g0 = sys.surface.area()
     vol_g = vol_g0 if sys.is_unperturbed() else \
         riemannian_volume(sys, rel_tol=cfg.tol_quad)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import MagneticSystem, riemannian_volume, unperturbed_volume
+from .geometry import MagneticSystem, riemannian_volume
 
 CELLS_PER_SIDE = 16
 
@@ -69,7 +69,7 @@ def vol_closed_form(sys0: MagneticSystem, sys: MagneticSystem):
     if sys.volume_normalized or sys.is_unperturbed():
         return 0.0
     vol_g = riemannian_volume(sys, rel_tol=1e-9)
-    vol_g0 = unperturbed_volume(sys0.surface)
+    vol_g0 = sys0.surface.area()
     return math.pi * (vol_g - vol_g0)
 
 
@@ -105,7 +105,7 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
     e^Lambda and eta), so they are computed once per pair."""
     _check_pair(sys0, sys)
     check_samples(samples)
-    pair_mean_at, box = sys.surface.ops.oracle(sys)
+    pair_mean_at, box = sys.surface.oracle(sys)
     vol_box = box[0] * box[1] * 2.0 * math.pi
 
     n_cells = CELLS_PER_SIDE**2

@@ -74,8 +74,8 @@ class ZollReference:
 def _model_volume(kappa):
     """The g0-area vol_g0 of the model surface of curvature kappa (on the
     hyperbolic chart, of its domain)."""
-    from .geometry import make_surface, unperturbed_volume
-    return unperturbed_volume(make_surface(kappa))
+    from .geometry import make_surface
+    return make_surface(kappa).area()
 
 
 def make_reference(kappa, strength, n=1, vol_g0=None):
@@ -139,15 +139,23 @@ def _bracket(a2, n, A):
     return math.expm1(2 * n * math.log1p(x))
 
 
+def kahler_leading_constant(kappa, s0, n, vol_g0=None):
+    """The leading constant K of the Kahler Zoll polynomial
+    P(A) = K [(1 + A/(pi a^2(1)))^{2n} - 1]: K_tilde vol_g0 at kappa != 0
+    (vol_g0 defaults to the model's), 2 pi^{2n+1} a^2(1)^{4n} / (2n)! at
+    kappa = 0."""
+    if kappa != 0:
+        return k_tilde(kappa, s0, n) * (_model_volume(kappa) if vol_g0 is None else vol_g0)
+    return (2.0 * math.pi ** (2 * n + 1) / math.factorial(2 * n)
+            * a1_squared(kappa, s0) ** (4 * n))
+
+
 def zoll_polynomial_kahler(kappa, s0, n, vol_g0, A):
     """Closed-form Zoll polynomial of the constant-curvature magnetic models."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     a2 = a1_squared(kappa, s0)
-    if kappa != 0:
-        return k_tilde(kappa, s0, n) * vol_g0 * _bracket(a2, n, A)
-    lead = 2.0 * math.pi ** (2 * n + 1) / math.factorial(2 * n) * a2 ** (4 * n)
-    return lead * _bracket(a2, n, A)
+    return kahler_leading_constant(kappa, s0, n, vol_g0) * _bracket(a2, n, A)
 
 
 def kahler_bundle_pairings(kappa, s0, n=1, vol_g0=None):
@@ -158,16 +166,12 @@ def kahler_bundle_pairings(kappa, s0, n=1, vol_g0=None):
 
         <c0^{m-k} e0^k, [M]> = 2 n Keff / (pi a^2(1))^{k+1},  m = 2n - 1,
 
-    with Keff the leading constant of the matching closed-form branch.  The
-    generic polynomial on this data reproduces the closed form exactly.
+    with Keff the leading constant of the matching closed-form branch
+    (``kahler_leading_constant``).  The generic polynomial on this data
+    reproduces the closed form exactly.
     """
     a2 = a1_squared(kappa, s0)
-    if kappa != 0:
-        if vol_g0 is None:
-            vol_g0 = _model_volume(kappa)
-        keff = k_tilde(kappa, s0, n) * vol_g0
-    else:
-        keff = 2.0 * math.pi ** (2 * n + 1) / math.factorial(2 * n) * a2 ** (4 * n)
+    keff = kahler_leading_constant(kappa, s0, n, vol_g0)
     m = 2 * n - 1
     pair = tuple(2.0 * n * keff / (math.pi * a2) ** (k + 1) for k in range(m + 1))
     return CohomologyData(pairings=pair, dim_M=2 * m)

@@ -13,25 +13,24 @@ def random_state(sys, rng):
     """A random unit-g-speed tangent state away from the polar chart's origin:
     a uniform point of the sphere, of the torus's domain or of the hyperbolic
     annulus 0.15 <= rho <= 2.5/sqrt(-kappa), and a Gaussian velocity."""
-    ops = sys.surface.ops
-    if isinstance(ops, SphereChart):
+    surface = sys.surface
+    if isinstance(surface, SphereChart):
         q = rng.normal(size=3)
-        q = q / np.linalg.norm(q) * ops.R
-    elif isinstance(ops, TorusChart):
-        p1, p2 = ops.box
+        q = q / np.linalg.norm(q) * surface.R
+    elif isinstance(surface, TorusChart):
+        p1, p2 = surface.box
         q = np.array([rng.uniform(0.0, p1), rng.uniform(0.0, p2)])
     else:
-        q = np.array([rng.uniform(0.15, 2.5 / ops.sk), rng.uniform(0.0, 2.0 * math.pi)])
-    return tangent_state(sys, q, rng.normal(size=ops.dim))
+        q = np.array([rng.uniform(0.15, 2.5 / surface.sk), rng.uniform(0.0, 2.0 * math.pi)])
+    return tangent_state(sys, q, rng.normal(size=surface.dim))
 
 
 def sigma0(surface, q, u, v):
     """The unperturbed area form sigma0(u, v) at q: n . (u x v) with n the
     outward unit normal on the sphere, w (u_r v_p - u_p v_r) on the planar charts."""
-    ops = surface.ops
-    if isinstance(ops, SphereChart):
-        return float(np.dot(q * ops.sk, np.cross(u, v)))
-    return float(ops.weight(q[0])) * (u[0] * v[1] - u[1] * v[0])
+    if isinstance(surface, SphereChart):
+        return float(np.dot(q * surface.sk, np.cross(u, v)))
+    return float(surface.w_wp(q[0], np)[0]) * (u[0] * v[1] - u[1] * v[0])
 
 
 def christoffel0(w, wp):
@@ -43,10 +42,11 @@ def christoffel0(w, wp):
     return gam
 
 
-def stencil_curvature(ops, r, h=1e-3):
+def stencil_curvature(surface, r, h=1e-3):
     """Gaussian curvature -w''/w of g0 = dr^2 + w(r)^2 dp^2 at the radii r,
-    with w'' from a 5-point stencil of step h on ``ops.weight``; independent
-    of any closed-form curvature expression."""
-    w = ops.weight
+    with w'' from a 5-point stencil of step h on w, the first entry of
+    ``surface.w_wp``; independent of any closed-form curvature expression."""
+    def w(x):
+        return surface.w_wp(x, np)[0]
     d2 = (-w(r - 2 * h) + 16 * w(r - h) - 30 * w(r) + 16 * w(r + h) - w(r + 2 * h)) / 12
     return -d2 / (h * h * w(r))

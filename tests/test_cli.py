@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from magsys_lab import ExperimentConfig, ParseError, ValidationError
+from magsys_lab import ExperimentConfig, ParseError, ValidationError, syslab
 from magsys_lab.cli import _KEY_SCHEMA, build_parser, main, parse_config
 from magsys_lab.reporting import validate_report_doc
 
@@ -261,6 +261,20 @@ class TestCliRuns:
         assert main(["systole", "--config", cfg_path, "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "-0.02"])
+    def test_bad_eps_list_entry_refused_before_any_census(self, tmp_path, capsys,
+                                                          monkeypatch, bad):
+        def no_census(cfg):
+            raise AssertionError(f"a census ran at eps = {cfg.eps}")
+
+        monkeypatch.setattr(syslab, "run_experiment", no_census)
+        cfg_path = write(tmp_path, "sweep.cfg", f"kappa = 1\nstrength = 1\n[search]\n"
+                                                f"eps_list = 0.01, {bad}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 1
+        assert f"got {bad}" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
 
     def test_fail_exit_code_via_error_run(self, tmp_path):
         text = """kappa = 1.0

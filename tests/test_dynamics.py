@@ -11,7 +11,7 @@ from magsys_lab import (ScalarField, conformal_perturb, flow, latitude_seed,
 from magsys_lab.dynamics import rhs
 from magsys_lab.geometry import (SphereChart, TangentState, TorusChart,
                                  conf_log_diff, g_dot, g_norm,
-                                 magnetic_density, rotate90)
+                                 magnetic_density)
 from magsys_lab.orbits import Orbit
 
 from instruments import christoffel0, random_state
@@ -249,7 +249,7 @@ def _rotate(ops, v, frame):
 
 def reference_rhs(sys):
     """nabla^g_v v = s b(q) J v composed from the public field functions."""
-    ops = sys.surface.ops
+    ops = sys.surface
     d, s = ops.dim, sys.strength
     perturbed = not sys.is_unperturbed()
 
@@ -270,19 +270,19 @@ def reference_rhs(sys):
 
 def reference_curvature(sys, q, v, dv):
     """Signed geodesic curvature at one sample, from the Christoffel symbols."""
-    ops = sys.surface.ops
+    ops = sys.surface
     if isinstance(ops, SphereChart):
         n = q * ops.sk
         cov = dv - float(dv @ n) * n
         frame = n
     else:
         cov = dv + np.einsum("kij,i,j->k", christoffel0(*ops.w_wp(q[0])), v, v)
-        frame = float(ops.weight(q[0]))
+        frame = float(ops.w_wp(q[0], np)[0])
     if not sys.is_unperturbed():
         dl = conf_log_diff(sys, q)
         grad, v0sq = _g0_terms(ops, q, v, dl, frame)
         cov = cov + 2.0 * float(dl @ v) * v - v0sq * grad
-    jv = rotate90(sys, q, v)
+    jv = sys.surface.rotate90(q, v)
     return float(g_dot(sys, q, cov, jv)) / float(g_norm(sys, q, v)) ** 3
 
 

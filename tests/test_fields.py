@@ -86,7 +86,7 @@ def test_array_methods_on_a_grid_equal_the_per_point_values(cls, name, coeffs, k
 def test_scalar_derivatives_match_central_differences(name, coeffs, kappa):
     surface, qs = points(kappa, n=40)
     value, diff, hess = ScalarField(name, coeffs).formulas(surface)
-    dim, h = surface.ops.dim, 1e-6
+    dim, h = surface.dim, 1e-6
     for q in qs:
         for j, e in enumerate(np.eye(dim) * h):
             d_val = (on_floats(value, q + e) - on_floats(value, q - e)) / (2 * h)

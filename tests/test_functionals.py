@@ -121,7 +121,7 @@ class TestMagneticAction:
                                  0.05, normalize=True)
         north = find_closed_orbit(sysp, latitude_seed(sysp), tol=1e-9)
         south = find_closed_orbit(
-            sysp, sysp.surface.ops.axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
+            sysp, sysp.surface.axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
         vals = [magnetic_action(sysp, o).value for o in (north, south)]
         assert min(vals) < 0 < max(vals)
 
@@ -163,7 +163,7 @@ class TestCapFailures:
     def test_winding_torus_loop_has_no_cap(self):
         # a loop winding once around the torus is not null-homotopic
         sys = make_model(0.0, 1.0)
-        p1, _ = sys.surface.ops.box
+        p1, _ = sys.surface.box
         ts = np.linspace(0.0, p1, 65)
         states = np.column_stack([ts, np.full_like(ts, math.pi),
                                   np.ones_like(ts), np.zeros_like(ts)])

@@ -1,14 +1,14 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from magsys_lab import (Chart, StepFailure, ValidationError,
-                        ZollRegimeViolation, conformal_perturb, flow, g_dot,
-                        g_norm, make_model, riemannian_volume, rotate90,
-                        state_distance, tangent_state, unperturbed_volume,
+from magsys_lab import (StepFailure, ValidationError, ZollRegimeViolation,
+                        conformal_perturb, flow, g_dot, g_norm, make_model,
+                        riemannian_volume, state_distance, tangent_state,
                         with_sigma_perturbation)
-from magsys_lab.geometry import TangentState, wrap_position
+from magsys_lab.geometry import HyperbolicChart, SphereChart, TangentState
 
 from instruments import random_state, sigma0, stencil_curvature
 
@@ -20,11 +20,11 @@ def models():
 class TestMakeModel:
     def test_sphere_valid(self):
         sys = make_model(1.0, 1.0)
-        assert sys.surface.chart is Chart.SPHERE_AMBIENT
+        assert isinstance(sys.surface, SphereChart)
 
     def test_hyperbolic_valid(self):
         sys = make_model(-1.0, 2.0)
-        assert sys.surface.chart is Chart.HYPERBOLIC_POLAR
+        assert isinstance(sys.surface, HyperbolicChart)
 
     def test_horocycle_threshold_rejected(self):
         # s^2 + kappa = 0 exactly: the boundary case must fail
@@ -36,6 +36,30 @@ class TestMakeModel:
             make_model(-4.0, 1.0)
 
 
+class TestSurfaceIdentity:
+    """A surface is its chart object, equal and hashed by class and kappa."""
+
+    def test_equal_models_have_equal_surfaces(self):
+        a, b = make_model(1.0, 1.0).surface, make_model(1.0, 1.0).surface
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+
+    def test_kappa_and_chart_tell_surfaces_apart(self):
+        sphere, sphere4, torus = (make_model(k, 1.0).surface for k in (1.0, 4.0, 0.0))
+        assert sphere != sphere4 and sphere != torus
+        assert len({sphere, sphere4, torus}) == 3
+
+    @pytest.mark.parametrize("sys", models(), ids=["sphere", "hyperbolic", "torus"])
+    def test_system_pickles_to_an_equal_system(self, sys):
+        # a census with workers > 1 sends the system to its processes by pickle
+        field = {1.0: "sphere_harmonic_z", -1.0: "const", 0.0: "torus_cos_x"}[sys.kappa]
+        sysp = conformal_perturb(sys, field, 0.05, normalize=True)
+        for s in (sys, sysp):
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s and hash(back) == hash(s)
+        assert sysp != sys
+
+
 # probe radii keep 0.3 from the sphere's poles and 0.2 from the hyperbolic origin
 PROBE_RADII = [(0.3, math.pi - 0.3), (0.2, 2.5), (0.0, 2 * math.pi)]
 
@@ -44,7 +68,7 @@ PROBE_RADII = [(0.3, math.pi - 0.3), (0.2, 2.5), (0.0, 2 * math.pi)]
                          ids=["sphere", "hyperbolic", "torus"])
 def test_curvature_probe_matches_kappa(sys, radii):
     r = np.random.default_rng(7).uniform(*radii, size=100)
-    ks = stencil_curvature(sys.surface.ops, r)
+    ks = stencil_curvature(sys.surface, r)
     assert np.max(np.abs(ks - sys.kappa)) < 1e-8
 
 
@@ -59,9 +83,9 @@ class TestVolume:
 
     def test_hyperbolic_domain_area(self):
         sys = make_model(-1.0, 2.0)
-        expected = 2 * math.pi * (math.cosh(sys.surface.ops.domain_rho) - 1)
+        expected = 2 * math.pi * (math.cosh(sys.surface.domain_rho) - 1)
         assert riemannian_volume(sys) == pytest.approx(expected, rel=1e-9)
-        assert unperturbed_volume(sys.surface) == pytest.approx(expected, rel=1e-15)
+        assert sys.surface.area() == pytest.approx(expected, rel=1e-15)
 
     def test_normalized_sphere_volume(self):
         sys = conformal_perturb(make_model(1.0, 1.0), "sphere_harmonic_z",
@@ -119,8 +143,8 @@ class TestComplexStructure:
         for _ in range(100):
             st = random_state(sys, rng)
             q, v = st.position, st.velocity
-            jv = rotate90(sys, q, v)
-            jjv = rotate90(sys, q, jv)
+            jv = sys.surface.rotate90(q, v)
+            jjv = sys.surface.rotate90(q, jv)
             assert np.max(np.abs(jjv + v)) < 1e-12
             assert abs(g_dot(sys, q, jv, jv) - g_dot(sys, q, v, v)) < 1e-12
             assert abs(g_dot(sys, q, jv, v)) < 1e-12
@@ -129,7 +153,7 @@ class TestComplexStructure:
 
 def test_flat_torus_rotation_is_euclidean():
     sys = make_model(0.0, 1.0)
-    jv = rotate90(sys, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    jv = sys.surface.rotate90(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
     assert np.allclose(jv, [0.0, 1.0])
 
 
@@ -161,7 +185,6 @@ class TestTangentState:
 
     def test_hyperbolic_phi_wraps(self):
         sys = make_model(-1.0, 2.0)
-        q = wrap_position(sys.surface, np.array([0.5, 2 * math.pi + 0.1]),
-                          ref=np.array([0.5, 0.0]))
+        q = sys.surface.wrap(np.array([0.5, 2 * math.pi + 0.1]), np.array([0.5, 0.0]))
         assert q[1] == pytest.approx(0.1, abs=1e-14)
 

@@ -43,7 +43,7 @@ class TestReturnMap:
 
     def test_perturbed_displacement_scales_with_eps(self):
         sys_seed = make_model(1.0, 1.0)
-        seed = sys_seed.surface.ops.axis_seed(sys_seed, np.array([0.6, 0.0, 0.8]))
+        seed = sys_seed.surface.axis_seed(sys_seed, np.array([0.6, 0.0, 0.8]))
         spec = make_section(sys_seed, seed)
         gaps = []
         for eps in (0.05, 0.025):
@@ -58,7 +58,7 @@ class TestReturnMap:
         sys = make_model(1.0, 1.0)
         seed = latitude_seed(sys)
         spec = make_section(sys, seed)
-        tangent = sys.surface.ops.section_state(sys, spec, 0.0, math.pi / 2)
+        tangent = sys.surface.section_state(sys, spec, 0.0, math.pi / 2)
         with pytest.raises(TangencyError):
             return_map(sys, spec, tangent)
 
@@ -76,7 +76,7 @@ class TestFindClosedOrbit:
         sysp = perturbed_sphere(eps)
         north = find_closed_orbit(sysp, latitude_seed(sysp), tol=1e-9)
         south = find_closed_orbit(
-            sysp, sysp.surface.ops.axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
+            sysp, sysp.surface.axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
         lmag_n = magnetic_length(sysp, north)
         lmag_s = magnetic_length(sysp, south)
         lo, hi = ORACLE_LMAG[eps]
@@ -121,7 +121,7 @@ class TestFindClosedOrbit:
         # under the axisymmetric perturbation, equatorial axes sit on the
         # degenerate direction of the orbit family
         sysp = perturbed_sphere(0.05)
-        seed = sysp.surface.ops.axis_seed(sysp, np.array([1.0, 0.0, 0.0]))
+        seed = sysp.surface.axis_seed(sysp, np.array([1.0, 0.0, 0.0]))
         with pytest.raises((DivergedFromFamily, NoConvergence)):
             find_closed_orbit(sysp, seed, tol=1e-12, max_iter=4)
 
@@ -421,8 +421,8 @@ class TestDeduplicate:
             pb = data.draw(closed_loops(dim))
         if dim == 2:
             k = data.draw(hnp.arrays(np.float64, 2, elements=st.integers(-2, 2)))
-            pb = pb + k * np.asarray(sys.surface.ops.box)
-        gap = _support_gap(*sys.surface.ops.align_loops(pa, pb))
+            pb = pb + k * np.asarray(sys.surface.box)
+        gap = _support_gap(*sys.surface.align_loops(pa, pb))
         # slack: rounding of coordinates up to ~16 in size
         assert gap <= _poly_hausdorff(sys, pa, pb) + 1e-12
 
@@ -446,8 +446,8 @@ class TestDeduplicate:
             pb = np.vstack([ring, ring[:1]])
         if dim == 2:
             k = data.draw(hnp.arrays(np.float64, 2, elements=st.integers(-2, 2)))
-            pb = pb + k * np.asarray(sys.surface.ops.box)
-        bound = _matched_bound(*sys.surface.ops.align_loops(pa, pb))
+            pb = pb + k * np.asarray(sys.surface.box)
+        bound = _matched_bound(*sys.surface.align_loops(pa, pb))
         assert bound >= _poly_hausdorff(sys, pa, pb) - 1e-12
 
     def test_sphere_decisions_match_all_pairs(self, monkeypatch):
@@ -471,7 +471,7 @@ class TestDeduplicate:
 
     def test_torus_decisions_match_all_pairs(self, monkeypatch):
         sys = make_model(0.0, 1.0)
-        p1, p2 = sys.surface.ops.box
+        p1, p2 = sys.surface.box
         found = [torus_circle("a", [1.0, 1.0], 0.0),
                  torus_circle("a_period", [1.0 + p1, 1.0], 0.4),
                  torus_circle("a_near", [1.0 + 3e-5, 1.0 - p2], 2.5),

@@ -6,7 +6,10 @@ import pytest
 from scipy.optimize import brentq
 
 from magsys_lab import (ExperimentConfig, NoOrbitsFound, ValidationError,
-                        check_two_sided, run_experiment, sweep, sweep_table)
+                        check_two_sided, identity_constant, make_surface,
+                        run_experiment, sweep, sweep_table)
+from magsys_lab.syslab import _full_coefficient
+from magsys_lab.zollref import kahler_leading_constant
 
 
 def latitude_circle_oracle(eps, s=1.0):
@@ -35,6 +38,22 @@ def latitude_circle_oracle(eps, s=1.0):
         out.append(2 * math.pi * lam_exp * math.sin(t)
                    - s * 2 * math.pi * (1 - math.cos(t)))
     return min(out), max(out)
+
+
+# (kappa, s) in the Zoll regime, which has s > 0 and s^2 + kappa > 0
+REGIME_PAIRS = [(k, s) for k in (1.0, 0.0, -1.0) for s in (0.5, 1.0, 2.0, 3.0)
+                if s * s + k > 0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kappa,s", REGIME_PAIRS)
+def test_full_coefficient_inverts_the_leading_constant(kappa, s, n):
+    # C = 2 pi^{2n} / ((n-1)! K), with K the leading constant of the Kahler
+    # Zoll polynomial: C K is the volume identity's constant at every s
+    vol_g0 = make_surface(kappa).area()
+    coeff = _full_coefficient(kappa, s, n, vol_g0)
+    lead = kahler_leading_constant(kappa, s, n, vol_g0)
+    assert coeff * lead == pytest.approx(identity_constant(n), rel=1e-12)
 
 
 def zoll_cfg(kappa, strength, **kw):

@@ -85,6 +85,13 @@ class TestClosedForm:
         with pytest.raises(ValidationError):
             vol_closed_form(make_model(0.0, 1.0), make_model(1.0, 1.0))
 
+    def test_pair_on_different_surfaces_refused(self):
+        # the same strength and field, on the spheres of kappa 1 and 4
+        sys0, _ = sphere_pair(1.0, eta=False)
+        _, sysp = sphere_pair(4.0, eta=False)
+        with pytest.raises(ValidationError, match="same surface"):
+            volume_report(sys0, sysp, samples=1000)
+
     def test_identity_constant(self):
         assert identity_constant(1) == pytest.approx(2 * math.pi**2, rel=1e-15)
         assert identity_constant(2) == pytest.approx(2 * math.pi**4, rel=1e-15)
