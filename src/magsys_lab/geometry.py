@@ -299,6 +299,20 @@ class ChartOps:
         """Two sampled loops, brought into one picture for comparison."""
         return pa, pb
 
+    # the orbit space: one point c for each Zoll circle (an axis on the sphere,
+    # a centre on the torus and on the hyperbolic chart), held as a row of an
+    # (M, k) array.  ``orbit_space_starts`` gives the census grid of them,
+    # ``orbit_space_step`` moves them by k-vector offsets (``orbit_space_gap``
+    # is its inverse), ``zoll_state`` is a state on the Zoll circle over c and
+    # ``zoll_circle`` samples the whole circle
+    def orbit_space_gap(self, c, c2):
+        return c2 - c
+
+    def in_searched_region(self, sys, c):
+        """Which rows of c lie where the census looks for orbits: everywhere
+        on a compact surface."""
+        return np.ones(len(c), dtype=bool)
+
     def oracle(self, sys):
         """The volume oracle's integrand and the box.  The integrand takes the
         (M, 2) box points q and fiber angles fib of M antithetic pairs and
@@ -485,7 +499,7 @@ class SphereChart(ChartOps):
         alpha = theta / R
         sa, ca, sp, cp = np.sin(alpha), np.cos(alpha), np.sin(phi), np.cos(phi)
         x, y = R * sa * cp, R * sa * sp
-        W, amb = self.w_wp(theta, np)[0], np.stack([x, y, R * ca], axis=-1)
+        W, amb = np.sin(self.sk * theta) / self.sk, np.stack([x, y, R * ca], axis=-1)
         if comp is None:
             return W, amb, None
         c0, c1, c2 = comp(amb.T)
@@ -509,7 +523,7 @@ class SphereChart(ChartOps):
         e1 /= np.linalg.norm(e1)
         return e1, np.cross(axis, e1)
 
-    def axis_seed(self, sys, axis):
+    def zoll_state(self, sys, axis):
         """A state on the unperturbed orbit about the given axis."""
         s = sys.strength
         alpha = math.atan2(self.sk, abs(s))
@@ -521,18 +535,39 @@ class SphereChart(ChartOps):
             v = -v
         return tangent_state(sys, q, v)
 
-    def seed_family(self, sys, grid_density, rng):
-        """Axis seeds: the two poles always, then rings of jittered axes."""
-        seeds = [("axis_north", self.axis_seed(sys, np.array([0.0, 0.0, 1.0]))),
-                 ("axis_south", self.axis_seed(sys, np.array([0.0, 0.0, -1.0])))]
+    def orbit_space_starts(self, sys, grid_density, rng):
+        """Axes: the two poles always, then rings of jittered axes."""
+        ids = ["axis_north", "axis_south"]
+        axes = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
         for i in range(grid_density):
             alpha = math.pi * (i + 0.5) / grid_density + 0.02 * rng.uniform(-1, 1)
             sz, cz = math.sin(alpha), math.cos(alpha)
             for j in range(grid_density):
                 beta = 2.0 * math.pi * (j + 0.3 + 0.05 * rng.uniform(-1, 1)) / grid_density
-                axis = np.array([sz * math.cos(beta), sz * math.sin(beta), cz])
-                seeds.append((f"axis_{i}_{j}", self.axis_seed(sys, axis)))
-        return seeds
+                ids.append(f"axis_{i}_{j}")
+                axes.append(np.array([sz * math.cos(beta), sz * math.sin(beta), cz]))
+        return ids, np.array(axes)
+
+    def orbit_space_step(self, c, d):
+        c = c + d
+        return c / np.linalg.norm(c, axis=-1, keepdims=True)
+
+    def zoll_circle(self, sys, c, nodes):
+        """Positions and unit g0-velocities, each (M, nodes, 3), at nodes equally
+        spaced points of the Zoll circle about each axis c, in the order the
+        flow runs through them from the point of ``zoll_state``."""
+        alpha = math.atan2(self.sk, abs(sys.strength))
+        n = c / np.linalg.norm(c, axis=-1, keepdims=True)
+        ref = np.where(np.abs(n[:, 2:]) < 0.9, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+        e1 = np.cross(n, ref)
+        e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+        e2 = np.cross(n, e1)
+        turn = -1.0 if sys.strength < 0 else 1.0    # the sense of the flow about n
+        th = turn * 2.0 * math.pi * np.arange(nodes) / nodes
+        cos, sin = np.cos(th)[:, None], np.sin(th)[:, None]
+        e1, e2 = e1[:, None, :], e2[:, None, :]
+        q = self.R * (math.cos(alpha) * n[:, None, :] + math.sin(alpha) * (cos * e1 + sin * e2))
+        return q, turn * (cos * e2 - sin * e1)
 
     # sections: ambient planes through the anchor
     def plane_velocity(self, q, v):
@@ -839,20 +874,65 @@ class HyperbolicChart(_PlanarChart):
         vp_b = (Xb[1] * Vb[2] - Xb[2] * Vb[1]) / r2
         return TangentState(np.array([rho_b, phi_b]), np.array([vr_b, vp_b]))
 
-    def seed_family(self, sys, grid_density, rng):
-        """The latitude seed pushed out along rings of directions by isometries."""
-        base = self.latitude_seed(sys)
-        rho_star = base.position[0]
-        d_max = max(0.2, min(1.0, self.domain_rho - rho_star - 0.3))
-        seeds = []
+    def _seed_radius(self, sys):
+        """The largest distance from the origin of a start's centre."""
+        rho_star = math.atanh(self.sk / sys.strength) / self.sk
+        return max(0.2, min(1.0, self.domain_rho - rho_star - 0.3))
+
+    def orbit_space_starts(self, sys, grid_density, rng):
+        """Centres (rho, phi) on rings of directions about the origin."""
+        d_max = self._seed_radius(sys)
+        ids, centres = [], []
         for i in range(grid_density):
             d = d_max * i / max(grid_density - 1, 1)
             for j in range(grid_density):
                 psi = 2.0 * math.pi * j / grid_density
                 if d == 0.0 and j > 0:
                     continue
-                seeds.append((f"boost_{i}_{j}", self._translate(base, d, psi)))
-        return seeds
+                ids.append(f"boost_{i}_{j}")
+                centres.append((d, psi))
+        return ids, np.array(centres)
+
+    def zoll_state(self, sys, c):
+        """The latitude seed pushed out to the centre c = (rho, phi)."""
+        return self._translate(self.latitude_seed(sys), c[0], c[1])
+
+    def orbit_space_step(self, c, d):
+        p = self._plane_image(c) + d
+        return np.stack([np.hypot(p[:, 0], p[:, 1]), np.arctan2(p[:, 1], p[:, 0])], axis=-1)
+
+    def orbit_space_gap(self, c, c2):
+        return self._plane_image(c2) - self._plane_image(c)
+
+    def in_searched_region(self, sys, c):
+        """Which centres c lie in the disk the starts cover."""
+        return c[:, 0] <= self._seed_radius(sys)
+
+    def zoll_circle(self, sys, c, nodes):
+        """Positions and unit g0-velocities, each (M, nodes, 2), at nodes equally
+        spaced points of the Zoll circle about each centre c, in the order the
+        flow runs through them from the point of ``zoll_state``: the latitude
+        circle on the hyperboloid, moved by the isometry of ``_translate``."""
+        rh = 1.0 / self.sk
+        a = math.atanh(self.sk / sys.strength)    # rho* / rh
+        th = 2.0 * math.pi * np.arange(nodes) / nodes
+        cos, sin = np.cos(th), np.sin(th)
+        z = c[:, :1] / rh
+        cz, sz = np.cosh(z), np.sinh(z)
+        cp, sp = np.cos(c[:, 1:]), np.sin(c[:, 1:])
+
+        def boost(y0, y1, y2):
+            # B = I + sinh z (e0 e^T + e e0^T) + (cosh z - 1)(e0 e0^T + e e^T),
+            # e = (0, cos psi, sin psi): the boost of _translate
+            ey = cp * y1 + sp * y2
+            k = sz * y0 + (cz - 1.0) * ey
+            return cz * y0 + sz * ey, y1 + cp * k, y2 + sp * k
+
+        x0, x1, x2 = boost(rh * math.cosh(a), rh * math.sinh(a) * cos, rh * math.sinh(a) * sin)
+        u0, u1, u2 = boost(0.0, -sin, cos)
+        r = np.hypot(x1, x2)    # sqrt(x0^2 - rh^2) on the hyperboloid
+        pos = np.stack([rh * np.arccosh(np.maximum(x0 / rh, 1.0)), np.arctan2(x2, x1)], axis=-1)
+        return pos, np.stack([rh * u0 / r, (x1 * u2 - x2 * u1) / r**2], axis=-1)
 
     def to_plane(self, q):
         rho, phi = q[0], q[1]
@@ -927,19 +1007,36 @@ class TorusChart(_PlanarChart):
         q = np.array([0.5 * p1 + 1.0 / sys.strength, 0.5 * p2])
         return tangent_state(sys, q, np.array([0.0, 1.0]))
 
-    def seed_family(self, sys, grid_density, rng):
-        """The latitude circle moved to the centres of a grid of cells."""
+    def orbit_space_starts(self, sys, grid_density, rng):
+        """The centres of a grid of cells."""
         p1, p2 = self.box
-        r = 1.0 / sys.strength
-        base = self.latitude_seed(sys)
-        seeds = []
+        ids, centres = [], []
         for i in range(grid_density):
             for j in range(grid_density):
-                cx = (i + 0.5) * p1 / grid_density
-                cy = (j + 0.5) * p2 / grid_density
-                q = np.array([cx + r, cy])
-                seeds.append((f"center_{i}_{j}", tangent_state(sys, q, base.velocity)))
-        return seeds
+                ids.append(f"center_{i}_{j}")
+                centres.append(((i + 0.5) * p1 / grid_density, (j + 0.5) * p2 / grid_density))
+        return ids, np.array(centres)
+
+    def zoll_state(self, sys, c):
+        """The latitude circle moved to the centre c."""
+        base = self.latitude_seed(sys)
+        return tangent_state(sys, np.array([c[0] + 1.0 / sys.strength, c[1]]), base.velocity)
+
+    def orbit_space_step(self, c, d):
+        return self.wrap(c + d, 0.5 * np.asarray(self.box))
+
+    def orbit_space_gap(self, c, c2):
+        return self.wrap(c2, c) - c
+
+    def zoll_circle(self, sys, c, nodes):
+        """Positions and unit velocities, each (M, nodes, 2), at nodes equally
+        spaced points of the circle of radius 1/s about each centre c, in the
+        order the flow runs through them (counterclockwise) from the point of
+        ``zoll_state``."""
+        th = 2.0 * math.pi * np.arange(nodes) / nodes
+        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        vel = np.stack([-ring[:, 1], ring[:, 0]], axis=-1)
+        return c[:, None, :] + ring / sys.strength, np.broadcast_to(vel, (len(c),) + vel.shape)
 
     def align_loops(self, pa, pb):
         periods = np.asarray(self.box)

@@ -16,11 +16,32 @@ map carries the tangent vectors dS of the section parametrization through the
 variational equations and corrects them for the change of return time (D),
 and dS and the derivative dC of the reduced coordinates come from central
 differences of closed-form maps, with no ODE solve.
+
+The census (``enumerate_orbits``) seeds Newton where first-order
+perturbation theory puts the closed orbits.  Each unperturbed orbit is the
+Zoll circle over a point c of the orbit space: its axis on the sphere, its
+centre on the torus and on the hyperbolic chart.  To first order in eps, the
+perturbed orbits lie over the critical points of abar(c), the first-order
+change of the circle's magnetic length (``orbit_space_average``), and
+l = pi a^2(1) + eps abar(c*) + O(eps^2).  The stage before Newton is an
+ODE-free quadrature on circles:
+- the starts are the orbit-space points of the seed grid (``seed_grid``:
+  ``grid_density`` and the ``rng_seed`` jitter keep their meaning);
+- from each start a bounded ascent and descent of abar find its critical
+  points (``critical_points``), merged when they coincide, and merged to
+  one representative per Morse-Bott manifold (the critical circles x0 = 0
+  and x0 = pi of cos x on the torus);
+- Newton runs from the Zoll state over each representative only;
+- where first order cannot place the orbits (no perturbation, abar constant
+  as on the torus at s = 1/j_{0,1}, or its splitting no larger than the
+  second-order terms, as on the sphere near s = 0), every start is seeded:
+  the blind grid.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +64,16 @@ NEWTON_DAMPING = 0.8
 DEDUP_TOL = 1e-4
 ORBIT_SAMPLES = 512               # samples of each orbit's period
 TRANSVERSALITY_MIN = 1e-3
+AVERAGE_NODES = 64                # trapezoid nodes on each Zoll circle
+SEARCH_FD_STEP = 1e-5             # central differences of the orbit-space average
+SEARCH_FIRST_STEP = 0.1           # length of each search's first step
+SEARCH_MAX_STEP = 0.25            # longest step
+SEARCH_STEPS = 60                 # steps of each ascent or descent
+SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest, per unit of abar's scale over the starts
+CRITICAL_MERGE_TOL = 1e-4         # critical points this close are one
+CRITICAL_VALUE_TOL = 1e-6         # equal abar on a critical manifold, per unit scale
+MANIFOLD_SAMPLES = 8              # segments between two points of one critical manifold
+MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,13 +288,177 @@ def _build_orbit(sys, spec, x, period, seed_id, ivp_tol, iterations=0):
                  newton_iterations=int(iterations))
 
 
-# --- seed grids and enumeration ---------------------------------------------------
+# --- seed grids and the orbit-space average ---------------------------------------
+
+def _starts(sys, grid_density, rng_seed):
+    """(ids, points) of the orbit-space starts: none where grid_density <= 0."""
+    if grid_density <= 0:
+        return [], []
+    return sys.surface.orbit_space_starts(sys, grid_density, np.random.default_rng(rng_seed))
+
 
 def seed_grid(sys, grid_density, rng_seed=ExperimentConfig.rng_seed):
-    """Deterministic (seed_id, TangentState) pairs covering the Zoll family."""
-    if grid_density <= 0:
-        return []
-    return sys.surface.seed_family(sys, grid_density, np.random.default_rng(rng_seed))
+    """Deterministic (seed_id, TangentState) pairs covering the Zoll family:
+    the Zoll states over the orbit-space starts, the blind grid."""
+    return [(sid, sys.surface.zoll_state(sys, c))
+            for sid, c in zip(*_starts(sys, grid_density, rng_seed))]
+
+
+def orbit_space_average(sys, c):
+    """abar at each orbit-space point c (rows of an (M, k) array): the
+    first-order change, per unit eps, of the magnetic length of the Zoll
+    circle over c, by the trapezoid rule on AVERAGE_NODES nodes of the circle
+    traversed as the flow runs.  Zero on an unperturbed system.
+
+    The length term is oint Lambda ds0 / eps = oint u ds0 + L0 log(lam) / (2
+    eps), from the length e^Lambda ds0 with Lambda = eps u + log(lam) / 2; the
+    volume normalisation's constant lam shifts every circle alike.  The flux
+    term is -s oint eta: the cap D lies on the circle's left, so by Stokes
+    s int_D eps d(eta) = s eps oint eta.
+    """
+    return _circle_integrand(sys, c).sum(axis=1) * (reference_period(sys) / AVERAGE_NODES)
+
+
+def _circle_integrand(sys, c):
+    """The integrand of ``orbit_space_average`` at the nodes of the circle
+    over each row of c, as an (M, AVERAGE_NODES) array."""
+    surface = sys.surface
+    out = np.zeros((len(c), AVERAGE_NODES))
+    u, eta = sys.conformal_exponent, sys.sigma_perturbation
+    if sys.conformal_eps == 0.0 or (u is None and eta is None):
+        return out
+    q, v = surface.zoll_circle(sys, c, AVERAGE_NODES)
+    if u is not None:
+        out += u.value(surface, q) + 0.5 * math.log(sys.conformal_scale) / sys.conformal_eps
+    if eta is not None:
+        out -= sys.strength * np.sum(eta.components(surface, q) * v, axis=-1)
+    return out
+
+
+def _average_and_gradient(sys, c):
+    """abar at the rows of c and its central differences along the unit
+    offsets of ``orbit_space_step``, from one batch of circles."""
+    surface, h, k = sys.surface, SEARCH_FD_STEP, c.shape[1]
+    offsets = np.concatenate([np.eye(k), -np.eye(k)]) * h
+    batch = [c] + [surface.orbit_space_step(c, np.broadcast_to(e, c.shape)) for e in offsets]
+    vals = orbit_space_average(sys, np.concatenate(batch)).reshape(2 * k + 1, len(c))
+    return vals[0], ((vals[1:k + 1] - vals[k + 1:]) / (2.0 * h)).T
+
+
+def _climb(sys, c, sign, grad_tol):
+    """Ascents (sign +1) and descents (-1) of abar from the rows of c, all
+    advanced together for at most SEARCH_STEPS steps.  A step follows the
+    gradient with the Barzilai-Borwein length, at most SEARCH_MAX_STEP, and is
+    taken only if it improves abar (else its length halves).  Returns the end
+    points and whether each came to rest (|grad| <= grad_tol) without leaving
+    the searched region."""
+    surface = sys.surface
+    c = np.array(c, dtype=float)
+    f, g = _average_and_gradient(sys, c)
+    f, g = sign * f, sign[:, None] * g
+    t = np.full(len(c), np.inf)
+    live = surface.in_searched_region(sys, c)
+    for it in range(SEARCH_STEPS):
+        idx = np.flatnonzero(live & (np.linalg.norm(g, axis=1) > grad_tol))
+        if len(idx) == 0:
+            break
+        norm = np.linalg.norm(g[idx], axis=1)
+        t[idx] = np.minimum(t[idx], (SEARCH_FIRST_STEP if it == 0 else SEARCH_MAX_STEP) / norm)
+        trial = surface.orbit_space_step(c[idx], t[idx, None] * g[idx])
+        ft, gt = _average_and_gradient(sys, trial)
+        ft, gt = sign[idx] * ft, sign[idx, None] * gt
+        up = ft > f[idx]
+        step = surface.orbit_space_gap(c[idx], trial)
+        curv = -np.sum(step * (gt - g[idx]), axis=1)    # > 0 where abar bends back
+        bb = np.sum(step * step, axis=1) / np.maximum(curv, 1e-300)
+        t[idx] = np.where(up, np.where(curv > 0.0, bb, 2.0 * t[idx]), 0.5 * t[idx])
+        moved = idx[up]
+        c[moved], f[moved], g[moved] = trial[up], ft[up], gt[up]
+        live[moved] = surface.in_searched_region(sys, c[moved])
+    return c, live & (np.linalg.norm(g, axis=1) <= grad_tol)
+
+
+def critical_points(sys, ids, starts, tol=ExperimentConfig.tol_orbit):
+    """Representatives (ids, points) of the critical points of abar on the
+    orbit space, found from the starts (ids and an (M, k) array), or None
+    when first order cannot place the orbits.
+
+    First order cannot place them where its splitting eps * scale is at most
+    tol, or at most eps^2 L0 m^2, the size of the second-order terms.  Here
+    scale is the larger of max abar - min abar and the largest |grad abar|
+    over the starts (the spread alone reads 0 where every start lies on one
+    level set, as the torus centres x0 = pi/2, 3 pi/2 of grid density 2 do
+    for cos x0), L0 is the length of a Zoll circle and m the largest
+    |integrand| of abar on the starts' circles.  This holds on an
+    unperturbed system; on the torus at s = 1/j_{0,1}, where every circle
+    averages cos x to 0; and on the sphere near s = 0, whose circles tend to
+    great circles, over which odd functions average to 0, while orbits over
+    the equator's axes appear at second order.
+
+    A start where abar is already stationary is its own critical point,
+    named after it.  From every other start an ascent and a descent
+    (``_climb``) end at critical points named ``<start>_max`` and
+    ``<start>_min``: a local maximum and minimum, or a saddle from a start on
+    its stable manifold.  A search that leaves the searched region yields no
+    point.  Taken in that order, a critical point is dropped when it lies
+    within CRITICAL_MERGE_TOL of one already met or on one critical manifold
+    with it (``_same_manifold``), so that each Morse-Bott manifold keeps its
+    first representative; the manifold's distinct points met so far link
+    later ones to it.
+    """
+    surface, k = sys.surface, starts.shape[1]
+    f, g = _average_and_gradient(sys, starts)
+    scale = max(float(f.max() - f.min()), float(np.linalg.norm(g, axis=1).max()))
+    eps, m = sys.conformal_eps, float(np.abs(_circle_integrand(sys, starts)).max())
+    if eps * scale <= max(tol, eps * eps * reference_period(sys) * m * m):
+        return None
+    grad_tol = SEARCH_GRAD_TOL * scale
+    still = np.linalg.norm(g, axis=1) <= grad_tol
+    n = len(ids)
+    ends, rest = _climb(sys, np.concatenate([starts, starts]), np.repeat([1.0, -1.0], n),
+                        grad_tol)
+    cands = []
+    for i, sid in enumerate(ids):
+        cands += [(sid, starts[i])] if still[i] else \
+            [(f"{sid}_{tag}", ends[j]) for j, tag in ((i, "max"), (i + n, "min")) if rest[j]]
+    points = np.array([p for _, p in cands]).reshape(-1, k)
+    # one group per representative: the distinct critical points met on its manifold
+    kept, groups = [], []
+    for (cid, p), fp in zip(cands, orbit_space_average(sys, points)):
+        if any(np.linalg.norm(surface.orbit_space_gap(q[None], p[None])) <= CRITICAL_MERGE_TOL
+               for grp in groups for q, _ in grp):
+            continue
+        group = next((grp for grp in groups if any(
+            _same_manifold(sys, q, fq, p, fp, scale, grad_tol) for q, fq in grp)), None)
+        if group is None:
+            kept.append((cid, p))
+            groups.append([])
+            group = groups[-1]
+        group.append((p, fp))
+    return [cid for cid, _ in kept], np.array([p for _, p in kept]).reshape(-1, k)
+
+
+def _same_manifold(sys, a, fa, b, fb, scale, grad_tol):
+    """Whether the critical points a and b (abar values fa, fb) lie on one
+    connected critical set: abar is equal at both, and the samples of the
+    segment between them, each carried back to the critical set by
+    ``_climb`` toward fa, all reach it at that value, in hops of at most
+    MANIFOLD_CHAIN sample spacings.  On a critical line, as on the flat
+    torus, the samples are critical already and stay; on a critical circle
+    they climb back onto it."""
+    value_tol = CRITICAL_VALUE_TOL * scale
+    if abs(fa - fb) > value_tol:
+        return False
+    surface = sys.surface
+    gap = surface.orbit_space_gap(a[None], b[None])[0]
+    t = np.arange(1, MANIFOLD_SAMPLES)[:, None] / MANIFOLD_SAMPLES
+    samples = surface.orbit_space_step(np.broadcast_to(a, (len(t), len(a))), t * gap)
+    ends, rest = _climb(sys, samples,
+                        np.where(orbit_space_average(sys, samples) < fa, 1.0, -1.0), grad_tol)
+    chain = np.concatenate([a[None], ends, b[None]])
+    hops = np.linalg.norm(surface.orbit_space_gap(chain[:-1], chain[1:]), axis=1)
+    return bool(rest.all() and np.all(np.abs(orbit_space_average(sys, ends) - fa) <= value_tol)
+                and hops.max() <= MANIFOLD_CHAIN * np.linalg.norm(gap) / MANIFOLD_SAMPLES)
 
 
 def _poly_hausdorff(sys, pa, pb):
@@ -363,25 +558,35 @@ def _same_loop(sys, pa, pb):
 
 class Census(list):
     """Distinct closed orbits in order of magnetic length, with each orbit's
-    ``magnetic_lengths`` entry and the size ``seeds_attempted`` of the grid."""
+    ``magnetic_lengths`` entry, the number ``seeds_attempted`` of Newton
+    seeds and the number ``starts`` of orbit-space starts."""
 
-    def __init__(self, orbits, magnetic_lengths, seeds_attempted):
+    def __init__(self, orbits, magnetic_lengths, seeds_attempted, starts):
         super().__init__(orbits)
         self.magnetic_lengths = list(magnetic_lengths)
         self.seeds_attempted = seeds_attempted
+        self.starts = starts
 
 
 def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
                      max_iter=ExperimentConfig.max_iter, workers=ExperimentConfig.workers,
                      rng_seed=ExperimentConfig.rng_seed):
-    """Closed orbits from a deterministic seed grid, deduplicated and sorted
-    by magnetic length, as a Census.  Failed seeds are logged and skipped.
+    """Closed orbits seeded at the critical points of the orbit-space
+    average, deduplicated and sorted by magnetic length, as a Census.
+
+    The starts are the orbit-space points of ``seed_grid``.  Newton runs
+    from the Zoll state over each representative of ``critical_points``,
+    or, where first order cannot place the orbits, over every start (the
+    blind grid).  Failed seeds are logged and skipped.
 
     The sort key is the length as reports print it (``reporting.round_sig``),
-    then the seed's position in the grid, so that orbits whose lengths agree
-    up to rounding noise (translates and rotations of one orbit) keep the
-    grid's order."""
-    seeds = seed_grid(sys, grid_density, rng_seed=rng_seed)
+    then the seed's position in the seed list, so that orbits whose lengths
+    agree up to rounding noise (translates and rotations of one orbit) keep
+    that order."""
+    names, starts = _starts(sys, grid_density, rng_seed)
+    picked = critical_points(sys, names, starts, tol) if names else None
+    ids, points = (names, starts) if picked is None else picked
+    seeds = [(sid, sys.surface.zoll_state(sys, c)) for sid, c in zip(ids, points)]
     tasks = [(sys, sid, st, tol, max_iter) for sid, st in seeds]
     if workers > 1 and len(tasks) > 1:
         import concurrent.futures as cf
@@ -398,9 +603,10 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     unique = deduplicate(sys, found)
     from .functionals import magnetic_length
     lengths = [magnetic_length(sys, orb) for orb in unique]
-    # a stable sort: ``unique`` is in grid order
+    # a stable sort: ``unique`` is in seed order
     order = sorted(range(len(unique)), key=lambda i: round_sig(lengths[i]))
-    return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds))
+    return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds),
+                  len(names))
 
 
 def _run_seed_safe(args):

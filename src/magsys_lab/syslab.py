@@ -1,9 +1,11 @@
 """Systolic experiments: build, enumerate, measure, and judge.
 
 ``run_experiment`` drives the full pipeline for one configuration: build the
-(possibly perturbed) system, enumerate closed orbits from a deterministic
-seed grid, evaluate magnetic lengths, and populate inequality verdicts with
-slack values.
+(possibly perturbed) system, enumerate closed orbits (``orbits.enumerate_orbits``:
+Newton from the critical points of the orbit-space average found from a
+deterministic grid of starts, or from every start where first order is
+blind), evaluate magnetic lengths, and populate inequality verdicts with
+slack values.  ``seeds_attempted`` counts the Newton seeds.
 
 Verdict conventions.  The reduced inequality (``verdict_reduced``) is
 l_min <= pi a^2(1) + tol.  The two-sided sandwich (``verdict_two_sided``)
@@ -20,8 +22,11 @@ whose kappa != 0 coefficient is ``zollref.inequality_constant_C``; the
 volume-ratio reading C * vol_g/vol_g0 is also recorded as data (it cannot
 hold at the Zoll point for these models since C < 1 there).
 
-A FAIL verdict is data, not an error: reports carry the seed grid and the
-short-loop window so a failure can be attributed to census incompleteness.
+A FAIL verdict is data, not an error: reports carry the Newton seeds and
+the short-loop window so a failure can be attributed to census
+incompleteness.  A census with no orbit raises NoOrbitsFound, which names
+its cause: an empty grid, no critical point in the searched region, or
+seeds that all failed.
 """
 
 from __future__ import annotations
@@ -118,9 +123,13 @@ def run_experiment_full(cfg: ExperimentConfig):
     found = orbits.enumerate_orbits(sys, grid_density=cfg.grid_density,
                                     tol=cfg.tol_orbit, max_iter=cfg.max_iter,
                                     workers=cfg.workers, rng_seed=cfg.rng_seed)
-    if found.seeds_attempted == 0:
+    if found.starts == 0:
         raise NoOrbitsFound(f"no closed orbits: the seed grid is empty "
                             f"(grid_density = {cfg.grid_density})")
+    if found.seeds_attempted == 0:
+        raise NoOrbitsFound(
+            f"no closed orbits: the orbit-space average has no critical point in the "
+            f"searched region ({found.starts} starts)")
     if not found:
         raise NoOrbitsFound(
             f"no closed orbits from {found.seeds_attempted} seeds; eps may exceed the "

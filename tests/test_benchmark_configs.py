@@ -1,5 +1,6 @@
-"""The benchmark's workload configs stay valid inputs of the program, and the
-functions its tracer rebinds still exist.
+"""The benchmark's workload configs stay valid inputs of the program, the
+functions its tracer rebinds still exist, and the perturbed census workloads
+keep their return-map budget and recorded lengths.
 
 perfbench/ holds no package modules; workloads.py is read and run here and
 tracer.py only parsed, so the suite writes nothing (not even a bytecode
@@ -79,3 +80,29 @@ def test_tracer_hooks_exist():
     missing = [f"{module}.{attr}" for module, attr in hooks
                if not hasattr(importlib.import_module(f"{package}.{module}"), attr)]
     assert missing == []
+
+
+# return maps a perturbed census workload may take: Newton runs only from the
+# critical points of the orbit-space average, about 4 maps each
+CENSUS_RETURN_MAPS = {"census-perturbed-sphere": 12, "census-perturbed-torus": 16}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_RETURN_MAPS))
+def test_perturbed_census_return_maps(tmp_path, monkeypatch, name):
+    from magsys_lab import orbits, run_experiment
+    w = workloads.WORKLOADS[name]
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(w.config, encoding="utf-8")
+    cfg, _, _ = parse_config(str(path))
+    calls = []
+    plain = orbits.return_map
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return plain(*args, **kw)
+
+    monkeypatch.setattr(orbits, "return_map", counted)
+    rep = run_experiment(cfg)
+    assert len(calls) <= CENSUS_RETURN_MAPS[name]
+    for key, recorded in w.recorded.items():
+        assert abs(getattr(rep, key) - recorded) <= w.tol_orbit

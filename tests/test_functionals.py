@@ -121,7 +121,7 @@ class TestMagneticAction:
                                  0.05, normalize=True)
         north = find_closed_orbit(sysp, latitude_seed(sysp), tol=1e-9)
         south = find_closed_orbit(
-            sysp, sysp.surface.axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
+            sysp, sysp.surface.zoll_state(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
         vals = [magnetic_action(sysp, o).value for o in (north, south)]
         assert min(vals) < 0 < max(vals)
 

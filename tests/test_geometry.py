@@ -188,3 +188,27 @@ class TestTangentState:
         q = sys.surface.wrap(np.array([0.5, 2 * math.pi + 0.1]), np.array([0.5, 0.0]))
         assert q[1] == pytest.approx(0.1, abs=1e-14)
 
+
+
+@pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (1.0, -0.7), (0.0, 1.0), (-1.0, 2.0)])
+def test_zoll_circle_runs_through_the_zoll_state(kappa, s):
+    # node 0 of each sampled circle is the Zoll state over its orbit-space
+    # point, and every node has unit g0-speed
+    sys = make_model(kappa, s)
+    surface = sys.surface
+    ids, starts = surface.orbit_space_starts(sys, 3, np.random.default_rng(0))
+    assert len(ids) == len(starts)
+    q, v = surface.zoll_circle(sys, starts, 16)
+    assert q.shape == v.shape == (len(starts), 16, surface.dim)
+    for i, c in enumerate(starts):
+        st = surface.zoll_state(sys, c)
+        assert np.max(np.abs(q[i, 0] - st.position)) < 1e-12
+        assert np.max(np.abs(v[i, 0] - st.velocity)) < 1e-12
+    assert np.max(np.abs(g_norm(sys, q, v) - 1.0)) < 1e-12
+    # the nodes advance along the velocity: central differences over the
+    # arc step of 256 nodes
+    q, v = surface.zoll_circle(sys, starts, 256)
+    ds = 2.0 * math.pi / math.sqrt(s * s + kappa) / 256
+    for i in range(len(starts)):
+        dq = surface.wrap(q[i, 1], q[i, -1]) - q[i, -1]
+        assert np.max(np.abs(dq / (2.0 * ds) - v[i, 0])) < 1e-3

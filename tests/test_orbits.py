@@ -43,7 +43,7 @@ class TestReturnMap:
 
     def test_perturbed_displacement_scales_with_eps(self):
         sys_seed = make_model(1.0, 1.0)
-        seed = sys_seed.surface.axis_seed(sys_seed, np.array([0.6, 0.0, 0.8]))
+        seed = sys_seed.surface.zoll_state(sys_seed, np.array([0.6, 0.0, 0.8]))
         spec = make_section(sys_seed, seed)
         gaps = []
         for eps in (0.05, 0.025):
@@ -76,7 +76,7 @@ class TestFindClosedOrbit:
         sysp = perturbed_sphere(eps)
         north = find_closed_orbit(sysp, latitude_seed(sysp), tol=1e-9)
         south = find_closed_orbit(
-            sysp, sysp.surface.axis_seed(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
+            sysp, sysp.surface.zoll_state(sysp, np.array([0.05, 0.0, -1.0])), tol=1e-9)
         lmag_n = magnetic_length(sysp, north)
         lmag_s = magnetic_length(sysp, south)
         lo, hi = ORACLE_LMAG[eps]
@@ -121,7 +121,7 @@ class TestFindClosedOrbit:
         # under the axisymmetric perturbation, equatorial axes sit on the
         # degenerate direction of the orbit family
         sysp = perturbed_sphere(0.05)
-        seed = sysp.surface.axis_seed(sysp, np.array([1.0, 0.0, 0.0]))
+        seed = sysp.surface.zoll_state(sysp, np.array([1.0, 0.0, 0.0]))
         with pytest.raises((DivergedFromFamily, NoConvergence)):
             find_closed_orbit(sysp, seed, tol=1e-12, max_iter=4)
 
@@ -215,12 +215,14 @@ class TestVariationalNewton:
 
     def test_perturbed_sphere_census_return_maps(self, monkeypatch):
         # one plain map per seed, then one map with tangents per Newton step
-        # and line-search trial (three plain maps per step before)
+        # and line-search trial; Newton runs only from the two critical
+        # points of the orbit-space average, not from the 11 starts
         calls = counting_return_maps(monkeypatch)
         found = enumerate_orbits(perturbed_sphere(0.05), grid_density=3, tol=1e-9)
         assert len(found) == 2
-        assert calls[0] == found.seeds_attempted == 11
-        assert sum(calls) <= 80
+        assert calls[0] == found.seeds_attempted == 2
+        assert found.starts == 11
+        assert sum(calls) <= 12
 
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
     def test_every_rhs_evaluation_is_counted_by_solve_ivp(self, kappa, monkeypatch):
@@ -351,6 +353,95 @@ class TestEnumerate:
                                          ref_orbit.positions()))
         for a, b in zip(dists, dists[1:]):
             assert a / b == pytest.approx(2.0, rel=0.3)
+
+
+def starts(sys, grid_density=3, rng_seed=0):
+    return sys.surface.orbit_space_starts(sys, grid_density, np.random.default_rng(rng_seed))
+
+
+class TestOrbitSpaceAverage:
+    @pytest.mark.parametrize("s", [1.0, 0.7, 2.5])
+    def test_torus_cos_x_closed_form(self, s):
+        # the circle of radius r = 1/s about (x0, y0): oint cos x ds0 = 2 pi r J0(r) cos x0
+        from scipy.special import j0
+        sys = conformal_perturb(make_model(0.0, s), "torus_cos_x", 0.05, normalize=False)
+        c = np.random.default_rng(3).uniform(-1.0, 7.0, size=(12, 2))
+        r = 1.0 / s
+        expected = 2.0 * math.pi * r * j0(r) * np.cos(c[:, 0])
+        assert np.max(np.abs(orbits_mod.orbit_space_average(sys, c) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (4.0, 0.5), (1.0, -0.7)])
+    def test_sphere_harmonic_z_is_proportional_to_the_axis_height(self, kappa, s):
+        # the circle about the axis n at polar radius alpha, tan(sqrt(kappa)
+        # alpha) = sqrt(kappa)/|s|: the average of sqrt(kappa) z over it is
+        # cos(alpha) n_z, times its length 2 pi / sqrt(s^2 + kappa)
+        sys = conformal_perturb(make_model(kappa, s), "sphere_harmonic_z", 0.05,
+                                normalize=False)
+        n = np.random.default_rng(4).normal(size=(12, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        alpha = math.atan2(math.sqrt(kappa), abs(s))
+        expected = math.cos(alpha) * reference_period(sys) * n[:, 2]
+        assert np.max(np.abs(orbits_mod.orbit_space_average(sys, n) - expected)) < 1e-12
+
+    def test_zero_without_a_perturbation(self):
+        for sys in (make_model(1.0, 1.0), make_model(0.0, 1.0), make_model(-1.0, 2.0)):
+            _, c = starts(sys)
+            assert not np.any(orbits_mod.orbit_space_average(sys, c))
+            assert orbits_mod.critical_points(sys, *starts(sys)) is None
+
+    @pytest.mark.parametrize("kappa,s,field,blind", [
+        # at r = 1/s the first zero of J0 every circle averages cos x to zero
+        (0.0, 1.0 / 2.404825557695773, "torus_cos_x", True),
+        # near-great circles: first order splits the lengths by about 4 pi s
+        # eps, less than the second-order terms; below s = 0.025 the blind
+        # grid finds orbits over equatorial axes, shorter than the south
+        # pole's (by 0.0014 at s = 0.01)
+        (1.0, 0.01, "sphere_harmonic_z", True),
+        (1.0, 0.02, "sphere_harmonic_z", True),
+        (1.0, 0.04, "sphere_harmonic_z", False)])
+    def test_first_order_blind_systems_take_the_grid(self, kappa, s, field, blind):
+        sys = conformal_perturb(make_model(kappa, s), field, 0.05, normalize=True)
+        assert (orbits_mod.critical_points(sys, *starts(sys)) is None) == blind
+
+    @pytest.mark.parametrize("grid_density", [2, 3, 4])
+    def test_torus_critical_circles_keep_one_representative(self, grid_density):
+        # abar ~ cos x0 is critical on the circles x0 = 0 and x0 = pi; at
+        # density 2 every start lies on the level abar = 0 (x0 = pi/2, 3pi/2)
+        ids, points = orbits_mod.critical_points(perturbed_system(0.0),
+                                                 *starts(perturbed_system(0.0), grid_density))
+        assert ids == ["center_0_0_max", "center_0_0_min"]
+        x0 = np.mod(points[:, 0] + 1.0, 2.0 * math.pi) - 1.0
+        assert x0 == pytest.approx([0.0, math.pi], abs=1e-6)
+
+    def test_sphere_critical_points_follow_the_axis(self):
+        axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        sys = conformal_perturb(make_model(1.0, 1.0),
+                                ScalarField("sphere_harmonic_axis", (1.0, 1.0, 1.0, 0.0)),
+                                0.05, normalize=True)
+        ids, points = orbits_mod.critical_points(sys, *starts(sys))
+        assert len(ids) == 2
+        assert np.max(np.abs(np.abs(points @ axis) - 1.0)) < 1e-10
+        assert points[0] @ axis > 0 > points[1] @ axis
+
+    def test_hyperbolic_searches_stay_in_the_seeded_disk(self):
+        # abar of the bump is radial: a minimum at the origin, a critical
+        # circle of maxima, and it falls off outward, where every descent from
+        # the outer ring leaves the seeded disk and yields no point
+        sys = perturbed_system(-1.0)
+        ids, points = orbits_mod.critical_points(sys, *starts(sys))
+        assert ids == ["boost_0_0", "boost_1_0_max"]
+        assert np.all(sys.surface.in_searched_region(sys, points))
+        assert points[0] == pytest.approx([0.0, 0.0])
+
+    def test_no_critical_point_is_named(self, monkeypatch):
+        from magsys_lab import NoOrbitsFound, run_experiment
+        monkeypatch.setattr(orbits_mod, "critical_points",
+                            lambda sys, ids, starts, tol: ([], np.empty((0, 3))))
+        cfg = ExperimentConfig(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
+                               eps=0.05, grid_density=2)
+        with pytest.raises(NoOrbitsFound, match=r"no critical point in the searched region "
+                                                r"\(6 starts\)"):
+            run_experiment(cfg)
 
 
 def circle_orbit(seed_id, centre, e1, e2, radius, phase, n=512):
@@ -493,8 +584,9 @@ class TestDeduplicate:
         assert calls == []
 
     def test_perturbed_sphere_census_needs_no_exact_pass(self, monkeypatch):
-        # seeds that converge onto the same orbit are phase-shifted samplings
-        # of one loop, which the matched bound settles
+        # the census seeds one orbit per critical point of the orbit-space
+        # average, so dedup gets two loops far apart, which the support gap
+        # settles
         calls = counting_hausdorff(monkeypatch)
         dedup_in = []
         dedup = orbits_mod.deduplicate
@@ -504,7 +596,6 @@ class TestDeduplicate:
             return dedup(sys, orbits, **kw)
 
         monkeypatch.setattr(orbits_mod, "deduplicate", counted)
-        # (at grid density 2 only the two distinct orbits converge)
         found = enumerate_orbits(perturbed_sphere(0.05), grid_density=3, tol=1e-9)
-        assert dedup_in == [8] and len(found) == 2
+        assert dedup_in == [2] and len(found) == 2
         assert calls == []

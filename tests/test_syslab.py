@@ -8,7 +8,8 @@ from scipy.optimize import brentq
 from magsys_lab import (ExperimentConfig, NoOrbitsFound, ValidationError,
                         check_two_sided, identity_constant, make_surface,
                         run_experiment, sweep, sweep_table)
-from magsys_lab.syslab import _full_coefficient
+from magsys_lab import orbits
+from magsys_lab.syslab import _full_coefficient, run_experiment_full
 from magsys_lab.zollref import kahler_leading_constant
 
 
@@ -163,10 +164,13 @@ class TestReproducibility:
             ExperimentConfig(kappa=1.0, strength=1.0, **{key: value})
 
 
-# orbit count, verdict, seeds and magnetic lengths (in census order) of each
-# run, recorded to full precision with Newton on a forward-difference
-# Jacobian (step 1e-6, two extra return maps per step); the variational
-# Jacobian may move a converged orbit only within tol_orbit
+# orbit count, verdict and seeds of each run, with the magnetic lengths
+# recorded to full precision with Newton on a forward-difference Jacobian
+# (step 1e-6, two extra return maps per step) from every seed of the grid,
+# which found the torus and hyperbolic orbits more than once (translates and
+# rotations of one orbit); the census seeds one representative per critical
+# manifold of the orbit-space average, and each of its lengths is one of the
+# recorded ones within tol_orbit
 FD_NEWTON_RECORD = {
     "sphere": (dict(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
                     eps=0.05, grid_density=3),
@@ -174,13 +178,13 @@ FD_NEWTON_RECORD = {
                [2.4446766734808882, 2.7586394964029424]),
     "torus": (dict(kappa=0.0, strength=1.0, perturbation_name="torus_cos_x",
                    eps=0.05, grid_density=4),
-              8, "PASS", [f"center_{i}_{j}" for i in range(2) for j in range(4)],
+              2, "PASS", ["center_0_0_max", "center_0_0_min"],
               [2.8989133495542205, 2.8989133495542214, 2.898913349554222,
                2.8989133495542796, 3.3787699424992415, 3.378769942499278,
                3.3787699424992805, 3.378769942499283]),
     "hyperbolic": (dict(kappa=-1.0, strength=2.0, perturbation_name="hyperbolic_bump",
                         perturbation_coeffs=(1.0, 0.5), eps=0.05, grid_density=3),
-                   4, "FAIL", ["boost_0_0", "boost_1_0", "boost_1_1", "boost_1_2"],
+                   2, "FAIL", ["boost_0_0", "boost_1_0_max"],
                    [1.736375621675979, 1.7372459945494019, 1.7372459945506056,
                     1.7372459945506975]),
 }
@@ -195,4 +199,57 @@ class TestVariationalNewtonPipeline:
         assert rep.all_verdicts() == [verdict] * 3
         # seeds whose lengths agree to ~1e-13 may swap places in the census
         assert sorted(rep.seed_ids) == seeds
-        assert np.max(np.abs(np.array(rep.magnetic_lengths) - lengths)) < 1e-9
+        gaps = np.abs(np.array(rep.magnetic_lengths)[:, None] - np.array(lengths)[None, :])
+        assert np.max(np.min(gaps, axis=1)) < 1e-9
+        assert [rep.l_min, rep.l_max] == pytest.approx([min(lengths), max(lengths)], abs=1e-9)
+
+
+FIRST_ORDER_CONFIGS = {
+    "sphere_harmonic_z": dict(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z"),
+    "torus_cos_x": dict(kappa=0.0, strength=1.0, perturbation_name="torus_cos_x"),
+    # the flux term of abar, with its sign
+    "sphere_eta_axial": dict(kappa=1.0, strength=1.0, eta_name="sphere_eta_axial",
+                             eta_coeffs=(0.5,)),
+    "torus_eta_sin_x": dict(kappa=0.0, strength=1.0, eta_name="torus_eta_sin_x"),
+}
+
+
+class TestFirstOrderCensus:
+    """The census seeded at the critical points of the orbit-space average
+    abar, on the whole pipeline."""
+
+    @pytest.mark.parametrize("name", sorted(FIRST_ORDER_CONFIGS))
+    def test_halving_eps_quarters_the_first_order_gap(self, name):
+        # l = pi a^2(1) + eps abar(c*) + O(eps^2) at the critical points c*
+        # of abar: the largest length at its maximum, the smallest at its minimum
+        gaps = []
+        for eps in (0.025, 0.0125):
+            cfg = ExperimentConfig(eps=eps, grid_density=3, **FIRST_ORDER_CONFIGS[name])
+            rep, sys, _ = run_experiment_full(cfg)
+            ids, points = orbits.critical_points(
+                sys, *sys.surface.orbit_space_starts(sys, 3, np.random.default_rng(0)))
+            assert sorted(ids) == sorted(rep.seed_ids)
+            abar = orbits.orbit_space_average(sys, points)
+            gaps.append(np.abs(np.array([rep.l_min, rep.l_max]) - rep.reference
+                               - eps * np.array([abar.min(), abar.max()])))
+        assert gaps[0] / gaps[1] == pytest.approx([4.0, 4.0], abs=0.5)
+
+    def test_rotated_axis_gives_the_z_axis_census(self):
+        base = dict(kappa=1.0, strength=1.0, eps=0.05, grid_density=3)
+        z = run_experiment(ExperimentConfig(perturbation_name="sphere_harmonic_z", **base))
+        tilted = run_experiment(ExperimentConfig(
+            perturbation_name="sphere_harmonic_axis", perturbation_coeffs=(1.0, 1.0, 1.0, 0.0),
+            **base))
+        assert tilted.orbit_count == z.orbit_count == 2
+        assert [tilted.l_min, tilted.l_max] == pytest.approx([z.l_min, z.l_max], abs=1e-9)
+        assert tilted.all_verdicts() == z.all_verdicts() == ["PASS"] * 3
+
+    def test_torus_census_does_not_depend_on_the_grid_density(self):
+        reps = [run_experiment(ExperimentConfig(kappa=0.0, strength=1.0,
+                                                perturbation_name="torus_cos_x",
+                                                eps=0.05, grid_density=gd))
+                for gd in (2, 3, 4)]
+        for rep in reps:
+            assert rep.all_verdicts() == ["PASS"] * 3
+            assert [rep.l_min, rep.l_max] == pytest.approx(
+                [reps[0].l_min, reps[0].l_max], abs=1e-9)
