@@ -25,8 +25,7 @@ from .functionals import (ActionValue, FluxMethod, FluxResult,
                           magnetic_action, magnetic_length)
 from .zollref import (CohomologyData, ZollReference, a_of_r, a1_squared,
                       inequality_constant_C, k_tilde, kahler_bundle_pairings,
-                      make_reference, reference_length, sphere_bundle_pairings,
-                      torus_bundle_pairings, zoll_polynomial_generic,
+                      make_reference, reference_length, zoll_polynomial_generic,
                       zoll_polynomial_kahler)
 from .volume import (VolumeReport, identity_constant, vol_closed_form,
                      vol_quadrature_oracle, volume_report)

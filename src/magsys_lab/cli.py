@@ -35,7 +35,7 @@ import os
 import sys as _sys
 from dataclasses import replace
 
-from . import functionals, orbits, reporting, syslab, volume, zollref
+from . import dynamics, functionals, orbits, reporting, syslab, volume, zollref
 from .errors import MagsysError, ParseError, ValidationError
 
 # (section, key) -> (value type, the ExperimentConfig field it sets or None)
@@ -274,7 +274,7 @@ def cmd_constants(cfg, extras, provenance, args):
         "kappa": ref.kappa, "strength": ref.strength, "n": ref.n,
         "a1": math.sqrt(ref.a1_squared), "a1_squared": ref.a1_squared,
         "reference_magnetic_length": ref.reference_magnetic_length,
-        "reference_period": 2.0 * math.pi / math.sqrt(ref.strength**2 + ref.kappa),
+        "reference_period": dynamics.reference_period(ref),
         "closed_form_flux": functionals.closed_form_flux(ref.kappa, ref.strength),
         "vol_g0": ref.vol_g0,
         "k_tilde": zollref.k_tilde(cfg.kappa, cfg.strength, cfg.n)

@@ -45,8 +45,9 @@ class Trajectory:
         return self.states[:, self.states.shape[1] // 2:]
 
 
-def reference_period(sys: MagneticSystem):
-    """Common period 2 pi / sqrt(s^2 + kappa) of the unperturbed closed orbits."""
+def reference_period(sys):
+    """Common period 2 pi / sqrt(s^2 + kappa) of the unperturbed closed orbits
+    of sys, a MagneticSystem or a ZollReference."""
     return 2.0 * math.pi / math.sqrt(sys.strength**2 + sys.kappa)
 
 
@@ -135,13 +136,11 @@ def flow(sys: MagneticSystem, start: TangentState, duration, tol=DEFAULT_TOL,
 
 
 def latitude_seed(sys: MagneticSystem) -> TangentState:
-    """A state lying exactly on a closed orbit of the unperturbed Zoll flow.
-
-    Placement: the circle whose signed geodesic curvature equals s (each
-    chart object's ``latitude_seed`` gives its radius).  Orientation keeps
-    the enclosed center on the J-side of the velocity.
+    """A state exactly on a closed orbit of the unperturbed Zoll flow: the
+    chart's ``zoll_state`` over its fixed orbit-space point ``latitude_point``
+    (the +z axis, the hyperbolic origin, the torus domain's centre (pi, pi)).
     """
-    return sys.surface.latitude_seed(sys)
+    return sys.surface.zoll_state(sys, sys.surface.latitude_point)
 
 
 def geodesic_curvature_series(sys, traj: Trajectory):

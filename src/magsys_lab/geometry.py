@@ -301,10 +301,16 @@ class ChartOps:
 
     # the orbit space: one point c for each Zoll circle (an axis on the sphere,
     # a centre on the torus and on the hyperbolic chart), held as a row of an
-    # (M, k) array.  ``orbit_space_starts`` gives the census grid of them,
-    # ``orbit_space_step`` moves them by k-vector offsets (``orbit_space_gap``
-    # is its inverse), ``zoll_state`` is a state on the Zoll circle over c and
-    # ``zoll_circle`` samples the whole circle
+    # (M, k) array.  ``zoll_circle``, each chart's one formula for the circle
+    # over c, has ``zoll_state`` as its node 0 and ``latitude_point`` as the c
+    # of ``dynamics.latitude_seed``.  ``orbit_space_starts`` gives the census
+    # grid, ``orbit_space_step`` moves points by k-vector offsets
+    # (``orbit_space_gap`` is its inverse)
+    def zoll_state(self, sys, c):
+        """The state at node 0 of the Zoll circle over the orbit-space point c."""
+        q, v = self.zoll_circle(sys, np.asarray(c, dtype=float)[None], 1)
+        return tangent_state(sys, q[0, 0], v[0, 0])
+
     def orbit_space_gap(self, c, c2):
         return c2 - c
 
@@ -506,34 +512,14 @@ class SphereChart(ChartOps):
         # dq/dtheta = (ca cp, ca sp, -sa), dq/dphi = (-y, x, 0)
         return W, amb, (c0 * (ca * cp) + c1 * (ca * sp) + c2 * -sa, c0 * -y + c1 * x)
 
-    # seeds
-    def latitude_seed(self, sys):
-        """On the circle tan(sqrt(kappa) theta*) = sqrt(kappa)/s about the pole."""
-        s = sys.strength
-        alpha = math.atan2(self.sk, abs(s))    # polar angle from the enclosed pole
-        pole = 1.0 if s >= 0 else -1.0
-        q = np.array([self.R * math.sin(alpha), 0.0, pole * self.R * math.cos(alpha)])
-        v = np.array([0.0, pole, 0.0])
-        return tangent_state(sys, q, v)
+    latitude_point = (0.0, 0.0, 1.0)
 
     def frame(self, axis):
-        """(e1, e2) completing the unit vector axis to a positive orthonormal frame."""
-        ref = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+        """(e1, e2) completing unit axes (..., 3) to positive orthonormal frames."""
+        ref = np.where(np.abs(axis[..., 2:]) < 0.9, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
         e1 = np.cross(axis, ref)
-        e1 /= np.linalg.norm(e1)
+        e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
         return e1, np.cross(axis, e1)
-
-    def zoll_state(self, sys, axis):
-        """A state on the unperturbed orbit about the given axis."""
-        s = sys.strength
-        alpha = math.atan2(self.sk, abs(s))
-        n_hat = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
-        e1, _ = self.frame(n_hat)
-        q = self.R * (math.cos(alpha) * n_hat + math.sin(alpha) * e1)
-        v = np.cross(n_hat, q)
-        if s < 0:
-            v = -v
-        return tangent_state(sys, q, v)
 
     def orbit_space_starts(self, sys, grid_density, rng):
         """Axes: the two poles always, then rings of jittered axes."""
@@ -554,14 +540,11 @@ class SphereChart(ChartOps):
 
     def zoll_circle(self, sys, c, nodes):
         """Positions and unit g0-velocities, each (M, nodes, 3), at nodes equally
-        spaced points of the Zoll circle about each axis c, in the order the
-        flow runs through them from the point of ``zoll_state``."""
+        spaced points of the Zoll circle tan(sqrt(kappa) theta*) = sqrt(kappa)/s
+        about each axis c, in the order the flow runs through them."""
         alpha = math.atan2(self.sk, abs(sys.strength))
         n = c / np.linalg.norm(c, axis=-1, keepdims=True)
-        ref = np.where(np.abs(n[:, 2:]) < 0.9, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
-        e1 = np.cross(n, ref)
-        e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-        e2 = np.cross(n, e1)
+        e1, e2 = self.frame(n)
         turn = -1.0 if sys.strength < 0 else 1.0    # the sense of the flow about n
         th = turn * 2.0 * math.pi * np.arange(nodes) / nodes
         cos, sin = np.cos(th)[:, None], np.sin(th)[:, None]
@@ -841,38 +824,7 @@ class HyperbolicChart(_PlanarChart):
         raise ValidationError(
             "the volume oracle needs explicit coordinates: flat-torus or sphere chart")
 
-    def latitude_seed(self, sys):
-        """On the circle tanh(sqrt(-kappa) rho*) = sqrt(-kappa)/s about the origin."""
-        rho = math.atanh(self.sk / sys.strength) / self.sk    # the Zoll regime has s > sk
-        w = float(self.w_wp(rho, np)[0])
-        return tangent_state(sys, np.array([rho, 0.0]), np.array([0.0, 1.0 / w]))
-
-    def _translate(self, state, dist, psi):
-        """Push a chart state out to distance dist along direction psi (isometry)."""
-        rh = 1.0 / self.sk
-        rho, phi = state.position
-        vr, vp = state.velocity
-        ch, sh = math.cosh(rho / rh), math.sinh(rho / rh)
-        X = rh * np.array([ch, sh * math.cos(phi), sh * math.sin(phi)])
-        dX_drho = np.array([sh, ch * math.cos(phi), ch * math.sin(phi)])
-        dX_dphi = rh * np.array([0.0, -sh * math.sin(phi), sh * math.cos(phi)])
-        V = vr * dX_drho + vp * dX_dphi
-
-        z = dist / rh
-        cz, sz = math.cosh(z), math.sinh(z)
-        cp, sp = math.cos(psi), math.sin(psi)
-        rot = np.array([[1, 0, 0], [0, cp, -sp], [0, sp, cp]])
-        boost = np.array([[cz, sz, 0], [sz, cz, 0], [0, 0, 1]])
-        B = rot @ boost @ rot.T
-        Xb, Vb = B @ X, B @ V
-
-        rho_b = rh * math.acosh(max(Xb[0] / rh, 1.0))
-        phi_b = math.atan2(Xb[2], Xb[1])
-        denom = math.sqrt(max(Xb[0] ** 2 - rh**2, 1e-300))
-        vr_b = rh * Vb[0] / denom
-        r2 = Xb[1] ** 2 + Xb[2] ** 2
-        vp_b = (Xb[1] * Vb[2] - Xb[2] * Vb[1]) / r2
-        return TangentState(np.array([rho_b, phi_b]), np.array([vr_b, vp_b]))
+    latitude_point = (0.0, 0.0)
 
     def _seed_radius(self, sys):
         """The largest distance from the origin of a start's centre."""
@@ -893,10 +845,6 @@ class HyperbolicChart(_PlanarChart):
                 centres.append((d, psi))
         return ids, np.array(centres)
 
-    def zoll_state(self, sys, c):
-        """The latitude seed pushed out to the centre c = (rho, phi)."""
-        return self._translate(self.latitude_seed(sys), c[0], c[1])
-
     def orbit_space_step(self, c, d):
         p = self._plane_image(c) + d
         return np.stack([np.hypot(p[:, 0], p[:, 1]), np.arctan2(p[:, 1], p[:, 0])], axis=-1)
@@ -910,11 +858,11 @@ class HyperbolicChart(_PlanarChart):
 
     def zoll_circle(self, sys, c, nodes):
         """Positions and unit g0-velocities, each (M, nodes, 2), at nodes equally
-        spaced points of the Zoll circle about each centre c, in the order the
-        flow runs through them from the point of ``zoll_state``: the latitude
-        circle on the hyperboloid, moved by the isometry of ``_translate``."""
+        spaced points of the Zoll circle about each centre c = (rho, phi), in the
+        order the flow runs through them: on the hyperboloid, the circle
+        tanh(sqrt(-kappa) rho*) = sqrt(-kappa)/s about the origin, boosted to c."""
         rh = 1.0 / self.sk
-        a = math.atanh(self.sk / sys.strength)    # rho* / rh
+        a = math.atanh(self.sk / sys.strength)    # rho* / rh; the Zoll regime has s > sk
         th = 2.0 * math.pi * np.arange(nodes) / nodes
         cos, sin = np.cos(th), np.sin(th)
         z = c[:, :1] / rh
@@ -923,7 +871,7 @@ class HyperbolicChart(_PlanarChart):
 
         def boost(y0, y1, y2):
             # B = I + sinh z (e0 e^T + e e0^T) + (cosh z - 1)(e0 e0^T + e e^T),
-            # e = (0, cos psi, sin psi): the boost of _translate
+            # e = (0, cos phi, sin phi)
             ey = cp * y1 + sp * y2
             k = sz * y0 + (cz - 1.0) * ey
             return cz * y0 + sz * ey, y1 + cp * k, y2 + sp * k
@@ -1000,12 +948,7 @@ class TorusChart(_PlanarChart):
     def _oracle_base(self, q, comp):
         return 1.0, q, None if comp is None else comp(q.T)
 
-    def latitude_seed(self, sys):
-        """On the circle of radius 1/s about the centre of the domain (the Zoll
-        regime has s > 0)."""
-        p1, p2 = self.box
-        q = np.array([0.5 * p1 + 1.0 / sys.strength, 0.5 * p2])
-        return tangent_state(sys, q, np.array([0.0, 1.0]))
+    latitude_point = (math.pi, math.pi)    # the centre of the domain
 
     def orbit_space_starts(self, sys, grid_density, rng):
         """The centres of a grid of cells."""
@@ -1016,11 +959,6 @@ class TorusChart(_PlanarChart):
                 ids.append(f"center_{i}_{j}")
                 centres.append(((i + 0.5) * p1 / grid_density, (j + 0.5) * p2 / grid_density))
         return ids, np.array(centres)
-
-    def zoll_state(self, sys, c):
-        """The latitude circle moved to the centre c."""
-        base = self.latitude_seed(sys)
-        return tangent_state(sys, np.array([c[0] + 1.0 / sys.strength, c[1]]), base.velocity)
 
     def orbit_space_step(self, c, d):
         return self.wrap(c + d, 0.5 * np.asarray(self.box))

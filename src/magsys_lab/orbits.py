@@ -20,10 +20,11 @@ differences of closed-form maps, with no ODE solve.
 The census (``enumerate_orbits``) seeds Newton where first-order
 perturbation theory puts the closed orbits.  Each unperturbed orbit is the
 Zoll circle over a point c of the orbit space: its axis on the sphere, its
-centre on the torus and on the hyperbolic chart.  To first order in eps, the
-perturbed orbits lie over the critical points of abar(c), the first-order
-change of the circle's magnetic length (``orbit_space_average``), and
-l = pi a^2(1) + eps abar(c*) + O(eps^2).  The stage before Newton is an
+centre on the torus and on the hyperbolic chart (``zoll_circle``, the one
+formula for it; a seed is its node 0, ``zoll_state``).  To first order in
+eps, the perturbed orbits lie over the critical points of abar(c), the
+first-order change of the circle's magnetic length (``orbit_space_average``),
+and l = pi a^2(1) + eps abar(c*) + O(eps^2).  The stage before Newton is an
 ODE-free quadrature on circles:
 - the starts are the orbit-space points of the seed grid (``seed_grid``:
   ``grid_density`` and the ``rng_seed`` jitter keep their meaning);

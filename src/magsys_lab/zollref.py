@@ -177,18 +177,6 @@ def kahler_bundle_pairings(kappa, s0, n=1, vol_g0=None):
     return CohomologyData(pairings=pair, dim_M=2 * m)
 
 
-def torus_bundle_pairings(s0, n=1):
-    """Built-in derived pairings for the flat-torus Zoll system."""
-    return kahler_bundle_pairings(0.0, s0, n=n)
-
-
-def sphere_bundle_pairings(kappa, s0, n=1, vol_g0=None):
-    """Built-in derived pairings for the round-sphere Zoll system."""
-    if not kappa > 0:
-        raise ValidationError("sphere pairings need kappa > 0")
-    return kahler_bundle_pairings(kappa, s0, n=n, vol_g0=vol_g0)
-
-
 def inequality_constant_C(kappa, s, n, vol_g0):
     """The constant C(kappa, s, n) of the full systolic inequality.
 

@@ -6,8 +6,8 @@ import pytest
 
 from magsys_lab import (StepFailure, ValidationError, ZollRegimeViolation,
                         conformal_perturb, flow, g_dot, g_norm, make_model,
-                        riemannian_volume, state_distance, tangent_state,
-                        with_sigma_perturbation)
+                        reference_period, riemannian_volume, state_distance,
+                        tangent_state, with_sigma_perturbation)
 from magsys_lab.geometry import HyperbolicChart, SphereChart, TangentState
 
 from instruments import random_state, sigma0, stencil_curvature
@@ -190,21 +190,26 @@ class TestTangentState:
 
 
 
-@pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (1.0, -0.7), (0.0, 1.0), (-1.0, 2.0)])
+@pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (1.0, 0.7), (1.0, -0.7), (0.0, 1.0),
+                                     (-1.0, 2.0)])
 def test_zoll_circle_runs_through_the_zoll_state(kappa, s):
-    # node 0 of each sampled circle is the Zoll state over its orbit-space
-    # point, and every node has unit g0-speed
+    # the flow from the Zoll state over each orbit-space point (off-origin
+    # centres on the hyperbolic chart) passes through the nodes of its sampled
+    # circle at equal arc steps of one reference period, and every node has
+    # unit g0-speed
     sys = make_model(kappa, s)
     surface = sys.surface
     ids, starts = surface.orbit_space_starts(sys, 3, np.random.default_rng(0))
     assert len(ids) == len(starts)
     q, v = surface.zoll_circle(sys, starts, 16)
     assert q.shape == v.shape == (len(starts), 16, surface.dim)
-    for i, c in enumerate(starts):
-        st = surface.zoll_state(sys, c)
-        assert np.max(np.abs(q[i, 0] - st.position)) < 1e-12
-        assert np.max(np.abs(v[i, 0] - st.velocity)) < 1e-12
     assert np.max(np.abs(g_norm(sys, q, v) - 1.0)) < 1e-12
+    for i, c in enumerate(starts):
+        traj = flow(sys, surface.zoll_state(sys, c), reference_period(sys), n_samples=16)
+        for k in range(16):
+            st = traj.state(k)
+            assert np.max(np.abs(surface.wrap(st.position, q[i, k]) - q[i, k])) < 1e-8
+            assert np.max(np.abs(st.velocity - v[i, k])) < 1e-8
     # the nodes advance along the velocity: central differences over the
     # arc step of 256 nodes
     q, v = surface.zoll_circle(sys, starts, 256)

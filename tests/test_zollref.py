@@ -6,8 +6,8 @@ import sympy
 from magsys_lab import (CohomologyData, ValidationError, ZollRegimeViolation,
                         a_of_r, a1_squared, inequality_constant_C,
                         k_tilde, kahler_bundle_pairings, make_reference,
-                        reference_length, torus_bundle_pairings,
-                        zoll_polynomial_generic, zoll_polynomial_kahler)
+                        reference_length, zoll_polynomial_generic,
+                        zoll_polynomial_kahler)
 
 
 class TestScaleFunction:
@@ -125,7 +125,7 @@ class TestKahlerPolynomial:
             assert abs(pg - pk) <= 1e-10 * max(1.0, abs(pk))
 
     def test_torus_pairings_shortcut(self):
-        coh = torus_bundle_pairings(2.0)
+        coh = kahler_bundle_pairings(0.0, 2.0)
         assert coh.dim_M == 2
         a2 = a1_squared(0.0, 2.0)
         assert coh.pairings[0] == pytest.approx(2 * math.pi**2 * a2**3, rel=1e-14)
@@ -146,15 +146,12 @@ class TestKahlerPolynomial:
             kahler_bundle_pairings(-1.0, 2.0, 1, 4 * math.pi)
 
     def test_sphere_pairings_shortcut(self):
-        from magsys_lab import sphere_bundle_pairings
-        coh = sphere_bundle_pairings(1.0, 1.0)
+        coh = kahler_bundle_pairings(1.0, 1.0)
         assert coh.dim_M == 2 and coh.pairings[0] > 0
         for A in (-0.2, 0.3):
             pg = zoll_polynomial_generic(coh, A)
             pk = zoll_polynomial_kahler(1.0, 1.0, 1, 4 * math.pi, A)
             assert abs(pg - pk) <= 1e-10 * max(1.0, abs(pk))
-        with pytest.raises(ValidationError):
-            sphere_bundle_pairings(-1.0, 2.0)
 
 
 class TestInequalityConstant:
