@@ -27,8 +27,8 @@ for name, kappa, s in MODELS:
     print(f"--- {name} (kappa={kappa:+g}, s={s:g})")
     print(f"    period     {orb.period:.9f}   closed form {reference_period(sys):.9f}")
     print(f"    length     {length(sys, orb):.9f}")
-    print(f"    flux       {flux.value:.9f}   closed form "
-          f"{closed_form_flux(kappa, s):.9f}   ({flux.method.value})")
+    print(f"    flux       {flux:.9f}   closed form "
+          f"{closed_form_flux(kappa, s):.9f}")
     print(f"    l_mag      {lmag:.9f}   pi a^2(1)   "
           f"{reference_length(kappa, s):.9f}")
     print(f"    residual   {orb.residual:.2e}")

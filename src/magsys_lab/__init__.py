@@ -20,9 +20,8 @@ from .dynamics import (Trajectory, flow, geodesic_curvature_series,
                        reference_period, trajectory_to_csv)
 from .orbits import (Orbit, SectionSpec, enumerate_orbits, find_closed_orbit,
                      make_section, return_map, seed_grid)
-from .functionals import (ActionValue, FluxMethod, FluxResult,
-                          closed_form_flux, flux_through_cap, length,
-                          magnetic_action, magnetic_length)
+from .functionals import (ActionValue, closed_form_flux, flux_through_cap,
+                          length, magnetic_action, magnetic_length)
 from .zollref import (CohomologyData, ZollReference, a_of_r, a1_squared,
                       inequality_constant_C, k_tilde, kahler_bundle_pairings,
                       make_reference, reference_length, zoll_polynomial_generic,

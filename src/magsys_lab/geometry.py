@@ -216,10 +216,11 @@ class ChartOps:
     Every chart has metric coordinates (r, p) with g0 = dr^2 + w(r)^2 dp^2,
     where w = 1 on the torus; ``w_wp`` gives (w, w') with ``math``, or with
     the module passed as ``fn`` (numpy for arrays).
-    Sections and caps are worked in a planar image of the chart
-    (``to_plane``).  The capping disk is the region that the rotated
-    velocity J v points into, and ``cap_picture`` maps it
-    azimuthal-equidistantly to the plane with an explicit area density.
+    Sections are worked in a planar image of the chart (``to_plane``).  The
+    capping disk is the region that the rotated velocity J v points into;
+    ``green_integrand`` integrates a primitive of sigma0 along its boundary
+    loop, and ``cap_loop`` gives that loop in a plane picture with the cap
+    centre, about which the loop must be star-shaped for the primitive.
     """
 
     dim = 2
@@ -349,8 +350,8 @@ class SphereChart(ChartOps):
     and ambient tangent velocities, so the dynamics are chart-free and robust
     near every point; the planar image is R^3 itself.  Metric coordinates are
     geodesic polar (theta, phi) about the north pole +z R.  The capping disk
-    is the polar cap around the orbit's axis, with area density
-    sin(sqrt(k) t)/(sqrt(k) t) at map radius t from the cap centre.
+    is the polar cap around the orbit's axis, with sigma0 primitive
+    (1 - cos(sqrt(k) t))/k d(azimuth) at distance t from the cap centre.
     """
 
     dim = 3
@@ -583,8 +584,8 @@ class SphereChart(ChartOps):
 
     # capping disks
     def _cap_coordinates(self, pos, vel):
-        """Distance theta of each sample from the cap centre, the unit centre
-        vector and a frame (e1, e2) of the plane orthogonal to it."""
+        """Distance theta of each sample from the cap centre and a frame
+        (e1, e2) of the plane orthogonal to the centre."""
         axis = np.cross(pos, vel).mean(axis=0)
         nrm = np.linalg.norm(axis)
         if nrm == 0.0:
@@ -592,33 +593,16 @@ class SphereChart(ChartOps):
         center = axis / nrm * self.R       # the cap centre on the sphere
         chat = center / self.R
         theta = self.R * np.arccos(np.clip(pos @ chat / self.R, -1.0, 1.0))
-        return (theta, chat, *self.frame(chat))
+        return (theta, *self.frame(chat))
 
-    def cap_picture(self, pos, vel, closure):
-        """Planar boundary points, area density, map back to chart points, centre."""
-        R, sk = self.R, self.sk
-        theta, chat, e1, e2 = self._cap_coordinates(pos, vel)
-        ang = np.arctan2(pos @ e2, pos @ e1)
-        plane = np.stack([theta * np.cos(ang), theta * np.sin(ang)], axis=1)
-
-        def density(P):
-            t = np.linalg.norm(P, axis=-1)
-            return np.where(t < 1e-12, 1.0, np.sin(sk * np.minimum(t, math.pi / sk))
-                            / np.where(t < 1e-12, 1.0, sk * t))
-
-        def to_chart(P):
-            t = np.linalg.norm(P, axis=-1)
-            t_safe = np.where(t < 1e-300, 1.0, t)
-            u = P / t_safe[..., None]
-            alpha = t / R
-            return (np.cos(alpha)[..., None] * chat
-                    + np.sin(alpha)[..., None] * (u[..., 0:1] * e1 + u[..., 1:2] * e2)) * R
-
-        return plane, density, to_chart, np.zeros(2)
+    def cap_loop(self, pos, vel, closure):
+        """The loop seen along the cap axis, and its centre 0."""
+        _, e1, e2 = self._cap_coordinates(pos, vel)
+        return np.stack([pos @ e1, pos @ e2], axis=1), np.zeros(2)
 
     def green_integrand(self, pos, vel):
         """Per-sample integrand of the sigma0 flux: primitive times d(azimuth)/dt."""
-        theta, _, e1, e2 = self._cap_coordinates(pos, vel)
+        theta, e1, e2 = self._cap_coordinates(pos, vel)
         x1, x2 = pos @ e1, pos @ e2
         v1, v2 = vel @ e1, vel @ e2
         phi_dot = (x1 * v2 - x2 * v1) / (x1**2 + x2**2)
@@ -787,8 +771,8 @@ class HyperbolicChart(_PlanarChart):
     ``domain_rho`` = 3/sqrt(-kappa) for area bookkeeping, and singular at its
     origin rho = 0, where ``project`` refuses a state.  The planar image is
     (X, Y) = rho (cos phi, sin phi), so loops winding around the chart origin
-    are handled uniformly.  The capping disk is the origin-side region, with
-    area density sinh(sqrt(-k) r)/(sqrt(-k) r) at origin distance r.
+    are handled uniformly.  The capping disk is the origin-side region, and
+    (cosh(sqrt(-k) rho) - 1)/(-k) dphi a primitive of sigma0.
     """
 
     columns = ("rho", "phi", "v_rho", "v_phi")
@@ -900,20 +884,10 @@ class HyperbolicChart(_PlanarChart):
     def align_loops(self, pa, pb):
         return self._plane_image(pa), self._plane_image(pb)
 
-    def cap_picture(self, pos, vel, closure):
-        """Planar boundary points, area density, map back to chart points, centre."""
+    def cap_loop(self, pos, vel, closure):
+        """The loop in the planar image, and its mean."""
         plane = self._plane_image(pos)
-        sk = self.sk
-
-        def density(P):
-            r = np.linalg.norm(P, axis=-1)
-            return np.where(r < 1e-12, 1.0, np.sinh(sk * r) / np.where(r < 1e-12, 1.0, sk * r))
-
-        def to_chart(P):
-            r = np.linalg.norm(P, axis=-1)
-            return np.stack([r, np.arctan2(P[..., 1], P[..., 0])], axis=-1)
-
-        return plane, density, to_chart, plane.mean(axis=0)
+        return plane, plane.mean(axis=0)
 
     def _green_primitive(self, pos):
         return (np.cosh(self.sk * pos[:, 0]) - 1.0) / (-self.kappa)
@@ -922,8 +896,9 @@ class HyperbolicChart(_PlanarChart):
 class TorusChart(_PlanarChart):
     """kappa = 0: the flat fundamental domain (x, y) with periods box =
     (2 pi, 2 pi); positions may live on the universal cover.  The chart is its
-    own planar image, and the capping disk the literal disk in it (area density
-    1); a loop that winds around the torus bounds no disk in the chart.
+    own planar image, and the capping disk the literal disk in it (sigma0
+    primitive x dy); a loop that winds around the torus bounds no disk in the
+    chart.
     """
 
     columns = ("x", "y", "vx", "vy")
@@ -981,19 +956,11 @@ class TorusChart(_PlanarChart):
         shift = periods * np.round((np.mean(pa, axis=0) - np.mean(pb, axis=0)) / periods)
         return pa, pb + shift
 
-    def cap_picture(self, pos, vel, closure):
-        """Planar boundary points, area density, map back to chart points, centre."""
-        plane = pos.copy()
-
-        def density(P):
-            return np.ones(P.shape[:-1])
-
-        def to_chart(P):
-            return P
-
+    def cap_loop(self, pos, vel, closure):
+        """The loop, and its mean; a loop winding around the torus has no cap."""
         if np.any(np.round(closure / np.array(self.box)) != 0):
             raise CapNotFound("orbit winds around the torus; no capping disk in the chart")
-        return plane, density, to_chart, plane.mean(axis=0)
+        return pos, pos.mean(axis=0)
 
     def _green_primitive(self, pos):
         return pos[:, 0]

@@ -17,9 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from magsys_lab import (ExperimentConfig, check_two_sided, conformal_perturb,
-                        enumerate_orbits, find_closed_orbit, flow,
-                        flux_through_cap, kahler_bundle_pairings,
+from magsys_lab import (ExperimentConfig, check_two_sided, closed_form_flux,
+                        conformal_perturb, enumerate_orbits, find_closed_orbit,
+                        flow, flux_through_cap, kahler_bundle_pairings,
                         latitude_seed, length, magnetic_length, make_model,
                         reference_length, reference_period,
                         run_experiment, state_distance, sweep, tangent_state,
@@ -48,7 +48,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         sys = make_model(1.0, 1.0)
         orb = find_closed_orbit(sys, latitude_seed(sys), tol=1e-10)
-        flux = flux_through_cap(sys, orb).value
+        flux = flux_through_cap(sys, orb)
         lmag = magnetic_length(sys, orb)
         elapsed = time.perf_counter() - t0
         ok = (abs(orb.period - PERIOD_SPHERE) <= 1e-6
@@ -67,7 +67,7 @@ class TestAcceptance:
         radii = np.linalg.norm(pos - center, axis=1)
         unit_circle = float(np.max(np.abs(radii - 1.0))) <= 1e-8
         ln = length(sys, orb)
-        flux = flux_through_cap(sys, orb).value
+        flux = flux_through_cap(sys, orb)
         lmag = ln - flux
         elapsed = time.perf_counter() - t0
         ok = (unit_circle
@@ -81,13 +81,13 @@ class TestAcceptance:
         t0 = time.perf_counter()
         sys = make_model(-1.0, 2.0)
         orb = find_closed_orbit(sys, latitude_seed(sys), tol=1e-10)
-        cap = flux_through_cap(sys, orb, method="cap_quadrature").value
-        closed = flux_through_cap(sys, orb, method="closed_form").value
+        flux = flux_through_cap(sys, orb)
+        closed = closed_form_flux(-1.0, 2.0)
         lmag = magnetic_length(sys, orb)
         elapsed = time.perf_counter() - t0
-        # the sign decision: both routes agree and the magnetic length lands
-        # on pi a^2(1)
-        ok = (abs(cap - closed) <= 1e-8
+        # the sign decision: the boundary integral along the orbit agrees with
+        # the closed form, and the magnetic length lands on pi a^2(1)
+        ok = (abs(flux - closed) <= 1e-8
               and abs(lmag - LMAG_HYPERBOLIC) <= 1e-6
               and abs(lmag - reference_length(-1.0, 2.0)) <= 1e-6
               and closed > 0

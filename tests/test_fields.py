@@ -62,7 +62,7 @@ def test_one_form_point_formulas_equal_the_array_functions(name, coeffs, kappa):
                          + [(OneForm, *c) for c in ONE_FORM_CASES],
                          ids=SCALAR_IDS + ONE_FORM_IDS)
 def test_array_methods_on_a_grid_equal_the_per_point_values(cls, name, coeffs, kappa):
-    # the reshape path of the cap quadrature's (rows, columns, dim) grids
+    # the reshape path of the orbit-space average's (centres, nodes, dim) grids
     surface, qs = points(kappa, n=20)
     field = cls(name, coeffs)
     grid = np.array(qs).reshape(4, 5, -1)
