@@ -1,13 +1,17 @@
 """The volume identity: closed form vs direct Monte Carlo.
 
 For conformal perturbations of a model surface the odd-symplectic volume
-functional collapses to pi * (vol_g - vol_g0).  The oracle below ignores
-that reduction and Monte-Carlo integrates the defining 3-form over the unit
-tangent bundle (stratified base cells, antithetic fiber angles), so the two
-numbers agree only if the identity -- and its +pi constant -- is right.
+functional collapses to pi * (vol_g - vol_g0).  The oracle below does not
+reduce to vol_g: it Monte-Carlo integrates the fiber integral of the
+defining 3-form over the base (stratified cells, with the r- and fiber
+integrals taken exactly), so the two numbers agree only if the identity's
++pi constant is right.
 
 Exact magnetic perturbations sigma = sigma0 + eps d(eta) are invisible to
-the functional; the last block checks that too.
+the functional, because d(eta)'s term integrates to zero over each fiber.
+The oracle takes that fiber integral exactly, so the last block shows the
+estimate of a pure eta perturbation is exactly zero; it illustrates the
+blindness, it does not test it.
 """
 
 from magsys_lab import (conformal_perturb, make_model, vol_closed_form,

@@ -229,7 +229,7 @@ def cmd_sweep(cfg, extras, provenance, args):
 def cmd_volume(cfg, extras, provenance, args):
     sys0, sys_p = syslab.build_system(cfg)
     rep = volume.volume_report(sys0, sys_p, samples=extras["samples"],
-                               rng_seed=cfg.rng_seed)
+                               rng_seed=cfg.rng_seed, rel_tol=cfg.tol_quad)
     agree = abs(rep.quadrature - rep.closed_form) <= 3.0 * rep.std_error
     doc = {"closed_form": rep.closed_form, "quadrature": rep.quadrature,
            "std_error": rep.std_error, "samples": rep.samples,
@@ -243,18 +243,19 @@ def cmd_volume(cfg, extras, provenance, args):
 
 
 def cmd_zollpoly(cfg, extras, provenance, args):
+    if args.num < 1:
+        raise ValidationError(f"--num must be >= 1, got {args.num}")
     ref = zollref.reference_length(cfg.kappa, cfg.strength)
     amin = -0.5 * ref if args.amin is None else args.amin
     amax = 0.5 * ref if args.amax is None else args.amax
-    num = args.num
     vol_g0 = zollref.make_reference(cfg.kappa, cfg.strength, cfg.n).vol_g0
     have_generic = cfg.kappa >= 0
     if have_generic:
         coh = zollref.kahler_bundle_pairings(cfg.kappa, cfg.strength, cfg.n, vol_g0)
     cols = ["A", "P_kahler"] + (["P_generic"] if have_generic else [])
     rows = []
-    for i in range(num):
-        a = amin + (amax - amin) * i / max(num - 1, 1)
+    for i in range(args.num):
+        a = amin + (amax - amin) * i / max(args.num - 1, 1)
         row = {"A": a,
                "P_kahler": zollref.zoll_polynomial_kahler(
                    cfg.kappa, cfg.strength, cfg.n, vol_g0, a)}

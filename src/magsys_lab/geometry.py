@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import integrate
 
 from .errors import CapNotFound, QuadratureFailure, StepFailure, ValidationError
 from .zollref import check_zoll_regime
@@ -142,29 +141,26 @@ def state_distance(sys, s1: TangentState, s2: TangentState):
 
 # --- volume quadrature ---------------------------------------------------------
 
-def _conf_weight(sys):
-    eps = sys.conformal_eps
-    u = sys.conformal_exponent
-    if u is None or eps == 0.0:
-        return lambda q: 1.0
-    value = u.formulas(sys.surface)[0]    # resolved once, not per quadrature point
-    return lambda q: math.exp(2.0 * eps * float(value(q)))
-
-
-def _quad_area(sys, weight, rel_tol):
-    """Nested adaptive quadrature of weight(q) dA_{g0} over the chart."""
-    f, *limits = sys.surface.area_integrand(weight)
-    val, err = integrate.dblquad(f, *limits, epsabs=0.0, epsrel=0.1 * rel_tol)
-    if not math.isfinite(val) or err > rel_tol * abs(val) + 1e-300:
-        raise QuadratureFailure(
-            f"area quadrature reached error {err:g} on value {val:g} "
-            f"(requested rel {rel_tol:g})")
-    return val
+AREA_NODES = (16, 32, 64, 128, 256, 512)    # the rules of riemannian_volume, in turn
 
 
 def riemannian_volume(sys, rel_tol=1e-8):
-    """Surface area under the (possibly perturbed) metric, by adaptive quadrature."""
-    return sys.conformal_scale * _quad_area(sys, _conf_weight(sys), rel_tol)
+    """Surface area under the (possibly perturbed) metric: e^{2 Lambda} w(r)
+    over the chart's box, by n Gauss-Legendre nodes in r times the n-point
+    trapezoid rule in the periodic p.  n doubles from 16 until two rules agree
+    to rel_tol; past 512 the quadrature raises QuadratureFailure."""
+    (r_max, p_max), vals = sys.surface.box, []
+    for n in AREA_NODES:
+        x, wx = np.polynomial.legendre.leggauss(n)
+        r, p = np.meshgrid(0.5 * r_max * (x + 1.0), p_max / n * np.arange(n), indexing="ij")
+        q, w = sys.surface.box_points(r, p)
+        vals.append(0.5 * r_max * p_max / n
+                    * float(wx @ (np.exp(2.0 * conf_log(sys, q)) * w).sum(axis=1)))
+        if len(vals) > 1 and abs(vals[-1] - vals[-2]) <= rel_tol * abs(vals[-1]):
+            return vals[-1]
+    raise QuadratureFailure(
+        f"area quadrature: the rules of {n // 2} and {n} nodes differ by "
+        f"{abs(vals[-1] - vals[-2]):g} on value {vals[-1]:g} (requested rel {rel_tol:g})")
 
 
 def conformal_perturb(sys, u, eps, normalize, rel_tol=1e-10):
@@ -183,8 +179,7 @@ def conformal_perturb(sys, u, eps, normalize, rel_tol=1e-10):
                     conformal_scale=1.0, volume_normalized=False)
     if not normalize:
         return probe
-    raw = _quad_area(probe, _conf_weight(probe), rel_tol)
-    lam = sys.surface.area() / raw
+    lam = sys.surface.area() / riemannian_volume(probe, rel_tol)
     return replace(probe, conformal_scale=lam, volume_normalized=True)
 
 
@@ -215,7 +210,10 @@ class ChartOps:
 
     Every chart has metric coordinates (r, p) with g0 = dr^2 + w(r)^2 dp^2,
     where w = 1 on the torus; ``w_wp`` gives (w, w') with ``math``, or with
-    the module passed as ``fn`` (numpy for arrays).
+    the module passed as ``fn`` (numpy for arrays).  (r, p) range over
+    ``box``, and ``box_points`` gives the chart points and w(r) at arrays of
+    them: the one formula of both volume integrals, ``riemannian_volume`` and
+    the Monte Carlo oracle of ``volume``.
     Sections are worked in a planar image of the chart (``to_plane``).  The
     capping disk is the region that the rotated velocity J v points into;
     ``green_integrand`` integrates a primitive of sigma0 along its boundary
@@ -320,29 +318,9 @@ class ChartOps:
         on a compact surface."""
         return np.ones(len(c), dtype=bool)
 
-    def oracle(self, sys):
-        """The volume oracle's integrand and the box.  The integrand takes the
-        (M, 2) box points q and fiber angles fib of M antithetic pairs and
-        returns each pair's mean at fib and fib + pi.  The pair shares its base
-        point's terms (``_oracle_base``: area weight, field point, eta along the
-        box coordinates), f and W (f - 1); only cos and sin of fib are taken twice.
-        """
-        s, eps = sys.strength, sys.conformal_eps
-        eta = sys.sigma_perturbation
-        comp = eta.formulas(self)[0] if eta is not None and eps != 0.0 else None
-
-        def pair_mean(q, fib):
-            W, amb, eta_q = self._oracle_base(q, comp)
-            f = np.exp(conf_log(sys, amb))
-            half, main = 0.5 * (f + 1.0), W * (f - 1.0)
-            if eta_q is None:
-                return half * main    # the two ends of the pair agree
-            w_eta_1, eta_2 = W * eta_q[0], eta_q[1]
-            lo, hi = (half * (main - s * eps * (w_eta_1 * np.cos(a) + eta_2 * np.sin(a)))
-                      for a in (fib, fib + math.pi))
-            return 0.5 * (lo + hi)
-
-        return pair_mean, self.box
+    def oracle_box(self):
+        """The box that the volume oracle samples: all of a closed surface."""
+        return self.box
 
 
 class SphereChart(ChartOps):
@@ -363,7 +341,7 @@ class SphereChart(ChartOps):
         super().__init__(kappa)
         self.sk = math.sqrt(self.kappa)
         self.R = 1.0 / self.sk
-        self.box = (math.pi / self.sk, 2.0 * math.pi)    # (theta, phi) of the oracle
+        self.box = (math.pi / self.sk, 2.0 * math.pi)    # (theta, phi)
 
     # metric coordinates
     def w_wp(self, rho, fn=math):
@@ -486,32 +464,14 @@ class SphereChart(ChartOps):
     def area(self):
         return 4.0 * math.pi / self.kappa
 
-    def area_integrand(self, weight):
-        """weight dA_g0 in (polar angle, azimuth), then the dblquad limits."""
+    def box_points(self, r, p):
+        """The ambient points and the area weight w(r) = R sin(r / R) at the
+        metric coordinates (r, p) = (theta, phi) of the box, from one sine of
+        r / R."""
         R = self.R
-
-        def f(alpha, phi):
-            sa = math.sin(alpha)
-            q = np.array([R * sa * math.cos(phi), R * sa * math.sin(phi), R * math.cos(alpha)])
-            return weight(q) * R * R * sa
-
-        return f, 0.0, 2.0 * math.pi, 0.0, math.pi
-
-    def _oracle_base(self, q, comp):
-        """Area weight, field point and, given eta's components formula comp,
-        eta along (theta, phi) at the (M, 2) box points q: the ambient point
-        of (theta, phi) and its two partial derivatives, from one sin/cos of
-        theta/R and of phi."""
-        R, theta, phi = self.R, q[:, 0], q[:, 1]
-        alpha = theta / R
-        sa, ca, sp, cp = np.sin(alpha), np.cos(alpha), np.sin(phi), np.cos(phi)
-        x, y = R * sa * cp, R * sa * sp
-        W, amb = np.sin(self.sk * theta) / self.sk, np.stack([x, y, R * ca], axis=-1)
-        if comp is None:
-            return W, amb, None
-        c0, c1, c2 = comp(amb.T)
-        # dq/dtheta = (ca cp, ca sp, -sa), dq/dphi = (-y, x, 0)
-        return W, amb, (c0 * (ca * cp) + c1 * (ca * sp) + c2 * -sa, c0 * -y + c1 * x)
+        sa = np.sin(r / R)
+        q = np.stack([R * sa * np.cos(p), R * sa * np.sin(p), R * np.cos(r / R)], axis=-1)
+        return q, R * sa
 
     latitude_point = (0.0, 0.0, 1.0)
 
@@ -706,12 +666,10 @@ class _PlanarChart(ChartOps):
         return dv + np.stack([-w * wp * v[..., 1] ** 2,
                               2.0 * (wp / w) * v[..., 0] * v[..., 1]], axis=-1)
 
-    def area_integrand(self, weight):
-        """weight dA_g0 in metric coordinates, then the dblquad limits."""
-        def f(r, p):
-            return weight(np.array([r, p])) * float(self.w_wp(r, np)[0])
-
-        return f, 0.0, self.box[1], 0.0, self.box[0]
+    def box_points(self, r, p):
+        """The chart points and the area weight w(r) at the metric coordinates
+        (r, p) of the box."""
+        return np.stack([r, p], axis=-1), self.w_wp(r, np)[0]
 
     # sections: planes of the planar image through the anchor
     def from_plane(self, p):
@@ -804,9 +762,10 @@ class HyperbolicChart(_PlanarChart):
         rho = self.domain_rho
         return 2.0 * math.pi * (math.cosh(self.sk * rho) - 1.0) / (-self.kappa)
 
-    def oracle(self, sys):
+    def oracle_box(self):
         raise ValidationError(
-            "the volume oracle needs explicit coordinates: flat-torus or sphere chart")
+            "the volume oracle is defined on the closed charts (sphere and flat torus), "
+            "not on the hyperbolic chart's truncated disk")
 
     latitude_point = (0.0, 0.0)
 
@@ -919,9 +878,6 @@ class TorusChart(_PlanarChart):
     def area(self):
         p1, p2 = self.box
         return p1 * p2
-
-    def _oracle_base(self, q, comp):
-        return 1.0, q, None if comp is None else comp(q.T)
 
     latitude_point = (math.pi, math.pi)    # the centre of the domain
 

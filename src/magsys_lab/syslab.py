@@ -104,11 +104,9 @@ def _two_sided(l_min, l_max, reference, tol):
 
 def _full_coefficient(kappa, s, n, vol_g0):
     """Coefficient C = 2 pi^{2n} / ((n-1)! K) of (vol_g - vol_g0) in the affine
-    full inequality, with K the leading constant of the Kahler Zoll polynomial:
-    ``zollref.inequality_constant_C`` at kappa != 0."""
-    if kappa != 0:
-        return zollref.inequality_constant_C(kappa, s, n, vol_g0)
-    return identity_constant(n) / zollref.kahler_leading_constant(kappa, s, n)
+    full inequality, with K the leading constant of the Kahler Zoll polynomial
+    (``zollref.inequality_constant_C`` at kappa != 0)."""
+    return identity_constant(n) / zollref.kahler_leading_constant(kappa, s, n, vol_g0)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

@@ -178,18 +178,12 @@ def kahler_bundle_pairings(kappa, s0, n=1, vol_g0=None):
 
 
 def inequality_constant_C(kappa, s, n, vol_g0):
-    """The constant C(kappa, s, n) of the full systolic inequality.
-
-    Implemented as [bracket]^{-1} * 2/(vol_g0 (n-1)!) with the bracket
-    pi/(n!)^2 [a^2(1)]^{4n} (kappa/2)^n (a^2(1)+s)^{n-1} (1 + 2(s + a^2(1))).
-    Equivalently 2 pi^{2n} / (K_tilde vol_g0 (n-1)!), the coefficient of the
-    volume defect in the derivation-consistent affine form
+    """The constant C(kappa, s, n) = 2 pi^{2n} / ((n-1)! K_tilde vol_g0) of
+    the full systolic inequality: the coefficient of the volume defect in the
+    derivation-consistent affine form
     (l_min/(pi a^2(1)))^{2n} <= 1 + C (vol_g - vol_g0).
     """
     if kappa == 0:
         raise ZollRegimeViolation("C(kappa, s, n) is defined for kappa != 0")
-    a2 = a1_squared(kappa, s)
-    bracket = (math.pi / math.factorial(n) ** 2 * a2 ** (4 * n)
-               * (kappa / 2.0) ** n * (a2 + s) ** (n - 1)
-               * (1.0 + 2.0 * (s + a2)))
-    return (1.0 / bracket) * 2.0 / (vol_g0 * math.factorial(n - 1))
+    return (2.0 * math.pi ** (2 * n)
+            / (math.factorial(n - 1) * k_tilde(kappa, s, n) * vol_g0))

@@ -1,6 +1,7 @@
 """The benchmark's workload configs stay valid inputs of the program, the
-functions its tracer rebinds still exist, and the perturbed census workloads
-keep their return-map budget and recorded lengths.
+functions its tracer rebinds still exist, scipy stays confined to the
+stepper the tracer counts, and the perturbed census workloads keep their
+return-map budget and recorded lengths.
 
 perfbench/ holds no package modules; workloads.py is read and run here and
 tracer.py only parsed, so the suite writes nothing (not even a bytecode
@@ -19,6 +20,7 @@ from magsys_lab.cli import parse_config
 from magsys_lab.zollref import reference_length
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "magsys_lab"
 WORKLOADS_PY = PERFBENCH / "workloads.py"
 TRACER_PY = PERFBENCH / "tracer.py"
 
@@ -80,6 +82,21 @@ def test_tracer_hooks_exist():
     missing = [f"{module}.{attr}" for module, attr in hooks
                if not hasattr(importlib.import_module(f"{package}.{module}"), attr)]
     assert missing == []
+
+
+def test_scipy_only_steps_the_flow():
+    # the tracer counts scipy's work as the solve_ivp it rebinds in dynamics and
+    # orbits; any other scipy call would run untraced
+    imports = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name, None) for alias in node.names
+                            if alias.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imports += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imports == [("dynamics.py", "scipy.integrate", "solve_ivp"),
+                       ("orbits.py", "scipy.integrate", "solve_ivp")]
 
 
 # return maps a perturbed census workload may take: Newton runs only from the

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from magsys_lab import ExperimentConfig, ParseError, ValidationError, syslab
+from magsys_lab import (ExperimentConfig, ParseError, ValidationError,
+                        riemannian_volume, syslab)
 from magsys_lab.cli import _KEY_SCHEMA, build_parser, main, parse_config
 from magsys_lab.reporting import validate_report_doc
 
@@ -100,8 +101,8 @@ eps_list = 0.01, 0.02
 
     @pytest.mark.parametrize("samples", [-5, 512])
     def test_too_few_volume_samples_refused(self, tmp_path, samples):
-        # below 513 the oracle has one antithetic pair per cell and reports
-        # a standard error of 0
+        # below 513 the oracle has one base point per cell and reports a
+        # standard error of 0
         path = write(tmp_path, "few.cfg",
                      f"kappa = 1\nstrength = 1\n[search]\nsamples = {samples}\n")
         with pytest.raises(ValidationError, match="samples"):
@@ -323,6 +324,31 @@ samples = 100000
         doc = json.loads((out / "volume.json").read_text())
         assert doc["verdict_3sigma"] == "PASS"
         assert doc["samples"] == 100000
+
+    def test_volume_tol_quad_reaches_the_quadrature(self, tmp_path, monkeypatch, capsys):
+        import magsys_lab.volume as volume_module
+        tols = []
+
+        def spy(sys, rel_tol=1e-8):
+            tols.append(rel_tol)
+            return riemannian_volume(sys, rel_tol)
+
+        monkeypatch.setattr(volume_module, "riemannian_volume", spy)
+        cfg_path = write(tmp_path, "vol.cfg", "kappa = 0.0\nstrength = 1.0\n"
+                         "[perturbation]\nfield = torus_cos_x\neps = 0.1\n"
+                         "normalize = false\n[search]\nsamples = 1000\n")
+        main(["volume", "--config", cfg_path, "--out", str(tmp_path / "a")])
+        main(["volume", "--config", cfg_path, "--out", str(tmp_path / "b"),
+              "--tol-quad", "1e-6"])
+        assert tols == [ExperimentConfig.tol_quad, 1e-6]
+
+    @pytest.mark.parametrize("num", ["0", "-3"])
+    def test_zollpoly_empty_table_refused(self, tmp_path, capsys, num):
+        cfg_path = write(tmp_path, "z.cfg", "kappa = 1\nstrength = 1\n")
+        assert main(["zollpoly", "--config", cfg_path, f"--num={num}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--num must be >= 1" in captured.err
 
     def test_zollpoly_table(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "z.cfg", "kappa = 1\nstrength = 1\n")

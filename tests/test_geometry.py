@@ -4,10 +4,11 @@ import pickle
 import numpy as np
 import pytest
 
-from magsys_lab import (StepFailure, ValidationError, ZollRegimeViolation,
-                        conformal_perturb, flow, g_dot, g_norm, make_model,
-                        reference_period, riemannian_volume, state_distance,
-                        tangent_state, with_sigma_perturbation)
+from magsys_lab import (QuadratureFailure, StepFailure, ValidationError,
+                        ZollRegimeViolation, conformal_perturb, flow, g_dot,
+                        g_norm, make_model, reference_period,
+                        riemannian_volume, state_distance, tangent_state,
+                        with_sigma_perturbation)
 from magsys_lab.geometry import HyperbolicChart, SphereChart, TangentState
 
 from instruments import random_state, sigma0, stencil_curvature
@@ -100,6 +101,13 @@ class TestVolume:
                                 eps, normalize=True)
         assert sys.conformal_scale == pytest.approx(
             2 * eps / math.sinh(2 * eps), rel=1e-10)
+
+    def test_unmet_tolerance_raises(self):
+        # the two largest rules agree to rounding, far above 1e-20 relative
+        sys = conformal_perturb(make_model(1.0, 1.0), "sphere_harmonic_z", 0.05,
+                                normalize=False)
+        with pytest.raises(QuadratureFailure, match="256 and 512 nodes"):
+            riemannian_volume(sys, rel_tol=1e-20)
 
     def test_constant_conformal_scaling_law(self):
         # u = const c scales the area by exactly e^{2 eps c}

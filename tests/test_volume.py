@@ -7,9 +7,7 @@ from magsys_lab import (ValidationError, conformal_perturb, identity_constant,
                         make_model, riemannian_volume, vol_closed_form,
                         vol_quadrature_oracle, volume_report,
                         with_sigma_perturbation)
-from magsys_lab import fields
 from magsys_lab.fields import ScalarField
-from magsys_lab.volume import CELLS_PER_SIDE
 
 
 def torus_pair(eps=0.1, normalize=False):
@@ -25,17 +23,17 @@ def sphere_pair(kappa=1.0, eta=True):
 
 
 # (estimate, std_error) at 50,000 samples and rng_seed 11, recorded when the
-# integrand evaluated each end of an antithetic pair in full; sharing the
-# pair's base-point terms must not move a bit
+# integrand evaluated each end of an antithetic fiber pair in full, eta term
+# included; taking the fiber integral exactly at the base point must not move
+# a bit
 EXACT_ORACLE = {
     "sphere_eta": (0.06310596021771306, 0.0015674016370621983),
     "sphere": (0.06310596021771306, 0.0015674016370621983),
     "torus_eta": (1.2486398723057817, 0.012695741682456907),
-    # kappa = 4: theta / R and sqrt(kappa) theta round differently
+    # kappa = 4: a radius R other than 1 in the sphere's box formula
     "sphere_eta_kappa4": (0.015776490054428265, 0.0003918504092655496),
-    # eta alone: rounding noise of the pair's cancellation, so every
-    # operation of the eta term shows
-    "sphere_eta_only": (-2.6733053114995438e-18, 7.184452171680245e-18),
+    # eta alone: f = 1 at every point, so exactly zero
+    "sphere_eta_only": (0.0, 0.0),
 }
 
 
@@ -118,13 +116,15 @@ class TestOracle:
         assert a == b
 
     def test_eta_blindness(self):
-        # exact sigma-perturbations do not move the estimate (the functional
-        # is blind to them; antithetic fiber pairs cancel them exactly)
-        sys0, sysp = torus_pair()
-        with_eta = with_sigma_perturbation(sysp, "torus_eta_sin_x")
-        a, se = vol_quadrature_oracle(sys0, sysp, samples=100_000, rng_seed=3)
-        b, _ = vol_quadrature_oracle(sys0, with_eta, samples=100_000, rng_seed=3)
-        assert abs(a - b) <= 3 * se
+        # an exact sigma-perturbation integrates to zero over each fiber, so
+        # the oracle, which takes the fiber integral exactly, never sees it
+        torus0, torus = torus_pair()
+        sphere0, sphere = sphere_pair(eta=False)
+        for sys0, sysp, eta in ((torus0, torus, "torus_eta_sin_x"),
+                                (sphere0, sphere, "sphere_eta_axial")):
+            with_eta = with_sigma_perturbation(sysp, eta)
+            assert (vol_quadrature_oracle(sys0, sysp, samples=100_000, rng_seed=3)
+                    == vol_quadrature_oracle(sys0, with_eta, samples=100_000, rng_seed=3))
 
     def test_pure_eta_perturbation_estimates_zero(self):
         sys0 = make_model(0.0, 1.0)
@@ -149,8 +149,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("samples", [-5, 512])
     def test_too_few_samples_refused(self, samples):
-        # below 513 every cell holds one antithetic pair and the standard
-        # error would read 0
+        # below 513 every cell holds one base point and the standard error
+        # would read 0
         sys0, sysp = torus_pair(0.05)
         with pytest.raises(ValidationError, match="samples"):
             vol_quadrature_oracle(sys0, sysp, samples=samples)
@@ -165,26 +165,6 @@ class TestOracle:
         sys0, sysp = exact_case(name)
         assert vol_quadrature_oracle(sys0, sysp, samples=50_000,
                                      rng_seed=11) == EXACT_ORACLE[name]
-
-    def test_eta_components_once_per_pair(self, monkeypatch):
-        # one evaluation per cell serves both ends of every pair in it
-        make, chart, n_coeffs = fields._ONE_FORMS["sphere_eta_axial"]
-        calls = []
-
-        def counting(coeffs, surface):
-            comp, dens, grad = make(coeffs, surface)
-
-            def counted(x):
-                calls.append(len(x[0]))
-                return comp(x)
-
-            return counted, dens, grad
-
-        monkeypatch.setitem(fields._ONE_FORMS, "sphere_eta_axial", (counting, chart, n_coeffs))
-        sys0, sysp = sphere_pair()
-        vol_quadrature_oracle(sys0, sysp, samples=50_000, rng_seed=11)
-        assert len(calls) == CELLS_PER_SIDE**2
-        assert sum(calls) == CELLS_PER_SIDE**2 * math.ceil(50_000 / (2 * CELLS_PER_SIDE**2))
 
     def test_report(self):
         sys0, sysp = torus_pair()
