@@ -153,11 +153,6 @@ def parse_config(path):
 
 # --- subcommands ---------------------------------------------------------------
 
-_SUMMARY_COLS = ["eps", "orbit_count", "l_min", "l_max", "slack_lower",
-                 "slack_upper", "vol_g", "zoll_flag", "verdict_reduced",
-                 "verdict_two_sided", "verdict_full", "error"]
-
-
 def _outdir(extras):
     """The output directory (--out, else [output] out, else the working
     directory), created if missing."""
@@ -174,7 +169,7 @@ def cmd_systole(cfg, extras, provenance, args):
     report, sys_p, found = syslab.run_experiment_full(cfg)
     outdir = _outdir(extras)
     reporting.write_json(report.to_dict(), os.path.join(outdir, "report.json"))
-    reporting.write_csv(syslab.sweep_table([report]), _SUMMARY_COLS,
+    reporting.write_csv(syslab.sweep_table([report]), syslab.SUMMARY_COLUMNS,
                         os.path.join(outdir, "summary.csv"))
     reporting.write_json({"provenance": provenance},
                          os.path.join(outdir, "run_meta.json"))
@@ -212,7 +207,7 @@ def cmd_orbit(cfg, extras, provenance, args):
 def cmd_sweep(cfg, extras, provenance, args):
     reports = syslab.sweep(cfg, extras["eps_list"])
     outdir = _outdir(extras)
-    reporting.write_csv(syslab.sweep_table(reports), _SUMMARY_COLS,
+    reporting.write_csv(syslab.sweep_table(reports), syslab.SUMMARY_COLUMNS,
                         os.path.join(outdir, "summary.csv"))
     reporting.write_json({"provenance": provenance,
                           "eps_list": list(extras["eps_list"]),

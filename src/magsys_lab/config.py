@@ -1,6 +1,7 @@
 """The experiment configuration: every census and tolerance default, written
 once.  The CLI and config files override its fields; ``orbits`` takes its
-library defaults from them."""
+library defaults from them.  ``tol_quad`` is ``geometry.AREA_TOL``, the
+default of the area quadrature's own functions."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import OneForm, ScalarField
+from .geometry import AREA_TOL
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,7 @@ class ExperimentConfig:
     normalize: bool = True
     grid_density: int = 3
     tol_orbit: float = 1e-9
-    tol_quad: float = 1e-9
+    tol_quad: float = AREA_TOL
     equality_tol: float = 1e-5
     ineq_tol: float = 1e-4
     rng_seed: int = 0

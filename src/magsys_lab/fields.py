@@ -23,9 +23,10 @@ Each field is written once, as a factory make(coeffs, surface) that resolves
 the coefficients and constants and returns the field's formulas, each fn(x)
 of the chart components x of a point: (value, differential, Hessian) of a
 scalar field, (components, density, density gradient) of a 1-form.  x[i] is
-a float or an array, and the formulas use numpy ufuncs, so the same
-arithmetic serves one point (the RHS kernels call ``formulas``) and many (the
-array methods evaluate them through ``_on_points``).  A covector formula
+a float or an array, and the formulas use numpy ufuncs and elementwise
+arithmetic only (no dot products, squares as x * x), so one point (the RHS
+kernels call ``formulas`` on floats) and many (the array methods evaluate
+them through ``_on_points``) round alike, bit for bit.  A covector formula
 returns a tuple of components, a Hessian its dim * dim entries row by row.
 """
 
@@ -43,20 +44,17 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 def _on_points(formula, q):
     """A field formula at the (..., dim) points q: an array of shape q.shape[:-1]
-    or, for a covector formula, of shape q.shape.  At one point (q of shape
-    (dim,)) the components are numpy scalars and the result is a numpy scalar
-    or a (dim,) array, rounded as in the RHS kernels (``** 2`` there calls
-    pow, where on arrays numpy squares)."""
+    or, for a covector formula, of shape q.shape; at one point (q of shape
+    (dim,)) a numpy scalar or a (dim,) array.  The formula runs once on the
+    columns of all the points, and as its arithmetic is elementwise, each
+    point rounds as it does alone or in the RHS kernels."""
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        res = formula(q)
-        return np.array(res) if isinstance(res, tuple) else np.float64(res)
     x = q.reshape(-1, q.shape[-1]).T    # (dim, M): x[i] is component i of every point
     res = formula(x)
     if not isinstance(res, tuple):
         if not isinstance(res, np.ndarray):    # a constant field
             res = np.full(x.shape[1], res)
-        return res.reshape(q.shape[:-1])
+        return res.reshape(q.shape[:-1])[()]
     out = np.empty((x.shape[1], len(res)))
     for i, comp in enumerate(res):
         out[:, i] = comp
@@ -81,8 +79,10 @@ def _sphere_harmonic(coeffs, surface):
         if n == 0.0:
             raise ValidationError("sphere_harmonic axis must be nonzero")
         ax = ax / n
+    a0, a1, a2 = ax.tolist()
     grad, zero2 = tuple((ck * ax).tolist()), (0.0,) * 9
-    return (lambda x: ck * (ax @ x)), (lambda x: grad), (lambda x: zero2)
+    return ((lambda x: ck * (a0 * x[0] + a1 * x[1] + a2 * x[2])), (lambda x: grad),
+            (lambda x: zero2))
 
 
 def _torus_cos(idx):
@@ -110,17 +110,19 @@ def _torus_cos(idx):
 def _hyper_bump(coeffs, surface):
     # u = c exp(-(rho / rho0)^2); u'' = u ((2 rho / rho0^2)^2 - 2 / rho0^2)
     c, rho0 = coeffs
-    r2 = rho0**2
+    r2 = rho0 * rho0
     inv = 2.0 / r2
 
     def value(x):
-        return c * np.exp(-((x[0] / rho0) ** 2))
+        r = x[0] / rho0
+        return c * np.exp(-(r * r))
 
     def diff(x):
         return value(x) * (-2.0 * x[0] / r2), 0.0
 
     def hess(x):
-        return value(x) * ((2.0 * x[0] / r2) ** 2 - inv), 0.0, 0.0, 0.0
+        t = 2.0 * x[0] / r2
+        return value(x) * (t * t - inv), 0.0, 0.0, 0.0
 
     return value, diff, hess
 

@@ -80,7 +80,7 @@ def flux_through_cap(sys: MagneticSystem, orbit: Orbit) -> float:
     _check_cap(*sys.surface.cap_loop(pos, vel, closure))
     h = orbit.period / (len(orbit.states) - 1)
     flux = float(h * np.sum(sys.surface.green_integrand(pos, vel)))
-    if sys.sigma_perturbation is not None and sys.conformal_eps != 0.0:
+    if sys.sigma_perturbation is not None:
         comp = sys.sigma_perturbation.components(sys.surface, pos)
         flux += sys.conformal_eps * float(h * np.sum(np.sum(comp * vel, axis=1)))
     return sys.strength * flux

@@ -56,8 +56,8 @@ class MagneticSystem:
         return self.surface.kappa
 
     def is_unperturbed(self):
-        no_fields = self.conformal_exponent is None and self.sigma_perturbation is None
-        return (self.conformal_eps == 0.0 or no_fields) and self.conformal_scale == 1.0
+        return (self.conformal_exponent is None and self.sigma_perturbation is None
+                and self.conformal_scale == 1.0)
 
 
 def make_model(kappa, strength):
@@ -76,7 +76,7 @@ def make_model(kappa, strength):
 def conf_log(sys: MagneticSystem, q):
     """Log-conformal factor Lambda with g = e^{2 Lambda} g0."""
     lam_part = 0.5 * math.log(sys.conformal_scale)
-    if sys.conformal_exponent is None or sys.conformal_eps == 0.0:
+    if sys.conformal_exponent is None:
         q = np.asarray(q, dtype=float)
         return np.full(q.shape[:-1], lam_part) if q.ndim > 1 else lam_part
     return sys.conformal_eps * sys.conformal_exponent.value(sys.surface, q) + lam_part
@@ -84,7 +84,7 @@ def conf_log(sys: MagneticSystem, q):
 
 def conf_log_diff(sys: MagneticSystem, q):
     """Differential of Lambda as a chart covector (ambient covector on the sphere)."""
-    if sys.conformal_exponent is None or sys.conformal_eps == 0.0:
+    if sys.conformal_exponent is None:
         return np.zeros_like(np.asarray(q, dtype=float))
     return sys.conformal_eps * sys.conformal_exponent.differential(sys.surface, q)
 
@@ -106,7 +106,7 @@ def magnetic_density(sys, q):
     unit g-speed.
     """
     dens = 1.0
-    if sys.sigma_perturbation is not None and sys.conformal_eps != 0.0:
+    if sys.sigma_perturbation is not None:
         dens = 1.0 + sys.conformal_eps * sys.sigma_perturbation.density(sys.surface, q)
     return dens * np.exp(-2.0 * conf_log(sys, q))
 
@@ -142,9 +142,10 @@ def state_distance(sys, s1: TangentState, s2: TangentState):
 # --- volume quadrature ---------------------------------------------------------
 
 AREA_NODES = (16, 32, 64, 128, 256, 512)    # the rules of riemannian_volume, in turn
+AREA_TOL = 1e-9    # default relative tolerance of the area quadrature
 
 
-def riemannian_volume(sys, rel_tol=1e-8):
+def riemannian_volume(sys, rel_tol=AREA_TOL):
     """Surface area under the (possibly perturbed) metric: e^{2 Lambda} w(r)
     over the chart's box, by n Gauss-Legendre nodes in r times the n-point
     trapezoid rule in the periodic p.  n doubles from 16 until two rules agree
@@ -163,7 +164,7 @@ def riemannian_volume(sys, rel_tol=1e-8):
         f"{abs(vals[-1] - vals[-2]):g} on value {vals[-1]:g} (requested rel {rel_tol:g})")
 
 
-def conformal_perturb(sys, u, eps, normalize, rel_tol=1e-10):
+def conformal_perturb(sys, u, eps, normalize, rel_tol=AREA_TOL):
     """Conformally perturb the metric: g = lam e^{2 eps u} g0.
 
     With normalize=True the single global constant lam is chosen so that the
@@ -189,6 +190,8 @@ def with_sigma_perturbation(sys, eta, eps=None):
     eps defaults to the system's conformal_eps so metric and magnetic
     perturbations share one small parameter; with a conformal exponent any
     other eps would rescale it (and void a volume normalization): refused.
+    eps = 0 returns the input system unchanged, so a system that carries a
+    field always has eps != 0.
     """
     from .fields import OneForm
     if isinstance(eta, str):
@@ -199,6 +202,8 @@ def with_sigma_perturbation(sys, eta, eps=None):
         raise ValidationError(
             f"eps = {eps:g} differs from the conformal perturbation's eps = "
             f"{sys.conformal_eps:g}; the two perturbations share one eps")
+    if eps == 0.0:
+        return sys
     return replace(sys, sigma_perturbation=eta, conformal_eps=float(eps))
 
 
@@ -238,17 +243,15 @@ class ChartOps:
 
     def _perturbation(self, sys):
         """The perturbed terms of ``rhs`` as one function at(x, second) of the
-        components x of one chart point, returning (dl, b, ddl, db): dl is
-        ``conf_log_diff`` and b the ``magnetic_density``, as floats; with
-        second true, ddl is the Hessian of Lambda (dim x dim floats, row by
-        row) and db the gradient of b, else both are None.  The fields'
-        formulas (``formulas``) and the constants are resolved here, once.
-        The sphere's kernel passes x as its (3,) array, for the harmonic's
-        numpy dot product; the planar kernels pass a list of floats."""
+        components x of one chart point, a list of floats, returning
+        (dl, b, ddl, db): dl is ``conf_log_diff`` and b the
+        ``magnetic_density``, as floats; with second true, ddl is the Hessian
+        of Lambda (dim x dim floats, row by row) and db the gradient of b,
+        else both are None.  The fields' formulas (``formulas``) and the
+        constants are resolved here, once."""
         eps, dim = sys.conformal_eps, self.dim
         lam_part = 0.5 * math.log(sys.conformal_scale)
-        u = sys.conformal_exponent if eps != 0.0 else None
-        eta = sys.sigma_perturbation if eps != 0.0 else None
+        u, eta = sys.conformal_exponent, sys.sigma_perturbation
         if u is not None:
             u_value, u_diff, u_hess = u.formulas(self)
         if eta is not None:
@@ -357,9 +360,9 @@ class SphereChart(ChartOps):
 
         With n = sqrt(kappa) q the outward normal, the g0 part is
         -|v|^2 kappa q + s n x v, and a perturbed system adds
-        -2 (dl.v) v + |v|^2 (dl - (dl.n) n) and the density b.  Elementwise
-        arithmetic runs on Python floats in the order numpy would use; the
-        dot products stay numpy's, whose sums round differently.
+        -2 (dl.v) v + |v|^2 (dl - (dl.n) n) and the density b.  The
+        arithmetic runs on Python floats in the order numpy's elementwise
+        operations would use, and each dot product is summed left to right.
 
         With m > 0 the closure takes Y = (y, X_1, ..., X_m), each X_k a
         state-space vector of length 6, and returns (f(y), Df(y) X_1, ...,
@@ -376,19 +379,16 @@ class SphereChart(ChartOps):
         def f(t, y):
             L = y.tolist()
             q0, q1, q2, v0, v1, v2 = L[:6]
-            v = y[3:6]
-            vv = float(v @ v)
+            vv = v0 * v0 + v1 * v1 + v2 * v2
             c = -vv * kappa
             a0, a1, a2 = c * q0, c * q1, c * q2
             n0, n1, n2 = q0 * sk, q1 * sk, q2 * sk
             sb = s1
             if perturbed:
-                q = y[:3]
-                dl, b, ddl, db = at(q, second)
-                dla = np.array(dl)
-                dn = float(dla.dot(np.array((n0, n1, n2))))
-                dv = -2.0 * float(dla.dot(v))
+                dl, b, ddl, db = at(L[:3], second)
                 l0, l1, l2 = dl
+                dn = l0 * n0 + l1 * n1 + l2 * n2
+                dv = -2.0 * (l0 * v0 + l1 * v1 + l2 * v2)
                 a0 += dv * v0 + vv * (l0 - dn * n0)
                 a1 += dv * v1 + vv * (l1 - dn * n1)
                 a2 += dv * v2 + vv * (l2 - dn * n2)
@@ -586,18 +586,14 @@ class _PlanarChart(ChartOps):
 
         The g0 part is (w w' v_p^2, -2 (w'/w) v_r v_p) + s (-w v_p, v_r / w),
         with (w, w') = (1, 0) on the torus, and a perturbed system adds
-        -2 (dl.v) v + |v|^2_g0 (dl_r, dl_p / w^2) and the density b.
-        Elementwise arithmetic runs on Python floats in the order numpy
-        would use.
+        -2 (dl.v) v + |v|^2_g0 (dl_r, dl_p / w^2) and the density b.  The
+        arithmetic runs on Python floats in the order numpy's elementwise
+        operations would use, and dl.v is summed left to right.
 
         With m > 0 the closure takes Y = (y, X_1, ..., X_m), each X_k a
         state-space vector of length 4, and returns (f(y), Df(y) X_1, ...,
         Df(y) X_m); its first block is the m = 0 result bit for bit.  The
         derivative uses w'' = -kappa w.
-
-        dl.v is the float sum dl_r v_r + dl_p v_p.  Every planar field's
-        differential has at most one nonzero component, and then the sum
-        equals numpy's dot product bit for bit.
         """
         s, kappa, w_wp = sys.strength, self.kappa, self.w_wp
         s1 = float(s)    # s b with b = 1
@@ -612,14 +608,15 @@ class _PlanarChart(ChartOps):
             r, _, v0, v1 = L[:4]
             w, wp = w_wp(r)
             sb = s1
-            a0 = w * wp * v1 ** 2
+            a0 = w * wp * (v1 * v1)
             a1 = -2.0 * (wp / w) * v0 * v1
             if perturbed:
                 (l0, l1), b, ddl, db = at(L[:2], second)
                 dv = -2.0 * (l0 * v0 + l1 * v1)
-                vv = v0 ** 2 + w**2 * v1 ** 2
+                w2 = w * w
+                vv = v0 * v0 + w2 * (v1 * v1)
                 a0 += dv * v0 + vv * l0
-                a1 += dv * v1 + vv * (l1 / w**2)
+                a1 += dv * v1 + vv * (l1 / w2)
                 sb = s * b
             out = [v0, v1, a0 + sb * (-w * v1), a1 + sb * (v0 / w)]
             if not second:

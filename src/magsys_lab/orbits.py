@@ -326,7 +326,7 @@ def _circle_integrand(sys, c):
     surface = sys.surface
     out = np.zeros((len(c), AVERAGE_NODES))
     u, eta = sys.conformal_exponent, sys.sigma_perturbation
-    if sys.conformal_eps == 0.0 or (u is None and eta is None):
+    if u is None and eta is None:
         return out
     q, v = surface.zoll_circle(sys, c, AVERAGE_NODES)
     if u is not None:

@@ -86,7 +86,7 @@ def build_system(cfg: ExperimentConfig):
     if cfg.perturbation_name is not None and cfg.eps > 0:
         u = ScalarField(cfg.perturbation_name, tuple(cfg.perturbation_coeffs))
         sys = conformal_perturb(sys, u, cfg.eps, normalize=cfg.normalize,
-                                rel_tol=min(cfg.tol_quad, 1e-10))
+                                rel_tol=cfg.tol_quad)
     if cfg.eta_name is not None and cfg.eps > 0:
         eta = OneForm(cfg.eta_name, tuple(cfg.eta_coeffs))
         sys = with_sigma_perturbation(sys, eta, eps=cfg.eps)
@@ -222,22 +222,15 @@ def _error_report(cfg, message):
         seeds_attempted=0, error=message)
 
 
+# the columns of summary.csv: eps from the config, the rest report fields
+SUMMARY_COLUMNS = ("eps", "orbit_count", "l_min", "l_max", "slack_lower", "slack_upper",
+                   "vol_g", "zoll_flag", "verdict_reduced", "verdict_two_sided",
+                   "verdict_full", "error")
+
+
 def sweep_table(reports):
-    """One summary row per run: eps, l_min, l_max, slacks, vol_g, verdicts."""
-    rows = []
-    for rep in reports:
-        rows.append({
-            "eps": rep.config.get("eps", 0.0),
-            "orbit_count": rep.orbit_count,
-            "l_min": rep.l_min,
-            "l_max": rep.l_max,
-            "slack_lower": rep.slack_lower,
-            "slack_upper": rep.slack_upper,
-            "vol_g": rep.vol_g,
-            "zoll_flag": rep.zoll_flag,
-            "verdict_reduced": rep.verdict_reduced,
-            "verdict_two_sided": rep.verdict_two_sided,
-            "verdict_full": rep.verdict_full,
-            "error": rep.error or "",
-        })
-    return rows
+    """One summary row per run, keyed by SUMMARY_COLUMNS: eps, l_min, l_max,
+    slacks, vol_g, verdicts; a run without error has error ""."""
+    return [{"eps": rep.config.get("eps", 0.0),
+             **{col: getattr(rep, col) for col in SUMMARY_COLUMNS[1:]},
+             "error": rep.error or ""} for rep in reports]

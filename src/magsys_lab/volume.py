@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
 from .errors import ValidationError
-from .geometry import MagneticSystem, conf_log, riemannian_volume
+from .geometry import AREA_TOL, MagneticSystem, conf_log, riemannian_volume
 
 CELLS_PER_SIDE = 16
 
@@ -65,7 +64,7 @@ def identity_constant(n):
 
 
 def vol_closed_form(sys0: MagneticSystem, sys: MagneticSystem,
-                    rel_tol=ExperimentConfig.tol_quad):
+                    rel_tol=AREA_TOL):
     """pi * (vol_g - vol_g0) for a perturbation sys of the model sys0, with
     vol_g by quadrature to relative tolerance rel_tol.
 
@@ -143,7 +142,7 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
 
 
 def volume_report(sys0, sys, samples=1_000_000, rng_seed=0,
-                  rel_tol=ExperimentConfig.tol_quad) -> VolumeReport:
+                  rel_tol=AREA_TOL) -> VolumeReport:
     est, se = vol_quadrature_oracle(sys0, sys, samples=samples, rng_seed=rng_seed)
     return VolumeReport(closed_form=vol_closed_form(sys0, sys, rel_tol=rel_tol),
                         quadrature=est, std_error=se, samples=samples)

@@ -342,6 +342,24 @@ samples = 100000
               "--tol-quad", "1e-6"])
         assert tols == [ExperimentConfig.tol_quad, 1e-6]
 
+    def test_systole_tol_quad_reaches_the_normalisation(self, tmp_path, monkeypatch, capsys):
+        import magsys_lab.geometry as geometry_module
+        tols = []
+
+        def spy(sys, rel_tol=ExperimentConfig.tol_quad):
+            tols.append(rel_tol)
+            return riemannian_volume(sys, rel_tol)
+
+        # conformal_perturb's area quadrature, the one that fixes lam
+        monkeypatch.setattr(geometry_module, "riemannian_volume", spy)
+        cfg_path = write(tmp_path, "sys.cfg", "kappa = 0.0\nstrength = 1.0\n"
+                         "[perturbation]\nfield = torus_cos_x\neps = 0.05\n"
+                         "normalize = true\n[search]\ngrid_density = 2\n")
+        main(["systole", "--config", cfg_path, "--out", str(tmp_path / "a")])
+        main(["systole", "--config", cfg_path, "--out", str(tmp_path / "b"),
+              "--tol-quad", "1e-6"])
+        assert tols == [ExperimentConfig.tol_quad, 1e-6]
+
     @pytest.mark.parametrize("num", ["0", "-3"])
     def test_zollpoly_empty_table_refused(self, tmp_path, capsys, num):
         cfg_path = write(tmp_path, "z.cfg", "kappa = 1\nstrength = 1\n")

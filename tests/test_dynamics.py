@@ -224,21 +224,29 @@ class TestSampleArrays:
 
 # --- reference formulas, kept here as the generic composition ---------------------
 
+def _dot(a, b):
+    """a . b summed left to right, as the kernels sum it."""
+    out = float(a[0] * b[0])
+    for x, y in zip(a[1:], b[1:]):
+        out += float(x * y)
+    return out
+
+
 def _geodesic(ops, q, v):
     """(g0 geodesic acceleration, frame): the unit normal on the sphere, w elsewhere."""
     if isinstance(ops, SphereChart):
-        return -float(v @ v) * ops.kappa * q, q * ops.sk
+        return -_dot(v, v) * ops.kappa * q, q * ops.sk
     if isinstance(ops, TorusChart):
         return np.zeros(2), 1.0
     w, wp = ops.w_wp(q[0])
-    return np.array([w * wp * v[1] ** 2, -2.0 * (wp / w) * v[0] * v[1]]), w
+    return np.array([w * wp * (v[1] * v[1]), -2.0 * (wp / w) * v[0] * v[1]]), w
 
 
 def _g0_terms(ops, q, v, dl, frame):
     if isinstance(ops, SphereChart):
-        return dl - float(dl @ frame) * frame, float(v @ v)
-    w = frame
-    return np.array([dl[0], dl[1] / w**2]), v[0] ** 2 + w**2 * v[1] ** 2
+        return dl - _dot(dl, frame) * frame, _dot(v, v)
+    w2 = frame * frame
+    return np.array([dl[0], dl[1] / w2]), v[0] * v[0] + w2 * (v[1] * v[1])
 
 
 def _rotate(ops, v, frame):
@@ -260,7 +268,7 @@ def reference_rhs(sys):
         if perturbed:
             dl = conf_log_diff(sys, q)
             grad, v0sq = _g0_terms(ops, q, v, dl, frame)
-            acc += -2.0 * float(dl @ v) * v + v0sq * grad
+            acc += -2.0 * _dot(dl, v) * v + v0sq * grad
             b = float(magnetic_density(sys, q))
         acc += s * b * _rotate(ops, v, frame)
         return np.concatenate([v, acc])
@@ -281,7 +289,7 @@ def reference_curvature(sys, q, v, dv):
     if not sys.is_unperturbed():
         dl = conf_log_diff(sys, q)
         grad, v0sq = _g0_terms(ops, q, v, dl, frame)
-        cov = cov + 2.0 * float(dl @ v) * v - v0sq * grad
+        cov = cov + 2.0 * _dot(dl, v) * v - v0sq * grad
     jv = sys.surface.rotate90(q, v)
     return float(g_dot(sys, q, cov, jv)) / float(g_norm(sys, q, v)) ** 3
 

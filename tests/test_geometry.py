@@ -123,8 +123,11 @@ class TestVolume:
 
 class TestConformalPerturb:
     def test_eps_zero_is_identity(self):
+        # so a system that carries a field always has eps != 0
         sys = make_model(1.0, 1.0)
         assert conformal_perturb(sys, "sphere_harmonic_z", 0.0, True) is sys
+        assert with_sigma_perturbation(sys, "sphere_eta_axial", eps=0.0) is sys
+        assert with_sigma_perturbation(sys, "sphere_eta_axial") is sys
 
     def test_unnormalized_keeps_scale_one(self):
         sys = conformal_perturb(make_model(1.0, 1.0), "sphere_harmonic_z",

@@ -1,0 +1,46 @@
+"""tools/compare_reports.py: one line per JSON key and CSV column, "identical"
+or the largest |difference|, and an exit status that says whether all match."""
+
+import json
+import runpy
+from pathlib import Path
+
+COMPARE = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+main = runpy.run_path(str(COMPARE))["main"]
+
+
+def write_run(path, lengths, verdict="PASS", x=(0.5, 0.25)):
+    path.mkdir()
+    (path / "report.json").write_text(json.dumps(
+        {"magnetic_lengths": lengths, "verdict_reduced": verdict, "config": {"eps": 0.05}}))
+    (path / "orbit_a.csv").write_text("t,x\n" + "".join(f"{i},{v}\n" for i, v in enumerate(x)))
+
+
+def test_identical_runs(tmp_path, capsys):
+    write_run(tmp_path / "old", [2.5, 2.75])
+    write_run(tmp_path / "new", [2.5, 2.75])
+    assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.endswith(": identical") for line in lines)
+
+
+def test_largest_difference_and_non_numeric_change(tmp_path, capsys):
+    write_run(tmp_path / "old", [2.5, 2.75])
+    write_run(tmp_path / "new", [2.5, 2.875], verdict="FAIL", x=(0.5, 0.3125))
+    (tmp_path / "new" / "volume.json").write_text("{}")
+    assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out
+    assert "report.json: magnetic_lengths: max |diff| 0.125" in out
+    assert "report.json: verdict_reduced: changed at value: 'PASS' -> 'FAIL'" in out
+    assert "report.json: config: identical" in out
+    assert "orbit_a.csv: x: max |diff| 0.0625" in out
+    assert "orbit_a.csv: t: identical" in out
+    assert "volume.json: only in NEW" in out
+
+
+def test_changed_entry_count(tmp_path, capsys):
+    write_run(tmp_path / "old", [2.5, 2.75])
+    write_run(tmp_path / "new", [2.5])
+    assert main([str(tmp_path / "old" / "report.json"),
+                 str(tmp_path / "new" / "report.json")]) == 1
+    assert "magnetic_lengths: changed shape: 2 -> 1 entries" in capsys.readouterr().out
