@@ -169,9 +169,11 @@ def conformal_perturb(sys, u, eps, normalize, rel_tol=AREA_TOL):
 
     With normalize=True the single global constant lam is chosen so that the
     perturbed area equals the unperturbed one; the perturbation's shape is
-    untouched.  eps = 0 returns the input system unchanged.
+    untouched.  An attached 1-form shares the eps (see
+    ``with_sigma_perturbation``).  eps = 0 returns the input system unchanged.
     """
     from .fields import ScalarField
+    _share_eps(sys, sys.sigma_perturbation, eps)
     if eps == 0.0:
         return sys
     if isinstance(u, str):
@@ -198,13 +200,18 @@ def with_sigma_perturbation(sys, eta, eps=None):
         eta = OneForm(eta)
     if eps is None:
         eps = sys.conformal_eps
-    if sys.conformal_exponent is not None and eps != sys.conformal_eps:
-        raise ValidationError(
-            f"eps = {eps:g} differs from the conformal perturbation's eps = "
-            f"{sys.conformal_eps:g}; the two perturbations share one eps")
+    _share_eps(sys, sys.conformal_exponent, eps)
     if eps == 0.0:
         return sys
     return replace(sys, sigma_perturbation=eta, conformal_eps=float(eps))
+
+
+def _share_eps(sys, attached, eps):
+    """Refuse eps for a second perturbation unless the attached one has it."""
+    if attached is not None and eps != sys.conformal_eps:
+        raise ValidationError(
+            f"eps = {eps:g} differs from the attached perturbation's eps = "
+            f"{sys.conformal_eps:g}; the two perturbations share one eps")
 
 
 # --- chart objects -------------------------------------------------------------------
@@ -219,7 +226,12 @@ class ChartOps:
     ``box``, and ``box_points`` gives the chart points and w(r) at arrays of
     them: the one formula of both volume integrals, ``riemannian_volume`` and
     the Monte Carlo oracle of ``volume``.
-    Sections are worked in a planar image of the chart (``to_plane``).  The
+    Each chart has one planar image, ``to_plane`` and ``from_plane`` on
+    (..., d) arrays, with derivative ``plane_jacobian``; the Poincare section
+    (``section_state``, ``section_coords``) is written once on it.  The
+    sphere's image is R^3 itself, and it adds the three facts a flat picture
+    lacks: the radial lift ``from_plane``, its inverse along the section line
+    ``line_offset``, and the tangential projection ``tangent_lift``.  The
     capping disk is the region that the rotated velocity J v points into;
     ``green_integrand`` integrates a primitive of sigma0 along its boundary
     loop, and ``cap_loop`` gives that loop in a plane picture with the cap
@@ -293,28 +305,71 @@ class ChartOps:
     def to_plane(self, q):
         return np.asarray(q, dtype=float)
 
+    def from_plane(self, p):
+        return np.asarray(p, dtype=float)
+
     def plane_jacobian(self, q):
         """d(plane)/d(chart) at chart point q."""
         return np.eye(self.dim)
 
+    def line_offset(self, q, anchor, tangent):
+        """The a with q = from_plane(to_plane(anchor) + a tangent)."""
+        return float((self.to_plane(q) - self.to_plane(anchor)) @ tangent)
+
+    def tangent_lift(self, q, w):
+        """The tangent vector at q whose planar image is w."""
+        try:
+            return np.linalg.solve(self.plane_jacobian(q), w)
+        except np.linalg.LinAlgError:    # the hyperbolic chart's, at its origin
+            raise StepFailure("section point at rho = 0, where the polar chart "
+                              "is singular") from None
+
+    def section_state(self, sys, spec, a, b):
+        """The state at q = from_plane(to_plane(anchor) + a tangent) whose
+        velocity makes the g0-angle b with vref toward J vref, where vref is
+        the tangent vector at q whose planar image is the anchor's."""
+        anchor = spec.anchor
+        q = self.from_plane(self.to_plane(anchor.position) + a * spec.tangent)
+        vref = self.tangent_lift(q, self.plane_jacobian(anchor.position) @ anchor.velocity)
+        jvref = self.rotate90(q, vref)
+        v = math.cos(b) * vref / g_norm(sys, q, vref) + math.sin(b) * jvref / g_norm(sys, q, jvref)
+        return tangent_state(sys, q, v)
+
+    def section_coords(self, sys, spec, state):
+        """(a, b) of a state on the section, the inverse of ``section_state``:
+        J is a g0-isometry, so the scale of the two pairings cancels in b."""
+        anchor, q, v = spec.anchor, state.position, state.velocity
+        vref = self.tangent_lift(q, self.plane_jacobian(anchor.position) @ anchor.velocity)
+        b = math.atan2(float(self.g0_dot(q, self.rotate90(q, vref), v)),
+                       float(self.g0_dot(q, vref, v)))
+        return np.array([self.line_offset(q, anchor.position, spec.tangent), b])
+
     def align_loops(self, pa, pb):
         """Two sampled loops, brought into one picture for comparison."""
-        return pa, pb
+        return self.to_plane(pa), self.to_plane(pb)
+
+    def cap_loop(self, pos, vel, closure):
+        """The loop in the planar image, and its mean."""
+        plane = self.to_plane(pos)
+        return plane, plane.mean(axis=0)
 
     # the orbit space: one point c for each Zoll circle (an axis on the sphere,
     # a centre on the torus and on the hyperbolic chart), held as a row of an
     # (M, k) array.  ``zoll_circle``, each chart's one formula for the circle
     # over c, has ``zoll_state`` as its node 0 and ``latitude_point`` as the c
     # of ``dynamics.latitude_seed``.  ``orbit_space_starts`` gives the census
-    # grid, ``orbit_space_step`` moves points by k-vector offsets
-    # (``orbit_space_gap`` is its inverse)
+    # grid, ``orbit_space_step`` moves points by k-vector offsets, by default
+    # in the planar image (``orbit_space_gap`` is its inverse)
     def zoll_state(self, sys, c):
         """The state at node 0 of the Zoll circle over the orbit-space point c."""
         q, v = self.zoll_circle(sys, np.asarray(c, dtype=float)[None], 1)
         return tangent_state(sys, q[0, 0], v[0, 0])
 
+    def orbit_space_step(self, c, d):
+        return self.from_plane(self.to_plane(c) + d)
+
     def orbit_space_gap(self, c, c2):
-        return c2 - c
+        return self.to_plane(c2) - self.to_plane(c)
 
     def in_searched_region(self, sys, c):
         """Which rows of c lie where the census looks for orbits: everywhere
@@ -513,34 +568,22 @@ class SphereChart(ChartOps):
         q = self.R * (math.cos(alpha) * n[:, None, :] + math.sin(alpha) * (cos * e1 + sin * e2))
         return q, turn * (cos * e2 - sin * e1)
 
-    # sections: ambient planes through the anchor
-    def plane_velocity(self, q, v):
-        return v
+    def from_plane(self, p):
+        """The radial lift R p / |p|."""
+        return p * (self.R / np.linalg.norm(p, axis=-1, keepdims=True))
+
+    def line_offset(self, q, anchor, tangent):
+        """Its inverse along the section line, R^2 (q.t) / (q.q_a)."""
+        return float(q @ tangent) / (float(q @ anchor) / self.R**2)
+
+    def tangent_lift(self, q, w):
+        """The tangential projection of w at q."""
+        n = q / self.R
+        return w - float(w @ n) * n
 
     def section_frame(self, q, v):
         m = v / np.linalg.norm(v)
         return m, np.cross(q * self.sk, m)
-
-    def section_state(self, sys, spec, a, b):
-        anchor = spec.anchor
-        q = anchor.position + a * spec.tangent
-        q *= self.R / np.linalg.norm(q)
-        n = q / self.R
-        vref = anchor.velocity - float(anchor.velocity @ n) * n
-        vref /= np.linalg.norm(vref)
-        v = math.cos(b) * vref + math.sin(b) * np.cross(n, vref)
-        return tangent_state(sys, q, v)
-
-    def section_coords(self, sys, spec, state):
-        anchor = spec.anchor
-        q, v = state.position, state.velocity
-        denom = float(q @ anchor.position) / self.R**2
-        a = float(q @ spec.tangent) / denom
-        n = q / self.R
-        vref = anchor.velocity - float(anchor.velocity @ n) * n
-        vref /= np.linalg.norm(vref)
-        b = math.atan2(float(v @ np.cross(n, vref)), float(v @ vref))
-        return np.array([a, b])
 
     # capping disks
     def _cap_coordinates(self, pos, vel):
@@ -668,52 +711,10 @@ class _PlanarChart(ChartOps):
         (r, p) of the box."""
         return np.stack([r, p], axis=-1), self.w_wp(r, np)[0]
 
-    # sections: planes of the planar image through the anchor
-    def from_plane(self, p):
-        return np.asarray(p, dtype=float)
-
-    def plane_velocity(self, q, v):
-        return self.plane_jacobian(q) @ v
-
     def section_frame(self, q, v):
-        vp = self.plane_velocity(q, v)
+        vp = self.plane_jacobian(q) @ v
         m = vp / np.linalg.norm(vp)
         return m, np.array([-m[1], m[0]])
-
-    def _lower(self, q, v):
-        """g0-metric lowering in chart components (used only for angles)."""
-        w = float(self.w_wp(q[0], np)[0])
-        return np.array([v[0], w**2 * v[1]])
-
-    def section_state(self, sys, spec, a, b):
-        anchor = spec.anchor
-        p = self.to_plane(anchor.position) + a * spec.tangent
-        q = self.from_plane(p)
-        jac = self.plane_jacobian(q)
-        dir_plane = self.plane_jacobian(anchor.position) @ anchor.velocity
-        try:
-            vref = np.linalg.solve(jac, dir_plane)
-        except np.linalg.LinAlgError:
-            # only the hyperbolic chart's plane map is singular, at its origin
-            raise StepFailure("section point at rho = 0, where the polar chart "
-                              "is singular") from None
-        jvref = self.rotate90(q, vref)
-        nrm0, jnrm0 = g_norm(sys, q, vref), g_norm(sys, q, jvref)
-        v = math.cos(b) * vref / nrm0 + math.sin(b) * jvref / jnrm0
-        return tangent_state(sys, q, v)
-
-    def section_coords(self, sys, spec, state):
-        anchor = spec.anchor
-        p = self.to_plane(state.position) - self.to_plane(anchor.position)
-        a = float(p @ spec.tangent)
-        jac = self.plane_jacobian(state.position)
-        dir_plane = self.plane_jacobian(anchor.position) @ anchor.velocity
-        vref = np.linalg.solve(jac, dir_plane)
-        jvref = self.rotate90(state.position, vref)
-        x = float(state.velocity @ self._lower(state.position, vref))
-        y = float(state.velocity @ self._lower(state.position, jvref))
-        b = math.atan2(y, x)    # J is a g0-isometry, so the common scale cancels
-        return np.array([a, b])
 
     def green_integrand(self, pos, vel):
         """Per-sample integrand of the sigma0 flux: a primitive times dp/dt."""
@@ -785,13 +786,6 @@ class HyperbolicChart(_PlanarChart):
                 centres.append((d, psi))
         return ids, np.array(centres)
 
-    def orbit_space_step(self, c, d):
-        p = self._plane_image(c) + d
-        return np.stack([np.hypot(p[:, 0], p[:, 1]), np.arctan2(p[:, 1], p[:, 0])], axis=-1)
-
-    def orbit_space_gap(self, c, c2):
-        return self._plane_image(c2) - self._plane_image(c)
-
     def in_searched_region(self, sys, c):
         """Which centres c lie in the disk the starts cover."""
         return c[:, 0] <= self._seed_radius(sys)
@@ -823,27 +817,15 @@ class HyperbolicChart(_PlanarChart):
         return pos, np.stack([rh * u0 / r, (x1 * u2 - x2 * u1) / r**2], axis=-1)
 
     def to_plane(self, q):
-        rho, phi = q[0], q[1]
-        return np.array([rho * math.cos(phi), rho * math.sin(phi)])
+        return np.stack([q[..., 0] * np.cos(q[..., 1]), q[..., 0] * np.sin(q[..., 1])], axis=-1)
 
     def from_plane(self, p):
-        return np.array([math.hypot(p[0], p[1]), math.atan2(p[1], p[0])])
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([np.hypot(x, y), np.arctan2(y, x)], axis=-1)
 
     def plane_jacobian(self, q):
-        rho, phi = q[0], q[1]
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([[c, -rho * s], [s, rho * c]])
-
-    def _plane_image(self, pos):
-        return np.stack([pos[:, 0] * np.cos(pos[:, 1]), pos[:, 0] * np.sin(pos[:, 1])], axis=1)
-
-    def align_loops(self, pa, pb):
-        return self._plane_image(pa), self._plane_image(pb)
-
-    def cap_loop(self, pos, vel, closure):
-        """The loop in the planar image, and its mean."""
-        plane = self._plane_image(pos)
-        return plane, plane.mean(axis=0)
+        c, s = math.cos(q[1]), math.sin(q[1])
+        return np.array([[c, -q[0] * s], [s, q[0] * c]])
 
     def _green_primitive(self, pos):
         return (np.cosh(self.sk * pos[:, 0]) - 1.0) / (-self.kappa)
@@ -910,10 +892,10 @@ class TorusChart(_PlanarChart):
         return pa, pb + shift
 
     def cap_loop(self, pos, vel, closure):
-        """The loop, and its mean; a loop winding around the torus has no cap."""
+        """A loop winding around the torus has no cap."""
         if np.any(np.round(closure / np.array(self.box)) != 0):
             raise CapNotFound("orbit winds around the torus; no capping disk in the chart")
-        return pos, pos.mean(axis=0)
+        return super().cap_loop(pos, vel, closure)
 
     def _green_primitive(self, pos):
         return pos[:, 0]

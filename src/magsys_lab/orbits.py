@@ -1,15 +1,15 @@
 """Closed-orbit location via Poincare return maps and Newton iteration.
 
 A section is a codimension-1 slice of the unit tangent bundle anchored at a
-seed state: the set of states whose position lies on the chart hyperplane
-through the seed with normal along the seed velocity.  Near the Zoll family
-the flow crosses it perpendicularly, so transversality is uniform.  States
-on the section are parametrized by two reduced coordinates (a, b): offset
-along the in-section direction and velocity angle (unit speed fixes the
-rest), and closed orbits are fixed points of the reduced return map.
-
-Sections are planes of the chart's planar image (``to_plane`` of the chart
-object: ambient on the sphere, the identity on the torus).
+seed state: the states whose position lies, in the chart's planar image
+(``to_plane``; R^3 on the sphere), on the hyperplane through the seed normal
+to its velocity.  Near the Zoll family the flow crosses it perpendicularly,
+so transversality is uniform.  States on the section have two reduced
+coordinates (a, b), the offset along the section line and the velocity's
+angle from the reference velocity (unit speed fixes the rest), and closed
+orbits are fixed points of the reduced return map.  The chart object writes
+the section once, from its planar image (``section_state`` and its inverse
+``section_coords``).
 
 Newton uses the exact Jacobian of the reduced map, J = dC D dS: the return
 map carries the tangent vectors dS of the section parametrization through the
@@ -97,7 +97,7 @@ def _section_value(sys, spec, q):
 
 
 def _crossing_speed(sys, spec, q, v):
-    vv = sys.surface.plane_velocity(q, v)
+    vv = sys.surface.plane_jacobian(q) @ v
     return float(vv @ spec.normal) / np.linalg.norm(vv)
 
 

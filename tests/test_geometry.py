@@ -1,5 +1,7 @@
+import ast
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,16 @@ class TestConformalPerturb:
             both = with_sigma_perturbation(sys, "sphere_eta_axial", eps=eps)
             assert both.conformal_eps == 0.05 and both.volume_normalized
 
+    def test_conformal_perturbation_keeps_the_sigma_eps(self):
+        # the mirror case: a conformal eps other than the 1-form's would
+        # rescale eta, giving sigma0 + 0.05 d(eta) where 0.1 was asked
+        sys = with_sigma_perturbation(make_model(1.0, 1.0), "sphere_eta_axial", eps=0.1)
+        for normalize in (True, False):
+            with pytest.raises(ValidationError, match="share one eps"):
+                conformal_perturb(sys, "sphere_harmonic_z", 0.05, normalize)
+        both = conformal_perturb(sys, "sphere_harmonic_z", 0.1, normalize=True)
+        assert both.conformal_eps == 0.1 and both.sigma_perturbation is not None
+
 
 class TestComplexStructure:
     @pytest.mark.parametrize("sys", models(), ids=["sphere", "hyperbolic", "torus"])
@@ -228,3 +240,17 @@ def test_zoll_circle_runs_through_the_zoll_state(kappa, s):
     for i in range(len(starts)):
         dq = surface.wrap(q[i, 1], q[i, -1]) - q[i, -1]
         assert np.max(np.abs(dq / (2.0 * ds) - v[i, 0])) < 1e-3
+
+
+def test_one_section_on_one_planar_image():
+    # the Poincare section is written once, on the charts' planar images
+    package = Path(__file__).resolve().parent.parent / "src" / "magsys_lab"
+    defs, names = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defs.append(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    assert defs.count("section_state") == 1 and defs.count("section_coords") == 1
+    assert not {"_plane_image", "_lower", "plane_velocity"} & (set(defs) | names)

@@ -176,6 +176,50 @@ def finite_difference_jacobian(F, x, h=1e-6):
     return jac / h
 
 
+def section_cases():
+    """(id, system, orbit-space point) on every chart, unperturbed and
+    perturbed: the sphere at kappa 1 and 4, the torus, and the hyperbolic
+    chart off its origin."""
+    sphere4 = make_model(4.0, 1.0)
+    cases = [("sphere", make_model(1.0, 1.0), (0.3, -0.5, 0.8)),
+             ("sphere_k4", sphere4, (-0.6, 0.2, 0.5)),
+             ("torus", make_model(0.0, 1.0), (1.0, 2.0)),
+             ("hyperbolic", make_model(-1.0, 2.0), (1.2, 0.7))]
+    perturbed = {"sphere": perturbed_system(1.0), "torus": perturbed_system(0.0),
+                 "hyperbolic": perturbed_system(-1.0),
+                 "sphere_k4": conformal_perturb(sphere4, "sphere_harmonic_z", 0.05,
+                                                normalize=True)}
+    return cases + [(f"{name}_perturbed", perturbed[name], c) for name, _, c in cases]
+
+
+SECTION_CASES = section_cases()
+
+
+@pytest.mark.parametrize("sys,c", [case[1:] for case in SECTION_CASES],
+                         ids=[case[0] for case in SECTION_CASES])
+class TestSection:
+    def test_coords_invert_state(self, sys, c):
+        surface = sys.surface
+        spec = make_section(sys, surface.zoll_state(sys, np.array(c)))
+        for a in np.linspace(-0.3, 0.3, 7):
+            for b in np.linspace(-0.5, 0.5, 7):
+                st = surface.section_state(sys, spec, a, b)
+                x = surface.section_coords(sys, spec, st)
+                assert np.max(np.abs(x - (a, b))) < 1e-12
+
+    def test_planar_image_round_trip(self, sys, c):
+        # from_plane inverts to_plane, and one point maps as it does among many
+        surface = sys.surface
+        q, _ = surface.zoll_circle(sys, np.array([c]), 16)
+        plane = surface.to_plane(q)
+        assert plane.shape == q.shape
+        assert np.max(np.abs(surface.from_plane(plane) - q)) < 1e-12
+        for k in range(16):
+            assert np.array_equal(surface.to_plane(q[0, k]), plane[0, k])
+            assert np.array_equal(surface.from_plane(plane[0, k]),
+                                  surface.from_plane(plane)[0, k])
+
+
 class TestVariationalNewton:
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
     def test_jacobian_matches_finite_differences(self, kappa):
