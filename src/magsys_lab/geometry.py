@@ -573,7 +573,7 @@ class SphereChart(ChartOps):
         return p * (self.R / np.linalg.norm(p, axis=-1, keepdims=True))
 
     def line_offset(self, q, anchor, tangent):
-        """Its inverse along the section line, R^2 (q.t) / (q.q_a)."""
+        """The radial lift's inverse along the section line: R^2 (q.t) / (q.q_a)."""
         return float(q @ tangent) / (float(q @ anchor) / self.R**2)
 
     def tangent_lift(self, q, w):
