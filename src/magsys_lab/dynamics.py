@@ -1,9 +1,9 @@
 """Magnetic geodesic flow: nabla^g_v v = s b(q) J v at unit g-speed.
 
-The flow is integrated with an adaptive high-order Runge-Kutta stepper
-(DOP853), one solve over the whole run with dense output.  The runs last a
-few reference periods, over which the constraints (the sphere, unit
-g-speed) hold to the stepper's tolerance with no projection;
+The flow is integrated with the package's adaptive DOP853 Runge-Kutta stepper
+(``ode.solve_ivp``), one solve over the whole run with dense output.  The
+runs last a few reference periods, over which the constraints (the sphere,
+unit g-speed) hold to the stepper's tolerance with no projection;
 ``speed_drift`` measures how well.  Trajectories are parametrized by
 g-arc length.
 """
@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import StepFailure
 from .geometry import MagneticSystem, TangentState, conf_log_diff, g_dot, g_norm
+from .ode import solve_ivp
 from .reporting import samples_csv
 
 DEFAULT_TOL = 1e-10
@@ -98,8 +98,8 @@ def flow(sys: MagneticSystem, start: TangentState, duration, tol=DEFAULT_TOL,
     if n_samples is None:
         n_samples = max(64, int(math.ceil(512 * abs(duration) / t_ref)))
     times = np.linspace(0.0, duration, n_samples + 1)
-    sol = solve_ivp(rhs(sys), (0.0, duration), pack_state(start), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+    sol = solve_ivp(rhs(sys), (0.0, duration), pack_state(start), rtol=rtol, atol=atol,
+                    dense_output=True)
     if not sol.success:
         raise StepFailure(f"integrator failed on [0, {duration:g}]: {sol.message}")
     out = sol.sol(times).T

@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import ExperimentConfig
 from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
@@ -54,7 +53,7 @@ from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
 from .geometry import TangentState, state_distance, tangent_state
 from .reporting import round_sig
 from .dynamics import (Trajectory, flow, pack_state, reference_period, rhs,
-                       stepper_tolerances, unpack_state)
+                       solve_ivp, stepper_tolerances, unpack_state)
 
 log = logging.getLogger(__name__)
 
@@ -132,24 +131,21 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
         y0 = np.concatenate([y0, tangents.T.ravel(), np.zeros(n)])
     rtol, atol = stepper_tolerances(tol)
     head = 0.3 * t_ref
-    sol = solve_ivp(f, (0.0, head), y0, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(f, (0.0, head), y0, rtol=rtol, atol=atol)
     if not sol.success:
         raise StepFailure(sol.message)
 
     def event(t, y):
         return _section_value(sys, section, y[:d])
 
-    event.terminal = True
-    event.direction = 1.0
     # cap the step so one step cannot straddle two section crossings
-    sol2 = solve_ivp(f, (head, 2.0 * t_ref), sol.y[:, -1], method="DOP853",
-                     rtol=rtol, atol=atol, events=event, max_step=0.2 * t_ref)
+    sol2 = solve_ivp(f, (head, 2.0 * t_ref), sol.y, rtol=rtol, atol=atol,
+                     event=event, max_step=0.2 * t_ref)
     if not sol2.success:
         raise StepFailure(sol2.message)
-    if len(sol2.t_events[0]) == 0:
+    if sol2.t_event is None:
         raise NoReturn("no section crossing within 2 reference periods")
-    t_ev = float(sol2.t_events[0][0])
-    y_ev = sol2.y_events[0][0]
+    t_ev, y_ev = sol2.t_event, sol2.y_event
     st = unpack_state(y_ev[:n])
     if abs(_crossing_speed(sys, section, st.position, st.velocity)) < TRANSVERSALITY_MIN:
         raise TangencyError("return crossing is tangent to the section")

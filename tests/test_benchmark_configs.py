@@ -1,7 +1,7 @@
 """The benchmark's workload configs stay valid inputs of the program, the
-functions its tracer rebinds still exist, scipy stays confined to the
-stepper the tracer counts, and the perturbed census workloads keep their
-return-map budget and recorded lengths.
+functions its tracer rebinds still exist, the package neither imports nor
+loads scipy, and the perturbed census workloads keep their return-map budget
+and recorded lengths.
 
 perfbench/ holds no package modules; workloads.py is read and run here and
 tracer.py only parsed, so the suite writes nothing (not even a bytecode
@@ -10,6 +10,7 @@ cache) into perfbench/.
 
 import ast
 import importlib
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -84,19 +85,32 @@ def test_tracer_hooks_exist():
     assert missing == []
 
 
-def test_scipy_only_steps_the_flow():
-    # the tracer counts scipy's work as the solve_ivp it rebinds in dynamics and
-    # orbits; any other scipy call would run untraced
+def test_no_scipy_import_in_the_package():
+    # the package steps its flow with its own DOP853 (magsys_lab.ode); scipy
+    # costs more to import than a census takes to run
     imports = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                imports += [(path.name, alias.name, None) for alias in node.names
+                imports += [(path.name, alias.name) for alias in node.names
                             if alias.name.split(".")[0] == "scipy"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-                imports += [(path.name, node.module, alias.name) for alias in node.names]
-    assert imports == [("dynamics.py", "scipy.integrate", "solve_ivp"),
-                       ("orbits.py", "scipy.integrate", "solve_ivp")]
+                imports.append((path.name, node.module))
+    assert imports == []
+
+
+def test_setup_loads_no_scipy(tmp_path):
+    # what perfbench/setup_probe.py times, in a fresh interpreter
+    path = tmp_path / "census.cfg"
+    path.write_text(workloads.WORKLOADS["census-perturbed-sphere"].config, encoding="utf-8")
+    script = (f"import sys; sys.path.insert(0, {str(PACKAGE_DIR.parent)!r})\n"
+              "import magsys_lab, magsys_lab.cli\n"
+              "from magsys_lab import syslab\n"
+              f"syslab.build_system(magsys_lab.cli.parse_config({str(path)!r})[0])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # return maps a perturbed census workload may take: Newton runs only from the
