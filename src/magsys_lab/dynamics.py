@@ -102,10 +102,16 @@ def flow(sys: MagneticSystem, start: TangentState, duration, tol=DEFAULT_TOL,
                     dense_output=True)
     if not sol.success:
         raise StepFailure(f"integrator failed on [0, {duration:g}]: {sol.message}")
-    out = sol.sol(times).T
-    speeds = g_norm(sys, *np.hsplit(out, 2))
-    drift = float(np.max(np.abs(speeds - 1.0)))
-    return Trajectory(states=out, times=times, speed_drift=drift)
+    return sampled_trajectory(sys, sol.sol, times)
+
+
+def sampled_trajectory(sys, dense, times):
+    """The Trajectory of a solve's dense output dense(times), the (2d, N)
+    states at the N times."""
+    states = dense(times).T
+    speeds = g_norm(sys, *np.hsplit(states, 2))
+    return Trajectory(states=states, times=times,
+                      speed_drift=float(np.max(np.abs(speeds - 1.0))))
 
 
 def latitude_seed(sys: MagneticSystem) -> TangentState:

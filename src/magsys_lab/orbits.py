@@ -11,11 +11,14 @@ orbits are fixed points of the reduced return map.  The chart object writes
 the section once, from its planar image (``section_state`` and its inverse
 ``section_coords``).
 
-Newton uses the exact Jacobian of the reduced map, J = dC D dS: the return
-map carries the tangent vectors dS of the section parametrization through the
-variational equations and corrects them for the change of return time (D),
-and dS and the derivative dC of the reduced coordinates come from central
-differences of closed-form maps, with no ODE solve.
+Newton uses the exact Jacobian of the reduced map, J = dC D dS: a return
+map with tangents carries the tangent vectors dS of the section
+parametrization through the variational equations and corrects them for the
+change of return time (D), and dS and the derivative dC of the reduced
+coordinates come from central differences of closed-form maps, with no ODE
+solve.  Such a map runs only where Newton steps; every iterate gets a plain
+map, which keeps its solves' dense output, and the converged orbit is sampled
+from the plain map that closed it, with no second integration.
 
 The census (``enumerate_orbits``) seeds Newton where first-order
 perturbation theory puts the closed orbits.  Each unperturbed orbit is the
@@ -52,8 +55,9 @@ from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
                      TangencyError)
 from .geometry import TangentState, state_distance, tangent_state
 from .reporting import round_sig
-from .dynamics import (Trajectory, flow, pack_state, reference_period, rhs,
+from .dynamics import (Trajectory, pack_state, reference_period, rhs, sampled_trajectory,
                        solve_ivp, stepper_tolerances, unpack_state)
+from .dynamics import flow  # noqa: F401  unused; perfbench/tracer.py rebinds orbits.flow
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +106,9 @@ def _crossing_speed(sys, spec, q, v):
 
 def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
                tangents=None):
-    """First forward return of the flow to the section: (state, return time).
+    """First forward return of the flow to the section: (state, return time,
+    path).  path(times) gives the (2d, N) states of the flow at N sorted times
+    in [0, return time], from the two solves' dense output.
 
     The crossing must be in the direction of the anchor velocity; the search
     is capped at twice the Zoll reference period.
@@ -110,10 +116,10 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
     With tangents, a (2d, k) array of state-space vectors at state, the flow
     also carries them and a column w with w' = Df w + f and w(0) = 0, so that
     w(t) = t f(y(t)) gives f at the return without an RHS call of its own; all
-    components share one error control.  The result is then (state, return
-    time, D) with D the (2d, k) derivative of the return map along the
-    tangents: the carried columns T corrected for the change of return time,
-    D = T - f (grad sigma . T) / (grad sigma . f).
+    components share one error control.  No dense output is kept, and the
+    result is (state, return time, D) with D the (2d, k) derivative of the
+    return map along the tangents: the carried columns T corrected for the
+    change of return time, D = T - f (grad sigma . T) / (grad sigma . f).
     """
     t_ref = reference_period(sys)
     if abs(_crossing_speed(sys, section, state.position, state.velocity)) \
@@ -130,8 +136,8 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
         f = _with_time_column(rhs(sys, tangents=k + 1), n)
         y0 = np.concatenate([y0, tangents.T.ravel(), np.zeros(n)])
     rtol, atol = stepper_tolerances(tol)
-    head = 0.3 * t_ref
-    sol = solve_ivp(f, (0.0, head), y0, rtol=rtol, atol=atol)
+    head, dense = 0.3 * t_ref, tangents is None
+    sol = solve_ivp(f, (0.0, head), y0, rtol=rtol, atol=atol, dense_output=dense)
     if not sol.success:
         raise StepFailure(sol.message)
 
@@ -140,7 +146,7 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
 
     # cap the step so one step cannot straddle two section crossings
     sol2 = solve_ivp(f, (head, 2.0 * t_ref), sol.y, rtol=rtol, atol=atol,
-                     event=event, max_step=0.2 * t_ref)
+                     event=event, max_step=0.2 * t_ref, dense_output=dense)
     if not sol2.success:
         raise StepFailure(sol2.message)
     if sol2.t_event is None:
@@ -150,8 +156,11 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
     if abs(_crossing_speed(sys, section, st.position, st.velocity)) < TRANSVERSALITY_MIN:
         raise TangencyError("return crossing is tangent to the section")
     st = tangent_state(sys, st.position, st.velocity)
-    if tangents is None:
-        return st, t_ev
+    if dense:
+        def path(times):
+            early = times <= head
+            return np.hstack([sol.sol(times[early]), sol2.sol(times[~early])])
+        return st, t_ev, path
     T = y_ev[n:-n].reshape(k, n).T
     f_ev = y_ev[-n:] / t_ev
     grad = np.zeros(n)
@@ -186,9 +195,10 @@ class Orbit(Trajectory):
 
 
 def _reduced_map(sys, spec, tol):
-    """The reduced return map at x: (F(x), return time, state residual,
-    dF/dx).  The Jacobian is None unless asked for; with jacobian=True the
-    return map carries the section's tangents (see the module docstring)."""
+    """The reduced return map at x: (F(x), return time, state residual, the
+    plain return map's ``path``), or with jacobian=True (..., dF/dx) from a
+    return map that carries the section's tangents (see the module
+    docstring)."""
     surface = sys.surface
     anchor, d = spec.anchor.position, surface.dim
 
@@ -202,14 +212,13 @@ def _reduced_map(sys, spec, tol):
     def F(x, jacobian=False):
         st = surface.section_state(sys, spec, x[0], x[1])
         if not jacobian:
-            st2, t_ret = return_map(sys, spec, st, tol=tol)
-            jac = None
+            st2, t_ret, last = return_map(sys, spec, st, tol=tol)
         else:
             dS = _central_differences(section_point, x, np.eye(2))
             st2, t_ret, D = return_map(sys, spec, st, tol=tol, tangents=dS)
-            jac = _central_differences(coords, pack_state(st2), D)
+            last = _central_differences(coords, pack_state(st2), D)
         x2 = surface.section_coords(sys, spec, st2)
-        return x2, t_ret, state_distance(sys, st2, st), jac
+        return x2, t_ret, state_distance(sys, st2, st), last
     return F
 
 
@@ -223,27 +232,29 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
                       max_iter=ExperimentConfig.max_iter, seed_id="seed"):
     """Newton iteration on the reduced return map, starting from seed.
 
-    The seed anchors the section.  Its first return map is a plain one, so a
-    seed that already closes costs one map; every later map carries the
-    tangents that give the Jacobian.  Raises DivergedFromFamily when the
-    seed's return residual exceeds the short-loop gate or iterates leave the
-    neighborhood; NoConvergence when the iteration budget runs out.
+    The seed anchors the section.  Each iterate (x = 0 and every line-search
+    trial) gets one plain return map, whose residual decides convergence and
+    the line search; a map with tangents, for F(x) and the Jacobian, runs
+    only at an iterate Newton steps from.  A seed that already closes costs
+    one map, and the orbit is sampled from the plain map that closed it.
+    Raises DivergedFromFamily when the seed's return residual exceeds the
+    short-loop gate or iterates leave the neighborhood; NoConvergence when
+    the iteration budget runs out.
     """
     ivp_tol = min(tol * 1e-2, 1e-10)
     spec = make_section(sys, seed)
     F = _reduced_map(sys, spec, ivp_tol)
     x = np.zeros(2)
-    fx, t_ret, resid, jac = F(x)
+    _, t_ret, resid, path = F(x)
     if resid >= SEED_RESIDUAL_GATE:
         raise DivergedFromFamily(
             f"seed return residual {resid:.3g} >= {SEED_RESIDUAL_GATE}")
 
     for it in range(max_iter):
         if resid <= tol:
-            return _build_orbit(sys, spec, x, t_ret, seed_id, ivp_tol, iterations=it)
+            return _build_orbit(sys, t_ret, path, seed_id, iterations=it)
         try:
-            if jac is None:
-                fx, t_ret, resid, jac = F(x, jacobian=True)
+            fx, _, _, jac = F(x, jacobian=True)
             g = fx - x
             A = jac - np.eye(2)
             try:
@@ -252,33 +263,33 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
                 dx = np.linalg.lstsq(A.T @ A + 1e-12 * np.eye(2),
                                      -A.T @ g, rcond=None)[0]
             trial = x + dx
-            f_t, t_t, r_t, j_t = F(trial, jacobian=True)
+            _, t_t, r_t, p_t = F(trial)
             shrinks = 0
             while r_t > resid and shrinks < 8:
                 dx *= NEWTON_DAMPING
                 trial = x + dx
-                f_t, t_t, r_t, j_t = F(trial, jacobian=True)
+                _, t_t, r_t, p_t = F(trial)
                 shrinks += 1
         except (NoReturn, TangencyError) as exc:
             # an iterate wandered off the section geometry entirely
             raise DivergedFromFamily(f"iterate lost the section: {exc}") from exc
-        x, fx, t_ret, resid, jac = trial, f_t, t_t, r_t, j_t
+        x, t_ret, resid, path = trial, t_t, r_t, p_t
         if abs(x[0]) > 1.0 or abs(x[1]) > 1.0:
             raise DivergedFromFamily(
                 f"iterate left the short-loop neighborhood (|x| = {np.abs(x).max():.3g})")
     if resid <= tol:
-        return _build_orbit(sys, spec, x, t_ret, seed_id, ivp_tol, iterations=max_iter)
+        return _build_orbit(sys, t_ret, path, seed_id, iterations=max_iter)
     raise NoConvergence(f"residual {resid:.3g} after {max_iter} Newton steps")
 
 
-def _build_orbit(sys, spec, x, period, seed_id, ivp_tol, iterations=0):
-    """The Orbit through the section point x, whose return time is period."""
-    st = sys.surface.section_state(sys, spec, x[0], x[1])
+def _build_orbit(sys, period, path, seed_id, iterations=0):
+    """The Orbit of one period, sampled from the ``path`` of the plain return
+    map that closed it, whose return time is period."""
     t_ref = reference_period(sys)
     if abs(period - t_ref) > SHORT_LOOP_PERIOD_WINDOW * t_ref:
         raise DivergedFromFamily(
             f"period {period:.6g} outside the short-loop window around {t_ref:.6g}")
-    traj = flow(sys, st, period, tol=ivp_tol, n_samples=ORBIT_SAMPLES)
+    traj = sampled_trajectory(sys, path, np.linspace(0.0, period, ORBIT_SAMPLES + 1))
     residual = state_distance(sys, traj.state(-1), traj.state(0))
     return Orbit(traj.states, traj.times, traj.speed_drift,
                  residual=float(residual), seed_id=str(seed_id),

@@ -90,11 +90,14 @@ def ensure_outdir(outdir):
 def samples_csv(sys, traj, path, extra=None):
     """Sample path of a Trajectory (or Orbit): t, the chart's coordinate and
     velocity columns, then one column per entry of extra (name -> per-sample
-    values)."""
+    values).  Every cell is a float, so one "%.12g" row template gives the
+    bytes ``csv_text`` would (``fmt_float``)."""
     extra = extra or {}
     cols = ["t", *sys.surface.columns, *extra]
     table = np.column_stack([traj.times, traj.states, *extra.values()])
-    write_text(csv_text((dict(zip(cols, row)) for row in table.tolist()), cols), path)
+    row = ",".join(["%.12g"] * len(cols))
+    lines = [",".join(cols), *(row % tuple(r) for r in table.tolist())]
+    write_text("\n".join(lines) + "\n", path)
 
 
 def orbit_samples_csv(sys, orbit, path):

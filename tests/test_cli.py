@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from magsys_lab import (ExperimentConfig, ParseError, ValidationError,
@@ -414,3 +415,20 @@ samples = 100000
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "A,P_kahler"
         assert len(lines) == 4
+
+
+def test_samples_csv_bytes_are_csv_text_s(tmp_path):
+    # the row template writes what csv_text writes for every float cell
+    from magsys_lab import Trajectory, make_model
+    from magsys_lab.reporting import csv_text, samples_csv
+    sys = make_model(1.0, 1.0)
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(513, 7)) * 10.0 ** rng.integers(-300, 300, size=(513, 7))
+    table[:8, 1:] = [[math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-320],
+                     [1e16, 123456789012.5, -1e-5, 1e22, 5e-324, -math.nan]] * 4
+    traj = Trajectory(states=table[:, 1:], times=table[:, 0], speed_drift=0.0)
+    samples_csv(sys, traj, tmp_path / "rows.csv")
+    cols = ["t", *sys.surface.columns]
+    expected = csv_text((dict(zip(cols, row)) for row in table.tolist()), cols)
+    assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == expected
+    assert ",-0," in expected and ",nan," in expected and ",-inf," in expected

@@ -12,7 +12,7 @@ from magsys_lab import (DivergedFromFamily, ExperimentConfig, NoConvergence,
                         conformal_perturb, enumerate_orbits, find_closed_orbit, flow,
                         latitude_seed, magnetic_length, make_model,
                         make_section, reference_period, return_map,
-                        state_distance)
+                        state_distance, tangent_state)
 from magsys_lab import ScalarField
 from magsys_lab import dynamics as dynamics_mod
 from magsys_lab import orbits as orbits_mod
@@ -37,7 +37,7 @@ class TestReturnMap:
         sys = make_model(1.0, 1.0)
         seed = latitude_seed(sys)
         spec = make_section(sys, seed)
-        st2, t_ret = return_map(sys, spec, seed)
+        st2, t_ret, _ = return_map(sys, spec, seed)
         assert state_distance(sys, st2, seed) < 1e-9
         assert t_ret == pytest.approx(reference_period(sys), abs=1e-8)
 
@@ -48,7 +48,7 @@ class TestReturnMap:
         gaps = []
         for eps in (0.05, 0.025):
             sysp = perturbed_sphere(eps)
-            st2, _ = return_map(sysp, spec, seed)
+            st2, _, _ = return_map(sysp, spec, seed)
             gaps.append(state_distance(sysp, st2, seed))
         assert gaps[0] > 0
         ratio = gaps[0] / gaps[1]
@@ -225,14 +225,22 @@ class TestVariationalNewton:
     def test_jacobian_matches_finite_differences(self, kappa):
         sys = perturbed_system(kappa)
         seed = latitude_seed(sys)
-        F = _reduced_map(sys, make_section(sys, seed), 1e-11)
+        spec = make_section(sys, seed)
+        F = _reduced_map(sys, spec, 1e-11)
         x = np.array([0.02, -0.015])     # not a fixed point
         fx, t_ret, resid, jac = F(x, jacobian=True)
         assert resid > 1e-4
         plain = F(x)
         assert np.max(np.abs(fx - plain[0])) < 1e-9
         assert t_ret == pytest.approx(plain[1], abs=1e-9)
-        assert plain[3] is None
+        # the plain map gives its dense path, not a Jacobian: the path runs
+        # from the section point at x to the return state, whose coordinates are F(x)
+        start, end = plain[3](np.array([0.0, plain[1]])).T
+        section_point = sys.surface.section_state(sys, spec, *x)
+        assert np.array_equal(start, np.concatenate([section_point.position,
+                                                     section_point.velocity]))
+        returned = tangent_state(sys, *np.split(end, 2))
+        assert np.max(np.abs(sys.surface.section_coords(sys, spec, returned) - plain[0])) < 1e-12
         ref = finite_difference_jacobian(F, x)
         assert np.max(np.abs((jac - np.eye(2)) - ref)) < 1e-5
 
@@ -243,7 +251,7 @@ class TestVariationalNewton:
         spec = make_section(sys, seed)
         D0 = np.random.default_rng(2).normal(size=(6, 2))
         st, t_ret, D = return_map(sys, spec, seed, tangents=D0)
-        st_plain, t_plain = return_map(sys, spec, seed)
+        st_plain, t_plain, _ = return_map(sys, spec, seed)
         assert D.shape == (6, 2)
         assert np.max(np.abs(spec.normal @ D[:3])) < 1e-9
         assert state_distance(sys, st, st_plain) < 1e-9
@@ -258,13 +266,16 @@ class TestVariationalNewton:
         assert calls == [1, 0]
 
     def test_perturbed_sphere_census_return_maps(self, monkeypatch):
-        # one plain map per seed, then one map with tangents per Newton step
-        # and line-search trial; Newton runs only from the two critical
-        # points of the orbit-space average, not from the 11 starts
+        # one plain map per seed and per line-search trial (no trial is
+        # shrunk here), and one map with tangents per Newton step; Newton runs
+        # only from the two critical points of the orbit-space average, not
+        # from the 11 starts
         calls = counting_return_maps(monkeypatch)
         found = enumerate_orbits(perturbed_sphere(0.05), grid_density=3, tol=1e-9)
-        assert len(found) == 2
-        assert calls[0] == found.seeds_attempted == 2
+        assert len(found) == found.seeds_attempted == 2
+        steps = sum(orb.newton_iterations for orb in found)
+        assert steps > 0
+        assert calls == [found.seeds_attempted + steps, steps]
         assert found.starts == 11
         assert sum(calls) <= 12
 
@@ -293,6 +304,61 @@ class TestVariationalNewton:
         enumerate_orbits(perturbed_system(kappa), grid_density=2, tol=1e-9)
         assert calls[1] > 0      # Newton ran, with tangents
         assert counts["closure"] == counts["nfev"] > 0
+
+
+def refuse_flow(monkeypatch):
+    """Make every call of dynamics.flow fail, under both names it has."""
+    def refused(*args, **kw):
+        raise AssertionError("flow called")
+    for mod in (orbits_mod, dynamics_mod):
+        monkeypatch.setattr(mod, "flow", refused)
+
+
+def recording_plain_maps(monkeypatch):
+    """The (state, return time) of each plain orbits.return_map call, in order."""
+    maps = []
+    plain = orbits_mod.return_map
+
+    def recorded(*args, **kw):
+        result = plain(*args, **kw)
+        if kw.get("tangents") is None:
+            maps.append(result[:2])
+        return result
+
+    monkeypatch.setattr(orbits_mod, "return_map", recorded)
+    return maps
+
+
+CHARTS = dict(argnames="kappa", argvalues=[1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+
+
+class TestOrbitFromReturnMap:
+    """A converged orbit is sampled from the plain return map that closed it."""
+
+    @pytest.mark.parametrize(**CHARTS)
+    def test_census_integrates_no_orbit_again(self, kappa, monkeypatch):
+        refuse_flow(monkeypatch)
+        assert len(enumerate_orbits(perturbed_system(kappa), grid_density=2, tol=1e-9)) >= 2
+
+    def test_experiment_integrates_no_orbit_again(self, monkeypatch):
+        from magsys_lab import run_experiment
+        refuse_flow(monkeypatch)
+        cfg = ExperimentConfig(kappa=0.0, strength=1.0, perturbation_name="torus_cos_x",
+                               eps=0.05, grid_density=2)
+        assert run_experiment(cfg).orbit_count == 2
+
+    @pytest.mark.parametrize(**CHARTS)
+    def test_orbit_ends_on_the_closing_map(self, kappa, monkeypatch):
+        maps = recording_plain_maps(monkeypatch)
+        sys = perturbed_system(kappa)
+        orb = find_closed_orbit(sys, latitude_seed(sys), tol=1e-9)
+        assert orb.newton_iterations > 0
+        assert len(maps) == orb.newton_iterations + 1
+        state, t_ret = maps[-1]
+        assert state_distance(sys, orb.state(-1), state) < 1e-12
+        assert orb.period == t_ret
+        assert orb.speed_drift < 1e-9
+        assert orb.residual < 1e-9
 
 
 class TestEnumerate:
