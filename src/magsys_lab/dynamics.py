@@ -51,15 +51,13 @@ def reference_period(sys):
     return 2.0 * math.pi / math.sqrt(sys.strength**2 + sys.kappa)
 
 
-def rhs(sys: MagneticSystem, tangents=0):
-    """Right-hand side of the first-order system y = (q, v).
-
-    With tangents = m > 0 the closure also carries m tangent columns: it maps
-    Y = (y, X_1, ..., X_m) to (f(y), Df(y) X_1, ..., Df(y) X_m), the
-    variational equations of the flow, and its first block is the m = 0
-    result bit for bit.
-    """
-    return sys.surface.rhs(sys, tangents)
+def rhs(sys: MagneticSystem):
+    """Right-hand side f(t, y) of the first-order system y = (q, v): one
+    scalar closure per chart (``SphereChart.rhs``, ``_PlanarChart.rhs``),
+    built once per call with the fields' formulas and the constants
+    resolved.  The flow is all it carries: Newton differentiates return maps
+    by differences of plain maps, not by variational equations."""
+    return sys.surface.rhs(sys)
 
 
 def stepper_tolerances(tol):

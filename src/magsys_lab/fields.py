@@ -12,22 +12,19 @@ class.  Points are in each chart's own coordinates, and so are covectors:
 on the sphere a differential is an ambient Euclidean covector (project onto
 the tangent plane to get the intrinsic gradient), elsewhere it has
 (d_rho, d_phi) or (dx, dy) components.
-Hessians are the matrices of second partial derivatives in the same
-coordinates (ambient on the sphere, where the fields are restrictions of
-functions of the ambient point).
 
 ``OneForm.density`` returns d(eta)/sigma0, the exterior derivative measured
 against the unperturbed area form.
 
 Each field is written once, as a factory make(coeffs, surface) that resolves
 the coefficients and constants and returns the field's formulas, each fn(x)
-of the chart components x of a point: (value, differential, Hessian) of a
-scalar field, (components, density, density gradient) of a 1-form.  x[i] is
+of the chart components x of a point: (value, differential) of a scalar
+field, (components, density) of a 1-form.  x[i] is
 a float or an array, and the formulas use numpy ufuncs and elementwise
 arithmetic only (no dot products, squares as x * x), so one point (the RHS
 kernels call ``formulas`` on floats) and many (the array methods evaluate
 them through ``_on_points``) round alike, bit for bit.  A covector formula
-returns a tuple of components, a Hessian its dim * dim entries row by row.
+returns a tuple of components.
 """
 
 from __future__ import annotations
@@ -61,12 +58,11 @@ def _on_points(formula, q):
     return out.reshape(q.shape[:-1] + (len(res),))
 
 
-# --- scalar fields: make(coeffs, surface) -> (value, diff, hess) ---------------
+# --- scalar fields: make(coeffs, surface) -> (value, diff) ---------------------
 
 def _const(coeffs, surface):
-    c, dim = coeffs[0], surface.dim
-    zero, zero2 = (0.0,) * dim, (0.0,) * (dim * dim)
-    return (lambda x: c), (lambda x: zero), (lambda x: zero2)
+    c, zero = coeffs[0], (0.0,) * surface.dim
+    return (lambda x: c), (lambda x: zero)
 
 
 def _sphere_harmonic(coeffs, surface):
@@ -80,9 +76,8 @@ def _sphere_harmonic(coeffs, surface):
             raise ValidationError("sphere_harmonic axis must be nonzero")
         ax = ax / n
     a0, a1, a2 = ax.tolist()
-    grad, zero2 = tuple((ck * ax).tolist()), (0.0,) * 9
-    return ((lambda x: ck * (a0 * x[0] + a1 * x[1] + a2 * x[2])), (lambda x: grad),
-            (lambda x: zero2))
+    grad = tuple((ck * ax).tolist())
+    return (lambda x: ck * (a0 * x[0] + a1 * x[1] + a2 * x[2])), (lambda x: grad)
 
 
 def _torus_cos(idx):
@@ -90,7 +85,7 @@ def _torus_cos(idx):
     def make(coeffs, surface):
         c, period = coeffs[0], surface.box[idx]
         two_pi, k = 2.0 * np.pi, 2.0 * np.pi / period
-        ck, ckk = -c * k, -c * k * k
+        ck = -c * k
 
         def value(x):
             return c * np.cos(two_pi * x[idx] / period)
@@ -99,19 +94,14 @@ def _torus_cos(idx):
             d = ck * np.sin(k * x[idx])
             return (d, 0.0) if idx == 0 else (0.0, d)
 
-        def hess(x):
-            h = ckk * np.cos(k * x[idx])
-            return (h, 0.0, 0.0, 0.0) if idx == 0 else (0.0, 0.0, 0.0, h)
-
-        return value, diff, hess
+        return value, diff
     return make
 
 
 def _hyper_bump(coeffs, surface):
-    # u = c exp(-(rho / rho0)^2); u'' = u ((2 rho / rho0^2)^2 - 2 / rho0^2)
+    # u = c exp(-(rho / rho0)^2)
     c, rho0 = coeffs
     r2 = rho0 * rho0
-    inv = 2.0 / r2
 
     def value(x):
         r = x[0] / rho0
@@ -120,11 +110,7 @@ def _hyper_bump(coeffs, surface):
     def diff(x):
         return value(x) * (-2.0 * x[0] / r2), 0.0
 
-    def hess(x):
-        t = 2.0 * x[0] / r2
-        return value(x) * (t * t - inv), 0.0, 0.0, 0.0
-
-    return value, diff, hess
+    return value, diff
 
 
 # name -> (factory, chart or None for every chart, coefficient count)
@@ -159,8 +145,7 @@ class _NamedField:
     def formulas(self, surface):
         """The field's formulas on this surface, after checking its chart, each
         fn(x) of chart components (see the module docstring): (value,
-        differential, Hessian) of a scalar field, (components, density,
-        density gradient) of a 1-form."""
+        differential) of a scalar field, (components, density) of a 1-form."""
         make, chart, _ = self._table[self.name]
         if chart is not None and type(surface) is not chart:
             raise ValidationError(f"{self._kind} {self.name!r} is defined on "
@@ -180,17 +165,15 @@ class ScalarField(_NamedField):
         return _on_points(self.formulas(surface)[1], q)
 
 
-# --- 1-forms: make(coeffs, surface) -> (comp, dens, grad) ------------------------
-# comp: covector components; dens: d(eta)/sigma0; grad: differential of dens
+# --- 1-forms: make(coeffs, surface) -> (comp, dens) ------------------------------
+# comp: covector components; dens: d(eta)/sigma0
 
 def _torus_eta(coeffs, surface):
     # eta = c sin(k x) dy with k = 2 pi / P1, so d(eta) = c k cos(k x) dx^dy
     c = coeffs[0]
     k = 2.0 * np.pi / surface.box[0]
-    ck, ckk = c * k, -c * k * k
-    return ((lambda x: (0.0, c * np.sin(k * x[0]))),
-            (lambda x: ck * np.cos(k * x[0])),
-            (lambda x: (ckk * np.sin(k * x[0]), 0.0)))
+    ck = c * k
+    return (lambda x: (0.0, c * np.sin(k * x[0]))), (lambda x: ck * np.cos(k * x[0]))
 
 
 def _sphere_eta(coeffs, surface):
@@ -198,16 +181,12 @@ def _sphere_eta(coeffs, surface):
     # against the round area form is 2c z/R = 2c z sqrt(kappa)
     c = coeffs[0]
     c2, sk = 2.0 * c, np.sqrt(surface.kappa)
-    grad = (0.0, 0.0, float(c2 * sk))
-    return ((lambda x: (-c * x[1], c * x[0], 0.0)),
-            (lambda x: c2 * x[2] * sk),
-            (lambda x: grad))
+    return (lambda x: (-c * x[1], c * x[0], 0.0)), (lambda x: c2 * x[2] * sk)
 
 
 def _hyper_eta(coeffs, surface):
-    # eta = c rho^2 dphi; d(eta) = 2c rho drho^dphi = (2c rho / w(rho)) sigma0,
-    # whose rho-derivative 2c (1 / w - rho w' / w^2) tends to 0 at rho = 0.  The
-    # comparisons, added as 0/1, give the limits 2c and 0 at rho = 0 unbranched.
+    # eta = c rho^2 dphi; d(eta) = 2c rho drho^dphi = (2c rho / w(rho)) sigma0.
+    # The comparisons, added as 0/1, give the limit 2c at rho = 0 unbranched.
     c = coeffs[0]
     c2, sk = 2.0 * c, np.sqrt(-surface.kappa)
 
@@ -216,13 +195,7 @@ def _hyper_eta(coeffs, surface):
         w = np.sinh(sk * rho) / sk
         return c2 * (rho + (rho == 0.0)) / (w + (w == 0.0))
 
-    def grad(x):
-        rho = x[0]
-        w = np.sinh(sk * rho) / sk
-        w = w + (w == 0.0)
-        return c2 * (1.0 / w - rho * np.cosh(sk * rho) / (w * w)) * (rho != 0.0), 0.0
-
-    return (lambda x: (0.0, c * (x[0] * x[0]))), dens, grad
+    return (lambda x: (0.0, c * (x[0] * x[0]))), dens
 
 
 _ONE_FORMS = {

@@ -226,12 +226,10 @@ class ChartOps:
     ``box``, and ``box_points`` gives the chart points and w(r) at arrays of
     them: the one formula of both volume integrals, ``riemannian_volume`` and
     the Monte Carlo oracle of ``volume``.
-    Each chart has one planar image, ``to_plane`` and ``from_plane`` on
-    (..., d) arrays, with derivative ``plane_jacobian``; the Poincare section
-    (``section_state``, ``section_coords``) is written once on it.  The
-    sphere's image is R^3 itself, and it adds the three facts a flat picture
-    lacks: the radial lift ``from_plane``, its inverse along the section line
-    ``line_offset``, and the tangential projection ``tangent_lift``.  The
+    Each chart has one planar image, ``to_plane`` and its inverse
+    ``from_plane`` on (..., d) arrays, with derivative ``plane_jacobian``;
+    the Poincare section is a hyperplane of it (``section_normal``), and the
+    sphere's image is R^3 itself.  The
     capping disk is the region that the rotated velocity J v points into;
     ``green_integrand`` integrates a primitive of sigma0 along its boundary
     loop, and ``cap_loop`` gives that loop in a plane picture with the cap
@@ -254,41 +252,28 @@ class ChartOps:
         return f"{type(self).__name__}({self.kappa!r})"
 
     def _perturbation(self, sys):
-        """The perturbed terms of ``rhs`` as one function at(x, second) of the
-        components x of one chart point, a list of floats, returning
-        (dl, b, ddl, db): dl is ``conf_log_diff`` and b the
-        ``magnetic_density``, as floats; with second true, ddl is the Hessian
-        of Lambda (dim x dim floats, row by row) and db the gradient of b,
-        else both are None.  The fields' formulas (``formulas``) and the
-        constants are resolved here, once."""
+        """The perturbed terms of ``rhs`` as one function at(x) of the
+        components x of one chart point, a list of floats, returning (dl, b):
+        dl is ``conf_log_diff`` and b the ``magnetic_density``, as floats.
+        The fields' formulas (``formulas``) and the constants are resolved
+        here, once."""
         eps, dim = sys.conformal_eps, self.dim
         lam_part = 0.5 * math.log(sys.conformal_scale)
         u, eta = sys.conformal_exponent, sys.sigma_perturbation
         if u is not None:
-            u_value, u_diff, u_hess = u.formulas(self)
+            u_value, u_diff = u.formulas(self)
         if eta is not None:
-            _, eta_density, eta_gradient = eta.formulas(self)
-        zero, zero2 = [0.0] * dim, [0.0] * (dim * dim)
+            _, eta_density = eta.formulas(self)
+        zero = [0.0] * dim
 
-        def at(x, second):
+        def at(x):
             if u is None:
                 dl, lam = zero, lam_part
             else:
                 dl = [eps * float(g) for g in u_diff(x)]
                 lam = eps * float(u_value(x)) + lam_part
             dens = 1.0 if eta is None else 1.0 + eps * float(eta_density(x))
-            e2l = np.exp(-2.0 * lam)
-            b = float(dens * e2l)
-            if not second:
-                return dl, b, None, None
-            # b = dens e^{-2 Lambda}: db = e^{-2 Lambda} d(dens) - 2 b dl
-            if eta is None:
-                db = [-2.0 * b * g for g in dl]
-            else:
-                ce = eps * float(e2l)
-                db = [-2.0 * b * g + ce * float(h) for g, h in zip(dl, eta_gradient(x))]
-            ddl = zero2 if u is None else [eps * float(h) for h in u_hess(x)]
-            return dl, b, ddl, db
+            return dl, float(dens * np.exp(-2.0 * lam))
 
         return at
 
@@ -312,38 +297,6 @@ class ChartOps:
         """d(plane)/d(chart) at chart point q."""
         return np.eye(self.dim)
 
-    def line_offset(self, q, anchor, tangent):
-        """The a with q = from_plane(to_plane(anchor) + a tangent)."""
-        return float((self.to_plane(q) - self.to_plane(anchor)) @ tangent)
-
-    def tangent_lift(self, q, w):
-        """The tangent vector at q whose planar image is w."""
-        try:
-            return np.linalg.solve(self.plane_jacobian(q), w)
-        except np.linalg.LinAlgError:    # the hyperbolic chart's, at its origin
-            raise StepFailure("section point at rho = 0, where the polar chart "
-                              "is singular") from None
-
-    def section_state(self, sys, spec, a, b):
-        """The state at q = from_plane(to_plane(anchor) + a tangent) whose
-        velocity makes the g0-angle b with vref toward J vref, where vref is
-        the tangent vector at q whose planar image is the anchor's."""
-        anchor = spec.anchor
-        q = self.from_plane(self.to_plane(anchor.position) + a * spec.tangent)
-        vref = self.tangent_lift(q, self.plane_jacobian(anchor.position) @ anchor.velocity)
-        jvref = self.rotate90(q, vref)
-        v = math.cos(b) * vref / g_norm(sys, q, vref) + math.sin(b) * jvref / g_norm(sys, q, jvref)
-        return tangent_state(sys, q, v)
-
-    def section_coords(self, sys, spec, state):
-        """(a, b) of a state on the section, the inverse of ``section_state``:
-        J is a g0-isometry, so the scale of the two pairings cancels in b."""
-        anchor, q, v = spec.anchor, state.position, state.velocity
-        vref = self.tangent_lift(q, self.plane_jacobian(anchor.position) @ anchor.velocity)
-        b = math.atan2(float(self.g0_dot(q, self.rotate90(q, vref), v)),
-                       float(self.g0_dot(q, vref, v)))
-        return np.array([self.line_offset(q, anchor.position, spec.tangent), b])
-
     def align_loops(self, pa, pb):
         """Two sampled loops, brought into one picture for comparison."""
         return self.to_plane(pa), self.to_plane(pb)
@@ -357,12 +310,14 @@ class ChartOps:
     # a centre on the torus and on the hyperbolic chart), held as a row of an
     # (M, k) array.  ``zoll_circle``, each chart's one formula for the circle
     # over c, has ``zoll_state`` as its node 0 and ``latitude_point`` as the c
-    # of ``dynamics.latitude_seed``.  ``orbit_space_starts`` gives the census
-    # grid, ``orbit_space_step`` moves points by k-vector offsets, by default
-    # in the planar image (``orbit_space_gap`` is its inverse)
-    def zoll_state(self, sys, c):
+    # of ``dynamics.latitude_seed``; ``orbit_space_point`` is its left
+    # inverse, the c of the Zoll circle through a state.  ``orbit_space_starts``
+    # gives the census grid, ``orbit_space_step`` moves points by k-vector
+    # offsets, by default in the planar image (``orbit_space_gap`` is its
+    # inverse), and ``orbit_space_chart`` gives local coordinates about c.
+    def zoll_state(self, sys, c, ref=None):
         """The state at node 0 of the Zoll circle over the orbit-space point c."""
-        q, v = self.zoll_circle(sys, np.asarray(c, dtype=float)[None], 1)
+        q, v = self.zoll_circle(sys, np.asarray(c, dtype=float)[None], 1, ref)
         return tangent_state(sys, q[0, 0], v[0, 0])
 
     def orbit_space_step(self, c, d):
@@ -370,6 +325,13 @@ class ChartOps:
 
     def orbit_space_gap(self, c, c2):
         return self.to_plane(c2) - self.to_plane(c)
+
+    def orbit_space_chart(self, c):
+        """Local coordinates of the orbit space about c: a (k, 2) orthonormal
+        basis B of the offsets of ``orbit_space_step`` there, and the ref that
+        ``zoll_circle`` takes to keep node 0 of the circles near c smooth
+        (None where node 0 depends on no choice, as on the planar charts)."""
+        return np.eye(2), None
 
     def in_searched_region(self, sys, c):
         """Which rows of c lie where the census looks for orbits: everywhere
@@ -379,6 +341,16 @@ class ChartOps:
     def oracle_box(self):
         """The box that the volume oracle samples: all of a closed surface."""
         return self.box
+
+
+def _cross(a, b):
+    """a x b on broadcast (..., 3) arrays, term for term as ``np.cross``
+    computes it (so bit for bit), without its argument handling, which on a
+    single vector costs more than the arithmetic (43 against 17 us a call on
+    a 2-vCPU Xeon host)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 class SphereChart(ChartOps):
@@ -407,41 +379,33 @@ class SphereChart(ChartOps):
 
     # g0, J and the flow
     def rotate90(self, q, v):
-        return np.cross(q * self.sk, v)
+        return _cross(q * self.sk, v)
 
-    def rhs(self, sys, tangents=0):
-        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v, and with
-        tangents = m > 0 its derivative applied to m tangent columns.
+    def rhs(self, sys):
+        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v.
 
         With n = sqrt(kappa) q the outward normal, the g0 part is
         -|v|^2 kappa q + s n x v, and a perturbed system adds
         -2 (dl.v) v + |v|^2 (dl - (dl.n) n) and the density b.  The
         arithmetic runs on Python floats in the order numpy's elementwise
         operations would use, and each dot product is summed left to right.
-
-        With m > 0 the closure takes Y = (y, X_1, ..., X_m), each X_k a
-        state-space vector of length 6, and returns (f(y), Df(y) X_1, ...,
-        Df(y) X_m); its first block is the m = 0 result bit for bit.
         """
         s, kappa, sk = sys.strength, self.kappa, self.sk
         s1 = float(s)    # s b with b = 1
         perturbed = not sys.is_unperturbed()
         if perturbed:
             at = self._perturbation(sys)
-        second = tangents > 0
-        zero3 = (0.0,) * 9
 
         def f(t, y):
             L = y.tolist()
-            q0, q1, q2, v0, v1, v2 = L[:6]
+            q0, q1, q2, v0, v1, v2 = L
             vv = v0 * v0 + v1 * v1 + v2 * v2
             c = -vv * kappa
             a0, a1, a2 = c * q0, c * q1, c * q2
             n0, n1, n2 = q0 * sk, q1 * sk, q2 * sk
             sb = s1
             if perturbed:
-                dl, b, ddl, db = at(L[:3], second)
-                l0, l1, l2 = dl
+                (l0, l1, l2), b = at(L[:3])
                 dn = l0 * n0 + l1 * n1 + l2 * n2
                 dv = -2.0 * (l0 * v0 + l1 * v1 + l2 * v2)
                 a0 += dv * v0 + vv * (l0 - dn * n0)
@@ -449,53 +413,7 @@ class SphereChart(ChartOps):
                 a2 += dv * v2 + vv * (l2 - dn * n2)
                 sb = s * b
             jv0, jv1, jv2 = n1 * v2 - n2 * v1, n2 * v0 - n0 * v2, n0 * v1 - n1 * v0
-            out = [v0, v1, v2, a0 + sb * jv0, a1 + sb * jv1, a2 + sb * jv2]
-            if not second:
-                return np.array(out)
-            if not perturbed:
-                l0 = l1 = l2 = dn = dv = 0.0
-                ddl, db = zero3, (0.0, 0.0, 0.0)
-            h00, h01, h02, h10, h11, h12, h20, h21, h22 = ddl
-            g0, g1, g2 = db
-            # d(acc)/dq = -|v|^2 (kappa + dn sk) I + |v|^2 H - 2 v (H^T v)^T
-            #   - |v|^2 n (H^T n + sk dl)^T + s (n x v) db^T + s b sk (dq -> dq x v)
-            # d(acc)/dv = dv I + 2 (dl - dn n - kappa q) v^T - 2 v dl^T + s b (dv -> n x dv)
-            hv0, hv1, hv2 = (h00 * v0 + h10 * v1 + h20 * v2, h01 * v0 + h11 * v1 + h21 * v2,
-                             h02 * v0 + h12 * v1 + h22 * v2)
-            hn0 = h00 * n0 + h10 * n1 + h20 * n2 + sk * l0
-            hn1 = h01 * n0 + h11 * n1 + h21 * n2 + sk * l1
-            hn2 = h02 * n0 + h12 * n1 + h22 * n2 + sk * l2
-            diag, ssk = -vv * (kappa + dn * sk), sb * sk
-            p0, p1, p2 = (2.0 * (l0 - dn * n0 - kappa * q0), 2.0 * (l1 - dn * n1 - kappa * q1),
-                          2.0 * (l2 - dn * n2 - kappa * q2))
-            m0, m1, m2 = -2.0 * v0, -2.0 * v1, -2.0 * v2
-            u0, u1, u2 = -vv * n0, -vv * n1, -vv * n2
-            sg0, sg1, sg2 = s * g0, s * g1, s * g2
-            a00 = diag + vv * h00 + m0 * hv0 + u0 * hn0 + jv0 * sg0
-            a01 = vv * h01 + m0 * hv1 + u0 * hn1 + jv0 * sg1 + ssk * v2
-            a02 = vv * h02 + m0 * hv2 + u0 * hn2 + jv0 * sg2 - ssk * v1
-            a10 = vv * h10 + m1 * hv0 + u1 * hn0 + jv1 * sg0 - ssk * v2
-            a11 = diag + vv * h11 + m1 * hv1 + u1 * hn1 + jv1 * sg1
-            a12 = vv * h12 + m1 * hv2 + u1 * hn2 + jv1 * sg2 + ssk * v0
-            a20 = vv * h20 + m2 * hv0 + u2 * hn0 + jv2 * sg0 + ssk * v1
-            a21 = vv * h21 + m2 * hv1 + u2 * hn1 + jv2 * sg1 - ssk * v0
-            a22 = diag + vv * h22 + m2 * hv2 + u2 * hn2 + jv2 * sg2
-            b00 = dv + p0 * v0 + m0 * l0
-            b01 = p0 * v1 + m0 * l1 - sb * n2
-            b02 = p0 * v2 + m0 * l2 + sb * n1
-            b10 = p1 * v0 + m1 * l0 + sb * n2
-            b11 = dv + p1 * v1 + m1 * l1
-            b12 = p1 * v2 + m1 * l2 - sb * n0
-            b20 = p2 * v0 + m2 * l0 - sb * n1
-            b21 = p2 * v1 + m2 * l1 + sb * n0
-            b22 = dv + p2 * v2 + m2 * l2
-            for k in range(6, len(L), 6):
-                x0, x1, x2, y0, y1, y2 = L[k:k + 6]
-                out += (y0, y1, y2,
-                        a00 * x0 + a01 * x1 + a02 * x2 + b00 * y0 + b01 * y1 + b02 * y2,
-                        a10 * x0 + a11 * x1 + a12 * x2 + b10 * y0 + b11 * y1 + b12 * y2,
-                        a20 * x0 + a21 * x1 + a22 * x2 + b20 * y0 + b21 * y1 + b22 * y2)
-            return np.array(out)
+            return np.array([v0, v1, v2, a0 + sb * jv0, a1 + sb * jv1, a2 + sb * jv2])
 
         return f
 
@@ -530,12 +448,16 @@ class SphereChart(ChartOps):
 
     latitude_point = (0.0, 0.0, 1.0)
 
-    def frame(self, axis):
-        """(e1, e2) completing unit axes (..., 3) to positive orthonormal frames."""
-        ref = np.where(np.abs(axis[..., 2:]) < 0.9, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
-        e1 = np.cross(axis, ref)
+    def frame(self, axis, ref=None):
+        """(e1, e2) completing unit axes (..., 3) to positive orthonormal
+        frames, with e1 along axis x ref.  The default ref is +z away from the
+        poles and +x within |axis_z| >= 0.9: no one ref serves the whole
+        sphere, so node 0 of the Zoll circles jumps where the choice switches."""
+        if ref is None:
+            ref = np.where(np.abs(axis[..., 2:]) < 0.9, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+        e1 = _cross(axis, ref)
         e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-        return e1, np.cross(axis, e1)
+        return e1, _cross(axis, e1)
 
     def orbit_space_starts(self, sys, grid_density, rng):
         """Axes: the two poles always, then rings of jittered axes."""
@@ -554,13 +476,22 @@ class SphereChart(ChartOps):
         c = c + d
         return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
-    def zoll_circle(self, sys, c, nodes):
+    def orbit_space_chart(self, c):
+        """The tangent plane at c, spanned by its ``frame`` (e1, e2), and the
+        ref -e2: it leaves node 0 over c where the default ref puts it, and
+        moves it smoothly over the axes within 90 degrees of c, where the
+        default ref switches near the poles."""
+        e1, e2 = self.frame(c)
+        return np.stack([e1, e2], axis=-1), -e2
+
+    def zoll_circle(self, sys, c, nodes, ref=None):
         """Positions and unit g0-velocities, each (M, nodes, 3), at nodes equally
         spaced points of the Zoll circle tan(sqrt(kappa) theta*) = sqrt(kappa)/s
-        about each axis c, in the order the flow runs through them."""
+        about each axis c, in the order the flow runs through them, from node 0
+        on the ``frame`` of ref."""
         alpha = math.atan2(self.sk, abs(sys.strength))
         n = c / np.linalg.norm(c, axis=-1, keepdims=True)
-        e1, e2 = self.frame(n)
+        e1, e2 = self.frame(n, ref)
         turn = -1.0 if sys.strength < 0 else 1.0    # the sense of the flow about n
         th = turn * 2.0 * math.pi * np.arange(nodes) / nodes
         cos, sin = np.cos(th)[:, None], np.sin(th)[:, None]
@@ -568,22 +499,17 @@ class SphereChart(ChartOps):
         q = self.R * (math.cos(alpha) * n[:, None, :] + math.sin(alpha) * (cos * e1 + sin * e2))
         return q, turn * (cos * e2 - sin * e1)
 
-    def from_plane(self, p):
-        """The radial lift R p / |p|."""
-        return p * (self.R / np.linalg.norm(p, axis=-1, keepdims=True))
+    def orbit_space_point(self, sys, q, v):
+        """The axis of the Zoll circle through each state (q, v), (..., 3)
+        arrays: the point at angle alpha (as in ``zoll_circle``) from q / R
+        toward the circle's centre, along turn J v / |v|."""
+        alpha = math.atan2(self.sk, abs(sys.strength))
+        turn = -1.0 if sys.strength < 0 else 1.0
+        jv = self.rotate90(q, v) / np.linalg.norm(v, axis=-1, keepdims=True)
+        return math.cos(alpha) * (q * self.sk) + (turn * math.sin(alpha)) * jv
 
-    def line_offset(self, q, anchor, tangent):
-        """The radial lift's inverse along the section line: R^2 (q.t) / (q.q_a)."""
-        return float(q @ tangent) / (float(q @ anchor) / self.R**2)
-
-    def tangent_lift(self, q, w):
-        """The tangential projection of w at q."""
-        n = q / self.R
-        return w - float(w @ n) * n
-
-    def section_frame(self, q, v):
-        m = v / np.linalg.norm(v)
-        return m, np.cross(q * self.sk, m)
+    def section_normal(self, q, v):
+        return v / np.linalg.norm(v)
 
     # capping disks
     def _cap_coordinates(self, pos, vel):
@@ -623,71 +549,37 @@ class _PlanarChart(ChartOps):
         out[..., 1] = v[..., 0] / w
         return out
 
-    def rhs(self, sys, tangents=0):
-        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v, and with
-        tangents = m > 0 its derivative applied to m tangent columns.
+    def rhs(self, sys):
+        """Right-hand side of y = (q, v) with nabla^g_v v = s b(q) J v.
 
         The g0 part is (w w' v_p^2, -2 (w'/w) v_r v_p) + s (-w v_p, v_r / w),
         with (w, w') = (1, 0) on the torus, and a perturbed system adds
         -2 (dl.v) v + |v|^2_g0 (dl_r, dl_p / w^2) and the density b.  The
         arithmetic runs on Python floats in the order numpy's elementwise
         operations would use, and dl.v is summed left to right.
-
-        With m > 0 the closure takes Y = (y, X_1, ..., X_m), each X_k a
-        state-space vector of length 4, and returns (f(y), Df(y) X_1, ...,
-        Df(y) X_m); its first block is the m = 0 result bit for bit.  The
-        derivative uses w'' = -kappa w.
         """
-        s, kappa, w_wp = sys.strength, self.kappa, self.w_wp
+        s, w_wp = sys.strength, self.w_wp
         s1 = float(s)    # s b with b = 1
         perturbed = not sys.is_unperturbed()
         if perturbed:
             at = self._perturbation(sys)
-        second = tangents > 0
-        zero2 = (0.0,) * 4
 
         def f(t, y):
             L = y.tolist()
-            r, _, v0, v1 = L[:4]
+            r, _, v0, v1 = L
             w, wp = w_wp(r)
             sb = s1
             a0 = w * wp * (v1 * v1)
             a1 = -2.0 * (wp / w) * v0 * v1
             if perturbed:
-                (l0, l1), b, ddl, db = at(L[:2], second)
+                (l0, l1), b = at(L[:2])
                 dv = -2.0 * (l0 * v0 + l1 * v1)
                 w2 = w * w
                 vv = v0 * v0 + w2 * (v1 * v1)
                 a0 += dv * v0 + vv * l0
                 a1 += dv * v1 + vv * (l1 / w2)
                 sb = s * b
-            out = [v0, v1, a0 + sb * (-w * v1), a1 + sb * (v0 / w)]
-            if not second:
-                return np.array(out)
-            if not perturbed:
-                l0 = l1 = dv = vv = 0.0
-                ddl, db = zero2, (0.0, 0.0)
-            h00, h01, h10, h11 = ddl
-            g0, g1 = db
-            iw, rw = 1.0 / w, wp / w
-            hv0, hv1 = h00 * v0 + h10 * v1, h01 * v0 + h11 * v1    # (H v)_j
-            dvv_r = 2.0 * w * wp * v1 * v1                          # d|v|^2/dr
-            # d(acc)/d(r, p, v_r, v_p), one row per acceleration component; j02 = dv
-            j00 = ((wp * wp - kappa * w * w) * v1 * v1 - 2.0 * hv0 * v0 + dvv_r * l0
-                   + vv * h00 - s * g0 * w * v1 - sb * wp * v1)
-            j01 = -2.0 * hv1 * v0 + vv * h01 - s * g1 * w * v1
-            j03 = 2.0 * w * (wp * v1 + w * v1 * l0) - 2.0 * l1 * v0 - sb * w
-            j10 = (2.0 * (kappa + rw * rw) * v0 * v1 - 2.0 * hv0 * v1
-                   + (dvv_r * l1 + vv * h10 - 2.0 * vv * l1 * rw) * iw * iw
-                   + s * g0 * v0 * iw - sb * v0 * rw * iw)
-            j11 = -2.0 * hv1 * v1 + vv * h11 * iw * iw + s * g1 * v0 * iw
-            j12 = -2.0 * (rw + l0) * v1 + 2.0 * v0 * l1 * iw * iw + sb * iw
-            j13 = -2.0 * rw * v0 + dv
-            for k in range(4, len(L), 4):
-                dr, dp, dv0, dv1 = L[k:k + 4]
-                out += (dv0, dv1, j00 * dr + j01 * dp + dv * dv0 + j03 * dv1,
-                        j10 * dr + j11 * dp + j12 * dv0 + j13 * dv1)
-            return np.array(out)
+            return np.array([v0, v1, a0 + sb * (-w * v1), a1 + sb * (v0 / w)])
 
         return f
 
@@ -711,10 +603,9 @@ class _PlanarChart(ChartOps):
         (r, p) of the box."""
         return np.stack([r, p], axis=-1), self.w_wp(r, np)[0]
 
-    def section_frame(self, q, v):
+    def section_normal(self, q, v):
         vp = self.plane_jacobian(q) @ v
-        m = vp / np.linalg.norm(vp)
-        return m, np.array([-m[1], m[0]])
+        return vp / np.linalg.norm(vp)
 
     def green_integrand(self, pos, vel):
         """Per-sample integrand of the sigma0 flux: a primitive times dp/dt."""
@@ -790,11 +681,12 @@ class HyperbolicChart(_PlanarChart):
         """Which centres c lie in the disk the starts cover."""
         return c[:, 0] <= self._seed_radius(sys)
 
-    def zoll_circle(self, sys, c, nodes):
+    def zoll_circle(self, sys, c, nodes, ref=None):
         """Positions and unit g0-velocities, each (M, nodes, 2), at nodes equally
         spaced points of the Zoll circle about each centre c = (rho, phi), in the
         order the flow runs through them: on the hyperboloid, the circle
-        tanh(sqrt(-kappa) rho*) = sqrt(-kappa)/s about the origin, boosted to c."""
+        tanh(sqrt(-kappa) rho*) = sqrt(-kappa)/s about the origin, boosted to c.
+        The boost is smooth in the planar image of c, so node 0 needs no ref."""
         rh = 1.0 / self.sk
         a = math.atanh(self.sk / sys.strength)    # rho* / rh; the Zoll regime has s > sk
         th = 2.0 * math.pi * np.arange(nodes) / nodes
@@ -815,6 +707,24 @@ class HyperbolicChart(_PlanarChart):
         r = np.hypot(x1, x2)    # sqrt(x0^2 - rh^2) on the hyperboloid
         pos = np.stack([rh * np.arccosh(np.maximum(x0 / rh, 1.0)), np.arctan2(x2, x1)], axis=-1)
         return pos, np.stack([rh * u0 / r, (x1 * u2 - x2 * u1) / r**2], axis=-1)
+
+    def orbit_space_point(self, sys, q, v):
+        """The centre (rho, phi) of the Zoll circle through each state (q, v),
+        (..., 2) arrays: the inverse of the boost in ``zoll_circle``.  On the
+        hyperboloid, with X the point of q and U the unit tangent of J v, the
+        centre is X cosh a + rh U sinh a (a = rho* / rh), whose components
+        along and across the direction phi of q are rh (A, B) below.  Refused
+        at rho = 0, where the polar chart is singular."""
+        if np.any(q[..., 0] == 0.0):
+            raise StepFailure("state at rho = 0, where the polar chart is singular")
+        rh = 1.0 / self.sk
+        a = math.atanh(self.sk / sys.strength)
+        z = q[..., 0] / rh
+        sz = np.sinh(z)
+        speed = np.sqrt(self.g0_dot(q, v, v))
+        A = math.cosh(a) * sz - math.sinh(a) * np.cosh(z) * (rh * sz * v[..., 1]) / speed
+        B = math.sinh(a) * v[..., 0] / speed
+        return np.stack([rh * np.arcsinh(np.hypot(A, B)), q[..., 1] + np.arctan2(B, A)], axis=-1)
 
     def to_plane(self, q):
         return np.stack([q[..., 0] * np.cos(q[..., 1]), q[..., 0] * np.sin(q[..., 1])], axis=-1)
@@ -876,15 +786,21 @@ class TorusChart(_PlanarChart):
     def orbit_space_gap(self, c, c2):
         return self.wrap(c2, c) - c
 
-    def zoll_circle(self, sys, c, nodes):
+    def zoll_circle(self, sys, c, nodes, ref=None):
         """Positions and unit velocities, each (M, nodes, 2), at nodes equally
         spaced points of the circle of radius 1/s about each centre c, in the
         order the flow runs through them (counterclockwise) from the point of
-        ``zoll_state``."""
+        ``zoll_state``, which needs no ref."""
         th = 2.0 * math.pi * np.arange(nodes) / nodes
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
         vel = np.stack([-ring[:, 1], ring[:, 0]], axis=-1)
         return c[:, None, :] + ring / sys.strength, np.broadcast_to(vel, (len(c),) + vel.shape)
+
+    def orbit_space_point(self, sys, q, v):
+        """The centre q + J v / (s |v|) of the Zoll circle through each state
+        (q, v), (..., 2) arrays.  The velocity is scaled to unit g0-speed, the
+        speed of the circles, not to unit g-speed."""
+        return q + self.rotate90(q, v) / (sys.strength * np.sqrt(self.g0_dot(q, v, v)))[..., None]
 
     def align_loops(self, pa, pb):
         periods = np.asarray(self.box)

@@ -1,33 +1,40 @@
-"""Closed-orbit location via Poincare return maps and Newton iteration.
+"""Closed-orbit location by Newton iteration on the orbit space.
 
-A section is a codimension-1 slice of the unit tangent bundle anchored at a
-seed state: the states whose position lies, in the chart's planar image
-(``to_plane``; R^3 on the sphere), on the hyperplane through the seed normal
-to its velocity.  Near the Zoll family the flow crosses it perpendicularly,
-so transversality is uniform.  States on the section have two reduced
-coordinates (a, b), the offset along the section line and the velocity's
-angle from the reference velocity (unit speed fixes the rest), and closed
-orbits are fixed points of the reduced return map.  The chart object writes
-the section once, from its planar image (``section_state`` and its inverse
-``section_coords``).
+Every unperturbed orbit is the Zoll circle over a point c of the orbit
+space: its axis on the sphere, its centre on the torus and on the hyperbolic
+chart (``zoll_circle``, the one formula for it, whose node 0 is
+``zoll_state``).  ``orbit_space_point`` inverts it: the c of the Zoll circle
+through any state.  Near the Zoll family every closed orbit passes through
+the Zoll state over one point c*, a zero of the drift
 
-Newton uses the exact Jacobian of the reduced map, J = dC D dS: a return
-map with tangents carries the tangent vectors dS of the section
-parametrization through the variational equations and corrects them for the
-change of return time (D), and dS and the derivative dC of the reduced
-coordinates come from central differences of closed-form maps, with no ODE
-solve.  Such a map runs only where Newton steps; every iterate gets a plain
-map, which keeps its solves' dense output, and the converged orbit is sampled
-from the plain map that closed it, with no second integration.
+    D(c) = orbit_space_point(P(x_c)) - c,    x_c = zoll_state(c),
+
+where P is one plain return map to the section anchored at x_c: the states
+whose position lies, in the chart's planar image (``to_plane``; R^3 on the
+sphere), on the hyperplane through x_c normal to its velocity.  Near the
+family the flow crosses it perpendicularly, so transversality is uniform,
+and D(c) = 0 exactly when the orbit through x_c closes (the return state
+has the start's orbit-space point and lies on its section line, so it is
+x_c).  This is the reduced field of the Weinstein-Moser-Bottkol normal form.
+
+``find_closed_orbit`` runs Newton on D in local coordinates x about the
+start c0, c = ``orbit_space_step``(c0, B x) with B the basis of
+``orbit_space_chart`` at c0 (the tangent plane on the sphere, where the
+run also holds the frame of node 0 fixed, so that node 0 cannot jump).  Its
+first Jacobian comes from forward differences (two plain maps), Broyden's
+update refines it after each step, and each step is the least-squares
+solution with a relative cutoff, so that on a line of zeros (a Jacobian of
+rank 1) it is the minimum-norm step and c* lands at the foot of the start
+on that line.  A line search on the state residual |P(x_c) - x_c| damps
+the steps, and that residual decides convergence.  Every map is plain:
+the converged orbit is sampled from the map that closed it, with no
+second integration, and starts at zoll_state(c*).
 
 The census (``enumerate_orbits``) seeds Newton where first-order
-perturbation theory puts the closed orbits.  Each unperturbed orbit is the
-Zoll circle over a point c of the orbit space: its axis on the sphere, its
-centre on the torus and on the hyperbolic chart (``zoll_circle``, the one
-formula for it; a seed is its node 0, ``zoll_state``).  To first order in
-eps, the perturbed orbits lie over the critical points of abar(c), the
-first-order change of the circle's magnetic length (``orbit_space_average``),
-and l = pi a^2(1) + eps abar(c*) + O(eps^2).  The stage before Newton is an
+perturbation theory puts the closed orbits.  To first order in eps, the
+perturbed orbits lie over the critical points of abar(c), the first-order
+change of the circle's magnetic length (``orbit_space_average``), and
+l = pi a^2(1) + eps abar(c*) + O(eps^2).  The stage before Newton is an
 ODE-free quadrature on circles:
 - the starts are the orbit-space points of the seed grid (``seed_grid``:
   ``grid_density`` and the ``rng_seed`` jitter keep their meaning);
@@ -56,14 +63,19 @@ from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
 from .geometry import TangentState, state_distance, tangent_state
 from .reporting import round_sig
 from .dynamics import (Trajectory, pack_state, reference_period, rhs, sampled_trajectory,
-                       solve_ivp, stepper_tolerances, unpack_state)
+                       solve_ivp, stepper_tolerances)
 from .dynamics import flow  # noqa: F401  unused; perfbench/tracer.py rebinds orbits.flow
 
 log = logging.getLogger(__name__)
 
 SHORT_LOOP_PERIOD_WINDOW = 0.5     # |T - T_ref| <= window * T_ref
 SEED_RESIDUAL_GATE = 0.3           # chart units; beyond this a seed is rejected
-SECTION_FD_STEP = 1e-6            # central differences of the closed-form section maps
+ORBIT_SPACE_REACH = 1.0            # orbit-space distance from the start; beyond it, rejected
+# forward differences of the drift give the first Jacobian; a map's noise
+# (~1e-12) over this step moves c* far less than tol_orbit, also along a set
+# of zeros, where no later step corrects it
+DRIFT_FD_STEP = 1e-3
+STEP_RCOND = 1e-3                  # singular values below this share of the largest are cut
 NEWTON_DAMPING = 0.8
 DEDUP_TOL = 1e-4
 ORBIT_SAMPLES = 512               # samples of each orbit's period
@@ -82,16 +94,16 @@ MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
 
 @dataclass(frozen=True, eq=False)
 class SectionSpec:
-    """Transversal slice anchored at a seed state (normal, tangent in the planar image)."""
+    """Transversal slice anchored at a seed state: the hyperplane of the
+    planar image through its position with the given unit normal."""
 
     anchor: TangentState
     normal: np.ndarray
-    tangent: np.ndarray
 
 
 def make_section(sys, anchor: TangentState) -> SectionSpec:
-    normal, tangent = sys.surface.section_frame(anchor.position, anchor.velocity)
-    return SectionSpec(anchor=anchor, normal=normal, tangent=tangent)
+    return SectionSpec(anchor=anchor,
+                       normal=sys.surface.section_normal(anchor.position, anchor.velocity))
 
 
 def _section_value(sys, spec, q):
@@ -104,22 +116,13 @@ def _crossing_speed(sys, spec, q, v):
     return float(vv @ spec.normal) / np.linalg.norm(vv)
 
 
-def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
-               tangents=None):
+def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
     """First forward return of the flow to the section: (state, return time,
     path).  path(times) gives the (2d, N) states of the flow at N sorted times
     in [0, return time], from the two solves' dense output.
 
     The crossing must be in the direction of the anchor velocity; the search
     is capped at twice the Zoll reference period.
-
-    With tangents, a (2d, k) array of state-space vectors at state, the flow
-    also carries them and a column w with w' = Df w + f and w(0) = 0, so that
-    w(t) = t f(y(t)) gives f at the return without an RHS call of its own; all
-    components share one error control.  No dense output is kept, and the
-    result is (state, return time, D) with D the (2d, k) derivative of the
-    return map along the tangents: the carried columns T corrected for the
-    change of return time, D = T - f (grad sigma . T) / (grad sigma . f).
     """
     t_ref = reference_period(sys)
     if abs(_crossing_speed(sys, section, state.position, state.velocity)) \
@@ -127,17 +130,11 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
         raise TangencyError("flow is tangent to the section at the given state")
 
     d = sys.surface.dim
-    n = 2 * d
-    y0 = pack_state(state)
-    if tangents is None:
-        f = rhs(sys)
-    else:
-        k = tangents.shape[1]
-        f = _with_time_column(rhs(sys, tangents=k + 1), n)
-        y0 = np.concatenate([y0, tangents.T.ravel(), np.zeros(n)])
+    f = rhs(sys)
     rtol, atol = stepper_tolerances(tol)
-    head, dense = 0.3 * t_ref, tangents is None
-    sol = solve_ivp(f, (0.0, head), y0, rtol=rtol, atol=atol, dense_output=dense)
+    head = 0.3 * t_ref
+    sol = solve_ivp(f, (0.0, head), pack_state(state), rtol=rtol, atol=atol,
+                    dense_output=True)
     if not sol.success:
         raise StepFailure(sol.message)
 
@@ -146,36 +143,19 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10,
 
     # cap the step so one step cannot straddle two section crossings
     sol2 = solve_ivp(f, (head, 2.0 * t_ref), sol.y, rtol=rtol, atol=atol,
-                     event=event, max_step=0.2 * t_ref, dense_output=dense)
+                     event=event, max_step=0.2 * t_ref, dense_output=True)
     if not sol2.success:
         raise StepFailure(sol2.message)
     if sol2.t_event is None:
         raise NoReturn("no section crossing within 2 reference periods")
-    t_ev, y_ev = sol2.t_event, sol2.y_event
-    st = unpack_state(y_ev[:n])
-    if abs(_crossing_speed(sys, section, st.position, st.velocity)) < TRANSVERSALITY_MIN:
+    q, v = sol2.y_event[:d], sol2.y_event[d:]
+    if abs(_crossing_speed(sys, section, q, v)) < TRANSVERSALITY_MIN:
         raise TangencyError("return crossing is tangent to the section")
-    st = tangent_state(sys, st.position, st.velocity)
-    if dense:
-        def path(times):
-            early = times <= head
-            return np.hstack([sol.sol(times[early]), sol2.sol(times[~early])])
-        return st, t_ev, path
-    T = y_ev[n:-n].reshape(k, n).T
-    f_ev = y_ev[-n:] / t_ev
-    grad = np.zeros(n)
-    grad[:d] = sys.surface.plane_jacobian(y_ev[:d]).T @ section.normal
-    return st, t_ev, T - np.outer(f_ev, grad @ T) / float(grad @ f_ev)
 
-
-def _with_time_column(g, n):
-    """The closure g on (y, X_1, ..., X_m) with f(y) added to the derivative of
-    the last column, which then solves w' = Df w + f."""
-    def f(t, y):
-        out = g(t, y)
-        out[-n:] += out[:n]
-        return out
-    return f
+    def path(times):
+        early = times <= head
+        return np.hstack([sol.sol(times[early]), sol2.sol(times[~early])])
+    return tangent_state(sys, q, v), sol2.t_event, path
 
 
 # --- orbits ---------------------------------------------------------------------
@@ -183,108 +163,89 @@ def _with_time_column(g, n):
 @dataclass(frozen=True, eq=False)
 class Orbit(Trajectory):
     """A closed magnetic geodesic: the Trajectory of one period, whose last
-    sample returns to the first within the closure defect ``residual``."""
+    sample returns to the first within the closure defect ``residual``.
+    ``center`` is the orbit-space point c* whose Zoll state is its first
+    sample (None for an orbit not found by ``find_closed_orbit``)."""
 
     residual: float
     seed_id: str
     newton_iterations: int = 0
+    center: np.ndarray | None = None
 
     @property
     def period(self) -> float:
         return float(self.times[-1])
 
 
-def _reduced_map(sys, spec, tol):
-    """The reduced return map at x: (F(x), return time, state residual, the
-    plain return map's ``path``), or with jacobian=True (..., dF/dx) from a
-    return map that carries the section's tangents (see the module
-    docstring)."""
-    surface = sys.surface
-    anchor, d = spec.anchor.position, surface.dim
-
-    def section_point(x):
-        st = surface.section_state(sys, spec, x[0], x[1])
-        return np.concatenate([surface.wrap(st.position, anchor), st.velocity])
-
-    def coords(y):
-        return surface.section_coords(sys, spec, tangent_state(sys, y[:d], y[d:]))
-
-    def F(x, jacobian=False):
-        st = surface.section_state(sys, spec, x[0], x[1])
-        if not jacobian:
-            st2, t_ret, last = return_map(sys, spec, st, tol=tol)
-        else:
-            dS = _central_differences(section_point, x, np.eye(2))
-            st2, t_ret, D = return_map(sys, spec, st, tol=tol, tangents=dS)
-            last = _central_differences(coords, pack_state(st2), D)
-        x2 = surface.section_coords(sys, spec, st2)
-        return x2, t_ret, state_distance(sys, st2, st), last
-    return F
-
-
-def _central_differences(fn, x, directions, h=SECTION_FD_STEP):
-    """(fn(x + h u) - fn(x - h u)) / 2h for each column u of directions."""
-    return np.column_stack([(fn(x + h * u) - fn(x - h * u)) / (2.0 * h)
-                            for u in directions.T])
-
-
 def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
                       max_iter=ExperimentConfig.max_iter, seed_id="seed"):
-    """Newton iteration on the reduced return map, starting from seed.
+    """Newton iteration on the drift D of the orbit space (see the module
+    docstring), from the orbit-space point c0 of seed.
 
-    The seed anchors the section.  Each iterate (x = 0 and every line-search
-    trial) gets one plain return map, whose residual decides convergence and
-    the line search; a map with tangents, for F(x) and the Jacobian, runs
-    only at an iterate Newton steps from.  A seed that already closes costs
-    one map, and the orbit is sampled from the plain map that closed it.
-    Raises DivergedFromFamily when the seed's return residual exceeds the
-    short-loop gate or iterates leave the neighborhood; NoConvergence when
-    the iteration budget runs out.
+    Each iterate (x = 0 and every line-search trial) costs one plain return
+    map, from which come D, the state residual that decides convergence and
+    the line search, and the orbit's samples; the first Newton step adds the
+    two maps of the forward-difference Jacobian, so a seed that already
+    closes costs one map.  Raises DivergedFromFamily when the seed's return
+    residual exceeds the short-loop gate, an iterate loses the section or
+    moves farther than ORBIT_SPACE_REACH from c0; NoConvergence when the
+    iteration budget runs out or the step vanishes.
     """
+    surface = sys.surface
     ivp_tol = min(tol * 1e-2, 1e-10)
-    spec = make_section(sys, seed)
-    F = _reduced_map(sys, spec, ivp_tol)
+    c0 = surface.orbit_space_point(sys, seed.position, seed.velocity)
+    basis, ref = surface.orbit_space_chart(c0)
+
+    def drift(x):
+        """(D, state residual, (c, return time, path)) at local coordinates x."""
+        c = surface.orbit_space_step(c0, basis @ x)
+        start = surface.zoll_state(sys, c, ref)
+        end, t_ret, path = return_map(sys, make_section(sys, start), start, tol=ivp_tol)
+        back = surface.orbit_space_point(sys, end.position, end.velocity)
+        return (basis.T @ surface.orbit_space_gap(c, back), state_distance(sys, end, start),
+                (c, t_ret, path))
+
     x = np.zeros(2)
-    _, t_ret, resid, path = F(x)
+    g, resid, closing = drift(x)
     if resid >= SEED_RESIDUAL_GATE:
         raise DivergedFromFamily(
             f"seed return residual {resid:.3g} >= {SEED_RESIDUAL_GATE}")
 
+    jac = None
     for it in range(max_iter):
         if resid <= tol:
-            return _build_orbit(sys, t_ret, path, seed_id, iterations=it)
+            return _build_orbit(sys, *closing, seed_id, iterations=it)
         try:
-            fx, _, _, jac = F(x, jacobian=True)
-            g = fx - x
-            A = jac - np.eye(2)
-            try:
-                dx = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                dx = np.linalg.lstsq(A.T @ A + 1e-12 * np.eye(2),
-                                     -A.T @ g, rcond=None)[0]
-            trial = x + dx
-            _, t_t, r_t, p_t = F(trial)
+            if jac is None:
+                jac = np.column_stack([drift(x + DRIFT_FD_STEP * e)[0] - g
+                                       for e in np.eye(2)]) / DRIFT_FD_STEP
+            dx = np.linalg.lstsq(jac, -g, rcond=STEP_RCOND)[0]
+            if not dx.any():
+                raise NoConvergence(f"Newton step vanished at residual {resid:.3g}")
+            g_t, r_t, c_t = drift(x + dx)
             shrinks = 0
             while r_t > resid and shrinks < 8:
                 dx *= NEWTON_DAMPING
-                trial = x + dx
-                _, t_t, r_t, p_t = F(trial)
+                g_t, r_t, c_t = drift(x + dx)
                 shrinks += 1
         except (NoReturn, TangencyError) as exc:
             # an iterate wandered off the section geometry entirely
             raise DivergedFromFamily(f"iterate lost the section: {exc}") from exc
-        x, t_ret, resid, path = trial, t_t, r_t, p_t
-        if abs(x[0]) > 1.0 or abs(x[1]) > 1.0:
+        jac += np.outer(g_t - g - jac @ dx, dx) / (dx @ dx)    # Broyden's update
+        x, g, resid, closing = x + dx, g_t, r_t, c_t
+        reach = np.linalg.norm(surface.orbit_space_gap(c0, closing[0]))
+        if reach > ORBIT_SPACE_REACH:
             raise DivergedFromFamily(
-                f"iterate left the short-loop neighborhood (|x| = {np.abs(x).max():.3g})")
+                f"iterate left the short-loop neighborhood (orbit-space distance {reach:.3g})")
     if resid <= tol:
-        return _build_orbit(sys, t_ret, path, seed_id, iterations=max_iter)
+        return _build_orbit(sys, *closing, seed_id, iterations=max_iter)
     raise NoConvergence(f"residual {resid:.3g} after {max_iter} Newton steps")
 
 
-def _build_orbit(sys, period, path, seed_id, iterations=0):
-    """The Orbit of one period, sampled from the ``path`` of the plain return
-    map that closed it, whose return time is period."""
+def _build_orbit(sys, center, period, path, seed_id, iterations=0):
+    """The Orbit of one period over the orbit-space point center, sampled from
+    the ``path`` of the plain return map that closed it, whose return time is
+    period."""
     t_ref = reference_period(sys)
     if abs(period - t_ref) > SHORT_LOOP_PERIOD_WINDOW * t_ref:
         raise DivergedFromFamily(
@@ -293,7 +254,7 @@ def _build_orbit(sys, period, path, seed_id, iterations=0):
     residual = state_distance(sys, traj.state(-1), traj.state(0))
     return Orbit(traj.states, traj.times, traj.speed_drift,
                  residual=float(residual), seed_id=str(seed_id),
-                 newton_iterations=int(iterations))
+                 newton_iterations=int(iterations), center=center)
 
 
 # --- seed grids and the orbit-space average ---------------------------------------

@@ -239,6 +239,49 @@ class TestCliRuns:
             b = (outs[1] / fname).read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("chart,component", [(chart, i) for chart in ("torus", "hyperbolic")
+                                                 for i in range(4)],
+                             ids=[f"{chart}-{name}" for chart, names in (
+                                 ("torus", ("x", "y", "vx", "vy")),
+                                 ("hyperbolic", ("rho", "phi", "v_rho", "v_phi")))
+                                 for name in names])
+    def test_orbit_csv_does_not_follow_the_seed_s_last_bit(self, tmp_path, monkeypatch,
+                                                           chart, component):
+        # one ulp added to a component of a seed (the ulp of 1 on velocities,
+        # so v_x turns the torus's (0, 1) and v_y stretches it) moves that
+        # orbit's CSV by less than tol_orbit, as each orbit starts at the Zoll
+        # state over its c*.  On the census-perturbed-torus run the orbits lie
+        # on lines x0 = const of the orbit space, and c* stays at the foot of
+        # the seed; hyperbolic_bump's maxima form a circle.  Newton on section
+        # coordinates moved the CSVs by 7e-9 (torus, v_x) and 4e-9 (rho).
+        from magsys_lab import TangentState, orbits
+        text, seed_id = {
+            "torus": ("kappa = 0.0\nstrength = 1.0\n[perturbation]\nfield = torus_cos_x\n"
+                      "eps = 0.05\nnormalize = true\n[search]\ngrid_density = 4\n",
+                      "center_0_0_max"),
+            "hyperbolic": ("kappa = -1.0\nstrength = 2.0\n[perturbation]\n"
+                           "field = hyperbolic_bump\ncoeffs = 1.0, 0.5\neps = 0.05\n"
+                           "normalize = true\n[search]\ngrid_density = 3\n",
+                           "boost_1_0_max")}[chart]
+        cfg_path = write(tmp_path, "run.cfg", text)
+        solve = orbits.find_closed_orbit
+
+        def nudged(sys, seed, **kw):
+            if kw["seed_id"] == seed_id:
+                y = np.concatenate([seed.position, seed.velocity])
+                y[component] += np.spacing(y[component] if component < 2 else 1.0)
+                seed = TangentState(y[:2], y[2:])
+            return solve(sys, seed, **kw)
+
+        tables = []
+        for name in ("plain", "nudged"):
+            out = tmp_path / name
+            assert main(["systole", "--config", cfg_path, "--out", str(out)]) in (0, 2)
+            tables.append(np.loadtxt(out / f"orbit_{seed_id}.csv", delimiter=",", skiprows=1))
+            monkeypatch.setattr(orbits, "find_closed_orbit", nudged)
+        assert tables[0].shape == tables[1].shape == (513, 5)
+        assert np.max(np.abs(tables[0] - tables[1])) < 1e-9
+
     def test_error_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "bad.cfg", "kappa = -1\nstrength = 1\n")
         assert main(["constants", "--config", cfg_path]) == 1

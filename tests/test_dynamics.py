@@ -336,31 +336,6 @@ class TestRhsKernel:
             assert np.array_equal(got, want), (y, got - want)
 
 
-class TestTangentKernel:
-    @pytest.mark.parametrize("kappa,case", KERNEL_CASES,
-                             ids=[f"{k:g}-{c}" for k, c in KERNEL_CASES])
-    def test_tangent_columns_are_the_derivative(self, kappa, case):
-        # reference: central differences of the m = 0 closure along each column
-        sys = kernel_system(kappa, case)
-        f = rhs(sys)
-        rng = np.random.default_rng(23)
-        h = 1e-6
-        for m in (1, 3):
-            fm = rhs(sys, tangents=m)
-            for _ in range(20):
-                st = random_state(sys, rng)
-                y = np.concatenate([st.position, rng.uniform(0.3, 2.0) * st.velocity])
-                n = len(y)
-                X = rng.normal(size=(m, n))
-                out = fm(0.0, np.concatenate([y, X.ravel()]))
-                assert out.shape == (n * (m + 1),)
-                assert np.array_equal(out[:n], f(0.0, y))
-                for k in range(m):
-                    fd = (f(0.0, y + h * X[k]) - f(0.0, y - h * X[k])) / (2 * h)
-                    got = out[n * (k + 1):n * (k + 2)]
-                    assert np.max(np.abs(got - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
-
-
 class TestCurvatureSeries:
     @pytest.mark.parametrize("kappa,case", [(1.0, "conformal_eta"), (0.0, "conformal_eta"),
                                             (-1.0, "conformal_normalized"),

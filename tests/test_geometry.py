@@ -243,7 +243,8 @@ def test_zoll_circle_runs_through_the_zoll_state(kappa, s):
 
 
 def test_one_section_on_one_planar_image():
-    # the Poincare section is written once, on the charts' planar images
+    # the Poincare section is written once, as a hyperplane of the charts'
+    # planar images, with one normal for R^3 and one for the plane
     package = Path(__file__).resolve().parent.parent / "src" / "magsys_lab"
     defs, names = [], set()
     for path in sorted(package.glob("*.py")):
@@ -252,5 +253,14 @@ def test_one_section_on_one_planar_image():
                 defs.append(node.name)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-    assert defs.count("section_state") == 1 and defs.count("section_coords") == 1
+    assert defs.count("make_section") == 1 and defs.count("_section_value") == 1
+    assert defs.count("section_normal") == 2
     assert not {"_plane_image", "_lower", "plane_velocity"} & (set(defs) | names)
+
+
+def test_sphere_cross_product_is_numpy_s_bit_for_bit():
+    from magsys_lab.geometry import _cross
+    rng = np.random.default_rng(5)
+    for shape_a, shape_b in [((3,), (3,)), ((7, 3), (3,)), ((4, 1, 3), (1, 6, 3))]:
+        a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+        assert np.array_equal(_cross(a, b), np.cross(a, b))

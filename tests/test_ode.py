@@ -25,10 +25,9 @@ def reference(fun, t_span, y0, **kw):
     return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=RTOL, atol=ATOL, **kw)
 
 
-def start(sys, tangents):
-    """An off-orbit state of sys, with tangents columns carried after it."""
-    y = pack_state(latitude_seed(sys)) + 1e-3
-    return np.concatenate([y, np.linspace(0.1, 1.0, y.size * tangents)])
+def start(sys):
+    """An off-orbit state of sys."""
+    return pack_state(latitude_seed(sys)) + 1e-3
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "E3", "E5", "D"])
@@ -39,12 +38,11 @@ def test_tableau_is_scipys_bit_for_bit(name):
 
 
 @CHARTS
-@pytest.mark.parametrize("tangents", [0, 3])
 @pytest.mark.parametrize("periods", [1.7, -0.9], ids=["forward", "backward"])
-def test_same_steps_and_end_state(kappa, tangents, periods):
+def test_same_steps_and_end_state(kappa, periods):
     sys = perturbed_system(kappa)
     t_span = (0.0, periods * reference_period(sys))
-    f, y0 = rhs(sys, tangents=tangents), start(sys, tangents)
+    f, y0 = rhs(sys), start(sys)
     ref = reference(f, t_span, y0)
     sol = ode.solve_ivp(f, t_span, y0, rtol=RTOL, atol=ATOL)
     assert sol.success and sol.sol is None and sol.t_event is None
@@ -58,7 +56,7 @@ def test_same_steps_and_end_state(kappa, tangents, periods):
 def test_dense_output(kappa, periods):
     sys = perturbed_system(kappa)
     t_span = (0.0, periods * reference_period(sys))
-    f, y0 = rhs(sys), start(sys, 0)
+    f, y0 = rhs(sys), start(sys)
     ref = reference(f, t_span, y0, dense_output=True)
     sol = ode.solve_ivp(f, t_span, y0, rtol=RTOL, atol=ATOL, dense_output=True)
     assert sol.nfev == ref.nfev
@@ -71,7 +69,7 @@ def test_dense_output(kappa, periods):
 def test_short_backward_burst():
     # measure_geodesic_curvature's solves: 2e-3 of arc length either way
     sys = perturbed_system(1.0)
-    f, y0 = rhs(sys), start(sys, 0)
+    f, y0 = rhs(sys), start(sys)
     rtol, atol = stepper_tolerances(1e-12)
     for t1 in (-2e-3, 2e-3):
         ref = scipy_solve_ivp(f, (0.0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
@@ -86,7 +84,7 @@ def test_short_backward_burst():
 def test_max_step(kappa):
     sys = perturbed_system(kappa)
     t_ref = reference_period(sys)
-    f, y0 = rhs(sys), start(sys, 0)
+    f, y0 = rhs(sys), start(sys)
     free = ode.solve_ivp(f, (0.0, t_ref), y0, rtol=RTOL, atol=ATOL)
     ref = reference(f, (0.0, t_ref), y0, max_step=t_ref / 80)
     sol = ode.solve_ivp(f, (0.0, t_ref), y0, rtol=RTOL, atol=ATOL, max_step=t_ref / 80)
@@ -155,8 +153,8 @@ def test_a_nan_closure_fails_flow(monkeypatch):
     # fail, not loop
     sys = perturbed_system(1.0)
     monkeypatch.setattr(dynamics, "rhs",
-                        lambda sys, tangents=0: lambda t, y: np.full_like(y, np.nan))
-    sol = ode.solve_ivp(dynamics.rhs(sys), (0.0, 1.0), start(sys, 0), rtol=RTOL, atol=ATOL)
+                        lambda sys: lambda t, y: np.full_like(y, np.nan))
+    sol = ode.solve_ivp(dynamics.rhs(sys), (0.0, 1.0), start(sys), rtol=RTOL, atol=ATOL)
     assert not sol.success
     with pytest.raises(StepFailure):
         flow(sys, latitude_seed(sys), 1.0)

@@ -16,8 +16,7 @@ from magsys_lab import (DivergedFromFamily, ExperimentConfig, NoConvergence,
 from magsys_lab import ScalarField
 from magsys_lab import dynamics as dynamics_mod
 from magsys_lab import orbits as orbits_mod
-from magsys_lab.orbits import (Orbit, _matched_bound, _poly_hausdorff,
-                               _reduced_map, _support_gap)
+from magsys_lab.orbits import Orbit, _matched_bound, _poly_hausdorff, _support_gap
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -58,7 +57,9 @@ class TestReturnMap:
         sys = make_model(1.0, 1.0)
         seed = latitude_seed(sys)
         spec = make_section(sys, seed)
-        tangent = sys.surface.section_state(sys, spec, 0.0, math.pi / 2)
+        # the seed's position, moving along the section: J v is normal to v
+        tangent = tangent_state(sys, seed.position,
+                                sys.surface.rotate90(seed.position, seed.velocity))
         with pytest.raises(TangencyError):
             return_map(sys, spec, tangent)
 
@@ -151,29 +152,16 @@ def perturbed_system(kappa):
 
 
 def counting_return_maps(monkeypatch):
-    """Count orbits.return_map calls: [plain, with tangents]."""
-    calls = [0, 0]
+    """The list of orbits.return_map calls, one entry each (every map is plain)."""
+    calls = []
     plain = orbits_mod.return_map
 
     def counted(*args, **kw):
-        calls[kw.get("tangents") is not None] += 1
+        calls.append(1)
         return plain(*args, **kw)
 
     monkeypatch.setattr(orbits_mod, "return_map", counted)
     return calls
-
-
-def finite_difference_jacobian(F, x, h=1e-6):
-    """The Newton Jacobian as computed before the variational equations:
-    forward differences of g(x) = F(x) - x, two more return maps, step 1e-6."""
-    fx = F(x)[0]
-    jac = np.empty((2, 2))
-    for j in range(2):
-        xp = x.copy()
-        xp[j] += h
-        fp = F(xp)[0]
-        jac[:, j] = (fp - xp) - (fx - x)
-    return jac / h
 
 
 def section_cases():
@@ -195,18 +183,12 @@ def section_cases():
 SECTION_CASES = section_cases()
 
 
-@pytest.mark.parametrize("sys,c", [case[1:] for case in SECTION_CASES],
-                         ids=[case[0] for case in SECTION_CASES])
-class TestSection:
-    def test_coords_invert_state(self, sys, c):
-        surface = sys.surface
-        spec = make_section(sys, surface.zoll_state(sys, np.array(c)))
-        for a in np.linspace(-0.3, 0.3, 7):
-            for b in np.linspace(-0.5, 0.5, 7):
-                st = surface.section_state(sys, spec, a, b)
-                x = surface.section_coords(sys, spec, st)
-                assert np.max(np.abs(x - (a, b))) < 1e-12
+SECTION_PARAMS = dict(argnames="sys,c", argvalues=[case[1:] for case in SECTION_CASES],
+                      ids=[case[0] for case in SECTION_CASES])
 
+
+@pytest.mark.parametrize(**SECTION_PARAMS)
+class TestSection:
     def test_planar_image_round_trip(self, sys, c):
         # from_plane inverts to_plane, and one point maps as it does among many
         surface = sys.surface
@@ -220,42 +202,32 @@ class TestSection:
                                   surface.from_plane(plane)[0, k])
 
 
-class TestVariationalNewton:
-    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
-    def test_jacobian_matches_finite_differences(self, kappa):
-        sys = perturbed_system(kappa)
-        seed = latitude_seed(sys)
-        spec = make_section(sys, seed)
-        F = _reduced_map(sys, spec, 1e-11)
-        x = np.array([0.02, -0.015])     # not a fixed point
-        fx, t_ret, resid, jac = F(x, jacobian=True)
-        assert resid > 1e-4
-        plain = F(x)
-        assert np.max(np.abs(fx - plain[0])) < 1e-9
-        assert t_ret == pytest.approx(plain[1], abs=1e-9)
-        # the plain map gives its dense path, not a Jacobian: the path runs
-        # from the section point at x to the return state, whose coordinates are F(x)
-        start, end = plain[3](np.array([0.0, plain[1]])).T
-        section_point = sys.surface.section_state(sys, spec, *x)
-        assert np.array_equal(start, np.concatenate([section_point.position,
-                                                     section_point.velocity]))
-        returned = tangent_state(sys, *np.split(end, 2))
-        assert np.max(np.abs(sys.surface.section_coords(sys, spec, returned) - plain[0])) < 1e-12
-        ref = finite_difference_jacobian(F, x)
-        assert np.max(np.abs((jac - np.eye(2)) - ref)) < 1e-5
+@pytest.mark.parametrize(**SECTION_PARAMS)
+class TestOrbitSpacePoint:
+    def test_inverts_the_zoll_circle(self, sys, c):
+        # every node of the circle over c, one state or all at once, gives c
+        surface = sys.surface
+        c = np.array(c) / (np.linalg.norm(c) if surface.dim == 3 else 1.0)
+        q, v = surface.zoll_circle(sys, c[None], 16)
+        back = surface.orbit_space_point(sys, q, v)
+        assert back.shape == (1, 16, len(c))
+        for k in range(16):
+            one = surface.orbit_space_point(sys, q[0, k], v[0, k])
+            assert np.max(np.abs(surface.orbit_space_gap(c, one))) < 1e-12
+            assert np.max(np.abs(surface.orbit_space_gap(c, back[0, k]))) < 1e-12
 
-    def test_tangents_are_corrected_for_the_return_time(self):
-        # D moves the return state along the section: grad sigma . D = 0
-        sys = perturbed_system(1.0)
-        seed = latitude_seed(sys)
-        spec = make_section(sys, seed)
-        D0 = np.random.default_rng(2).normal(size=(6, 2))
-        st, t_ret, D = return_map(sys, spec, seed, tangents=D0)
-        st_plain, t_plain, _ = return_map(sys, spec, seed)
-        assert D.shape == (6, 2)
-        assert np.max(np.abs(spec.normal @ D[:3])) < 1e-9
-        assert state_distance(sys, st, st_plain) < 1e-9
-        assert t_ret == pytest.approx(t_plain, abs=1e-9)
+    def test_takes_any_speed(self, sys, c):
+        # the point depends on the direction of v only, as on a g-unit state
+        surface = sys.surface
+        st = surface.zoll_state(sys, np.array(c))
+        scaled = surface.orbit_space_point(sys, st.position, 2.5 * st.velocity)
+        assert np.max(np.abs(surface.orbit_space_gap(
+            surface.orbit_space_point(sys, st.position, st.velocity), scaled))) < 1e-14
+
+
+class TestVariationalNewton:
+    """The return-map budget of Newton.  The class keeps the name it had when
+    its Jacobian came from the variational equations; every map is now plain."""
 
     @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
     def test_zoll_seed_costs_one_return_map(self, kappa, s, monkeypatch):
@@ -263,19 +235,19 @@ class TestVariationalNewton:
         sys = make_model(kappa, s)
         orb = find_closed_orbit(sys, latitude_seed(sys), tol=1e-9)
         assert orb.newton_iterations == 0
-        assert calls == [1, 0]
+        assert len(calls) == 1
 
     def test_perturbed_sphere_census_return_maps(self, monkeypatch):
-        # one plain map per seed and per line-search trial (no trial is
-        # shrunk here), and one map with tangents per Newton step; Newton runs
-        # only from the two critical points of the orbit-space average, not
-        # from the 11 starts
+        # per seed: one map at the start, two for the forward-difference
+        # Jacobian and one per Newton step (no trial is shrunk here); Newton
+        # runs only from the two critical points of the orbit-space average,
+        # not from the 11 starts
         calls = counting_return_maps(monkeypatch)
         found = enumerate_orbits(perturbed_sphere(0.05), grid_density=3, tol=1e-9)
         assert len(found) == found.seeds_attempted == 2
         steps = sum(orb.newton_iterations for orb in found)
-        assert steps > 0
-        assert calls == [found.seeds_attempted + steps, steps]
+        assert all(orb.newton_iterations > 0 for orb in found)
+        assert len(calls) == 3 * found.seeds_attempted + steps
         assert found.starts == 11
         assert sum(calls) <= 12
 
@@ -300,9 +272,8 @@ class TestVariationalNewton:
 
             monkeypatch.setattr(mod, "rhs", counted_rhs)
             monkeypatch.setattr(mod, "solve_ivp", counted_ivp)
-        calls = counting_return_maps(monkeypatch)
-        enumerate_orbits(perturbed_system(kappa), grid_density=2, tol=1e-9)
-        assert calls[1] > 0      # Newton ran, with tangents
+        found = enumerate_orbits(perturbed_system(kappa), grid_density=2, tol=1e-9)
+        assert sum(orb.newton_iterations for orb in found) > 0      # Newton ran
         assert counts["closure"] == counts["nfev"] > 0
 
 
@@ -314,15 +285,14 @@ def refuse_flow(monkeypatch):
         monkeypatch.setattr(mod, "flow", refused)
 
 
-def recording_plain_maps(monkeypatch):
-    """The (state, return time) of each plain orbits.return_map call, in order."""
+def recording_maps(monkeypatch):
+    """The (state, return time) of each orbits.return_map call, in order."""
     maps = []
     plain = orbits_mod.return_map
 
     def recorded(*args, **kw):
         result = plain(*args, **kw)
-        if kw.get("tangents") is None:
-            maps.append(result[:2])
+        maps.append(result[:2])
         return result
 
     monkeypatch.setattr(orbits_mod, "return_map", recorded)
@@ -349,11 +319,12 @@ class TestOrbitFromReturnMap:
 
     @pytest.mark.parametrize(**CHARTS)
     def test_orbit_ends_on_the_closing_map(self, kappa, monkeypatch):
-        maps = recording_plain_maps(monkeypatch)
+        maps = recording_maps(monkeypatch)
         sys = perturbed_system(kappa)
         orb = find_closed_orbit(sys, latitude_seed(sys), tol=1e-9)
         assert orb.newton_iterations > 0
-        assert len(maps) == orb.newton_iterations + 1
+        # the seed's map, the two of the first Jacobian, one per step
+        assert len(maps) == orb.newton_iterations + 3
         state, t_ret = maps[-1]
         assert state_distance(sys, orb.state(-1), state) < 1e-12
         assert orb.period == t_ret
