@@ -90,11 +90,48 @@ def test_scalar_derivatives_match_central_differences(name, coeffs, kappa):
             assert on_floats(diff, q)[j] == pytest.approx(d_val, abs=1e-7)
 
 
-def test_hyperbolic_density_at_the_origin():
+def area_density(surface, q):
+    """sigma0 over the chart's coordinate area element at q: 1 on the torus,
+    w(rho) = sinh(sqrt(-kappa) rho) / sqrt(-kappa) on the hyperbolic chart."""
+    if surface.kappa == 0.0:
+        return 1.0
+    sk = np.sqrt(-surface.kappa)
+    return np.sinh(sk * q[0]) / sk
+
+
+@pytest.mark.parametrize("name,coeffs,kappa", ONE_FORM_CASES, ids=ONE_FORM_IDS)
+def test_density_gradient_matches_central_differences(name, coeffs, kappa):
+    # the density is d(eta)/sigma0: the antisymmetric part of the gradient of
+    # the components, here by central differences, over the area element; on
+    # the sphere the components are an ambient covector, whose curl along the
+    # unit normal is the density
+    surface, qs = points(kappa, n=40)
+    comp, density = OneForm(name, coeffs).formulas(surface)
+    h = 1e-6
+    for q in qs:
+        grad = np.array([(np.array(on_floats(comp, q + e)) - np.array(on_floats(comp, q - e)))
+                         / (2 * h) for e in np.eye(len(q)) * h])     # grad[i, j] = d_i eta_j
+        curl = grad.T - grad
+        if len(q) == 3:
+            n = q / np.linalg.norm(q)
+            fd = curl[2, 1] * n[0] + curl[0, 2] * n[1] + curl[1, 0] * n[2]
+        else:
+            fd = curl[1, 0] / area_density(surface, q)
+        assert on_floats(density, q) == pytest.approx(fd, abs=1e-7)
+
+
+def test_hyperbolic_density_gradient_at_the_origin():
     surface = make_model(-1.0, 2.0).surface
     eta = OneForm("hyperbolic_eta_radial", (0.8,))
     _, density = eta.formulas(surface)
-    assert on_floats(density, np.array([0.0, 0.3])) == 1.6
+    origin = np.array([0.0, 0.3])
+    assert on_floats(density, origin) == 1.6
+    # the density is even in rho, so its gradient vanishes at the origin:
+    # rho -> -rho is the same point with phi turned by pi
+    h = 1e-4
+    for e in np.eye(2) * h:
+        assert on_floats(density, origin + e) == on_floats(density, origin - e)
+    assert abs(on_floats(density, origin + (h, 0.0)) - 1.6) / h < 1e-3    # no kink
     # the same formula on a column of points, finite at the origin
     col = np.array([[0.0, 0.4], [0.3, 0.3]])
     assert np.isfinite(density(col)).all()

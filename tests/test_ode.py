@@ -25,9 +25,24 @@ def reference(fun, t_span, y0, **kw):
     return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=RTOL, atol=ATOL, **kw)
 
 
-def start(sys):
-    """An off-orbit state of sys."""
-    return pack_state(latitude_seed(sys)) + 1e-3
+def start(sys, tangents=0):
+    """An off-orbit state of sys, with tangents columns carried after it."""
+    y = pack_state(latitude_seed(sys)) + 1e-3
+    return np.concatenate([y, np.linspace(0.1, 1.0, y.size * tangents)])
+
+
+def with_tangents(f, n, tangents, h=1e-6):
+    """The closure f of an n-state extended by tangents columns carried after
+    it, each moved by central differences of f along itself: a larger state
+    whose parts differ in scale, for the stepper's error norm."""
+    if not tangents:
+        return f
+
+    def g(t, y):
+        x, cols = y[:n], y[n:].reshape(tangents, n)
+        moved = [(f(t, x + h * col) - f(t, x - h * col)) / (2 * h) for col in cols]
+        return np.concatenate([f(t, x)] + moved)
+    return g
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "E3", "E5", "D"])
@@ -38,11 +53,13 @@ def test_tableau_is_scipys_bit_for_bit(name):
 
 
 @CHARTS
+@pytest.mark.parametrize("tangents", [0, 3])
 @pytest.mark.parametrize("periods", [1.7, -0.9], ids=["forward", "backward"])
-def test_same_steps_and_end_state(kappa, periods):
+def test_same_steps_and_end_state(kappa, tangents, periods):
     sys = perturbed_system(kappa)
     t_span = (0.0, periods * reference_period(sys))
-    f, y0 = rhs(sys), start(sys)
+    f = with_tangents(rhs(sys), 2 * sys.surface.dim, tangents)
+    y0 = start(sys, tangents)
     ref = reference(f, t_span, y0)
     sol = ode.solve_ivp(f, t_span, y0, rtol=RTOL, atol=ATOL)
     assert sol.success and sol.sol is None and sol.t_event is None

@@ -189,6 +189,20 @@ SECTION_PARAMS = dict(argnames="sys,c", argvalues=[case[1:] for case in SECTION_
 
 @pytest.mark.parametrize(**SECTION_PARAMS)
 class TestSection:
+    def test_coords_invert_state(self, sys, c):
+        # Newton's coordinates about c: over every point near c, taken as a run
+        # takes it (orbit_space_step with the chart's basis, node 0 on its ref),
+        # orbit_space_point of the Zoll state gives that point back
+        surface = sys.surface
+        c = np.array(c) / (np.linalg.norm(c) if surface.dim == 3 else 1.0)
+        basis, ref = surface.orbit_space_chart(c)
+        for a in np.linspace(-0.3, 0.3, 7):
+            for b in np.linspace(-0.5, 0.5, 7):
+                c2 = surface.orbit_space_step(c, basis @ (a, b))
+                st = surface.zoll_state(sys, c2, ref)
+                back = surface.orbit_space_point(sys, st.position, st.velocity)
+                assert np.max(np.abs(surface.orbit_space_gap(c2, back))) < 1e-12
+
     def test_planar_image_round_trip(self, sys, c):
         # from_plane inverts to_plane, and one point maps as it does among many
         surface = sys.surface
@@ -226,8 +240,78 @@ class TestOrbitSpacePoint:
 
 
 class TestVariationalNewton:
-    """The return-map budget of Newton.  The class keeps the name it had when
-    its Jacobian came from the variational equations; every map is now plain."""
+    """Newton's Jacobians and its return-map budget.  The class keeps the
+    name it had when its Jacobian came from the variational equations; every
+    map is now plain."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+    def test_jacobian_matches_finite_differences(self, kappa, monkeypatch):
+        # the Jacobians Newton steps with: at the start, forward differences of
+        # the drift D, close to its central differences; after each step,
+        # Broyden's update, which holds the difference of D along that step
+        solves = []
+        lstsq = np.linalg.lstsq
+
+        def recorded(a, b, rcond=None):
+            dx = lstsq(a, b, rcond=rcond)
+            solves.append((a.copy(), -b, dx[0].copy()))
+            return dx
+
+        monkeypatch.setattr(np.linalg, "lstsq", recorded)
+        sys = perturbed_system(kappa)
+        seed = latitude_seed(sys)
+        orb = find_closed_orbit(sys, seed, tol=1e-11)
+        assert orb.newton_iterations == len(solves) >= 2
+
+        surface = sys.surface
+        c0 = surface.orbit_space_point(sys, seed.position, seed.velocity)
+        basis, ref = surface.orbit_space_chart(c0)
+
+        def drift(x):
+            c = surface.orbit_space_step(c0, basis @ x)
+            start = surface.zoll_state(sys, c, ref)
+            end, _, _ = return_map(sys, make_section(sys, start), start, tol=1e-12)
+            back = surface.orbit_space_point(sys, end.position, end.velocity)
+            return basis.T @ surface.orbit_space_gap(c, back)
+
+        jac, g, _ = solves[0]
+        assert np.max(np.abs(g - drift(np.zeros(2)))) < 1e-9
+        h = 1e-4
+        central = np.column_stack([(drift(h * e) - drift(-h * e)) / (2 * h)
+                                   for e in np.eye(2)])
+        assert np.max(np.abs(central)) > 1e-3
+        assert np.max(np.abs(jac - central)) < 1e-2 * np.max(np.abs(central))
+        for (jac, g, dx), (jac_next, g_next, _) in zip(solves, solves[1:]):
+            # the step taken is the solve's, shrunk by the line search
+            secant = [np.max(np.abs(jac_next @ (dx * orbits_mod.NEWTON_DAMPING ** k)
+                                    - (g_next - g))) for k in range(9)]
+            assert min(secant) < 1e-12 * max(1.0, np.max(np.abs(jac_next)))
+
+    def test_tangents_are_corrected_for_the_return_time(self):
+        # differences of the return map move its state along the section,
+        # grad sigma . D = 0, because each start returns at its own time;
+        # the flow for the seed's return time moves them across it
+        sys = perturbed_system(1.0)
+        seed = latitude_seed(sys)
+        spec = make_section(sys, seed)
+        st, t_ret, _ = return_map(sys, spec, seed)
+        D0 = np.random.default_rng(2).normal(size=(6, 2))
+        h = 1e-5
+        for col in D0.T:
+            ends, fixed = [], []
+            for sign in (1.0, -1.0):
+                start = tangent_state(sys, seed.position + sign * h * col[:3],
+                                      seed.velocity + sign * h * col[3:])
+                end, t_end, _ = return_map(sys, spec, start)
+                assert state_distance(sys, end, st) < 1e-3
+                assert t_end == pytest.approx(t_ret, abs=1e-3)
+                ends.append(end.position)
+                fixed.append(flow(sys, start, t_ret).state(-1).position)
+            D = (ends[0] - ends[1]) / (2 * h)
+            across = (fixed[0] - fixed[1]) / (2 * h)
+            assert np.linalg.norm(D) > 1e-2
+            assert abs(spec.normal @ D) < 1e-9
+            assert abs(spec.normal @ across) > 1e-3
 
     @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
     def test_zoll_seed_costs_one_return_map(self, kappa, s, monkeypatch):
