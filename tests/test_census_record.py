@@ -4,11 +4,18 @@ ROADMAP that seeds Newton at the critical points of the orbit-space average
 l_max within tol_orbit of the values recorded when Newton still ran on
 section coordinates with the variational Jacobian.  A change of the Newton
 solver that keeps this file green changed no census.
+
+Four blind-grid configs pin the deduplication on the whole pipeline: the
+seeds whose orbits reach ``orbits.deduplicate``, the seeds it keeps and the
+report's seed order, recorded when orbits were told apart by the Hausdorff
+distance of their position loops.  On the sphere at s = 0.01 most seeds
+close on an orbit found from another seed; on the blind torus none does.
 """
 
 import pytest
 
 from magsys_lab import ExperimentConfig, NoOrbitsFound, run_experiment
+from magsys_lab import orbits as orbits_mod
 
 TOL_ORBIT = ExperimentConfig.tol_orbit
 BUMP = dict(kappa=-1.0, perturbation_name="hyperbolic_bump", perturbation_coeffs=(1.0, 0.5),
@@ -63,3 +70,48 @@ def test_horocycle_threshold_keeps_its_error(grid_density):
     cfg = ExperimentConfig(strength=1.0001, grid_density=grid_density, **BUMP)
     with pytest.raises(NoOrbitsFound, match=r"no closed orbits from \d+ seeds; eps may exceed"):
         run_experiment(cfg)
+
+
+BLIND_TORUS = dict(kappa=0.0, strength=1.0 / 2.404825557695773, perturbation_name="torus_cos_x",
+                   eps=0.05)
+SPHERE_Z_SLOW = dict(SPHERE_Z, strength=0.01, eps=0.05)
+TORUS_CENTRES = [f"center_{i}_{j}" for i in range(3) for j in range(3)]
+
+# name: (config, seeds reaching dedup, seeds it keeps, report seed order)
+MERGES = {
+    "sphere_harmonic_z_s0.01_gd3": (
+        dict(SPHERE_Z_SLOW, grid_density=3),
+        ["axis_north", "axis_south"] + [f"axis_{i}_{j}" for i in range(3) for j in range(3)],
+        ["axis_north", "axis_south", "axis_1_0", "axis_1_1", "axis_1_2"],
+        ["axis_1_0", "axis_1_1", "axis_1_2", "axis_south", "axis_north"]),
+    "sphere_harmonic_z_s0.01_gd4": (
+        dict(SPHERE_Z_SLOW, grid_density=4),
+        ["axis_north", "axis_south"] + [f"axis_{i}_{j}" for i in range(4) for j in range(4)],
+        ["axis_north", "axis_south"] + [f"axis_{i}_{j}" for i in (1, 2) for j in range(4)],
+        [f"axis_{i}_{j}" for i in (1, 2) for j in range(4)] + ["axis_south", "axis_north"]),
+    "blind_torus_gd2": (
+        dict(BLIND_TORUS, grid_density=2),
+        ["center_0_0", "center_0_1", "center_1_0", "center_1_1"],
+        ["center_0_0", "center_0_1", "center_1_0", "center_1_1"],
+        ["center_0_0", "center_0_1", "center_1_0", "center_1_1"]),
+    "blind_torus_gd3": (
+        dict(BLIND_TORUS, grid_density=3), TORUS_CENTRES, TORUS_CENTRES,
+        TORUS_CENTRES[:3] + TORUS_CENTRES[6:] + TORUS_CENTRES[3:6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGES))
+def test_dedup_keeps_the_recorded_seeds(name, monkeypatch):
+    cfg, dedup_in, dedup_out, order = MERGES[name]
+    calls = []
+    dedup = orbits_mod.deduplicate
+
+    def recorded(sys, orbits):
+        unique = dedup(sys, orbits)
+        calls.append(([o.seed_id for o in orbits], [o.seed_id for o in unique]))
+        return unique
+
+    monkeypatch.setattr(orbits_mod, "deduplicate", recorded)
+    rep = run_experiment(ExperimentConfig(**cfg))
+    assert calls == [(dedup_in, dedup_out)]
+    assert rep.seed_ids == order
