@@ -297,10 +297,6 @@ class ChartOps:
         """d(plane)/d(chart) at chart point q."""
         return np.eye(self.dim)
 
-    def align_loops(self, pa, pb):
-        """Two sampled loops, brought into one picture for comparison."""
-        return self.to_plane(pa), self.to_plane(pb)
-
     def cap_loop(self, pos, vel, closure):
         """The loop in the planar image, and its mean."""
         plane = self.to_plane(pos)
@@ -801,11 +797,6 @@ class TorusChart(_PlanarChart):
         (q, v), (..., 2) arrays.  The velocity is scaled to unit g0-speed, the
         speed of the circles, not to unit g-speed."""
         return q + self.rotate90(q, v) / (sys.strength * np.sqrt(self.g0_dot(q, v, v)))[..., None]
-
-    def align_loops(self, pa, pb):
-        periods = np.asarray(self.box)
-        shift = periods * np.round((np.mean(pa, axis=0) - np.mean(pb, axis=0)) / periods)
-        return pa, pb + shift
 
     def cap_loop(self, pos, vel, closure):
         """A loop winding around the torus has no cap."""

@@ -165,7 +165,17 @@ class Orbit(Trajectory):
     """A closed magnetic geodesic: the Trajectory of one period, whose last
     sample returns to the first within the closure defect ``residual``.
     ``center`` is the orbit-space point c* whose Zoll state is its first
-    sample (None for an orbit not found by ``find_closed_orbit``)."""
+    sample (None for an orbit not found by ``find_closed_orbit``).
+
+    ``deduplicate`` does not compare c*: it depends on where the orbit was
+    started, and on the sphere on the frame of node 0 that each Newton run
+    fixes (seeds of one orbit of sphere_harmonic_z at s = 0.01 end up to
+    0.1 apart in c*).  It compares the orbit's centre, the time mean of
+    ``orbit_space_point`` over the samples: they are equally spaced in time
+    over one period, so the mean is a trapezoid rule of a periodic function
+    and does not depend on the start phase (those seeds' centres agree to
+    2e-7).  On a Zoll circle every sample's point, and so the centre, is its
+    c."""
 
     residual: float
     seed_id: str
@@ -430,99 +440,22 @@ def _same_manifold(sys, a, fa, b, fb, scale, grad_tol):
                 and hops.max() <= MANIFOLD_CHAIN * np.linalg.norm(gap) / MANIFOLD_SAMPLES)
 
 
-def _poly_hausdorff(sys, pa, pb):
-    """Symmetric Hausdorff distance between closed sample loops.
-
-    Distances are measured from each loop's vertices to the other loop's
-    polyline, so that phase-shifted samplings of the same curve compare as
-    close.
-    """
-    pa, pb = sys.surface.align_loops(pa, pb)
-
-    def one_sided(P, Q):
-        d = _segment_distances(P[:, None, :], Q[None, :-1, :], Q[None, 1:, :])
-        return float(np.max(np.min(d, axis=1)))
-
-    return max(one_sided(pa, pb), one_sided(pb, pa))
-
-
-def _segment_distances(P, A, B):
-    """Distances from the points P to the segments [A, B], broadcast over the
-    leading axes of the (..., d) arrays."""
-    AB = B - A
-    denom = np.einsum("...d,...d->...", AB, AB)
-    AP = P - A
-    t = np.clip(np.einsum("...d,...d->...", AP, AB) / np.where(denom == 0.0, 1.0, denom),
-                0.0, 1.0)
-    return np.linalg.norm(AP - t[..., None] * AB, axis=-1)
-
-
-def _support_gap(pa, pb):
-    """A lower bound on the ``_poly_hausdorff`` distance of two aligned loops.
-
-    The bound is max |h_A(u) - h_B(u)| over the directions u = +-e_i, with
-    h_P(u) = max <p, u> over the vertices p of P (the support function).  The
-    vertex of A that attains h_A(u) lies at least h_A(u) - h_B(u) from every
-    point of the polyline B, whose points are convex combinations of B's
-    vertices; the pass from B's vertices covers the other sign.
-    """
-    return float(np.max(np.abs(np.concatenate(
-        [pa.max(axis=0) - pb.max(axis=0), pa.min(axis=0) - pb.min(axis=0)]))))
-
-
-def _matched_bound(pa, pb):
-    """An upper bound on the ``_poly_hausdorff`` distance of two aligned loops.
-
-    Each vertex of one loop is measured against only four segments of the
-    other, around its phase-matched index: vertex i of A against the
-    segments i + k - 2 to i + k + 1 of B, where B's vertex k is the one
-    nearest A[0] and indices run cyclically over the closed loop.  A distance
-    to some of B's segments is never below the distance to the polyline, so
-    the larger of the two one-sided maxima bounds the exact distance from
-    above.  It is close to it when the loops are the same orbit sampled at
-    the same rate from different starting points.
-    """
-    def one_sided(P, Q):
-        m = len(Q) - 1      # segments of the closed loop; Q[m] repeats Q[0]
-        k = int(np.argmin(np.sum((Q[:m] - P[0]) ** 2, axis=1)))
-        seg = (np.arange(len(P))[:, None] + k + np.arange(-2, 2)) % m
-        d = _segment_distances(P[:, None, :], Q[seg], Q[seg + 1])
-        return float(np.max(np.min(d, axis=1)))
-
-    return max(one_sided(pa, pb), one_sided(pb, pa))
-
-
 def deduplicate(sys, orbits):
-    """Drop orbits whose position loops coincide within DEDUP_TOL.
-
-    Two loops coincide when ``_poly_hausdorff``, the larger of the two
-    vertex-to-polyline distances, is below DEDUP_TOL; the first orbit of each
-    such group is kept.  Two O(N) bounds in the aligned picture settle most
-    pairs without that O(N^2) exact pass: a pair whose ``_support_gap``
-    is at least 2 DEDUP_TOL is distinct, and a pair whose ``_matched_bound``
-    is below DEDUP_TOL / 2 is a duplicate.  The gap never exceeds the exact
-    distance and the matched bound never falls below it, and the factors 2
-    leave room for rounding (a few ulps of the coordinates, far below
-    DEDUP_TOL), so neither bound can change a decision.
-    """
-    unique, loops = [], []
+    """Drop orbits whose centres lie within DEDUP_TOL of a kept orbit's
+    centre, by ``orbit_space_gap``; the first orbit of each such group is
+    kept.  An orbit's centre is the time mean of ``orbit_space_point`` over
+    its samples (the repeated last one left out), taken in the planar image
+    (``Orbit`` says why it is not ``Orbit.center``)."""
+    surface = sys.surface
+    unique, centres = [], []
     for orb in orbits:
-        pa = orb.positions()
-        if any(_same_loop(sys, pa, pb) for pb in loops):
+        points = surface.orbit_space_point(sys, orb.positions()[:-1], orb.velocities()[:-1])
+        c = surface.from_plane(surface.to_plane(points).mean(axis=0))
+        if any(np.linalg.norm(surface.orbit_space_gap(k, c)) < DEDUP_TOL for k in centres):
             continue
         unique.append(orb)
-        loops.append(pa)
+        centres.append(c)
     return unique
-
-
-def _same_loop(sys, pa, pb):
-    """Whether the loops pa and pb coincide within DEDUP_TOL (see ``deduplicate``)."""
-    a, b = sys.surface.align_loops(pa, pb)
-    if _support_gap(a, b) >= 2.0 * DEDUP_TOL:
-        return False
-    if _matched_bound(a, b) < 0.5 * DEDUP_TOL:
-        return True
-    return _poly_hausdorff(sys, pa, pb) < DEDUP_TOL
 
 
 class Census(list):

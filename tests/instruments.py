@@ -1,6 +1,7 @@
 """Measuring instruments of the tests: random tangent states, the unperturbed
-area form, the Christoffel symbols of the planar charts and a curvature
-stencil.  The package's answers never read them."""
+area form, the Christoffel symbols of the planar charts, a curvature stencil
+and the distance of two sampled loops.  The package's answers never read
+them."""
 
 import math
 
@@ -50,3 +51,20 @@ def stencil_curvature(surface, r, h=1e-3):
         return surface.w_wp(x, np)[0]
     d2 = (-w(r - 2 * h) + 16 * w(r - h) - 30 * w(r) + 16 * w(r + h) - w(r + 2 * h)) / 12
     return -d2 / (h * h * w(r))
+
+
+def loop_distance(surface, pa, pb):
+    """Symmetric Hausdorff distance of two closed sample loops in the planar
+    image: the largest distance from a vertex of either loop to the other
+    loop's polyline, so that samplings of one curve from different starting
+    points compare as close."""
+    pa, pb = surface.to_plane(pa), surface.to_plane(pb)
+
+    def one_sided(P, Q):
+        A, AB = Q[None, :-1], np.diff(Q, axis=0)[None]
+        AP = P[:, None] - A
+        denom = np.sum(AB * AB, axis=-1)
+        t = np.clip(np.sum(AP * AB, axis=-1) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+        return np.linalg.norm(AP - t[..., None] * AB, axis=-1).min(axis=1).max()
+
+    return float(max(one_sided(pa, pb), one_sided(pb, pa)))

@@ -1,7 +1,9 @@
 """One Newton solver in the package: ``orbits.find_closed_orbit``, on the
 orbit space and on plain return maps.  These AST checks keep a second Newton
 path from coming back beside it: no variational tangents, no section
-coordinates, and no linear solve of a Newton step anywhere else."""
+coordinates, and no linear solve of a Newton step anywhere else.  Orbits are
+told apart on the orbit space too: no loop-distance code comes back beside
+``orbits.deduplicate``."""
 
 import ast
 from pathlib import Path
@@ -39,13 +41,22 @@ def test_no_function_takes_tangents():
     assert found == []
 
 
+def defined_names(gone):
+    """(module, name) of every function or class in the package named in gone."""
+    return [(name, node.name) for name, tree in package_trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name in gone]
+
+
 def test_no_section_coordinates():
-    gone = {"section_state", "section_coords", "_reduced_map"}
-    defined = [(name, node.name) for name, tree in package_trees().items()
-               for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and node.name in gone]
-    assert defined == []
+    assert defined_names({"section_state", "section_coords", "_reduced_map"}) == []
+
+
+def test_no_loop_distances():
+    # deduplicate compares orbit-space centres, not position loops
+    assert defined_names({"_poly_hausdorff", "_segment_distances", "_support_gap",
+                          "_matched_bound", "_same_loop", "align_loops"}) == []
 
 
 def test_every_linear_solve_is_in_find_closed_orbit():

@@ -3,9 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from magsys_lab import (DivergedFromFamily, ExperimentConfig, NoConvergence,
                         StepFailure, TangencyError, TangentState,
@@ -16,7 +13,9 @@ from magsys_lab import (DivergedFromFamily, ExperimentConfig, NoConvergence,
 from magsys_lab import ScalarField
 from magsys_lab import dynamics as dynamics_mod
 from magsys_lab import orbits as orbits_mod
-from magsys_lab.orbits import Orbit, _matched_bound, _poly_hausdorff, _support_gap
+from magsys_lab.orbits import Orbit
+
+from instruments import loop_distance
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -499,7 +498,7 @@ class TestEnumerate:
         shifted = flow(sys, seed1, reference_period(sys) / 3).state(-1)
         orb1 = find_closed_orbit(sys, seed1, tol=1e-9, seed_id="a")
         orb2 = find_closed_orbit(sys, shifted, tol=1e-9, seed_id="b")
-        assert _poly_hausdorff(sys, orb1.positions(), orb2.positions()) < 1e-4
+        assert loop_distance(sys.surface, orb1.positions(), orb2.positions()) < 1e-4
         kept = orbits_mod.deduplicate(sys, [orb1, orb2])
         assert len(kept) == 1
 
@@ -514,8 +513,8 @@ class TestEnumerate:
             sysp = conformal_perturb(zoll, "sphere_harmonic_z", eps,
                                      normalize=True)
             orb = find_closed_orbit(sysp, latitude_seed(sysp), tol=1e-10)
-            dists.append(_poly_hausdorff(sysp, orb.positions(),
-                                         ref_orbit.positions()))
+            dists.append(loop_distance(sysp.surface, orb.positions(),
+                                       ref_orbit.positions()))
         for a, b in zip(dists, dists[1:]):
             assert a / b == pytest.approx(2.0, rel=0.3)
 
@@ -609,158 +608,85 @@ class TestOrbitSpaceAverage:
             run_experiment(cfg)
 
 
-def circle_orbit(seed_id, centre, e1, e2, radius, phase, n=512):
-    """A closed n-segment sampling of a circle, starting at angle phase."""
-    times = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    t = phase + times
-    pos = centre + radius * (np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2)
-    vel = -np.sin(t)[:, None] * e1 + np.cos(t)[:, None] * e2
-    return Orbit(np.hstack([pos, vel]), times, 0.0, residual=0.0, seed_id=seed_id)
+def zoll_orbit(sys, seed_id, c, roll=0, n=512):
+    """The Zoll circle over the orbit-space point c as a closed n-segment
+    Orbit, its samples rolled by roll nodes (another start phase)."""
+    q, v = sys.surface.zoll_circle(sys, np.asarray(c, dtype=float)[None], n)
+    ring = np.roll(np.hstack([q[0], v[0]]), -roll, axis=0)
+    return Orbit(np.vstack([ring, ring[:1]]), np.linspace(0.0, reference_period(sys), n + 1),
+                 0.0, residual=0.0, seed_id=seed_id)
 
 
-def sphere_circle(seed_id, axis, alpha, phase):
-    """The circle at angular radius alpha about axis on the unit sphere."""
-    n_hat = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
-    e1 = np.cross(n_hat, [0.0, 1.0, 0.0] if abs(n_hat[1]) < 0.9 else [1.0, 0.0, 0.0])
-    e1 /= np.linalg.norm(e1)
-    return circle_orbit(seed_id, math.cos(alpha) * n_hat, e1, np.cross(n_hat, e1),
-                        math.sin(alpha), phase)
+def offset(sys, c, share):
+    """The orbit-space point share * DEDUP_TOL from c along the first axis of
+    its local coordinates."""
+    c = np.asarray(c, dtype=float)
+    basis, _ = sys.surface.orbit_space_chart(c)
+    return sys.surface.orbit_space_step(c, basis @ (share * orbits_mod.DEDUP_TOL, 0.0))
 
 
-def torus_circle(seed_id, centre, phase):
-    return circle_orbit(seed_id, np.asarray(centre, dtype=float), np.array([1.0, 0.0]),
-                        np.array([0.0, 1.0]), 1.0, phase)
-
-
-def keep_all_pairs(sys, orbits, tol=orbits_mod.DEDUP_TOL):
-    """Reference deduplication: the exact distance on every pair."""
+def keep_all_pairs(sys, cases, tol=orbits_mod.DEDUP_TOL):
+    """Reference deduplication: each case's known circle centre against
+    every kept one."""
     kept = []
-    for orb in orbits:
-        if not any(_poly_hausdorff(sys, orb.positions(), k.positions()) < tol
-                   for k in kept):
-            kept.append(orb)
-    return [orb.seed_id for orb in kept]
+    for sid, c, _ in cases:
+        if not any(np.linalg.norm(sys.surface.orbit_space_gap(k, c)) < tol for _, k in kept):
+            kept.append((sid, np.asarray(c, dtype=float)))
+    return [sid for sid, _ in kept]
 
 
-def counting_hausdorff(monkeypatch):
-    calls = []
-    exact = orbits_mod._poly_hausdorff
-
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
-
-    monkeypatch.setattr(orbits_mod, "_poly_hausdorff", counted)
-    return calls
-
-
-def closed_loops(dim):
-    return st.integers(2, 24).flatmap(lambda n: hnp.arrays(
-        np.float64, (n, dim), elements=st.floats(-3.0, 3.0))).map(
-        lambda a: np.vstack([a, a[:1]]))
+def decisions(sys, cases):
+    """(dedup's kept ids, the reference's) for (id, centre, roll) cases."""
+    found = [zoll_orbit(sys, sid, c, roll) for sid, c, roll in cases]
+    return [o.seed_id for o in orbits_mod.deduplicate(sys, found)], keep_all_pairs(sys, cases)
 
 
 class TestDeduplicate:
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), dim=st.sampled_from([2, 3]))
-    def test_support_gap_bounds_poly_hausdorff(self, data, dim):
-        # 3-D loops in the sphere chart (aligned as they are), 2-D loops in
-        # the torus chart, where the second may be a noisy copy of the first
-        # shifted by whole periods before alignment
-        sys = make_model(1.0, 1.0) if dim == 3 else make_model(0.0, 1.0)
-        pa = data.draw(closed_loops(dim))
-        if data.draw(st.booleans()):
-            noise = data.draw(hnp.arrays(np.float64, pa.shape,
-                                         elements=st.floats(-1e-3, 1e-3)))
-            pb = pa + noise
-        else:
-            pb = data.draw(closed_loops(dim))
-        if dim == 2:
-            k = data.draw(hnp.arrays(np.float64, 2, elements=st.integers(-2, 2)))
-            pb = pb + k * np.asarray(sys.surface.box)
-        gap = _support_gap(*sys.surface.align_loops(pa, pb))
-        # slack: rounding of coordinates up to ~16 in size
-        assert gap <= _poly_hausdorff(sys, pa, pb) + 1e-12
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), dim=st.sampled_from([2, 3]))
-    def test_matched_bound_bounds_poly_hausdorff(self, data, dim):
-        # the second loop is a fresh loop, or a copy of the first started at
-        # another vertex, maybe reversed and noisy; on the torus it may also
-        # be shifted by whole periods before alignment
-        sys = make_model(1.0, 1.0) if dim == 3 else make_model(0.0, 1.0)
-        pa = data.draw(closed_loops(dim))
-        kind = data.draw(st.sampled_from(["fresh", "phase", "reversed"]))
-        if kind == "fresh":
-            pb = data.draw(closed_loops(dim))
-        else:
-            ring = np.roll(pa[:-1], data.draw(st.integers(0, len(pa) - 2)), axis=0)
-            if kind == "reversed":
-                ring = ring[::-1]
-            ring = ring + data.draw(hnp.arrays(np.float64, ring.shape,
-                                               elements=st.floats(-1e-3, 1e-3)))
-            pb = np.vstack([ring, ring[:1]])
-        if dim == 2:
-            k = data.draw(hnp.arrays(np.float64, 2, elements=st.integers(-2, 2)))
-            pb = pb + k * np.asarray(sys.surface.box)
-        bound = _matched_bound(*sys.surface.align_loops(pa, pb))
-        assert bound >= _poly_hausdorff(sys, pa, pb) - 1e-12
-
-    def test_sphere_decisions_match_all_pairs(self, monkeypatch):
+    # each chart's orbits: a circle, a copy started at another phase, one
+    # offset by 0.5 DEDUP_TOL (merged), b offset by 1.5 DEDUP_TOL (kept),
+    # one 1.6 DEDUP_TOL from a and 0.1 from b (merged into b), and a circle
+    # far away with its own phase copy
+    def test_sphere_decisions_match_all_pairs(self):
         sys = make_model(1.0, 1.0)
-        z, x = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]
-        found = [sphere_circle("a", z, 0.6, 0.0),
-                 sphere_circle("a_phase", z, 0.6, 0.3),
-                 sphere_circle("a_near", z, 0.6 + 5e-5, 1.1),     # within tol
-                 sphere_circle("b", z, 0.6 + 1.5e-4, 0.0),       # just beyond tol
-                 sphere_circle("c", x, 0.6, 0.2),
-                 sphere_circle("c_phase", x, 0.6, 2.0),
-                 sphere_circle("b_near", z, 0.6 + 1.6e-4, 0.7)]  # beyond a, within b
-        expected = keep_all_pairs(sys, found)
-        assert expected == ["a", "b", "c"]
-        calls = counting_hausdorff(monkeypatch)
-        assert [o.seed_id for o in orbits_mod.deduplicate(sys, found)] == expected
-        # the support gap settles the far pairs and the matched bound the
-        # phase-shifted copies; three pairs within 2 dedup_tol of each other
-        # but not within dedup_tol / 2 need the exact pass
-        assert len(calls) == 3
+        a = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        far = np.array([1.0, 0.0, 0.0])
+        cases = [("a", a, 0), ("a_phase", a, 137), ("a_near", offset(sys, a, 0.5), 300),
+                 ("b", offset(sys, a, 1.5), 0), ("c", far, 20), ("c_phase", far, 411),
+                 ("b_near", offset(sys, a, 1.6), 77)]
+        assert decisions(sys, cases) == (["a", "b", "c"], ["a", "b", "c"])
 
-    def test_torus_decisions_match_all_pairs(self, monkeypatch):
+    def test_torus_decisions_match_all_pairs(self):
+        # copies on the universal cover, whole periods away, are one orbit
         sys = make_model(0.0, 1.0)
         p1, p2 = sys.surface.box
-        found = [torus_circle("a", [1.0, 1.0], 0.0),
-                 torus_circle("a_period", [1.0 + p1, 1.0], 0.4),
-                 torus_circle("a_near", [1.0 + 3e-5, 1.0 - p2], 2.5),
-                 torus_circle("b", [1.0 + 1.5e-4, 1.0], 0.0),
-                 torus_circle("c", [3.0, 2.0], 1.0),
-                 torus_circle("c_period", [3.0 + p1, 2.0 + p2], 2.0)]
-        expected = keep_all_pairs(sys, found)
-        assert expected == ["a", "b", "c"]
-        calls = counting_hausdorff(monkeypatch)
-        assert [o.seed_id for o in orbits_mod.deduplicate(sys, found)] == expected
-        # only b against a (1.5e-4 apart) is left to the exact pass
-        assert len(calls) == 1
+        a, far = np.array([1.0, 1.0]), np.array([3.0, 2.0])
+        cases = [("a", a, 0), ("a_period", a + (p1, 0.0), 200),
+                 ("a_near", offset(sys, a, 0.5) - (0.0, p2), 330),
+                 ("b", offset(sys, a, 1.5), 0), ("c", far, 100),
+                 ("c_period", far + (p1, p2), 450), ("b_near", offset(sys, a, 1.6), 5)]
+        assert decisions(sys, cases) == (["a", "b", "c"], ["a", "b", "c"])
 
-    def test_zoll_sphere_census_needs_no_exact_pass(self, monkeypatch):
-        # every seed of the Zoll sphere closes on its own circle, O(1) apart
-        calls = counting_hausdorff(monkeypatch)
-        found = enumerate_orbits(make_model(1.0, 1.0), grid_density=3, tol=1e-9)
-        assert len(found) == found.seeds_attempted == 11
-        assert calls == []
+    def test_hyperbolic_decisions_match_all_pairs(self):
+        sys = make_model(-1.0, 2.0)
+        a, far = np.array([1.2, 0.7]), np.array([0.9, -2.0])
+        cases = [("a", a, 0), ("a_phase", a, 256), ("a_near", offset(sys, a, 0.5), 31),
+                 ("b", offset(sys, a, 1.5), 0), ("c", far, 60), ("c_phase", far, 389),
+                 ("b_near", offset(sys, a, 1.6), 500)]
+        assert decisions(sys, cases) == (["a", "b", "c"], ["a", "b", "c"])
 
-    def test_perturbed_sphere_census_needs_no_exact_pass(self, monkeypatch):
-        # the census seeds one orbit per critical point of the orbit-space
-        # average, so dedup gets two loops far apart, which the support gap
-        # settles
-        calls = counting_hausdorff(monkeypatch)
-        dedup_in = []
-        dedup = orbits_mod.deduplicate
-
-        def counted(sys, orbits, **kw):
-            dedup_in.append(len(orbits))
-            return dedup(sys, orbits, **kw)
-
-        monkeypatch.setattr(orbits_mod, "deduplicate", counted)
-        found = enumerate_orbits(perturbed_sphere(0.05), grid_density=3, tol=1e-9)
-        assert dedup_in == [2] and len(found) == 2
-        assert calls == []
+    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+    def test_perturbed_orbit_started_elsewhere_is_a_duplicate(self, kappa):
+        # off the Zoll family orbit_space_point moves along the orbit (by
+        # 7e-4 to 3e-2 here, beyond DEDUP_TOL), but its time mean does not
+        # depend on where the samples start
+        sys = perturbed_system(kappa)
+        c = {1.0: (0.6, 0.0, 0.8), 0.0: (0.5, 1.0), -1.0: (0.0, 0.0)}[kappa]
+        orb = find_closed_orbit(sys, sys.surface.zoll_state(sys, np.array(c)), tol=1e-11,
+                                seed_id="a")
+        found = [orb]
+        for t0 in (0.4, 1.7, 3.3):
+            tr = flow(sys, flow(sys, orb.state(0), t0, tol=1e-12).state(-1), orb.period,
+                      tol=1e-12, n_samples=len(orb.times))
+            found.append(Orbit(tr.states, tr.times, tr.speed_drift, residual=0.0,
+                               seed_id=f"a_from_{t0}"))
+        assert [o.seed_id for o in orbits_mod.deduplicate(sys, found)] == ["a"]
