@@ -1,12 +1,15 @@
 """tools/compare_reports.py: one line per JSON key and CSV column, "identical"
-or the largest |difference|, and an exit status that says whether all match."""
+or the largest |difference|, and an exit status that says whether all match.
+tools/run_configs.py: each config's outputs and run.json, which
+compare_reports reads."""
 
 import json
 import runpy
 from pathlib import Path
 
-COMPARE = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
-main = runpy.run_path(str(COMPARE))["main"]
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = TOOLS.parent / "src"
+main = runpy.run_path(str(TOOLS / "compare_reports.py"))["main"]
 
 
 def write_run(path, lengths, verdict="PASS", x=(0.5, 0.25)):
@@ -44,3 +47,25 @@ def test_changed_entry_count(tmp_path, capsys):
     assert main([str(tmp_path / "old" / "report.json"),
                  str(tmp_path / "new" / "report.json")]) == 1
     assert "magnetic_lengths: changed shape: 2 -> 1 entries" in capsys.readouterr().out
+
+
+def test_run_configs_writes_what_compare_reports_reads(tmp_path, capsys):
+    run_configs = runpy.run_path(str(TOOLS / "run_configs.py"))
+    configs = run_configs["all_configs"]()
+    # the four benchmark workloads and the Baseline table's 19 configs
+    assert {"census-zoll-sphere", "census-perturbed-sphere", "census-perturbed-torus",
+            "volume-oracle-sphere"} <= set(configs)
+    assert len(run_configs["BASELINE"]) == 19
+    for side in ("old", "new"):
+        assert run_configs["main"]([str(SRC), str(tmp_path / side), "torus_cos_x_gd1",
+                                    "horocycle_gd2"], tmp_path / "configs") == 0
+    capsys.readouterr()
+    run = json.loads((tmp_path / "old" / "torus_cos_x_gd1" / "run.json").read_text())
+    assert run["exit_code"] == 2 and run["stdout"].startswith("orbits=1 ")
+    assert "eps may exceed" in json.loads(
+        (tmp_path / "old" / "horocycle_gd2" / "run.json").read_text())["stderr"]
+    assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    out = capsys.readouterr().out
+    assert "torus_cos_x_gd1/run.json: stdout: identical" in out
+    assert "torus_cos_x_gd1/run_meta.json: provenance: identical" in out
+    assert "torus_cos_x_gd1/orbit_center_0_0.csv: x: identical" in out

@@ -5,7 +5,8 @@ Usage:
     python3 tools/compare_reports.py OLD NEW
 
 OLD and NEW are two output directories (of ``systole``, ``orbit``, ``sweep``
-or ``volume``) or two JSON or CSV files.  For each top-level key of every
+or ``volume``, or of ``tools/run_configs.py``, whose subdirectories are
+compared too) or two JSON or CSV files.  For each top-level key of every
 JSON file the two sides share (report.json, volume.json, ...) and for each
 column of every CSV file they share (summary.csv, orbit_*.csv), one line
 says "identical" or gives the largest |difference| of the numbers under it.
@@ -91,6 +92,12 @@ def compare_files(old, new, label):
     return lines, same
 
 
+def report_files(root):
+    """The JSON and CSV files under a directory, as paths relative to it."""
+    return {p.relative_to(root).as_posix() for p in root.rglob("*")
+            if p.suffix in (".json", ".csv")}
+
+
 def main(argv):
     if len(argv) != 2:
         print("usage: python3 tools/compare_reports.py OLD NEW", file=sys.stderr)
@@ -98,8 +105,7 @@ def main(argv):
     old, new = Path(argv[0]), Path(argv[1])
     pairs, only = [(old, new, new.name)], []
     if old.is_dir() and new.is_dir():
-        names_a = {p.name for p in old.iterdir() if p.suffix in (".json", ".csv")}
-        names_b = {p.name for p in new.iterdir() if p.suffix in (".json", ".csv")}
+        names_a, names_b = report_files(old), report_files(new)
         pairs = [(old / n, new / n, n) for n in sorted(names_a & names_b)]
         only = [f"{n}: only in {'OLD' if n in names_a else 'NEW'}"
                 for n in sorted(names_a ^ names_b)]

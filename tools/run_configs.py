@@ -1,0 +1,130 @@
+"""Run a fixed set of configs through the command line of one source tree.
+
+Usage:
+
+    python3 tools/run_configs.py SRC OUT [NAME ...]
+
+SRC is the ``src`` directory of a checkout; its ``magsys_lab`` is imported
+and each config runs in this process through ``magsys_lab.cli.main``, one
+output directory ``OUT/<name>`` each.  The configs are the four benchmark
+workloads (read from ``perfbench/workloads.py`` beside this tool, which is
+executed, not imported, so nothing is written into perfbench/), every
+config of the ROADMAP's Baseline census table, and a few runs with an
+attached 1-form and one ``sweep``.  NAME restricts the run to those configs.
+
+Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, so
+that ``python3 tools/compare_reports.py OLD NEW`` on the OUT directories of
+two trees compares them with the report files.  The config files are
+written to one directory whatever SRC is (``CONFIG_DIR``), so the
+provenance in ``run_meta.json`` (the config's absolute path) matches between
+trees.  BLAS and OpenMP are held to one thread so that sums round alike.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+CONFIG_DIR = Path(tempfile.gettempdir()) / "magsys-lab-run-configs"
+
+BUMP = ("kappa = -1.0\nstrength = {s}\n[perturbation]\nfield = hyperbolic_bump\n"
+        "coeffs = 1.0, 0.5\neps = 0.05\n")
+TORUS_COS_X = "kappa = 0.0\nstrength = {s}\n[perturbation]\nfield = torus_cos_x\neps = {eps}\n"
+TORUS_ETA = ("kappa = 0.0\nstrength = 1.0\n[perturbation]\nfield = torus_cos_y\n"
+             "eta = torus_eta_sin_x\neps = 0.05\n")
+SPHERE_Z = "kappa = 1.0\nstrength = {s}\n[perturbation]\nfield = sphere_harmonic_z\neps = {eps}\n"
+BLIND_S = 1.0 / 2.404825557695773    # 1/j_{0,1}
+
+
+def _census(body, grid_density):
+    return ("systole", f"[model]\n{body}[search]\ngrid_density = {grid_density}\n")
+
+
+# name: (subcommand, config text); the Baseline table first, row by row
+BASELINE = {
+    **{f"torus_cos_x_gd{g}": _census(TORUS_COS_X.format(s=1.0, eps=0.05), g)
+       for g in (1, 2, 3, 4)},
+    **{f"blind_torus_gd{g}": _census(TORUS_COS_X.format(s=BLIND_S, eps=0.05), g)
+       for g in (2, 3, 4)},
+    **{f"torus_eta_gd{g}": _census(TORUS_ETA, g) for g in (2, 3, 4)},
+    **{f"hyperbolic_bump_gd{g}": _census(BUMP.format(s=2.0), g) for g in (2, 3, 4)},
+    **{f"horocycle_gd{g}": _census(BUMP.format(s=1.0001), g) for g in (2, 3)},
+    **{f"sphere_harmonic_z_s0.01_gd{g}": _census(SPHERE_Z.format(s=0.01, eps=0.05), g)
+       for g in (3, 4)},
+    "sphere_harmonic_z_eps0.8": _census(SPHERE_Z.format(s=1.0, eps=0.8), 3),
+    "torus_cos_x_eps0.4": _census(TORUS_COS_X.format(s=1.0, eps=0.4), 3),
+}
+EXTRA = {
+    "sphere_eta_axial": _census(SPHERE_Z.format(s=1.0, eps=0.05)
+                                + "eta = sphere_eta_axial\n", 3),
+    "hyperbolic_eta_radial": _census(BUMP.format(s=2.0) + "eta = hyperbolic_eta_radial\n", 3),
+    "sphere_sweep": ("sweep", "[model]\n" + SPHERE_Z.format(s=1.0, eps=0.05)
+                     + "[search]\ngrid_density = 3\neps_list = 0.05, 0.1, 0.2, 0.4\n"),
+}
+
+
+def workload_configs():
+    """(subcommand, config text) of each benchmark workload."""
+    module = types.ModuleType("perfbench_workloads")
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(WORKLOADS_PY.read_text(encoding="utf-8"), str(WORKLOADS_PY), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return {name: (w.command, w.config) for name, w in module.WORKLOADS.items()}
+
+
+def all_configs():
+    return {**workload_configs(), **BASELINE, **EXTRA}
+
+
+def run_one(cli, name, command, text, out, config_dir):
+    """Run one config and write its run.json; returns the exit code."""
+    config_dir.mkdir(parents=True, exist_ok=True)
+    path = config_dir / f"{name}.cfg"
+    path.write_text(text, encoding="utf-8")
+    outdir = out / name
+    outdir.mkdir(parents=True, exist_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--config", str(path), "--out", str(outdir)])
+    run = {"command": command, "exit_code": code,
+           "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    (outdir / "run.json").write_text(json.dumps(run, indent=2) + "\n", encoding="utf-8")
+    return code
+
+
+def main(argv, config_dir=CONFIG_DIR):
+    if len(argv) < 2:
+        print("usage: python3 tools/run_configs.py SRC OUT [NAME ...]", file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path.insert(0, str(src))
+    from magsys_lab import cli
+    if Path(cli.__file__).resolve().parent != src / "magsys_lab":
+        print(f"magsys_lab was imported from {cli.__file__}, not from {src}", file=sys.stderr)
+        return 2
+    configs = all_configs()
+    names = argv[2:] or list(configs)
+    unknown = [n for n in names if n not in configs]
+    if unknown:
+        print(f"unknown config(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    for name in names:
+        command, text = configs[name]
+        print(f"{name}: exit {run_one(cli, name, command, text, out, config_dir)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
