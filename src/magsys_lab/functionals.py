@@ -5,11 +5,12 @@ regions a short loop bounds, take the one the rotated velocity J v (the
 acceleration side) points into.
 
 The flux is a boundary integral (Stokes): sigma = sigma0 + eps d(eta), so
-int_D sigma is the loop integral of an explicit primitive of sigma0 (each
-chart's ``green_integrand``) plus eps oint eta, both by the periodic
-trapezoid rule over the orbit's samples.  The primitive needs a simple loop
-around the cap centre; each chart object's ``cap_loop`` gives the loop in a
-plane picture of the cap, with its centre, for that check.
+int_D sigma is the loop integral of an explicit primitive of sigma0 plus
+eps oint eta, both by the periodic trapezoid rule over the orbit's samples.
+One call of the chart's ``cap`` gives the primitive's per-sample integrand
+with the loop in a plane picture of the cap and the cap centre; the
+primitive needs a simple loop around that centre, which ``_check_cap``
+tests before the integrand is summed.
 ``closed_form_flux`` is the exact unperturbed value
 2 pi s / (sqrt(s^2+kappa) (sqrt(s^2+kappa)+s)).
 """
@@ -77,9 +78,10 @@ def flux_through_cap(sys: MagneticSystem, orbit: Orbit) -> float:
     """Signed flux s * int_D sigma over the inward-normal capping disk."""
     pos, vel = _loop(orbit)
     closure = orbit.positions()[-1] - orbit.positions()[0]
-    _check_cap(*sys.surface.cap_loop(pos, vel, closure))
+    plane, center, integrand = sys.surface.cap(pos, vel, closure)
+    _check_cap(plane, center)
     h = orbit.period / (len(orbit.states) - 1)
-    flux = float(h * np.sum(sys.surface.green_integrand(pos, vel)))
+    flux = float(h * np.sum(integrand))
     if sys.sigma_perturbation is not None:
         comp = sys.sigma_perturbation.components(sys.surface, pos)
         flux += sys.conformal_eps * float(h * np.sum(np.sum(comp * vel, axis=1)))

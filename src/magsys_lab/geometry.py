@@ -221,19 +221,19 @@ class ChartOps:
     Two surfaces are equal, and hash alike, when they share class and kappa.
 
     Every chart has metric coordinates (r, p) with g0 = dr^2 + w(r)^2 dp^2,
-    where w = 1 on the torus; ``w_wp`` gives (w, w') with ``math``, or with
-    the module passed as ``fn`` (numpy for arrays).  (r, p) range over
-    ``box``, and ``box_points`` gives the chart points and w(r) at arrays of
-    them: the one formula of both volume integrals, ``riemannian_volume`` and
-    the Monte Carlo oracle of ``volume``.
+    where w = 1 on the torus.  (r, p) range over ``box``, and
+    ``box_points`` gives the chart points and w(r) at arrays of them: the one
+    formula of both volume integrals, ``riemannian_volume`` and the Monte
+    Carlo oracle of ``volume``.  The planar charts' ``w_wp`` gives (w, w')
+    with ``math``, or with the module passed as ``fn`` (numpy for arrays).
     Each chart has one planar image, ``to_plane`` and its inverse
-    ``from_plane`` on (..., d) arrays, with derivative ``plane_jacobian``;
-    the Poincare section is a hyperplane of it (``section_normal``), and the
-    sphere's image is R^3 itself.  The
-    capping disk is the region that the rotated velocity J v points into;
-    ``green_integrand`` integrates a primitive of sigma0 along its boundary
-    loop, and ``cap_loop`` gives that loop in a plane picture with the cap
-    centre, about which the loop must be star-shaped for the primitive.
+    ``from_plane`` on (..., d) arrays, with derivative ``plane_jacobian``
+    (the sphere's image is R^3 itself); the Poincare section is the
+    hyperplane of it through q normal to ``section_normal(q, v)``.  The
+    capping disk is the region that the rotated velocity J v points into.
+    ``cap`` gives, in one call, its boundary loop in a plane picture, the
+    cap centre, about which the loop must be star-shaped, and the per-sample
+    integrand of a primitive of sigma0 along the loop.
     """
 
     dim = 2
@@ -297,10 +297,10 @@ class ChartOps:
         """d(plane)/d(chart) at chart point q."""
         return np.eye(self.dim)
 
-    def cap_loop(self, pos, vel, closure):
-        """The loop in the planar image, and its mean."""
-        plane = self.to_plane(pos)
-        return plane, plane.mean(axis=0)
+    def section_normal(self, q, v):
+        """The velocity v at q in the planar image, normalised."""
+        vp = self.plane_jacobian(q) @ v
+        return vp / np.linalg.norm(vp)
 
     # the orbit space: one point c for each Zoll circle (an axis on the sphere,
     # a centre on the torus and on the hyperbolic chart), held as a row of an
@@ -368,10 +368,6 @@ class SphereChart(ChartOps):
         self.sk = math.sqrt(self.kappa)
         self.R = 1.0 / self.sk
         self.box = (math.pi / self.sk, 2.0 * math.pi)    # (theta, phi)
-
-    # metric coordinates
-    def w_wp(self, rho, fn=math):
-        return fn.sin(self.sk * rho) / self.sk, fn.cos(self.sk * rho)
 
     # g0, J and the flow
     def rotate90(self, q, v):
@@ -504,35 +500,21 @@ class SphereChart(ChartOps):
         jv = self.rotate90(q, v) / np.linalg.norm(v, axis=-1, keepdims=True)
         return math.cos(alpha) * (q * self.sk) + (turn * math.sin(alpha)) * jv
 
-    def section_normal(self, q, v):
-        return v / np.linalg.norm(v)
-
-    # capping disks
-    def _cap_coordinates(self, pos, vel):
-        """Distance theta of each sample from the cap centre and a frame
-        (e1, e2) of the plane orthogonal to the centre."""
+    def cap(self, pos, vel, closure):
+        """The loop seen along the cap axis, its centre 0, and per sample the
+        primitive at distance theta from the cap centre times d(azimuth)/dt."""
         axis = np.cross(pos, vel).mean(axis=0)
         nrm = np.linalg.norm(axis)
         if nrm == 0.0:
             raise CapNotFound("orbit has no preferred axis")
-        center = axis / nrm * self.R       # the cap centre on the sphere
-        chat = center / self.R
+        chat = axis / nrm * self.R / self.R    # the cap centre on the sphere, over R
         theta = self.R * np.arccos(np.clip(pos @ chat / self.R, -1.0, 1.0))
-        return (theta, *self.frame(chat))
-
-    def cap_loop(self, pos, vel, closure):
-        """The loop seen along the cap axis, and its centre 0."""
-        _, e1, e2 = self._cap_coordinates(pos, vel)
-        return np.stack([pos @ e1, pos @ e2], axis=1), np.zeros(2)
-
-    def green_integrand(self, pos, vel):
-        """Per-sample integrand of the sigma0 flux: primitive times d(azimuth)/dt."""
-        theta, e1, e2 = self._cap_coordinates(pos, vel)
+        e1, e2 = self.frame(chat)
         x1, x2 = pos @ e1, pos @ e2
         v1, v2 = vel @ e1, vel @ e2
         phi_dot = (x1 * v2 - x2 * v1) / (x1**2 + x2**2)
         prim = (1.0 - np.cos(self.sk * theta)) / self.kappa
-        return prim * phi_dot
+        return np.stack([x1, x2], axis=1), np.zeros(2), prim * phi_dot
 
 
 class _PlanarChart(ChartOps):
@@ -599,13 +581,11 @@ class _PlanarChart(ChartOps):
         (r, p) of the box."""
         return np.stack([r, p], axis=-1), self.w_wp(r, np)[0]
 
-    def section_normal(self, q, v):
-        vp = self.plane_jacobian(q) @ v
-        return vp / np.linalg.norm(vp)
-
-    def green_integrand(self, pos, vel):
-        """Per-sample integrand of the sigma0 flux: a primitive times dp/dt."""
-        return self._green_primitive(pos) * vel[:, 1]
+    def cap(self, pos, vel, closure):
+        """The loop in the planar image, its mean, and per sample a primitive
+        times dp/dt."""
+        plane = self.to_plane(pos)
+        return plane, plane.mean(axis=0), self._green_primitive(pos) * vel[:, 1]
 
 
 class HyperbolicChart(_PlanarChart):
@@ -798,11 +778,11 @@ class TorusChart(_PlanarChart):
         speed of the circles, not to unit g-speed."""
         return q + self.rotate90(q, v) / (sys.strength * np.sqrt(self.g0_dot(q, v, v)))[..., None]
 
-    def cap_loop(self, pos, vel, closure):
+    def cap(self, pos, vel, closure):
         """A loop winding around the torus has no cap."""
         if np.any(np.round(closure / np.array(self.box)) != 0):
             raise CapNotFound("orbit winds around the torus; no capping disk in the chart")
-        return super().cap_loop(pos, vel, closure)
+        return super().cap(pos, vel, closure)
 
     def _green_primitive(self, pos):
         return pos[:, 0]

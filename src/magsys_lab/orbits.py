@@ -112,8 +112,7 @@ def _section_value(sys, spec, q):
 
 
 def _crossing_speed(sys, spec, q, v):
-    vv = sys.surface.plane_jacobian(q) @ v
-    return float(vv @ spec.normal) / np.linalg.norm(vv)
+    return float(sys.surface.section_normal(q, v) @ spec.normal)
 
 
 def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):

@@ -45,10 +45,11 @@ def christoffel0(w, wp):
 
 def stencil_curvature(surface, r, h=1e-3):
     """Gaussian curvature -w''/w of g0 = dr^2 + w(r)^2 dp^2 at the radii r,
-    with w'' from a 5-point stencil of step h on w, the first entry of
-    ``surface.w_wp``; independent of any closed-form curvature expression."""
+    with w'' from a 5-point stencil of step h on w, the area weight of
+    ``surface.box_points`` (the weight both volume integrals use);
+    independent of any closed-form curvature expression."""
     def w(x):
-        return surface.w_wp(x, np)[0]
+        return surface.box_points(x, np.zeros_like(x))[1]
     d2 = (-w(r - 2 * h) + 16 * w(r - h) - 30 * w(r) + 16 * w(r + h) - w(r + 2 * h)) / 12
     return -d2 / (h * h * w(r))
 

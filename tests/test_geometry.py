@@ -242,20 +242,36 @@ def test_zoll_circle_runs_through_the_zoll_state(kappa, s):
         assert np.max(np.abs(dq / (2.0 * ds) - v[i, 0])) < 1e-3
 
 
-def test_one_section_on_one_planar_image():
-    # the Poincare section is written once, as a hyperplane of the charts'
-    # planar images, with one normal for R^3 and one for the plane
+def package_functions():
+    """(every function definition of the package, every attribute name it reads)."""
     package = Path(__file__).resolve().parent.parent / "src" / "magsys_lab"
     defs, names = [], set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef):
-                defs.append(node.name)
+                defs.append(node)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+    return defs, names
+
+
+def test_one_section_on_one_planar_image():
+    # the Poincare section is written once, as a hyperplane of the charts'
+    # planar images, with one normal: the velocity's planar image (on the
+    # sphere R^3 itself)
+    nodes, names = package_functions()
+    defs = [node.name for node in nodes]
     assert defs.count("make_section") == 1 and defs.count("_section_value") == 1
-    assert defs.count("section_normal") == 2
+    assert defs.count("section_normal") == 1
     assert not {"_plane_image", "_lower", "plane_velocity"} & (set(defs) | names)
+
+
+def test_one_cap_call_per_orbit():
+    # the cap's loop, centre and flux integrand come from one call, ``cap``
+    nodes, names = package_functions()
+    defs = {node.name for node in nodes}
+    assert "cap" in defs
+    assert not {"cap_loop", "green_integrand", "_cap_coordinates"} & (defs | names)
 
 
 def test_sphere_cross_product_is_numpy_s_bit_for_bit():
