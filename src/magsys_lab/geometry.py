@@ -225,7 +225,8 @@ class ChartOps:
     ``box_points`` gives the chart points and w(r) at arrays of them: the one
     formula of both volume integrals, ``riemannian_volume`` and the Monte
     Carlo oracle of ``volume``.  The planar charts' ``w_wp`` gives (w, w')
-    with ``math``, or with the module passed as ``fn`` (numpy for arrays).
+    by numpy at one radius and at arrays of them alike, so that each rounds
+    as the other.
     Each chart has one planar image, ``to_plane`` and its inverse
     ``from_plane`` on (..., d) arrays, with derivative ``plane_jacobian``
     (the sphere's image is R^3 itself); the Poincare section is the
@@ -521,7 +522,7 @@ class _PlanarChart(ChartOps):
     """Formulas shared by the two charts whose points are (r, p) pairs."""
 
     def rotate90(self, q, v):
-        w = self.w_wp(q[..., 0], np)[0]
+        w = self.w_wp(q[..., 0])[0]
         out = np.empty_like(v)
         out[..., 0] = -w * v[..., 1]
         out[..., 1] = v[..., 0] / w
@@ -534,7 +535,8 @@ class _PlanarChart(ChartOps):
         with (w, w') = (1, 0) on the torus, and a perturbed system adds
         -2 (dl.v) v + |v|^2_g0 (dl_r, dl_p / w^2) and the density b.  The
         arithmetic runs on Python floats in the order numpy's elementwise
-        operations would use, and dl.v is summed left to right.
+        operations would use, and dl.v is summed left to right; w and w' are
+        ``w_wp``'s, as the array paths take them, converted to floats.
         """
         s, w_wp = sys.strength, self.w_wp
         s1 = float(s)    # s b with b = 1
@@ -546,6 +548,7 @@ class _PlanarChart(ChartOps):
             L = y.tolist()
             r, _, v0, v1 = L
             w, wp = w_wp(r)
+            w, wp = float(w), float(wp)
             sb = s1
             a0 = w * wp * (v1 * v1)
             a1 = -2.0 * (wp / w) * v0 * v1
@@ -564,7 +567,7 @@ class _PlanarChart(ChartOps):
     def g0_terms(self, q, v, dl):
         """(g0-gradient of Lambda, |v|^2_g0) from the differential dl at q;
         q, v and dl are (..., 2) arrays."""
-        w2 = self.w_wp(q[..., 0], np)[0] ** 2
+        w2 = self.w_wp(q[..., 0])[0] ** 2
         return (np.stack([dl[..., 0], dl[..., 1] / w2], axis=-1),
                 v[..., 0] ** 2 + w2 * v[..., 1] ** 2)
 
@@ -572,14 +575,14 @@ class _PlanarChart(ChartOps):
         """g0-covariant derivative of the velocity from its chart derivative dv:
         dv^k + Gamma^k_ij v^i v^j, whose only nonzero symbols are
         Gamma^r_pp = -w w' and Gamma^p_rp = Gamma^p_pr = w'/w."""
-        w, wp = self.w_wp(q[..., 0], np)
+        w, wp = self.w_wp(q[..., 0])
         return dv + np.stack([-w * wp * v[..., 1] ** 2,
                               2.0 * (wp / w) * v[..., 0] * v[..., 1]], axis=-1)
 
     def box_points(self, r, p):
         """The chart points and the area weight w(r) at the metric coordinates
         (r, p) of the box."""
-        return np.stack([r, p], axis=-1), self.w_wp(r, np)[0]
+        return np.stack([r, p], axis=-1), self.w_wp(r)[0]
 
     def cap(self, pos, vel, closure):
         """The loop in the planar image, its mean, and per sample a primitive
@@ -608,11 +611,11 @@ class HyperbolicChart(_PlanarChart):
         self.domain_rho = 3.0 / self.sk
         self.box = (self.domain_rho, 2.0 * math.pi)
 
-    def w_wp(self, rho, fn=math):
-        return fn.sinh(self.sk * rho) / self.sk, fn.cosh(self.sk * rho)
+    def w_wp(self, rho):
+        return np.sinh(self.sk * rho) / self.sk, np.cosh(self.sk * rho)
 
     def g0_dot(self, q, u, v):
-        w = self.w_wp(np.asarray(q, dtype=float)[..., 0], np)[0]
+        w = self.w_wp(np.asarray(q, dtype=float)[..., 0])[0]
         return u[..., 0] * v[..., 0] + w**2 * u[..., 1] * v[..., 1]
 
     def project(self, q, v):
@@ -733,7 +736,7 @@ class TorusChart(_PlanarChart):
         super().__init__(kappa)
         self.box = (2.0 * math.pi, 2.0 * math.pi)
 
-    def w_wp(self, rho, fn=math):
+    def w_wp(self, rho):
         return 1.0, 0.0
 
     def wrap(self, q, ref):

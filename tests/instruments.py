@@ -31,7 +31,7 @@ def sigma0(surface, q, u, v):
     outward unit normal on the sphere, w (u_r v_p - u_p v_r) on the planar charts."""
     if isinstance(surface, SphereChart):
         return float(np.dot(q * surface.sk, np.cross(u, v)))
-    return float(surface.w_wp(q[0], np)[0]) * (u[0] * v[1] - u[1] * v[0])
+    return float(surface.w_wp(q[0])[0]) * (u[0] * v[1] - u[1] * v[0])
 
 
 def christoffel0(w, wp):

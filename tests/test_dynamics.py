@@ -232,13 +232,13 @@ def _dot(a, b):
     return out
 
 
-def _geodesic(ops, q, v):
+def _geodesic(ops, q, v, w_wp):
     """(g0 geodesic acceleration, frame): the unit normal on the sphere, w elsewhere."""
     if isinstance(ops, SphereChart):
         return -_dot(v, v) * ops.kappa * q, q * ops.sk
     if isinstance(ops, TorusChart):
         return np.zeros(2), 1.0
-    w, wp = ops.w_wp(q[0])
+    w, wp = (w_wp or ops.w_wp)(q[0])
     return np.array([w * wp * (v[1] * v[1]), -2.0 * (wp / w) * v[0] * v[1]]), w
 
 
@@ -255,15 +255,16 @@ def _rotate(ops, v, frame):
     return np.array([-frame * v[1], v[0] / frame])
 
 
-def reference_rhs(sys):
-    """nabla^g_v v = s b(q) J v composed from the public field functions."""
+def reference_rhs(sys, w_wp=None):
+    """nabla^g_v v = s b(q) J v composed from the public field functions, with
+    (w, w') at r from w_wp(r), by default the chart's."""
     ops = sys.surface
     d, s = ops.dim, sys.strength
     perturbed = not sys.is_unperturbed()
 
     def f(t, y):
         q, v = y[:d], y[d:]
-        acc, frame = _geodesic(ops, q, v)
+        acc, frame = _geodesic(ops, q, v, w_wp)
         b = 1.0
         if perturbed:
             dl = conf_log_diff(sys, q)
@@ -285,7 +286,7 @@ def reference_curvature(sys, q, v, dv):
         frame = n
     else:
         cov = dv + np.einsum("kij,i,j->k", christoffel0(*ops.w_wp(q[0])), v, v)
-        frame = float(ops.w_wp(q[0], np)[0])
+        frame = float(ops.w_wp(q[0])[0])
     if not sys.is_unperturbed():
         dl = conf_log_diff(sys, q)
         grad, v0sq = _g0_terms(ops, q, v, dl, frame)
@@ -334,6 +335,20 @@ class TestRhsKernel:
             y = np.concatenate([st.position, scale * st.velocity])
             got, want = f(0.0, y), ref(0.0, y.copy())
             assert np.array_equal(got, want), (y, got - want)
+
+    def test_hyperbolic_kernel_takes_w_as_the_array_path_does(self):
+        # one point rounds w and w' as many do: the kernel at each of 10^4
+        # states equals the composition fed (w, w') from one w_wp call on
+        # the array of all their radii
+        sys = conformal_perturb(make_model(-1.0, 2.0), ScalarField("hyperbolic_bump", (1.0, 0.5)),
+                                0.05, normalize=True)
+        f, rng = rhs(sys), np.random.default_rng(29)
+        ys = np.array([np.concatenate([st.position, st.velocity])
+                       for st in (random_state(sys, rng) for _ in range(10_000))])
+        ws, wps = sys.surface.w_wp(ys[:, 0])
+        for y, w, wp in zip(ys, ws, wps):
+            want = reference_rhs(sys, lambda r: (w, wp))(0.0, y.copy())
+            assert np.array_equal(f(0.0, y), want), y
 
 
 class TestCurvatureSeries:

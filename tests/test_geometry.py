@@ -266,12 +266,16 @@ def test_one_section_on_one_planar_image():
     assert not {"_plane_image", "_lower", "plane_velocity"} & (set(defs) | names)
 
 
-def test_one_cap_call_per_orbit():
-    # the cap's loop, centre and flux integrand come from one call, ``cap``
+def test_one_cap_call_and_one_weight_arithmetic():
+    # the cap's loop, centre and flux integrand come from one call, ``cap``;
+    # w_wp takes the radius alone, with no choice of arithmetic
     nodes, names = package_functions()
     defs = {node.name for node in nodes}
     assert "cap" in defs
     assert not {"cap_loop", "green_integrand", "_cap_coordinates"} & (defs | names)
+    w_wps = [node.args for node in nodes if node.name == "w_wp"]
+    assert w_wps and all(len(a.args) == 2 and not (a.kwonlyargs or a.vararg or a.kwarg)
+                         for a in w_wps)
 
 
 def test_sphere_cross_product_is_numpy_s_bit_for_bit():
