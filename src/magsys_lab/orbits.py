@@ -77,7 +77,7 @@ ORBIT_SPACE_REACH = 1.0            # orbit-space distance from the start; beyond
 DRIFT_FD_STEP = 1e-3
 STEP_RCOND = 1e-3                  # singular values below this share of the largest are cut
 NEWTON_DAMPING = 0.8
-DEDUP_TOL = 1e-4
+DEDUP_TOL = 1e-4                  # orbit-space points this close are one (orbits, critical points)
 ORBIT_SAMPLES = 512               # samples of each orbit's period
 TRANSVERSALITY_MIN = 1e-3
 AVERAGE_NODES = 64                # trapezoid nodes on each Zoll circle
@@ -86,7 +86,6 @@ SEARCH_FIRST_STEP = 0.1           # length of each search's first step
 SEARCH_MAX_STEP = 0.25            # longest step
 SEARCH_STEPS = 60                 # steps of each ascent or descent
 SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest, per unit of abar's scale over the starts
-CRITICAL_MERGE_TOL = 1e-4         # critical points this close are one
 CRITICAL_VALUE_TOL = 1e-6         # equal abar on a critical manifold, per unit scale
 MANIFOLD_SAMPLES = 8              # segments between two points of one critical manifold
 MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
@@ -379,7 +378,7 @@ def critical_points(sys, ids, starts, tol=ExperimentConfig.tol_orbit):
     ``<start>_min``: a local maximum and minimum, or a saddle from a start on
     its stable manifold.  A search that leaves the searched region yields no
     point.  Taken in that order, a critical point is dropped when it lies
-    within CRITICAL_MERGE_TOL of one already met or on one critical manifold
+    within DEDUP_TOL of one already met or on one critical manifold
     with it (``_same_manifold``), so that each Morse-Bott manifold keeps its
     first representative; the manifold's distinct points met so far link
     later ones to it.
@@ -403,7 +402,7 @@ def critical_points(sys, ids, starts, tol=ExperimentConfig.tol_orbit):
     # one group per representative: the distinct critical points met on its manifold
     kept, groups = [], []
     for (cid, p), fp in zip(cands, orbit_space_average(sys, points)):
-        if any(np.linalg.norm(surface.orbit_space_gap(q[None], p[None])) <= CRITICAL_MERGE_TOL
+        if any(np.linalg.norm(surface.orbit_space_gap(q[None], p[None])) <= DEDUP_TOL
                for grp in groups for q, _ in grp):
             continue
         group = next((grp for grp in groups if any(

@@ -41,8 +41,6 @@ from .geometry import (conformal_perturb, make_model, riemannian_volume,
                        with_sigma_perturbation)
 from .volume import identity_constant
 
-SHORT_LOOP_WINDOW = orbits.SHORT_LOOP_PERIOD_WINDOW
-
 
 @dataclass
 class ExperimentReport:
@@ -69,7 +67,7 @@ class ExperimentReport:
     full_rhs_affine: float
     full_rhs_ratio: float | None
     seeds_attempted: int
-    short_loop_window: float = SHORT_LOOP_WINDOW
+    short_loop_window: float = orbits.SHORT_LOOP_PERIOD_WINDOW
     error: str | None = None
 
     def to_dict(self):
