@@ -508,7 +508,7 @@ class SphereChart(ChartOps):
         nrm = np.linalg.norm(axis)
         if nrm == 0.0:
             raise CapNotFound("orbit has no preferred axis")
-        chat = axis / nrm * self.R / self.R    # the cap centre on the sphere, over R
+        chat = axis / nrm * self.R / self.R    # the cap centre axis / nrm * R, over R
         theta = self.R * np.arccos(np.clip(pos @ chat / self.R, -1.0, 1.0))
         e1, e2 = self.frame(chat)
         x1, x2 = pos @ e1, pos @ e2
