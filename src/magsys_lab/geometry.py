@@ -612,7 +612,8 @@ class HyperbolicChart(_PlanarChart):
         self.box = (self.domain_rho, 2.0 * math.pi)
 
     def w_wp(self, rho):
-        return np.sinh(self.sk * rho) / self.sk, np.cosh(self.sk * rho)
+        z = self.sk * rho
+        return np.sinh(z) / self.sk, np.cosh(z)
 
     def g0_dot(self, q, u, v):
         w = self.w_wp(np.asarray(q, dtype=float)[..., 0])[0]
