@@ -69,3 +69,25 @@ def test_run_configs_writes_what_compare_reports_reads(tmp_path, capsys):
     assert "torus_cos_x_gd1/run.json: stdout: identical" in out
     assert "torus_cos_x_gd1/run_meta.json: provenance: identical" in out
     assert "torus_cos_x_gd1/orbit_center_0_0.csv: x: identical" in out
+
+
+def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatch):
+    # the RHS count is checked against the stepper's own nfev over every solve
+    from magsys_lab import dynamics, orbits
+    plain_map, plain_rhs, nfev = orbits.return_map, dynamics.rhs, []
+    for module in (orbits, dynamics):
+        solve = module.solve_ivp
+
+        def counted(*args, _solve=solve, **kw):
+            sol = _solve(*args, **kw)
+            nfev.append(sol.nfev)
+            return sol
+        monkeypatch.setattr(module, "solve_ivp", counted)
+    run_configs = runpy.run_path(str(TOOLS / "run_configs.py"))
+    assert run_configs["main"]([str(SRC), str(tmp_path / "out"), "torus_cos_x_gd1"],
+                               tmp_path / "configs") == 0
+    run = json.loads((tmp_path / "out" / "torus_cos_x_gd1" / "run.json").read_text())
+    assert run["return_maps"] == 6
+    assert run["rhs_evals"] == sum(nfev) > 0
+    assert orbits.return_map is plain_map
+    assert orbits.rhs is dynamics.rhs is plain_rhs

@@ -12,9 +12,14 @@ executed, not imported, so nothing is written into perfbench/), every
 config of the ROADMAP's Baseline census table, and a few runs with an
 attached 1-form and one ``sweep``.  NAME restricts the run to those configs.
 
-Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, so
-that ``python3 tools/compare_reports.py OLD NEW`` on the OUT directories of
-two trees compares them with the report files.  The config files are
+Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
+two work counts: ``return_maps``, the calls of ``orbits.return_map``, and
+``rhs_evals``, the calls of the closures that the ``rhs`` factory returns
+where ``orbits`` and ``dynamics`` call it.  Both are counted by rebinding
+those module attributes for the run (restored afterwards), so the tool runs
+unchanged on any tree that has them.  ``python3 tools/compare_reports.py OLD
+NEW`` on the OUT directories of two trees compares them with the report
+files.  The config files are
 written to one directory whatever SRC is (``CONFIG_DIR``), so the
 provenance in ``run_meta.json`` (the config's absolute path) matches between
 trees.  BLAS and OpenMP are held to one thread so that sums round alike.
@@ -88,6 +93,33 @@ def all_configs():
     return {**workload_configs(), **BASELINE, **EXTRA}
 
 
+@contextlib.contextmanager
+def counting(package):
+    """Count return maps and RHS evaluations in ``package`` (the imported
+    magsys_lab) while the block runs; yields the dict of counts."""
+    counts = {"return_maps": 0, "rhs_evals": 0}
+    orbits, dynamics = package.orbits, package.dynamics
+    plain_map, plain_rhs = orbits.return_map, dynamics.rhs
+
+    def return_map(*args, **kw):
+        counts["return_maps"] += 1
+        return plain_map(*args, **kw)
+
+    def rhs(*args, **kw):
+        f = plain_rhs(*args, **kw)
+
+        def counted(t, y):
+            counts["rhs_evals"] += 1
+            return f(t, y)
+        return counted
+
+    orbits.return_map, orbits.rhs, dynamics.rhs = return_map, rhs, rhs
+    try:
+        yield counts
+    finally:
+        orbits.return_map, orbits.rhs, dynamics.rhs = plain_map, plain_rhs, plain_rhs
+
+
 def run_one(cli, name, command, text, out, config_dir):
     """Run one config and write its run.json; returns the exit code."""
     config_dir.mkdir(parents=True, exist_ok=True)
@@ -96,10 +128,11 @@ def run_one(cli, name, command, text, out, config_dir):
     outdir = out / name
     outdir.mkdir(parents=True, exist_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            counting(sys.modules[cli.__package__]) as counts:
         code = cli.main([command, "--config", str(path), "--out", str(outdir)])
     run = {"command": command, "exit_code": code,
-           "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+           "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), **counts}
     (outdir / "run.json").write_text(json.dumps(run, indent=2) + "\n", encoding="utf-8")
     return code
 
