@@ -53,6 +53,7 @@ B = A[12, :12]
 E3 = np.append(B, 0.0)                  # the 3rd-order error weights
 E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
 ROWS = [A[s, :s] for s in range(16)]
+NODES = C.tolist()
 EPS = np.finfo(float).eps
 
 OdeResult = namedtuple("OdeResult", "t y nfev success message sol t_event y_event",
@@ -78,10 +79,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
     d2 = np.linalg.norm((f1 - f) / scale) / n ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs, nfev = min(100 * h0, h1, interval, max_step), 2
-    ts, Fs, y_olds, crossed, t_event, y_event = [t], [], [], False, None, None
+    steps, crossed, t_event, y_event = [], False, None, None
     K = np.empty((16, n))
     KT = [K[:s].T for s in range(17)]
-    g = event and event(t, y)
+    abs_y, g = np.abs(y), event and event(t, y)
     while direction * (t - t_bound) < 0 and not crossed:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, rejected = max_step if h_abs > max_step else max(h_abs, min_step), False
@@ -93,41 +94,51 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
             h = t_new - t
             h_abs, K[0] = abs(h), f
             for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + np.dot(KT[s], ROWS[s]) * h)
+                K[s] = fun(t + NODES[s] * h, y + np.dot(KT[s], ROWS[s]) * h)
             y_new = y + h * np.dot(KT[12], B)
             K[12] = f_new = fun(t + h, y_new)
             nfev += 12
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5, e3 = (np.linalg.norm(np.dot(KT[13], e) / scale) ** 2 for e in (E5, E3))
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
+            e5, e3 = (_norm_squared(np.dot(KT[13], e) / scale) for e in (E5, E3))
             err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
             if err < 1:
                 factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.125), True
-        t_old, y_old, t, y, f, g_old = t, y, t_new, y_new, f_new, g
+        t_old, y_old, t, y, f, g_old, abs_y = t, y, t_new, y_new, f_new, g, abs_new
         g = event and event(t, y)
         crossed = event and g_old <= 0 <= g
         if dense_output or crossed:
             for s in (13, 14, 15):
-                K[s] = fun(t_old + C[s] * h, y_old + np.dot(KT[s], ROWS[s]) * h)
-            nfev, dy = nfev + 3, y - y_old
-            Fs.append(np.concatenate([[dy, h * K[0] - dy, 2 * dy - h * (f + K[0])],
-                                      h * np.dot(D, K)]))
-            ts.append(t)
-            y_olds.append(y_old)
+                K[s] = fun(t_old + NODES[s] * h, y_old + np.dot(KT[s], ROWS[s]) * h)
+            nfev += 3
+            steps.append((t_old, t, y_old, y, K.copy()))
         if crossed:
-            at = _interpolant([t_old, t], Fs[-1:], [y_old])
+            at = _interpolant(steps[-1:])
             t = t_event = _illinois(lambda s: event(s, at(s)), t_old, t)
             y = y_event = at(t)
-    sol = _interpolant(ts, Fs, y_olds) if dense_output else None
+    sol = _interpolant(steps) if dense_output else None
     return OdeResult(t, y, nfev, True, "event" if crossed else "end", sol, t_event, y_event)
 
 
-def _interpolant(ts, Fs, y_olds):
-    """sol(times): the (n, len(times)) states, or (n,) at one time, each by Horner's rule
-    on the step whose closed interval holds its time (the earlier one at a step end)."""
-    ts, F, y_old = np.array(ts), np.stack(Fs, -1), np.stack(y_olds, -1)
+def _norm_squared(x):
+    """|x|^2 as np.linalg.norm(x) ** 2 rounds it, bit for bit."""
+    return math.sqrt(x.dot(x)) ** 2
+
+
+def _interpolant(steps):
+    """sol(times) from the accepted steps (t_old, t, y_old, y, K): the (n, len(times))
+    states, or (n,) at one time, each by Horner's rule on the step whose closed interval
+    holds its time (the earlier one at a step end).  The 7 coefficient rows of every
+    step are built here, those of the dense-output stages by one batched product."""
+    t_olds, t_news, y_olds, y_news, Ks = map(np.array, zip(*steps))
+    ts, h = np.append(t_olds, t_news[-1]), (t_news - t_olds)[:, None]
+    dy = y_news - y_olds
+    F = np.concatenate([np.stack([dy, h * Ks[:, 0] - dy, 2 * dy - h * (Ks[:, 12] + Ks[:, 0])],
+                                 1), h[:, None] * np.matmul(D, Ks)], 1).transpose(1, 2, 0)
+    y_old = y_olds.T
     sign = 1.0 if ts[-1] >= ts[0] else -1.0
 
     def sol(times):

@@ -83,6 +83,25 @@ def test_dense_output(kappa, periods):
     assert np.max(np.abs(sol.sol(t_span[1]) - sol.y)) <= 1e-13
 
 
+@CHARTS
+def test_dense_output_moves_no_step(kappa):
+    # the dense-output stages are three more RHS calls after each accepted
+    # step; an event that never fires is called once per accepted step
+    sys = perturbed_system(kappa)
+    t_span = (0.0, 1.7 * reference_period(sys))
+    f, y0, accepted = rhs(sys), start(sys), []
+
+    def count(t, y):
+        accepted.append(t)
+        return -1.0
+
+    plain = ode.solve_ivp(f, t_span, y0, rtol=RTOL, atol=ATOL, event=count)
+    dense = ode.solve_ivp(f, t_span, y0, rtol=RTOL, atol=ATOL, dense_output=True)
+    assert plain.t == dense.t == t_span[1]
+    assert plain.y.tobytes() == dense.y.tobytes()
+    assert dense.nfev - plain.nfev == 3 * (len(accepted) - 1) > 0
+
+
 def test_short_backward_burst():
     # measure_geodesic_curvature's solves: 2e-3 of arc length either way
     sys = perturbed_system(1.0)
