@@ -30,6 +30,16 @@ the steps, and that residual decides convergence.  Every map is plain:
 the converged orbit is sampled from the map that closed it, with no
 second integration, and starts at zoll_state(c*).
 
+The two maps of the Jacobian are never sampled and never tested for
+convergence, so they run only as accurately as their difference quotient
+can use: at the iterates' tolerance divided by DRIFT_FD_STEP.  A quotient
+divides a map's error by the step, so the maps add an error of about 1e-5
+to the Jacobian at the default tol_orbit, more accuracy than a Newton step
+needs (inexact Newton, Dembo, Eisenstat and Steihaug 1982): the Jacobian
+only steers the iteration, which Broyden's update and the later steps
+correct, while the residual and the orbit come from maps at the full
+tolerance.
+
 The census (``enumerate_orbits``) seeds Newton where first-order
 perturbation theory puts the closed orbits.  To first order in eps, the
 perturbed orbits lie over the critical points of abar(c), the first-order
@@ -71,9 +81,9 @@ log = logging.getLogger(__name__)
 SHORT_LOOP_PERIOD_WINDOW = 0.5     # |T - T_ref| <= window * T_ref
 SEED_RESIDUAL_GATE = 0.3           # chart units; beyond this a seed is rejected
 ORBIT_SPACE_REACH = 1.0            # orbit-space distance from the start; beyond it, rejected
-# forward differences of the drift give the first Jacobian; a map's noise
-# (~1e-12) over this step moves c* far less than tol_orbit, also along a set
-# of zeros, where no later step corrects it
+# forward differences of the drift give the first Jacobian; the noise of its
+# maps over this step tilts it by ~1e-6, which moves c* along a set of zeros
+# (where no later step corrects it) but not its orbit's length
 DRIFT_FD_STEP = 1e-3
 STEP_RCOND = 1e-3                  # singular values below this share of the largest are cut
 NEWTON_DAMPING = 0.8
@@ -193,22 +203,23 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     Each iterate (x = 0 and every line-search trial) costs one plain return
     map, from which come D, the state residual that decides convergence and
     the line search, and the orbit's samples; the first Newton step adds the
-    two maps of the forward-difference Jacobian, so a seed that already
-    closes costs one map.  Raises DivergedFromFamily when the seed's return
+    two maps of the forward-difference Jacobian, at that tolerance divided
+    by DRIFT_FD_STEP, so a seed that already closes costs one map.  Raises DivergedFromFamily when the seed's return
     residual exceeds the short-loop gate, an iterate loses the section or
     moves farther than ORBIT_SPACE_REACH from c0; NoConvergence when the
     iteration budget runs out or the step vanishes.
     """
     surface = sys.surface
     ivp_tol = min(tol * 1e-2, 1e-10)
+    jac_tol = ivp_tol / DRIFT_FD_STEP      # a difference quotient divides a map's error by the step
     c0 = surface.orbit_space_point(sys, seed.position, seed.velocity)
     basis, ref = surface.orbit_space_chart(c0)
 
-    def drift(x):
+    def drift(x, map_tol=ivp_tol):
         """(D, state residual, (c, return time, path)) at local coordinates x."""
         c = surface.orbit_space_step(c0, basis @ x)
         start = surface.zoll_state(sys, c, ref)
-        end, t_ret, path = return_map(sys, make_section(sys, start), start, tol=ivp_tol)
+        end, t_ret, path = return_map(sys, make_section(sys, start), start, tol=map_tol)
         back = surface.orbit_space_point(sys, end.position, end.velocity)
         return (basis.T @ surface.orbit_space_gap(c, back), state_distance(sys, end, start),
                 (c, t_ret, path))
@@ -225,7 +236,7 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
             return _build_orbit(sys, *closing, seed_id, iterations=it)
         try:
             if jac is None:
-                jac = np.column_stack([drift(x + DRIFT_FD_STEP * e)[0] - g
+                jac = np.column_stack([drift(x + DRIFT_FD_STEP * e, jac_tol)[0] - g
                                        for e in np.eye(2)]) / DRIFT_FD_STEP
             dx = np.linalg.lstsq(jac, -g, rcond=STEP_RCOND)[0]
             if not dx.any():

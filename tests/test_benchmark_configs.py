@@ -116,11 +116,14 @@ def test_setup_loads_no_scipy(tmp_path):
 # return maps a perturbed census workload may take: Newton runs only from the
 # critical points of the orbit-space average, about 4 maps each
 CENSUS_RETURN_MAPS = {"census-perturbed-sphere": 12, "census-perturbed-torus": 16}
+# RHS evaluations of the whole census: 5083 and 8295 with the Jacobian maps at
+# ivp_tol / DRIFT_FD_STEP, 6115 and 9891 with every map at ivp_tol
+CENSUS_RHS_EVALS = {"census-perturbed-sphere": 5300, "census-perturbed-torus": 8500}
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_RETURN_MAPS))
 def test_perturbed_census_return_maps(tmp_path, monkeypatch, name):
-    from magsys_lab import orbits, run_experiment
+    from magsys_lab import dynamics, orbits, run_experiment
     w = workloads.WORKLOADS[name]
     path = tmp_path / f"{name}.cfg"
     path.write_text(w.config, encoding="utf-8")
@@ -133,7 +136,21 @@ def test_perturbed_census_return_maps(tmp_path, monkeypatch, name):
         return plain(*args, **kw)
 
     monkeypatch.setattr(orbits, "return_map", counted)
+    evals = []
+    plain_rhs = dynamics.rhs
+
+    def counted_rhs(*args, **kw):
+        f = plain_rhs(*args, **kw)
+
+        def g(t, y):
+            evals.append(1)
+            return f(t, y)
+        return g
+
+    monkeypatch.setattr(orbits, "rhs", counted_rhs)
+    monkeypatch.setattr(dynamics, "rhs", counted_rhs)
     rep = run_experiment(cfg)
     assert len(calls) <= CENSUS_RETURN_MAPS[name]
+    assert len(evals) <= CENSUS_RHS_EVALS[name]
     for key, recorded in w.recorded.items():
         assert abs(getattr(rep, key) - recorded) <= w.tol_orbit

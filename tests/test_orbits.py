@@ -334,6 +334,33 @@ class TestVariationalNewton:
         assert found.starts == 11
         assert sum(calls) <= 12
 
+    def test_jacobian_maps_run_at_the_quotient_s_tolerance(self, monkeypatch):
+        # the census-perturbed-torus census: a forward difference divides a
+        # map's error by DRIFT_FD_STEP, so the two maps of each first Jacobian
+        # run at ivp_tol / DRIFT_FD_STEP; every orbit is sampled from a map
+        # at ivp_tol
+        maps, built = [], []
+        plain_map, plain_build = orbits_mod.return_map, orbits_mod._build_orbit
+
+        def recorded(*args, **kw):
+            result = plain_map(*args, **kw)
+            maps.append((kw["tol"], result[2]))
+            return result
+
+        def build(sys, center, period, path, *args, **kw):
+            built.append(path)
+            return plain_build(sys, center, period, path, *args, **kw)
+
+        monkeypatch.setattr(orbits_mod, "return_map", recorded)
+        monkeypatch.setattr(orbits_mod, "_build_orbit", build)
+        found = enumerate_orbits(perturbed_system(0.0), grid_density=4, tol=1e-9)
+        ivp_tol = 1e-9 * 1e-2      # find_closed_orbit's min(tol * 1e-2, 1e-10)
+        jac_tol = ivp_tol / orbits_mod.DRIFT_FD_STEP
+        assert sorted(tol for tol, _ in maps) == [ivp_tol] * 8 + [jac_tol] * 4
+        assert len(found) == 2 and len(built) >= len(found)
+        tol_of = {id(path): tol for tol, path in maps}
+        assert all(tol_of[id(path)] == ivp_tol for path in built)
+
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
     def test_every_rhs_evaluation_is_counted_by_solve_ivp(self, kappa, monkeypatch):
         # the invariant a tracer of the census relies on: each call of an RHS
