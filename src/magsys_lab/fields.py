@@ -19,7 +19,9 @@ against the unperturbed area form.
 Each field is written once, as a factory make(coeffs, surface) that resolves
 the coefficients and constants and returns the field's formulas, each fn(x)
 of the chart components x of a point: (value, differential) of a scalar
-field, (components, density) of a 1-form.  x[i] is
+field, (components, density) of a 1-form.  A scalar field's differential is
+diff(x, u), given the value u at x, so that a field whose differential is
+its value times a factor (``hyperbolic_bump``) takes its exp once.  x[i] is
 a float or an array, and the formulas use numpy ufuncs and elementwise
 arithmetic only (no dot products, squares as x * x), so one point (the RHS
 kernels call ``formulas`` on floats) and many (the array methods evaluate
@@ -62,7 +64,7 @@ def _on_points(formula, q):
 
 def _const(coeffs, surface):
     c, zero = coeffs[0], (0.0,) * surface.dim
-    return (lambda x: c), (lambda x: zero)
+    return (lambda x: c), (lambda x, u: zero)
 
 
 def _sphere_harmonic(coeffs, surface):
@@ -77,7 +79,7 @@ def _sphere_harmonic(coeffs, surface):
         ax = ax / n
     a0, a1, a2 = ax.tolist()
     grad = tuple((ck * ax).tolist())
-    return (lambda x: ck * (a0 * x[0] + a1 * x[1] + a2 * x[2])), (lambda x: grad)
+    return (lambda x: ck * (a0 * x[0] + a1 * x[1] + a2 * x[2])), (lambda x, u: grad)
 
 
 def _torus_cos(idx):
@@ -90,7 +92,7 @@ def _torus_cos(idx):
         def value(x):
             return c * np.cos(two_pi * x[idx] / period)
 
-        def diff(x):
+        def diff(x, u):
             d = ck * np.sin(k * x[idx])
             return (d, 0.0) if idx == 0 else (0.0, d)
 
@@ -107,8 +109,8 @@ def _hyper_bump(coeffs, surface):
         r = x[0] / rho0
         return c * np.exp(-(r * r))
 
-    def diff(x):
-        return value(x) * (-2.0 * x[0] / r2), 0.0
+    def diff(x, u):
+        return u * (-2.0 * x[0] / r2), 0.0
 
     return value, diff
 
@@ -162,7 +164,8 @@ class ScalarField(_NamedField):
         return _on_points(self.formulas(surface)[0], q)
 
     def differential(self, surface, q):
-        return _on_points(self.formulas(surface)[1], q)
+        value, diff = self.formulas(surface)
+        return _on_points(lambda x: diff(x, value(x)), q)
 
 
 # --- 1-forms: make(coeffs, surface) -> (comp, dens) ------------------------------

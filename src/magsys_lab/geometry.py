@@ -271,8 +271,9 @@ class ChartOps:
             if u is None:
                 dl, lam = zero, lam_part
             else:
-                dl = [eps * float(g) for g in u_diff(x)]
-                lam = eps * float(u_value(x)) + lam_part
+                u_x = u_value(x)
+                dl = [eps * float(g) for g in u_diff(x, u_x)]
+                lam = eps * float(u_x) + lam_part
             dens = 1.0 if eta is None else 1.0 + eps * float(eta_density(x))
             return dl, float(dens * np.exp(-2.0 * lam))
 
