@@ -104,20 +104,23 @@ MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
 @dataclass(frozen=True, eq=False)
 class SectionSpec:
     """Transversal slice anchored at a seed state: the hyperplane of the
-    planar image through its position with the given unit normal."""
+    planar image through its position's image ``origin`` with the given unit
+    normal."""
 
     anchor: TangentState
     normal: np.ndarray
+    origin: np.ndarray
 
 
 def make_section(sys, anchor: TangentState) -> SectionSpec:
+    surface = sys.surface
     return SectionSpec(anchor=anchor,
-                       normal=sys.surface.section_normal(anchor.position, anchor.velocity))
+                       normal=surface.section_normal(anchor.position, anchor.velocity),
+                       origin=surface.to_plane(anchor.position))
 
 
 def _section_value(sys, spec, q):
-    surface = sys.surface
-    return float((surface.to_plane(q) - surface.to_plane(spec.anchor.position)) @ spec.normal)
+    return float((sys.surface.to_plane(q) - spec.origin) @ spec.normal)
 
 
 def _crossing_speed(sys, spec, q, v):
