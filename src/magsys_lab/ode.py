@@ -98,9 +98,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
             y_new = y + h * np.dot(KT[12], B)
             K[12] = f_new = fun(t + h, y_new)
             nfev += 12
-            abs_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_new) * rtol
-            e5, e3 = (_norm_squared(np.dot(KT[13], e) / scale) for e in (E5, E3))
+            scale = atol + np.maximum(abs_y, abs_new := np.abs(y_new)) * rtol
+            err5, err3 = np.dot(KT[13], E5) / scale, np.dot(KT[13], E3) / scale
+            # the squared norms, rounded as np.linalg.norm(x) ** 2 rounds them
+            e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
             err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
             if err < 1:
                 factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
@@ -123,22 +124,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
     return OdeResult(t, y, nfev, True, "event" if crossed else "end", sol, t_event, y_event)
 
 
-def _norm_squared(x):
-    """|x|^2 as np.linalg.norm(x) ** 2 rounds it, bit for bit."""
-    return math.sqrt(x.dot(x)) ** 2
-
-
 def _interpolant(steps):
-    """sol(times) from the accepted steps (t_old, t, y_old, y, K): the (n, len(times))
-    states, or (n,) at one time, each by Horner's rule on the step whose closed interval
-    holds its time (the earlier one at a step end).  The 7 coefficient rows of every
-    step are built here, those of the dense-output stages by one batched product."""
-    t_olds, t_news, y_olds, y_news, Ks = map(np.array, zip(*steps))
-    ts, h = np.append(t_olds, t_news[-1]), (t_news - t_olds)[:, None]
-    dy = y_news - y_olds
-    F = np.concatenate([np.stack([dy, h * Ks[:, 0] - dy, 2 * dy - h * (Ks[:, 12] + Ks[:, 0])],
-                                 1), h[:, None] * np.matmul(D, Ks)], 1).transpose(1, 2, 0)
-    y_old = y_olds.T
+    """sol(times) from the accepted steps (t_old, t, y_old, y, K), whose coefficients are
+    built here at once: the (n, len(times)) states, or (n,) at one time, each by Horner's
+    rule on the step whose closed interval holds its time (the earlier one at a step end)."""
+    t0, t1, y0, y1, K = map(np.array, zip(*steps))
+    ts, h, dy = np.append(t0, t1[-1]), (t1 - t0)[:, None], y1 - y0
+    F = np.concatenate([np.stack([dy, h * K[:, 0] - dy, 2 * dy - h * (K[:, 12] + K[:, 0])], 1),
+                        h[:, None] * np.matmul(D, K)], 1).transpose(1, 2, 0)
     sign = 1.0 if ts[-1] >= ts[0] else -1.0
 
     def sol(times):
@@ -146,7 +139,7 @@ def _interpolant(steps):
         x, Fk, y = (times - ts[k]) / (ts[k + 1] - ts[k]), F[..., k], 0.0
         for i in range(7):
             y = (y + Fk[6 - i]) * (x if i % 2 == 0 else 1 - x)
-        return y + y_old[:, k]
+        return y + y0[k].T
     return sol
 
 

@@ -28,17 +28,11 @@ rank 1) it is the minimum-norm step and c* lands at the foot of the start
 on that line.  A line search on the state residual |P(x_c) - x_c| damps
 the steps, and that residual decides convergence.  Every map is plain:
 the converged orbit is sampled from the map that closed it, with no
-second integration, and starts at zoll_state(c*).
-
-The two maps of the Jacobian are never sampled and never tested for
-convergence, so they run only as accurately as their difference quotient
-can use: at the iterates' tolerance divided by DRIFT_FD_STEP.  A quotient
-divides a map's error by the step, so the maps add an error of about 1e-5
-to the Jacobian at the default tol_orbit, more accuracy than a Newton step
-needs (inexact Newton, Dembo, Eisenstat and Steihaug 1982): the Jacobian
-only steers the iteration, which Broyden's update and the later steps
-correct, while the residual and the orbit come from maps at the full
-tolerance.
+second integration, and starts at zoll_state(c*).  The Jacobian's two maps,
+neither sampled nor tested for convergence, run at the iterates' tolerance
+over h = DRIFT_FD_STEP: their error enters the quotient divided by h, still
+below its O(h) truncation error (inexact Newton: Dembo, Eisenstat and
+Steihaug 1982).
 
 The census (``enumerate_orbits``) seeds Newton where first-order
 perturbation theory puts the closed orbits.  To first order in eps, the
@@ -104,8 +98,7 @@ MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
 @dataclass(frozen=True, eq=False)
 class SectionSpec:
     """Transversal slice anchored at a seed state: the hyperplane of the
-    planar image through its position's image ``origin`` with the given unit
-    normal."""
+    planar image through ``origin``, its position's image, with unit normal."""
 
     anchor: TangentState
     normal: np.ndarray
@@ -113,10 +106,9 @@ class SectionSpec:
 
 
 def make_section(sys, anchor: TangentState) -> SectionSpec:
-    surface = sys.surface
     return SectionSpec(anchor=anchor,
-                       normal=surface.section_normal(anchor.position, anchor.velocity),
-                       origin=surface.to_plane(anchor.position))
+                       normal=sys.surface.section_normal(anchor.position, anchor.velocity),
+                       origin=sys.surface.to_plane(anchor.position))
 
 
 def _section_value(sys, spec, q):
@@ -214,7 +206,6 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     """
     surface = sys.surface
     ivp_tol = min(tol * 1e-2, 1e-10)
-    jac_tol = ivp_tol / DRIFT_FD_STEP      # a difference quotient divides a map's error by the step
     c0 = surface.orbit_space_point(sys, seed.position, seed.velocity)
     basis, ref = surface.orbit_space_chart(c0)
 
@@ -239,8 +230,8 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
             return _build_orbit(sys, *closing, seed_id, iterations=it)
         try:
             if jac is None:
-                jac = np.column_stack([drift(x + DRIFT_FD_STEP * e, jac_tol)[0] - g
-                                       for e in np.eye(2)]) / DRIFT_FD_STEP
+                jac = np.column_stack([drift(x + DRIFT_FD_STEP * e, ivp_tol / DRIFT_FD_STEP)[0]
+                                       - g for e in np.eye(2)]) / DRIFT_FD_STEP
             dx = np.linalg.lstsq(jac, -g, rcond=STEP_RCOND)[0]
             if not dx.any():
                 raise NoConvergence(f"Newton step vanished at residual {resid:.3g}")
