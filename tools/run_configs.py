@@ -19,10 +19,9 @@ where ``orbits`` and ``dynamics`` call it.  Both are counted by rebinding
 those module attributes for the run (restored afterwards), so the tool runs
 unchanged on any tree that has them.  ``python3 tools/compare_reports.py OLD
 NEW`` on the OUT directories of two trees compares them with the report
-files.  The config files are
-written to one directory whatever SRC is (``CONFIG_DIR``), so the
-provenance in ``run_meta.json`` (the config's absolute path) matches between
-trees.  BLAS and OpenMP are held to one thread so that sums round alike.
+files.  The config files are written to one directory whatever SRC is
+(``CONFIG_DIR``), so the provenance in ``run_meta.json`` (the config's
+absolute path) matches between trees.  BLAS and OpenMP are held to one thread so that sums round alike.
 """
 
 import contextlib
