@@ -5,6 +5,7 @@ compare_reports reads."""
 
 import json
 import runpy
+import types
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -91,3 +92,11 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     assert run["rhs_evals"] == sum(nfev) > 0
     assert orbits.return_map is plain_map
     assert orbits.rhs is dynamics.rhs is plain_rhs
+    # a call with lists of sections and states counts one map per member
+    package = types.SimpleNamespace(orbits=types.SimpleNamespace(return_map=lambda *a, **kw: a),
+                                    dynamics=types.SimpleNamespace(rhs=plain_rhs))
+    with run_configs["counting"](package) as counts:
+        package.orbits.return_map("sys", ["a", "b", "c"], ["x", "y", "z"])
+        package.orbits.return_map("sys", "a", "x")
+        package.orbits.return_map("sys", ["a", "b"], state=["x", "y"], tol=1e-9)
+    assert counts["return_maps"] == 6

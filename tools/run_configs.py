@@ -13,7 +13,8 @@ config of the ROADMAP's Baseline census table, and a few runs with an
 attached 1-form and one ``sweep``.  NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
-two work counts: ``return_maps``, the calls of ``orbits.return_map``, and
+two work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
+member of a call with a list of states, else one per call), and
 ``rhs_evals``, the calls of the closures that the ``rhs`` factory returns
 where ``orbits`` and ``dynamics`` call it.  Both are counted by rebinding
 those module attributes for the run (restored afterwards), so the tool runs
@@ -101,7 +102,8 @@ def counting(package):
     plain_map, plain_rhs = orbits.return_map, dynamics.rhs
 
     def return_map(*args, **kw):
-        counts["return_maps"] += 1
+        states = args[2] if len(args) > 2 else kw["state"]
+        counts["return_maps"] += len(states) if isinstance(states, list) else 1
         return plain_map(*args, **kw)
 
     def rhs(*args, **kw):
