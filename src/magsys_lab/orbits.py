@@ -93,6 +93,9 @@ SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest, per unit of abar's scal
 CRITICAL_VALUE_TOL = 1e-6         # equal abar on a critical manifold, per unit scale
 MANIFOLD_SAMPLES = 8              # segments between two points of one critical manifold
 MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
+# members from which return_map runs a list of maps as one stack of solves; fewer
+# lose to the per-step Python they share (CHANGES.md has the crossover measured)
+STACK_MIN = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,39 +129,72 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
 
     The crossing must be in the direction of the anchor velocity; the search
     is capped at twice the Zoll reference period.
-    """
-    t_ref = reference_period(sys)
-    if abs(_crossing_speed(sys, section, state.position, state.velocity)) \
-            < TRANSVERSALITY_MIN:
-        raise TangencyError("flow is tangent to the section at the given state")
 
-    d = sys.surface.dim
-    f = rhs(sys)
+    With lists of sections and states, the list of each member's (state,
+    return time, path) or the exception it raised.  From STACK_MIN members
+    on, the members' solves run as one stack (``ode.solve_ivp``), shorter
+    lists member by member; each member's result is the same bit for bit.
+    """
+    if not isinstance(state, list):
+        out = _return_maps(sys, [section], [state], tol)[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
+    if len(state) >= STACK_MIN:
+        return _return_maps(sys, section, state, tol)
+    return [_return_maps(sys, [sec], [st], tol)[0] for sec, st in zip(section, state)]
+
+
+def _return_maps(sys, sections, states, tol):
+    """``return_map`` from each section and state: one stack of solves, or
+    1-D solves for one member."""
+    t_ref, d, f, stack = reference_period(sys), sys.surface.dim, rhs(sys), len(states) > 1
     rtol, atol = stepper_tolerances(tol)
     head = 0.3 * t_ref
-    sol = solve_ivp(f, (0.0, head), pack_state(state), rtol=rtol, atol=atol,
-                    dense_output=True)
-    if not sol.success:
-        raise StepFailure(sol.message)
+    out = [TangencyError("flow is tangent to the section at the given state")
+           if abs(_crossing_speed(sys, sec, st.position, st.velocity)) < TRANSVERSALITY_MIN
+           else None for sec, st in zip(sections, states)]
 
-    def event(t, y):
-        return _section_value(sys, section, y[:d])
+    def solve(span, rows, event=None, **kw):
+        """The live members' solves from rows; a member whose solve failed leaves."""
+        live = [i for i, r in enumerate(out) if r is None]
+        if not live:
+            return []
+        kw.update(rtol=rtol, atol=atol, dense_output=True)
+        sols = solve_ivp(f, span, np.array(rows), event=event, **kw) if stack else \
+            [solve_ivp(f, span, rows[0], event=event and event[0], **kw)]
+        for i, sol in zip(live, sols):
+            out[i] = None if sol.success else StepFailure(sol.message)
+        return [(i, sol) for i, sol in zip(live, sols) if sol.success]
 
+    heads = solve((0.0, head), [pack_state(st) for st, r in zip(states, out) if r is None])
     # cap the step so one step cannot straddle two section crossings
-    sol2 = solve_ivp(f, (head, 2.0 * t_ref), sol.y, rtol=rtol, atol=atol,
-                     event=event, max_step=0.2 * t_ref, dense_output=True)
-    if not sol2.success:
-        raise StepFailure(sol2.message)
-    if sol2.t_event is None:
-        raise NoReturn("no section crossing within 2 reference periods")
-    q, v = sol2.y_event[:d], sol2.y_event[d:]
-    if abs(_crossing_speed(sys, section, q, v)) < TRANSVERSALITY_MIN:
-        raise TangencyError("return crossing is tangent to the section")
+    tails = solve((head, 2.0 * t_ref), [sol.y for _, sol in heads], max_step=0.2 * t_ref,
+                  event=[_section_event(sys, sections[i]) for i, _ in heads])
+    early = dict(heads)
+    for i, late in tails:
+        if late.t_event is None:
+            out[i] = NoReturn("no section crossing within 2 reference periods")
+            continue
+        q, v = late.y_event[:d], late.y_event[d:]
+        if abs(_crossing_speed(sys, sections[i], q, v)) < TRANSVERSALITY_MIN:
+            out[i] = TangencyError("return crossing is tangent to the section")
+        else:
+            out[i] = tangent_state(sys, q, v), late.t_event, _joined(head, early[i].sol, late.sol)
+    return out
 
+
+def _section_event(sys, section):
+    d = sys.surface.dim
+    return lambda t, y: _section_value(sys, section, y[:d])
+
+
+def _joined(head, early, late):
+    """path(times) of a return map from its two solves' dense output."""
     def path(times):
-        early = times <= head
-        return np.hstack([sol.sol(times[early]), sol2.sol(times[~early])])
-    return tangent_state(sys, q, v), sol2.t_event, path
+        first = times <= head
+        return np.hstack([early(times[first]), late(times[~first])])
+    return path
 
 
 # --- orbits ---------------------------------------------------------------------
@@ -191,7 +227,7 @@ class Orbit(Trajectory):
 
 
 def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
-                      max_iter=ExperimentConfig.max_iter, seed_id="seed"):
+                      max_iter=ExperimentConfig.max_iter, seed_id="seed", first_map=None):
     """Newton iteration on the drift D of the orbit space (see the module
     docstring), from the orbit-space point c0 of seed.
 
@@ -199,27 +235,34 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     map, from which come D, the state residual that decides convergence and
     the line search, and the orbit's samples; the first Newton step adds the
     two maps of the forward-difference Jacobian, at that tolerance divided
-    by DRIFT_FD_STEP, so a seed that already closes costs one map.  Raises DivergedFromFamily when the seed's return
-    residual exceeds the short-loop gate, an iterate loses the section or
-    moves farther than ORBIT_SPACE_REACH from c0; NoConvergence when the
-    iteration budget runs out or the step vanishes.
+    by DRIFT_FD_STEP, so a seed that already closes costs one map.
+    first_map, when given, is the result of that first map, already run
+    from ``_newton_start`` at that tolerance (as ``enumerate_orbits`` runs
+    all its seeds' first maps in one stack): the return_map triple or the
+    exception it raised, which is raised here.  Raises DivergedFromFamily
+    when the seed's return residual exceeds the short-loop gate, an iterate
+    loses the section or moves farther than ORBIT_SPACE_REACH from c0;
+    NoConvergence when the iteration budget runs out or the step vanishes.
     """
     surface = sys.surface
-    ivp_tol = min(tol * 1e-2, 1e-10)
-    c0 = surface.orbit_space_point(sys, seed.position, seed.velocity)
-    basis, ref = surface.orbit_space_chart(c0)
+    ivp_tol = _map_tol(tol)
+    c0, basis, start_at = _newton_start(sys, seed)
 
-    def drift(x, map_tol=ivp_tol):
-        """(D, state residual, (c, return time, path)) at local coordinates x."""
-        c = surface.orbit_space_step(c0, basis @ x)
-        start = surface.zoll_state(sys, c, ref)
-        end, t_ret, path = return_map(sys, make_section(sys, start), start, tol=map_tol)
+    def drift(x, map_tol=ivp_tol, mapped=None):
+        """(D, state residual, (c, return time, path)) at local coordinates x,
+        from the return map mapped where it has run already."""
+        c, start = start_at(x)
+        if mapped is None:
+            mapped = return_map(sys, make_section(sys, start), start, tol=map_tol)
+        elif isinstance(mapped, Exception):
+            raise mapped
+        end, t_ret, path = mapped
         back = surface.orbit_space_point(sys, end.position, end.velocity)
         return (basis.T @ surface.orbit_space_gap(c, back), state_distance(sys, end, start),
                 (c, t_ret, path))
 
     x = np.zeros(2)
-    g, resid, closing = drift(x)
+    g, resid, closing = drift(x, mapped=first_map)
     if resid >= SEED_RESIDUAL_GATE:
         raise DivergedFromFamily(
             f"seed return residual {resid:.3g} >= {SEED_RESIDUAL_GATE}")
@@ -253,6 +296,25 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     if resid <= tol:
         return _build_orbit(sys, *closing, seed_id, iterations=max_iter)
     raise NoConvergence(f"residual {resid:.3g} after {max_iter} Newton steps")
+
+
+def _map_tol(tol):
+    """The tolerance of Newton's maps for the orbit tolerance tol."""
+    return min(tol * 1e-2, 1e-10)
+
+
+def _newton_start(sys, seed):
+    """(c0, basis, start_at) of a Newton run from seed: its orbit-space point
+    c0, the basis B of ``orbit_space_chart`` there, and start_at(x), the (c,
+    Zoll state over c) at local coordinates x, c = orbit_space_step(c0, B x)."""
+    surface = sys.surface
+    c0 = surface.orbit_space_point(sys, seed.position, seed.velocity)
+    basis, ref = surface.orbit_space_chart(c0)
+
+    def start_at(x):
+        c = surface.orbit_space_step(c0, basis @ x)
+        return c, surface.zoll_state(sys, c, ref)
+    return c0, basis, start_at
 
 
 def _build_orbit(sys, center, period, path, seed_id, iterations=0):
@@ -482,7 +544,9 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     The starts are the orbit-space points of ``seed_grid``.  Newton runs
     from the Zoll state over each representative of ``critical_points``,
     or, where first order cannot place the orbits, over every start (the
-    blind grid).  Failed seeds are logged and skipped.
+    blind grid).  In one process, the seeds' first maps run as one
+    ``return_map`` call (stacked from STACK_MIN seeds on), each result handed
+    to its seed's ``find_closed_orbit``.  Failed seeds are logged and skipped.
 
     The sort key is the length as reports print it (``reporting.round_sig``),
     then the seed's position in the seed list, so that orbits whose lengths
@@ -492,7 +556,11 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     picked = critical_points(sys, names, starts, tol) if names else None
     ids, points = (names, starts) if picked is None else picked
     seeds = [(sid, sys.surface.zoll_state(sys, c)) for sid, c in zip(ids, points)]
-    tasks = [(sys, sid, st, tol, max_iter) for sid, st in seeds]
+    firsts = [None] * len(seeds)
+    if workers <= 1 and len(seeds) >= STACK_MIN:
+        at0 = [_newton_start(sys, st)[2](np.zeros(2))[1] for _, st in seeds]
+        firsts = return_map(sys, [make_section(sys, st) for st in at0], at0, tol=_map_tol(tol))
+    tasks = [(sys, sid, st, tol, max_iter, first) for (sid, st), first in zip(seeds, firsts)]
     if workers > 1 and len(tasks) > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -515,9 +583,10 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
 
 
 def _run_seed_safe(args):
-    sys, seed_id, seed, tol, max_iter = args
+    sys, seed_id, seed, tol, max_iter, first_map = args
     try:
-        return find_closed_orbit(sys, seed, tol=tol, max_iter=max_iter, seed_id=seed_id)
+        return find_closed_orbit(sys, seed, tol=tol, max_iter=max_iter, seed_id=seed_id,
+                                 first_map=first_map)
     except (NoConvergence, DivergedFromFamily, NoReturn, TangencyError,
             StepFailure) as exc:
         return f"{type(exc).__name__}: {exc}"

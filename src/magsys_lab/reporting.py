@@ -90,14 +90,14 @@ def ensure_outdir(outdir):
 def samples_csv(sys, traj, path, extra=None):
     """Sample path of a Trajectory (or Orbit): t, the chart's coordinate and
     velocity columns, then one column per entry of extra (name -> per-sample
-    values).  Every cell is a float, so one "%.12g" row template gives the
-    bytes ``csv_text`` would (``fmt_float``)."""
+    values).  Every cell is a float, so one "%.12g" template over the whole
+    table, formatted in one operation, gives the bytes ``csv_text`` would
+    (``fmt_float``)."""
     extra = extra or {}
     cols = ["t", *sys.surface.columns, *extra]
     table = np.column_stack([traj.times, traj.states, *extra.values()])
-    row = ",".join(["%.12g"] * len(cols))
-    lines = [",".join(cols), *(row % tuple(r) for r in table.tolist())]
-    write_text("\n".join(lines) + "\n", path)
+    row = ",".join(["%.12g"] * len(cols)) + "\n"
+    write_text(",".join(cols) + "\n" + row * len(table) % tuple(table.ravel().tolist()), path)
 
 
 def orbit_samples_csv(sys, orbit, path):

@@ -132,7 +132,9 @@ def test_perturbed_census_return_maps(tmp_path, monkeypatch, name):
     plain = orbits.return_map
 
     def counted(*args, **kw):
-        calls.append(1)
+        # one map per member of a call with a list of states
+        states = args[2] if len(args) > 2 else kw["state"]
+        calls.extend([1] * (len(states) if isinstance(states, list) else 1))
         return plain(*args, **kw)
 
     monkeypatch.setattr(orbits, "return_map", counted)

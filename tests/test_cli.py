@@ -282,6 +282,26 @@ class TestCliRuns:
         assert tables[0].shape == tables[1].shape == (513, 5)
         assert np.max(np.abs(tables[0] - tables[1])) < 1e-9
 
+    @pytest.mark.parametrize("command", ["systole", "orbit", "sweep", "volume"])
+    def test_surface_command_refuses_n(self, tmp_path, capsys, monkeypatch, command):
+        # these commands run on the surface: an n they would ignore is refused
+        # at parse time, before any system is built
+        def no_system(cfg):
+            raise AssertionError(f"a system was built at n = {cfg.n}")
+
+        monkeypatch.setattr(syslab, "build_system", no_system)
+        cfg_path = write(tmp_path, "n2.cfg", "kappa = 1\nstrength = 1\nn = 2\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        assert f"error: [model] n = 2: {command} runs on the surface" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["zollpoly", "constants"])
+    def test_n_reaches_the_reference_commands(self, tmp_path, capsys, command):
+        cfg_path = write(tmp_path, "n2.cfg", "kappa = 1\nstrength = 1\nn = 2\n")
+        assert main([command, "--config", cfg_path]) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_error_exit_code(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "bad.cfg", "kappa = -1\nstrength = 1\n")
         assert main(["constants", "--config", cfg_path]) == 1

@@ -12,7 +12,7 @@ from magsys_lab import StepFailure, dynamics, ode
 from magsys_lab.dynamics import (flow, latitude_seed, pack_state, reference_period, rhs,
                                  stepper_tolerances)
 from magsys_lab.geometry import tangent_state
-from magsys_lab.orbits import _section_value, make_section
+from magsys_lab.orbits import _section_event, _section_value, make_section
 
 from test_orbits import perturbed_system
 
@@ -203,3 +203,52 @@ def test_empty_interval_keeps_the_state():
     assert traj.states.shape == (65, 6)
     assert (traj.states == pack_state(start_state)).all()
     assert (traj.times == 0.0).all()
+
+
+@CHARTS
+def test_stacked_solve_is_each_member_s_own(kappa):
+    # return_map's two solves on a stack of members from different starts, so
+    # with different step counts: one from a nan state, which fails, and one
+    # whose event never fires, beside three that cross their sections; each
+    # member is bit for bit its own solve, a failure included
+    sys = perturbed_system(kappa)
+    t_ref, d = reference_period(sys), sys.surface.dim
+    seed, rng = latitude_seed(sys), np.random.default_rng(5)
+    states = [tangent_state(sys, seed.position + a * rng.normal(size=d),
+                            seed.velocity + a * rng.normal(size=d))
+              for a in (1e-3, 3e-2, 0.1, 0.1, 0.2)]
+    y0 = np.array([pack_state(st) for st in states])
+    y0[3] = np.nan
+    events = [_section_event(sys, make_section(sys, st)) for st in states]
+    events[4] = lambda t, y: -1.0
+    f, kw = rhs(sys), dict(rtol=RTOL, atol=ATOL, dense_output=True)
+    head = ode.solve_ivp(f, (0.0, 0.3 * t_ref), y0, **kw)
+    y_head = np.array([r.y for r in head])
+    span, kw["max_step"] = (0.3 * t_ref, 2.0 * t_ref), 0.2 * t_ref
+    tail = ode.solve_ivp(f, span, y_head, event=events, **kw)
+    assert [r.message for r in tail] == ["event"] * 3 + [ode.FAILED, "end"]
+    for stack, t1, own in ((head, 0.0, [ode.solve_ivp(f, (0.0, 0.3 * t_ref), y, **kw)
+                                        for y in y0]),
+                           (tail, span[0], [ode.solve_ivp(f, span, y, event=e, **kw)
+                                            for y, e in zip(y_head, events)])):
+        assert isinstance(stack, ode.OdeStack) and len(stack) == 5
+        assert stack.nfev == sum(o.nfev for o in own)
+        for r, o in zip(stack, own):
+            assert (r.t, r.nfev, r.success, r.message, r.t_event) == \
+                (o.t, o.nfev, o.success, o.message, o.t_event)
+            assert r.y.tobytes() == o.y.tobytes()
+            assert (r.y_event is None and o.y_event is None) or \
+                r.y_event.tobytes() == o.y_event.tobytes()
+            if o.success:
+                times = np.linspace(t1, o.t, 257)
+                assert r.sol(times).tobytes() == o.sol(times).tobytes()
+            else:
+                assert r.sol is o.sol is None and np.isnan(r.y).all()
+    assert len({o.nfev for o in own}) == 5
+
+
+def test_stacked_empty_interval():
+    y0 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    stack = ode.solve_ivp(oscillator, (1.0, 1.0), y0, rtol=RTOL, atol=ATOL)
+    assert stack.nfev == 0 and [r.message for r in stack] == ["empty interval"] * 2
+    assert all(np.array_equal(r.y, y) for r, y in zip(stack, y0))

@@ -13,6 +13,7 @@ from magsys_lab import (DivergedFromFamily, ExperimentConfig, NoConvergence,
 from magsys_lab import ScalarField
 from magsys_lab import dynamics as dynamics_mod
 from magsys_lab import orbits as orbits_mod
+from magsys_lab.dynamics import pack_state
 from magsys_lab.orbits import Orbit
 
 from instruments import loop_distance
@@ -61,6 +62,46 @@ class TestReturnMap:
                                 sys.surface.rotate90(seed.position, seed.velocity))
         with pytest.raises(TangencyError):
             return_map(sys, spec, tangent)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+def test_stacked_maps_are_each_member_s_own(kappa):
+    # return_map on lists: each member's (state, time, path) or exception, bit
+    # for bit those of its own map, stacked (STACK_MIN members or more) or not;
+    # beside members that return, one tangent to its section and one whose
+    # section is out of its circle's reach
+    sys = perturbed_system(kappa)
+    surface, seed = sys.surface, latitude_seed(sys)
+    rng = np.random.default_rng(9)
+    states = [tangent_state(sys, seed.position + 0.05 * rng.normal(size=surface.dim),
+                            seed.velocity + 0.05 * rng.normal(size=surface.dim))
+              for _ in range(4)]
+    sections = [make_section(sys, st) for st in states]
+    # a section whose normal is normal to the state's velocity in the planar image
+    flat = sections[1].normal
+    across = rng.normal(size=flat.size)
+    across -= (across @ flat) * flat
+    sections[1] = orbits_mod.SectionSpec(sections[1].anchor, across / np.linalg.norm(across),
+                                         sections[1].origin)
+    # a section through the seed, moved along its normal beyond the seed's circle
+    far = make_section(sys, seed)
+    sections[2] = orbits_mod.SectionSpec(far.anchor, far.normal, far.origin - 3.0 * far.normal)
+    times = np.linspace(0.0, 1.5 * reference_period(sys), 101)
+    for n in (len(states), orbits_mod.STACK_MIN - 1):
+        results = return_map(sys, sections[:n], states[:n])
+        assert len(results) == n
+        for sec, st, res in zip(sections, states, results):
+            try:
+                own = return_map(sys, sec, st)
+            except (TangencyError, orbits_mod.NoReturn) as exc:
+                assert type(res) is type(exc) and str(res) == str(exc)
+                continue
+            assert pack_state(res[0]).tobytes() == pack_state(own[0]).tobytes()
+            assert res[1] == own[1]
+            early = times[times <= res[1]]
+            assert res[2](early).tobytes() == own[2](early).tobytes()
+        assert [type(r).__name__ for r in results] == \
+            ["tuple", "TangencyError", "NoReturn", "tuple"][:n]
 
 
 class TestFindClosedOrbit:
@@ -150,14 +191,23 @@ def perturbed_system(kappa):
                              0.05, normalize=True)
 
 
+def map_results(args, kw, result):
+    """The result of each map of one orbits.return_map call: one per member of
+    a call with a list of states."""
+    states = args[2] if len(args) > 2 else kw["state"]
+    return result if isinstance(states, list) else [result]
+
+
 def counting_return_maps(monkeypatch):
-    """The list of orbits.return_map calls, one entry each (every map is plain)."""
+    """The list of the maps of orbits.return_map, one entry each (every map is
+    plain; a call with a list of states has one map per member)."""
     calls = []
     plain = orbits_mod.return_map
 
     def counted(*args, **kw):
-        calls.append(1)
-        return plain(*args, **kw)
+        result = plain(*args, **kw)
+        calls.extend(1 for _ in map_results(args, kw, result))
+        return result
 
     monkeypatch.setattr(orbits_mod, "return_map", counted)
     return calls
@@ -344,7 +394,7 @@ class TestVariationalNewton:
 
         def recorded(*args, **kw):
             result = plain_map(*args, **kw)
-            maps.append((kw["tol"], result[2]))
+            maps.extend((kw["tol"], r[2]) for r in map_results(args, kw, result))
             return result
 
         def build(sys, center, period, path, *args, **kw):
@@ -396,13 +446,13 @@ def refuse_flow(monkeypatch):
 
 
 def recording_maps(monkeypatch):
-    """The (state, return time) of each orbits.return_map call, in order."""
+    """The (state, return time) of each map of orbits.return_map, in order."""
     maps = []
     plain = orbits_mod.return_map
 
     def recorded(*args, **kw):
         result = plain(*args, **kw)
-        maps.append(result[:2])
+        maps.extend(r[:2] for r in map_results(args, kw, result))
         return result
 
     monkeypatch.setattr(orbits_mod, "return_map", recorded)
@@ -503,10 +553,13 @@ class TestEnumerate:
         assert [o.seed_id for o in found] == [o.seed_id for o in plain]
 
     def test_process_pool_matches_serial(self):
-        # the pool sends each seed's Orbit back pickled; two workers, no more
+        # the pool sends each seed's Orbit back pickled; two workers, no more.
+        # In one process the seeds' first maps run stacked, in the pool each
+        # alone: the orbits are the same bit for bit
         sys = make_model(0.0, 1.0)
         serial = enumerate_orbits(sys, grid_density=2, tol=1e-9, workers=1)
         pooled = enumerate_orbits(sys, grid_density=2, tol=1e-9, workers=2)
+        assert serial.seeds_attempted >= orbits_mod.STACK_MIN
         assert [o.seed_id for o in pooled] == [o.seed_id for o in serial]
         assert [o.period for o in pooled] == [o.period for o in serial]
         assert pooled.magnetic_lengths == serial.magnetic_lengths
