@@ -309,8 +309,6 @@ _COMMANDS = {
     "zollpoly": (cmd_zollpoly, ()),
     "constants": (cmd_constants, ()),
 }
-# the commands that read [model] n; the others run on the surface, n = 1
-_N_COMMANDS = ("zollpoly", "constants")
 
 
 def build_parser():
@@ -340,9 +338,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg, extras, provenance = parse_config(args.config)
-        if cfg.n != 1 and args.command not in _N_COMMANDS:
+        if cfg.n != 1 and args.command not in ("zollpoly", "constants"):    # they read n
             raise ValidationError(f"[model] n = {cfg.n}: {args.command} runs on the "
-                                  "surface, n = 1; only zollpoly and constants take n")
+                                  "surface, n = 1")
         given = vars(args)
         cfg = replace(cfg, **{field: given[field] for field, _ in _FLAGS.values()
                               if field in given})

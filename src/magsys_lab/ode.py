@@ -59,15 +59,12 @@ EPS = np.finfo(float).eps
 OdeResult = namedtuple("OdeResult", "t y nfev success message sol t_event y_event",
                        defaults=(None, None, None))
 OdeResult.__doc__ = "Last t and y, RHS calls nfev, dense output sol, event root t_event, y_event."
-FAILED = "the step size fell below the spacing of t"
 
 
 class OdeStack(list):
     """The OdeResult of each member of a stacked solve, in order; nfev is their sum."""
 
-    @property
-    def nfev(self):
-        return sum(r.nfev for r in self)
+    nfev = property(lambda self: sum(r.nfev for r in self))
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False,
@@ -76,168 +73,132 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
     With event, a function g(t, y), stop at the first root of g on a step where g goes
     from <= 0 to >= 0.  A step shorter than the float spacing of t fails the solve.
 
-    A y0 of shape (M, n) is a stack of M solves, with event None or a list of M
-    functions: an OdeStack whose member i is, bit for bit, the solve from y0[i]."""
+    A y0 of shape (M, n), with event None or M functions, is a stack: an OdeStack whose
+    member i is the solve from y0[i] bit for bit, two or more stepped together."""
     t, t_bound = map(float, t_span)
-    y, direction = np.asarray(y0, dtype=float), math.copysign(1.0, t_bound - t)
+    y = np.asarray(y0, dtype=float)
     if y.ndim == 2:
-        return _solve_stack(fun, t, t_bound, y, rtol, atol, max_step, dense_output, event) \
-            if t != t_bound else OdeStack(solve_ivp(fun, t_span, row, rtol, atol) for row in y)
+        solves = [(row, e) for row, e in zip(y, event or [None] * len(y))]
+        if len(y) < 2 or t == t_bound:
+            return OdeStack(solve_ivp(fun, t_span, row, rtol, atol, max_step, dense_output, e)
+                            for row, e in solves)
+        return OdeStack(_step_stack(fun, [_solve(fun, t, t_bound, row, rtol, atol, max_step,
+                                                 dense_output, e) for row, e in solves],
+                                    rtol, atol))
     if t == t_bound:                          # no step: the state is y0 throughout
         return OdeResult(t, y, 0, True, "empty interval", lambda s: np.outer(y, np.ones_like(s)))
-    n, f = y.size, fun(t, y)
-    h_abs, nfev = _first_step(fun, t, y, f, t_bound, rtol, atol, max_step), 2
-    steps, crossed, t_event, y_event, rejected = [], False, None, None, None
-    K = np.empty((16, n))
-    KT = [K[:s].T for s in range(17)]
-    abs_y, g = np.abs(y), event and event(t, y)
-    while not crossed and direction * (t - t_bound) < 0:
-        trial = _trial(t, h_abs, rejected is None, t_bound, direction, max_step)
-        if trial is None:
-            return OdeResult(t, y, nfev, False, FAILED)
-        (t_new, h), K[0] = trial, f
-        for s in range(1, 12):
-            K[s] = fun(t + NODES[s] * h, y + np.dot(KT[s], ROWS[s]) * h)
-        y_new = y + h * np.dot(KT[12], B)
-        K[12] = f_new = fun(t + h, y_new)
-        nfev += 12
-        scale = atol + np.maximum(abs_y, abs_new := np.abs(y_new)) * rtol
-        err = _error(h, np.dot(KT[13], E5) / scale, np.dot(KT[13], E3) / scale)
-        h_abs, rejected = _step_size(abs(h), err, rejected), None if err < 1 else True
-        if rejected:
-            continue
-        t_old, y_old, t, y, f, g_old, abs_y = t, y, t_new, y_new, f_new, g, abs_new
-        g = event and event(t, y)
-        crossed = event and g_old <= 0 <= g
-        if dense_output or crossed:
-            for s in (13, 14, 15):
-                K[s] = fun(t_old + NODES[s] * h, y_old + np.dot(KT[s], ROWS[s]) * h)
-            nfev += 3
-            steps.append((t_old, t, y_old, y, K.copy()))
-        if crossed:
-            t, y = t_event, y_event = _event_root(event, steps[-1])
-    sol = _interpolant(steps) if dense_output else None
-    return OdeResult(t, y, nfev, True, "event" if crossed else "end", sol, t_event, y_event)
+    return _step_one(fun, _solve(fun, t, t_bound, y, rtol, atol, max_step, dense_output, event),
+                     rtol, atol)
 
 
-def _solve_stack(fun, t0, t_bound, Y, rtol, atol, max_step, dense_output, events):
-    """solve_ivp from each row of Y, with events[i] for row i, the rows that are still
-    running stepped together: each stage of all of them is one np.matmul, which rounds
-    every row as np.dot rounds it alone, and then one call of fun per row.  Each row
-    keeps its own step size, step control, event and dense output."""
-    M, n = Y.shape
-    direction, events = math.copysign(1.0, t_bound - t0), events or [None] * M
-    K = np.empty((M, 16, n))
-    K[:, 0] = [fun(t0, y) for y in Y]         # stage 0 of each row's next try
-    h_abs = [_first_step(fun, t0, y, f, t_bound, rtol, atol, max_step) for y, f in zip(Y, K[:, 0])]
-    t, g, nfev = [t0] * M, [e and e(t0, y) for e, y in zip(events, Y)], [2] * M
-    rejected, steps, out = [None] * M, [[] for _ in range(M)], [None] * M
-    live, abs_y, KT = list(range(M)), np.abs(Y), None
-    trials = [_trial(t0, h, True, t_bound, direction, max_step) for h in h_abs]
-    while True:
-        for j, i in enumerate(live):
-            if trials[j] is None and out[i] is None:
-                out[i] = OdeResult(t[i], Y[j].copy(), nfev[i], False, FAILED)
-        rows = [j for j, i in enumerate(live) if out[i] is None]
-        if not rows:
-            return OdeStack(out)
-        if KT is None or len(rows) < len(live):
-            live, trials, Y, abs_y, K = ([live[j] for j in rows], [trials[j] for j in rows],
-                                         Y[rows], abs_y[rows], K[rows])
-            KT = [K[:, :s].transpose(0, 2, 1) for s in range(17)]
-        ts, hs = [t[i] for i in live], [h for _, h in trials]
-        H = np.array(hs)[:, None]
-        for s in range(1, 12):
-            Ys = Y + np.matmul(KT[s], ROWS[s]) * H
-            K[:, s] = [fun(ti + NODES[s] * h, y) for ti, h, y in zip(ts, hs, Ys)]
-        Y_new = Y + H * np.matmul(KT[12], B)
-        K[:, 12] = [fun(ti + h, y) for ti, h, y in zip(ts, hs, Y_new)]
-        scale = atol + np.maximum(abs_y, abs_new := np.abs(Y_new)) * rtol
-        err5, err3 = np.matmul(KT[13], E5) / scale, np.matmul(KT[13], E3) / scale
-        taken, crossed = [], []
-        for j, i in enumerate(live):
-            err = _error(hs[j], err5[j], err3[j])
-            h_abs[i], rejected[i] = _step_size(abs(hs[j]), err, rejected[i]), \
-                None if err < 1 else True
-            nfev[i], g_old = nfev[i] + 12, g[i]
-            if err < 1:
-                t[i], g[i] = trials[j][0], events[i] and events[i](trials[j][0], Y_new[j])
-                taken.append(j)
-                crossed.append(bool(events[i] and g_old <= 0 <= g[i]))
-        took = np.zeros((len(live), 1), bool)
-        took[taken] = True
-        Y_old, Y, abs_y = Y, np.where(took, Y_new, Y), np.where(took, abs_new, abs_y)
-        dense = [j for j, c in zip(taken, crossed) if dense_output or c]
-        if dense:
-            rows = slice(None) if len(dense) == len(live) else dense
-            Kd, Yd, Hd, olds = K[rows].copy(), Y_old[rows], H[rows], [ts[j] for j in dense]
-            for s in (13, 14, 15):
-                Ys = Yd + np.matmul(Kd[:, :s].transpose(0, 2, 1), ROWS[s]) * Hd
-                Kd[:, s] = [fun(ti + NODES[s] * hs[j], y) for ti, j, y in zip(olds, dense, Ys)]
-            for k, j in enumerate(dense):
-                nfev[live[j]] += 3
-                steps[live[j]].append((olds[k], t[live[j]], Yd[k], Y_new[j], Kd[k]))
-        K[taken, 0] = K[taken, 12]
-        for j, c in zip(taken, crossed):
-            i = live[j]
-            if c or direction * (t[i] - t_bound) >= 0:
-                t_end, y_end = _event_root(events[i], steps[i][-1]) if c else (t[i], Y[j].copy())
-                out[i] = OdeResult(t_end, y_end, nfev[i], True, "event" if c else "end",
-                                   _interpolant(steps[i]) if dense_output else None,
-                                   *((t_end, y_end) if c else ()))
-        trials = [out[i] or _trial(t[i], h_abs[i], rejected[i] is None, t_bound, direction,
-                                   max_step) for i in live]
-
-
-def _first_step(fun, t, y, f, t_bound, rtol, atol, max_step):
-    """The first step size from (t, y), where f = fun(t, y), at one more call of fun
-    (Hairer et al., sec. II.4)."""
-    interval, direction = abs(t_bound - t), math.copysign(1.0, t_bound - t)
-    n, scale = y.size, atol + np.abs(y) * rtol
+def _solve(fun, t, t_bound, y, rtol, atol, max_step, dense_output, event):
+    """One solve, a generator whose stages a stepper computes: it yields each try (t, h, y,
+    f = fun(t, y)) and is sent its end, f there and the scaled error estimates (y_new,
+    f_new, err5, err3); for a dense output it yields None and is sent the step's stages."""
+    n, f, direction = y.size, fun(t, y), math.copysign(1.0, t_bound - t)
+    # the first step (Hairer et al., sec. II.4)
+    interval, scale = abs(t_bound - t), atol + np.abs(y) * rtol
     d0, d1 = (np.linalg.norm(v / scale) / n ** 0.5 for v in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     f1 = fun(t + h0 * direction, y + h0 * direction * f)
     d2 = np.linalg.norm((f1 - f) / scale) / n ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    return min(100 * h0, h1, interval, max_step)
+    h_abs, nfev = min(100 * h0, h1, interval, max_step), 2
+    steps, crossed, t_event, y_event = [], False, None, None
+    g = event and event(t, y)
+    while direction * (t - t_bound) < 0 and not crossed:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs, rejected = max_step if h_abs > max_step else max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:         # a nan step size fails too
+                return OdeResult(t, y, nfev, False, "the step size fell below the spacing of t")
+            t_new = t + h_abs * direction
+            t_new = t_bound if direction * (t_new - t_bound) > 0 else t_new
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, err5, err3 = yield t, h, y, f
+            nfev += 12
+            # the squared norms, rounded as np.linalg.norm(x) ** 2 rounds them
+            e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
+            err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
+            if err < 1:
+                factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.125), True
+        t_old, y_old, t, y, f, g_old = t, y, t_new, y_new, f_new, g
+        g = event and event(t, y)
+        crossed = event and g_old <= 0 <= g
+        if dense_output or crossed:
+            steps.append((t_old, t, y_old, y, (yield)))
+            nfev += 3
+        if crossed:
+            at = _interpolant(steps[-1:])
+            t = t_event = _illinois(lambda s: event(s, at(s)), t_old, t)
+            y = y_event = at(t)
+    sol = _interpolant(steps) if dense_output else None
+    return OdeResult(t, y, nfev, True, "event" if crossed else "end", sol, t_event, y_event)
 
 
-def _trial(t, h_abs, new, t_bound, direction, max_step):
-    """(t_new, h) of the next try from t, about h_abs long toward t_bound (a new step is
-    first held between max_step and the least step, 10 spacings of t), or None where
-    it is below the least step (a nan step size too)."""
-    min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-    if new:
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
-    if not h_abs >= min_step:
-        return None
-    t_new = t + h_abs * direction
-    t_new = t_bound if direction * (t_new - t_bound) > 0 else t_new
-    return t_new, t_new - t
+def _step_one(fun, solve, rtol, atol):
+    """The OdeResult of the generator solve run alone, each stage sum by np.dot."""
+    try:
+        request = next(solve)
+        K = np.empty((16, request[2].size))
+        KT = [K[:s].T for s in range(17)]
+        while True:
+            if request:                       # a try; None asks for the dense-output stages
+                t, h, y, K[0] = request       # of the step just taken, from its try's start
+            for s in range(1, 12) if request else (13, 14, 15):
+                K[s] = fun(t + NODES[s] * h, y + np.dot(KT[s], ROWS[s]) * h)
+            if not request:
+                request = solve.send(K.copy())
+                continue
+            y_new = y + h * np.dot(KT[12], B)
+            K[12] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            request = solve.send((y_new, f_new, np.dot(KT[13], E5) / scale,
+                                  np.dot(KT[13], E3) / scale))
+    except StopIteration as done:
+        return done.value
 
 
-def _error(h, err5, err3):
-    """The error norm of a step h from its scaled error estimates of orders 5 and 3,
-    whose squared norms are rounded as np.linalg.norm(x) ** 2 rounds them."""
-    e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * err5.size) if e5 or e3 else 0.0
+def _step_stack(fun, solves, rtol, atol):
+    """The OdeResults of the generators solves, run together in rounds: all tries, each
+    stage sum in one np.matmul (which rounds every member as np.dot rounds it alone) and
+    one call of fun per member, then the dense-output stages of the steps taken."""
+    out = [None] * len(solves)
 
+    def send(i, value):
+        try:
+            return solves[i].send(value)
+        except StopIteration as done:
+            out[i] = done.value
 
-def _step_size(h_abs, err, rejected):
-    """The length of the next try after a try of h_abs with error norm err: longer after
-    a step taken (err < 1), though no longer if that step was rejected before, and
-    shorter after a rejection."""
-    if err < 1:
-        factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
-        return h_abs * (min(1.0, factor) if rejected else factor)
-    return h_abs * max(0.2, 0.9 * err ** -0.125)
-
-
-def _event_root(event, step):
-    """(t, y) at the root of event on the accepted step (t_old, t, y_old, y, K)."""
-    at = _interpolant([step])
-    t = _illinois(lambda s: event(s, at(s)), step[0], step[1])
-    return t, at(t)
+    requests = [send(i, None) for i in range(len(solves))]
+    while live := [i for i, r in enumerate(out) if r is None]:
+        ts, hs, ys, fs = zip(*(requests[i] for i in live))
+        Y, H = np.array(ys), np.array(hs)[:, None]
+        K = np.empty((len(live), 16, Y.shape[1]))
+        KT, K[:, 0] = [K[:, :s].transpose(0, 2, 1) for s in range(14)], fs
+        for s in range(1, 12):
+            Ys = Y + np.matmul(KT[s], ROWS[s]) * H
+            K[:, s] = [fun(t + NODES[s] * h, y) for t, h, y in zip(ts, hs, Ys)]
+        Y_new = Y + H * np.matmul(KT[12], B)
+        K[:, 12] = F_new = [fun(t + h, y) for t, h, y in zip(ts, hs, Y_new)]
+        scale = atol + np.maximum(np.abs(Y), np.abs(Y_new)) * rtol
+        err5, err3 = np.matmul(KT[13], E5) / scale, np.matmul(KT[13], E3) / scale
+        for j, i in enumerate(live):
+            requests[i] = send(i, (Y_new[j], F_new[j], err5[j], err3[j]))
+        dense = [j for j, i in enumerate(live) if out[i] is None and requests[i] is None]
+        if dense:
+            Kd, Yd, Hd = K[dense], Y[dense], H[dense]
+            for s in (13, 14, 15):
+                Ys = Yd + np.matmul(Kd[:, :s].transpose(0, 2, 1), ROWS[s]) * Hd
+                Kd[:, s] = [fun(ts[j] + NODES[s] * hs[j], y) for j, y in zip(dense, Ys)]
+            for k, j in enumerate(dense):
+                requests[live[j]] = send(live[j], Kd[k])
+    return out
 
 
 def _interpolant(steps):

@@ -93,9 +93,7 @@ SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest, per unit of abar's scal
 CRITICAL_VALUE_TOL = 1e-6         # equal abar on a critical manifold, per unit scale
 MANIFOLD_SAMPLES = 8              # segments between two points of one critical manifold
 MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
-# members from which return_map runs a list of maps as one stack of solves; fewer
-# lose to the per-step Python they share (CHANGES.md has the crossover measured)
-STACK_MIN = 4
+STACK_MIN = 4                     # maps from which a list is stacked (CHANGES.md: crossover)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,71 +128,52 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
     The crossing must be in the direction of the anchor velocity; the search
     is capped at twice the Zoll reference period.
 
-    With lists of sections and states, the list of each member's (state,
-    return time, path) or the exception it raised.  From STACK_MIN members
-    on, the members' solves run as one stack (``ode.solve_ivp``), shorter
-    lists member by member; each member's result is the same bit for bit.
+    With lists of sections and states, each member's (state, return time,
+    path) or exception: stacked solves (``ode.solve_ivp``) from STACK_MIN
+    members on, else member by member, bit for bit alike.
     """
-    if not isinstance(state, list):
-        out = _return_maps(sys, [section], [state], tol)[0]
-        if isinstance(out, Exception):
-            raise out
-        return out
-    if len(state) >= STACK_MIN:
-        return _return_maps(sys, section, state, tol)
-    return [_return_maps(sys, [sec], [st], tol)[0] for sec, st in zip(section, state)]
+    if isinstance(state, list):
+        return _return_maps(sys, section, state, tol) if len(state) >= STACK_MIN else \
+            [_return_maps(sys, [sec], [st], tol)[0] for sec, st in zip(section, state)]
+    (out,) = _return_maps(sys, [section], [state], tol)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _return_maps(sys, sections, states, tol):
-    """``return_map`` from each section and state: one stack of solves, or
-    1-D solves for one member."""
-    t_ref, d, f, stack = reference_period(sys), sys.surface.dim, rhs(sys), len(states) > 1
+    """``return_map`` from each section and state, by stacked solves."""
+    t_ref, d, f = reference_period(sys), sys.surface.dim, rhs(sys)
     rtol, atol = stepper_tolerances(tol)
     head = 0.3 * t_ref
     out = [TangencyError("flow is tangent to the section at the given state")
            if abs(_crossing_speed(sys, sec, st.position, st.velocity)) < TRANSVERSALITY_MIN
            else None for sec, st in zip(sections, states)]
 
-    def solve(span, rows, event=None, **kw):
-        """The live members' solves from rows; a member whose solve failed leaves."""
+    def solve(span, rows, **kw):
+        """{member: solve} of the members still mapping; a failed one ends."""
         live = [i for i, r in enumerate(out) if r is None]
-        if not live:
-            return []
-        kw.update(rtol=rtol, atol=atol, dense_output=True)
-        sols = solve_ivp(f, span, np.array(rows), event=event, **kw) if stack else \
-            [solve_ivp(f, span, rows[0], event=event and event[0], **kw)]
+        sols = solve_ivp(f, span, np.reshape(rows, (-1, 2 * d)), rtol=rtol, atol=atol,
+                         dense_output=True, **kw)
         for i, sol in zip(live, sols):
             out[i] = None if sol.success else StepFailure(sol.message)
-        return [(i, sol) for i, sol in zip(live, sols) if sol.success]
+        return {i: sol for i, sol in zip(live, sols) if sol.success}
 
     heads = solve((0.0, head), [pack_state(st) for st, r in zip(states, out) if r is None])
     # cap the step so one step cannot straddle two section crossings
-    tails = solve((head, 2.0 * t_ref), [sol.y for _, sol in heads], max_step=0.2 * t_ref,
-                  event=[_section_event(sys, sections[i]) for i, _ in heads])
-    early = dict(heads)
-    for i, late in tails:
-        if late.t_event is None:
+    tails = solve((head, 2.0 * t_ref), [sol.y for sol in heads.values()], max_step=0.2 * t_ref,
+                  event=[lambda t, y, sec=sections[i]: _section_value(sys, sec, y[:d])
+                         for i in heads])
+    for i, sol in tails.items():
+        q, v = sol.y[:d], sol.y[d:]           # y_event, where the flow crossed
+        if sol.t_event is None:
             out[i] = NoReturn("no section crossing within 2 reference periods")
-            continue
-        q, v = late.y_event[:d], late.y_event[d:]
-        if abs(_crossing_speed(sys, sections[i], q, v)) < TRANSVERSALITY_MIN:
+        elif abs(_crossing_speed(sys, sections[i], q, v)) < TRANSVERSALITY_MIN:
             out[i] = TangencyError("return crossing is tangent to the section")
-        else:
-            out[i] = tangent_state(sys, q, v), late.t_event, _joined(head, early[i].sol, late.sol)
+        else:   # path(times) from the dense output of both solves
+            out[i] = tangent_state(sys, q, v), sol.t_event, lambda times, a=heads[i].sol, \
+                b=sol.sol: np.hstack([a(times[times <= head]), b(times[~(times <= head)])])
     return out
-
-
-def _section_event(sys, section):
-    d = sys.surface.dim
-    return lambda t, y: _section_value(sys, section, y[:d])
-
-
-def _joined(head, early, late):
-    """path(times) of a return map from its two solves' dense output."""
-    def path(times):
-        first = times <= head
-        return np.hstack([early(times[first]), late(times[~first])])
-    return path
 
 
 # --- orbits ---------------------------------------------------------------------
@@ -235,14 +214,12 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     map, from which come D, the state residual that decides convergence and
     the line search, and the orbit's samples; the first Newton step adds the
     two maps of the forward-difference Jacobian, at that tolerance divided
-    by DRIFT_FD_STEP, so a seed that already closes costs one map.
-    first_map, when given, is the result of that first map, already run
-    from ``_newton_start`` at that tolerance (as ``enumerate_orbits`` runs
-    all its seeds' first maps in one stack): the return_map triple or the
-    exception it raised, which is raised here.  Raises DivergedFromFamily
-    when the seed's return residual exceeds the short-loop gate, an iterate
-    loses the section or moves farther than ORBIT_SPACE_REACH from c0;
-    NoConvergence when the iteration budget runs out or the step vanishes.
+    by DRIFT_FD_STEP, so a seed that already closes costs one map; given
+    first_map (that map's result or exception, run by ``enumerate_orbits``),
+    none.  Raises DivergedFromFamily when the seed's return
+    residual exceeds the short-loop gate, an iterate loses the section or
+    moves farther than ORBIT_SPACE_REACH from c0; NoConvergence when the
+    iteration budget runs out or the step vanishes.
     """
     surface = sys.surface
     ivp_tol = _map_tol(tol)
@@ -252,11 +229,10 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
         """(D, state residual, (c, return time, path)) at local coordinates x,
         from the return map mapped where it has run already."""
         c, start = start_at(x)
-        if mapped is None:
-            mapped = return_map(sys, make_section(sys, start), start, tol=map_tol)
-        elif isinstance(mapped, Exception):
+        if isinstance(mapped, Exception):
             raise mapped
-        end, t_ret, path = mapped
+        end, t_ret, path = mapped or return_map(sys, make_section(sys, start), start,
+                                                tol=map_tol)
         back = surface.orbit_space_point(sys, end.position, end.velocity)
         return (basis.T @ surface.orbit_space_gap(c, back), state_distance(sys, end, start),
                 (c, t_ret, path))
@@ -304,17 +280,14 @@ def _map_tol(tol):
 
 
 def _newton_start(sys, seed):
-    """(c0, basis, start_at) of a Newton run from seed: its orbit-space point
-    c0, the basis B of ``orbit_space_chart`` there, and start_at(x), the (c,
-    Zoll state over c) at local coordinates x, c = orbit_space_step(c0, B x)."""
+    """(c0, B, start_at) of Newton from seed: its orbit-space point c0, the
+    basis B of ``orbit_space_chart(c0)`` and start_at(x) = (c, the Zoll state
+    over c) at local coordinates x, c = orbit_space_step(c0, B x)."""
     surface = sys.surface
     c0 = surface.orbit_space_point(sys, seed.position, seed.velocity)
     basis, ref = surface.orbit_space_chart(c0)
-
-    def start_at(x):
-        c = surface.orbit_space_step(c0, basis @ x)
-        return c, surface.zoll_state(sys, c, ref)
-    return c0, basis, start_at
+    return c0, basis, lambda x: (c := surface.orbit_space_step(c0, basis @ x),
+                                 surface.zoll_state(sys, c, ref))
 
 
 def _build_orbit(sys, center, period, path, seed_id, iterations=0):
@@ -544,9 +517,8 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     The starts are the orbit-space points of ``seed_grid``.  Newton runs
     from the Zoll state over each representative of ``critical_points``,
     or, where first order cannot place the orbits, over every start (the
-    blind grid).  In one process, the seeds' first maps run as one
-    ``return_map`` call (stacked from STACK_MIN seeds on), each result handed
-    to its seed's ``find_closed_orbit``.  Failed seeds are logged and skipped.
+    blind grid), in one process from the seeds' first maps, stacked in one
+    ``return_map`` call.  Failed seeds are logged and skipped.
 
     The sort key is the length as reports print it (``reporting.round_sig``),
     then the seed's position in the seed list, so that orbits whose lengths
