@@ -74,19 +74,18 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
     from <= 0 to >= 0.  A step shorter than the float spacing of t fails the solve.
 
     A y0 of shape (M, n), with event None or M functions, is a stack: an OdeStack whose
-    member i is the solve from y0[i] bit for bit, two or more stepped together."""
+    member i is the solve from y0[i] bit for bit, the members stepped together."""
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
-    if y.ndim == 2:
-        solves = [(row, e) for row, e in zip(y, event or [None] * len(y))]
-        if len(y) < 2 or t == t_bound:
-            return OdeStack(solve_ivp(fun, t_span, row, rtol, atol, max_step, dense_output, e)
-                            for row, e in solves)
-        return OdeStack(_step_stack(fun, [_solve(fun, t, t_bound, row, rtol, atol, max_step,
-                                                 dense_output, e) for row, e in solves],
-                                    rtol, atol))
+    if t == t_bound and y.ndim == 2:
+        return OdeStack(solve_ivp(fun, t_span, row, rtol, atol) for row in y)
     if t == t_bound:                          # no step: the state is y0 throughout
         return OdeResult(t, y, 0, True, "empty interval", lambda s: np.outer(y, np.ones_like(s)))
+    if y.ndim == 2:
+        return OdeStack(_step_stack(fun, [_solve(fun, t, t_bound, row, rtol, atol, max_step,
+                                                 dense_output, e)
+                                          for row, e in zip(y, event or [None] * len(y))],
+                                    rtol, atol))
     return _step_one(fun, _solve(fun, t, t_bound, y, rtol, atol, max_step, dense_output, event),
                      rtol, atol)
 
@@ -140,10 +139,11 @@ def _solve(fun, t, t_bound, y, rtol, atol, max_step, dense_output, event):
     return OdeResult(t, y, nfev, True, "event" if crossed else "end", sol, t_event, y_event)
 
 
-def _step_one(fun, solve, rtol, atol):
-    """The OdeResult of the generator solve run alone, each stage sum by np.dot."""
+def _step_one(fun, solve, rtol, atol, request=None):
+    """The OdeResult of the generator solve run alone, from its pending try request if
+    it has one, each stage sum by np.dot."""
     try:
-        request = next(solve)
+        request = request or next(solve)
         K = np.empty((16, request[2].size))
         KT = [K[:s].T for s in range(17)]
         while True:
@@ -177,6 +177,9 @@ def _step_stack(fun, solves, rtol, atol):
 
     requests = [send(i, None) for i in range(len(solves))]
     while live := [i for i, r in enumerate(out) if r is None]:
+        if len(live) == 1:                    # alone, a member runs faster by np.dot
+            out[live[0]] = _step_one(fun, solves[live[0]], rtol, atol, requests[live[0]])
+            break
         ts, hs, ys, fs = zip(*(requests[i] for i in live))
         Y, H = np.array(ys), np.array(hs)[:, None]
         K = np.empty((len(live), 16, Y.shape[1]))
