@@ -82,10 +82,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
     if t == t_bound:                          # no step: the state is y0 throughout
         return OdeResult(t, y, 0, True, "empty interval", lambda s: np.outer(y, np.ones_like(s)))
     if y.ndim == 2:
-        return OdeStack(_step_stack(fun, [_solve(fun, t, t_bound, row, rtol, atol, max_step,
-                                                 dense_output, e)
-                                          for row, e in zip(y, event or [None] * len(y))],
-                                    rtol, atol))
+        solves = [_solve(fun, t, t_bound, row, rtol, atol, max_step, dense_output, e)
+                  for row, e in zip(y, event or [None] * len(y))]
+        return OdeStack(_step_stack(fun, solves, rtol, atol))
     return _step_one(fun, _solve(fun, t, t_bound, y, rtol, atol, max_step, dense_output, event),
                      rtol, atol)
 

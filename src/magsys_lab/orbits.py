@@ -151,7 +151,8 @@ def _return_maps(sys, sections, states, tol):
            else None for sec, st in zip(sections, states)]
 
     def solve(span, rows, **kw):
-        """{member: solve} of the members still mapping; a failed one ends."""
+        """{member: solve} from rows, one per member still mapping; a member
+        whose solve fails ends with StepFailure."""
         live = [i for i, r in enumerate(out) if r is None]
         sols = solve_ivp(f, span, np.reshape(rows, (-1, 2 * d)), rtol=rtol, atol=atol,
                          dense_output=True, **kw)
@@ -170,10 +171,17 @@ def _return_maps(sys, sections, states, tol):
             out[i] = NoReturn("no section crossing within 2 reference periods")
         elif abs(_crossing_speed(sys, sections[i], q, v)) < TRANSVERSALITY_MIN:
             out[i] = TangencyError("return crossing is tangent to the section")
-        else:   # path(times) from the dense output of both solves
-            out[i] = tangent_state(sys, q, v), sol.t_event, lambda times, a=heads[i].sol, \
-                b=sol.sol: np.hstack([a(times[times <= head]), b(times[~(times <= head)])])
+        else:
+            out[i] = tangent_state(sys, q, v), sol.t_event, _joined(head, heads[i].sol, sol.sol)
     return out
+
+
+def _joined(head, early, late):
+    """path(times) of a return map from its solves' dense output before and after head."""
+    def path(times):
+        first = times <= head
+        return np.hstack([early(times[first]), late(times[~first])])
+    return path
 
 
 # --- orbits ---------------------------------------------------------------------
@@ -286,8 +294,11 @@ def _newton_start(sys, seed):
     surface = sys.surface
     c0 = surface.orbit_space_point(sys, seed.position, seed.velocity)
     basis, ref = surface.orbit_space_chart(c0)
-    return c0, basis, lambda x: (c := surface.orbit_space_step(c0, basis @ x),
-                                 surface.zoll_state(sys, c, ref))
+
+    def start_at(x):
+        c = surface.orbit_space_step(c0, basis @ x)
+        return c, surface.zoll_state(sys, c, ref)
+    return c0, basis, start_at
 
 
 def _build_orbit(sys, center, period, path, seed_id, iterations=0):

@@ -97,7 +97,7 @@ def samples_csv(sys, traj, path, extra=None):
     cols = ["t", *sys.surface.columns, *extra]
     table = np.column_stack([traj.times, traj.states, *extra.values()])
     row = ",".join(["%.12g"] * len(cols)) + "\n"
-    write_text(",".join(cols) + "\n" + row * len(table) % tuple(table.ravel().tolist()), path)
+    write_text(",".join(cols) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()), path)
 
 
 def orbit_samples_csv(sys, orbit, path):
