@@ -20,6 +20,8 @@ import pytest
 from magsys_lab.cli import parse_config
 from magsys_lab.zollref import reference_length
 
+from test_orbits import map_results
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "magsys_lab"
 WORKLOADS_PY = PERFBENCH / "workloads.py"
@@ -132,10 +134,9 @@ def test_perturbed_census_return_maps(tmp_path, monkeypatch, name):
     plain = orbits.return_map
 
     def counted(*args, **kw):
-        # one map per member of a call with a list of states
-        states = args[2] if len(args) > 2 else kw["state"]
-        calls.extend([1] * (len(states) if isinstance(states, list) else 1))
-        return plain(*args, **kw)
+        result = plain(*args, **kw)
+        calls.extend(map_results(args, kw, result))
+        return result
 
     monkeypatch.setattr(orbits, "return_map", counted)
     evals = []
