@@ -63,7 +63,6 @@ OdeResult.__doc__ = "Last t and y, RHS calls nfev, dense output sol, event root 
 
 class OdeStack(list):
     """The OdeResult of each member of a stacked solve, in order; nfev is their sum."""
-
     nfev = property(lambda self: sum(r.nfev for r in self))
 
 
@@ -75,24 +74,20 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
 
     A y0 of shape (M, n), with event None or M functions, is a stack: an OdeStack whose
     member i is the solve from y0[i] bit for bit, the members stepped together."""
-    t, t_bound = map(float, t_span)
+    args = (fun, *map(float, t_span), rtol, atol, max_step, dense_output)
     y = np.asarray(y0, dtype=float)
-    if t == t_bound and y.ndim == 2:
-        return OdeStack(solve_ivp(fun, t_span, row, rtol, atol) for row in y)
-    if t == t_bound:                          # no step: the state is y0 throughout
-        return OdeResult(t, y, 0, True, "empty interval", lambda s: np.outer(y, np.ones_like(s)))
     if y.ndim == 2:
-        solves = [_solve(fun, t, t_bound, row, rtol, atol, max_step, dense_output, e)
-                  for row, e in zip(y, event or [None] * len(y))]
-        return OdeStack(_step_stack(fun, solves, rtol, atol))
-    return _step_one(fun, _solve(fun, t, t_bound, y, rtol, atol, max_step, dense_output, event),
-                     rtol, atol)
+        events = event or [None] * len(y)
+        return OdeStack(_step_stack(fun, [_solve(*args, *m) for m in zip(y, events)], rtol, atol))
+    return _step_one(fun, _solve(*args, y, event), rtol, atol)
 
 
-def _solve(fun, t, t_bound, y, rtol, atol, max_step, dense_output, event):
+def _solve(fun, t, t_bound, rtol, atol, max_step, dense_output, y, event):
     """One solve, a generator whose stages a stepper computes: it yields each try (t, h, y,
     f = fun(t, y)) and is sent its end, f there and the scaled error estimates (y_new,
     f_new, err5, err3); for a dense output it yields None and is sent the step's stages."""
+    if t == t_bound:                          # no step: the state is y0 throughout
+        return OdeResult(t, y, 0, True, "empty interval", lambda s: np.outer(y, np.ones_like(s)))
     n, f, direction = y.size, fun(t, y), math.copysign(1.0, t_bound - t)
     # the first step (Hairer et al., sec. II.4)
     interval, scale = abs(t_bound - t), atol + np.abs(y) * rtol
@@ -192,8 +187,7 @@ def _step_stack(fun, solves, rtol, atol):
         err5, err3 = np.matmul(KT[13], E5) / scale, np.matmul(KT[13], E3) / scale
         for j, i in enumerate(live):
             requests[i] = send(i, (Y_new[j], F_new[j], err5[j], err3[j]))
-        dense = [j for j, i in enumerate(live) if out[i] is None and requests[i] is None]
-        if dense:
+        if dense := [j for j, i in enumerate(live) if out[i] is None and requests[i] is None]:
             Kd, Yd, Hd = K[dense], Y[dense], H[dense]
             for s in (13, 14, 15):
                 Ys = Yd + np.matmul(Kd[:, :s].transpose(0, 2, 1), ROWS[s]) * Hd

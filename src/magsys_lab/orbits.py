@@ -93,7 +93,7 @@ SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest, per unit of abar's scal
 CRITICAL_VALUE_TOL = 1e-6         # equal abar on a critical manifold, per unit scale
 MANIFOLD_SAMPLES = 8              # segments between two points of one critical manifold
 MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
-STACK_MIN = 4                     # maps from which a list is stacked (CHANGES.md: crossover)
+STACK_MIN = 4                     # seeds from which a census stacks its first maps
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +129,11 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
     is capped at twice the Zoll reference period.
 
     With lists of sections and states, each member's (state, return time,
-    path) or exception: stacked solves (``ode.solve_ivp``) from STACK_MIN
-    members on, else member by member, bit for bit alike.
+    path) or exception, by stacked solves (``ode.solve_ivp``), bit for bit
+    its own map's.
     """
     if isinstance(state, list):
-        return _return_maps(sys, section, state, tol) if len(state) >= STACK_MIN else \
-            [_return_maps(sys, [sec], [st], tol)[0] for sec, st in zip(section, state)]
+        return _return_maps(sys, section, state, tol)
     (out,) = _return_maps(sys, [section], [state], tol)
     if isinstance(out, Exception):
         raise out

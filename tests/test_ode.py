@@ -225,12 +225,12 @@ def test_stacked_solve_is_each_member_s_own(kappa):
     events[4] = lambda t, y: -1.0
     f, kw = rhs(sys), dict(rtol=RTOL, atol=ATOL, dense_output=True)
     head = ode.solve_ivp(f, (0.0, 0.3 * t_ref), y0, **kw)
+    own_head = [ode.solve_ivp(f, (0.0, 0.3 * t_ref), y, **kw) for y in y0]
     y_head = np.array([r.y for r in head])
     span, kw["max_step"] = (0.3 * t_ref, 2.0 * t_ref), 0.2 * t_ref
     tail = ode.solve_ivp(f, span, y_head, event=events, **kw)
     assert [r.message for r in tail] == ["event"] * 3 + [STEP_TOO_SMALL, "end"]
-    for stack, t1, own in ((head, 0.0, [ode.solve_ivp(f, (0.0, 0.3 * t_ref), y, **kw)
-                                        for y in y0]),
+    for stack, t1, own in ((head, 0.0, own_head),
                            (tail, span[0], [ode.solve_ivp(f, span, y, event=e, **kw)
                                             for y, e in zip(y_head, events)])):
         assert isinstance(stack, ode.OdeStack) and len(stack) == 5

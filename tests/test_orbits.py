@@ -67,9 +67,9 @@ class TestReturnMap:
 @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
 def test_stacked_maps_are_each_member_s_own(kappa):
     # return_map on lists: each member's (state, time, path) or exception, bit
-    # for bit those of its own map, stacked (STACK_MIN members or more) or not;
-    # beside members that return, one tangent to its section and one whose
-    # section is out of its circle's reach
+    # for bit those of its own map, in a stack of four and of two; beside
+    # members that return, one tangent to its section and one whose section
+    # is out of its circle's reach
     sys = perturbed_system(kappa)
     surface, seed = sys.surface, latitude_seed(sys)
     rng = np.random.default_rng(9)
@@ -87,7 +87,7 @@ def test_stacked_maps_are_each_member_s_own(kappa):
     far = make_section(sys, seed)
     sections[2] = orbits_mod.SectionSpec(far.anchor, far.normal, far.origin - 3.0 * far.normal)
     times = np.linspace(0.0, 1.5 * reference_period(sys), 101)
-    for n in (len(states), orbits_mod.STACK_MIN - 1):
+    for n in (len(states), 2):
         results = return_map(sys, sections[:n], states[:n])
         assert len(results) == n
         for sec, st, res in zip(sections, states, results):
@@ -191,23 +191,29 @@ def perturbed_system(kappa):
                              0.05, normalize=True)
 
 
+def map_count(args, kw):
+    """The maps of one orbits.return_map call, counted before it runs: one per
+    member of a list of states, else one."""
+    states = args[2] if len(args) > 2 else kw["state"]
+    return len(states) if isinstance(states, list) else 1
+
+
 def map_results(args, kw, result):
     """The result of each map of one orbits.return_map call: one per member of
     a call with a list of states."""
-    states = args[2] if len(args) > 2 else kw["state"]
-    return result if isinstance(states, list) else [result]
+    return result if isinstance(args[2] if len(args) > 2 else kw["state"], list) else [result]
 
 
 def counting_return_maps(monkeypatch):
     """The list of the maps of orbits.return_map, one entry each (every map is
-    plain; a call with a list of states has one map per member)."""
+    plain; a call with a list of states has one map per member), counted
+    before each call, so a map that raises counts too."""
     calls = []
     plain = orbits_mod.return_map
 
     def counted(*args, **kw):
-        result = plain(*args, **kw)
-        calls.extend(1 for _ in map_results(args, kw, result))
-        return result
+        calls.extend([1] * map_count(args, kw))
+        return plain(*args, **kw)
 
     monkeypatch.setattr(orbits_mod, "return_map", counted)
     return calls
