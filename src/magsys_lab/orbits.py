@@ -65,7 +65,6 @@ from .config import ExperimentConfig
 from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
                      TangencyError)
 from .geometry import TangentState, state_distance, tangent_state
-from .reporting import round_sig
 from .dynamics import (Trajectory, pack_state, reference_period, rhs, sampled_trajectory,
                        solve_ivp, stepper_tolerances)
 from .dynamics import flow  # noqa: F401  unused; perfbench/tracer.py rebinds orbits.flow
@@ -530,10 +529,10 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     blind grid), in one process from the seeds' first maps, stacked in one
     ``return_map`` call.  Failed seeds are logged and skipped.
 
-    The sort key is the length as reports print it (``reporting.round_sig``),
-    then the seed's position in the seed list, so that orbits whose lengths
-    agree up to rounding noise (translates and rotations of one orbit) keep
-    that order."""
+    Orbits sort by length, and lengths within tol of the length before
+    them form one group (single linkage), whose orbits keep the seed order:
+    lengths that agree to Newton's accuracy (translates and rotations of
+    one orbit) are not ordered by their noise."""
     names, starts = _starts(sys, grid_density, rng_seed)
     picked = critical_points(sys, names, starts, tol) if names else None
     ids, points = (names, starts) if picked is None else picked
@@ -558,8 +557,13 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     unique = deduplicate(sys, found)
     from .functionals import magnetic_length
     lengths = [magnetic_length(sys, orb) for orb in unique]
-    # a stable sort: ``unique`` is in seed order
-    order = sorted(range(len(unique)), key=lambda i: round_sig(lengths[i]))
+    groups = []                         # ``unique`` is in seed order
+    for i in sorted(range(len(unique)), key=lengths.__getitem__):
+        if groups and lengths[i] - lengths[groups[-1][-1]] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    order = [i for group in groups for i in sorted(group)]
     return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds),
                   len(names))
 

@@ -537,26 +537,31 @@ class TestEnumerate:
         assert found.magnetic_lengths == [magnetic_length(sys, orb) for orb in found]
 
     def test_order_ignores_rounding_noise_in_the_lengths(self, monkeypatch):
-        # the Zoll torus circles share one length up to rounding noise; a
-        # jitter of 1e-14 that falls along the grid reverses a sort by the raw
-        # length, but not one by the length as reports print it
+        # the Zoll torus circles share one length up to rounding noise.  A
+        # jitter falling along the grid reverses a sort by the raw length at
+        # 1e-14 per seed, and one by the length as reports print it (12
+        # digits) at 2e-11; lengths within tol of each other keep the seed
+        # order.  At 2e-9 per seed they lie more than tol apart and sort.
         from magsys_lab import functionals
         sys = make_model(0.0, 1.0)
         plain = enumerate_orbits(sys, grid_density=2, tol=1e-9)
         grid = [sid for sid, _ in orbits_mod.seed_grid(sys, 2)]
         assert len(plain) >= 2
-        assert [o.seed_id for o in plain] == [sid for sid in grid if sid in
-                                              {o.seed_id for o in plain}]
-        exact, calls = functionals.magnetic_length, []
+        in_seed_order = [o.seed_id for o in plain]
+        assert in_seed_order == [sid for sid in grid if sid in set(in_seed_order)]
+        exact = functionals.magnetic_length
+        for step, expected in ((1e-14, in_seed_order), (2e-11, in_seed_order),
+                               (2e-9, in_seed_order[::-1])):
+            calls = []
 
-        def jittered(sys, orb):
-            calls.append(orb.seed_id)
-            return exact(sys, orb) - 1e-14 * len(calls)
+            def jittered(sys, orb):
+                calls.append(orb.seed_id)
+                return exact(sys, orb) - step * len(calls)
 
-        monkeypatch.setattr(functionals, "magnetic_length", jittered)
-        found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
-        assert found.magnetic_lengths != sorted(found.magnetic_lengths)
-        assert [o.seed_id for o in found] == [o.seed_id for o in plain]
+            monkeypatch.setattr(functionals, "magnetic_length", jittered)
+            found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
+            assert [o.seed_id for o in found] == expected, step
+            assert (found.magnetic_lengths == sorted(found.magnetic_lengths)) == (step > 1e-9)
 
     def test_process_pool_matches_serial(self):
         # the pool sends each seed's Orbit back pickled; two workers, no more.
