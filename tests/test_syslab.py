@@ -76,6 +76,16 @@ class TestZollRuns:
         assert max(abs(p - t_ref) for p in rep.periods) < 1e-6
         assert check_two_sided(rep) == "PASS"
 
+    @pytest.mark.parametrize("grid_density", [2, 3])
+    @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
+    def test_lengths_within_a_tenth_of_the_orbit_tolerance(self, kappa, s, grid_density):
+        # every Zoll circle has length ref: the maps' tolerance, a tenth of
+        # tol_orbit, keeps the whole pipeline's error below tol_orbit / 10
+        cfg = zoll_cfg(kappa, s, grid_density=grid_density)
+        rep = run_experiment(cfg)
+        assert rep.orbit_count >= 2
+        assert max(abs(ell - rep.reference) for ell in rep.magnetic_lengths) < cfg.tol_orbit / 10
+
 
 class TestPerturbedRuns:
     def test_two_orbits_match_oracle(self):
