@@ -76,6 +76,7 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     # the RHS count is checked against the stepper's own nfev over every solve
     from magsys_lab import dynamics, orbits
     plain_map, plain_rhs, nfev = orbits.return_map, dynamics.rhs, []
+    plain_average = orbits.orbit_space_average
     for module in (orbits, dynamics):
         solve = module.solve_ivp
 
@@ -90,13 +91,22 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     run = json.loads((tmp_path / "out" / "torus_cos_x_gd1" / "run.json").read_text())
     assert run["return_maps"] == 6
     assert run["rhs_evals"] == sum(nfev) > 0
+    # the one start's model: a 3 x 3 stencil of circles; abar is stationary there
+    assert run["abar_circles"] == 9
     assert orbits.return_map is plain_map
     assert orbits.rhs is dynamics.rhs is plain_rhs
-    # a call with lists of sections and states counts one map per member
-    package = types.SimpleNamespace(orbits=types.SimpleNamespace(return_map=lambda *a, **kw: a),
-                                    dynamics=types.SimpleNamespace(rhs=plain_rhs))
+    assert orbits.orbit_space_average is plain_average
+    # a call with lists of sections and states counts one map per member, a
+    # call of the orbit-space average one circle per row
+    package = types.SimpleNamespace(
+        orbits=types.SimpleNamespace(return_map=lambda *a, **kw: a,
+                                     orbit_space_average=lambda sys, c: c),
+        dynamics=types.SimpleNamespace(rhs=plain_rhs))
     with run_configs["counting"](package) as counts:
         package.orbits.return_map("sys", ["a", "b", "c"], ["x", "y", "z"])
         package.orbits.return_map("sys", "a", "x")
         package.orbits.return_map("sys", ["a", "b"], state=["x", "y"], tol=1e-9)
+        package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 4)
+        package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 5)
     assert counts["return_maps"] == 6
+    assert counts["abar_circles"] == 9

@@ -13,12 +13,13 @@ config of the ROADMAP's Baseline census table, and a few runs with an
 attached 1-form and one ``sweep``.  NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
-two work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
-member of a call with a list of states, else one per call), and
-``rhs_evals``, the calls of the closures that the ``rhs`` factory returns
-where ``orbits`` and ``dynamics`` call it.  Both are counted by rebinding
-those module attributes for the run (restored afterwards), so the tool runs
-unchanged on any tree that has them.  ``python3 tools/compare_reports.py OLD
+three work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
+member of a call with a list of states, else one per call), ``rhs_evals``,
+the calls of the closures that the ``rhs`` factory returns where ``orbits``
+and ``dynamics`` call it, and ``abar_circles``, the rows (one Zoll circle
+each) passed to ``orbits.orbit_space_average``.  All are counted by
+rebinding those module attributes for the run (restored afterwards), so the
+tool runs unchanged on any tree that has them.  ``python3 tools/compare_reports.py OLD
 NEW`` on the OUT directories of two trees compares them with the report
 files.  The config files are written to one directory whatever SRC is
 (``CONFIG_DIR``), so the provenance in ``run_meta.json`` (the config's
@@ -95,11 +96,13 @@ def all_configs():
 
 @contextlib.contextmanager
 def counting(package):
-    """Count return maps and RHS evaluations in ``package`` (the imported
-    magsys_lab) while the block runs; yields the dict of counts."""
-    counts = {"return_maps": 0, "rhs_evals": 0}
+    """Count return maps, RHS evaluations and orbit-space circles in
+    ``package`` (the imported magsys_lab) while the block runs; yields the
+    dict of counts."""
+    counts = {"return_maps": 0, "rhs_evals": 0, "abar_circles": 0}
     orbits, dynamics = package.orbits, package.dynamics
     plain_map, plain_rhs = orbits.return_map, dynamics.rhs
+    plain_average = orbits.orbit_space_average
 
     def return_map(*args, **kw):
         states = args[2] if len(args) > 2 else kw["state"]
@@ -114,11 +117,17 @@ def counting(package):
             return f(t, y)
         return counted
 
+    def orbit_space_average(sys, c):
+        counts["abar_circles"] += len(c)
+        return plain_average(sys, c)
+
     orbits.return_map, orbits.rhs, dynamics.rhs = return_map, rhs, rhs
+    orbits.orbit_space_average = orbit_space_average
     try:
         yield counts
     finally:
         orbits.return_map, orbits.rhs, dynamics.rhs = plain_map, plain_rhs, plain_rhs
+        orbits.orbit_space_average = plain_average
 
 
 def run_one(cli, name, command, text, out, config_dir):
