@@ -40,12 +40,10 @@ def check_zoll_regime(kappa, strength):
 
 
 def a_of_r(kappa, s, r):
-    """The monotone scale function a(r) of the Zoll family."""
-    disc = s * s + kappa * r * r
-    if not disc > 0 or not math.sqrt(disc) + s > 0:
-        raise ZollRegimeViolation(
-            f"a(r) undefined at kappa={kappa:g}, s={s:g}, r={r:g}")
-    return math.sqrt(2.0 * r * r / (math.sqrt(disc) + s))
+    """The monotone scale function a(r) of the Zoll family: the Zoll regime
+    of (kappa r^2, s)."""
+    check_zoll_regime(kappa * r * r, s)
+    return math.sqrt(2.0 * r * r / (math.sqrt(s * s + kappa * r * r) + s))
 
 
 def a1_squared(kappa, s):
