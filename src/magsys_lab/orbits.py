@@ -42,10 +42,11 @@ l = pi a^2(1) + eps abar(c*) + O(eps^2).  The stage before Newton is an
 ODE-free quadrature on circles:
 - the starts are the orbit-space points of the seed grid (``seed_grid``:
   ``grid_density`` and the ``rng_seed`` jitter keep their meaning);
-- from each start a bounded ascent and descent of abar find its critical
-  points (``critical_points``), merged when they coincide, and merged to
-  one representative per Morse-Bott manifold (the critical circles x0 = 0
-  and x0 = pi of cos x on the torus);
+- a quadratic model of abar (its Hessian H) steers three searches from each
+  start (``critical_points``): |H|'s step up to a maximum, down to a
+  minimum, and Newton's to any critical point, saddles included; points
+  that coincide merge, and so do degenerate ones at one value of abar (one
+  Morse-Bott manifold, as the circles x0 = 0 and x0 = pi of cos x, or two);
 - Newton runs from the Zoll state over each representative only;
 - where first order cannot place the orbits (no perturbation, abar constant
   as on the torus at s = 1/j_{0,1}, or its splitting no larger than the
@@ -73,25 +74,22 @@ log = logging.getLogger(__name__)
 
 SHORT_LOOP_PERIOD_WINDOW = 0.5     # |T - T_ref| <= window * T_ref
 SEED_RESIDUAL_GATE = 0.3           # chart units; beyond this a seed is rejected
-ORBIT_SPACE_REACH = 1.0            # orbit-space distance from the start; beyond it, rejected
 # forward differences of the drift give the first Jacobian; the noise of its
 # maps (at 1e-7) over this step tilts it by up to 5e-6, which moves c* along a
 # set of zeros (where no later step corrects it) but not its orbit's length
 DRIFT_FD_STEP = 1e-3
-STEP_RCOND = 1e-3                  # singular values below this share of the largest are cut
+STEP_RCOND = 1e-3                  # cut below this share of the top singular value, of abar's scale
 NEWTON_DAMPING = 0.8
 DEDUP_TOL = 1e-4                  # orbit-space points this close are one (orbits, critical points)
 ORBIT_SAMPLES = 512               # samples of each orbit's period
 TRANSVERSALITY_MIN = 1e-3
 AVERAGE_NODES = 64                # trapezoid nodes on each Zoll circle
-SEARCH_FD_STEP = 1e-5             # central differences of the orbit-space average
-SEARCH_FIRST_STEP = 0.1           # length of each search's first step
-SEARCH_MAX_STEP = 0.25            # longest step
-SEARCH_STEPS = 60                 # steps of each ascent or descent
+TAYLOR_STEP = 1e-4                # central differences of the orbit-space average
+SEARCH_MAX_STEP = 0.5             # longest step of a search for critical points
+SEARCH_STEPS = 60                 # steps of each search
 SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest, per unit of abar's scale over the starts
 CRITICAL_VALUE_TOL = 1e-6         # equal abar on a critical manifold, per unit scale
-MANIFOLD_SAMPLES = 8              # segments between two points of one critical manifold
-MANIFOLD_CHAIN = 3.0              # largest hop along it, in sample spacings
+DEGENERATE_TOL = 1e-3             # |det H| <= this times |H|^2: a degenerate critical point
 STACK_MIN = 4                     # seeds from which a census stacks its first maps
 
 
@@ -223,13 +221,12 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     by DRIFT_FD_STEP, so a seed that already closes costs one map; given
     first_map (that map's result or exception, run by ``enumerate_orbits``),
     none.  Raises DivergedFromFamily when the seed's return
-    residual exceeds the short-loop gate, an iterate loses the section or
-    moves farther than ORBIT_SPACE_REACH from c0; NoConvergence when the
-    iteration budget runs out or the step vanishes.
+    residual exceeds the short-loop gate or an iterate loses the section;
+    NoConvergence when the iteration budget runs out or the step vanishes.
     """
     surface = sys.surface
     ivp_tol = _map_tol(tol)
-    c0, basis, start_at = _newton_start(sys, seed)
+    basis, start_at = _newton_start(sys, seed)
 
     def drift(x, map_tol=ivp_tol, mapped=None):
         """(D, state residual, (c, return time, path)) at local coordinates x,
@@ -271,10 +268,6 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
             raise DivergedFromFamily(f"iterate lost the section: {exc}") from exc
         jac += np.outer(g_t - g - jac @ dx, dx) / (dx @ dx)    # Broyden's update
         x, g, resid, closing = x + dx, g_t, r_t, c_t
-        reach = np.linalg.norm(surface.orbit_space_gap(c0, closing[0]))
-        if reach > ORBIT_SPACE_REACH:
-            raise DivergedFromFamily(
-                f"iterate left the short-loop neighborhood (orbit-space distance {reach:.3g})")
     if resid <= tol:
         return _build_orbit(sys, *closing, seed_id, iterations=max_iter)
     raise NoConvergence(f"residual {resid:.3g} after {max_iter} Newton steps")
@@ -290,7 +283,7 @@ def _map_tol(tol):
 
 
 def _newton_start(sys, seed):
-    """(c0, B, start_at) of Newton from seed: its orbit-space point c0, the
+    """(B, start_at) of Newton from seed, whose orbit-space point is c0: the
     basis B of ``orbit_space_chart(c0)`` and start_at(x) = (c, the Zoll state
     over c) at local coordinates x, c = orbit_space_step(c0, B x)."""
     surface = sys.surface
@@ -300,7 +293,7 @@ def _newton_start(sys, seed):
     def start_at(x):
         c = surface.orbit_space_step(c0, basis @ x)
         return c, surface.zoll_state(sys, c, ref)
-    return c0, basis, start_at
+    return basis, start_at
 
 
 def _build_orbit(sys, center, period, path, seed_id, iterations=0):
@@ -365,47 +358,61 @@ def _circle_integrand(sys, c):
     return out
 
 
-def _average_and_gradient(sys, c):
-    """abar at the rows of c and its central differences along the unit
-    offsets of ``orbit_space_step``, from one batch of circles."""
-    surface, h, k = sys.surface, SEARCH_FD_STEP, c.shape[1]
-    offsets = np.concatenate([np.eye(k), -np.eye(k)]) * h
-    batch = [c] + [surface.orbit_space_step(c, np.broadcast_to(e, c.shape)) for e in offsets]
-    vals = orbit_space_average(sys, np.concatenate(batch)).reshape(2 * k + 1, len(c))
-    return vals[0], ((vals[1:k + 1] - vals[k + 1:]) / (2.0 * h)).T
+def _chart_step(surface, c, x):
+    """orbit_space_step(c, B x), B the basis of ``orbit_space_chart(c)``."""
+    basis, _ = surface.orbit_space_chart(c)
+    return surface.orbit_space_step(c, (basis @ x[..., None])[..., 0])
 
 
-def _climb(sys, c, sign, grad_tol):
-    """Ascents (sign +1) and descents (-1) of abar from the rows of c, all
-    advanced together for at most SEARCH_STEPS steps.  A step follows the
-    gradient with the Barzilai-Borwein length, at most SEARCH_MAX_STEP, and is
-    taken only if it improves abar (else its length halves).  Returns the end
-    points and whether each came to rest (|grad| <= grad_tol) without leaving
-    the searched region."""
-    surface = sys.surface
-    c = np.array(c, dtype=float)
-    f, g = _average_and_gradient(sys, c)
-    f, g = sign * f, sign[:, None] * g
-    t = np.full(len(c), np.inf)
-    live = surface.in_searched_region(sys, c)
-    for it in range(SEARCH_STEPS):
+def _taylor(sys, c):
+    """abar, its gradient and its Hessian at the rows of c in the local
+    coordinates of ``_chart_step``: central differences over TAYLOR_STEP on
+    a 3 x 3 stencil, one batch of circles."""
+    h = TAYLOR_STEP
+    batch = [_chart_step(sys.surface, c, np.broadcast_to((i, j), (len(c), 2)))
+             for i in (-h, 0.0, h) for j in (-h, 0.0, h)]
+    f = orbit_space_average(sys, np.concatenate(batch)).reshape(3, 3, len(c))
+    grad = np.stack([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]], axis=-1) / (2.0 * h)
+    hxx, hyy = f[2, 1] - 2.0 * f[1, 1] + f[0, 1], f[1, 2] - 2.0 * f[1, 1] + f[1, 0]
+    hxy = 0.25 * (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0])
+    return f[1, 1], grad, np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(-1, 2, 2) / (h * h)
+
+
+def _step(g, hess, mode, flat):
+    """Each row's step in H's eigenbasis, capped at SEARCH_MAX_STEP: mode 0
+    Newton's, with no part along an eigenvalue below flat in size; mode +1
+    (-1) that of |H| up (down), with |H|'s eigenvalues raised to flat (a
+    gradient step along those)."""
+    w, v = np.linalg.eigh(hess)
+    scale = np.where(mode == 0.0, -1.0 / np.where(np.abs(w) > flat, w, np.inf),
+                     mode / np.maximum(np.abs(w), flat))
+    x = np.einsum("mij,mj->mi", v, scale * np.einsum("mji,mj->mi", v, g))
+    return x * (SEARCH_MAX_STEP / np.maximum(np.linalg.norm(x, axis=1), SEARCH_MAX_STEP))[:, None]
+
+
+def _search(sys, c, mode, model, grad_tol, flat):
+    """Searches from the rows of c (changed in place) with their ``_taylor``
+    model, by at most SEARCH_STEPS ``_step``s of their mode (0: to any
+    critical point, +1: to a maximum, -1: to a minimum).  A search stops
+    when its step vanishes; one that moved and came to rest (|grad| <=
+    grad_tol) takes a last Newton step on its model.  Returns the end
+    points, their (abar, H) and which came to rest."""
+    surface, (f, g, hess) = sys.surface, model
+    live, moved = surface.in_searched_region(sys, c), np.zeros(len(c), dtype=bool)
+    for _ in range(SEARCH_STEPS):
         idx = np.flatnonzero(live & (np.linalg.norm(g, axis=1) > grad_tol))
         if len(idx) == 0:
             break
-        norm = np.linalg.norm(g[idx], axis=1)
-        t[idx] = np.minimum(t[idx], (SEARCH_FIRST_STEP if it == 0 else SEARCH_MAX_STEP) / norm)
-        trial = surface.orbit_space_step(c[idx], t[idx, None] * g[idx])
-        ft, gt = _average_and_gradient(sys, trial)
-        ft, gt = sign[idx] * ft, sign[idx, None] * gt
-        up = ft > f[idx]
-        step = surface.orbit_space_gap(c[idx], trial)
-        curv = -np.sum(step * (gt - g[idx]), axis=1)    # > 0 where abar bends back
-        bb = np.sum(step * step, axis=1) / np.maximum(curv, 1e-300)
-        t[idx] = np.where(up, np.where(curv > 0.0, bb, 2.0 * t[idx]), 0.5 * t[idx])
-        moved = idx[up]
-        c[moved], f[moved], g[moved] = trial[up], ft[up], gt[up]
-        live[moved] = surface.in_searched_region(sys, c[moved])
-    return c, live & (np.linalg.norm(g, axis=1) <= grad_tol)
+        x = _step(g[idx], hess[idx], mode[idx, None], flat)
+        live[idx] = moved[idx] = x.any(axis=1)
+        idx, x = idx[live[idx]], x[live[idx]]
+        c[idx] = _chart_step(surface, c[idx], x)
+        f[idx], g[idx], hess[idx] = _taylor(sys, c[idx])
+        live[idx] = surface.in_searched_region(sys, c[idx])
+    rest = live & (np.linalg.norm(g, axis=1) <= grad_tol)
+    done = rest & moved
+    c[done] = _chart_step(surface, c[done], _step(g[done], hess[done], 0.0, flat))
+    return c, (f, hess), rest
 
 
 def critical_points(sys, ids, starts, tol=ExperimentConfig.tol_orbit):
@@ -426,69 +433,34 @@ def critical_points(sys, ids, starts, tol=ExperimentConfig.tol_orbit):
     the equator's axes appear at second order.
 
     A start where abar is already stationary is its own critical point,
-    named after it.  From every other start an ascent and a descent
-    (``_climb``) end at critical points named ``<start>_max`` and
-    ``<start>_min``: a local maximum and minimum, or a saddle from a start on
-    its stable manifold.  A search that leaves the searched region yields no
-    point.  Taken in that order, a critical point is dropped when it lies
-    within DEDUP_TOL of one already met or on one critical manifold
-    with it (``_same_manifold``), so that each Morse-Bott manifold keeps its
-    first representative; the manifold's distinct points met so far link
-    later ones to it.
+    named after it.  Every other start's three ``_search``es end at points
+    named ``<start>_max``, ``<start>_min`` and ``<start>`` (Newton's, a
+    saddle included), or at none outside the searched region.  In that
+    order a point is dropped when it lies within DEDUP_TOL of a kept one,
+    or when both are degenerate (|det H| <= DEGENERATE_TOL |H|^2) with abar
+    equal within CRITICAL_VALUE_TOL * scale: one Morse-Bott manifold.
     """
-    surface, k = sys.surface, starts.shape[1]
-    f, g = _average_and_gradient(sys, starts)
+    n = len(ids)
+    f, g, hess = _taylor(sys, starts)
     scale = max(float(f.max() - f.min()), float(np.linalg.norm(g, axis=1).max()))
     eps, m = sys.conformal_eps, float(np.abs(_circle_integrand(sys, starts)).max())
     if eps * scale <= max(tol, eps * eps * reference_period(sys) * m * m):
         return None
     grad_tol = SEARCH_GRAD_TOL * scale
     still = np.linalg.norm(g, axis=1) <= grad_tol
-    n = len(ids)
-    ends, rest = _climb(sys, np.concatenate([starts, starts]), np.repeat([1.0, -1.0], n),
-                        grad_tol)
-    cands = []
-    for i, sid in enumerate(ids):
-        cands += [(sid, starts[i])] if still[i] else \
-            [(f"{sid}_{tag}", ends[j]) for j, tag in ((i, "max"), (i + n, "min")) if rest[j]]
-    points = np.array([p for _, p in cands]).reshape(-1, k)
-    # one group per representative: the distinct critical points met on its manifold
-    kept, groups = [], []
-    for (cid, p), fp in zip(cands, orbit_space_average(sys, points)):
-        if any(np.linalg.norm(surface.orbit_space_gap(q[None], p[None])) <= DEDUP_TOL
-               for grp in groups for q, _ in grp):
-            continue
-        group = next((grp for grp in groups if any(
-            _same_manifold(sys, q, fq, p, fp, scale, grad_tol) for q, fq in grp)), None)
-        if group is None:
-            kept.append((cid, p))
-            groups.append([])
-            group = groups[-1]
-        group.append((p, fp))
-    return [cid for cid, _ in kept], np.array([p for _, p in kept]).reshape(-1, k)
-
-
-def _same_manifold(sys, a, fa, b, fb, scale, grad_tol):
-    """Whether the critical points a and b (abar values fa, fb) lie on one
-    connected critical set: abar is equal at both, and the samples of the
-    segment between them, each carried back to the critical set by
-    ``_climb`` toward fa, all reach it at that value, in hops of at most
-    MANIFOLD_CHAIN sample spacings.  On a critical line, as on the flat
-    torus, the samples are critical already and stay; on a critical circle
-    they climb back onto it."""
-    value_tol = CRITICAL_VALUE_TOL * scale
-    if abs(fa - fb) > value_tol:
-        return False
-    surface = sys.surface
-    gap = surface.orbit_space_gap(a[None], b[None])[0]
-    t = np.arange(1, MANIFOLD_SAMPLES)[:, None] / MANIFOLD_SAMPLES
-    samples = surface.orbit_space_step(np.broadcast_to(a, (len(t), len(a))), t * gap)
-    ends, rest = _climb(sys, samples,
-                        np.where(orbit_space_average(sys, samples) < fa, 1.0, -1.0), grad_tol)
-    chain = np.concatenate([a[None], ends, b[None]])
-    hops = np.linalg.norm(surface.orbit_space_gap(chain[:-1], chain[1:]), axis=1)
-    return bool(rest.all() and np.all(np.abs(orbit_space_average(sys, ends) - fa) <= value_tol)
-                and hops.max() <= MANIFOLD_CHAIN * np.linalg.norm(gap) / MANIFOLD_SAMPLES)
+    run, mode = np.repeat(np.arange(n), 3), np.tile([1.0, -1.0, 0.0], n)
+    ends, (fe, he), rest = _search(sys, starts[run], mode, (f[run], g[run], hess[run]),
+                                   grad_tol, STEP_RCOND * scale)
+    rest &= ~still[run] | (mode == 0.0)
+    names = [ids[i] + tag for i, tag in zip(run, ["_max", "_min", ""] * n)]
+    degenerate = np.abs(np.linalg.det(he)) <= DEGENERATE_TOL * np.sum(he * he, axis=(1, 2))
+    kept = []
+    for j in np.flatnonzero(rest):
+        if not any(np.linalg.norm(sys.surface.orbit_space_gap(ends[r], ends[j])) <= DEDUP_TOL
+                   or (degenerate[r] and degenerate[j]
+                       and abs(fe[r] - fe[j]) <= CRITICAL_VALUE_TOL * scale) for r in kept):
+            kept.append(j)
+    return [names[j] for j in kept], ends[kept]
 
 
 def deduplicate(sys, orbits):
@@ -543,7 +515,7 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     seeds = [(sid, sys.surface.zoll_state(sys, c)) for sid, c in zip(ids, points)]
     firsts = [None] * len(seeds)
     if workers <= 1 and len(seeds) >= STACK_MIN:
-        at0 = [_newton_start(sys, st)[2](np.zeros(2))[1] for _, st in seeds]
+        at0 = [_newton_start(sys, st)[1](np.zeros(2))[1] for _, st in seeds]
         firsts = return_map(sys, [make_section(sys, st) for st in at0], at0, tol=_map_tol(tol))
     tasks = [(sys, sid, st, tol, max_iter, first) for (sid, st), first in zip(seeds, firsts)]
     if workers > 1 and len(tasks) > 1:

@@ -37,11 +37,11 @@ RECORD = {
                         2.8989133495541672, 3.3787699424993964),
     "torus_eta_gd2": (dict(TORUS_ETA, grid_density=2), 2, ["PASS"] * 3,
                       2.770128707855925, 3.5251889888196732),
-    "torus_eta_gd3": (dict(TORUS_ETA, grid_density=3), 3, ["PASS"] * 3,
+    "torus_eta_gd3": (dict(TORUS_ETA, grid_density=3), 4, ["PASS"] * 3,
                       2.770128707856072, 3.5251889888196537),
-    "torus_eta_gd4": (dict(TORUS_ETA, grid_density=4), 2, ["PASS"] * 3,
+    "torus_eta_gd4": (dict(TORUS_ETA, grid_density=4), 4, ["PASS"] * 3,
                       2.770128707856073, 3.525188988819663),
-    "hyperbolic_bump_gd2": (dict(BUMP, strength=2.0, grid_density=2), 3, ["FAIL"] * 3,
+    "hyperbolic_bump_gd2": (dict(BUMP, strength=2.0, grid_density=2), 2, ["FAIL"] * 3,
                             1.7363756216759263, 1.7372459945507983),
     "hyperbolic_bump_gd3": (dict(BUMP, strength=2.0, grid_density=3), 2, ["FAIL"] * 3,
                             1.7363756216759263, 1.737245994550758),
@@ -115,3 +115,11 @@ def test_dedup_keeps_the_recorded_seeds(name, monkeypatch):
     rep = run_experiment(ExperimentConfig(**cfg))
     assert calls == [(dedup_in, dedup_out)]
     assert rep.seed_ids == order
+
+
+def test_blind_torus_keeps_the_iterates_that_travel():
+    # the Zoll circles have radius 1/s = 2.4 here, and every first Newton
+    # step of grid density 4 lands 1.1-2.6 orbit-space units from its start
+    rep = run_experiment(ExperimentConfig(**BLIND_TORUS, grid_density=4))
+    assert rep.all_verdicts() == ["PASS"] * 3
+    assert abs(rep.l_min - 7.54584081481) < TOL_ORBIT

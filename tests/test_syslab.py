@@ -279,3 +279,44 @@ class TestFirstOrderCensus:
             assert rep.all_verdicts() == ["PASS"] * 3
             assert [rep.l_min, rep.l_max] == pytest.approx(
                 [reps[0].l_min, reps[0].l_max], abs=1e-9)
+
+    @staticmethod
+    def critical_signs(cfg):
+        """The report of cfg and the sign of det H of abar at each of its
+        critical points' representatives, which seed its orbits."""
+        rep, sys, _ = run_experiment_full(cfg)
+        ids, points = orbits.critical_points(sys, *sys.surface.orbit_space_starts(
+            sys, cfg.grid_density, np.random.default_rng(cfg.rng_seed)))
+        assert sorted(ids) == sorted(rep.seed_ids)
+        _, _, hess = orbits._taylor(sys, points)
+        return rep, np.sign(np.linalg.det(hess))
+
+    @pytest.mark.parametrize("grid_density", [3, 4])
+    def test_torus_saddles_complete_the_euler_characteristic(self, grid_density):
+        # abar = a cos y0 + b sin x0: a maximum, a minimum and two saddles,
+        # whose indices sign det H sum to chi(T^2) = 0 (Poincare-Hopf)
+        rep, signs = self.critical_signs(ExperimentConfig(
+            kappa=0.0, strength=1.0, perturbation_name="torus_cos_y",
+            eta_name="torus_eta_sin_x", eps=0.05, grid_density=grid_density))
+        assert rep.orbit_count == 4
+        assert sorted(signs) == [-1.0, -1.0, 1.0, 1.0]
+        assert rep.all_verdicts() == ["PASS"] * 3
+
+    def test_sphere_extrema_give_the_euler_characteristic(self):
+        # a maximum and a minimum: 2 = chi(S^2)
+        rep, signs = self.critical_signs(ExperimentConfig(
+            kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z", eps=0.05,
+            grid_density=3))
+        assert rep.orbit_count == 2
+        assert list(signs) == [1.0, 1.0]
+
+    def test_hyperbolic_ring_keeps_one_orbit_at_every_grid_density(self):
+        # the bump's abar has a minimum at the origin and a circle of maxima;
+        # at density 2 the ring's only points found face each other
+        reps = [run_experiment(ExperimentConfig(
+            kappa=-1.0, strength=2.0, perturbation_name="hyperbolic_bump",
+            perturbation_coeffs=(1.0, 0.5), eps=0.05, grid_density=gd)) for gd in (2, 3, 4)]
+        for rep in reps:
+            assert rep.seed_ids == ["boost_0_0", "boost_1_0_max"]
+            assert rep.magnetic_lengths == pytest.approx(reps[0].magnetic_lengths,
+                                                         abs=ExperimentConfig.tol_orbit)
