@@ -23,11 +23,11 @@ from .orbits import (Orbit, SectionSpec, enumerate_orbits, find_closed_orbit,
 from .functionals import (ActionValue, closed_form_flux, flux_through_cap,
                           length, magnetic_action, magnetic_length)
 from .zollref import (CohomologyData, ZollReference, a_of_r, a1_squared,
-                      inequality_constant_C, k_tilde, kahler_bundle_pairings,
-                      make_reference, reference_length, zoll_polynomial_generic,
-                      zoll_polynomial_kahler)
-from .volume import (VolumeReport, identity_constant, vol_closed_form,
-                     vol_quadrature_oracle, volume_report)
+                      identity_constant, inequality_constant_C, k_tilde,
+                      kahler_bundle_pairings, make_reference, reference_length,
+                      zoll_polynomial_generic, zoll_polynomial_kahler)
+from .volume import (VolumeReport, vol_closed_form, vol_quadrature_oracle,
+                     volume_report)
 from .syslab import (ExperimentConfig, ExperimentReport, check_two_sided,
                      run_experiment, run_experiment_full, sweep, sweep_table)
 

@@ -23,7 +23,8 @@ driven by a small sectioned config file:
 Keys appearing before any section header belong to [model].  Unknown
 sections or keys are errors (no silent typos).  A key the file omits keeps
 its ExperimentConfig default.  Each subcommand accepts only the flags it
-reads (``_COMMANDS``).  Exit codes: 0 all verdicts PASS, 2 at least one
+reads: ``--seed`` overrides [search] rng_seed where a command draws on it
+(``_COMMANDS``).  Exit codes: 0 all verdicts PASS, 2 at least one
 verdict FAIL, 1 error.
 """
 
@@ -292,22 +293,14 @@ def cmd_constants(cfg, extras, provenance, args):
     return 0
 
 
-# flag -> (the ExperimentConfig field it overrides, value type)
-_FLAGS = {
-    "--seed": ("rng_seed", int),
-    "--workers": ("workers", int),
-    "--tol-orbit": ("tol_orbit", float),
-    "--tol-quad": ("tol_quad", float),
-}
-
-# subcommand -> (function, the flags it reads)
+# subcommand -> (function, whether it reads --seed, which overrides [search] rng_seed)
 _COMMANDS = {
-    "orbit": (cmd_orbit, tuple(_FLAGS)),
-    "sweep": (cmd_sweep, tuple(_FLAGS)),
-    "systole": (cmd_systole, tuple(_FLAGS)),
-    "volume": (cmd_volume, ("--seed", "--tol-quad")),
-    "zollpoly": (cmd_zollpoly, ()),
-    "constants": (cmd_constants, ()),
+    "orbit": (cmd_orbit, True),
+    "sweep": (cmd_sweep, True),
+    "systole": (cmd_systole, True),
+    "volume": (cmd_volume, True),
+    "zollpoly": (cmd_zollpoly, False),
+    "constants": (cmd_constants, False),
 }
 
 
@@ -317,15 +310,14 @@ def build_parser():
         description="Magnetic geodesic flows and local systolic inequalities "
                     "on constant-curvature model surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
+    for name, (_, seeded) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output directory")
-        for flag in flags:
-            field, typ = _FLAGS[flag]
-            # absent unless given, so that only given flags override the file
-            p.add_argument(flag, type=typ, dest=field, default=argparse.SUPPRESS,
-                           help=f"overrides [search] {field}")
+        if seeded:
+            # absent unless given, so that only a given seed overrides the file
+            p.add_argument("--seed", type=int, dest="rng_seed", default=argparse.SUPPRESS,
+                           help="overrides [search] rng_seed")
         if name == "zollpoly":
             p.add_argument("--amin", type=float, default=None)
             p.add_argument("--amax", type=float, default=None)
@@ -341,9 +333,8 @@ def main(argv=None):
         if cfg.n != 1 and args.command not in ("zollpoly", "constants"):    # they read n
             raise ValidationError(f"[model] n = {cfg.n}: {args.command} runs on the "
                                   "surface, n = 1")
-        given = vars(args)
-        cfg = replace(cfg, **{field: given[field] for field, _ in _FLAGS.values()
-                              if field in given})
+        if "rng_seed" in vars(args):
+            cfg = replace(cfg, rng_seed=args.rng_seed)
         if args.out is not None:
             extras["out"] = args.out
         return _COMMANDS[args.command][0](cfg, extras, provenance, args)

@@ -98,14 +98,12 @@ class SectionSpec:
     """Transversal slice anchored at a seed state: the hyperplane of the
     planar image through ``origin``, its position's image, with unit normal."""
 
-    anchor: TangentState
     normal: np.ndarray
     origin: np.ndarray
 
 
 def make_section(sys, anchor: TangentState) -> SectionSpec:
-    return SectionSpec(anchor=anchor,
-                       normal=sys.surface.section_normal(anchor.position, anchor.velocity),
+    return SectionSpec(normal=sys.surface.section_normal(anchor.position, anchor.velocity),
                        origin=sys.surface.to_plane(anchor.position))
 
 

@@ -13,28 +13,20 @@ import os
 
 import numpy as np
 
-from .errors import IoError, ValidationError
-
-
-def round_sig(x):
-    """Round a float to 12 significant digits."""
-    if x != x or x in (float("inf"), float("-inf")):
-        return x
-    return float(f"{x:.12g}")
+from .errors import IoError
 
 
 def fmt_float(x):
-    if x != x:
-        return "nan"
     return f"{x:.12g}"
 
 
 def sanitize(obj):
-    """Recursively round floats and map NaN/inf to None for JSON."""
+    """Recursively round floats to 12 significant digits and map NaN/inf to
+    None for JSON."""
     if isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             return None
-        return round_sig(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -103,35 +95,3 @@ def samples_csv(sys, traj, path, extra=None):
 def orbit_samples_csv(sys, orbit, path):
     """Per-orbit sample path: t plus chart coordinates and velocity."""
     samples_csv(sys, orbit, path)
-
-
-# --- experiment-report schema -----------------------------------------------------
-
-_REPORT_SCHEMA = {
-    "config": dict, "orbit_count": int, "periods": list,
-    "magnetic_lengths": list, "residuals": list, "seed_ids": list,
-    "l_min": (float, int, type(None)), "l_max": (float, int, type(None)),
-    "reference": (float, int), "slack_lower": (float, int, type(None)),
-    "slack_upper": (float, int, type(None)), "vol_g": (float, int, type(None)),
-    "vol_g0": (float, int, type(None)), "p_at_lmin": (float, int, type(None)),
-    "p_at_lmax": (float, int, type(None)), "zoll_flag": bool,
-    "verdict_reduced": str, "verdict_two_sided": str, "verdict_full": str,
-    "full_lhs": (float, int, type(None)), "full_rhs_affine": (float, int, type(None)),
-    "full_rhs_ratio": (float, int, type(None)), "seeds_attempted": int,
-    "short_loop_window": (float, int), "error": (str, type(None)),
-}
-
-
-def validate_report_doc(doc):
-    """Schema check for an emitted experiment report document."""
-    if not isinstance(doc, dict):
-        raise ValidationError("report document must be a JSON object")
-    for key, typ in _REPORT_SCHEMA.items():
-        if key not in doc:
-            raise ValidationError(f"report document missing key {key!r}")
-        if not isinstance(doc[key], typ):
-            raise ValidationError(f"report key {key!r} has wrong type")
-    extra = set(doc) - set(_REPORT_SCHEMA)
-    if extra:
-        raise ValidationError(f"report document has unknown keys {sorted(extra)}")
-    return True

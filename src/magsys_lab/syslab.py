@@ -18,9 +18,10 @@ affine form
 
     (l_min / (pi a^2(1)))^{2n} <= 1 + C * (vol_g - vol_g0),
 
-whose kappa != 0 coefficient is ``zollref.inequality_constant_C``; the
-volume-ratio reading C * vol_g/vol_g0 is also recorded as data (it cannot
-hold at the Zoll point for these models since C < 1 there).
+whose coefficient is ``zollref.full_coefficient`` (``inequality_constant_C``
+at kappa != 0); the volume-ratio reading C * vol_g/vol_g0 is also recorded
+as data (it cannot hold at the Zoll point for these models since C < 1
+there).
 
 A FAIL verdict is data, not an error: reports carry the Newton seeds and
 the short-loop window so a failure can be attributed to census
@@ -31,7 +32,9 @@ seeds that all failed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 from . import orbits, zollref
 from .config import ExperimentConfig
@@ -39,34 +42,36 @@ from .errors import MagsysError, NoOrbitsFound, ValidationError
 from .fields import OneForm, ScalarField
 from .geometry import (conformal_perturb, make_model, riemannian_volume,
                        with_sigma_perturbation)
-from .volume import identity_constant
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentReport:
+    """The document of report.json, one key per field in field order.  Each
+    default is the field's value in an error report (a run that raised)."""
+
     config: dict
-    orbit_count: int
-    periods: list
-    magnetic_lengths: list
-    residuals: list
-    seed_ids: list
-    l_min: float
-    l_max: float
+    orbit_count: int = 0
+    periods: list = field(default_factory=list)
+    magnetic_lengths: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
+    seed_ids: list = field(default_factory=list)
+    l_min: float = math.nan
+    l_max: float = math.nan
     reference: float
-    slack_lower: float
-    slack_upper: float
-    vol_g: float
-    vol_g0: float
-    p_at_lmin: float
-    p_at_lmax: float
-    zoll_flag: bool
-    verdict_reduced: str
-    verdict_two_sided: str
-    verdict_full: str
-    full_lhs: float
-    full_rhs_affine: float
-    full_rhs_ratio: float | None
-    seeds_attempted: int
+    slack_lower: float = math.nan
+    slack_upper: float = math.nan
+    vol_g: float = math.nan
+    vol_g0: float = math.nan
+    p_at_lmin: float = math.nan
+    p_at_lmax: float = math.nan
+    zoll_flag: bool = False
+    verdict_reduced: str = "ERROR"
+    verdict_two_sided: str = "ERROR"
+    verdict_full: str = "ERROR"
+    full_lhs: float = math.nan
+    full_rhs_affine: float = math.nan
+    full_rhs_ratio: float | None = None
+    seeds_attempted: int = 0
     short_loop_window: float = orbits.SHORT_LOOP_PERIOD_WINDOW
     error: str | None = None
 
@@ -75,6 +80,29 @@ class ExperimentReport:
 
     def all_verdicts(self):
         return [self.verdict_reduced, self.verdict_two_sided, self.verdict_full]
+
+
+def validate_report_doc(doc):
+    """Schema check for an emitted experiment report document: exactly the
+    keys of ExperimentReport, each of its field's type, where a float also
+    accepts an int and null stands for NaN (``reporting.sanitize``) or None."""
+    if not isinstance(doc, dict):
+        raise ValidationError("report document must be a JSON object")
+    hints = typing.get_type_hints(ExperimentReport)
+    for f in fields(ExperimentReport):
+        if f.name not in doc:
+            raise ValidationError(f"report document missing key {f.name!r}")
+        accepted = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if float in accepted:
+            accepted += (int,)
+        if isinstance(f.default, float) and math.isnan(f.default):
+            accepted += (type(None),)
+        if not isinstance(doc[f.name], accepted):
+            raise ValidationError(f"report key {f.name!r} has wrong type")
+    extra = set(doc) - {f.name for f in fields(ExperimentReport)}
+    if extra:
+        raise ValidationError(f"report document has unknown keys {sorted(extra)}")
+    return True
 
 
 def build_system(cfg: ExperimentConfig):
@@ -98,13 +126,6 @@ def _verdict(ok):
 def _two_sided(l_min, l_max, reference, tol):
     """The sandwich l_min <= pi a^2(1) <= l_max, within tol on each side."""
     return l_min <= reference + tol and l_max >= reference - tol
-
-
-def _full_coefficient(kappa, s, n, vol_g0):
-    """Coefficient C = 2 pi^{2n} / ((n-1)! K) of (vol_g - vol_g0) in the affine
-    full inequality, with K the leading constant of the Kahler Zoll polynomial
-    (``zollref.inequality_constant_C`` at kappa != 0)."""
-    return identity_constant(n) / zollref.kahler_leading_constant(kappa, s, n, vol_g0)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -146,7 +167,7 @@ def run_experiment_full(cfg: ExperimentConfig):
     reduced_ok = l_min <= ref + cfg.ineq_tol
     two_sided_ok = _two_sided(l_min, l_max, ref, cfg.ineq_tol)
 
-    coeff = _full_coefficient(cfg.kappa, cfg.strength, cfg.n, vol_g0)
+    coeff = zollref.full_coefficient(cfg.kappa, cfg.strength, cfg.n, vol_g0)
     lhs = (l_min / ref) ** (2 * cfg.n)
     rhs_affine = 1.0 + coeff * (vol_g - vol_g0)
     rhs_ratio = None
@@ -208,16 +229,9 @@ def sweep(cfg_template: ExperimentConfig, eps_list):
 
 
 def _error_report(cfg, message):
-    nan = float("nan")
-    return ExperimentReport(
-        config=asdict(cfg), orbit_count=0, periods=[], magnetic_lengths=[],
-        residuals=[], seed_ids=[], l_min=nan, l_max=nan,
-        reference=zollref.reference_length(cfg.kappa, cfg.strength),
-        slack_lower=nan, slack_upper=nan, vol_g=nan, vol_g0=nan,
-        p_at_lmin=nan, p_at_lmax=nan, zoll_flag=False,
-        verdict_reduced="ERROR", verdict_two_sided="ERROR", verdict_full="ERROR",
-        full_lhs=nan, full_rhs_affine=nan, full_rhs_ratio=None,
-        seeds_attempted=0, error=message)
+    return ExperimentReport(config=asdict(cfg),
+                            reference=zollref.reference_length(cfg.kappa, cfg.strength),
+                            error=message)
 
 
 # the columns of summary.csv: eps from the config, the rest report fields

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import AREA_TOL, MagneticSystem, conf_log, riemannian_volume
+from .zollref import identity_constant  # noqa: F401  re-exported; the constant is zollref's
 
 CELLS_PER_SIDE = 16
 
@@ -54,13 +55,6 @@ class VolumeReport:
     std_error: float
     samples: int
     constant_convention: str = ORIENTATION_NOTE
-
-
-def identity_constant(n):
-    """General-dimension constant 2 pi^{2n}/(n-1)! of the volume identity."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    return 2.0 * math.pi ** (2 * n) / math.factorial(n - 1)
 
 
 def vol_closed_form(sys0: MagneticSystem, sys: MagneticSystem,

@@ -175,13 +175,25 @@ def kahler_bundle_pairings(kappa, s0, n=1, vol_g0=None):
     return CohomologyData(pairings=pair, dim_M=2 * m)
 
 
+def identity_constant(n):
+    """General-dimension constant 2 pi^{2n}/(n-1)! of the volume identity."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    return 2.0 * math.pi ** (2 * n) / math.factorial(n - 1)
+
+
+def full_coefficient(kappa, s, n, vol_g0):
+    """Coefficient C = 2 pi^{2n} / ((n-1)! K) of the volume defect in the
+    derivation-consistent affine form of the full systolic inequality,
+    (l_min/(pi a^2(1)))^{2n} <= 1 + C (vol_g - vol_g0), with K the leading
+    constant of the Kahler Zoll polynomial (K_tilde vol_g0 at kappa != 0)."""
+    return identity_constant(n) / kahler_leading_constant(kappa, s, n, vol_g0)
+
+
 def inequality_constant_C(kappa, s, n, vol_g0):
     """The constant C(kappa, s, n) = 2 pi^{2n} / ((n-1)! K_tilde vol_g0) of
-    the full systolic inequality: the coefficient of the volume defect in the
-    derivation-consistent affine form
-    (l_min/(pi a^2(1)))^{2n} <= 1 + C (vol_g - vol_g0).
+    the full systolic inequality: ``full_coefficient``, defined for kappa != 0.
     """
     if kappa == 0:
         raise ZollRegimeViolation("C(kappa, s, n) is defined for kappa != 0")
-    return (2.0 * math.pi ** (2 * n)
-            / (math.factorial(n - 1) * k_tilde(kappa, s, n) * vol_g0))
+    return full_coefficient(kappa, s, n, vol_g0)

@@ -250,7 +250,7 @@ class TestAcceptance:
                          + (out / "summary.csv").read_bytes())
         same = blobs[0] == blobs[1]
         doc = json.loads((tmp_path / "r1" / "report.json").read_text())
-        from magsys_lab.reporting import validate_report_doc
+        from magsys_lab.syslab import validate_report_doc
         validate_report_doc(doc)
         _report("9e", "byte-determinism of emitted reports", same)
 

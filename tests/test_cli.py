@@ -9,7 +9,7 @@ import pytest
 from magsys_lab import (ExperimentConfig, ParseError, ValidationError,
                         riemannian_volume, syslab)
 from magsys_lab.cli import _KEY_SCHEMA, build_parser, main, parse_config
-from magsys_lab.reporting import validate_report_doc
+from magsys_lab.syslab import validate_report_doc
 
 
 def write(tmp_path, name, text):
@@ -166,12 +166,13 @@ eps_list = 0.01, 0.02
             assert extras["eps_list"] == (0.01, 0.02, 0.04)
 
 
-# the flags each subcommand reads; every other flag is refused
+# the flags each subcommand reads; every other flag is refused, the [search]
+# keys that once had flags of their own too
 FLAGS_READ = {
-    "systole": {"--seed", "--workers", "--tol-orbit", "--tol-quad"},
-    "orbit": {"--seed", "--workers", "--tol-orbit", "--tol-quad"},
-    "sweep": {"--seed", "--workers", "--tol-orbit", "--tol-quad"},
-    "volume": {"--seed", "--tol-quad"},
+    "systole": {"--seed"},
+    "orbit": {"--seed"},
+    "sweep": {"--seed"},
+    "volume": {"--seed"},
     "zollpoly": set(),
     "constants": set(),
 }
@@ -218,9 +219,8 @@ class TestCliRuns:
         assert summary[0].startswith("eps,orbit_count,l_min")
 
     def test_workers_override_refused(self, tmp_path, capsys):
-        cfg_path = write(tmp_path, "run.cfg", ZOLL_TORUS)
-        assert main(["systole", "--config", cfg_path, "--workers", "0",
-                     "--out", str(tmp_path / "out")]) == 1
+        cfg_path = write(tmp_path, "run.cfg", ZOLL_TORUS + "workers = 0\n")
+        assert main(["systole", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
         assert "workers" in capsys.readouterr().err
 
     def test_byte_determinism(self, tmp_path):
@@ -398,12 +398,12 @@ samples = 100000
             return riemannian_volume(sys, rel_tol)
 
         monkeypatch.setattr(volume_module, "riemannian_volume", spy)
-        cfg_path = write(tmp_path, "vol.cfg", "kappa = 0.0\nstrength = 1.0\n"
-                         "[perturbation]\nfield = torus_cos_x\neps = 0.1\n"
-                         "normalize = false\n[search]\nsamples = 1000\n")
-        main(["volume", "--config", cfg_path, "--out", str(tmp_path / "a")])
-        main(["volume", "--config", cfg_path, "--out", str(tmp_path / "b"),
-              "--tol-quad", "1e-6"])
+        text = ("kappa = 0.0\nstrength = 1.0\n[perturbation]\nfield = torus_cos_x\n"
+                "eps = 0.1\nnormalize = false\n[search]\nsamples = 1000\n")
+        main(["volume", "--config", write(tmp_path, "vol.cfg", text),
+              "--out", str(tmp_path / "a")])
+        main(["volume", "--config", write(tmp_path, "tol.cfg", text + "tol_quad = 1e-6\n"),
+              "--out", str(tmp_path / "b")])
         assert tols == [ExperimentConfig.tol_quad, 1e-6]
 
     def test_systole_tol_quad_reaches_the_normalisation(self, tmp_path, monkeypatch, capsys):
@@ -416,12 +416,12 @@ samples = 100000
 
         # conformal_perturb's area quadrature, the one that fixes lam
         monkeypatch.setattr(geometry_module, "riemannian_volume", spy)
-        cfg_path = write(tmp_path, "sys.cfg", "kappa = 0.0\nstrength = 1.0\n"
-                         "[perturbation]\nfield = torus_cos_x\neps = 0.05\n"
-                         "normalize = true\n[search]\ngrid_density = 2\n")
-        main(["systole", "--config", cfg_path, "--out", str(tmp_path / "a")])
-        main(["systole", "--config", cfg_path, "--out", str(tmp_path / "b"),
-              "--tol-quad", "1e-6"])
+        text = ("kappa = 0.0\nstrength = 1.0\n[perturbation]\nfield = torus_cos_x\n"
+                "eps = 0.05\nnormalize = true\n[search]\ngrid_density = 2\n")
+        main(["systole", "--config", write(tmp_path, "sys.cfg", text),
+              "--out", str(tmp_path / "a")])
+        main(["systole", "--config", write(tmp_path, "tol.cfg", text + "tol_quad = 1e-6\n"),
+              "--out", str(tmp_path / "b")])
         assert tols == [ExperimentConfig.tol_quad, 1e-6]
 
     @pytest.mark.parametrize("num", ["0", "-3"])
@@ -495,3 +495,47 @@ def test_samples_csv_bytes_are_csv_text_s(tmp_path):
     expected = csv_text((dict(zip(cols, row)) for row in table.tolist()), cols)
     assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == expected
     assert ",-0," in expected and ",nan," in expected and ",-inf," in expected
+
+
+class TestReportSchema:
+    """validate_report_doc reads the keys and types of report.json from
+    ExperimentReport's fields."""
+
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("schema")
+        out = tmp_path / "systole"
+        assert main(["systole", "--config", write(tmp_path, "run.cfg", ZOLL_TORUS),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # at the horocycle threshold no seed converges: every run is an error report
+        text = ("kappa = -1.0\nstrength = 1.0001\n[perturbation]\nfield = hyperbolic_bump\n"
+                "coeffs = 1.0, 0.5\n[search]\ngrid_density = 2\neps_list = 0.05\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write(tmp_path, "sweep.cfg", text),
+                     "--out", str(out)]) == 2
+        [error_report] = json.loads((out / "sweep_meta.json").read_text())["runs"]
+        return report, error_report
+
+    def test_an_error_report_validates_with_the_same_keys(self, docs):
+        report, error_report = docs
+        assert error_report["error"].startswith("NoOrbitsFound")
+        assert error_report["l_min"] is None and error_report["verdict_full"] == "ERROR"
+        assert validate_report_doc(error_report)
+        assert list(error_report) == list(report)
+
+    @pytest.mark.parametrize("key", ["l_min", "full_rhs_ratio"])
+    def test_null_accepted_where_an_error_report_has_it(self, docs, key):
+        assert validate_report_doc({**docs[0], key: None})
+
+    def test_reference_may_not_be_null(self, docs):
+        with pytest.raises(ValidationError, match="'reference' has wrong type"):
+            validate_report_doc({**docs[0], "reference": None})
+
+    def test_missing_and_unknown_keys_refused(self, docs):
+        report = dict(docs[0])
+        del report["seed_ids"]
+        with pytest.raises(ValidationError, match="missing key 'seed_ids'"):
+            validate_report_doc(report)
+        with pytest.raises(ValidationError, match="unknown keys"):
+            validate_report_doc({**docs[0], "census_complete": True})

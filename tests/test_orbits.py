@@ -81,11 +81,11 @@ def test_stacked_maps_are_each_member_s_own(kappa):
     flat = sections[1].normal
     across = rng.normal(size=flat.size)
     across -= (across @ flat) * flat
-    sections[1] = orbits_mod.SectionSpec(sections[1].anchor, across / np.linalg.norm(across),
-                                         sections[1].origin)
+    sections[1] = orbits_mod.SectionSpec(normal=across / np.linalg.norm(across),
+                                         origin=sections[1].origin)
     # a section through the seed, moved along its normal beyond the seed's circle
     far = make_section(sys, seed)
-    sections[2] = orbits_mod.SectionSpec(far.anchor, far.normal, far.origin - 3.0 * far.normal)
+    sections[2] = orbits_mod.SectionSpec(normal=far.normal, origin=far.origin - 3.0 * far.normal)
     times = np.linspace(0.0, 1.5 * reference_period(sys), 101)
     for n in (len(states), 2):
         results = return_map(sys, sections[:n], states[:n])

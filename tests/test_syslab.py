@@ -9,8 +9,8 @@ from magsys_lab import (ExperimentConfig, NoOrbitsFound, ValidationError,
                         check_two_sided, identity_constant, make_surface,
                         run_experiment, sweep, sweep_table)
 from magsys_lab import orbits
-from magsys_lab.syslab import _full_coefficient, run_experiment_full
-from magsys_lab.zollref import kahler_leading_constant
+from magsys_lab.syslab import run_experiment_full
+from magsys_lab.zollref import full_coefficient, kahler_leading_constant
 
 
 def latitude_circle_oracle(eps, s=1.0):
@@ -52,7 +52,7 @@ def test_full_coefficient_inverts_the_leading_constant(kappa, s, n):
     # C = 2 pi^{2n} / ((n-1)! K), with K the leading constant of the Kahler
     # Zoll polynomial: C K is the volume identity's constant at every s
     vol_g0 = make_surface(kappa).area()
-    coeff = _full_coefficient(kappa, s, n, vol_g0)
+    coeff = full_coefficient(kappa, s, n, vol_g0)
     lead = kahler_leading_constant(kappa, s, n, vol_g0)
     assert coeff * lead == pytest.approx(identity_constant(n), rel=1e-12)
 

@@ -9,8 +9,10 @@ and each config runs in this process through ``magsys_lab.cli.main``, one
 output directory ``OUT/<name>`` each.  The configs are the four benchmark
 workloads (read from ``perfbench/workloads.py`` beside this tool, which is
 executed, not imported, so nothing is written into perfbench/), every
-config of the ROADMAP's Baseline census table, and a few runs with an
-attached 1-form and one ``sweep``.  NAME restricts the run to those configs.
+config of the ROADMAP's Baseline census table, and a few more: runs with an
+attached 1-form, two ``sweep`` runs (one of error reports only), one
+``orbit`` run, and ``constants`` and ``zollpoly`` at kappa 1, 0 and -1.
+NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
 three work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
@@ -74,6 +76,14 @@ EXTRA = {
     "hyperbolic_eta_radial": _census(BUMP.format(s=2.0) + "eta = hyperbolic_eta_radial\n", 3),
     "sphere_sweep": ("sweep", "[model]\n" + SPHERE_Z.format(s=1.0, eps=0.05)
                      + "[search]\ngrid_density = 3\neps_list = 0.05, 0.1, 0.2, 0.4\n"),
+    # every row an error report
+    "horocycle_sweep": ("sweep", "[model]\n" + BUMP.format(s=1.0001)
+                        + "[search]\ngrid_density = 2\neps_list = 0.05, 0.1\n"),
+    "torus_cos_x_orbit": ("orbit", "[model]\n" + TORUS_COS_X.format(s=1.0, eps=0.05)
+                          + "[search]\ngrid_density = 2\n"),
+    **{f"{command}_kappa{kappa:g}": (command, f"kappa = {kappa}\nstrength = {s}\n")
+       for command in ("constants", "zollpoly")
+       for kappa, s in ((1.0, 1.0), (0.0, 1.0), (-1.0, 2.0))},
 }
 
 
