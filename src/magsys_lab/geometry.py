@@ -433,12 +433,16 @@ class SphereChart(ChartOps):
 
     def box_points(self, r, p):
         """The ambient points and the area weight w(r) = R sin(r / R) at the
-        metric coordinates (r, p) = (theta, phi) of the box, from one sine of
-        r / R."""
-        R = self.R
-        sa = np.sin(r / R)
-        q = np.stack([R * sa * np.cos(p), R * sa * np.sin(p), R * np.cos(r / R)], axis=-1)
-        return q, R * sa
+        metric coordinates (r, p) = (theta, phi) of the box, by one sine and
+        one cosine of each of r / R and p.  The points are the (..., 3) view
+        of component rows, filled in place."""
+        R, t = self.R, np.divide(r, self.R)
+        q = np.empty((3,) + t.shape)
+        np.multiply(R, np.cos(t, out=q[2]), out=q[2])
+        w = np.multiply(R, np.sin(t, out=t), out=t)
+        np.multiply(w, np.cos(p, out=q[0]), out=q[0])
+        np.multiply(w, np.sin(p, out=q[1]), out=q[1])
+        return np.moveaxis(q, 0, -1), w
 
     latitude_point = (0.0, 0.0, 1.0)
 
@@ -582,8 +586,9 @@ class _PlanarChart(ChartOps):
 
     def box_points(self, r, p):
         """The chart points and the area weight w(r) at the metric coordinates
-        (r, p) of the box."""
-        return np.stack([r, p], axis=-1), self.w_wp(r)[0]
+        (r, p) of the box.  The points are the (..., 2) view of the component
+        rows r and p."""
+        return np.moveaxis(np.array([r, p]), 0, -1), self.w_wp(r)[0]
 
     def cap(self, pos, vel, closure):
         """The loop in the planar image, its mean, and per sample a primitive

@@ -115,10 +115,11 @@ def _crossing_speed(sys, spec, q, v):
     return float(sys.surface.section_normal(q, v) @ spec.normal)
 
 
-def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
+def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10, path=True):
     """First forward return of the flow to the section: (state, return time,
     path).  path(times) gives the (2d, N) states of the flow at N sorted times
-    in [0, return time], from the two solves' dense output.
+    in [0, return time], from the two solves' dense output; with path False
+    the solves build none (only the crossing step's) and path is None.
 
     The crossing must be in the direction of the anchor velocity; the search
     is capped at twice the Zoll reference period.
@@ -128,14 +129,14 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10):
     its own map's.
     """
     if isinstance(state, list):
-        return _return_maps(sys, section, state, tol)
-    (out,) = _return_maps(sys, [section], [state], tol)
+        return _return_maps(sys, section, state, tol, path)
+    (out,) = _return_maps(sys, [section], [state], tol, path)
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def _return_maps(sys, sections, states, tol):
+def _return_maps(sys, sections, states, tol, path):
     """``return_map`` from each section and state, by stacked solves."""
     t_ref, d, f = reference_period(sys), sys.surface.dim, rhs(sys)
     rtol, atol = stepper_tolerances(tol)
@@ -149,7 +150,7 @@ def _return_maps(sys, sections, states, tol):
         whose solve fails ends with StepFailure."""
         live = [i for i, r in enumerate(out) if r is None]
         sols = solve_ivp(f, span, np.reshape(rows, (-1, 2 * d)), rtol=rtol, atol=atol,
-                         dense_output=True, **kw)
+                         dense_output=path, **kw)
         for i, sol in zip(live, sols):
             out[i] = None if sol.success else StepFailure(sol.message)
         return {i: sol for i, sol in zip(live, sols) if sol.success}
@@ -166,7 +167,8 @@ def _return_maps(sys, sections, states, tol):
         elif abs(_crossing_speed(sys, sections[i], q, v)) < TRANSVERSALITY_MIN:
             out[i] = TangencyError("return crossing is tangent to the section")
         else:
-            out[i] = tangent_state(sys, q, v), sol.t_event, _joined(head, heads[i].sol, sol.sol)
+            out[i] = (tangent_state(sys, q, v), sol.t_event,
+                      _joined(head, heads[i].sol, sol.sol) if path else None)
     return out
 
 
@@ -216,9 +218,9 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     map, from which come D, the state residual that decides convergence and
     the line search, and the orbit's samples; the first Newton step adds the
     two maps of the forward-difference Jacobian, at that tolerance divided
-    by DRIFT_FD_STEP, so a seed that already closes costs one map; given
-    first_map (that map's result or exception, run by ``enumerate_orbits``),
-    none.  Raises DivergedFromFamily when the seed's return
+    by DRIFT_FD_STEP and without a path, so a seed that already closes costs
+    one map; given first_map (that map's result or exception, run by
+    ``enumerate_orbits``), none.  Raises DivergedFromFamily when the seed's return
     residual exceeds the short-loop gate or an iterate loses the section;
     NoConvergence when the iteration budget runs out or the step vanishes.
     """
@@ -226,14 +228,16 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     ivp_tol = _map_tol(tol)
     basis, start_at = _newton_start(sys, seed)
 
-    def drift(x, map_tol=ivp_tol, mapped=None):
+    def drift(x, mapped=None, fd=False):
         """(D, state residual, (c, return time, path)) at local coordinates x,
-        from the return map mapped where it has run already."""
+        from the return map mapped where it has run already; a Jacobian map
+        (fd) runs at ivp_tol / DRIFT_FD_STEP, with no path."""
         c, start = start_at(x)
         if isinstance(mapped, Exception):
             raise mapped
-        end, t_ret, path = mapped or return_map(sys, make_section(sys, start), start,
-                                                tol=map_tol)
+        end, t_ret, path = mapped or return_map(
+            sys, make_section(sys, start), start,
+            tol=ivp_tol / DRIFT_FD_STEP if fd else ivp_tol, path=not fd)
         back = surface.orbit_space_point(sys, end.position, end.velocity)
         return (basis.T @ surface.orbit_space_gap(c, back), state_distance(sys, end, start),
                 (c, t_ret, path))
@@ -250,8 +254,8 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
             return _build_orbit(sys, *closing, seed_id, iterations=it)
         try:
             if jac is None:
-                jac = np.column_stack([drift(x + DRIFT_FD_STEP * e, ivp_tol / DRIFT_FD_STEP)[0]
-                                       - g for e in np.eye(2)]) / DRIFT_FD_STEP
+                jac = np.column_stack([drift(x + DRIFT_FD_STEP * e, fd=True)[0] - g
+                                       for e in np.eye(2)]) / DRIFT_FD_STEP
             dx = np.linalg.lstsq(jac, -g, rcond=STEP_RCOND)[0]
             if not dx.any():
                 raise NoConvergence(f"Newton step vanished at residual {resid:.3g}")

@@ -104,6 +104,30 @@ def test_stacked_maps_are_each_member_s_own(kappa):
             ["tuple", "TangencyError", "NoReturn", "tuple"][:n]
 
 
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+def test_map_without_a_path_ends_alike_on_fewer_rhs_calls(kappa, monkeypatch):
+    # as the Jacobian's maps run: no dense-output stages but the crossing
+    # step's, and the same end state and return time, bit for bit
+    sys = perturbed_system(kappa)
+    seed = latitude_seed(sys)
+    section = make_section(sys, seed)
+    calls, plain_rhs = [], orbits_mod.rhs
+
+    def rhs(sys):
+        f = plain_rhs(sys)
+        return lambda t, y: calls.append(t) or f(t, y)
+
+    monkeypatch.setattr(orbits_mod, "rhs", rhs)
+    ends = {}
+    for path in (True, False):
+        calls.clear()
+        end, t_ret, p = return_map(sys, section, seed, path=path)
+        ends[path] = (pack_state(end).tobytes(), t_ret, len(calls), p is None)
+    assert ends[False][:2] == ends[True][:2]
+    assert ends[False][2] < ends[True][2]
+    assert ends[False][3] and not ends[True][3]
+
+
 class TestFindClosedOrbit:
     def test_zoll_seed_needs_no_newton_steps(self):
         sys = make_model(1.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from scipy.special import i0
@@ -37,6 +38,29 @@ EXACT_ORACLE = {
 }
 
 
+# the benchmark workload's oracle: sphere_pair(), 4e6 samples and rng_seed 7,
+# 7813 base points a cell, past numpy's 128-element pairwise-summation block
+# (EXACT_ORACLE's cells hold 98), so a reduction in another order shows here
+WORKLOAD_ORACLE = (0.06598225038053324, 0.00017554282115271166)
+
+# riemannian_volume of the unnormalised perturbation on each chart
+EXACT_AREA = {
+    "sphere": 12.587325039852278,
+    "sphere_kappa4": 3.1468312599630694,
+    "torus": 39.87418983814949,
+    "hyperbolic": 57.048544935043545,
+}
+
+
+def area_case(name):
+    if name == "torus":
+        return torus_pair()[1]
+    if name == "hyperbolic":
+        return conformal_perturb(make_model(-1.0, 2.0), ScalarField("hyperbolic_bump", (0.1, 1.0)),
+                                 0.1, normalize=False)
+    return sphere_pair(4.0 if name.endswith("kappa4") else 1.0, eta=False)[1]
+
+
 def exact_case(name):
     if name == "torus_eta":
         sys0, sysp = torus_pair()
@@ -55,6 +79,10 @@ class TestClosedForm:
     def test_normalized_is_exactly_zero(self):
         sys0, sysp = torus_pair(normalize=True)
         assert vol_closed_form(sys0, sysp) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(EXACT_AREA))
+    def test_area_is_bit_for_bit(self, name):
+        assert riemannian_volume(area_case(name)) == EXACT_AREA[name]
 
     def test_torus_cosine_against_bessel(self):
         # independent oracle: int e^{2 eps cos x} dx = 2 pi I0(2 eps)
@@ -165,6 +193,20 @@ class TestOracle:
         sys0, sysp = exact_case(name)
         assert vol_quadrature_oracle(sys0, sysp, samples=50_000,
                                      rng_seed=11) == EXACT_ORACLE[name]
+
+    def test_workload_estimate_is_bit_for_bit(self):
+        assert vol_quadrature_oracle(*sphere_pair(), samples=4_000_000,
+                                     rng_seed=7) == WORKLOAD_ORACLE
+
+    def test_working_set_is_one_cell(self):
+        # arrays the size of one cell (7813 points here), not of all 256
+        tracemalloc.start()
+        try:
+            vol_quadrature_oracle(*sphere_pair(), samples=4_000_000, rng_seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_report(self):
         sys0, sysp = torus_pair()

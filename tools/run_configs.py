@@ -11,7 +11,8 @@ workloads (read from ``perfbench/workloads.py`` beside this tool, which is
 executed, not imported, so nothing is written into perfbench/), every
 config of the ROADMAP's Baseline census table, and a few more: runs with an
 attached 1-form, two ``sweep`` runs (one of error reports only), one
-``orbit`` run, and ``constants`` and ``zollpoly`` at kappa 1, 0 and -1.
+``orbit`` run, a torus ``volume`` run, and ``constants`` and ``zollpoly`` at
+kappa 1, 0 and -1.
 NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
@@ -81,6 +82,9 @@ EXTRA = {
                         + "[search]\ngrid_density = 2\neps_list = 0.05, 0.1\n"),
     "torus_cos_x_orbit": ("orbit", "[model]\n" + TORUS_COS_X.format(s=1.0, eps=0.05)
                           + "[search]\ngrid_density = 2\n"),
+    # the oracle on the planar chart's box points
+    "torus_volume": ("volume", "[model]\n" + TORUS_COS_X.format(s=1.0, eps=0.1)
+                     + "eta = torus_eta_sin_x\nnormalize = false\n[search]\nsamples = 200000\n"),
     **{f"{command}_kappa{kappa:g}": (command, f"kappa = {kappa}\nstrength = {s}\n")
        for command in ("constants", "zollpoly")
        for kappa, s in ((1.0, 1.0), (0.0, 1.0), (-1.0, 2.0))},
