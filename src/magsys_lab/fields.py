@@ -48,7 +48,7 @@ def _on_points(formula, q):
     columns of all the points, and as its arithmetic is elementwise, each
     point rounds as it does alone or in the RHS kernels."""
     q = np.asarray(q, dtype=float)
-    x = q.reshape(-1, q.shape[-1]).T    # (dim, M): x[i] is component i of every point
+    x = np.moveaxis(q, -1, 0).reshape(q.shape[-1], -1)    # x[i]: component i of every point
     res = formula(x)
     if not isinstance(res, tuple):
         if not isinstance(res, np.ndarray):    # a constant field
@@ -69,7 +69,8 @@ def _const(coeffs, surface):
 
 def _sphere_harmonic(coeffs, surface):
     # u = c sqrt(kappa) <axis, q>, the restriction of a linear harmonic; the
-    # axis is z, or the direction of coeffs[1:4]
+    # axis is z, or the direction of coeffs[1:4].  Along a coordinate axis the
+    # value drops the two zero terms, which can change only the sign of a zero
     ck, ax = coeffs[0] * np.sqrt(surface.kappa), _Z_AXIS
     if len(coeffs) == 4:
         ax = np.asarray(coeffs[1:4])
@@ -79,6 +80,9 @@ def _sphere_harmonic(coeffs, surface):
         ax = ax / n
     a0, a1, a2 = ax.tolist()
     grad = tuple((ck * ax).tolist())
+    (i, a), *others = [(i, a) for i, a in enumerate((a0, a1, a2)) if a != 0.0]
+    if not others:
+        return (lambda x: ck * (a * x[i])), (lambda x, u: grad)
     return (lambda x: ck * (a0 * x[0] + a1 * x[1] + a2 * x[2])), (lambda x, u: grad)
 
 

@@ -310,9 +310,10 @@ class ChartOps:
     # over c, has ``zoll_state`` as its node 0 and ``latitude_point`` as the c
     # of ``dynamics.latitude_seed``; ``orbit_space_point`` is its left
     # inverse, the c of the Zoll circle through a state.  ``orbit_space_starts``
-    # gives the census grid, ``orbit_space_step`` moves points by k-vector
-    # offsets, by default in the planar image (``orbit_space_gap`` is its
-    # inverse), and ``orbit_space_chart`` gives local coordinates about c.
+    # and ``orbit_space_tiling`` give the blind grid and the census's tiling,
+    # ``orbit_space_step`` moves points by k-vector offsets, by default in the
+    # planar image (``orbit_space_gap`` is its inverse), and
+    # ``orbit_space_chart`` gives local coordinates about c.
     def zoll_state(self, sys, c, ref=None):
         """The state at node 0 of the Zoll circle over the orbit-space point c."""
         q, v = self.zoll_circle(sys, np.asarray(c, dtype=float)[None], 1, ref)
@@ -470,6 +471,22 @@ class SphereChart(ChartOps):
                 axes.append(np.array([sz * math.cos(beta), sz * math.sin(beta), cz]))
         return ids, np.array(axes)
 
+    def orbit_space_tiling(self, sys):
+        """An icosahedron subdivided once, turned off the poles: 42 vertices, 80 triangles."""
+        p = (1.0 + math.sqrt(5.0)) / 2.0
+        v = np.array([(0.0, i, j * p) for i in (-1, 1) for j in (-1, 1)])
+        v = np.vstack([v, v[:, [2, 0, 1]], v[:, [1, 2, 0]]])      # edges of length 2
+        a, b = np.nonzero(np.triu(np.abs(v @ v.T - p) < 1e-9))
+        n = np.array([1.0, 3.0, 4.0]) / math.sqrt(26.0)
+        points = np.vstack([v, v[a] + v[b]]) @ np.stack([*self.frame(n), n])
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        near = np.triu(points @ points.T > 0.7, 1)     # 32-36 degrees; the next, 58
+        i, j = np.nonzero(near)
+        e, k = np.nonzero(near[i] & near[j])
+        i, j = i[e], j[e]
+        j, k = np.where(np.sum(_cross(points[i], points[j]) * points[k], 1) > 0, (j, k), (k, j))
+        return points, np.stack([i, j, k], axis=-1), self.orbit_space_chart(points)[0]
+
     def orbit_space_step(self, c, d):
         c = c + d
         return c / np.linalg.norm(c, axis=-1, keepdims=True)
@@ -486,16 +503,16 @@ class SphereChart(ChartOps):
         """Positions and unit g0-velocities, each (M, nodes, 3), at nodes equally
         spaced points of the Zoll circle tan(sqrt(kappa) theta*) = sqrt(kappa)/s
         about each axis c, in the order the flow runs through them, from node 0
-        on the ``frame`` of ref."""
+        on the ``frame`` of ref, views of (3, M, nodes) rows as in ``box_points``."""
         alpha = math.atan2(self.sk, abs(sys.strength))
         n = c / np.linalg.norm(c, axis=-1, keepdims=True)
         e1, e2 = self.frame(n, ref)
         turn = -1.0 if sys.strength < 0 else 1.0    # the sense of the flow about n
         th = turn * 2.0 * math.pi * np.arange(nodes) / nodes
-        cos, sin = np.cos(th)[:, None], np.sin(th)[:, None]
-        e1, e2 = e1[:, None, :], e2[:, None, :]
-        q = self.R * (math.cos(alpha) * n[:, None, :] + math.sin(alpha) * (cos * e1 + sin * e2))
-        return q, turn * (cos * e2 - sin * e1)
+        cos, sin = np.cos(th), np.sin(th)
+        n, e1, e2 = (np.ascontiguousarray(a.T)[..., None] for a in (n, e1, e2))    # (3, M, 1)
+        q = self.R * (math.cos(alpha) * n + math.sin(alpha) * (cos * e1 + sin * e2))
+        return q.transpose(1, 2, 0), (turn * (cos * e2 - sin * e1)).transpose(1, 2, 0)
 
     def orbit_space_point(self, sys, q, v):
         """The axis of the Zoll circle through each state (q, v), (..., 3)
@@ -590,6 +607,13 @@ class _PlanarChart(ChartOps):
         rows r and p."""
         return np.moveaxis(np.array([r, p]), 0, -1), self.w_wp(r)[0]
 
+    @staticmethod
+    def _grid(nu, nv, closed):
+        """(u, v, counterclockwise cells) of the grid of vertices u nv + v."""
+        u, v = np.divmod(np.arange(nu * nv), nv)
+        corner = [(u + du) % nu * nv + (v + dv) % nv for du, dv in ((0, 0), (1, 0), (1, 1), (0, 1))]
+        return u, v, np.stack(corner, axis=-1)[closed | (u < nu - 1)]
+
     def cap(self, pos, vel, closure):
         """The loop in the planar image, its mean, and per sample a primitive
         times dp/dt."""
@@ -662,6 +686,14 @@ class HyperbolicChart(_PlanarChart):
                 ids.append(f"boost_{i}_{j}")
                 centres.append((d, psi))
         return ids, np.array(centres)
+
+    def orbit_space_tiling(self, sys):
+        """Rings of 16 vertices at 9 radii over the searched disk, the first the
+        centre (16 times), with the radial and angular axes."""
+        r, j, cells = self._grid(9, 16, closed=False)
+        points = np.stack([self._seed_radius(sys) * r / 8, 2.0 * math.pi * j / 16], axis=-1)
+        cp, sp = np.cos(points[:, 1]), np.sin(points[:, 1])
+        return points, cells, np.stack([cp, -sp, sp, cp], axis=-1).reshape(-1, 2, 2)
 
     def in_searched_region(self, sys, c):
         """Which centres c lie in the disk the starts cover."""
@@ -766,6 +798,12 @@ class TorusChart(_PlanarChart):
                 centres.append(((i + 0.5) * p1 / grid_density, (j + 0.5) * p2 / grid_density))
         return ids, np.array(centres)
 
+    def orbit_space_tiling(self, sys):
+        """A 12 x 12 grid of cells centred on (i, j) box / 12, so x, y = 0, pi lie inside."""
+        n, (p1, p2) = 12, self.box
+        i, j, cells = self._grid(n, n, closed=True)
+        return np.stack([(i - 0.5) * (p1 / n), (j - 0.5) * (p2 / n)], axis=-1), cells, np.eye(2)
+
     def orbit_space_step(self, c, d):
         return self.wrap(c + d, 0.5 * np.asarray(self.box))
 
@@ -776,11 +814,12 @@ class TorusChart(_PlanarChart):
         """Positions and unit velocities, each (M, nodes, 2), at nodes equally
         spaced points of the circle of radius 1/s about each centre c, in the
         order the flow runs through them (counterclockwise) from the point of
-        ``zoll_state``, which needs no ref."""
+        ``zoll_state``, which needs no ref; the positions view (2, M, nodes) rows."""
         th = 2.0 * math.pi * np.arange(nodes) / nodes
-        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        vel = np.stack([-ring[:, 1], ring[:, 0]], axis=-1)
-        return c[:, None, :] + ring / sys.strength, np.broadcast_to(vel, (len(c),) + vel.shape)
+        cos, sin = np.cos(th), np.sin(th)
+        vel = np.stack([-sin, cos], axis=-1)
+        q = c.T.copy()[..., None] + np.stack([cos, sin])[:, None, :] / sys.strength
+        return q.transpose(1, 2, 0), np.broadcast_to(vel, (len(c),) + vel.shape)
 
     def orbit_space_point(self, sys, q, v):
         """The centre q + J v / (s |v|) of the Zoll circle through each state

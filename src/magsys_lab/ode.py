@@ -127,8 +127,8 @@ def _solve(fun, t, t_bound, rtol, atol, max_step, dense_output, y, event):
             nfev += 3
         if crossed:
             at = _interpolant(steps[-1:])
-            t = t_event = _illinois(lambda s: event(s, at(s)), t_old, t)
-            y = y_event = at(t)
+            t = t_event = _illinois(lambda s: event(s, at(s, 0)), t_old, t)
+            y = y_event = at(t, 0)
     sol = _interpolant(steps) if dense_output else None
     return OdeResult(t, y, nfev, True, "event" if crossed else "end", sol, t_event, y_event)
 
@@ -200,15 +200,17 @@ def _step_stack(fun, solves, rtol, atol):
 def _interpolant(steps):
     """sol(times) from the accepted steps (t_old, t, y_old, y, K), whose coefficients are
     built here at once: the (n, len(times)) states, or (n,) at one time, each by Horner's
-    rule on the step whose closed interval holds its time (the earlier one at a step end)."""
+    rule on the step whose closed interval holds its time (the earlier one at a step end),
+    or on step k where sol(times, k) names it."""
     t0, t1, y0, y1, K = map(np.array, zip(*steps))
     ts, h, dy = np.append(t0, t1[-1]), (t1 - t0)[:, None], y1 - y0
     F = np.concatenate([np.stack([dy, h * K[:, 0] - dy, 2 * dy - h * (K[:, 12] + K[:, 0])], 1),
                         h[:, None] * np.matmul(D, K)], 1).transpose(1, 2, 0)
     sign = 1.0 if ts[-1] >= ts[0] else -1.0
 
-    def sol(times):
-        k = np.clip(np.searchsorted(sign * ts, sign * times) - 1, 0, len(ts) - 2)
+    def sol(times, k=None):
+        if k is None:
+            k = np.clip(np.searchsorted(sign * ts, sign * times) - 1, 0, len(ts) - 2)
         x, Fk, y = (times - ts[k]) / (ts[k + 1] - ts[k]), F[..., k], 0.0
         for i in range(7):
             y = (y + Fk[6 - i]) * (x if i % 2 == 0 else 1 - x)

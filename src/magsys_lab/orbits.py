@@ -38,20 +38,13 @@ The census (``enumerate_orbits``) seeds Newton where first-order
 perturbation theory puts the closed orbits.  To first order in eps, the
 perturbed orbits lie over the critical points of abar(c), the first-order
 change of the circle's magnetic length (``orbit_space_average``), and
-l = pi a^2(1) + eps abar(c*) + O(eps^2).  The stage before Newton is an
-ODE-free quadrature on circles:
-- the starts are the orbit-space points of the seed grid (``seed_grid``:
-  ``grid_density`` and the ``rng_seed`` jitter keep their meaning);
-- a quadratic model of abar (its Hessian H) steers three searches from each
-  start (``critical_points``): |H|'s step up to a maximum, down to a
-  minimum, and Newton's to any critical point, saddles included; points
-  that coincide merge, and so do degenerate ones at one value of abar (one
-  Morse-Bott manifold, as the circles x0 = 0 and x0 = pi of cos x, or two);
-- Newton runs from the Zoll state over each representative only;
-- where first order cannot place the orbits (no perturbation, abar constant
-  as on the torus at s = 1/j_{0,1}, or its splitting no larger than the
-  second-order terms, as on the sphere near s = 0), every start is seeded:
-  the blind grid.
+l = pi a^2(1) + eps abar(c*) + O(eps^2).  ``critical_points`` brackets them on
+one fixed tiling of the orbit space, one start per isolated point or line of
+them, and Newton on D runs from the Zoll state over each.  Where first order
+cannot place the orbits (no perturbation, abar constant as on the torus at
+s = 1/j_{0,1}, or its splitting no larger than the second-order terms, as on
+the sphere near s = 0), it runs from every start of the blind grid
+(``seed_grid``), which alone reads ``grid_density`` and ``rng_seed``.
 """
 
 from __future__ import annotations
@@ -63,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import (DivergedFromFamily, NoConvergence, NoReturn, StepFailure,
-                     TangencyError)
+from .errors import DivergedFromFamily, NoConvergence, NoReturn, StepFailure, TangencyError
 from .geometry import TangentState, state_distance, tangent_state
 from .dynamics import (Trajectory, pack_state, reference_period, rhs, sampled_trajectory,
                        solve_ivp, stepper_tolerances)
@@ -78,18 +70,15 @@ SEED_RESIDUAL_GATE = 0.3           # chart units; beyond this a seed is rejected
 # maps (at 1e-7) over this step tilts it by up to 5e-6, which moves c* along a
 # set of zeros (where no later step corrects it) but not its orbit's length
 DRIFT_FD_STEP = 1e-3
-STEP_RCOND = 1e-3                  # cut below this share of the top singular value, of abar's scale
+STEP_RCOND = 1e-3                  # cut below this share of the top singular value
 NEWTON_DAMPING = 0.8
 DEDUP_TOL = 1e-4                  # orbit-space points this close are one (orbits, critical points)
 ORBIT_SAMPLES = 512               # samples of each orbit's period
 TRANSVERSALITY_MIN = 1e-3
 AVERAGE_NODES = 64                # trapezoid nodes on each Zoll circle
 TAYLOR_STEP = 1e-4                # central differences of the orbit-space average
-SEARCH_MAX_STEP = 0.5             # longest step of a search for critical points
-SEARCH_STEPS = 60                 # steps of each search
-SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest, per unit of abar's scale over the starts
-CRITICAL_VALUE_TOL = 1e-6         # equal abar on a critical manifold, per unit scale
-DEGENERATE_TOL = 1e-3             # |det H| <= this times |H|^2: a degenerate critical point
+SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest or noise, per unit of abar's scale
+REFINE_STEPS = 10                 # Newton steps of a critical point's refinement
 STACK_MIN = 4                     # seeds from which a census stacks its first maps
 
 
@@ -348,11 +337,8 @@ def _circle_integrand(sys, c):
     """The integrand of ``orbit_space_average`` at the nodes of the circle
     over each row of c, as an (M, AVERAGE_NODES) array."""
     surface = sys.surface
-    out = np.zeros((len(c), AVERAGE_NODES))
+    out, (q, v) = np.zeros((len(c), AVERAGE_NODES)), surface.zoll_circle(sys, c, AVERAGE_NODES)
     u, eta = sys.conformal_exponent, sys.sigma_perturbation
-    if u is None and eta is None:
-        return out
-    q, v = surface.zoll_circle(sys, c, AVERAGE_NODES)
     if u is not None:
         out += u.value(surface, q) + 0.5 * math.log(sys.conformal_scale) / sys.conformal_eps
     if eta is not None:
@@ -360,109 +346,115 @@ def _circle_integrand(sys, c):
     return out
 
 
-def _chart_step(surface, c, x):
-    """orbit_space_step(c, B x), B the basis of ``orbit_space_chart(c)``."""
-    basis, _ = surface.orbit_space_chart(c)
-    return surface.orbit_space_step(c, (basis @ x[..., None])[..., 0])
-
-
-def _taylor(sys, c):
+def _taylor(sys, c, axes=None):
     """abar, its gradient and its Hessian at the rows of c in the local
-    coordinates of ``_chart_step``: central differences over TAYLOR_STEP on
-    a 3 x 3 stencil, one batch of circles."""
-    h = TAYLOR_STEP
-    batch = [_chart_step(sys.surface, c, np.broadcast_to((i, j), (len(c), 2)))
-             for i in (-h, 0.0, h) for j in (-h, 0.0, h)]
-    f = orbit_space_average(sys, np.concatenate(batch)).reshape(3, 3, len(c))
-    grad = np.stack([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]], axis=-1) / (2.0 * h)
-    hxx, hyy = f[2, 1] - 2.0 * f[1, 1] + f[0, 1], f[1, 2] - 2.0 * f[1, 1] + f[1, 0]
-    hxy = 0.25 * (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0])
-    return f[1, 1], grad, np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(-1, 2, 2) / (h * h)
+    coordinates of ``orbit_space_chart``: central differences over TAYLOR_STEP on
+    a 3 x 3 stencil, one batch of circles.  Along given (k, 2) or (M, k, 2)
+    axes, abar and the gradient only, from the 5 points off the corners."""
+    keys = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if axes is None or not i * j]
+    basis, h = sys.surface.orbit_space_chart(c)[0] if axes is None else axes, TAYLOR_STEP
+    x = np.array(keys, dtype=float)[:, None, :, None] * h
+    batch = sys.surface.orbit_space_step(c, (basis @ x)[..., 0]).reshape(-1, c.shape[1])
+    f = dict(zip(keys, orbit_space_average(sys, batch).reshape(len(keys), -1)))
+    grad = np.stack([f[1, 0] - f[-1, 0], f[0, 1] - f[0, -1]], axis=-1) / (2.0 * h)
+    if axes is not None:
+        return f[0, 0], grad, None
+    hxx, hyy = f[1, 0] - 2.0 * f[0, 0] + f[-1, 0], f[0, 1] - 2.0 * f[0, 0] + f[0, -1]
+    hxy = 0.25 * (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1])
+    return f[0, 0], grad, np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(-1, 2, 2) / (h * h)
 
 
-def _step(g, hess, mode, flat):
-    """Each row's step in H's eigenbasis, capped at SEARCH_MAX_STEP: mode 0
-    Newton's, with no part along an eigenvalue below flat in size; mode +1
-    (-1) that of |H| up (down), with |H|'s eigenvalues raised to flat (a
-    gradient step along those)."""
-    w, v = np.linalg.eigh(hess)
-    scale = np.where(mode == 0.0, -1.0 / np.where(np.abs(w) > flat, w, np.inf),
-                     mode / np.maximum(np.abs(w), flat))
-    x = np.einsum("mij,mj->mi", v, scale * np.einsum("mji,mj->mi", v, g))
-    return x * (SEARCH_MAX_STEP / np.maximum(np.linalg.norm(x, axis=1), SEARCH_MAX_STEP))[:, None]
+def critical_points(sys, tol=ExperimentConfig.tol_orbit):
+    """Representatives (ids, points) of the critical points of abar, bracketed
+    on the chart's ``orbit_space_tiling`` ((V, k) vertices, (C, m) cells
+    counterclockwise in the planar image, orthonormal planar axes) and
+    refined (``_refine``), or None where first order cannot place the orbits:
+    where eps * scale is at most tol, or at most eps^2 L0 m^2, the size of
+    the second-order terms, scale being the larger of abar's spread and
+    largest |gradient| on the vertices, L0 a Zoll circle's length and m the
+    largest |integrand| of abar there.  So it is unperturbed; on the torus at
+    s = 1/j_{0,1}, whose circles average cos x to 0; and on the sphere near
+    s = 0, whose near-great circles average odd functions to 0.
 
-
-def _search(sys, c, mode, model, grad_tol, flat):
-    """Searches from the rows of c (changed in place) with their ``_taylor``
-    model, by at most SEARCH_STEPS ``_step``s of their mode (0: to any
-    critical point, +1: to a maximum, -1: to a minimum).  A search stops
-    when its step vanishes; one that moved and came to rest (|grad| <=
-    grad_tol) takes a last Newton step on its model.  Returns the end
-    points, their (abar, H) and which came to rest."""
-    surface, (f, g, hess) = sys.surface, model
-    live, moved = surface.in_searched_region(sys, c), np.zeros(len(c), dtype=bool)
-    for _ in range(SEARCH_STEPS):
-        idx = np.flatnonzero(live & (np.linalg.norm(g, axis=1) > grad_tol))
-        if len(idx) == 0:
-            break
-        x = _step(g[idx], hess[idx], mode[idx, None], flat)
-        live[idx] = moved[idx] = x.any(axis=1)
-        idx, x = idx[live[idx]], x[live[idx]]
-        c[idx] = _chart_step(surface, c[idx], x)
-        f[idx], g[idx], hess[idx] = _taylor(sys, c[idx])
-        live[idx] = surface.in_searched_region(sys, c[idx])
-    rest = live & (np.linalg.norm(g, axis=1) <= grad_tol)
-    done = rest & moved
-    c[done] = _chart_step(surface, c[done], _step(g[done], hess[done], 0.0, flat))
-    return c, (f, hess), rest
-
-
-def critical_points(sys, ids, starts, tol=ExperimentConfig.tol_orbit):
-    """Representatives (ids, points) of the critical points of abar on the
-    orbit space, found from the starts (ids and an (M, k) array), or None
-    when first order cannot place the orbits.
-
-    First order cannot place them where its splitting eps * scale is at most
-    tol, or at most eps^2 L0 m^2, the size of the second-order terms.  Here
-    scale is the larger of max abar - min abar and the largest |grad abar|
-    over the starts (the spread alone reads 0 where every start lies on one
-    level set, as the torus centres x0 = pi/2, 3 pi/2 of grid density 2 do
-    for cos x0), L0 is the length of a Zoll circle and m the largest
-    |integrand| of abar on the starts' circles.  This holds on an
-    unperturbed system; on the torus at s = 1/j_{0,1}, where every circle
-    averages cos x to 0; and on the sphere near s = 0, whose circles tend to
-    great circles, over which odd functions average to 0, while orbits over
-    the equator's axes appear at second order.
-
-    A start where abar is already stationary is its own critical point,
-    named after it.  Every other start's three ``_search``es end at points
-    named ``<start>_max``, ``<start>_min`` and ``<start>`` (Newton's, a
-    saddle included), or at none outside the searched region.  In that
-    order a point is dropped when it lies within DEDUP_TOL of a kept one,
-    or when both are degenerate (|det H| <= DEGENERATE_TOL |H|^2) with abar
-    equal within CRITICAL_VALUE_TOL * scale: one Morse-Bott manifold.
-    """
-    n = len(ids)
-    f, g, hess = _taylor(sys, starts)
-    scale = max(float(f.max() - f.min()), float(np.linalg.norm(g, axis=1).max()))
-    eps, m = sys.conformal_eps, float(np.abs(_circle_integrand(sys, starts)).max())
+    A gradient component (along the axes) at most SEARCH_GRAD_TOL * scale is
+    noise.  The starts: ``vertex_<v>`` where the gradient is noise; ``cell_<c>``
+    the centre of a cell around which it winds (``_windings``); ``contour_<c>``
+    on a line of zeros (a Morse-Bott manifold: x0 = 0, pi of cos x, the ring
+    of ``hyperbolic_bump``), whose cells have one component noise and the
+    other's sign changing along the edges they share (``_contours``), at its
+    first change.  Vertices come first, then cells; a start refined out of the
+    searched region is dropped, one within DEDUP_TOL of a kept one merged."""
+    surface = sys.surface
+    if sys.conformal_exponent is None and sys.sigma_perturbation is None:
+        return None                               # abar = 0
+    points, cells, axes = surface.orbit_space_tiling(sys)
+    f, comp, _ = _taylor(sys, points, axes)           # comp: along the axes
+    scale = max(float(np.ptp(f)), float(np.linalg.norm(comp, axis=1).max()))
+    eps, m = sys.conformal_eps, float(np.abs(_circle_integrand(sys, points)).max())
     if eps * scale <= max(tol, eps * eps * reference_period(sys) * m * m):
         return None
-    grad_tol = SEARCH_GRAD_TOL * scale
-    still = np.linalg.norm(g, axis=1) <= grad_tol
-    run, mode = np.repeat(np.arange(n), 3), np.tile([1.0, -1.0, 0.0], n)
-    ends, (fe, he), rest = _search(sys, starts[run], mode, (f[run], g[run], hess[run]),
-                                   grad_tol, STEP_RCOND * scale)
-    rest &= ~still[run] | (mode == 0.0)
-    names = [ids[i] + tag for i, tag in zip(run, ["_max", "_min", ""] * n)]
-    degenerate = np.abs(np.linalg.det(he)) <= DEGENERATE_TOL * np.sum(he * he, axis=(1, 2))
-    kept = []
-    for j in np.flatnonzero(rest):
-        if not any(np.linalg.norm(sys.surface.orbit_space_gap(ends[r], ends[j])) <= DEDUP_TOL
-                   or (degenerate[r] and degenerate[j]
-                       and abs(fe[r] - fe[j]) <= CRITICAL_VALUE_TOL * scale) for r in kept):
+    flat = np.abs(comp) <= (noise := SEARCH_GRAD_TOL * scale)
+    still, on_line = flat.all(axis=1), flat[cells].all(axis=1)
+    line = on_line.any(axis=1) & ~on_line.all(axis=1)
+    ends = np.stack([cells, np.roll(cells, -1, axis=1)], axis=-1)      # of each edge
+    other = comp[ends, np.argmin(on_line, axis=1)[:, None, None]]
+    contours = _contours(ends, line[:, None] & (other[..., 0] * other[..., 1] < 0)
+                         & (np.abs(other) > noise).all(axis=-1))
+    winds = ~line & ~still[cells].any(axis=1)
+    winds[winds] = _windings(surface, points, cells[winds], (axes @ comp[..., None])[..., 0]) != 0
+    ids, starts = [f"vertex_{v}" for v in np.flatnonzero(still)], list(points[still])
+    for c in sorted({*np.flatnonzero(winds), *contours}):
+        a, e = points[cells[c]], contours.get(c, 0)
+        gap, (oa, ob) = surface.orbit_space_gap(a[e], np.roll(a, -e, axis=0)), other[c, e]
+        starts.append(surface.orbit_space_step(a[e], gap.mean(axis=0) if winds[c]
+                                               else oa / (oa - ob) * gap[1]))
+        ids.append(f"cell_{c}" if winds[c] else f"contour_{c}")
+    rest, kept = _refine(sys, np.array(starts).reshape(len(ids), points.shape[1]), noise), []
+    for j in np.flatnonzero(surface.in_searched_region(sys, rest)):
+        if all(np.linalg.norm(surface.orbit_space_gap(rest[r], rest[j])) > DEDUP_TOL for r in kept):
             kept.append(j)
-    return [names[j] for j in kept], ends[kept]
+    return [ids[j] for j in kept], rest[kept]
+
+
+def _windings(surface, points, cells, grad):
+    """The winding of grad (planar vectors at the vertices) around each cell
+    (Stenger 1975), each edge's turn read in ``orbit_space_chart``'s basis at
+    its lower vertex, alike for its two cells: the windings sum to chi."""
+    nxt = np.roll(cells, -1, axis=1)
+    lo, hi = np.minimum(cells, nxt).ravel(), np.maximum(cells, nxt).ravel()
+    basis = surface.orbit_space_chart(points[lo])[0]
+    za, zb = (np.einsum("...kj,...k->...j", basis, grad[v]) for v in (lo, hi))
+    turn = np.arctan2(za[:, 0] * zb[:, 1] - za[:, 1] * zb[:, 0], np.sum(za * zb, axis=-1))
+    turn = np.where(cells < nxt, 1.0, -1.0) * turn.reshape(cells.shape)
+    return np.rint(turn.sum(axis=1) / (2.0 * math.pi)).astype(int)
+
+
+def _contours(ends, crossing):
+    """{first cell: first edge} of each contour: the cells joined by the edges
+    (ends (C, m, 2), the vertices of each cell's edges) where crossing is set."""
+    label, owner = list(range(len(ends))), {}
+    hits = list(zip(*np.nonzero(crossing)))
+    for c, e in hits:
+        o = owner.setdefault(frozenset(ends[c, e].tolist()), c)
+        keep, drop = sorted((label[o], label[c]))
+        label = [keep if x == drop else x for x in label]
+    return dict({label[c]: (c, e) for c, e in reversed(hits)}.values())     # each label's first
+
+
+def _refine(sys, c, grad_tol):
+    """The rows of c, in place, after at most REFINE_STEPS Newton steps on their
+    ``_taylor`` models to |grad abar| <= grad_tol, least-squares, cut at STEP_RCOND."""
+    idx = np.arange(len(c))
+    for _ in range(REFINE_STEPS):
+        _, g, hess = _taylor(sys, c[idx])
+        if not (live := np.linalg.norm(g, axis=1) > grad_tol).any():
+            break
+        idx, (w, v) = idx[live], np.linalg.eigh(hess[live])
+        w = np.where(np.abs(w) > STEP_RCOND * np.abs(w).max(axis=1, keepdims=True), w, np.inf)
+        x = -v @ (np.swapaxes(v, 1, 2) @ g[live, :, None] / w[..., None])
+        basis, _ = sys.surface.orbit_space_chart(c[idx])
+        c[idx] = sys.surface.orbit_space_step(c[idx], (basis @ x)[..., 0])
+    return c
 
 
 def deduplicate(sys, orbits):
@@ -501,18 +493,18 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     """Closed orbits seeded at the critical points of the orbit-space
     average, deduplicated and sorted by magnetic length, as a Census.
 
-    The starts are the orbit-space points of ``seed_grid``.  Newton runs
-    from the Zoll state over each representative of ``critical_points``,
-    or, where first order cannot place the orbits, over every start (the
-    blind grid), in one process from the seeds' first maps, stacked in one
-    ``return_map`` call.  Failed seeds are logged and skipped.
+    Newton runs from the Zoll state over each representative of
+    ``critical_points``, or, where first order cannot place the orbits, over
+    every start of ``seed_grid`` (the blind grid), in one process from the
+    seeds' first maps, stacked in one ``return_map`` call.  Failed seeds are
+    logged and skipped.
 
     Orbits sort by length, and lengths within tol of the length before
     them form one group (single linkage), whose orbits keep the seed order:
     lengths that agree to Newton's accuracy (translates and rotations of
     one orbit) are not ordered by their noise."""
     names, starts = _starts(sys, grid_density, rng_seed)
-    picked = critical_points(sys, names, starts, tol) if names else None
+    picked = critical_points(sys, tol) if names else None
     ids, points = (names, starts) if picked is None else picked
     seeds = [(sid, sys.surface.zoll_state(sys, c)) for sid, c in zip(ids, points)]
     firsts = [None] * len(seeds)
@@ -542,8 +534,7 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
         else:
             groups.append([i])
     order = [i for group in groups for i in sorted(group)]
-    return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds),
-                  len(names))
+    return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds), len(names))
 
 
 def _run_seed_safe(args):

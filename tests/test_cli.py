@@ -258,11 +258,11 @@ class TestCliRuns:
         text, seed_id = {
             "torus": ("kappa = 0.0\nstrength = 1.0\n[perturbation]\nfield = torus_cos_x\n"
                       "eps = 0.05\nnormalize = true\n[search]\ngrid_density = 4\n",
-                      "center_0_0_max"),
+                      "contour_0"),
             "hyperbolic": ("kappa = -1.0\nstrength = 2.0\n[perturbation]\n"
                            "field = hyperbolic_bump\ncoeffs = 1.0, 0.5\neps = 0.05\n"
                            "normalize = true\n[search]\ngrid_density = 3\n",
-                           "boost_1_0_max")}[chart]
+                           "contour_32")}[chart]
         cfg_path = write(tmp_path, "run.cfg", text)
         solve = orbits.find_closed_orbit
 

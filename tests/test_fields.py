@@ -157,3 +157,24 @@ def test_sphere_harmonic_z_uses_the_z_axis():
     u = ScalarField("sphere_harmonic_z", (1.0,))
     assert float(u.value(surface, np.array([1.0, 0.0, 0.0]))) == 0.0
     assert float(u.value(surface, np.array([0.0, 0.0, 1.0]))) == 1.0
+
+
+@pytest.mark.parametrize("coeffs,axis", [((1.0,), (0.0, 0.0, 1.0)),
+                                         ((0.7, 0.0, -2.0, 0.0), (0.0, -1.0, 0.0)),
+                                         ((1.3, 0.0, 0.0, 0.5), (0.0, 0.0, 1.0))])
+def test_axis_harmonic_without_zero_terms_equals_the_full_sum(coeffs, axis):
+    # along a coordinate axis the value formula drops the two zero terms of
+    # c sqrt(kappa) (a0 x0 + a1 x1 + a2 x2); it rounds as the full sum does,
+    # one point at a time and on arrays, but for the sign of a zero
+    name = "sphere_harmonic_z" if len(coeffs) == 1 else "sphere_harmonic_axis"
+    u = ScalarField(name, coeffs)
+    surface, qs = points(4.0)
+    ck, (a0, a1, a2) = coeffs[0] * np.sqrt(surface.kappa), axis
+
+    def full(x):
+        return ck * (a0 * x[0] + a1 * x[1] + a2 * x[2])
+    value = u.formulas(surface)[0]
+    q = np.array(qs[1:] + [[0.5, 0.0, 0.0]])    # one point where the value is zero
+    assert np.array_equal([on_floats(value, p) for p in q], [on_floats(full, p) for p in q])
+    assert np.array_equal(u.value(surface, q), full(q.T))
+    assert np.array_equal(u.value(surface, q.reshape(-1, 3, 3)), full(q.T).reshape(-1, 3))

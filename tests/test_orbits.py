@@ -10,7 +10,7 @@ from magsys_lab import (DivergedFromFamily, ExperimentConfig, NoConvergence,
                         latitude_seed, magnetic_length, make_model,
                         make_section, reference_period, return_map,
                         state_distance, tangent_state)
-from magsys_lab import ScalarField
+from magsys_lab import OneForm, ScalarField, with_sigma_perturbation
 from magsys_lab import dynamics as dynamics_mod
 from magsys_lab import orbits as orbits_mod
 from magsys_lab.dynamics import pack_state
@@ -640,6 +640,44 @@ def starts(sys, grid_density=3, rng_seed=0):
     return sys.surface.orbit_space_starts(sys, grid_density, np.random.default_rng(rng_seed))
 
 
+def kernel_system(name):
+    """A system with a conformal exponent and, but for one, a 1-form."""
+    if name == "sphere_reversed":      # kappa 4 and s < 0: the flow turns the other way
+        return conformal_perturb(make_model(4.0, -0.7), "sphere_harmonic_z", 0.05,
+                                 normalize=False)
+    u = {"sphere": ScalarField("sphere_harmonic_axis", (1.0, 0.3, -0.5, 0.8)),
+         "torus": ScalarField("torus_cos_y"),
+         "hyperbolic": ScalarField("hyperbolic_bump", (1.0, 0.5))}[name]
+    eta = {"sphere": ("sphere_eta_axial", (0.5,)), "torus": ("torus_eta_sin_x", (1.0,)),
+           "hyperbolic": ("hyperbolic_eta_radial", (1.0,))}[name]
+    sys = conformal_perturb(make_model(*{"sphere": (1.0, 1.0), "torus": (0.0, 1.0),
+                                         "hyperbolic": (-1.0, 2.0)}[name]), u, 0.05, normalize=True)
+    return with_sigma_perturbation(sys, OneForm(*eta))
+
+
+KERNEL_POINTS = {"sphere": [(0.6, 0.0, 0.8), (0.1, -0.2, 0.97), (-0.5, 0.7, -0.2)],
+                 "torus": [(0.5, 1.0), (3.0, 5.5), (6.1, 0.2)],
+                 "hyperbolic": [(0.0, 0.0), (0.7, 1.2), (0.95, -2.0)]}
+KERNEL_POINTS["sphere_reversed"] = KERNEL_POINTS["sphere"]
+# abar at the three points above, and abar, its gradient and H_xx, H_xy, H_yy
+# of ``_taylor`` at the second, recorded before the circles were computed in
+# component rows and ``_taylor`` took each row's basis once
+KERNEL_RECORD = {
+    "sphere": ((1.271599563253627, 1.2836757890366426, -2.089864524100592),
+               (1.2836757890366426, -1.3585797865556248, -0.8198015621319055,
+                -1.357699086490527, 5.551115123125783e-09, -1.357699130899448)),
+    "sphere_reversed": ((0.7836489469978994, 0.9545273735499198, -0.2218269263793292),
+                        (0.9545273735499198, 0.1978104329936059, 0.0963775801865463,
+                         -0.9545273904620899, 2.7755575615628914e-09, -0.9545273904620899)),
+    "torus": ((0.014281439897000276, 5.987466295309241, 1.8364018593391664),
+              (5.987466295309241, 0.39018544380375886, 3.392152411421101,
+               -2.7372495381428052, 0.0, -3.407198523319721)),
+    "hyperbolic": ((-2.7601064063537346, -2.8035245478476054, -2.9794178525578703),
+                   (-2.8035245478476054, -0.2937388241441852, -0.7555407714554541,
+                    -1.1081517037325739, 0.1283349870817574, -0.8279486873874475)),
+}
+
+
 class TestOrbitSpaceAverage:
     @pytest.mark.parametrize("s", [1.0, 0.7, 2.5])
     def test_torus_cos_x_closed_form(self, s):
@@ -664,11 +702,42 @@ class TestOrbitSpaceAverage:
         expected = math.cos(alpha) * reference_period(sys) * n[:, 2]
         assert np.max(np.abs(orbits_mod.orbit_space_average(sys, n) - expected)) < 1e-12
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_RECORD))
+    def test_kernels_are_bit_for_bit(self, name):
+        sys, c = kernel_system(name), np.array(KERNEL_POINTS[name])
+        if c.shape[1] == 3:
+            c /= np.linalg.norm(c, axis=1, keepdims=True)
+        f, g, h = orbits_mod._taylor(sys, c[1:2])
+        assert tuple(orbits_mod.orbit_space_average(sys, c).tolist()) == KERNEL_RECORD[name][0]
+        assert (float(f[0]), *g[0].tolist(), *h[0].ravel()[[0, 1, 3]].tolist()) == \
+            KERNEL_RECORD[name][1]
+
+    @pytest.mark.parametrize("kappa,fields,windings", [
+        (1.0, ("sphere_harmonic_z", ()), [1, 1]),
+        (1.0, ("sphere_harmonic_axis", (1.0, 0.3, -0.5, 0.8)), [1, 1]),
+        (0.0, ("torus_cos_y", (), "torus_eta_sin_x"), [-1, -1, 1, 1])],
+        ids=["sphere_harmonic_z", "sphere_harmonic_axis", "eta_torus"])
+    def test_windings_sum_to_the_euler_characteristic(self, kappa, fields, windings):
+        # Poincare-Hopf: the indices of the zeros of grad abar sum to chi,
+        # 2 on the sphere and 0 on the torus, and each cell that winds holds one
+        sys = conformal_perturb(make_model(kappa, 1.0), ScalarField(fields[0], fields[1] or (1.0,)),
+                                0.05, normalize=True)
+        if len(fields) > 2:
+            sys = with_sigma_perturbation(sys, fields[2])
+        surface = sys.surface
+        points, cells, axes = surface.orbit_space_tiling(sys)
+        _, comp, _ = orbits_mod._taylor(sys, points, axes)
+        w = orbits_mod._windings(surface, points, cells, (axes @ comp[..., None])[..., 0])
+        assert sorted(w[w != 0]) == windings
+        assert w.sum() == (2 if kappa > 0 else 0)
+        ids, _ = orbits_mod.critical_points(sys)
+        assert sorted(ids) == sorted(f"cell_{c}" for c in np.flatnonzero(w))
+
     def test_zero_without_a_perturbation(self):
         for sys in (make_model(1.0, 1.0), make_model(0.0, 1.0), make_model(-1.0, 2.0)):
             _, c = starts(sys)
             assert not np.any(orbits_mod.orbit_space_average(sys, c))
-            assert orbits_mod.critical_points(sys, *starts(sys)) is None
+            assert orbits_mod.critical_points(sys) is None
 
     @pytest.mark.parametrize("kappa,s,field,blind", [
         # at r = 1/s the first zero of J0 every circle averages cos x to zero
@@ -682,42 +751,46 @@ class TestOrbitSpaceAverage:
         (1.0, 0.04, "sphere_harmonic_z", False)])
     def test_first_order_blind_systems_take_the_grid(self, kappa, s, field, blind):
         sys = conformal_perturb(make_model(kappa, s), field, 0.05, normalize=True)
-        assert (orbits_mod.critical_points(sys, *starts(sys)) is None) == blind
+        assert (orbits_mod.critical_points(sys) is None) == blind
 
     @pytest.mark.parametrize("grid_density", [2, 3, 4])
     def test_torus_critical_circles_keep_one_representative(self, grid_density):
-        # abar ~ cos x0 is critical on the circles x0 = 0 and x0 = pi; at
-        # density 2 every start lies on the level abar = 0 (x0 = pi/2, 3pi/2)
-        ids, points = orbits_mod.critical_points(perturbed_system(0.0),
-                                                 *starts(perturbed_system(0.0), grid_density))
-        assert ids == ["center_0_0_max", "center_0_0_min"]
+        # abar ~ cos x0 is critical on the circles x0 = 0 and x0 = pi: one
+        # contour each on the tiling, which no grid density changes (at
+        # density 2 every start of the blind grid lies on the level abar = 0)
+        sys = perturbed_system(0.0)
+        ids, points = orbits_mod.critical_points(sys)
+        assert ids == ["contour_0", "contour_72"]
         x0 = np.mod(points[:, 0] + 1.0, 2.0 * math.pi) - 1.0
         assert x0 == pytest.approx([0.0, math.pi], abs=1e-6)
+        found = enumerate_orbits(sys, grid_density=grid_density)
+        assert sorted(o.seed_id for o in found) == ids
 
     def test_sphere_critical_points_follow_the_axis(self):
         axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         sys = conformal_perturb(make_model(1.0, 1.0),
                                 ScalarField("sphere_harmonic_axis", (1.0, 1.0, 1.0, 0.0)),
                                 0.05, normalize=True)
-        ids, points = orbits_mod.critical_points(sys, *starts(sys))
+        ids, points = orbits_mod.critical_points(sys)
         assert len(ids) == 2
         assert np.max(np.abs(np.abs(points @ axis) - 1.0)) < 1e-10
-        assert points[0] @ axis > 0 > points[1] @ axis
+        # the tiling's cell order puts the minimum first
+        assert points[1] @ axis > 0 > points[0] @ axis
 
     def test_hyperbolic_searches_stay_in_the_seeded_disk(self):
-        # abar of the bump is radial: a minimum at the origin, a critical
-        # circle of maxima, and it falls off outward, where every descent from
-        # the outer ring leaves the seeded disk and yields no point
+        # abar of the bump is radial: a minimum at the origin, the tiling's
+        # centre vertex, a critical circle of maxima, one contour, and it
+        # falls off outward to the edge of the seeded disk
         sys = perturbed_system(-1.0)
-        ids, points = orbits_mod.critical_points(sys, *starts(sys))
-        assert ids == ["boost_0_0", "boost_1_0_max"]
+        ids, points = orbits_mod.critical_points(sys)
+        assert ids == ["vertex_0", "contour_32"]
         assert np.all(sys.surface.in_searched_region(sys, points))
         assert points[0] == pytest.approx([0.0, 0.0])
 
     def test_no_critical_point_is_named(self, monkeypatch):
         from magsys_lab import NoOrbitsFound, run_experiment
         monkeypatch.setattr(orbits_mod, "critical_points",
-                            lambda sys, ids, starts, tol: ([], np.empty((0, 3))))
+                            lambda sys, tol: ([], np.empty((0, 3))))
         cfg = ExperimentConfig(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
                                eps=0.05, grid_density=2)
         with pytest.raises(NoOrbitsFound, match=r"no critical point in the searched region "

@@ -187,17 +187,17 @@ class TestReproducibility:
 FD_NEWTON_RECORD = {
     "sphere": (dict(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
                     eps=0.05, grid_density=3),
-               2, "PASS", ["axis_north", "axis_south"],
+               2, "PASS", ["cell_14", "cell_9"],
                [2.4446766734808882, 2.7586394964029424]),
     "torus": (dict(kappa=0.0, strength=1.0, perturbation_name="torus_cos_x",
                    eps=0.05, grid_density=4),
-              2, "PASS", ["center_0_0_max", "center_0_0_min"],
+              2, "PASS", ["contour_0", "contour_72"],
               [2.8989133495542205, 2.8989133495542214, 2.898913349554222,
                2.8989133495542796, 3.3787699424992415, 3.378769942499278,
                3.3787699424992805, 3.378769942499283]),
     "hyperbolic": (dict(kappa=-1.0, strength=2.0, perturbation_name="hyperbolic_bump",
                         perturbation_coeffs=(1.0, 0.5), eps=0.05, grid_density=3),
-                   2, "FAIL", ["boost_0_0", "boost_1_0_max"],
+                   2, "FAIL", ["contour_32", "vertex_0"],
                    [1.736375621675979, 1.7372459945494019, 1.7372459945506056,
                     1.7372459945506975]),
     "zoll_hyperbolic": (dict(kappa=-1.0, strength=2.0, grid_density=3),
@@ -252,8 +252,7 @@ class TestFirstOrderCensus:
         for eps in (0.025, 0.0125):
             cfg = ExperimentConfig(eps=eps, grid_density=3, **FIRST_ORDER_CONFIGS[name])
             rep, sys, _ = run_experiment_full(cfg)
-            ids, points = orbits.critical_points(
-                sys, *sys.surface.orbit_space_starts(sys, 3, np.random.default_rng(0)))
+            ids, points = orbits.critical_points(sys)
             assert sorted(ids) == sorted(rep.seed_ids)
             abar = orbits.orbit_space_average(sys, points)
             gaps.append(np.abs(np.array([rep.l_min, rep.l_max]) - rep.reference
@@ -271,11 +270,13 @@ class TestFirstOrderCensus:
         assert tilted.all_verdicts() == z.all_verdicts() == ["PASS"] * 3
 
     def test_torus_census_does_not_depend_on_the_grid_density(self):
+        # grid density 1 too, whose one start lies on the minimum's line
         reps = [run_experiment(ExperimentConfig(kappa=0.0, strength=1.0,
                                                 perturbation_name="torus_cos_x",
                                                 eps=0.05, grid_density=gd))
-                for gd in (2, 3, 4)]
+                for gd in (1, 2, 3, 4)]
         for rep in reps:
+            assert rep.orbit_count == 2
             assert rep.all_verdicts() == ["PASS"] * 3
             assert [rep.l_min, rep.l_max] == pytest.approx(
                 [reps[0].l_min, reps[0].l_max], abs=1e-9)
@@ -285,13 +286,25 @@ class TestFirstOrderCensus:
         """The report of cfg and the sign of det H of abar at each of its
         critical points' representatives, which seed its orbits."""
         rep, sys, _ = run_experiment_full(cfg)
-        ids, points = orbits.critical_points(sys, *sys.surface.orbit_space_starts(
-            sys, cfg.grid_density, np.random.default_rng(cfg.rng_seed)))
+        ids, points = orbits.critical_points(sys)
         assert sorted(ids) == sorted(rep.seed_ids)
         _, _, hess = orbits._taylor(sys, points)
         return rep, np.sign(np.linalg.det(hess))
 
-    @pytest.mark.parametrize("grid_density", [3, 4])
+    @pytest.mark.parametrize("sighted", ["sphere", "torus"])
+    def test_sighted_census_does_not_read_the_grid(self, sighted):
+        # the same Newton starts, so the same orbits bit for bit, at every
+        # grid density and rng_seed: only the blind grid reads them
+        cfg = {"sphere": dict(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z"),
+               "torus": dict(kappa=0.0, strength=1.0, perturbation_name="torus_cos_x")}[sighted]
+        reps = [run_experiment(ExperimentConfig(eps=0.05, grid_density=gd, rng_seed=seed, **cfg))
+                for gd in (1, 2, 3, 4) for seed in (0, 7)]
+        for rep in reps:
+            assert rep.seed_ids == reps[0].seed_ids and rep.seeds_attempted == 2
+            assert rep.magnetic_lengths == reps[0].magnetic_lengths
+            assert rep.all_verdicts() == ["PASS"] * 3
+
+    @pytest.mark.parametrize("grid_density", [2, 3, 4])
     def test_torus_saddles_complete_the_euler_characteristic(self, grid_density):
         # abar = a cos y0 + b sin x0: a maximum, a minimum and two saddles,
         # whose indices sign det H sum to chi(T^2) = 0 (Poincare-Hopf)
@@ -310,6 +323,15 @@ class TestFirstOrderCensus:
         assert rep.orbit_count == 2
         assert list(signs) == [1.0, 1.0]
 
+    def test_tilted_sphere_extrema_give_the_euler_characteristic(self):
+        # extrema off every coordinate axis, and so off the tiling's vertices
+        rep, signs = self.critical_signs(ExperimentConfig(
+            kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_axis",
+            perturbation_coeffs=(1.0, 0.3, -0.5, 0.8), eps=0.05, grid_density=3))
+        assert rep.orbit_count == 2
+        assert list(signs) == [1.0, 1.0]
+        assert rep.all_verdicts() == ["PASS"] * 3
+
     def test_hyperbolic_ring_keeps_one_orbit_at_every_grid_density(self):
         # the bump's abar has a minimum at the origin and a circle of maxima;
         # at density 2 the ring's only points found face each other
@@ -317,6 +339,6 @@ class TestFirstOrderCensus:
             kappa=-1.0, strength=2.0, perturbation_name="hyperbolic_bump",
             perturbation_coeffs=(1.0, 0.5), eps=0.05, grid_density=gd)) for gd in (2, 3, 4)]
         for rep in reps:
-            assert rep.seed_ids == ["boost_0_0", "boost_1_0_max"]
+            assert rep.seed_ids == ["vertex_0", "contour_32"]
             assert rep.magnetic_lengths == pytest.approx(reps[0].magnetic_lengths,
                                                          abs=ExperimentConfig.tol_orbit)

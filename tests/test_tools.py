@@ -62,14 +62,14 @@ def test_run_configs_writes_what_compare_reports_reads(tmp_path, capsys):
                                     "horocycle_gd2"], tmp_path / "configs") == 0
     capsys.readouterr()
     run = json.loads((tmp_path / "old" / "torus_cos_x_gd1" / "run.json").read_text())
-    assert run["exit_code"] == 2 and run["stdout"].startswith("orbits=1 ")
+    assert run["exit_code"] == 0 and run["stdout"].startswith("orbits=2 ")
     assert "eps may exceed" in json.loads(
         (tmp_path / "old" / "horocycle_gd2" / "run.json").read_text())["stderr"]
     assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
     out = capsys.readouterr().out
     assert "torus_cos_x_gd1/run.json: stdout: identical" in out
     assert "torus_cos_x_gd1/run_meta.json: provenance: identical" in out
-    assert "torus_cos_x_gd1/orbit_center_0_0.csv: x: identical" in out
+    assert "torus_cos_x_gd1/orbit_contour_0.csv: x: identical" in out
 
 
 def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatch):
@@ -89,10 +89,11 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     assert run_configs["main"]([str(SRC), str(tmp_path / "out"), "torus_cos_x_gd1"],
                                tmp_path / "configs") == 0
     run = json.loads((tmp_path / "out" / "torus_cos_x_gd1" / "run.json").read_text())
-    assert run["return_maps"] == 6
+    assert run["return_maps"] == 12
     assert run["rhs_evals"] == sum(nfev) > 0
-    # the one start's model: a 3 x 3 stencil of circles; abar is stationary there
-    assert run["abar_circles"] == 9
+    # the 12 x 12 tiling's gradient stencils, 5 circles each, and the 3 x 3
+    # models of its two starts, at rest there
+    assert run["abar_circles"] == 144 * 5 + 2 * 9
     assert orbits.return_map is plain_map
     assert orbits.rhs is dynamics.rhs is plain_rhs
     assert orbits.orbit_space_average is plain_average

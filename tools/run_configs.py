@@ -10,9 +10,9 @@ output directory ``OUT/<name>`` each.  The configs are the four benchmark
 workloads (read from ``perfbench/workloads.py`` beside this tool, which is
 executed, not imported, so nothing is written into perfbench/), every
 config of the ROADMAP's Baseline census table, and a few more: runs with an
-attached 1-form, two ``sweep`` runs (one of error reports only), one
-``orbit`` run, a torus ``volume`` run, and ``constants`` and ``zollpoly`` at
-kappa 1, 0 and -1.
+attached 1-form, a tilted ``sphere_harmonic_axis``, two ``sweep`` runs (one
+of error reports only), one ``orbit`` run, a torus ``volume`` run, and
+``constants`` and ``zollpoly`` at kappa 1, 0 and -1.
 NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
@@ -74,6 +74,9 @@ BASELINE = {
 EXTRA = {
     "sphere_eta_axial": _census(SPHERE_Z.format(s=1.0, eps=0.05)
                                 + "eta = sphere_eta_axial\n", 3),
+    # extrema off every coordinate axis, so off the orientation of any tiling
+    "sphere_harmonic_axis": _census(SPHERE_Z.format(s=1.0, eps=0.05).replace(
+        "sphere_harmonic_z", "sphere_harmonic_axis\ncoeffs = 1.0, 0.3, -0.5, 0.8"), 3),
     "hyperbolic_eta_radial": _census(BUMP.format(s=2.0) + "eta = hyperbolic_eta_radial\n", 3),
     "sphere_sweep": ("sweep", "[model]\n" + SPHERE_Z.format(s=1.0, eps=0.05)
                      + "[search]\ngrid_density = 3\neps_list = 0.05, 0.1, 0.2, 0.4\n"),
