@@ -309,10 +309,10 @@ class ChartOps:
     # (M, k) array.  ``zoll_circle``, each chart's one formula for the circle
     # over c, has ``zoll_state`` as its node 0 and ``latitude_point`` as the c
     # of ``dynamics.latitude_seed``; ``orbit_space_point`` is its left
-    # inverse, the c of the Zoll circle through a state.  ``orbit_space_starts``
-    # and ``orbit_space_tiling`` give the blind grid and the census's tiling,
-    # ``orbit_space_step`` moves points by k-vector offsets, by default in the
-    # planar image (``orbit_space_gap`` is its inverse), and
+    # inverse, the c of the Zoll circle through a state.  ``orbit_space_tiling``
+    # gives the census's tilings, a fine one for grad abar and a coarse one for
+    # the drift; ``orbit_space_step`` moves points by k-vector offsets, by
+    # default in the planar image (``orbit_space_gap`` is its inverse), and
     # ``orbit_space_chart`` gives local coordinates about c.
     def zoll_state(self, sys, c, ref=None):
         """The state at node 0 of the Zoll circle over the orbit-space point c."""
@@ -458,29 +458,19 @@ class SphereChart(ChartOps):
         e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
         return e1, _cross(axis, e1)
 
-    def orbit_space_starts(self, sys, grid_density, rng):
-        """Axes: the two poles always, then rings of jittered axes."""
-        ids = ["axis_north", "axis_south"]
-        axes = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-        for i in range(grid_density):
-            alpha = math.pi * (i + 0.5) / grid_density + 0.02 * rng.uniform(-1, 1)
-            sz, cz = math.sin(alpha), math.cos(alpha)
-            for j in range(grid_density):
-                beta = 2.0 * math.pi * (j + 0.3 + 0.05 * rng.uniform(-1, 1)) / grid_density
-                ids.append(f"axis_{i}_{j}")
-                axes.append(np.array([sz * math.cos(beta), sz * math.sin(beta), cz]))
-        return ids, np.array(axes)
-
-    def orbit_space_tiling(self, sys):
-        """An icosahedron subdivided once, turned off the poles: 42 vertices, 80 triangles."""
+    def orbit_space_tiling(self, sys, drift=False):
+        """An icosahedron turned off the poles, subdivided once (42 vertices,
+        80 triangles) or, for the drift, not (its 12 vertices, the first 12 of
+        the subdivided one, and 20 triangles), with the tangent axes."""
         p = (1.0 + math.sqrt(5.0)) / 2.0
         v = np.array([(0.0, i, j * p) for i in (-1, 1) for j in (-1, 1)])
         v = np.vstack([v, v[:, [2, 0, 1]], v[:, [1, 2, 0]]])      # edges of length 2
         a, b = np.nonzero(np.triu(np.abs(v @ v.T - p) < 1e-9))
         n = np.array([1.0, 3.0, 4.0]) / math.sqrt(26.0)
-        points = np.vstack([v, v[a] + v[b]]) @ np.stack([*self.frame(n), n])
+        points = (v if drift else np.vstack([v, v[a] + v[b]])) @ np.stack([*self.frame(n), n])
         points /= np.linalg.norm(points, axis=1, keepdims=True)
-        near = np.triu(points @ points.T > 0.7, 1)     # 32-36 degrees; the next, 58
+        # neighbours 32-36 degrees apart, the next 58; unsubdivided 63, the next 117
+        near = np.triu(points @ points.T > (0.0 if drift else 0.7), 1)
         i, j = np.nonzero(near)
         e, k = np.nonzero(near[i] & near[j])
         i, j = i[e], j[e]
@@ -669,34 +659,27 @@ class HyperbolicChart(_PlanarChart):
     latitude_point = (0.0, 0.0)
 
     def _seed_radius(self, sys):
-        """The largest distance from the origin of a start's centre."""
+        """The radius of the searched disk of centres."""
         rho_star = math.atanh(self.sk / sys.strength) / self.sk
         return max(0.2, min(1.0, self.domain_rho - rho_star - 0.3))
 
-    def orbit_space_starts(self, sys, grid_density, rng):
-        """Centres (rho, phi) on rings of directions about the origin."""
-        d_max = self._seed_radius(sys)
-        ids, centres = [], []
-        for i in range(grid_density):
-            d = d_max * i / max(grid_density - 1, 1)
-            for j in range(grid_density):
-                psi = 2.0 * math.pi * j / grid_density
-                if d == 0.0 and j > 0:
-                    continue
-                ids.append(f"boost_{i}_{j}")
-                centres.append((d, psi))
-        return ids, np.array(centres)
-
-    def orbit_space_tiling(self, sys):
-        """Rings of 16 vertices at 9 radii over the searched disk, the first the
-        centre (16 times), with the radial and angular axes."""
-        r, j, cells = self._grid(9, 16, closed=False)
-        points = np.stack([self._seed_radius(sys) * r / 8, 2.0 * math.pi * j / 16], axis=-1)
+    def orbit_space_tiling(self, sys, drift=False):
+        """Rings about vertex 0, the centre (twice in each cell about it): 8 of
+        16 vertices over the searched disk or, for the drift, 2 of 4 out to 1.25
+        times its radius (the outer ring of hyperbolic_eta_radial lies at 1.02
+        times it, and a tiling that stops at 1 misses it), with the radial and
+        angular axes."""
+        (rings, dirs), reach = ((3, 4), 1.25) if drift else ((9, 16), 1.0)
+        r, j, cells = self._grid(rings, dirs, closed=False)
+        points = np.stack([reach * self._seed_radius(sys) * r / (rings - 1),
+                           2.0 * math.pi * j / dirs], axis=-1)[dirs - 1:]
+        points[0] = 0.0
         cp, sp = np.cos(points[:, 1]), np.sin(points[:, 1])
-        return points, cells, np.stack([cp, -sp, sp, cp], axis=-1).reshape(-1, 2, 2)
+        return (points, np.maximum(cells - (dirs - 1), 0),
+                np.stack([cp, -sp, sp, cp], axis=-1).reshape(-1, 2, 2))
 
     def in_searched_region(self, sys, c):
-        """Which centres c lie in the disk the starts cover."""
+        """Which centres c lie in the searched disk."""
         return c[:, 0] <= self._seed_radius(sys)
 
     def zoll_circle(self, sys, c, nodes, ref=None):
@@ -788,24 +771,12 @@ class TorusChart(_PlanarChart):
 
     latitude_point = (math.pi, math.pi)    # the centre of the domain
 
-    def orbit_space_starts(self, sys, grid_density, rng):
-        """The centres of a grid of cells."""
-        p1, p2 = self.box
-        ids, centres = [], []
-        for i in range(grid_density):
-            for j in range(grid_density):
-                ids.append(f"center_{i}_{j}")
-                centres.append(((i + 0.5) * p1 / grid_density, (j + 0.5) * p2 / grid_density))
-        return ids, np.array(centres)
-
-    def orbit_space_tiling(self, sys):
-        """A 12 x 12 grid of cells centred on (i, j) box / 12, so x, y = 0, pi lie inside."""
-        n, (p1, p2) = 12, self.box
+    def orbit_space_tiling(self, sys, drift=False):
+        """A grid of n x n cells centred on (i, j) box / n, n = 12 or, for the
+        drift, 4, so that no vertex lies on x, y = 0 or pi."""
+        n, (p1, p2) = 4 if drift else 12, self.box
         i, j, cells = self._grid(n, n, closed=True)
         return np.stack([(i - 0.5) * (p1 / n), (j - 0.5) * (p2 / n)], axis=-1), cells, np.eye(2)
-
-    def orbit_space_step(self, c, d):
-        return self.wrap(c + d, 0.5 * np.asarray(self.box))
 
     def orbit_space_gap(self, c, c2):
         return self.wrap(c2, c) - c

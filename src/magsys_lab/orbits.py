@@ -34,17 +34,19 @@ over h = DRIFT_FD_STEP: their error enters the quotient divided by h, still
 below its O(h) truncation error (inexact Newton: Dembo, Eisenstat and
 Steihaug 1982).
 
-The census (``enumerate_orbits``) seeds Newton where first-order
-perturbation theory puts the closed orbits.  To first order in eps, the
-perturbed orbits lie over the critical points of abar(c), the first-order
-change of the circle's magnetic length (``orbit_space_average``), and
-l = pi a^2(1) + eps abar(c*) + O(eps^2).  ``critical_points`` brackets them on
-one fixed tiling of the orbit space, one start per isolated point or line of
-them, and Newton on D runs from the Zoll state over each.  Where first order
+The census (``enumerate_orbits``) has one rule: sample a field whose zeros
+are the orbits' c* at the vertices of a fixed tiling of the orbit space,
+bracket its zeros there (``_brackets``), one start per isolated zero or line
+of zeros, and run Newton on D from the Zoll state over each.  To first order
+in eps, the perturbed orbits lie over the critical points of abar(c), the
+first-order change of the circle's magnetic length (``orbit_space_average``),
+and l = pi a^2(1) + eps abar(c*) + O(eps^2): the field is grad abar, which
+needs no ODE, on a fine tiling (``critical_points``).  Where first order
 cannot place the orbits (no perturbation, abar constant as on the torus at
 s = 1/j_{0,1}, or its splitting no larger than the second-order terms, as on
-the sphere near s = 0), it runs from every start of the blind grid
-(``seed_grid``), which alone reads ``grid_density`` and ``rng_seed``.
+the sphere near s = 0), the field is D itself, one plain map per vertex of a
+coarse tiling (``_drift_brackets``).  No tiling reads ``grid_density`` or
+``rng_seed``.
 """
 
 from __future__ import annotations
@@ -302,21 +304,7 @@ def _build_orbit(sys, center, period, path, seed_id, iterations=0):
                  newton_iterations=int(iterations), center=center)
 
 
-# --- seed grids and the orbit-space average ---------------------------------------
-
-def _starts(sys, grid_density, rng_seed):
-    """(ids, points) of the orbit-space starts: none where grid_density <= 0."""
-    if grid_density <= 0:
-        return [], []
-    return sys.surface.orbit_space_starts(sys, grid_density, np.random.default_rng(rng_seed))
-
-
-def seed_grid(sys, grid_density, rng_seed=ExperimentConfig.rng_seed):
-    """Deterministic (seed_id, TangentState) pairs covering the Zoll family:
-    the Zoll states over the orbit-space starts, the blind grid."""
-    return [(sid, sys.surface.zoll_state(sys, c))
-            for sid, c in zip(*_starts(sys, grid_density, rng_seed))]
-
+# --- the orbit-space average and the census's brackets ----------------------------
 
 def orbit_space_average(sys, c):
     """abar at each orbit-space point c (rows of an (M, k) array): the
@@ -366,67 +354,77 @@ def _taylor(sys, c, axes=None):
 
 def critical_points(sys, tol=ExperimentConfig.tol_orbit):
     """Representatives (ids, points) of the critical points of abar, bracketed
-    on the chart's ``orbit_space_tiling`` ((V, k) vertices, (C, m) cells
-    counterclockwise in the planar image, orthonormal planar axes) and
-    refined (``_refine``), or None where first order cannot place the orbits:
-    where eps * scale is at most tol, or at most eps^2 L0 m^2, the size of
-    the second-order terms, scale being the larger of abar's spread and
-    largest |gradient| on the vertices, L0 a Zoll circle's length and m the
-    largest |integrand| of abar there.  So it is unperturbed; on the torus at
+    (``_brackets``) on the chart's ``orbit_space_tiling`` and refined
+    (``_refine``), or None where first order cannot place the orbits: where
+    eps * scale is at most tol, or at most eps^2 L0 m^2, the size of the
+    second-order terms, scale being the larger of abar's spread and largest
+    |gradient| on the vertices, L0 a Zoll circle's length and m the largest
+    |integrand| of abar there.  So it is unperturbed; on the torus at
     s = 1/j_{0,1}, whose circles average cos x to 0; and on the sphere near
     s = 0, whose near-great circles average odd functions to 0.
 
-    A gradient component (along the axes) at most SEARCH_GRAD_TOL * scale is
-    noise.  The starts: ``vertex_<v>`` where the gradient is noise; ``cell_<c>``
-    the centre of a cell around which it winds (``_windings``); ``contour_<c>``
-    on a line of zeros (a Morse-Bott manifold: x0 = 0, pi of cos x, the ring
-    of ``hyperbolic_bump``), whose cells have one component noise and the
-    other's sign changing along the edges they share (``_contours``), at its
-    first change.  Vertices come first, then cells; a start refined out of the
-    searched region is dropped, one within DEDUP_TOL of a kept one merged."""
+    A gradient at most SEARCH_GRAD_TOL * scale is a zero.  A start refined
+    out of the searched region is dropped, one within DEDUP_TOL of a kept one
+    merged."""
     surface = sys.surface
     if sys.conformal_exponent is None and sys.sigma_perturbation is None:
         return None                               # abar = 0
     points, cells, axes = surface.orbit_space_tiling(sys)
     f, comp, _ = _taylor(sys, points, axes)           # comp: along the axes
-    scale = max(float(np.ptp(f)), float(np.linalg.norm(comp, axis=1).max()))
+    size = np.linalg.norm(comp, axis=1)
+    scale = max(float(np.ptp(f)), float(size.max()))
     eps, m = sys.conformal_eps, float(np.abs(_circle_integrand(sys, points)).max())
     if eps * scale <= max(tol, eps * eps * reference_period(sys) * m * m):
         return None
-    flat = np.abs(comp) <= (noise := SEARCH_GRAD_TOL * scale)
-    still, on_line = flat.all(axis=1), flat[cells].all(axis=1)
-    line = on_line.any(axis=1) & ~on_line.all(axis=1)
-    ends = np.stack([cells, np.roll(cells, -1, axis=1)], axis=-1)      # of each edge
-    other = comp[ends, np.argmin(on_line, axis=1)[:, None, None]]
-    contours = _contours(ends, line[:, None] & (other[..., 0] * other[..., 1] < 0)
-                         & (np.abs(other) > noise).all(axis=-1))
-    winds = ~line & ~still[cells].any(axis=1)
-    winds[winds] = _windings(surface, points, cells[winds], (axes @ comp[..., None])[..., 0]) != 0
-    ids, starts = [f"vertex_{v}" for v in np.flatnonzero(still)], list(points[still])
-    for c in sorted({*np.flatnonzero(winds), *contours}):
-        a, e = points[cells[c]], contours.get(c, 0)
-        gap, (oa, ob) = surface.orbit_space_gap(a[e], np.roll(a, -e, axis=0)), other[c, e]
-        starts.append(surface.orbit_space_step(a[e], gap.mean(axis=0) if winds[c]
-                                               else oa / (oa - ob) * gap[1]))
-        ids.append(f"cell_{c}" if winds[c] else f"contour_{c}")
-    rest, kept = _refine(sys, np.array(starts).reshape(len(ids), points.shape[1]), noise), []
+    noise = SEARCH_GRAD_TOL * scale
+    ids, starts = _brackets(surface, points, cells, (axes @ comp[..., None])[..., 0],
+                            size <= noise)
+    rest, kept = _refine(sys, starts, noise), []
     for j in np.flatnonzero(surface.in_searched_region(sys, rest)):
         if all(np.linalg.norm(surface.orbit_space_gap(rest[r], rest[j])) > DEDUP_TOL for r in kept):
             kept.append(j)
     return [ids[j] for j in kept], rest[kept]
 
 
-def _windings(surface, points, cells, grad):
-    """The winding of grad (planar vectors at the vertices) around each cell
-    (Stenger 1975), each edge's turn read in ``orbit_space_chart``'s basis at
-    its lower vertex, alike for its two cells: the windings sum to chi."""
+def _brackets(surface, points, cells, field, zero):
+    """(ids, starts) bracketing the zeros of a planar field (vectors at the
+    vertices, NaN where unknown) on a tiling ((V, k) vertices, (C, m) cells
+    counterclockwise in the planar image), given its zero vertices: a
+    ``vertex_<v>`` start at each; a ``contour_<c>`` start on each set of cells
+    joined by edges along which the field turns by more than 3 pi / 4
+    (``_turns``, ``_contours``), reversing across a line of zeros (x0 = 0, pi
+    of cos x, the ring of ``hyperbolic_bump``), at its first such edge,
+    interpolated; a ``cell_<c>`` start at the centre of each other cell around
+    which the field winds (Stenger 1975).  Cells with a zero or unknown
+    vertex bracket nothing.  Vertices come first, then cells."""
+    turn = _turns(surface, points, cells, field)
+    live = ~zero[cells].any(axis=1) & np.isfinite(turn).all(axis=1)
+    reverse = live[:, None] & (np.abs(turn) > 0.75 * math.pi)
+    ends = np.stack([cells, np.roll(cells, -1, axis=1)], axis=-1)      # of each edge
+    contours = _contours(ends, reverse)
+    winds = live & ~reverse.any(axis=1) & (np.rint(turn.sum(axis=1) / (2.0 * math.pi)) != 0)
+    ids, starts = [f"vertex_{v}" for v in np.flatnonzero(zero)], list(points[zero])
+    for c in sorted({*np.flatnonzero(winds), *contours}):
+        a, e = points[cells[c]], contours.get(c, 0)
+        gap, (fa, fb) = (surface.orbit_space_gap(a[e], np.roll(a, -e, axis=0)),
+                         np.linalg.norm(field[ends[c, e]], axis=1))
+        starts.append(surface.orbit_space_step(a[e], gap.mean(axis=0) if winds[c]
+                                               else fa / (fa + fb) * gap[1]))
+        ids.append(f"cell_{c}" if winds[c] else f"contour_{c}")
+    return ids, np.array(starts).reshape(len(ids), points.shape[1])
+
+
+def _turns(surface, points, cells, field):
+    """The turn of field (planar vectors at the vertices) along each edge of
+    each cell, (C, m), read in ``orbit_space_chart``'s basis at the edge's
+    lower vertex, alike for its two cells: 2 pi times the field's winding
+    around a cell is the sum of its turns, and the windings sum to chi."""
     nxt = np.roll(cells, -1, axis=1)
     lo, hi = np.minimum(cells, nxt).ravel(), np.maximum(cells, nxt).ravel()
     basis = surface.orbit_space_chart(points[lo])[0]
-    za, zb = (np.einsum("...kj,...k->...j", basis, grad[v]) for v in (lo, hi))
+    za, zb = (np.einsum("...kj,...k->...j", basis, field[v]) for v in (lo, hi))
     turn = np.arctan2(za[:, 0] * zb[:, 1] - za[:, 1] * zb[:, 0], np.sum(za * zb, axis=-1))
-    turn = np.where(cells < nxt, 1.0, -1.0) * turn.reshape(cells.shape)
-    return np.rint(turn.sum(axis=1) / (2.0 * math.pi)).astype(int)
+    return np.where(cells < nxt, 1.0, -1.0) * turn.reshape(cells.shape)
 
 
 def _contours(ends, crossing):
@@ -439,6 +437,33 @@ def _contours(ends, crossing):
         keep, drop = sorted((label[o], label[c]))
         label = [keep if x == drop else x for x in label]
     return dict({label[c]: (c, e) for c, e in reversed(hits)}.values())     # each label's first
+
+
+def _drift_brackets(sys, tol):
+    """(ids, points, first maps) bracketing the zeros of the drift D on the
+    chart's coarse tiling: D at each vertex from the first map of Newton from
+    it (``_first_maps``); a vertex whose map closes (state residual <= tol) is
+    a zero, and its seed takes that map as its first (the others' are None)."""
+    surface = sys.surface
+    points, cells, _ = surface.orbit_space_tiling(sys, drift=True)
+    at0, maps = _first_maps(sys, [surface.zoll_state(sys, c) for c in points], tol)
+    field, zero = np.full(points.shape, np.nan), np.zeros(len(points), dtype=bool)
+    for v, ((c, start), mapped) in enumerate(zip(at0, maps)):
+        if not isinstance(mapped, Exception):
+            end = mapped[0]
+            field[v] = surface.orbit_space_gap(
+                c, surface.orbit_space_point(sys, end.position, end.velocity))
+            zero[v] = state_distance(sys, end, start) <= tol
+    ids, starts = _brackets(surface, points, cells, field, zero)
+    return ids, starts, [maps[v] for v in np.flatnonzero(zero)] + [None] * (len(ids) - zero.sum())
+
+
+def _first_maps(sys, seeds, tol):
+    """The (c, Zoll state) from which Newton starts from each seed
+    (``_newton_start`` at x = 0), and its plain map, in one ``return_map`` call."""
+    at0 = [_newton_start(sys, st)[1](np.zeros(2)) for st in seeds]
+    return at0, return_map(sys, [make_section(sys, st) for _, st in at0],
+                           [st for _, st in at0], tol=_map_tol(tol))
 
 
 def _refine(sys, c, grad_tol):
@@ -477,41 +502,44 @@ def deduplicate(sys, orbits):
 
 class Census(list):
     """Distinct closed orbits in order of magnetic length, with each orbit's
-    ``magnetic_lengths`` entry, the number ``seeds_attempted`` of Newton
-    seeds and the number ``starts`` of orbit-space starts."""
+    ``magnetic_lengths`` entry and the number ``seeds_attempted`` of Newton
+    seeds."""
 
-    def __init__(self, orbits, magnetic_lengths, seeds_attempted, starts):
+    def __init__(self, orbits, magnetic_lengths, seeds_attempted):
         super().__init__(orbits)
         self.magnetic_lengths = list(magnetic_lengths)
         self.seeds_attempted = seeds_attempted
-        self.starts = starts
 
 
 def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
-                     max_iter=ExperimentConfig.max_iter, workers=ExperimentConfig.workers,
-                     rng_seed=ExperimentConfig.rng_seed):
-    """Closed orbits seeded at the critical points of the orbit-space
-    average, deduplicated and sorted by magnetic length, as a Census.
+                     max_iter=ExperimentConfig.max_iter, workers=ExperimentConfig.workers):
+    """Closed orbits seeded at the brackets of the zeros of the reduced field,
+    deduplicated and sorted by magnetic length, as a Census; empty where
+    grid_density <= 0, which no other value of changes.
 
     Newton runs from the Zoll state over each representative of
-    ``critical_points``, or, where first order cannot place the orbits, over
-    every start of ``seed_grid`` (the blind grid), in one process from the
-    seeds' first maps, stacked in one ``return_map`` call.  Failed seeds are
-    logged and skipped.
+    ``critical_points`` or, where first order cannot place the orbits, of
+    ``_drift_brackets``, in one process from the seeds' first maps: a
+    closed drift sample's own, the rest stacked in one ``return_map`` call.
+    Failed seeds are logged and skipped.
 
     Orbits sort by length, and lengths within tol of the length before
     them form one group (single linkage), whose orbits keep the seed order:
     lengths that agree to Newton's accuracy (translates and rotations of
     one orbit) are not ordered by their noise."""
-    names, starts = _starts(sys, grid_density, rng_seed)
-    picked = critical_points(sys, tol) if names else None
-    ids, points = (names, starts) if picked is None else picked
+    if grid_density <= 0:
+        return Census([], [], 0)
+    picked = critical_points(sys, tol)
+    ids, points, firsts = (_drift_brackets(sys, tol) if picked is None
+                           else (*picked, [None] * len(picked[0])))
     seeds = [(sid, sys.surface.zoll_state(sys, c)) for sid, c in zip(ids, points)]
-    firsts = [None] * len(seeds)
-    if workers <= 1 and len(seeds) >= STACK_MIN:
-        at0 = [_newton_start(sys, st)[1](np.zeros(2))[1] for _, st in seeds]
-        firsts = return_map(sys, [make_section(sys, st) for st in at0], at0, tol=_map_tol(tol))
-    tasks = [(sys, sid, st, tol, max_iter, first) for (sid, st), first in zip(seeds, firsts)]
+    todo = [i for i, first in enumerate(firsts) if first is None]
+    if workers <= 1 and len(todo) >= STACK_MIN:
+        for i, first in zip(todo, _first_maps(sys, [seeds[i][1] for i in todo], tol)[1]):
+            firsts[i] = first
+    # a map's path does not pickle: in the pool each seed maps alone
+    tasks = [(sys, sid, st, tol, max_iter, first if workers <= 1 else None)
+             for (sid, st), first in zip(seeds, firsts)]
     if workers > 1 and len(tasks) > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -534,7 +562,7 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
         else:
             groups.append([i])
     order = [i for group in groups for i in sorted(group)]
-    return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds), len(names))
+    return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds))
 
 
 def _run_seed_safe(args):

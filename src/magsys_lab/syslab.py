@@ -2,10 +2,10 @@
 
 ``run_experiment`` drives the full pipeline for one configuration: build the
 (possibly perturbed) system, enumerate closed orbits (``orbits.enumerate_orbits``:
-Newton from the critical points of the orbit-space average found from a
-deterministic grid of starts, or from every start where first order is
-blind), evaluate magnetic lengths, and populate inequality verdicts with
-slack values.  ``seeds_attempted`` counts the Newton seeds.
+Newton from the zeros of the reduced field bracketed on a fixed tiling of the
+orbit space, the gradient of the orbit-space average, or the drift where
+first order is blind), evaluate magnetic lengths, and populate inequality
+verdicts with slack values.  ``seeds_attempted`` counts the Newton seeds.
 
 Verdict conventions.  The reduced inequality (``verdict_reduced``) is
 l_min <= pi a^2(1) + tol.  The two-sided sandwich (``verdict_two_sided``)
@@ -26,8 +26,8 @@ there).
 A FAIL verdict is data, not an error: reports carry the Newton seeds and
 the short-loop window so a failure can be attributed to census
 incompleteness.  A census with no orbit raises NoOrbitsFound, which names
-its cause: an empty grid, no critical point in the searched region, or
-seeds that all failed.
+its cause: grid_density 0, no critical point bracketed in the searched
+region, or seeds that all failed.
 """
 
 from __future__ import annotations
@@ -137,16 +137,15 @@ def run_experiment_full(cfg: ExperimentConfig):
     """run_experiment plus the experiment system and the orbit list."""
     sys0, sys = build_system(cfg)
     ref = zollref.reference_length(cfg.kappa, cfg.strength)
-    found = orbits.enumerate_orbits(sys, grid_density=cfg.grid_density,
-                                    tol=cfg.tol_orbit, max_iter=cfg.max_iter,
-                                    workers=cfg.workers, rng_seed=cfg.rng_seed)
-    if found.starts == 0:
+    if cfg.grid_density <= 0:
         raise NoOrbitsFound(f"no closed orbits: the seed grid is empty "
                             f"(grid_density = {cfg.grid_density})")
+    found = orbits.enumerate_orbits(sys, grid_density=cfg.grid_density,
+                                    tol=cfg.tol_orbit, max_iter=cfg.max_iter,
+                                    workers=cfg.workers)
     if found.seeds_attempted == 0:
-        raise NoOrbitsFound(
-            f"no closed orbits: the orbit-space average has no critical point in the "
-            f"searched region ({found.starts} starts)")
+        raise NoOrbitsFound("no closed orbits: the orbit-space tiling brackets no critical "
+                            "point in the searched region")
     if not found:
         raise NoOrbitsFound(
             f"no closed orbits from {found.seeds_attempted} seeds; eps may exceed the "

@@ -1,12 +1,13 @@
 """Measuring instruments of the tests: random tangent states, the unperturbed
-area form, the Christoffel symbols of the planar charts, a curvature stencil
-and the distance of two sampled loops.  The package's answers never read
-them."""
+area form, the Christoffel symbols of the planar charts, a curvature stencil,
+the distance of two sampled loops and a count of return maps.  The package's
+answers never read them."""
 
 import math
 
 import numpy as np
 
+from magsys_lab import orbits
 from magsys_lab.geometry import SphereChart, TorusChart, tangent_state
 
 
@@ -69,3 +70,25 @@ def loop_distance(surface, pa, pb):
         return np.linalg.norm(AP - t[..., None] * AB, axis=-1).min(axis=1).max()
 
     return float(max(one_sided(pa, pb), one_sided(pb, pa)))
+
+
+def map_count(args, kw):
+    """The maps of one orbits.return_map call, counted before it runs: one per
+    member of a list of states, else one."""
+    states = args[2] if len(args) > 2 else kw["state"]
+    return len(states) if isinstance(states, list) else 1
+
+
+def counting_return_maps(monkeypatch):
+    """The list of the maps of orbits.return_map, one entry each (every map is
+    plain; a call with a list of states has one map per member), counted
+    before each call, so a map that raises counts too."""
+    calls = []
+    plain = orbits.return_map
+
+    def counted(*args, **kw):
+        calls.extend([1] * map_count(args, kw))
+        return plain(*args, **kw)
+
+    monkeypatch.setattr(orbits, "return_map", counted)
+    return calls

@@ -20,7 +20,7 @@ import pytest
 from magsys_lab.cli import parse_config
 from magsys_lab.zollref import reference_length
 
-from test_orbits import map_count
+from instruments import map_count
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "magsys_lab"

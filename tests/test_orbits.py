@@ -16,7 +16,7 @@ from magsys_lab import orbits as orbits_mod
 from magsys_lab.dynamics import pack_state
 from magsys_lab.orbits import Orbit
 
-from instruments import loop_distance
+from instruments import counting_return_maps, loop_distance
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -215,32 +215,10 @@ def perturbed_system(kappa):
                              0.05, normalize=True)
 
 
-def map_count(args, kw):
-    """The maps of one orbits.return_map call, counted before it runs: one per
-    member of a list of states, else one."""
-    states = args[2] if len(args) > 2 else kw["state"]
-    return len(states) if isinstance(states, list) else 1
-
-
 def map_results(args, kw, result):
     """The result of each map of one orbits.return_map call: one per member of
     a call with a list of states."""
     return result if isinstance(args[2] if len(args) > 2 else kw["state"], list) else [result]
-
-
-def counting_return_maps(monkeypatch):
-    """The list of the maps of orbits.return_map, one entry each (every map is
-    plain; a call with a list of states has one map per member), counted
-    before each call, so a map that raises counts too."""
-    calls = []
-    plain = orbits_mod.return_map
-
-    def counted(*args, **kw):
-        calls.extend([1] * map_count(args, kw))
-        return plain(*args, **kw)
-
-    monkeypatch.setattr(orbits_mod, "return_map", counted)
-    return calls
 
 
 def section_cases():
@@ -404,14 +382,13 @@ class TestVariationalNewton:
         # per seed: one map at the start, two for the forward-difference
         # Jacobian and one per Newton step (no trial is shrunk here); Newton
         # runs only from the two critical points of the orbit-space average,
-        # not from the 11 starts
+        # and no map samples the drift
         calls = counting_return_maps(monkeypatch)
         found = enumerate_orbits(perturbed_sphere(0.05), grid_density=3, tol=1e-9)
         assert len(found) == found.seeds_attempted == 2
         steps = sum(orb.newton_iterations for orb in found)
         assert all(orb.newton_iterations > 0 for orb in found)
         assert len(calls) == 3 * found.seeds_attempted + steps
-        assert found.starts == 11
         assert sum(calls) <= 12
 
     def test_jacobian_maps_run_at_the_quotient_s_tolerance(self, monkeypatch):
@@ -532,7 +509,7 @@ class TestEnumerate:
         with pytest.raises(TypeError, match="grid_density"):
             enumerate_orbits(make_model(1.0, 1.0))
         cfg = ExperimentConfig(kappa=1.0, strength=1.0)
-        for fn, names in ((enumerate_orbits, ("tol", "max_iter", "workers", "rng_seed")),
+        for fn, names in ((enumerate_orbits, ("tol", "max_iter", "workers")),
                           (find_closed_orbit, ("tol", "max_iter"))):
             params = inspect.signature(fn).parameters
             for name in names:
@@ -557,9 +534,10 @@ class TestEnumerate:
     def test_census_carries_lengths_and_seed_count(self):
         # the lengths that order the census are the ones reports print, so
         # no caller has to compute them a second time
+        # the Zoll torus closes at every vertex of the drift's 4 x 4 tiling
         sys = make_model(0.0, 1.0)
         found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
-        assert found.seeds_attempted == len(orbits_mod.seed_grid(sys, 2)) == 4
+        assert found.seeds_attempted == len(sys.surface.orbit_space_tiling(sys, True)[0]) == 16
         assert found.magnetic_lengths == [magnetic_length(sys, orb) for orb in found]
 
     def test_order_ignores_rounding_noise_in_the_lengths(self, monkeypatch):
@@ -571,7 +549,7 @@ class TestEnumerate:
         from magsys_lab import functionals
         sys = make_model(0.0, 1.0)
         plain = enumerate_orbits(sys, grid_density=2, tol=1e-9)
-        grid = [sid for sid, _ in orbits_mod.seed_grid(sys, 2)]
+        grid = orbits_mod._drift_brackets(sys, 1e-9)[0]
         assert len(plain) >= 2
         in_seed_order = [o.seed_id for o in plain]
         assert in_seed_order == [sid for sid in grid if sid in set(in_seed_order)]
@@ -634,10 +612,6 @@ class TestEnumerate:
                                        ref_orbit.positions()))
         for a, b in zip(dists, dists[1:]):
             assert a / b == pytest.approx(2.0, rel=0.3)
-
-
-def starts(sys, grid_density=3, rng_seed=0):
-    return sys.surface.orbit_space_starts(sys, grid_density, np.random.default_rng(rng_seed))
 
 
 def kernel_system(name):
@@ -724,18 +698,36 @@ class TestOrbitSpaceAverage:
                                 0.05, normalize=True)
         if len(fields) > 2:
             sys = with_sigma_perturbation(sys, fields[2])
+        # (a zero near an edge reverses the gradient along it, and its start
+        # is a contour's, as for sphere_harmonic_axis)
         surface = sys.surface
         points, cells, axes = surface.orbit_space_tiling(sys)
         _, comp, _ = orbits_mod._taylor(sys, points, axes)
-        w = orbits_mod._windings(surface, points, cells, (axes @ comp[..., None])[..., 0])
+        turn = orbits_mod._turns(surface, points, cells, (axes @ comp[..., None])[..., 0])
+        w = np.rint(turn.sum(axis=1) / (2.0 * math.pi)).astype(int)
         assert sorted(w[w != 0]) == windings
         assert w.sum() == (2 if kappa > 0 else 0)
         ids, _ = orbits_mod.critical_points(sys)
-        assert sorted(ids) == sorted(f"cell_{c}" for c in np.flatnonzero(w))
+        assert len(ids) == np.count_nonzero(w)
+
+    def test_cells_about_an_unknown_vertex_bracket_nothing(self):
+        # a drift sample whose map failed is NaN: the contour of the line
+        # x0 = 0 of a cos x field loses the four cells about vertex 0, not its
+        # bracket, and the line x0 = pi keeps its own
+        sys = make_model(0.0, 1.0)
+        points, cells, _ = sys.surface.orbit_space_tiling(sys, drift=True)
+        field = np.stack([-np.sin(points[:, 0]), np.zeros(len(points))], axis=-1)
+        zero = np.zeros(len(points), dtype=bool)
+        assert orbits_mod._brackets(sys.surface, points, cells, field, zero)[0] == [
+            "contour_0", "contour_8"]
+        field[0] = np.nan
+        ids, starts = orbits_mod._brackets(sys.surface, points, cells, field, zero)
+        assert ids == ["contour_1", "contour_8"]
+        assert np.mod(starts[:, 0] + 1.0, 2.0 * math.pi) - 1.0 == pytest.approx([0.0, math.pi])
 
     def test_zero_without_a_perturbation(self):
         for sys in (make_model(1.0, 1.0), make_model(0.0, 1.0), make_model(-1.0, 2.0)):
-            _, c = starts(sys)
+            c, _, _ = sys.surface.orbit_space_tiling(sys)
             assert not np.any(orbits_mod.orbit_space_average(sys, c))
             assert orbits_mod.critical_points(sys) is None
 
@@ -743,9 +735,10 @@ class TestOrbitSpaceAverage:
         # at r = 1/s the first zero of J0 every circle averages cos x to zero
         (0.0, 1.0 / 2.404825557695773, "torus_cos_x", True),
         # near-great circles: first order splits the lengths by about 4 pi s
-        # eps, less than the second-order terms; below s = 0.025 the blind
-        # grid finds orbits over equatorial axes, shorter than the south
-        # pole's (by 0.0014 at s = 0.01)
+        # eps, less than the second-order terms; below s = 0.025 the drift
+        # census finds orbits over equatorial axes, shorter than the south
+        # pole's (by 0.0014 at s = 0.01); the test keeps its name from the
+        # blind grid that the drift's tiling replaced
         (1.0, 0.01, "sphere_harmonic_z", True),
         (1.0, 0.02, "sphere_harmonic_z", True),
         (1.0, 0.04, "sphere_harmonic_z", False)])
@@ -757,7 +750,7 @@ class TestOrbitSpaceAverage:
     def test_torus_critical_circles_keep_one_representative(self, grid_density):
         # abar ~ cos x0 is critical on the circles x0 = 0 and x0 = pi: one
         # contour each on the tiling, which no grid density changes (at
-        # density 2 every start of the blind grid lies on the level abar = 0)
+        # density 2 every start of the old blind grid lay on the level abar = 0)
         sys = perturbed_system(0.0)
         ids, points = orbits_mod.critical_points(sys)
         assert ids == ["contour_0", "contour_72"]
@@ -788,14 +781,20 @@ class TestOrbitSpaceAverage:
         assert points[0] == pytest.approx([0.0, 0.0])
 
     def test_no_critical_point_is_named(self, monkeypatch):
+        # on the first-order tiling and on the drift's alike; the message
+        # counts no starts, as the census has no grid of them
         from magsys_lab import NoOrbitsFound, run_experiment
         monkeypatch.setattr(orbits_mod, "critical_points",
                             lambda sys, tol: ([], np.empty((0, 3))))
-        cfg = ExperimentConfig(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
-                               eps=0.05, grid_density=2)
-        with pytest.raises(NoOrbitsFound, match=r"no critical point in the searched region "
-                                                r"\(6 starts\)"):
-            run_experiment(cfg)
+        monkeypatch.setattr(orbits_mod, "_drift_brackets",
+                            lambda sys, tol: ([], np.empty((0, 3)), []))
+        for s in (1.0, 0.01):     # first order sees at s = 1, and is blind at 0.01
+            cfg = ExperimentConfig(kappa=1.0, strength=s, perturbation_name="sphere_harmonic_z",
+                                   eps=0.05, grid_density=2)
+            with pytest.raises(NoOrbitsFound, match=r"^no closed orbits: the orbit-space tiling "
+                                                    r"brackets no critical point in the searched "
+                                                    r"region$"):
+                run_experiment(cfg)
 
 
 def zoll_orbit(sys, seed_id, c, roll=0, n=512):

@@ -180,10 +180,11 @@ class TestReproducibility:
 # which found the torus and hyperbolic orbits more than once (translates and
 # rotations of one orbit); the census seeds one representative per critical
 # manifold of the orbit-space average, and each of its lengths is one of the
-# recorded ones within tol_orbit.  The Zoll hyperbolic model and the blind
-# torus (s = 1/j_{0,1}, where the average is constant) seed every start of
-# the grid from its Zoll state; their rows were recorded with the exact
-# Jacobian.  Only the unperturbed model is Zoll.
+# recorded ones within tol_orbit.  The Zoll hyperbolic model's row was
+# recorded with the exact Jacobian from every start of a grid; the census now
+# seeds the 9 vertices of the drift's tiling, each of which closes, and
+# each of its lengths is one of the recorded ones.  Only the unperturbed
+# model is Zoll.
 FD_NEWTON_RECORD = {
     "sphere": (dict(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
                     eps=0.05, grid_density=3),
@@ -201,17 +202,10 @@ FD_NEWTON_RECORD = {
                    [1.736375621675979, 1.7372459945494019, 1.7372459945506056,
                     1.7372459945506975]),
     "zoll_hyperbolic": (dict(kappa=-1.0, strength=2.0, grid_density=3),
-                        7, "PASS", ["boost_0_0", "boost_1_0", "boost_1_1", "boost_1_2",
-                                    "boost_2_0", "boost_2_1", "boost_2_2"],
+                        9, "PASS", sorted(f"vertex_{v}" for v in range(9)),
                         [1.6835744289140913, 1.6835744289142034, 1.683574428914704,
                          1.6835744289515693, 1.683574428951599, 1.6835744289517414,
                          1.6835744289538663]),
-    "blind_torus": (dict(kappa=0.0, strength=1.0 / 2.404825557695773,
-                         perturbation_name="torus_cos_x", eps=0.05, grid_density=3),
-                    9, "PASS", [f"center_{i}_{j}" for i in range(3) for j in range(3)],
-                    [7.54584081482159, 7.545840814821634, 7.545840814821685,
-                     7.545840814821912, 7.545840814821915, 7.545840814822002,
-                     7.56542687755687, 7.565426877556886, 7.565426877556893]),
 }
 
 
@@ -294,7 +288,7 @@ class TestFirstOrderCensus:
     @pytest.mark.parametrize("sighted", ["sphere", "torus"])
     def test_sighted_census_does_not_read_the_grid(self, sighted):
         # the same Newton starts, so the same orbits bit for bit, at every
-        # grid density and rng_seed: only the blind grid reads them
+        # grid density and rng_seed: no census reads them
         cfg = {"sphere": dict(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z"),
                "torus": dict(kappa=0.0, strength=1.0, perturbation_name="torus_cos_x")}[sighted]
         reps = [run_experiment(ExperimentConfig(eps=0.05, grid_density=gd, rng_seed=seed, **cfg))

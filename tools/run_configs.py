@@ -10,8 +10,10 @@ output directory ``OUT/<name>`` each.  The configs are the four benchmark
 workloads (read from ``perfbench/workloads.py`` beside this tool, which is
 executed, not imported, so nothing is written into perfbench/), every
 config of the ROADMAP's Baseline census table, and a few more: runs with an
-attached 1-form, a tilted ``sphere_harmonic_axis``, two ``sweep`` runs (one
-of error reports only), one ``orbit`` run, a torus ``volume`` run, and
+attached 1-form, a tilted ``sphere_harmonic_axis``, the censuses of the
+drift on the torus and the hyperbolic chart (the blind torus at eps 0.025
+and at grid density 6, and both unperturbed), two ``sweep`` runs (one of
+error reports only), one ``orbit`` run, a torus ``volume`` run, and
 ``constants`` and ``zollpoly`` at kappa 1, 0 and -1.
 NAME restricts the run to those configs.
 
@@ -78,6 +80,11 @@ EXTRA = {
     "sphere_harmonic_axis": _census(SPHERE_Z.format(s=1.0, eps=0.05).replace(
         "sphere_harmonic_z", "sphere_harmonic_axis\ncoeffs = 1.0, 0.3, -0.5, 0.8"), 3),
     "hyperbolic_eta_radial": _census(BUMP.format(s=2.0) + "eta = hyperbolic_eta_radial\n", 3),
+    # the drift's census on the planar charts (census-zoll-sphere runs it on the sphere)
+    "blind_torus_eps0.025": _census(TORUS_COS_X.format(s=BLIND_S, eps=0.025), 3),
+    "blind_torus_gd6": _census(TORUS_COS_X.format(s=BLIND_S, eps=0.05), 6),
+    "zoll_torus": _census("kappa = 0.0\nstrength = 1.0\n", 3),
+    "zoll_hyperbolic": _census("kappa = -1.0\nstrength = 2.0\n", 3),
     "sphere_sweep": ("sweep", "[model]\n" + SPHERE_Z.format(s=1.0, eps=0.05)
                      + "[search]\ngrid_density = 3\neps_list = 0.05, 0.1, 0.2, 0.4\n"),
     # every row an error report
