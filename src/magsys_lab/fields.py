@@ -220,6 +220,12 @@ class OneForm(_NamedField):
     def components(self, surface, q):
         return _on_points(self.formulas(surface)[0], q)
 
+    def pairing(self, surface, q, v):
+        """eta(v) at the (..., dim) points q and vectors v: the formula's component rows
+        times v's, added in order to 0.0, bit for bit np.sum(components * v, -1) on a pair."""
+        rows = zip(self.formulas(surface)[0](np.moveaxis(q, -1, 0)), np.moveaxis(v, -1, 0))
+        return sum((c * w for c, w in rows), 0.0)
+
     def density(self, surface, q):
         """Exterior-derivative density d(eta)/sigma0 at q."""
         return _on_points(self.formulas(surface)[1], q)

@@ -83,8 +83,8 @@ def flux_through_cap(sys: MagneticSystem, orbit: Orbit) -> float:
     h = orbit.period / (len(orbit.states) - 1)
     flux = float(h * np.sum(integrand))
     if sys.sigma_perturbation is not None:
-        comp = sys.sigma_perturbation.components(sys.surface, pos)
-        flux += sys.conformal_eps * float(h * np.sum(np.sum(comp * vel, axis=1)))
+        pair = sys.sigma_perturbation.pairing(sys.surface, pos, vel)
+        flux += sys.conformal_eps * float(h * np.sum(pair))
     return sys.strength * flux
 
 

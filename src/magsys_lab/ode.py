@@ -71,21 +71,26 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False
     """Integrate y' = fun(t, y) over t_span = (t0, t1), no step longer than max_step.
     With event, a function g(t, y), stop at the first root of g on a step where g goes
     from <= 0 to >= 0.  A step shorter than the float spacing of t fails the solve.
+    dense_output True gives sol, the dense output, and a predicate keep(t, y) gives it
+    where keep holds at the end: only then are the steps' dense-output stages computed.
 
-    A y0 of shape (M, n), with event None or M functions, is a stack: an OdeStack whose
-    member i is the solve from y0[i] bit for bit, the members stepped together."""
-    args = (fun, *map(float, t_span), rtol, atol, max_step, dense_output)
+    A y0 of shape (M, n), with event None or M functions and dense_output one value or
+    M, is a stack: an OdeStack whose member i is the solve from y0[i] bit for bit, the
+    members stepped together."""
+    args = (fun, *map(float, t_span), rtol, atol, max_step)
     y = np.asarray(y0, dtype=float)
     if y.ndim == 2:
-        events = event or [None] * len(y)
-        return OdeStack(_step_stack(fun, [_solve(*args, *m) for m in zip(y, events)], rtol, atol))
-    return _step_one(fun, _solve(*args, y, event), rtol, atol)
+        dense = dense_output if isinstance(dense_output, list) else [dense_output] * len(y)
+        solves = [_solve(*args, *m) for m in zip(dense, y, event or [None] * len(y))]
+        return OdeStack(_step_stack(fun, solves, rtol, atol))
+    return _step_one(fun, _solve(*args, dense_output, y, event), rtol, atol)
 
 
 def _solve(fun, t, t_bound, rtol, atol, max_step, dense_output, y, event):
     """One solve, a generator whose stages a stepper computes: it yields each try (t, h, y,
-    f = fun(t, y)) and is sent its end, f there and the scaled error estimates (y_new,
-    f_new, err5, err3); for a dense output it yields None and is sent the step's stages."""
+    f = fun(t, y)) and is sent (y_new, f_new, err5, err3, K), its end, f there, the scaled
+    error estimates and the (16, n) stages, rows 0-12 set.  Rows 13-15 (``_late_stages``)
+    it computes for the crossing step at once, and for the rest where it keeps sol."""
     if t == t_bound:                          # no step: the state is y0 throughout
         return OdeResult(t, y, 0, True, "empty interval", lambda s: np.outer(y, np.ones_like(s)))
     n, f, direction = y.size, fun(t, y), math.copysign(1.0, t_bound - t)
@@ -98,7 +103,7 @@ def _solve(fun, t, t_bound, rtol, atol, max_step, dense_output, y, event):
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs, nfev = min(100 * h0, h1, interval, max_step), 2
     steps, crossed, t_event, y_event = [], False, None, None
-    g = event and event(t, y)
+    g, keep = event and event(t, y), bool(dense_output)
     while direction * (t - t_bound) < 0 and not crossed:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, rejected = max_step if h_abs > max_step else max(h_abs, min_step), False
@@ -109,7 +114,7 @@ def _solve(fun, t, t_bound, rtol, atol, max_step, dense_output, y, event):
             t_new = t_bound if direction * (t_new - t_bound) > 0 else t_new
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, err5, err3 = yield t, h, y, f
+            y_new, f_new, err5, err3, K = yield t, h, y, f
             nfev += 12
             # the squared norms, rounded as np.linalg.norm(x) ** 2 rounds them
             e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
@@ -122,14 +127,18 @@ def _solve(fun, t, t_bound, rtol, atol, max_step, dense_output, y, event):
         t_old, y_old, t, y, f, g_old = t, y, t_new, y_new, f_new, g
         g = event and event(t, y)
         crossed = event and g_old <= 0 <= g
-        if dense_output or crossed:
-            steps.append((t_old, t, y_old, y, (yield)))
-            nfev += 3
-        if crossed:
-            at = _interpolant(steps[-1:])
+        if keep or crossed:                   # the stepper reuses its K when alone
+            steps.append((t_old, t, y_old, y, (K := K.copy() if keep else K)))
+        if crossed:                           # K[None], a view, takes the stages
+            nfev += _late_stages(fun, *(np.array([x]) for x in (t_old, t, y_old)), K[None])
+            at = _interpolant(*map(np.array, zip(*steps[-1:])))
             t = t_event = _illinois(lambda s: event(s, at(s, 0)), t_old, t)
             y = y_event = at(t, 0)
-    sol = _interpolant(steps) if dense_output else None
+    sol = None
+    if dense_output(t, y) if callable(dense_output) else dense_output:
+        t0, t1, y0, y1, K = map(np.array, zip(*steps))
+        nfev += _late_stages(fun, *(a[:len(steps) - bool(crossed)] for a in (t0, t1, y0, K)))
+        sol = _interpolant(t0, t1, y0, y1, K)
     return OdeResult(t, y, nfev, True, "event" if crossed else "end", sol, t_event, y_event)
 
 
@@ -139,20 +148,16 @@ def _step_one(fun, solve, rtol, atol, request=None):
     try:
         request = request or next(solve)
         K = np.empty((16, request[2].size))
-        KT = [K[:s].T for s in range(17)]
+        KT = [K[:s].T for s in range(14)]
         while True:
-            if request:                       # a try; None asks for the dense-output stages
-                t, h, y, K[0] = request       # of the step just taken, from its try's start
-            for s in range(1, 12) if request else (13, 14, 15):
+            t, h, y, K[0] = request
+            for s in range(1, 12):
                 K[s] = fun(t + NODES[s] * h, y + np.dot(KT[s], ROWS[s]) * h)
-            if not request:
-                request = solve.send(K.copy())
-                continue
             y_new = y + h * np.dot(KT[12], B)
             K[12] = f_new = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             request = solve.send((y_new, f_new, np.dot(KT[13], E5) / scale,
-                                  np.dot(KT[13], E3) / scale))
+                                  np.dot(KT[13], E3) / scale, K))
     except StopIteration as done:
         return done.value
 
@@ -160,7 +165,7 @@ def _step_one(fun, solve, rtol, atol, request=None):
 def _step_stack(fun, solves, rtol, atol):
     """The OdeResults of the generators solves, run together in rounds: all tries, each
     stage sum in one np.matmul (which rounds every member as np.dot rounds it alone) and
-    one call of fun per member, then the dense-output stages of the steps taken."""
+    one call of fun per member."""
     out = [None] * len(solves)
 
     def send(i, value):
@@ -186,23 +191,24 @@ def _step_stack(fun, solves, rtol, atol):
         scale = atol + np.maximum(np.abs(Y), np.abs(Y_new)) * rtol
         err5, err3 = np.matmul(KT[13], E5) / scale, np.matmul(KT[13], E3) / scale
         for j, i in enumerate(live):
-            requests[i] = send(i, (Y_new[j], F_new[j], err5[j], err3[j]))
-        if dense := [j for j, i in enumerate(live) if out[i] is None and requests[i] is None]:
-            Kd, Yd, Hd = K[dense], Y[dense], H[dense]
-            for s in (13, 14, 15):
-                Ys = Yd + np.matmul(Kd[:, :s].transpose(0, 2, 1), ROWS[s]) * Hd
-                Kd[:, s] = [fun(ts[j] + NODES[s] * hs[j], y) for j, y in zip(dense, Ys)]
-            for k, j in enumerate(dense):
-                requests[live[j]] = send(live[j], Kd[k])
+            requests[i] = send(i, (Y_new[j], F_new[j], err5[j], err3[j], K[j]))
     return out
 
 
-def _interpolant(steps):
-    """sol(times) from the accepted steps (t_old, t, y_old, y, K), whose coefficients are
-    built here at once: the (n, len(times)) states, or (n,) at one time, each by Horner's
-    rule on the step whose closed interval holds its time (the earlier one at a step end),
-    or on step k where sol(times, k) names it."""
-    t0, t1, y0, y1, K = map(np.array, zip(*steps))
+def _late_stages(fun, t0, t1, y0, K):
+    """Rows 13-15 of the stages K (S, 16, n) of S steps from (t0, y0) to t1, in place, each
+    stage's sums in one np.matmul (rounding each as np.dot does); returns the calls of fun."""
+    h = t1 - t0
+    for s in (13, 14, 15):
+        Ys = y0 + np.matmul(K[:, :s].transpose(0, 2, 1), ROWS[s]) * h[:, None]
+        K[:, s] = [fun(t + NODES[s] * dt, y) for t, dt, y in zip(t0.tolist(), h.tolist(), Ys)]
+    return 3 * len(K)
+
+
+def _interpolant(t0, t1, y0, y1, K):
+    """sol(times) from the arrays of the steps' (t_old, t, y_old, y, K): the (n, len(times))
+    states, or (n,) at one time, each by Horner's rule on the step whose closed interval
+    holds its time (the earlier one at a step end), or on the step k of sol(times, k)."""
     ts, h, dy = np.append(t0, t1[-1]), (t1 - t0)[:, None], y1 - y0
     F = np.concatenate([np.stack([dy, h * K[:, 0] - dy, 2 * dy - h * (K[:, 12] + K[:, 0])], 1),
                         h[:, None] * np.matmul(D, K)], 1).transpose(1, 2, 0)

@@ -26,9 +26,10 @@ update refines it after each step, and each step is the least-squares
 solution with a relative cutoff, so that on a line of zeros (a Jacobian of
 rank 1) it is the minimum-norm step and c* lands at the foot of the start
 on that line.  A line search on the state residual |P(x_c) - x_c| damps
-the steps, and that residual decides convergence.  Every map is plain:
-the converged orbit is sampled from the map that closed it, with no
-second integration, and starts at zoll_state(c*).  The Jacobian's two maps,
+the steps, and that residual decides convergence.  Every map is plain, one
+solve, with a dense output only where it closes (residual <= tol): the
+converged orbit is sampled from the map that closed it, with no second
+integration, and starts at zoll_state(c*).  The Jacobian's two maps,
 neither sampled nor tested for convergence, run at the iterates' tolerance
 over h = DRIFT_FD_STEP: their error enters the quotient divided by h, still
 below its O(h) truncation error (inexact Newton: Dembo, Eisenstat and
@@ -106,17 +107,18 @@ def _crossing_speed(sys, spec, q, v):
     return float(sys.surface.section_normal(q, v) @ spec.normal)
 
 
-def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10, path=True):
+def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10, path=math.inf):
     """First forward return of the flow to the section: (state, return time,
     path).  path(times) gives the (2d, N) states of the flow at N sorted times
-    in [0, return time], from the two solves' dense output; with path False
-    the solves build none (only the crossing step's) and path is None.
+    in [0, return time], from the solve's dense output, which it builds only
+    where the return state lies within path of the start (``state_distance``);
+    elsewhere, and with path None, path is None.
 
     The crossing must be in the direction of the anchor velocity; the search
     is capped at twice the Zoll reference period.
 
     With lists of sections and states, each member's (state, return time,
-    path) or exception, by stacked solves (``ode.solve_ivp``), bit for bit
+    path) or exception, by one stacked solve (``ode.solve_ivp``), bit for bit
     its own map's.
     """
     if isinstance(state, list):
@@ -128,47 +130,33 @@ def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10, path=T
 
 
 def _return_maps(sys, sections, states, tol, path):
-    """``return_map`` from each section and state, by stacked solves."""
-    t_ref, d, f = reference_period(sys), sys.surface.dim, rhs(sys)
-    rtol, atol = stepper_tolerances(tol)
-    head = 0.3 * t_ref
+    """``return_map`` by one stacked solve over (0, 2 T_ref), steps capped so
+    that none straddles two crossings; each section's event reads +1 before
+    head = 0.3 T_ref, so the start's own crossing never counts as its return."""
+    t_ref, d = reference_period(sys), sys.surface.dim
+    (rtol, atol), head = stepper_tolerances(tol), 0.3 * t_ref
     out = [TangencyError("flow is tangent to the section at the given state")
            if abs(_crossing_speed(sys, sec, st.position, st.velocity)) < TRANSVERSALITY_MIN
            else None for sec, st in zip(sections, states)]
-
-    def solve(span, rows, **kw):
-        """{member: solve} from rows, one per member still mapping; a member
-        whose solve fails ends with StepFailure."""
-        live = [i for i, r in enumerate(out) if r is None]
-        sols = solve_ivp(f, span, np.reshape(rows, (-1, 2 * d)), rtol=rtol, atol=atol,
-                         dense_output=path, **kw)
-        for i, sol in zip(live, sols):
-            out[i] = None if sol.success else StepFailure(sol.message)
-        return {i: sol for i, sol in zip(live, sols) if sol.success}
-
-    heads = solve((0.0, head), [pack_state(st) for st, r in zip(states, out) if r is None])
-    # cap the step so one step cannot straddle two section crossings
-    tails = solve((head, 2.0 * t_ref), [sol.y for sol in heads.values()], max_step=0.2 * t_ref,
-                  event=[lambda t, y, sec=sections[i]: _section_value(sys, sec, y[:d])
-                         for i in heads])
-    for i, sol in tails.items():
+    live = [i for i, r in enumerate(out) if r is None]
+    y0 = np.reshape([pack_state(states[i]) for i in live], (-1, 2 * d))
+    sols = solve_ivp(
+        rhs(sys), (0.0, 2.0 * t_ref), y0, rtol=rtol, atol=atol, max_step=0.2 * t_ref,
+        event=[lambda t, y, sec=sections[i]: _section_value(sys, sec, y[:d]) if t >= head else 1.0
+               for i in live],
+        dense_output=[path is not None and (lambda t, y, st=states[i]: state_distance(
+            sys, tangent_state(sys, y[:d], y[d:]), st) <= path) for i in live])
+    for i, sol in zip(live, sols):
         q, v = sol.y[:d], sol.y[d:]           # y_event, where the flow crossed
-        if sol.t_event is None:
+        if not sol.success:
+            out[i] = StepFailure(sol.message)
+        elif sol.t_event is None:
             out[i] = NoReturn("no section crossing within 2 reference periods")
         elif abs(_crossing_speed(sys, sections[i], q, v)) < TRANSVERSALITY_MIN:
             out[i] = TangencyError("return crossing is tangent to the section")
         else:
-            out[i] = (tangent_state(sys, q, v), sol.t_event,
-                      _joined(head, heads[i].sol, sol.sol) if path else None)
+            out[i] = (tangent_state(sys, q, v), sol.t_event, sol.sol)
     return out
-
-
-def _joined(head, early, late):
-    """path(times) of a return map from its solves' dense output before and after head."""
-    def path(times):
-        first = times <= head
-        return np.hstack([early(times[first]), late(times[~first])])
-    return path
 
 
 # --- orbits ---------------------------------------------------------------------
@@ -228,7 +216,7 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
             raise mapped
         end, t_ret, path = mapped or return_map(
             sys, make_section(sys, start), start,
-            tol=ivp_tol / DRIFT_FD_STEP if fd else ivp_tol, path=not fd)
+            tol=ivp_tol / DRIFT_FD_STEP if fd else ivp_tol, path=None if fd else tol)
         back = surface.orbit_space_point(sys, end.position, end.velocity)
         return (basis.T @ surface.orbit_space_gap(c, back), state_distance(sys, end, start),
                 (c, t_ret, path))
@@ -330,7 +318,7 @@ def _circle_integrand(sys, c):
     if u is not None:
         out += u.value(surface, q) + 0.5 * math.log(sys.conformal_scale) / sys.conformal_eps
     if eta is not None:
-        out -= sys.strength * np.sum(eta.components(surface, q) * v, axis=-1)
+        out -= sys.strength * eta.pairing(surface, q, v)
     return out
 
 
@@ -463,7 +451,7 @@ def _first_maps(sys, seeds, tol):
     (``_newton_start`` at x = 0), and its plain map, in one ``return_map`` call."""
     at0 = [_newton_start(sys, st)[1](np.zeros(2)) for st in seeds]
     return at0, return_map(sys, [make_section(sys, st) for _, st in at0],
-                           [st for _, st in at0], tol=_map_tol(tol))
+                           [st for _, st in at0], tol=_map_tol(tol), path=tol)
 
 
 def _refine(sys, c, grad_tol):

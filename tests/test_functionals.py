@@ -126,6 +126,29 @@ class TestFluxMethods:
         expected = closed_form_flux(kappa, s) + s * eps * eta_loop
         assert abs(flux_through_cap(sys, zoll_loop(sys, c)) - expected) < 1e-12
 
+    @pytest.mark.parametrize("kappa,s,name,c", [
+        (0.0, 1.0, "torus_eta_sin_x", (1.0, 2.0)),
+        (1.0, 1.0, "sphere_eta_axial", (0.3, -0.5, 0.8)),
+        (-1.0, 2.0, "hyperbolic_eta_radial", (0.4, 1.1)),
+    ])
+    def test_one_form_pairing_is_the_summed_products_bit_for_bit(self, kappa, s, name, c,
+                                                                 monkeypatch):
+        # the flux's 1-form term and the orbit-space average's integrand pair
+        # the component rows with v's, c0 v0 + c1 v1 (+ c2 v2), in place of
+        # np.sum(components * v, axis=-1): bit for bit the same numbers
+        from magsys_lab import orbits
+        eta = OneForm(name, (0.7,))
+        sys = with_sigma_perturbation(make_model(kappa, s), eta, 0.1)
+        loop, centres = zoll_loop(sys, c), np.array([c, c], dtype=float) * [[1.0], [0.9]]
+        q, v = loop.positions(), loop.velocities()
+        summed = np.sum(eta.components(sys.surface, q) * v, axis=-1)
+        assert eta.pairing(sys.surface, q, v).tobytes() == summed.tobytes()
+        paired = flux_through_cap(sys, loop), orbits._circle_integrand(sys, centres)
+        monkeypatch.setattr(OneForm, "pairing", lambda self, surface, q, v: np.sum(
+            self.components(surface, q) * v, axis=-1))
+        assert paired[0] == flux_through_cap(sys, loop)
+        assert paired[1].tobytes() == orbits._circle_integrand(sys, centres).tobytes()
+
     @pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
     def test_flux_continuity_across_kappa_zero(self, s):
         for kappa in (1e-3, -1e-3):

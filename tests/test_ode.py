@@ -103,6 +103,28 @@ def test_dense_output_moves_no_step(kappa):
     assert dense.nfev - plain.nfev == 3 * (len(accepted) - 1) > 0
 
 
+@CHARTS
+def test_dense_output_where_a_predicate_holds_at_the_end(kappa):
+    # a predicate keep(t, y) in place of dense_output is asked once, at the
+    # end: where it holds, the solve is the dense one, bit for bit and on as
+    # many RHS calls; where it does not, the plain one, with no dense output
+    sys = perturbed_system(kappa)
+    t_span = (0.0, 1.7 * reference_period(sys))
+    f, y0, asked = rhs(sys), start(sys), []
+    dense = ode.solve_ivp(f, t_span, y0, rtol=RTOL, atol=ATOL, dense_output=True)
+    plain = ode.solve_ivp(f, t_span, y0, rtol=RTOL, atol=ATOL)
+    times = np.linspace(*t_span, 257)
+    for holds, like in ((True, dense), (False, plain)):
+        sol = ode.solve_ivp(f, t_span, y0, rtol=RTOL, atol=ATOL,
+                            dense_output=lambda t, y: asked.append(t) is None and holds)
+        assert (sol.t, sol.nfev, sol.y.tobytes()) == (like.t, like.nfev, like.y.tobytes())
+        if holds:
+            assert sol.sol(times).tobytes() == dense.sol(times).tobytes()
+        else:
+            assert sol.sol is None
+    assert asked == [t_span[1]] * 2 and dense.nfev > plain.nfev
+
+
 def test_short_backward_burst():
     # measure_geodesic_curvature's solves: 2e-3 of arc length either way
     sys = perturbed_system(1.0)
@@ -133,8 +155,8 @@ def test_max_step(kappa):
 
 @CHARTS
 def test_event_time_and_state(kappa):
-    # return_map's second solve: from 0.3 reference periods, until the flow
-    # crosses the seed's section upwards
+    # a solve from 0.3 reference periods until the flow crosses the seed's
+    # section upwards
     sys = perturbed_system(kappa)
     t_ref, d = reference_period(sys), sys.surface.dim
     seed = latitude_seed(sys)
@@ -208,8 +230,9 @@ def test_empty_interval_keeps_the_state():
 
 @CHARTS
 def test_stacked_solve_is_each_member_s_own(kappa):
-    # return_map's two solves on a stack of members from different starts, so
-    # with different step counts: one from a nan state, which fails, and one
+    # two solves, a head and a tail with an event, on a stack of members from
+    # different starts, so with different step counts: one from a nan state,
+    # which fails, and one
     # whose event never fires, beside three that cross their sections; each
     # member is bit for bit its own solve, a failure included
     sys = perturbed_system(kappa)
@@ -247,6 +270,39 @@ def test_stacked_solve_is_each_member_s_own(kappa):
             else:
                 assert r.sol is o.sol is None and np.isnan(r.y).all()
     assert len({o.nfev for o in own}) == 5
+
+
+@CHARTS
+def test_stacked_late_stages_are_each_member_s_own(kappa):
+    # return_map's solve on a stack: one solve to twice the reference period,
+    # each member's event blind until 0.3 of it, and each member's predicate
+    # deciding its dense output at the end.  A kept member's dense output is
+    # its own solve's, bit for bit, the crossing step's stages computed
+    # first and the rest in one batch; a member that keeps none costs what
+    # its plain solve costs
+    sys = perturbed_system(kappa)
+    t_ref, d = reference_period(sys), sys.surface.dim
+    seed, rng = latitude_seed(sys), np.random.default_rng(7)
+    states = [tangent_state(sys, seed.position + a * rng.normal(size=d),
+                            seed.velocity + a * rng.normal(size=d))
+              for a in (1e-3, 3e-2, 0.1, 0.2)]
+    y0 = np.array([pack_state(st) for st in states])
+    events = [lambda t, y, sec=make_section(sys, st):
+              _section_value(sys, sec, y[:d]) if t >= 0.3 * t_ref else 1.0 for st in states]
+    keeps = (True, False, True, False)
+    f, span, kw = rhs(sys), (0.0, 2.0 * t_ref), dict(rtol=RTOL, atol=ATOL, max_step=0.2 * t_ref)
+    stack = ode.solve_ivp(f, span, y0, event=events,
+                          dense_output=[lambda t, y, k=k: k for k in keeps], **kw)
+    assert [r.message for r in stack] == ["event"] * 4
+    for r, y, event, keep in zip(stack, y0, events, keeps):
+        own = ode.solve_ivp(f, span, y, event=event, dense_output=keep, **kw)
+        assert (r.t, r.nfev, r.y.tobytes()) == (own.t, own.nfev, own.y.tobytes())
+        if keep:
+            times = np.linspace(0.0, r.t, 257)
+            assert r.sol(times).tobytes() == own.sol(times).tobytes()
+            assert r.nfev > ode.solve_ivp(f, span, y, event=event, **kw).nfev
+        else:
+            assert r.sol is None
 
 
 def test_stacked_empty_interval():

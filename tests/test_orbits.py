@@ -104,13 +104,8 @@ def test_stacked_maps_are_each_member_s_own(kappa):
             ["tuple", "TangencyError", "NoReturn", "tuple"][:n]
 
 
-@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
-def test_map_without_a_path_ends_alike_on_fewer_rhs_calls(kappa, monkeypatch):
-    # as the Jacobian's maps run: no dense-output stages but the crossing
-    # step's, and the same end state and return time, bit for bit
-    sys = perturbed_system(kappa)
-    seed = latitude_seed(sys)
-    section = make_section(sys, seed)
+def counting_rhs(monkeypatch):
+    """The list of the times at which the closures of orbits.rhs are called."""
     calls, plain_rhs = [], orbits_mod.rhs
 
     def rhs(sys):
@@ -118,14 +113,63 @@ def test_map_without_a_path_ends_alike_on_fewer_rhs_calls(kappa, monkeypatch):
         return lambda t, y: calls.append(t) or f(t, y)
 
     monkeypatch.setattr(orbits_mod, "rhs", rhs)
+    return calls
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+def test_map_without_a_path_ends_alike_on_fewer_rhs_calls(kappa, monkeypatch):
+    # as the Jacobian's maps run (path None), and as a map runs that does not
+    # close within its tolerance path: no dense-output stages but the crossing
+    # step's, and the same end state and return time, bit for bit
+    sys = perturbed_system(kappa)
+    seed = latitude_seed(sys)
+    section = make_section(sys, seed)
+    calls = counting_rhs(monkeypatch)
     ends = {}
-    for path in (True, False):
+    for path in (math.inf, None, 1e-9):
         calls.clear()
         end, t_ret, p = return_map(sys, section, seed, path=path)
         ends[path] = (pack_state(end).tobytes(), t_ret, len(calls), p is None)
-    assert ends[False][:2] == ends[True][:2]
-    assert ends[False][2] < ends[True][2]
-    assert ends[False][3] and not ends[True][3]
+    assert ends[None][:2] == ends[math.inf][:2] == ends[1e-9][:2]
+    assert ends[None][2] < ends[math.inf][2]
+    assert ends[None][3] and not ends[math.inf][3]
+    # the perturbed seed's map does not close: it costs what a pathless map does
+    assert state_distance(sys, end, seed) > 1e-9
+    assert ends[1e-9][2:] == ends[None][2:]
+
+
+@pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
+def test_closing_map_path_is_the_unconditional_one(kappa, s, monkeypatch):
+    # a Zoll seed's map closes within 1e-9: asked for its path only where it
+    # closes, it builds the path of the same map asked unconditionally, bit
+    # for bit and on as many RHS calls
+    sys = make_model(kappa, s)
+    seed = latitude_seed(sys)
+    section = make_section(sys, seed)
+    calls = counting_rhs(monkeypatch)
+    paths = {}
+    for path in (1e-9, math.inf):
+        calls.clear()
+        end, t_ret, p = return_map(sys, section, seed, path=path)
+        paths[path] = (p(np.linspace(0.0, t_ret, 257)).tobytes(), t_ret, len(calls))
+    assert state_distance(sys, end, seed) <= 1e-9
+    assert paths[1e-9] == paths[math.inf]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+def test_start_one_ulp_behind_its_section_still_returns(kappa):
+    # the flow crosses the section at once, upwards, from a start one ulp
+    # behind it: that crossing is not the return, since the section's event
+    # reads +1 until 0.3 reference periods
+    sys = perturbed_system(kappa)
+    seed, t_ref = latitude_seed(sys), reference_period(sys)
+    section = make_section(sys, seed)
+    behind = orbits_mod.SectionSpec(
+        normal=section.normal, origin=np.nextafter(section.origin, section.origin + section.normal))
+    assert -1e-15 < orbits_mod._section_value(sys, behind, seed.position) < 0.0
+    end, t_ret, _ = return_map(sys, behind, seed)
+    assert abs(t_ret - t_ref) < 0.1 * t_ref
+    assert state_distance(sys, end, seed) < 0.05
 
 
 class TestFindClosedOrbit:

@@ -8,6 +8,8 @@ import runpy
 import types
 from pathlib import Path
 
+import numpy as np
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 SRC = TOOLS.parent / "src"
 main = runpy.run_path(str(TOOLS / "compare_reports.py"))["main"]
@@ -89,7 +91,8 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     assert run_configs["main"]([str(SRC), str(tmp_path / "out"), "torus_cos_x_gd1"],
                                tmp_path / "configs") == 0
     run = json.loads((tmp_path / "out" / "torus_cos_x_gd1" / "run.json").read_text())
-    assert run["return_maps"] == 12
+    # one solve per map: the 12 maps' solves, counted one per stack member
+    assert run["solves"] == run["return_maps"] == 12
     assert run["rhs_evals"] == sum(nfev) > 0
     # the 12 x 12 tiling's gradient stencils, 5 circles each, and the 3 x 3
     # models of its two starts, at rest there
@@ -98,16 +101,21 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     assert orbits.rhs is dynamics.rhs is plain_rhs
     assert orbits.orbit_space_average is plain_average
     # a call with lists of sections and states counts one map per member, a
-    # call of the orbit-space average one circle per row
+    # call of the orbit-space average one circle per row, a stacked solve one
+    # solve per member
     package = types.SimpleNamespace(
         orbits=types.SimpleNamespace(return_map=lambda *a, **kw: a,
-                                     orbit_space_average=lambda sys, c: c),
-        dynamics=types.SimpleNamespace(rhs=plain_rhs))
+                                     orbit_space_average=lambda sys, c: c,
+                                     solve_ivp=lambda f, span, y0, **kw: y0),
+        dynamics=types.SimpleNamespace(rhs=plain_rhs, solve_ivp=lambda f, span, y0, **kw: y0))
     with run_configs["counting"](package) as counts:
         package.orbits.return_map("sys", ["a", "b", "c"], ["x", "y", "z"])
         package.orbits.return_map("sys", "a", "x")
         package.orbits.return_map("sys", ["a", "b"], state=["x", "y"], tol=1e-9)
         package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 4)
         package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 5)
+        package.orbits.solve_ivp(None, (0.0, 1.0), np.zeros((3, 4)), rtol=1e-9)
+        package.dynamics.solve_ivp(None, (0.0, 1.0), np.zeros(4))
     assert counts["return_maps"] == 6
     assert counts["abar_circles"] == 9
+    assert counts["solves"] == 4

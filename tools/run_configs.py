@@ -18,11 +18,12 @@ error reports only), one ``orbit`` run, a torus ``volume`` run, and
 NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
-three work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
-member of a call with a list of states, else one per call), ``rhs_evals``,
-the calls of the closures that the ``rhs`` factory returns where ``orbits``
-and ``dynamics`` call it, and ``abar_circles``, the rows (one Zoll circle
-each) passed to ``orbits.orbit_space_average``.  All are counted by
+four work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
+member of a call with a list of states, else one per call), ``solves``, the
+solves of ``solve_ivp`` where ``orbits`` and ``dynamics`` call it (one per
+member of a stack, counted alike), ``rhs_evals``, the calls of the closures
+that the ``rhs`` factory returns there, and ``abar_circles``, the rows (one
+Zoll circle each) passed to ``orbits.orbit_space_average``.  All are counted by
 rebinding those module attributes for the run (restored afterwards), so the
 tool runs unchanged on any tree that has them.  ``python3 tools/compare_reports.py OLD
 NEW`` on the OUT directories of two trees compares them with the report
@@ -120,18 +121,25 @@ def all_configs():
 
 @contextlib.contextmanager
 def counting(package):
-    """Count return maps, RHS evaluations and orbit-space circles in
+    """Count return maps, solves, RHS evaluations and orbit-space circles in
     ``package`` (the imported magsys_lab) while the block runs; yields the
     dict of counts."""
-    counts = {"return_maps": 0, "rhs_evals": 0, "abar_circles": 0}
+    counts = {"return_maps": 0, "solves": 0, "rhs_evals": 0, "abar_circles": 0}
     orbits, dynamics = package.orbits, package.dynamics
     plain_map, plain_rhs = orbits.return_map, dynamics.rhs
     plain_average = orbits.orbit_space_average
+    plain_solves = orbits.solve_ivp, dynamics.solve_ivp
 
     def return_map(*args, **kw):
         states = args[2] if len(args) > 2 else kw["state"]
         counts["return_maps"] += len(states) if isinstance(states, list) else 1
         return plain_map(*args, **kw)
+
+    def solving(plain):
+        def solve_ivp(fun, t_span, y0, *args, **kw):
+            counts["solves"] += len(y0) if getattr(y0, "ndim", 1) == 2 else 1
+            return plain(fun, t_span, y0, *args, **kw)
+        return solve_ivp
 
     def rhs(*args, **kw):
         f = plain_rhs(*args, **kw)
@@ -147,11 +155,13 @@ def counting(package):
 
     orbits.return_map, orbits.rhs, dynamics.rhs = return_map, rhs, rhs
     orbits.orbit_space_average = orbit_space_average
+    orbits.solve_ivp, dynamics.solve_ivp = map(solving, plain_solves)
     try:
         yield counts
     finally:
         orbits.return_map, orbits.rhs, dynamics.rhs = plain_map, plain_rhs, plain_rhs
         orbits.orbit_space_average = plain_average
+        orbits.solve_ivp, dynamics.solve_ivp = plain_solves
 
 
 def run_one(cli, name, command, text, out, config_dir):
