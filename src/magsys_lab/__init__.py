@@ -18,8 +18,7 @@ from .geometry import (MagneticSystem, TangentState, conformal_perturb, g_dot,
 from .dynamics import (Trajectory, flow, geodesic_curvature_series,
                        latitude_seed, measure_geodesic_curvature,
                        reference_period, trajectory_to_csv)
-from .orbits import (Orbit, SectionSpec, enumerate_orbits, find_closed_orbit,
-                     make_section, return_map)
+from .orbits import Orbit, enumerate_orbits, find_closed_orbit, return_map
 from .functionals import (ActionValue, closed_form_flux, flux_through_cap,
                           length, magnetic_action, magnetic_length)
 from .zollref import (CohomologyData, ZollReference, a_of_r, a1_squared,

@@ -58,7 +58,7 @@ _KEY_SCHEMA = {
     ("search", "max_iter"): (int, "max_iter"),
     ("search", "eps_list"): ("floats", None),
     ("search", "samples"): (int, None),
-    ("search", "workers"): (int, "workers"),
+    ("search", "workers"): (int, None),
     ("search", "rng_seed"): (int, "rng_seed"),
     ("output", "out"): (str, None),
 }
@@ -133,9 +133,14 @@ def parse_config(path):
                                      if field is not None and key in values})
     # surface regime problems at parse time, with the offending numbers
     zollref.check_zoll_regime(cfg.kappa, cfg.strength)
+    if values.get(("search", "workers"), 1) != 1:
+        raise ValidationError(f"[search] workers = {values['search', 'workers']}: "
+                              "the census runs in one process, workers must be 1")
     samples = values.get(("search", "samples"), 1_000_000)
     volume.check_samples(samples)
     eps_list = values.get(("search", "eps_list"), (0.0,))
+    if not eps_list:
+        raise ValidationError("[search] eps_list is empty: sweep would run no census")
     for eps in eps_list:    # each entry is checked as a config now, before any census
         replace(cfg, eps=eps)
     extras = {
@@ -189,8 +194,7 @@ def cmd_systole(cfg, extras, provenance, args):
 def cmd_orbit(cfg, extras, provenance, args):
     sys0, sys_p = syslab.build_system(cfg)
     found = orbits.enumerate_orbits(sys_p, grid_density=cfg.grid_density,
-                                    tol=cfg.tol_orbit, max_iter=cfg.max_iter,
-                                    workers=cfg.workers)
+                                    tol=cfg.tol_orbit, max_iter=cfg.max_iter)
     outdir = _outdir(extras)
     records = [{"seed_id": orb.seed_id, "period": orb.period,
                 "residual": orb.residual,

@@ -31,7 +31,6 @@ class ExperimentConfig:
     equality_tol: float = 1e-5
     ineq_tol: float = 1e-4
     rng_seed: int = 0
-    workers: int = 1
     max_iter: int = 25
 
     def __post_init__(self):
@@ -48,7 +47,7 @@ class ExperimentConfig:
             raise ValidationError(f"eps must be >= 0, got {self.eps}")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
-        for name, least in (("grid_density", 0), ("max_iter", 0), ("workers", 1)):
+        for name, least in (("grid_density", 0), ("max_iter", 0), ("rng_seed", 0)):
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
         # unknown field names and wrong coefficient counts fail here, not mid-run

@@ -3,7 +3,7 @@
 Metric perturbations enter as conformal exponents u (dimensionless scalar
 fields), magnetic perturbations as 1-forms eta with closed-form exterior
 derivative.  Fields are referenced by name plus a coefficient list, so
-configs stay declarative (no code loading) and systems stay picklable.
+configs stay declarative (no code loading).
 
 A field is evaluated on a surface, which is a chart object of ``geometry``
 (``sys.surface``).  The field tables name the chart class a field is defined

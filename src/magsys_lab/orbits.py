@@ -85,77 +85,68 @@ REFINE_STEPS = 10                 # Newton steps of a critical point's refinemen
 STACK_MIN = 4                     # seeds from which a census stacks its first maps
 
 
-@dataclass(frozen=True, eq=False)
-class SectionSpec:
-    """Transversal slice anchored at a seed state: the hyperplane of the
-    planar image through ``origin``, its position's image, with unit normal."""
-
-    normal: np.ndarray
-    origin: np.ndarray
-
-
-def make_section(sys, anchor: TangentState) -> SectionSpec:
-    return SectionSpec(normal=sys.surface.section_normal(anchor.position, anchor.velocity),
-                       origin=sys.surface.to_plane(anchor.position))
+def _section(sys, state):
+    """(normal, origin) of the section anchored at state: the hyperplane of
+    the planar image through its position's image, with unit normal its
+    velocity's image."""
+    return (sys.surface.section_normal(state.position, state.velocity),
+            sys.surface.to_plane(state.position))
 
 
-def _section_value(sys, spec, q):
-    return float((sys.surface.to_plane(q) - spec.origin) @ spec.normal)
+def _section_value(sys, section, q):
+    normal, origin = section
+    return float((sys.surface.to_plane(q) - origin) @ normal)
 
 
-def _crossing_speed(sys, spec, q, v):
-    return float(sys.surface.section_normal(q, v) @ spec.normal)
+def return_map(sys, state: TangentState, tol=1e-10, path=math.inf):
+    """First forward return of the flow to the section anchored at state
+    (``_section``): (state, return time, path).  path(times) gives the (2d,
+    N) states of the flow at N sorted times in [0, return time], from the
+    solve's dense output, which it builds only where the return state lies
+    within path of the start (``state_distance``); elsewhere, and with path
+    None, path is None.
 
+    The flow leaves the start along its section's normal; the return must
+    cross it the same way, and the search is capped at twice the Zoll
+    reference period.
 
-def return_map(sys, section: SectionSpec, state: TangentState, tol=1e-10, path=math.inf):
-    """First forward return of the flow to the section: (state, return time,
-    path).  path(times) gives the (2d, N) states of the flow at N sorted times
-    in [0, return time], from the solve's dense output, which it builds only
-    where the return state lies within path of the start (``state_distance``);
-    elsewhere, and with path None, path is None.
-
-    The crossing must be in the direction of the anchor velocity; the search
-    is capped at twice the Zoll reference period.
-
-    With lists of sections and states, each member's (state, return time,
-    path) or exception, by one stacked solve (``ode.solve_ivp``), bit for bit
-    its own map's.
+    With a list of states, each member's (state, return time, path) or
+    exception, by one stacked solve (``ode.solve_ivp``), bit for bit its own
+    map's.
     """
     if isinstance(state, list):
-        return _return_maps(sys, section, state, tol, path)
-    (out,) = _return_maps(sys, [section], [state], tol, path)
+        return _return_maps(sys, state, tol, path)
+    (out,) = _return_maps(sys, [state], tol, path)
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def _return_maps(sys, sections, states, tol, path):
+def _return_maps(sys, states, tol, path):
     """``return_map`` by one stacked solve over (0, 2 T_ref), steps capped so
     that none straddles two crossings; each section's event reads +1 before
     head = 0.3 T_ref, so the start's own crossing never counts as its return."""
     t_ref, d = reference_period(sys), sys.surface.dim
     (rtol, atol), head = stepper_tolerances(tol), 0.3 * t_ref
-    out = [TangencyError("flow is tangent to the section at the given state")
-           if abs(_crossing_speed(sys, sec, st.position, st.velocity)) < TRANSVERSALITY_MIN
-           else None for sec, st in zip(sections, states)]
-    live = [i for i, r in enumerate(out) if r is None]
-    y0 = np.reshape([pack_state(states[i]) for i in live], (-1, 2 * d))
+    sections = [_section(sys, st) for st in states]
     sols = solve_ivp(
-        rhs(sys), (0.0, 2.0 * t_ref), y0, rtol=rtol, atol=atol, max_step=0.2 * t_ref,
-        event=[lambda t, y, sec=sections[i]: _section_value(sys, sec, y[:d]) if t >= head else 1.0
-               for i in live],
-        dense_output=[path is not None and (lambda t, y, st=states[i]: state_distance(
-            sys, tangent_state(sys, y[:d], y[d:]), st) <= path) for i in live])
-    for i, sol in zip(live, sols):
+        rhs(sys), (0.0, 2.0 * t_ref), np.reshape([pack_state(st) for st in states], (-1, 2 * d)),
+        rtol=rtol, atol=atol, max_step=0.2 * t_ref,
+        event=[lambda t, y, sec=sec: _section_value(sys, sec, y[:d]) if t >= head else 1.0
+               for sec in sections],
+        dense_output=[path is not None and (lambda t, y, st=st: state_distance(
+            sys, tangent_state(sys, y[:d], y[d:]), st) <= path) for st in states])
+    out = []
+    for (normal, _), sol in zip(sections, sols):
         q, v = sol.y[:d], sol.y[d:]           # y_event, where the flow crossed
         if not sol.success:
-            out[i] = StepFailure(sol.message)
+            out.append(StepFailure(sol.message))
         elif sol.t_event is None:
-            out[i] = NoReturn("no section crossing within 2 reference periods")
-        elif abs(_crossing_speed(sys, sections[i], q, v)) < TRANSVERSALITY_MIN:
-            out[i] = TangencyError("return crossing is tangent to the section")
+            out.append(NoReturn("no section crossing within 2 reference periods"))
+        elif abs(sys.surface.section_normal(q, v) @ normal) < TRANSVERSALITY_MIN:
+            out.append(TangencyError("return crossing is tangent to the section"))
         else:
-            out[i] = (tangent_state(sys, q, v), sol.t_event, sol.sol)
+            out.append((tangent_state(sys, q, v), sol.t_event, sol.sol))
     return out
 
 
@@ -215,8 +206,7 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
         if isinstance(mapped, Exception):
             raise mapped
         end, t_ret, path = mapped or return_map(
-            sys, make_section(sys, start), start,
-            tol=ivp_tol / DRIFT_FD_STEP if fd else ivp_tol, path=None if fd else tol)
+            sys, start, tol=ivp_tol / DRIFT_FD_STEP if fd else ivp_tol, path=None if fd else tol)
         back = surface.orbit_space_point(sys, end.position, end.velocity)
         return (basis.T @ surface.orbit_space_gap(c, back), state_distance(sys, end, start),
                 (c, t_ret, path))
@@ -450,8 +440,7 @@ def _first_maps(sys, seeds, tol):
     """The (c, Zoll state) from which Newton starts from each seed
     (``_newton_start`` at x = 0), and its plain map, in one ``return_map`` call."""
     at0 = [_newton_start(sys, st)[1](np.zeros(2)) for st in seeds]
-    return at0, return_map(sys, [make_section(sys, st) for _, st in at0],
-                           [st for _, st in at0], tol=_map_tol(tol), path=tol)
+    return at0, return_map(sys, [st for _, st in at0], tol=_map_tol(tol), path=tol)
 
 
 def _refine(sys, c, grad_tol):
@@ -500,16 +489,16 @@ class Census(list):
 
 
 def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
-                     max_iter=ExperimentConfig.max_iter, workers=ExperimentConfig.workers):
+                     max_iter=ExperimentConfig.max_iter):
     """Closed orbits seeded at the brackets of the zeros of the reduced field,
     deduplicated and sorted by magnetic length, as a Census; empty where
     grid_density <= 0, which no other value of changes.
 
     Newton runs from the Zoll state over each representative of
     ``critical_points`` or, where first order cannot place the orbits, of
-    ``_drift_brackets``, in one process from the seeds' first maps: a
-    closed drift sample's own, the rest stacked in one ``return_map`` call.
-    Failed seeds are logged and skipped.
+    ``_drift_brackets``, seed after seed, from the seeds' first maps: a
+    closed drift sample's own, the rest stacked in one ``return_map`` call
+    from STACK_MIN seeds.  Failed seeds are logged and skipped.
 
     Orbits sort by length, and lengths within tol of the length before
     them form one group (single linkage), whose orbits keep the seed order:
@@ -522,24 +511,17 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
                            else (*picked, [None] * len(picked[0])))
     seeds = [(sid, sys.surface.zoll_state(sys, c)) for sid, c in zip(ids, points)]
     todo = [i for i, first in enumerate(firsts) if first is None]
-    if workers <= 1 and len(todo) >= STACK_MIN:
+    if len(todo) >= STACK_MIN:
         for i, first in zip(todo, _first_maps(sys, [seeds[i][1] for i in todo], tol)[1]):
             firsts[i] = first
-    # a map's path does not pickle: in the pool each seed maps alone
-    tasks = [(sys, sid, st, tol, max_iter, first if workers <= 1 else None)
-             for (sid, st), first in zip(seeds, firsts)]
-    if workers > 1 and len(tasks) > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_seed_safe, tasks))
-    else:
-        results = map(_run_seed_safe, tasks)
     found = []
-    for (sid, _), res in zip(seeds, results):
-        if isinstance(res, Orbit):
-            found.append(res)
-        elif res is not None:
-            log.info("seed %s skipped: %s", sid, res)
+    for (sid, st), first in zip(seeds, firsts):
+        try:
+            found.append(find_closed_orbit(sys, st, tol=tol, max_iter=max_iter, seed_id=sid,
+                                           first_map=first))
+        except (NoConvergence, DivergedFromFamily, NoReturn, TangencyError,
+                StepFailure) as exc:
+            log.info("seed %s skipped: %s: %s", sid, type(exc).__name__, exc)
     unique = deduplicate(sys, found)
     from .functionals import magnetic_length
     lengths = [magnetic_length(sys, orb) for orb in unique]
@@ -551,13 +533,3 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
             groups.append([i])
     order = [i for group in groups for i in sorted(group)]
     return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds))
-
-
-def _run_seed_safe(args):
-    sys, seed_id, seed, tol, max_iter, first_map = args
-    try:
-        return find_closed_orbit(sys, seed, tol=tol, max_iter=max_iter, seed_id=seed_id,
-                                 first_map=first_map)
-    except (NoConvergence, DivergedFromFamily, NoReturn, TangencyError,
-            StepFailure) as exc:
-        return f"{type(exc).__name__}: {exc}"

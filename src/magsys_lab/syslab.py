@@ -141,8 +141,7 @@ def run_experiment_full(cfg: ExperimentConfig):
         raise NoOrbitsFound(f"no closed orbits: the seed grid is empty "
                             f"(grid_density = {cfg.grid_density})")
     found = orbits.enumerate_orbits(sys, grid_density=cfg.grid_density,
-                                    tol=cfg.tol_orbit, max_iter=cfg.max_iter,
-                                    workers=cfg.workers)
+                                    tol=cfg.tol_orbit, max_iter=cfg.max_iter)
     if found.seeds_attempted == 0:
         raise NoOrbitsFound("no closed orbits: the orbit-space tiling brackets no critical "
                             "point in the searched region")

@@ -3,6 +3,7 @@ area form, the Christoffel symbols of the planar charts, a curvature stencil,
 the distance of two sampled loops and a count of return maps.  The package's
 answers never read them."""
 
+import inspect
 import math
 
 import numpy as np
@@ -72,10 +73,16 @@ def loop_distance(surface, pa, pb):
     return float(max(one_sided(pa, pb), one_sided(pb, pa)))
 
 
-def map_count(args, kw):
-    """The maps of one orbits.return_map call, counted before it runs: one per
-    member of a list of states, else one."""
-    states = args[2] if len(args) > 2 else kw["state"]
+def map_states(plain, args, kw):
+    """The state argument of one call plain(*args, **kw) of a return map,
+    bound by plain's signature, so (sys, state) and (sys, section, state) alike."""
+    return inspect.signature(plain).bind(*args, **kw).arguments["state"]
+
+
+def map_count(plain, args, kw):
+    """The maps of one call plain(*args, **kw) of a return map, counted before
+    it runs: one per member of a list of states, else one."""
+    states = map_states(plain, args, kw)
     return len(states) if isinstance(states, list) else 1
 
 
@@ -87,7 +94,7 @@ def counting_return_maps(monkeypatch):
     plain = orbits.return_map
 
     def counted(*args, **kw):
-        calls.extend([1] * map_count(args, kw))
+        calls.extend([1] * map_count(plain, args, kw))
         return plain(*args, **kw)
 
     monkeypatch.setattr(orbits, "return_map", counted)

@@ -50,7 +50,6 @@ def test_workload_config_parses(tmp_path, name):
     path.write_text(w.config, encoding="utf-8")
     cfg, extras, _ = parse_config(str(path))
     assert (cfg.kappa, cfg.strength) == (w.kappa, w.strength)
-    assert cfg.workers == 1
     if not w.is_census:
         assert extras["samples"] == w.recorded["samples"]
 
@@ -135,7 +134,7 @@ def test_perturbed_census_return_maps(tmp_path, monkeypatch, name):
     plain = orbits.return_map
 
     def counted(*args, **kw):
-        calls.extend([1] * map_count(args, kw))
+        calls.extend([1] * map_count(plain, args, kw))
         return plain(*args, **kw)
 
     monkeypatch.setattr(orbits, "return_map", counted)

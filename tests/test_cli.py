@@ -109,6 +109,22 @@ eps_list = 0.01, 0.02
         with pytest.raises(ValidationError, match="samples"):
             parse_config(path)
 
+    def test_workers_other_than_one_refused(self, tmp_path):
+        # the census runs in one process; the key is read only as 1
+        path = write(tmp_path, "w.cfg", "kappa = 1\nstrength = 1\n[search]\nworkers = 2\n")
+        with pytest.raises(ValidationError, match="workers = 2: the census runs in one process"):
+            parse_config(path)
+        path = write(tmp_path, "w1.cfg", "kappa = 1\nstrength = 1\n[search]\nworkers = 1\n")
+        assert parse_config(path)[0] == ExperimentConfig(kappa=1.0, strength=1.0)
+
+    def test_empty_eps_list_refused(self, tmp_path):
+        # an empty list ran no census, and sweep exited 0 on a header-only summary
+        path = write(tmp_path, "e.cfg", "kappa = 1\nstrength = 1\n[search]\neps_list =\n")
+        with pytest.raises(ValidationError, match="eps_list is empty"):
+            parse_config(path)
+        extras = parse_config(write(tmp_path, "d.cfg", "kappa = 1\nstrength = 1\n"))[1]
+        assert extras["eps_list"] == (0.0,)
+
     def test_fewest_volume_samples_accepted(self, tmp_path):
         path = write(tmp_path, "ok.cfg", "kappa = 1\nstrength = 1\n[search]\nsamples = 513\n")
         assert parse_config(path)[1]["samples"] == 513
@@ -136,8 +152,7 @@ eps_list = 0.01, 0.02
         "eta_coeffs": ("0.5", (0.5,)), "normalize": ("false", False),
         "grid_density": ("5", 5), "tol_orbit": ("1e-8", 1e-8),
         "tol_quad": ("1e-8", 1e-8), "equality_tol": ("1e-6", 1e-6),
-        "ineq_tol": ("1e-3", 1e-3), "max_iter": ("7", 7), "workers": ("2", 2),
-        "rng_seed": ("9", 9),
+        "ineq_tol": ("1e-3", 1e-3), "max_iter": ("7", 7), "rng_seed": ("9", 9),
     }
 
     @pytest.mark.parametrize("section, key", sorted(
@@ -353,6 +368,17 @@ class TestCliRuns:
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 1
         assert f"got {bad}" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("file_seed, flags", [("0", ["--seed", "-1"]), ("-1", [])],
+                             ids=["flag", "file"])
+    def test_negative_seed_refused(self, tmp_path, capsys, file_seed, flags):
+        # numpy refuses a negative seed with a traceback; the config refuses it first
+        cfg_path = write(tmp_path, "vol.cfg", "kappa = 0.0\nstrength = 1.0\n[search]\n"
+                                              f"samples = 1000\nrng_seed = {file_seed}\n")
+        out = tmp_path / "vol"
+        assert main(["volume", "--config", cfg_path, "--out", str(out), *flags]) == 1
+        assert "error: rng_seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fail_exit_code_via_error_run(self, tmp_path):
         text = """kappa = 1.0

@@ -54,7 +54,7 @@ class TestSurfaceIdentity:
 
     @pytest.mark.parametrize("sys", models(), ids=["sphere", "hyperbolic", "torus"])
     def test_system_pickles_to_an_equal_system(self, sys):
-        # a census with workers > 1 sends the system to its processes by pickle
+        # systems are values: a pickled copy is equal and hashes alike
         field = {1.0: "sphere_harmonic_z", -1.0: "const", 0.0: "torus_cos_x"}[sys.kappa]
         sysp = conformal_perturb(sys, field, 0.05, normalize=True)
         for s in (sys, sysp):
@@ -261,7 +261,7 @@ def test_one_section_on_one_planar_image():
     # sphere R^3 itself)
     nodes, names = package_functions()
     defs = [node.name for node in nodes]
-    assert defs.count("make_section") == 1 and defs.count("_section_value") == 1
+    assert defs.count("_section") == 1 and defs.count("_section_value") == 1
     assert defs.count("section_normal") == 1
     assert not {"_plane_image", "_lower", "plane_velocity"} & (set(defs) | names)
 

@@ -12,7 +12,7 @@ from magsys_lab import StepFailure, dynamics, ode
 from magsys_lab.dynamics import (flow, latitude_seed, pack_state, reference_period, rhs,
                                  stepper_tolerances)
 from magsys_lab.geometry import tangent_state
-from magsys_lab.orbits import _section_value, make_section
+from magsys_lab.orbits import _section, _section_value
 
 from test_orbits import perturbed_system
 
@@ -160,7 +160,7 @@ def test_event_time_and_state(kappa):
     sys = perturbed_system(kappa)
     t_ref, d = reference_period(sys), sys.surface.dim
     seed = latitude_seed(sys)
-    section = make_section(sys, seed)
+    section = _section(sys, seed)
     rng = np.random.default_rng(3)
     state = tangent_state(sys, seed.position + 1e-2 * rng.normal(size=d),
                           seed.velocity + 1e-2 * rng.normal(size=d))
@@ -243,7 +243,7 @@ def test_stacked_solve_is_each_member_s_own(kappa):
               for a in (1e-3, 3e-2, 0.1, 0.1, 0.2)]
     y0 = np.array([pack_state(st) for st in states])
     y0[3] = np.nan
-    events = [lambda t, y, sec=make_section(sys, st): _section_value(sys, sec, y[:d])
+    events = [lambda t, y, sec=_section(sys, st): _section_value(sys, sec, y[:d])
               for st in states]
     events[4] = lambda t, y: -1.0
     f, kw = rhs(sys), dict(rtol=RTOL, atol=ATOL, dense_output=True)
@@ -287,7 +287,7 @@ def test_stacked_late_stages_are_each_member_s_own(kappa):
                             seed.velocity + a * rng.normal(size=d))
               for a in (1e-3, 3e-2, 0.1, 0.2)]
     y0 = np.array([pack_state(st) for st in states])
-    events = [lambda t, y, sec=make_section(sys, st):
+    events = [lambda t, y, sec=_section(sys, st):
               _section_value(sys, sec, y[:d]) if t >= 0.3 * t_ref else 1.0 for st in states]
     keeps = (True, False, True, False)
     f, span, kw = rhs(sys), (0.0, 2.0 * t_ref), dict(rtol=RTOL, atol=ATOL, max_step=0.2 * t_ref)

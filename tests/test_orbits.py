@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from magsys_lab import (DivergedFromFamily, ExperimentConfig, NoConvergence,
-                        StepFailure, TangencyError, TangentState,
+                        StepFailure, TangentState,
                         conformal_perturb, enumerate_orbits, find_closed_orbit, flow,
                         latitude_seed, magnetic_length, make_model,
-                        make_section, reference_period, return_map,
+                        reference_period, return_map,
                         state_distance, tangent_state)
 from magsys_lab import OneForm, ScalarField, with_sigma_perturbation
 from magsys_lab import dynamics as dynamics_mod
@@ -16,7 +16,7 @@ from magsys_lab import orbits as orbits_mod
 from magsys_lab.dynamics import pack_state
 from magsys_lab.orbits import Orbit
 
-from instruments import counting_return_maps, loop_distance
+from instruments import counting_return_maps, loop_distance, map_states
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -35,73 +35,64 @@ class TestReturnMap:
     def test_zoll_fixed_point(self):
         sys = make_model(1.0, 1.0)
         seed = latitude_seed(sys)
-        spec = make_section(sys, seed)
-        st2, t_ret, _ = return_map(sys, spec, seed)
+        st2, t_ret, _ = return_map(sys, seed)
         assert state_distance(sys, st2, seed) < 1e-9
         assert t_ret == pytest.approx(reference_period(sys), abs=1e-8)
 
     def test_perturbed_displacement_scales_with_eps(self):
         sys_seed = make_model(1.0, 1.0)
         seed = sys_seed.surface.zoll_state(sys_seed, np.array([0.6, 0.0, 0.8]))
-        spec = make_section(sys_seed, seed)
         gaps = []
         for eps in (0.05, 0.025):
             sysp = perturbed_sphere(eps)
-            st2, _, _ = return_map(sysp, spec, seed)
+            st2, _, _ = return_map(sysp, seed)
             gaps.append(state_distance(sysp, st2, seed))
         assert gaps[0] > 0
         ratio = gaps[0] / gaps[1]
         assert 1.0 < ratio < 4.0          # O(eps) displacement
 
-    def test_tangent_state_rejected(self):
-        sys = make_model(1.0, 1.0)
-        seed = latitude_seed(sys)
-        spec = make_section(sys, seed)
-        # the seed's position, moving along the section: J v is normal to v
-        tangent = tangent_state(sys, seed.position,
-                                sys.surface.rotate90(seed.position, seed.velocity))
-        with pytest.raises(TangencyError):
-            return_map(sys, spec, tangent)
+
+def far_torus():
+    """torus_cos_x at eps 1.5, not normalised: the maps of the Zoll states over
+    the drift's tiling are a mix of returns and NoReturn."""
+    return conformal_perturb(make_model(0.0, 1.0), "torus_cos_x", 1.5, normalize=False)
 
 
-@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
+@pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0, None],
+                         ids=["sphere", "torus", "hyperbolic", "far_torus"])
 def test_stacked_maps_are_each_member_s_own(kappa):
-    # return_map on lists: each member's (state, time, path) or exception, bit
-    # for bit those of its own map, in a stack of four and of two; beside
-    # members that return, one tangent to its section and one whose section
-    # is out of its circle's reach
-    sys = perturbed_system(kappa)
-    surface, seed = sys.surface, latitude_seed(sys)
-    rng = np.random.default_rng(9)
-    states = [tangent_state(sys, seed.position + 0.05 * rng.normal(size=surface.dim),
-                            seed.velocity + 0.05 * rng.normal(size=surface.dim))
-              for _ in range(4)]
-    sections = [make_section(sys, st) for st in states]
-    # a section whose normal is normal to the state's velocity in the planar image
-    flat = sections[1].normal
-    across = rng.normal(size=flat.size)
-    across -= (across @ flat) * flat
-    sections[1] = orbits_mod.SectionSpec(normal=across / np.linalg.norm(across),
-                                         origin=sections[1].origin)
-    # a section through the seed, moved along its normal beyond the seed's circle
-    far = make_section(sys, seed)
-    sections[2] = orbits_mod.SectionSpec(normal=far.normal, origin=far.origin - 3.0 * far.normal)
+    # return_map on a list: each member's (state, time, path) or exception,
+    # bit for bit those of its own map, in a stack of all members and of the
+    # first two.  Near the seed every member returns; on the far torus the
+    # Zoll states over the drift's tiling, of which some find no return
+    if kappa is None:
+        sys = far_torus()
+        states = [sys.surface.zoll_state(sys, c)
+                  for c in sys.surface.orbit_space_tiling(sys, drift=True)[0]]
+    else:
+        sys = perturbed_system(kappa)
+        surface, seed = sys.surface, latitude_seed(sys)
+        rng = np.random.default_rng(9)
+        states = [tangent_state(sys, seed.position + 0.05 * rng.normal(size=surface.dim),
+                                seed.velocity + 0.05 * rng.normal(size=surface.dim))
+                  for _ in range(4)]
     times = np.linspace(0.0, 1.5 * reference_period(sys), 101)
+    kinds = set()
     for n in (len(states), 2):
-        results = return_map(sys, sections[:n], states[:n])
+        results = return_map(sys, states[:n])
         assert len(results) == n
-        for sec, st, res in zip(sections, states, results):
+        for st, res in zip(states, results):
+            kinds.add(type(res).__name__)
             try:
-                own = return_map(sys, sec, st)
-            except (TangencyError, orbits_mod.NoReturn) as exc:
+                own = return_map(sys, st)
+            except orbits_mod.NoReturn as exc:
                 assert type(res) is type(exc) and str(res) == str(exc)
                 continue
             assert pack_state(res[0]).tobytes() == pack_state(own[0]).tobytes()
             assert res[1] == own[1]
             early = times[times <= res[1]]
             assert res[2](early).tobytes() == own[2](early).tobytes()
-        assert [type(r).__name__ for r in results] == \
-            ["tuple", "TangencyError", "NoReturn", "tuple"][:n]
+    assert kinds == ({"tuple"} if kappa is not None else {"tuple", "NoReturn"})
 
 
 def counting_rhs(monkeypatch):
@@ -123,12 +114,11 @@ def test_map_without_a_path_ends_alike_on_fewer_rhs_calls(kappa, monkeypatch):
     # step's, and the same end state and return time, bit for bit
     sys = perturbed_system(kappa)
     seed = latitude_seed(sys)
-    section = make_section(sys, seed)
     calls = counting_rhs(monkeypatch)
     ends = {}
     for path in (math.inf, None, 1e-9):
         calls.clear()
-        end, t_ret, p = return_map(sys, section, seed, path=path)
+        end, t_ret, p = return_map(sys, seed, path=path)
         ends[path] = (pack_state(end).tobytes(), t_ret, len(calls), p is None)
     assert ends[None][:2] == ends[math.inf][:2] == ends[1e-9][:2]
     assert ends[None][2] < ends[math.inf][2]
@@ -145,29 +135,28 @@ def test_closing_map_path_is_the_unconditional_one(kappa, s, monkeypatch):
     # for bit and on as many RHS calls
     sys = make_model(kappa, s)
     seed = latitude_seed(sys)
-    section = make_section(sys, seed)
     calls = counting_rhs(monkeypatch)
     paths = {}
     for path in (1e-9, math.inf):
         calls.clear()
-        end, t_ret, p = return_map(sys, section, seed, path=path)
+        end, t_ret, p = return_map(sys, seed, path=path)
         paths[path] = (p(np.linspace(0.0, t_ret, 257)).tobytes(), t_ret, len(calls))
     assert state_distance(sys, end, seed) <= 1e-9
     assert paths[1e-9] == paths[math.inf]
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
-def test_start_one_ulp_behind_its_section_still_returns(kappa):
+def test_start_one_ulp_behind_its_section_still_returns(kappa, monkeypatch):
     # the flow crosses the section at once, upwards, from a start one ulp
     # behind it: that crossing is not the return, since the section's event
     # reads +1 until 0.3 reference periods
     sys = perturbed_system(kappa)
     seed, t_ref = latitude_seed(sys), reference_period(sys)
-    section = make_section(sys, seed)
-    behind = orbits_mod.SectionSpec(
-        normal=section.normal, origin=np.nextafter(section.origin, section.origin + section.normal))
+    normal, origin = orbits_mod._section(sys, seed)
+    behind = normal, np.nextafter(origin, origin + normal)
     assert -1e-15 < orbits_mod._section_value(sys, behind, seed.position) < 0.0
-    end, t_ret, _ = return_map(sys, behind, seed)
+    monkeypatch.setattr(orbits_mod, "_section", lambda sys, state: behind)
+    end, t_ret, _ = return_map(sys, seed)
     assert abs(t_ret - t_ref) < 0.1 * t_ref
     assert state_distance(sys, end, seed) < 0.05
 
@@ -262,7 +251,7 @@ def perturbed_system(kappa):
 def map_results(args, kw, result):
     """The result of each map of one orbits.return_map call: one per member of
     a call with a list of states."""
-    return result if isinstance(args[2] if len(args) > 2 else kw["state"], list) else [result]
+    return result if isinstance(map_states(return_map, args, kw), list) else [result]
 
 
 def section_cases():
@@ -371,7 +360,7 @@ class TestVariationalNewton:
         def drift(x):
             c = surface.orbit_space_step(c0, basis @ x)
             start = surface.zoll_state(sys, c, ref)
-            end, _, _ = return_map(sys, make_section(sys, start), start, tol=1e-12)
+            end, _, _ = return_map(sys, start, tol=1e-12)
             back = surface.orbit_space_point(sys, end.position, end.velocity)
             return basis.T @ surface.orbit_space_gap(c, back)
 
@@ -388,14 +377,16 @@ class TestVariationalNewton:
                                     - (g_next - g))) for k in range(9)]
             assert min(secant) < 1e-12 * max(1.0, np.max(np.abs(jac_next)))
 
-    def test_tangents_are_corrected_for_the_return_time(self):
-        # differences of the return map move its state along the section,
-        # grad sigma . D = 0, because each start returns at its own time;
-        # the flow for the seed's return time moves them across it
+    def test_tangents_are_corrected_for_the_return_time(self, monkeypatch):
+        # differences of the return map to the seed's section move its state
+        # along the section, grad sigma . D = 0, because each start returns
+        # at its own time; the flow for the seed's return time moves them
+        # across it
         sys = perturbed_system(1.0)
         seed = latitude_seed(sys)
-        spec = make_section(sys, seed)
-        st, t_ret, _ = return_map(sys, spec, seed)
+        normal, origin = orbits_mod._section(sys, seed)
+        monkeypatch.setattr(orbits_mod, "_section", lambda sys, state: (normal, origin))
+        st, t_ret, _ = return_map(sys, seed)
         D0 = np.random.default_rng(2).normal(size=(6, 2))
         h = 1e-5
         for col in D0.T:
@@ -403,7 +394,7 @@ class TestVariationalNewton:
             for sign in (1.0, -1.0):
                 start = tangent_state(sys, seed.position + sign * h * col[:3],
                                       seed.velocity + sign * h * col[3:])
-                end, t_end, _ = return_map(sys, spec, start)
+                end, t_end, _ = return_map(sys, start)
                 assert state_distance(sys, end, st) < 1e-3
                 assert t_end == pytest.approx(t_ret, abs=1e-3)
                 ends.append(end.position)
@@ -411,8 +402,8 @@ class TestVariationalNewton:
             D = (ends[0] - ends[1]) / (2 * h)
             across = (fixed[0] - fixed[1]) / (2 * h)
             assert np.linalg.norm(D) > 1e-2
-            assert abs(spec.normal @ D) < 1e-9
-            assert abs(spec.normal @ across) > 1e-3
+            assert abs(normal @ D) < 1e-9
+            assert abs(normal @ across) > 1e-3
 
     @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
     def test_zoll_seed_costs_one_return_map(self, kappa, s, monkeypatch):
@@ -553,7 +544,7 @@ class TestEnumerate:
         with pytest.raises(TypeError, match="grid_density"):
             enumerate_orbits(make_model(1.0, 1.0))
         cfg = ExperimentConfig(kappa=1.0, strength=1.0)
-        for fn, names in ((enumerate_orbits, ("tol", "max_iter", "workers")),
+        for fn, names in ((enumerate_orbits, ("tol", "max_iter")),
                           (find_closed_orbit, ("tol", "max_iter"))):
             params = inspect.signature(fn).parameters
             for name in names:
@@ -610,19 +601,6 @@ class TestEnumerate:
             found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
             assert [o.seed_id for o in found] == expected, step
             assert (found.magnetic_lengths == sorted(found.magnetic_lengths)) == (step > 1e-9)
-
-    def test_process_pool_matches_serial(self):
-        # the pool sends each seed's Orbit back pickled; two workers, no more.
-        # In one process the seeds' first maps run stacked, in the pool each
-        # alone: the orbits are the same bit for bit
-        sys = make_model(0.0, 1.0)
-        serial = enumerate_orbits(sys, grid_density=2, tol=1e-9, workers=1)
-        pooled = enumerate_orbits(sys, grid_density=2, tol=1e-9, workers=2)
-        assert serial.seeds_attempted >= orbits_mod.STACK_MIN
-        assert [o.seed_id for o in pooled] == [o.seed_id for o in serial]
-        assert [o.period for o in pooled] == [o.period for o in serial]
-        assert pooled.magnetic_lengths == serial.magnetic_lengths
-        assert all(np.array_equal(a.states, b.states) for a, b in zip(pooled, serial))
 
     def test_dedup_idempotence(self):
         sysp = perturbed_sphere(0.05)

@@ -168,7 +168,7 @@ class TestReproducibility:
             ExperimentConfig(kappa=1.0, strength=1.0, eps=-0.1)
 
     @pytest.mark.parametrize("key,value", [("grid_density", -2), ("max_iter", -1),
-                                           ("workers", 0), ("workers", -4)])
+                                           ("rng_seed", -1)])
     def test_search_values_refused(self, key, value):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig(kappa=1.0, strength=1.0, **{key: value})

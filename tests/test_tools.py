@@ -4,6 +4,7 @@ tools/run_configs.py: each config's outputs and run.json, which
 compare_reports reads."""
 
 import json
+import math
 import runpy
 import types
 from pathlib import Path
@@ -100,22 +101,35 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     assert orbits.return_map is plain_map
     assert orbits.rhs is dynamics.rhs is plain_rhs
     assert orbits.orbit_space_average is plain_average
-    # a call with lists of sections and states counts one map per member, a
-    # call of the orbit-space average one circle per row, a stacked solve one
-    # solve per member
-    package = types.SimpleNamespace(
-        orbits=types.SimpleNamespace(return_map=lambda *a, **kw: a,
-                                     orbit_space_average=lambda sys, c: c,
-                                     solve_ivp=lambda f, span, y0, **kw: y0),
-        dynamics=types.SimpleNamespace(rhs=plain_rhs, solve_ivp=lambda f, span, y0, **kw: y0))
-    with run_configs["counting"](package) as counts:
-        package.orbits.return_map("sys", ["a", "b", "c"], ["x", "y", "z"])
-        package.orbits.return_map("sys", "a", "x")
-        package.orbits.return_map("sys", ["a", "b"], state=["x", "y"], tol=1e-9)
-        package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 4)
-        package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 5)
-        package.orbits.solve_ivp(None, (0.0, 1.0), np.zeros((3, 4)), rtol=1e-9)
-        package.dynamics.solve_ivp(None, (0.0, 1.0), np.zeros(4))
-    assert counts["return_maps"] == 6
-    assert counts["abar_circles"] == 9
-    assert counts["solves"] == 4
+    # a call with a list of states counts one map per member, whether the map
+    # takes (sys, section, state) or (sys, state); a call of the orbit-space
+    # average one circle per row, a stacked solve one solve per member
+    def with_section(sys, section, state, tol=1e-10, path=math.inf):
+        return state
+
+    def anchored(sys, state, tol=1e-10, path=math.inf):
+        return state
+
+    for plain_map, calls in (
+            (with_section, [(("sys", ["a", "b", "c"], ["x", "y", "z"]), {}),
+                            (("sys", "a", "x"), {}),
+                            (("sys", ["a", "b"]), dict(state=["x", "y"], tol=1e-9))]),
+            (anchored, [(("sys", ["x", "y", "z"]), {}), (("sys", "x", 1e-9), {}),
+                        (("sys",), dict(state=["x", "y"], path=None))])):
+        package = types.SimpleNamespace(
+            orbits=types.SimpleNamespace(return_map=plain_map,
+                                         orbit_space_average=lambda sys, c: c,
+                                         solve_ivp=lambda f, span, y0, **kw: y0),
+            dynamics=types.SimpleNamespace(rhs=plain_rhs,
+                                           solve_ivp=lambda f, span, y0, **kw: y0))
+        with run_configs["counting"](package) as counts:
+            for args, kw in calls:
+                package.orbits.return_map(*args, **kw)
+            package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 4)
+            package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 5)
+            package.orbits.solve_ivp(None, (0.0, 1.0), np.zeros((3, 4)), rtol=1e-9)
+            package.dynamics.solve_ivp(None, (0.0, 1.0), np.zeros(4))
+        assert counts["return_maps"] == 6, plain_map.__name__
+        assert counts["abar_circles"] == 9
+        assert counts["solves"] == 4
+        assert package.orbits.return_map is plain_map

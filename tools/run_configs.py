@@ -19,7 +19,9 @@ NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
 four work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
-member of a call with a list of states, else one per call), ``solves``, the
+member of a call with a list of states, else one per call; the states are
+found by the map's own signature, ``(sys, state)`` or the older ``(sys,
+section, state)``), ``solves``, the
 solves of ``solve_ivp`` where ``orbits`` and ``dynamics`` call it (one per
 member of a stack, counted alike), ``rhs_evals``, the calls of the closures
 that the ``rhs`` factory returns there, and ``abar_circles``, the rows (one
@@ -33,6 +35,7 @@ absolute path) matches between trees.  BLAS and OpenMP are held to one thread so
 """
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -129,9 +132,10 @@ def counting(package):
     plain_map, plain_rhs = orbits.return_map, dynamics.rhs
     plain_average = orbits.orbit_space_average
     plain_solves = orbits.solve_ivp, dynamics.solve_ivp
+    map_signature = inspect.signature(plain_map)
 
     def return_map(*args, **kw):
-        states = args[2] if len(args) > 2 else kw["state"]
+        states = map_signature.bind(*args, **kw).arguments["state"]
         counts["return_maps"] += len(states) if isinstance(states, list) else 1
         return plain_map(*args, **kw)
 
