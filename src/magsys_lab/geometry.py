@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -145,6 +146,15 @@ AREA_NODES = (16, 32, 64, 128, 256, 512)    # the rules of riemannian_volume, in
 AREA_TOL = 1e-9    # default relative tolerance of the area quadrature
 
 
+@cache
+def _gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on [-1, 1], built on first use (the
+    512-node rule takes tens of ms) and shared read-only after it."""
+    x, wx = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = wx.flags.writeable = False
+    return x, wx
+
+
 def riemannian_volume(sys, rel_tol=AREA_TOL):
     """Surface area under the (possibly perturbed) metric: e^{2 Lambda} w(r)
     over the chart's box, by n Gauss-Legendre nodes in r times the n-point
@@ -152,7 +162,7 @@ def riemannian_volume(sys, rel_tol=AREA_TOL):
     to rel_tol; past 512 the quadrature raises QuadratureFailure."""
     (r_max, p_max), vals = sys.surface.box, []
     for n in AREA_NODES:
-        x, wx = np.polynomial.legendre.leggauss(n)
+        x, wx = _gauss_legendre(n)
         r, p = np.meshgrid(0.5 * r_max * (x + 1.0), p_max / n * np.arange(n), indexing="ij")
         q, w = sys.surface.box_points(r, p)
         vals.append(0.5 * r_max * p_max / n

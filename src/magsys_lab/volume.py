@@ -19,16 +19,21 @@ Carlo over the base in the chart's metric coordinates (r, p), with the
 r-integral (f^2 - 1)/2 and the fiber length 2 pi taken exactly, so its
 integrand is (f + 1)/2 * w (f - 1) at the chart's ``box_points``.  It tests
 the +pi constant, not the Stokes step: an exact term eps d(eta) never
-enters it, since its integral over each fiber vanishes.  Partial sums
-are combined in fixed cell order, so a fixed seed gives a bit-identical
-result.  A cell of n base points costs one draw of 2n uniforms, the chart's
-trig in ``box_points``, one exp and two reductions (the cell's mean and
-variance), and only one cell's arrays are alive at a time.
+enters it, since its integral over each fiber vanishes.  Each cell draws
+from its own seed and reduces to its own mean and variance, and these are
+combined in fixed cell order, so a fixed seed gives a bit-identical result.
+A cell of n base points costs one draw of 2n uniforms, the chart's trig in
+``box_points``, one exp and two reductions.  The cells are split over the
+CPUs the process may use, in threads (numpy releases the GIL in that work);
+each worker has one cell's arrays alive at a time, and the result does not
+depend on the split.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +92,27 @@ def _check_pair(sys0, sys):
 def check_samples(samples):
     """Refuse a sample count that leaves one base point in a cell (below 513
     at the 16 x 16 cells): two points per cell are the fewest that estimate a
-    variance, and with one the standard error would read 0."""
+    variance, and with one the standard error would read 0.  NaN and
+    infinity, which fix no count of points, are refused too."""
     fewest = 2 * CELLS_PER_SIDE**2 + 1
-    if samples < fewest:
+    if not fewest <= samples < math.inf:
         raise ValidationError(
-            f"samples = {samples} is below {fewest}: the volume oracle "
-            "needs two base points in each of its cells to estimate its error")
+            f"samples = {samples} is not a finite count of at least {fewest}: "
+            "the volume oracle needs two base points in each of its cells to "
+            "estimate its error")
+
+
+def _check_rng_seed(rng_seed):
+    # SeedSequence takes only a non-negative integer: refuse the rest by name
+    if not isinstance(rng_seed, numbers.Integral) or rng_seed < 0:
+        raise ValidationError(f"rng_seed = {rng_seed!r} must be a non-negative integer")
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
@@ -102,9 +122,13 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
     least 2 CELLS_PER_SIDE^2 + 1 (``check_samples``).  Each cell draws
     ceil(samples / (2 CELLS_PER_SIDE^2)) base points, uniform in the cell of
     the chart's ``oracle_box``, so the integrand is evaluated at
-    ceil(samples / 512) * 256 points (2,000,128 for 4e6)."""
+    ceil(samples / 512) * 256 points (2,000,128 for 4e6).  The cells are
+    split over one worker per usable CPU, the calling thread among them, with
+    one cell's arrays alive per worker; the result is bit for bit the same
+    for every split, and a worker's exception is raised here."""
     _check_pair(sys0, sys)
     check_samples(samples)
+    _check_rng_seed(rng_seed)
     surface = sys.surface
     box = surface.oracle_box()
     vol_box = box[0] * box[1] * 2.0 * math.pi
@@ -119,25 +143,40 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
 
     cell_means = np.empty(n_cells)
     cell_vars = np.empty(n_cells)
-    f, value = np.empty(n), np.empty(n)
     dx = box[0] / CELLS_PER_SIDE
     dy = box[1] / CELLS_PER_SIDE
-    for idx, child in enumerate(children):
-        i, j = divmod(idx, CELLS_PER_SIDE)
-        # r and p from one draw, lo + (hi - lo) u as Generator.uniform rounds them
-        r_p = np.random.default_rng(child).random(2 * n).reshape(2, n)
-        r_p *= [[(i + 1) * dx - i * dx], [(j + 1) * dy - j * dy]]
-        r_p += [[i * dx], [j * dy]]
-        q, w = surface.box_points(*r_p)
-        np.multiply(sys.conformal_eps, u_value(q.T), out=f)
-        np.exp(np.add(f, lam_part, out=f), out=f)
-        # value = 0.5 (f + 1) * (w (f - 1)), then its mean and ddof-1
-        # variance, reduced as ndarray.mean and .var reduce them
-        np.multiply(0.5, np.add(f, 1.0, out=value), out=value)
-        value *= np.multiply(w, np.subtract(f, 1.0, out=f), out=f)
-        cell_means[idx] = mean = np.add.reduce(value) / n
-        np.square(np.subtract(value, mean, out=value), out=value)
-        cell_vars[idx] = np.add.reduce(value) / (n - 1)
+
+    def cells(first, step):
+        """The cells first, first + step, ...: each worker owns its buffers
+        and writes only its own entries of cell_means and cell_vars."""
+        f, value = np.empty(n), np.empty(n)
+        for idx in range(first, n_cells, step):
+            i, j = divmod(idx, CELLS_PER_SIDE)
+            # r and p from one draw, lo + (hi - lo) u as Generator.uniform rounds them
+            r_p = np.random.default_rng(children[idx]).random(2 * n).reshape(2, n)
+            r_p *= [[(i + 1) * dx - i * dx], [(j + 1) * dy - j * dy]]
+            r_p += [[i * dx], [j * dy]]
+            q, w = surface.box_points(*r_p)
+            np.multiply(sys.conformal_eps, u_value(q.T), out=f)
+            np.exp(np.add(f, lam_part, out=f), out=f)
+            # value = 0.5 (f + 1) * (w (f - 1)), then its mean and ddof-1
+            # variance, reduced as ndarray.mean and .var reduce them
+            np.multiply(0.5, np.add(f, 1.0, out=value), out=value)
+            value *= np.multiply(w, np.subtract(f, 1.0, out=f), out=f)
+            cell_means[idx] = mean = np.add.reduce(value) / n
+            np.square(np.subtract(value, mean, out=value), out=value)
+            cell_vars[idx] = np.add.reduce(value) / (n - 1)
+
+    # numpy releases the GIL in the draw, the trig, the exp and the
+    # reductions, so threads share the cells; the calling thread works share 0
+    # and no thread starts at one worker
+    from concurrent.futures import ThreadPoolExecutor
+    workers = min(_usable_cpus(), n_cells)
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        shares = [pool.submit(cells, k, workers) for k in range(1, workers)]
+        cells(0, workers)
+    for share in shares:
+        share.result()
 
     estimate = vol_box * float(cell_means.mean())
     var = float(np.sum(cell_vars / n)) / n_cells**2

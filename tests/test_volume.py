@@ -1,12 +1,16 @@
 import math
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from scipy.special import i0
 
 from magsys_lab import (ValidationError, conformal_perturb, identity_constant,
                         make_model, riemannian_volume, vol_closed_form,
-                        vol_quadrature_oracle, volume_report,
+                        vol_quadrature_oracle, volume, volume_report,
                         with_sigma_perturbation)
 from magsys_lab.fields import ScalarField
 
@@ -175,13 +179,19 @@ class TestOracle:
         with pytest.raises(ValidationError):
             vol_quadrature_oracle(sys0, sysp)
 
-    @pytest.mark.parametrize("samples", [-5, 512])
+    @pytest.mark.parametrize("samples", [-5, 512, math.nan, math.inf])
     def test_too_few_samples_refused(self, samples):
         # below 513 every cell holds one base point and the standard error
-        # would read 0
+        # would read 0; NaN and infinity fix no count at all
         sys0, sysp = torus_pair(0.05)
         with pytest.raises(ValidationError, match="samples"):
             vol_quadrature_oracle(sys0, sysp, samples=samples)
+
+    @pytest.mark.parametrize("rng_seed", [-1, 1.5])
+    def test_bad_seed_refused(self, rng_seed):
+        sys0, sysp = torus_pair(0.05)
+        with pytest.raises(ValidationError, match="rng_seed"):
+            vol_quadrature_oracle(sys0, sysp, samples=1000, rng_seed=rng_seed)
 
     def test_fewest_samples_estimate_an_error(self):
         sys0, sysp = torus_pair(0.05)
@@ -198,8 +208,50 @@ class TestOracle:
         assert vol_quadrature_oracle(*sphere_pair(), samples=4_000_000,
                                      rng_seed=7) == WORKLOAD_ORACLE
 
-    def test_working_set_is_one_cell(self):
-        # arrays the size of one cell (7813 points here), not of all 256
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_split_is_bit_for_bit(self, monkeypatch, cpus):
+        # each cell writes only its own mean and variance, so the number of
+        # workers moves no bit; threads switch often, to interleave them
+        monkeypatch.setattr(volume, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for name, expected in EXACT_ORACLE.items():
+                assert vol_quadrature_oracle(*exact_case(name), samples=50_000,
+                                             rng_seed=11) == expected
+            assert vol_quadrature_oracle(*sphere_pair(), samples=4_000_000,
+                                         rng_seed=7) == WORKLOAD_ORACLE
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing_cell", [0, 1, 2])
+    def test_worker_failure_is_raised(self, monkeypatch, failing_cell):
+        # cell k is worked by worker k of three, the calling thread being
+        # worker 0; its exception must reach the caller as itself, with
+        # every thread joined
+        monkeypatch.setattr(volume, "_usable_cpus", lambda: 3)
+        sys0, sysp = sphere_pair()
+        chart = type(sysp.surface)
+        box_points = chart.box_points
+        dx, dy = (side / volume.CELLS_PER_SIDE for side in sysp.surface.oracle_box())
+        failure = RuntimeError("cell failed")
+
+        def failing_box_points(self, r, p):
+            if int(r[0] // dx) * volume.CELLS_PER_SIDE + int(p[0] // dy) == failing_cell:
+                raise failure
+            return box_points(self, r, p)
+
+        monkeypatch.setattr(chart, "box_points", failing_box_points)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as err:
+            vol_quadrature_oracle(sys0, sysp, samples=50_000, rng_seed=11)
+        assert err.value is failure
+        assert threading.active_count() == threads
+
+    def test_working_set_is_one_cell(self, monkeypatch):
+        # arrays the size of one cell per worker (7813 points here), not of
+        # all 256; two workers, since each adds one cell's arrays
+        monkeypatch.setattr(volume, "_usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
             vol_quadrature_oracle(*sphere_pair(), samples=4_000_000, rng_seed=7)
@@ -214,3 +266,15 @@ class TestOracle:
         assert rep.samples == 50_000
         assert "orientation" in rep.constant_convention
         assert abs(rep.quadrature - rep.closed_form) <= 3 * rep.std_error
+
+
+def test_start_up_loads_no_thread_pool():
+    # what perfbench/setup_probe.py imports, in a fresh interpreter: the
+    # oracle's thread pool stays off every command's start-up
+    src = Path(volume.__file__).resolve().parents[1]
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "from magsys_lab import cli, syslab\n"
+              "print('concurrent.futures' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
