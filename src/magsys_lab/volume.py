@@ -102,12 +102,6 @@ def check_samples(samples):
             "estimate its error")
 
 
-def _check_rng_seed(rng_seed):
-    # SeedSequence takes only a non-negative integer: refuse the rest by name
-    if not isinstance(rng_seed, numbers.Integral) or rng_seed < 0:
-        raise ValidationError(f"rng_seed = {rng_seed!r} must be a non-negative integer")
-
-
 def _usable_cpus():
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -128,7 +122,8 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
     for every split, and a worker's exception is raised here."""
     _check_pair(sys0, sys)
     check_samples(samples)
-    _check_rng_seed(rng_seed)
+    if not isinstance(rng_seed, numbers.Integral) or rng_seed < 0:
+        raise ValidationError(f"rng_seed = {rng_seed!r} must be a non-negative integer")
     surface = sys.surface
     box = surface.oracle_box()
     vol_box = box[0] * box[1] * 2.0 * math.pi
