@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,11 +142,20 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
     dx = box[0] / CELLS_PER_SIDE
     dy = box[1] / CELLS_PER_SIDE
 
-    def cells(first, step):
-        """The cells first, first + step, ...: each worker owns its buffers
-        and writes only its own entries of cell_means and cell_vars."""
+    # cells are handed out one at a time, so a worker slowed by another
+    # process on its CPU takes fewer of them
+    todo, todo_lock = iter(range(n_cells)), threading.Lock()
+
+    def cells():
+        """Work cells from todo until none is left, in this worker's own
+        buffers; a cell writes only its own entries of cell_means and
+        cell_vars."""
         f, value = np.empty(n), np.empty(n)
-        for idx in range(first, n_cells, step):
+        while True:
+            with todo_lock:
+                idx = next(todo, None)
+            if idx is None:
+                return
             i, j = divmod(idx, CELLS_PER_SIDE)
             # r and p from one draw, lo + (hi - lo) u as Generator.uniform rounds them
             r_p = np.random.default_rng(children[idx]).random(2 * n).reshape(2, n)
@@ -163,13 +173,13 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
             cell_vars[idx] = np.add.reduce(value) / (n - 1)
 
     # numpy releases the GIL in the draw, the trig, the exp and the
-    # reductions, so threads share the cells; the calling thread works share 0
-    # and no thread starts at one worker
+    # reductions, so threads share the cells; the calling thread is one
+    # worker, and no thread starts at one worker
     from concurrent.futures import ThreadPoolExecutor
     workers = min(_usable_cpus(), n_cells)
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        shares = [pool.submit(cells, k, workers) for k in range(1, workers)]
-        cells(0, workers)
+        shares = [pool.submit(cells) for _ in range(workers - 1)]
+        cells()
     for share in shares:
         share.result()
 

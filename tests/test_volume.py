@@ -224,28 +224,32 @@ class TestOracle:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("failing_cell", [0, 1, 2])
-    def test_worker_failure_is_raised(self, monkeypatch, failing_cell):
-        # cell k is worked by worker k of three, the calling thread being
-        # worker 0; its exception must reach the caller as itself, with
-        # every thread joined
+    @pytest.mark.parametrize("failing", ["calling", "worker"])
+    def test_worker_failure_is_raised(self, monkeypatch, failing):
+        # each of three threads holds its first cell at a barrier, then the
+        # calling thread or each worker raises: the exception must reach the
+        # caller as itself, with every thread joined
         monkeypatch.setattr(volume, "_usable_cpus", lambda: 3)
         sys0, sysp = sphere_pair()
         chart = type(sysp.surface)
         box_points = chart.box_points
-        dx, dy = (side / volume.CELLS_PER_SIDE for side in sysp.surface.oracle_box())
-        failure = RuntimeError("cell failed")
+        first_cell, barrier, raised = threading.local(), threading.Barrier(3), []
 
         def failing_box_points(self, r, p):
-            if int(r[0] // dx) * volume.CELLS_PER_SIDE + int(p[0] // dy) == failing_cell:
-                raise failure
+            if not hasattr(first_cell, "seen"):
+                first_cell.seen = True
+                barrier.wait(timeout=30)
+                calling = threading.current_thread() is threading.main_thread()
+                if calling == (failing == "calling"):
+                    raised.append(RuntimeError(f"{failing} thread failed"))
+                    raise raised[-1]
             return box_points(self, r, p)
 
         monkeypatch.setattr(chart, "box_points", failing_box_points)
         threads = threading.active_count()
         with pytest.raises(RuntimeError) as err:
             vol_quadrature_oracle(sys0, sysp, samples=50_000, rng_seed=11)
-        assert err.value is failure
+        assert any(err.value is exc for exc in raised)
         assert threading.active_count() == threads
 
     def test_working_set_is_one_cell(self, monkeypatch):
