@@ -8,8 +8,8 @@ odd-symplectic volume identity, and systolic-inequality experiments.
 
 from .errors import (CapNotFound, DivergedFromFamily, IoError, MagsysError,
                      NoConvergence, NoOrbitsFound, NoReturn, ParseError,
-                     QuadratureFailure, StepFailure, TangencyError,
-                     ValidationError, ZollRegimeViolation)
+                     QuadratureFailure, StepFailure, ValidationError,
+                     ZollRegimeViolation)
 from .fields import OneForm, ScalarField, one_form_names, scalar_field_names
 from .geometry import (MagneticSystem, TangentState, conformal_perturb, g_dot,
                        g_norm, make_model, make_surface, magnetic_density,

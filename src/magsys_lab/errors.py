@@ -17,10 +17,6 @@ class NoReturn(MagsysError):
     """Raised when a trajectory does not come back to its Poincare section in time."""
 
 
-class TangencyError(MagsysError):
-    """Raised when the flow is (close to) tangent to the chosen section."""
-
-
 class NoConvergence(MagsysError):
     """Raised when the orbit Newton iteration exhausts its iteration budget."""
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DivergedFromFamily, NoConvergence, NoReturn, StepFailure, TangencyError
+from .errors import DivergedFromFamily, NoConvergence, NoReturn, StepFailure
 from .geometry import TangentState, state_distance, tangent_state
 from .dynamics import (Trajectory, pack_state, reference_period, rhs, sampled_trajectory,
                        solve_ivp, stepper_tolerances)
@@ -77,12 +77,10 @@ STEP_RCOND = 1e-3                  # cut below this share of the top singular va
 NEWTON_DAMPING = 0.8
 DEDUP_TOL = 1e-4                  # orbit-space points this close are one (orbits, critical points)
 ORBIT_SAMPLES = 512               # samples of each orbit's period
-TRANSVERSALITY_MIN = 1e-3
 AVERAGE_NODES = 64                # trapezoid nodes on each Zoll circle
 TAYLOR_STEP = 1e-4                # central differences of the orbit-space average
 SEARCH_GRAD_TOL = 1e-6            # |grad abar| at rest or noise, per unit of abar's scale
 REFINE_STEPS = 10                 # Newton steps of a critical point's refinement
-STACK_MIN = 4                     # seeds from which a census stacks its first maps
 
 
 def _section(sys, state):
@@ -106,9 +104,11 @@ def return_map(sys, state: TangentState, tol=1e-10, path=math.inf):
     within path of the start (``state_distance``); elsewhere, and with path
     None, path is None.
 
-    The flow leaves the start along its section's normal; the return must
-    cross it the same way, and the search is capped at twice the Zoll
-    reference period.
+    The flow leaves the start along its section's normal; the return is its
+    first crossing the same way, seen at a step's end, within twice the Zoll
+    reference period, and NoReturn if there is none.  A return that grazes
+    the section lies beyond it for far less than a step, so no step's end
+    sees it.
 
     With a list of states, each member's (state, return time, path) or
     exception, by one stacked solve (``ode.solve_ivp``), bit for bit its own
@@ -137,16 +137,13 @@ def _return_maps(sys, states, tol, path):
         dense_output=[path is not None and (lambda t, y, st=st: state_distance(
             sys, tangent_state(sys, y[:d], y[d:]), st) <= path) for st in states])
     out = []
-    for (normal, _), sol in zip(sections, sols):
-        q, v = sol.y[:d], sol.y[d:]           # y_event, where the flow crossed
+    for sol in sols:
         if not sol.success:
             out.append(StepFailure(sol.message))
         elif sol.t_event is None:
             out.append(NoReturn("no section crossing within 2 reference periods"))
-        elif abs(sys.surface.section_normal(q, v) @ normal) < TRANSVERSALITY_MIN:
-            out.append(TangencyError("return crossing is tangent to the section"))
-        else:
-            out.append((tangent_state(sys, q, v), sol.t_event, sol.sol))
+        else:                                 # y is y_event, where the flow crossed
+            out.append((tangent_state(sys, sol.y[:d], sol.y[d:]), sol.t_event, sol.sol))
     return out
 
 
@@ -189,10 +186,11 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     the line search, and the orbit's samples; the first Newton step adds the
     two maps of the forward-difference Jacobian, at that tolerance divided
     by DRIFT_FD_STEP and without a path, so a seed that already closes costs
-    one map; given first_map (that map's result or exception, run by
-    ``enumerate_orbits``), none.  Raises DivergedFromFamily when the seed's return
-    residual exceeds the short-loop gate or an iterate loses the section;
-    NoConvergence when the iteration budget runs out or the step vanishes.
+    one map, and none given first_map, the (state, return time, path) of
+    its map at x = 0 (a closed drift sample's, from ``_drift_brackets``).
+    Raises DivergedFromFamily when the seed's return residual exceeds the
+    short-loop gate or an iterate loses the section; NoConvergence when the
+    iteration budget runs out or the step vanishes.
     """
     surface = sys.surface
     ivp_tol = _map_tol(tol)
@@ -203,8 +201,6 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
         from the return map mapped where it has run already; a Jacobian map
         (fd) runs at ivp_tol / DRIFT_FD_STEP, with no path."""
         c, start = start_at(x)
-        if isinstance(mapped, Exception):
-            raise mapped
         end, t_ret, path = mapped or return_map(
             sys, start, tol=ivp_tol / DRIFT_FD_STEP if fd else ivp_tol, path=None if fd else tol)
         back = surface.orbit_space_point(sys, end.position, end.velocity)
@@ -234,7 +230,7 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
                 dx *= NEWTON_DAMPING
                 g_t, r_t, c_t = drift(x + dx)
                 shrinks += 1
-        except (NoReturn, TangencyError) as exc:
+        except NoReturn as exc:
             # an iterate wandered off the section geometry entirely
             raise DivergedFromFamily(f"iterate lost the section: {exc}") from exc
         jac += np.outer(g_t - g - jac @ dx, dx) / (dx @ dx)    # Broyden's update
@@ -343,7 +339,7 @@ def critical_points(sys, tol=ExperimentConfig.tol_orbit):
 
     A gradient at most SEARCH_GRAD_TOL * scale is a zero.  A start refined
     out of the searched region is dropped, one within DEDUP_TOL of a kept one
-    merged."""
+    merged (``_first_kept``)."""
     surface = sys.surface
     if sys.conformal_exponent is None and sys.sigma_perturbation is None:
         return None                               # abar = 0
@@ -357,10 +353,9 @@ def critical_points(sys, tol=ExperimentConfig.tol_orbit):
     noise = SEARCH_GRAD_TOL * scale
     ids, starts = _brackets(surface, points, cells, (axes @ comp[..., None])[..., 0],
                             size <= noise)
-    rest, kept = _refine(sys, starts, noise), []
-    for j in np.flatnonzero(surface.in_searched_region(sys, rest)):
-        if all(np.linalg.norm(surface.orbit_space_gap(rest[r], rest[j])) > DEDUP_TOL for r in kept):
-            kept.append(j)
+    rest = _refine(sys, starts, noise)
+    inside = np.flatnonzero(surface.in_searched_region(sys, rest))
+    kept = inside[_first_kept(surface, rest[inside])]
     return [ids[j] for j in kept], rest[kept]
 
 
@@ -420,11 +415,14 @@ def _contours(ends, crossing):
 def _drift_brackets(sys, tol):
     """(ids, points, first maps) bracketing the zeros of the drift D on the
     chart's coarse tiling: D at each vertex from the first map of Newton from
-    it (``_first_maps``); a vertex whose map closes (state residual <= tol) is
-    a zero, and its seed takes that map as its first (the others' are None)."""
+    it (from the Zoll state that ``_newton_start`` builds at x = 0), all in
+    one ``return_map`` call; a vertex whose map closes (state residual <= tol)
+    is a zero, and its seed takes that map as its first (the others' are
+    None)."""
     surface = sys.surface
     points, cells, _ = surface.orbit_space_tiling(sys, drift=True)
-    at0, maps = _first_maps(sys, [surface.zoll_state(sys, c) for c in points], tol)
+    at0 = [_newton_start(sys, surface.zoll_state(sys, c))[1](np.zeros(2)) for c in points]
+    maps = return_map(sys, [st for _, st in at0], tol=_map_tol(tol), path=tol)
     field, zero = np.full(points.shape, np.nan), np.zeros(len(points), dtype=bool)
     for v, ((c, start), mapped) in enumerate(zip(at0, maps)):
         if not isinstance(mapped, Exception):
@@ -434,13 +432,6 @@ def _drift_brackets(sys, tol):
             zero[v] = state_distance(sys, end, start) <= tol
     ids, starts = _brackets(surface, points, cells, field, zero)
     return ids, starts, [maps[v] for v in np.flatnonzero(zero)] + [None] * (len(ids) - zero.sum())
-
-
-def _first_maps(sys, seeds, tol):
-    """The (c, Zoll state) from which Newton starts from each seed
-    (``_newton_start`` at x = 0), and its plain map, in one ``return_map`` call."""
-    at0 = [_newton_start(sys, st)[1](np.zeros(2)) for st in seeds]
-    return at0, return_map(sys, [st for _, st in at0], tol=_map_tol(tol), path=tol)
 
 
 def _refine(sys, c, grad_tol):
@@ -459,22 +450,30 @@ def _refine(sys, c, grad_tol):
     return c
 
 
+def _first_kept(surface, points):
+    """The indices of the points (orbit-space points, in order) that lie
+    within DEDUP_TOL, by ``orbit_space_gap``, of no point kept before them:
+    the first point of each such group."""
+    kept = []
+    for j, c in enumerate(points):
+        if not any(np.linalg.norm(surface.orbit_space_gap(points[k], c)) < DEDUP_TOL
+                   for k in kept):
+            kept.append(j)
+    return kept
+
+
 def deduplicate(sys, orbits):
-    """Drop orbits whose centres lie within DEDUP_TOL of a kept orbit's
-    centre, by ``orbit_space_gap``; the first orbit of each such group is
-    kept.  An orbit's centre is the time mean of ``orbit_space_point`` over
-    its samples (the repeated last one left out), taken in the planar image
-    (``Orbit`` says why it is not ``Orbit.center``)."""
+    """The orbits whose centres are kept by ``_first_kept``: the first orbit
+    of each group within DEDUP_TOL.  An orbit's centre is the time mean of
+    ``orbit_space_point`` over its samples (the repeated last one left out),
+    taken in the planar image (``Orbit`` says why it is not
+    ``Orbit.center``)."""
     surface = sys.surface
-    unique, centres = [], []
-    for orb in orbits:
+
+    def centre(orb):
         points = surface.orbit_space_point(sys, orb.positions()[:-1], orb.velocities()[:-1])
-        c = surface.from_plane(surface.to_plane(points).mean(axis=0))
-        if any(np.linalg.norm(surface.orbit_space_gap(k, c)) < DEDUP_TOL for k in centres):
-            continue
-        unique.append(orb)
-        centres.append(c)
-    return unique
+        return surface.from_plane(surface.to_plane(points).mean(axis=0))
+    return [orbits[j] for j in _first_kept(surface, [centre(orb) for orb in orbits])]
 
 
 class Census(list):
@@ -496,9 +495,9 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
 
     Newton runs from the Zoll state over each representative of
     ``critical_points`` or, where first order cannot place the orbits, of
-    ``_drift_brackets``, seed after seed, from the seeds' first maps: a
-    closed drift sample's own, the rest stacked in one ``return_map`` call
-    from STACK_MIN seeds.  Failed seeds are logged and skipped.
+    ``_drift_brackets``, seed after seed.  A seed at a closed drift sample
+    takes that sample's map as its first; every other seed maps its own
+    first iterate.  Failed seeds are logged and skipped.
 
     Orbits sort by length, and lengths within tol of the length before
     them form one group (single linkage), whose orbits keep the seed order:
@@ -509,18 +508,12 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     picked = critical_points(sys, tol)
     ids, points, firsts = (_drift_brackets(sys, tol) if picked is None
                            else (*picked, [None] * len(picked[0])))
-    seeds = [(sid, sys.surface.zoll_state(sys, c)) for sid, c in zip(ids, points)]
-    todo = [i for i, first in enumerate(firsts) if first is None]
-    if len(todo) >= STACK_MIN:
-        for i, first in zip(todo, _first_maps(sys, [seeds[i][1] for i in todo], tol)[1]):
-            firsts[i] = first
     found = []
-    for (sid, st), first in zip(seeds, firsts):
+    for sid, c, first in zip(ids, points, firsts):
         try:
-            found.append(find_closed_orbit(sys, st, tol=tol, max_iter=max_iter, seed_id=sid,
-                                           first_map=first))
-        except (NoConvergence, DivergedFromFamily, NoReturn, TangencyError,
-                StepFailure) as exc:
+            found.append(find_closed_orbit(sys, sys.surface.zoll_state(sys, c), tol=tol,
+                                           max_iter=max_iter, seed_id=sid, first_map=first))
+        except (NoConvergence, DivergedFromFamily, NoReturn, StepFailure) as exc:
             log.info("seed %s skipped: %s: %s", sid, type(exc).__name__, exc)
     unique = deduplicate(sys, found)
     from .functionals import magnetic_length
@@ -532,4 +525,4 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
         else:
             groups.append([i])
     order = [i for group in groups for i in sorted(group)]
-    return Census([unique[i] for i in order], [lengths[i] for i in order], len(seeds))
+    return Census([unique[i] for i in order], [lengths[i] for i in order], len(ids))

@@ -153,7 +153,7 @@ def run_experiment_full(cfg: ExperimentConfig):
     lmags = found.magnetic_lengths
     l_min, l_max = min(lmags), max(lmags)
     vol_g0 = sys.surface.area()
-    vol_g = vol_g0 if sys.is_unperturbed() else \
+    vol_g = vol_g0 if sys.volume_normalized or sys.is_unperturbed() else \
         riemannian_volume(sys, rel_tol=cfg.tol_quad)
 
     p_lo = zollref.zoll_polynomial_kahler(cfg.kappa, cfg.strength, cfg.n,

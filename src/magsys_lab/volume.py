@@ -10,8 +10,8 @@ bundle: writing f for the fiberwise speed ratio of the perturbed metric,
 the r-integral of (f-1)(1-r+rf) is (f^2-1)/2, the exact-perturbation terms
 drop out by Stokes, and the fiber contributes its length 2 pi.  The
 orientation is fixed so that the characteristic flow is positively oriented;
-with that choice the constant is +pi.  (``identity_constant`` exposes the
-general-dimension constant 2 pi^{2n}/(n-1)! of the same identity.)
+with that choice the constant is +pi.  (``zollref.identity_constant`` exposes
+the general-dimension constant 2 pi^{2n}/(n-1)! of the same identity.)
 
 ``vol_quadrature_oracle`` checks the closed form on the closed charts
 (sphere and flat torus) without the reduction to vol_g: a stratified Monte
@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import AREA_TOL, MagneticSystem, riemannian_volume
-from .zollref import identity_constant  # noqa: F401  re-exported; the constant is zollref's
 
 CELLS_PER_SIDE = 16
 

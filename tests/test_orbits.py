@@ -847,9 +847,13 @@ def keep_all_pairs(sys, cases, tol=orbits_mod.DEDUP_TOL):
 
 
 def decisions(sys, cases):
-    """(dedup's kept ids, the reference's) for (id, centre, roll) cases."""
+    """(dedup's kept ids, the shared merge's on the centres alone, the
+    reference's) for (id, centre, roll) cases: the merge decides for both
+    ``deduplicate`` and ``critical_points``."""
     found = [zoll_orbit(sys, sid, c, roll) for sid, c, roll in cases]
-    return [o.seed_id for o in orbits_mod.deduplicate(sys, found)], keep_all_pairs(sys, cases)
+    merged = orbits_mod._first_kept(sys.surface, [np.asarray(c, dtype=float) for _, c, _ in cases])
+    return ([o.seed_id for o in orbits_mod.deduplicate(sys, found)],
+            [cases[j][0] for j in merged], keep_all_pairs(sys, cases))
 
 
 class TestDeduplicate:
@@ -864,7 +868,7 @@ class TestDeduplicate:
         cases = [("a", a, 0), ("a_phase", a, 137), ("a_near", offset(sys, a, 0.5), 300),
                  ("b", offset(sys, a, 1.5), 0), ("c", far, 20), ("c_phase", far, 411),
                  ("b_near", offset(sys, a, 1.6), 77)]
-        assert decisions(sys, cases) == (["a", "b", "c"], ["a", "b", "c"])
+        assert decisions(sys, cases) == (["a", "b", "c"],) * 3
 
     def test_torus_decisions_match_all_pairs(self):
         # copies on the universal cover, whole periods away, are one orbit
@@ -875,7 +879,7 @@ class TestDeduplicate:
                  ("a_near", offset(sys, a, 0.5) - (0.0, p2), 330),
                  ("b", offset(sys, a, 1.5), 0), ("c", far, 100),
                  ("c_period", far + (p1, p2), 450), ("b_near", offset(sys, a, 1.6), 5)]
-        assert decisions(sys, cases) == (["a", "b", "c"], ["a", "b", "c"])
+        assert decisions(sys, cases) == (["a", "b", "c"],) * 3
 
     def test_hyperbolic_decisions_match_all_pairs(self):
         sys = make_model(-1.0, 2.0)
@@ -883,7 +887,7 @@ class TestDeduplicate:
         cases = [("a", a, 0), ("a_phase", a, 256), ("a_near", offset(sys, a, 0.5), 31),
                  ("b", offset(sys, a, 1.5), 0), ("c", far, 60), ("c_phase", far, 389),
                  ("b_near", offset(sys, a, 1.6), 500)]
-        assert decisions(sys, cases) == (["a", "b", "c"], ["a", "b", "c"])
+        assert decisions(sys, cases) == (["a", "b", "c"],) * 3
 
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0], ids=["sphere", "torus", "hyperbolic"])
     def test_perturbed_orbit_started_elsewhere_is_a_duplicate(self, kappa):

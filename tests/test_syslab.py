@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from magsys_lab import (ExperimentConfig, NoOrbitsFound, ValidationError,
                         check_two_sided, identity_constant, make_surface,
-                        run_experiment, sweep, sweep_table)
+                        riemannian_volume, run_experiment, sweep, sweep_table)
 from magsys_lab import orbits
 from magsys_lab.syslab import run_experiment_full
 from magsys_lab.zollref import full_coefficient, kahler_leading_constant
@@ -102,6 +102,25 @@ class TestPerturbedRuns:
         assert rep.slack_lower > 0 and rep.slack_upper > 0
         assert rep.verdict_two_sided == "PASS"
         assert rep.p_at_lmin < 0 < rep.p_at_lmax
+
+    def test_normalised_run_integrates_the_area_once(self, monkeypatch):
+        # the normalisation's quadrature fixes lam, so vol_g is vol_g0 by
+        # construction and the report takes no second quadrature
+        import magsys_lab.geometry as geometry_module
+        import magsys_lab.syslab as syslab_module
+        calls = []
+
+        def spy(sys, rel_tol=ExperimentConfig.tol_quad):
+            calls.append(rel_tol)
+            return riemannian_volume(sys, rel_tol)
+
+        monkeypatch.setattr(geometry_module, "riemannian_volume", spy)
+        monkeypatch.setattr(syslab_module, "riemannian_volume", spy)
+        cfg = ExperimentConfig(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
+                               eps=0.05, normalize=True, grid_density=2)
+        rep = run_experiment(cfg)
+        assert calls == [cfg.tol_quad]
+        assert rep.vol_g == rep.vol_g0
 
     def test_two_sided_requires_normalization(self):
         cfg = ExperimentConfig(kappa=1.0, strength=1.0,
