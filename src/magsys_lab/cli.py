@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: orbit, sweep, systole, volume, zollpoly, constants.  All are
-driven by a small sectioned config file:
+Subcommands: systole, sweep, volume, zollpoly, constants.  All are driven
+by a small sectioned config file:
 
     # comment
     [model]
@@ -22,10 +22,12 @@ driven by a small sectioned config file:
 
 Keys appearing before any section header belong to [model].  Unknown
 sections or keys are errors (no silent typos).  A key the file omits keeps
-its ExperimentConfig default.  Each subcommand accepts only the flags it
-reads, but for systole's ``--seed`` (``_COMMANDS``): ``--seed`` overrides
-[search] rng_seed, which only the volume oracle draws on.  Exit codes: 0 all
-verdicts PASS, 2 at least one verdict FAIL, 1 error.
+its ExperimentConfig default.  The tolerances of the area quadrature, of
+Newton's budget and of the verdicts are constants of the modules that read
+them, not keys.  Each subcommand accepts only the flags it reads, but for
+systole's ``--seed`` (``_COMMANDS``): ``--seed`` overrides [search]
+rng_seed, which only the volume oracle draws on.  Exit codes: 0 all verdicts
+PASS, 2 at least one verdict FAIL, 1 error.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import os
 import sys as _sys
 from dataclasses import replace
 
-from . import dynamics, functionals, orbits, reporting, syslab, volume, zollref
+from . import dynamics, functionals, reporting, syslab, volume, zollref
 from .errors import MagsysError, ParseError, ValidationError
 
 # (section, key) -> (value type, the ExperimentConfig field it sets or None)
@@ -52,10 +54,6 @@ _KEY_SCHEMA = {
     ("perturbation", "normalize"): (bool, "normalize"),
     ("search", "grid_density"): (int, "grid_density"),
     ("search", "tol_orbit"): (float, "tol_orbit"),
-    ("search", "tol_quad"): (float, "tol_quad"),
-    ("search", "equality_tol"): (float, "equality_tol"),
-    ("search", "ineq_tol"): (float, "ineq_tol"),
-    ("search", "max_iter"): (int, "max_iter"),
     ("search", "eps_list"): ("floats", None),
     ("search", "samples"): (int, None),
     ("search", "workers"): (int, None),
@@ -191,24 +189,6 @@ def cmd_systole(cfg, extras, provenance, args):
     return _exit_code(report.all_verdicts())
 
 
-def cmd_orbit(cfg, extras, provenance, args):
-    sys0, sys_p = syslab.build_system(cfg)
-    found = orbits.enumerate_orbits(sys_p, grid_density=cfg.grid_density,
-                                    tol=cfg.tol_orbit, max_iter=cfg.max_iter)
-    outdir = _outdir(extras)
-    records = [{"seed_id": orb.seed_id, "period": orb.period,
-                "residual": orb.residual,
-                "magnetic_length": lmag}
-               for orb, lmag in zip(found, found.magnetic_lengths)]
-    reporting.write_json({"orbits": records, "provenance": provenance},
-                         os.path.join(outdir, "orbits.json"))
-    for orb in found:
-        reporting.orbit_samples_csv(sys_p, orb,
-                                    os.path.join(outdir, f"orbit_{orb.seed_id}.csv"))
-    print(f"found {len(found)} distinct closed orbits")
-    return 0
-
-
 def cmd_sweep(cfg, extras, provenance, args):
     reports = syslab.sweep(cfg, extras["eps_list"])
     outdir = _outdir(extras)
@@ -229,7 +209,7 @@ def cmd_sweep(cfg, extras, provenance, args):
 def cmd_volume(cfg, extras, provenance, args):
     sys0, sys_p = syslab.build_system(cfg)
     rep = volume.volume_report(sys0, sys_p, samples=extras["samples"],
-                               rng_seed=cfg.rng_seed, rel_tol=cfg.tol_quad)
+                               rng_seed=cfg.rng_seed)
     agree = abs(rep.quadrature - rep.closed_form) <= 3.0 * rep.std_error
     doc = {"closed_form": rep.closed_form, "quadrature": rep.quadrature,
            "std_error": rep.std_error, "samples": rep.samples,
@@ -300,7 +280,6 @@ def cmd_constants(cfg, extras, provenance, args):
 # subcommand -> (function, whether it takes --seed, which sets [search] rng_seed: the
 # volume oracle's; systole only records it, as the benchmark passes it to every workload)
 _COMMANDS = {
-    "orbit": (cmd_orbit, False),
     "sweep": (cmd_sweep, False),
     "systole": (cmd_systole, True),
     "volume": (cmd_volume, True),

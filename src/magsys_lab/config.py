@@ -1,7 +1,9 @@
-"""The experiment configuration: every census and tolerance default, written
-once.  The CLI and config files override its fields; ``orbits`` takes its
-library defaults from them.  ``tol_quad`` is ``geometry.AREA_TOL``, the
-default of the area quadrature's own functions."""
+"""The experiment configuration: every census default, written once.  The
+CLI and config files override its fields; ``orbits`` takes its library
+default ``tol_orbit`` from it.  The tolerances that no config sets are
+constants of their readers: ``geometry.AREA_TOL`` (the area quadrature),
+``orbits.MAX_ITER`` (Newton's budget), ``syslab.EQUALITY_TOL`` and
+``syslab.INEQ_TOL`` (the verdicts)."""
 
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import OneForm, ScalarField
-from .geometry import AREA_TOL
 
 
 @dataclass(frozen=True)
@@ -27,27 +28,21 @@ class ExperimentConfig:
     normalize: bool = True
     grid_density: int = 3
     tol_orbit: float = 1e-9
-    tol_quad: float = AREA_TOL
-    equality_tol: float = 1e-5
-    ineq_tol: float = 1e-4
     rng_seed: int = 0
-    max_iter: int = 25
 
     def __post_init__(self):
         # a nan passes "eps > 0" as false and an infinite tol_orbit accepts any
         # seed, so every real-valued field is checked finite first
-        for name in ("eps", "tol_orbit", "tol_quad", "equality_tol", "ineq_tol",
-                     "perturbation_coeffs", "eta_coeffs"):
+        for name in ("eps", "tol_orbit", "perturbation_coeffs", "eta_coeffs"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("tol_orbit", "tol_quad", "equality_tol", "ineq_tol"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
+        if not self.tol_orbit > 0:
+            raise ValidationError("tol_orbit must be positive")
         if self.eps < 0:
             raise ValidationError(f"eps must be >= 0, got {self.eps}")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
-        for name, least in (("grid_density", 0), ("max_iter", 0), ("rng_seed", 0)):
+        for name, least in (("grid_density", 0), ("rng_seed", 0)):
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
         # unknown field names and wrong coefficient counts fail here, not mid-run

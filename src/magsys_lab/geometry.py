@@ -31,8 +31,11 @@ if TYPE_CHECKING:
 
 
 def make_surface(kappa):
-    """The chart object of the model surface of curvature kappa (chosen by sign)."""
+    """The chart object of the model surface of curvature kappa (chosen by
+    sign); a non-finite kappa chooses none."""
     kappa = float(kappa)
+    if not math.isfinite(kappa):
+        raise ValidationError(f"kappa must be finite, got {kappa}")
     if kappa > 0:
         return SphereChart(kappa)
     if kappa < 0:
@@ -59,6 +62,13 @@ class MagneticSystem:
     def is_unperturbed(self):
         return (self.conformal_exponent is None and self.sigma_perturbation is None
                 and self.conformal_scale == 1.0)
+
+    def keeps_area(self):
+        """Whether vol_g = vol_g0 by construction: the perturbation is
+        volume-normalised, or the metric is g0 itself (no conformal exponent
+        and lam = 1; an attached 1-form leaves the metric alone)."""
+        return self.volume_normalized or (self.conformal_exponent is None
+                                          and self.conformal_scale == 1.0)
 
 
 def make_model(kappa, strength):
@@ -143,7 +153,7 @@ def state_distance(sys, s1: TangentState, s2: TangentState):
 # --- volume quadrature ---------------------------------------------------------
 
 AREA_NODES = (16, 32, 64, 128, 256, 512)    # the rules of riemannian_volume, in turn
-AREA_TOL = 1e-9    # default relative tolerance of the area quadrature
+AREA_TOL = 1e-9    # relative tolerance of the area quadrature
 
 
 @cache
@@ -174,7 +184,7 @@ def riemannian_volume(sys, rel_tol=AREA_TOL):
         f"{abs(vals[-1] - vals[-2]):g} on value {vals[-1]:g} (requested rel {rel_tol:g})")
 
 
-def conformal_perturb(sys, u, eps, normalize, rel_tol=AREA_TOL):
+def conformal_perturb(sys, u, eps, normalize):
     """Conformally perturb the metric: g = lam e^{2 eps u} g0.
 
     With normalize=True the single global constant lam is chosen so that the
@@ -192,7 +202,7 @@ def conformal_perturb(sys, u, eps, normalize, rel_tol=AREA_TOL):
                     conformal_scale=1.0, volume_normalized=False)
     if not normalize:
         return probe
-    lam = sys.surface.area() / riemannian_volume(probe, rel_tol)
+    lam = sys.surface.area() / riemannian_volume(probe)
     return replace(probe, conformal_scale=lam, volume_normalized=True)
 
 

@@ -75,6 +75,7 @@ SEED_RESIDUAL_GATE = 0.3           # chart units; beyond this a seed is rejected
 DRIFT_FD_STEP = 1e-3
 STEP_RCOND = 1e-3                  # cut below this share of the top singular value
 NEWTON_DAMPING = 0.8
+MAX_ITER = 25                      # Newton steps before a seed reads NoConvergence
 DEDUP_TOL = 1e-4                  # orbit-space points this close are one (orbits, critical points)
 ORBIT_SAMPLES = 512               # samples of each orbit's period
 AVERAGE_NODES = 64                # trapezoid nodes on each Zoll circle
@@ -177,7 +178,7 @@ class Orbit(Trajectory):
 
 
 def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
-                      max_iter=ExperimentConfig.max_iter, seed_id="seed", first_map=None):
+                      max_iter=MAX_ITER, seed_id="seed", first_map=None):
     """Newton iteration on the drift D of the orbit space (see the module
     docstring), from the orbit-space point c0 of seed.
 
@@ -487,8 +488,7 @@ class Census(list):
         self.seeds_attempted = seeds_attempted
 
 
-def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
-                     max_iter=ExperimentConfig.max_iter):
+def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit):
     """Closed orbits seeded at the brackets of the zeros of the reduced field,
     deduplicated and sorted by magnetic length, as a Census; empty where
     grid_density <= 0, which no other value of changes.
@@ -512,7 +512,7 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit,
     for sid, c, first in zip(ids, points, firsts):
         try:
             found.append(find_closed_orbit(sys, sys.surface.zoll_state(sys, c), tol=tol,
-                                           max_iter=max_iter, seed_id=sid, first_map=first))
+                                           seed_id=sid, first_map=first))
         except (NoConvergence, DivergedFromFamily, NoReturn, StepFailure) as exc:
             log.info("seed %s skipped: %s: %s", sid, type(exc).__name__, exc)
     unique = deduplicate(sys, found)

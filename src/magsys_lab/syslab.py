@@ -8,13 +8,13 @@ first order is blind), evaluate magnetic lengths, and populate inequality
 verdicts with slack values.  ``seeds_attempted`` counts the Newton seeds.
 
 Verdict conventions.  The reduced inequality (``verdict_reduced``) is
-l_min <= pi a^2(1) + tol.  The two-sided sandwich (``verdict_two_sided``)
-is l_min <= pi a^2(1) <= l_max within tol, recorded together with the Zoll
-polynomial values P(l_min - pi a^2(1)) and P(l_max - pi a^2(1)); near zero P
-is monotone (increasing when its leading constant is positive), so the
-P-form and the l-form of the sandwich are equivalent.  The full-constant
-inequality (``verdict_full``) is evaluated in the derivation-consistent
-affine form
+l_min <= pi a^2(1) + INEQ_TOL.  The two-sided sandwich
+(``verdict_two_sided``) is l_min <= pi a^2(1) <= l_max within INEQ_TOL,
+recorded together with the Zoll polynomial values P(l_min - pi a^2(1)) and
+P(l_max - pi a^2(1)); near zero P is monotone (increasing when its leading
+constant is positive), so the P-form and the l-form of the sandwich are
+equivalent.  The full-constant inequality (``verdict_full``) is evaluated
+in the derivation-consistent affine form
 
     (l_min / (pi a^2(1)))^{2n} <= 1 + C * (vol_g - vol_g0),
 
@@ -42,6 +42,9 @@ from .errors import MagsysError, NoOrbitsFound, ValidationError
 from .fields import OneForm, ScalarField
 from .geometry import (conformal_perturb, make_model, riemannian_volume,
                        with_sigma_perturbation)
+
+EQUALITY_TOL = 1e-5    # zoll_flag: every length this close to pi a^2(1)
+INEQ_TOL = 1e-4        # the slack each inequality verdict allows
 
 
 @dataclass(kw_only=True)
@@ -111,8 +114,7 @@ def build_system(cfg: ExperimentConfig):
     sys = sys0
     if cfg.perturbation_name is not None and cfg.eps > 0:
         u = ScalarField(cfg.perturbation_name, tuple(cfg.perturbation_coeffs))
-        sys = conformal_perturb(sys, u, cfg.eps, normalize=cfg.normalize,
-                                rel_tol=cfg.tol_quad)
+        sys = conformal_perturb(sys, u, cfg.eps, normalize=cfg.normalize)
     if cfg.eta_name is not None and cfg.eps > 0:
         eta = OneForm(cfg.eta_name, tuple(cfg.eta_coeffs))
         sys = with_sigma_perturbation(sys, eta, eps=cfg.eps)
@@ -123,9 +125,9 @@ def _verdict(ok):
     return "PASS" if ok else "FAIL"
 
 
-def _two_sided(l_min, l_max, reference, tol):
-    """The sandwich l_min <= pi a^2(1) <= l_max, within tol on each side."""
-    return l_min <= reference + tol and l_max >= reference - tol
+def _two_sided(l_min, l_max, reference):
+    """The sandwich l_min <= pi a^2(1) <= l_max, within INEQ_TOL on each side."""
+    return l_min <= reference + INEQ_TOL and l_max >= reference - INEQ_TOL
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -140,8 +142,7 @@ def run_experiment_full(cfg: ExperimentConfig):
     if cfg.grid_density <= 0:
         raise NoOrbitsFound(f"no closed orbits: the seed grid is empty "
                             f"(grid_density = {cfg.grid_density})")
-    found = orbits.enumerate_orbits(sys, grid_density=cfg.grid_density,
-                                    tol=cfg.tol_orbit, max_iter=cfg.max_iter)
+    found = orbits.enumerate_orbits(sys, grid_density=cfg.grid_density, tol=cfg.tol_orbit)
     if found.seeds_attempted == 0:
         raise NoOrbitsFound("no closed orbits: the orbit-space tiling brackets no critical "
                             "point in the searched region")
@@ -153,17 +154,16 @@ def run_experiment_full(cfg: ExperimentConfig):
     lmags = found.magnetic_lengths
     l_min, l_max = min(lmags), max(lmags)
     vol_g0 = sys.surface.area()
-    vol_g = vol_g0 if sys.volume_normalized or sys.is_unperturbed() else \
-        riemannian_volume(sys, rel_tol=cfg.tol_quad)
+    vol_g = vol_g0 if sys.keeps_area() else riemannian_volume(sys)
 
     p_lo = zollref.zoll_polynomial_kahler(cfg.kappa, cfg.strength, cfg.n,
                                           vol_g0, l_min - ref)
     p_hi = zollref.zoll_polynomial_kahler(cfg.kappa, cfg.strength, cfg.n,
                                           vol_g0, l_max - ref)
 
-    zoll_flag = max(abs(lm - ref) for lm in lmags) < cfg.equality_tol
-    reduced_ok = l_min <= ref + cfg.ineq_tol
-    two_sided_ok = _two_sided(l_min, l_max, ref, cfg.ineq_tol)
+    zoll_flag = max(abs(lm - ref) for lm in lmags) < EQUALITY_TOL
+    reduced_ok = l_min <= ref + INEQ_TOL
+    two_sided_ok = _two_sided(l_min, l_max, ref)
 
     coeff = zollref.full_coefficient(cfg.kappa, cfg.strength, cfg.n, vol_g0)
     lhs = (l_min / ref) ** (2 * cfg.n)
@@ -171,7 +171,7 @@ def run_experiment_full(cfg: ExperimentConfig):
     rhs_ratio = None
     if cfg.kappa != 0:
         rhs_ratio = coeff * vol_g / vol_g0
-    full_ok = lhs <= rhs_affine + cfg.ineq_tol
+    full_ok = lhs <= rhs_affine + INEQ_TOL
 
     report = ExperimentReport(
         config=asdict(cfg),
@@ -201,16 +201,15 @@ def run_experiment_full(cfg: ExperimentConfig):
     return report, sys, found
 
 
-def check_two_sided(report: ExperimentReport, tol=None):
+def check_two_sided(report: ExperimentReport):
     """Verdict for the two-sided sandwich on a volume-normalized run.
 
     Asserts P(l_min - pi a^2(1)) <= 0 <= P(l_max - pi a^2(1)) within
-    tolerance, checked in l-units (equivalent by local monotonicity of P).
+    INEQ_TOL, checked in l-units (equivalent by local monotonicity of P).
     """
     if not report.config.get("normalize", False) and report.config.get("eps", 0) > 0:
         raise ValidationError("two-sided check needs a volume-normalized experiment")
-    tol = report.config["ineq_tol"] if tol is None else tol
-    return _verdict(_two_sided(report.l_min, report.l_max, report.reference, tol))
+    return _verdict(_two_sided(report.l_min, report.l_max, report.reference))
 
 
 def sweep(cfg_template: ExperimentConfig, eps_list):

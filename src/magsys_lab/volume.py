@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import AREA_TOL, MagneticSystem, riemannian_volume
+from .geometry import MagneticSystem, riemannian_volume
 
 CELLS_PER_SIDE = 16
 
@@ -64,18 +64,19 @@ class VolumeReport:
     constant_convention: str = ORIENTATION_NOTE
 
 
-def vol_closed_form(sys0: MagneticSystem, sys: MagneticSystem,
-                    rel_tol=AREA_TOL):
+def vol_closed_form(sys0: MagneticSystem, sys: MagneticSystem):
     """pi * (vol_g - vol_g0) for a perturbation sys of the model sys0, with
-    vol_g by quadrature to relative tolerance rel_tol.
+    vol_g by quadrature to ``geometry.AREA_TOL``.
 
-    Volume-normalized systems have vol_g = vol_g0 by construction, so the
-    value is exactly zero without quadrature noise.
+    A system that keeps the area (``MagneticSystem.keeps_area``: volume
+    normalised, or the metric g0 under an attached 1-form alone) has
+    vol_g = vol_g0 by construction, so the value is exactly zero without
+    quadrature noise.
     """
     _check_pair(sys0, sys)
-    if sys.volume_normalized or sys.is_unperturbed():
+    if sys.keeps_area():
         return 0.0
-    vol_g = riemannian_volume(sys, rel_tol=rel_tol)
+    vol_g = riemannian_volume(sys)
     vol_g0 = sys0.surface.area()
     return math.pi * (vol_g - vol_g0)
 
@@ -188,8 +189,7 @@ def vol_quadrature_oracle(sys0: MagneticSystem, sys: MagneticSystem,
     return estimate, std_error
 
 
-def volume_report(sys0, sys, samples=1_000_000, rng_seed=0,
-                  rel_tol=AREA_TOL) -> VolumeReport:
+def volume_report(sys0, sys, samples=1_000_000, rng_seed=0) -> VolumeReport:
     est, se = vol_quadrature_oracle(sys0, sys, samples=samples, rng_seed=rng_seed)
-    return VolumeReport(closed_form=vol_closed_form(sys0, sys, rel_tol=rel_tol),
+    return VolumeReport(closed_form=vol_closed_form(sys0, sys),
                         quadrature=est, std_error=se, samples=samples)

@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magsys_lab import (ExperimentConfig, ParseError, ValidationError,
-                        riemannian_volume, syslab)
+from magsys_lab import ExperimentConfig, ParseError, ValidationError, syslab
 from magsys_lab.cli import _KEY_SCHEMA, build_parser, main, parse_config
 from magsys_lab.syslab import validate_report_doc
 
@@ -42,9 +41,15 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="Zoll regime violated"):
             parse_config(path)
 
-    def test_unknown_key_named(self, tmp_path):
-        path = write(tmp_path, "typo.cfg", "kappa = 1\nstrenght = 1\n")
-        with pytest.raises(ValidationError, match="strenght"):
+    # a typo, and the [search] tolerances that are constants of their readers
+    @pytest.mark.parametrize("line", ["strenght = 1", "[search]\ntol_quad = 1e-8",
+                                      "[search]\nequality_tol = 1e-6",
+                                      "[search]\nineq_tol = 1e-3", "[search]\nmax_iter = 7"],
+                             ids=["strenght", "tol_quad", "equality_tol", "ineq_tol", "max_iter"])
+    def test_unknown_key_named(self, tmp_path, line):
+        path = write(tmp_path, "typo.cfg", f"kappa = 1\nstrength = 1\n{line}\n")
+        key = line.rpartition("\n")[2].split(" = ")[0]
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
             parse_config(path)
 
     def test_unknown_section(self, tmp_path):
@@ -150,9 +155,7 @@ eps_list = 0.01, 0.02
         "coeffs": ("0.5", (0.5,)), "eps": ("0.03", 0.03),
         "eta": ("sphere_eta_axial", "sphere_eta_axial"),
         "eta_coeffs": ("0.5", (0.5,)), "normalize": ("false", False),
-        "grid_density": ("5", 5), "tol_orbit": ("1e-8", 1e-8),
-        "tol_quad": ("1e-8", 1e-8), "equality_tol": ("1e-6", 1e-6),
-        "ineq_tol": ("1e-3", 1e-3), "max_iter": ("7", 7), "rng_seed": ("9", 9),
+        "grid_density": ("5", 5), "tol_orbit": ("1e-8", 1e-8), "rng_seed": ("9", 9),
     }
 
     @pytest.mark.parametrize("section, key", sorted(
@@ -186,7 +189,6 @@ eps_list = 0.01, 0.02
 # takes it only because the benchmark passes --seed to every workload
 FLAGS_READ = {
     "systole": {"--seed"},
-    "orbit": set(),
     "sweep": set(),
     "volume": {"--seed"},
     "zollpoly": set(),
@@ -211,12 +213,19 @@ class TestFlags:
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_orbit_command_is_gone(self, capsys):
+        # systole writes the same orbit CSVs, and its report.json the orbits' records
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit", "--config", "run.cfg"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'orbit'" in capsys.readouterr().err
+
     def test_flag_overrides_only_its_field(self, tmp_path):
-        cfg_path = write(tmp_path, "run.cfg", ZOLL_TORUS + "rng_seed = 5\ntol_quad = 1e-7\n")
+        cfg_path = write(tmp_path, "run.cfg", ZOLL_TORUS + "rng_seed = 5\ntol_orbit = 1e-8\n")
         out = tmp_path / "out"
         assert main(["systole", "--config", cfg_path, "--out", str(out), "--seed", "3"]) == 0
         config = json.loads((out / "report.json").read_text())["config"]
-        assert config["rng_seed"] == 3 and config["tol_quad"] == 1e-7
+        assert config["rng_seed"] == 3 and config["tol_orbit"] == 1e-8
 
 
 class TestCliRuns:
@@ -230,6 +239,10 @@ class TestCliRuns:
         doc = json.loads((out / "report.json").read_text())
         validate_report_doc(doc)
         assert doc["zoll_flag"] is True
+        assert doc["magnetic_lengths"][0] == pytest.approx(math.pi, abs=1e-7)
+        csvs = sorted(out.glob("orbit_*.csv"))
+        assert [p.name for p in csvs] == sorted(f"orbit_{sid}.csv" for sid in doc["seed_ids"])
+        assert csvs[0].read_text().splitlines()[0] == "t,x,y,vx,vy"
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 2
         assert summary[0].startswith("eps,orbit_count,l_min")
@@ -310,7 +323,7 @@ class TestCliRuns:
         assert tables[0].shape == tables[1].shape == (513, 5)
         assert np.max(np.abs(tables[0] - tables[1])) < 1e-9
 
-    @pytest.mark.parametrize("command", ["systole", "orbit", "sweep", "volume"])
+    @pytest.mark.parametrize("command", ["systole", "sweep", "volume"])
     def test_surface_command_refuses_n(self, tmp_path, capsys, monkeypatch, command):
         # these commands run on the surface: an n they would ignore is refused
         # at parse time, before any system is built
@@ -396,20 +409,6 @@ eps_list = 0.01
         rows = (out / "summary.csv").read_text().splitlines()
         assert "ERROR" in rows[1]
 
-    def test_orbit_emission(self, tmp_path):
-        cfg_path = write(tmp_path, "run.cfg", ZOLL_TORUS)
-        out = tmp_path / "orbits"
-        assert main(["orbit", "--config", cfg_path, "--out", str(out)]) == 0
-        doc = json.loads((out / "orbits.json").read_text())
-        assert doc["orbits"]
-        first = doc["orbits"][0]
-        assert set(first) == {"seed_id", "period", "residual", "magnetic_length"}
-        assert first["magnetic_length"] == pytest.approx(math.pi, abs=1e-7)
-        csvs = list(out.glob("orbit_*.csv"))
-        assert len(csvs) == len(doc["orbits"])
-        header = csvs[0].read_text().splitlines()[0]
-        assert header == "t,x,y,vx,vy"
-
     def test_volume_subcommand(self, tmp_path, capsys):
         text = """kappa = 0.0
 strength = 1.0
@@ -427,41 +426,6 @@ samples = 100000
         doc = json.loads((out / "volume.json").read_text())
         assert doc["verdict_3sigma"] == "PASS"
         assert doc["samples"] == 100000
-
-    def test_volume_tol_quad_reaches_the_quadrature(self, tmp_path, monkeypatch, capsys):
-        import magsys_lab.volume as volume_module
-        tols = []
-
-        def spy(sys, rel_tol=1e-8):
-            tols.append(rel_tol)
-            return riemannian_volume(sys, rel_tol)
-
-        monkeypatch.setattr(volume_module, "riemannian_volume", spy)
-        text = ("kappa = 0.0\nstrength = 1.0\n[perturbation]\nfield = torus_cos_x\n"
-                "eps = 0.1\nnormalize = false\n[search]\nsamples = 1000\n")
-        main(["volume", "--config", write(tmp_path, "vol.cfg", text),
-              "--out", str(tmp_path / "a")])
-        main(["volume", "--config", write(tmp_path, "tol.cfg", text + "tol_quad = 1e-6\n"),
-              "--out", str(tmp_path / "b")])
-        assert tols == [ExperimentConfig.tol_quad, 1e-6]
-
-    def test_systole_tol_quad_reaches_the_normalisation(self, tmp_path, monkeypatch, capsys):
-        import magsys_lab.geometry as geometry_module
-        tols = []
-
-        def spy(sys, rel_tol=ExperimentConfig.tol_quad):
-            tols.append(rel_tol)
-            return riemannian_volume(sys, rel_tol)
-
-        # conformal_perturb's area quadrature, the one that fixes lam
-        monkeypatch.setattr(geometry_module, "riemannian_volume", spy)
-        text = ("kappa = 0.0\nstrength = 1.0\n[perturbation]\nfield = torus_cos_x\n"
-                "eps = 0.05\nnormalize = true\n[search]\ngrid_density = 2\n")
-        main(["systole", "--config", write(tmp_path, "sys.cfg", text),
-              "--out", str(tmp_path / "a")])
-        main(["systole", "--config", write(tmp_path, "tol.cfg", text + "tol_quad = 1e-6\n"),
-              "--out", str(tmp_path / "b")])
-        assert tols == [ExperimentConfig.tol_quad, 1e-6]
 
     @pytest.mark.parametrize("num", ["0", "-3"])
     def test_zollpoly_empty_table_refused(self, tmp_path, capsys, num):

@@ -8,7 +8,7 @@ import pytest
 
 from magsys_lab import (QuadratureFailure, StepFailure, ValidationError,
                         ZollRegimeViolation, conformal_perturb, flow, g_dot,
-                        g_norm, make_model, reference_period,
+                        g_norm, make_model, make_surface, reference_period,
                         riemannian_volume, state_distance, tangent_state,
                         with_sigma_perturbation)
 from magsys_lab.geometry import HyperbolicChart, SphereChart, TangentState
@@ -37,6 +37,12 @@ class TestMakeModel:
     def test_below_threshold_rejected(self):
         with pytest.raises(ZollRegimeViolation):
             make_model(-4.0, 1.0)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa_refused(self, kappa):
+        # no chart fits: nan once read as the torus and inf as a sphere of radius 0
+        with pytest.raises(ValidationError, match="kappa must be finite"):
+            make_surface(kappa)
 
 
 class TestSurfaceIdentity:

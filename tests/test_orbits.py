@@ -544,12 +544,10 @@ class TestEnumerate:
         with pytest.raises(TypeError, match="grid_density"):
             enumerate_orbits(make_model(1.0, 1.0))
         cfg = ExperimentConfig(kappa=1.0, strength=1.0)
-        for fn, names in ((enumerate_orbits, ("tol", "max_iter")),
-                          (find_closed_orbit, ("tol", "max_iter"))):
-            params = inspect.signature(fn).parameters
-            for name in names:
-                field = "tol_orbit" if name == "tol" else name
-                assert params[name].default == getattr(cfg, field)
+        for fn in (enumerate_orbits, find_closed_orbit):
+            assert inspect.signature(fn).parameters["tol"].default == cfg.tol_orbit
+        assert inspect.signature(find_closed_orbit).parameters["max_iter"].default == \
+            orbits_mod.MAX_ITER
 
     @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
     def test_zoll_family_one_period(self, kappa, s):

@@ -7,9 +7,11 @@ from scipy.optimize import brentq
 
 from magsys_lab import (ExperimentConfig, NoOrbitsFound, ValidationError,
                         check_two_sided, identity_constant, make_surface,
-                        riemannian_volume, run_experiment, sweep, sweep_table)
+                        riemannian_volume, run_experiment, sweep, sweep_table,
+                        vol_closed_form)
 from magsys_lab import orbits
-from magsys_lab.syslab import run_experiment_full
+from magsys_lab.geometry import AREA_TOL
+from magsys_lab.syslab import build_system, run_experiment_full
 from magsys_lab.zollref import full_coefficient, kahler_leading_constant
 
 
@@ -110,7 +112,7 @@ class TestPerturbedRuns:
         import magsys_lab.syslab as syslab_module
         calls = []
 
-        def spy(sys, rel_tol=ExperimentConfig.tol_quad):
+        def spy(sys, rel_tol=AREA_TOL):
             calls.append(rel_tol)
             return riemannian_volume(sys, rel_tol)
 
@@ -119,8 +121,18 @@ class TestPerturbedRuns:
         cfg = ExperimentConfig(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
                                eps=0.05, normalize=True, grid_density=2)
         rep = run_experiment(cfg)
-        assert calls == [cfg.tol_quad]
+        assert calls == [AREA_TOL]
         assert rep.vol_g == rep.vol_g0
+
+    @pytest.mark.parametrize("name", ["sphere_eta_axial", "torus_eta_sin_x"])
+    def test_eta_alone_keeps_the_area_exactly(self, name):
+        # sigma = sigma0 + eps d(eta) leaves the metric g0, so vol_g is vol_g0
+        # by construction and no quadrature's rounding may show
+        cfg = ExperimentConfig(eps=0.05, grid_density=3, **FIRST_ORDER_CONFIGS[name])
+        rep, sys, _ = run_experiment_full(cfg)
+        assert vol_closed_form(build_system(cfg)[0], sys) == 0.0
+        assert rep.vol_g == rep.vol_g0
+        assert rep.full_rhs_affine == 1.0
 
     def test_two_sided_requires_normalization(self):
         cfg = ExperimentConfig(kappa=1.0, strength=1.0,
@@ -186,8 +198,7 @@ class TestReproducibility:
         with pytest.raises(ValidationError):
             ExperimentConfig(kappa=1.0, strength=1.0, eps=-0.1)
 
-    @pytest.mark.parametrize("key,value", [("grid_density", -2), ("max_iter", -1),
-                                           ("rng_seed", -1)])
+    @pytest.mark.parametrize("key,value", [("grid_density", -2), ("rng_seed", -1)])
     def test_search_values_refused(self, key, value):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig(kappa=1.0, strength=1.0, **{key: value})

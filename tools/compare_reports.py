@@ -4,8 +4,8 @@ Usage:
 
     python3 tools/compare_reports.py OLD NEW
 
-OLD and NEW are two output directories (of ``systole``, ``orbit``, ``sweep``
-or ``volume``, or of ``tools/run_configs.py``, whose subdirectories are
+OLD and NEW are two output directories (of ``systole``, ``sweep`` or
+``volume``, or of ``tools/run_configs.py``, whose subdirectories are
 compared too) or two JSON or CSV files.  For each top-level key of every
 JSON file the two sides share (report.json, volume.json, ...) and for each
 column of every CSV file they share (summary.csv, orbit_*.csv), one line

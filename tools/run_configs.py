@@ -10,11 +10,12 @@ output directory ``OUT/<name>`` each.  The configs are the four benchmark
 workloads (read from ``perfbench/workloads.py`` beside this tool, which is
 executed, not imported, so nothing is written into perfbench/), every
 config of the ROADMAP's Baseline census table, and a few more: runs with an
-attached 1-form, a tilted ``sphere_harmonic_axis``, the censuses of the
+attached 1-form (one on the sphere with no conformal factor, whose area is
+vol_g0 exactly), a tilted ``sphere_harmonic_axis``, the censuses of the
 drift on the torus and the hyperbolic chart (the blind torus at eps 0.025
 and at grid density 6, and both unperturbed), two ``sweep`` runs (one of
-error reports only), one ``orbit`` run, a torus ``volume`` run, and
-``constants`` and ``zollpoly`` at kappa 1, 0 and -1.
+error reports only), a torus ``volume`` run, and ``constants`` and
+``zollpoly`` at kappa 1, 0 and -1.
 NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
@@ -80,6 +81,9 @@ BASELINE = {
 EXTRA = {
     "sphere_eta_axial": _census(SPHERE_Z.format(s=1.0, eps=0.05)
                                 + "eta = sphere_eta_axial\n", 3),
+    # the metric is g0: vol_g = vol_g0 with no quadrature
+    "sphere_eta_only": _census("kappa = 1.0\nstrength = 1.0\n[perturbation]\n"
+                               "eta = sphere_eta_axial\neps = 0.05\n", 3),
     # extrema off every coordinate axis, so off the orientation of any tiling
     "sphere_harmonic_axis": _census(SPHERE_Z.format(s=1.0, eps=0.05).replace(
         "sphere_harmonic_z", "sphere_harmonic_axis\ncoeffs = 1.0, 0.3, -0.5, 0.8"), 3),
@@ -94,8 +98,6 @@ EXTRA = {
     # every row an error report
     "horocycle_sweep": ("sweep", "[model]\n" + BUMP.format(s=1.0001)
                         + "[search]\ngrid_density = 2\neps_list = 0.05, 0.1\n"),
-    "torus_cos_x_orbit": ("orbit", "[model]\n" + TORUS_COS_X.format(s=1.0, eps=0.05)
-                          + "[search]\ngrid_density = 2\n"),
     # the oracle on the planar chart's box points
     "torus_volume": ("volume", "[model]\n" + TORUS_COS_X.format(s=1.0, eps=0.1)
                      + "eta = torus_eta_sin_x\nnormalize = false\n[search]\nsamples = 200000\n"),
