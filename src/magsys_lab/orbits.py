@@ -414,12 +414,14 @@ def _contours(ends, crossing):
 
 
 def _drift_brackets(sys, tol):
-    """(ids, points, first maps) bracketing the zeros of the drift D on the
-    chart's coarse tiling: D at each vertex from the first map of Newton from
-    it (from the Zoll state that ``_newton_start`` builds at x = 0), all in
-    one ``return_map`` call; a vertex whose map closes (state residual <= tol)
-    is a zero, and its seed takes that map as its first (the others' are
-    None)."""
+    """(ids, points, first maps, closed vertices) bracketing the zeros of the
+    drift D on the chart's coarse tiling: D at each vertex from the first map
+    of Newton from it (from the Zoll state that ``_newton_start`` builds at
+    x = 0), all in one ``return_map`` call; a vertex whose map closes (state
+    residual <= tol) is a zero, and its seed takes that map as its first (the
+    others' are None).  Where every vertex closes and their return times
+    agree within tol, the zeros are the whole orbit space, one critical
+    manifold (a Zoll family), and vertex 0 alone is its seed."""
     surface = sys.surface
     points, cells, _ = surface.orbit_space_tiling(sys, drift=True)
     at0 = [_newton_start(sys, surface.zoll_state(sys, c))[1](np.zeros(2)) for c in points]
@@ -432,7 +434,10 @@ def _drift_brackets(sys, tol):
                 c, surface.orbit_space_point(sys, end.position, end.velocity))
             zero[v] = state_distance(sys, end, start) <= tol
     ids, starts = _brackets(surface, points, cells, field, zero)
-    return ids, starts, [maps[v] for v in np.flatnonzero(zero)] + [None] * (len(ids) - zero.sum())
+    firsts = [maps[v] for v in np.flatnonzero(zero)] + [None] * (len(ids) - zero.sum())
+    if zero.all() and np.ptp([t_ret for _, t_ret, _ in maps]) <= tol:
+        ids, starts, firsts = ids[:1], starts[:1], firsts[:1]
+    return ids, starts, firsts, int(zero.sum())
 
 
 def _refine(sys, c, grad_tol):
@@ -479,13 +484,16 @@ def deduplicate(sys, orbits):
 
 class Census(list):
     """Distinct closed orbits in order of magnetic length, with each orbit's
-    ``magnetic_lengths`` entry and the number ``seeds_attempted`` of Newton
-    seeds."""
+    ``magnetic_lengths`` entry, the number ``seeds_attempted`` of Newton
+    seeds (one per bracket, or one for the whole orbit space) and the number
+    ``closed_vertices`` of drift samples that closed (0 where first order
+    seeds the census)."""
 
-    def __init__(self, orbits, magnetic_lengths, seeds_attempted):
+    def __init__(self, orbits, magnetic_lengths, seeds_attempted, closed_vertices=0):
         super().__init__(orbits)
         self.magnetic_lengths = list(magnetic_lengths)
         self.seeds_attempted = seeds_attempted
+        self.closed_vertices = closed_vertices
 
 
 def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit):
@@ -497,7 +505,9 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit):
     ``critical_points`` or, where first order cannot place the orbits, of
     ``_drift_brackets``, seed after seed.  A seed at a closed drift sample
     takes that sample's map as its first; every other seed maps its own
-    first iterate.  Failed seeds are logged and skipped.
+    first iterate.  Where every drift sample closes with one return time,
+    the census is the whole orbit space and Newton runs once, from vertex 0.
+    Failed seeds are logged and skipped.
 
     Orbits sort by length, and lengths within tol of the length before
     them form one group (single linkage), whose orbits keep the seed order:
@@ -506,8 +516,8 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit):
     if grid_density <= 0:
         return Census([], [], 0)
     picked = critical_points(sys, tol)
-    ids, points, firsts = (_drift_brackets(sys, tol) if picked is None
-                           else (*picked, [None] * len(picked[0])))
+    ids, points, firsts, closed = (_drift_brackets(sys, tol) if picked is None
+                                   else (*picked, [None] * len(picked[0]), 0))
     found = []
     for sid, c, first in zip(ids, points, firsts):
         try:
@@ -525,4 +535,4 @@ def enumerate_orbits(sys, *, grid_density, tol=ExperimentConfig.tol_orbit):
         else:
             groups.append([i])
     order = [i for group in groups for i in sorted(group)]
-    return Census([unique[i] for i in order], [lengths[i] for i in order], len(ids))
+    return Census([unique[i] for i in order], [lengths[i] for i in order], len(ids), closed)

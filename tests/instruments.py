@@ -1,8 +1,9 @@
 """Measuring instruments of the tests: random tangent states, the unperturbed
 area form, the Christoffel symbols of the planar charts, a curvature stencil,
-the distance of two sampled loops and a count of return maps.  The package's
-answers never read them."""
+the distance of two sampled loops, a count of return maps and a record of
+the drift samples' return times.  The package's answers never read them."""
 
+import functools
 import inspect
 import math
 
@@ -98,4 +99,23 @@ def counting_return_maps(monkeypatch):
         return plain(*args, **kw)
 
     monkeypatch.setattr(orbits, "return_map", counted)
+    return calls
+
+
+def recording_drift_return_times(monkeypatch):
+    """The list of the return times of each stacked call of orbits.return_map
+    (a list of states: the drift samples of ``orbits._drift_brackets``), one
+    list per call, None for a member that raised.  The wrapper keeps the map's
+    signature, so ``counting_return_maps`` can wrap it in turn."""
+    calls = []
+    plain = orbits.return_map
+
+    @functools.wraps(plain)
+    def recorded(*args, **kw):
+        out = plain(*args, **kw)
+        if isinstance(map_states(plain, args, kw), list):
+            calls.append([None if isinstance(m, Exception) else m[1] for m in out])
+        return out
+
+    monkeypatch.setattr(orbits, "return_map", recorded)
     return calls

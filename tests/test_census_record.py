@@ -11,7 +11,8 @@ orbits reach ``orbits.deduplicate``, the seeds it keeps and the report's
 seed order.  One seed per line of zeros, so none is merged.  The rows of
 the drift census (the blind torus at two eps, ``sphere_harmonic_z`` at
 s = 0.01, the two 1-form configs and the unperturbed sphere) pin its
-orbits, lengths and return maps.
+orbits, lengths and return maps; on the unperturbed sphere every vertex
+closes, and the census is one orbit.
 """
 
 import time
@@ -21,7 +22,7 @@ import pytest
 
 from magsys_lab import ExperimentConfig, NoOrbitsFound, orbits as orbits_mod, run_experiment
 
-from instruments import counting_return_maps
+from instruments import counting_return_maps, recording_drift_return_times
 
 TOL_ORBIT = ExperimentConfig.tol_orbit
 BUMP = dict(kappa=-1.0, perturbation_name="hyperbolic_bump", perturbation_coeffs=(1.0, 0.5),
@@ -67,6 +68,7 @@ def test_census_is_the_recorded_one(name):
     cfg, count, verdicts, l_min, l_max = RECORD[name]
     rep = run_experiment(ExperimentConfig(**cfg))
     assert rep.orbit_count == count
+    assert rep.closed_vertices == 0               # first order seeds it: no drift sample
     assert rep.all_verdicts() == verdicts
     assert abs(rep.l_min - l_min) < TOL_ORBIT
     assert abs(rep.l_max - l_max) < TOL_ORBIT
@@ -200,11 +202,15 @@ def test_halving_eps_quarters_the_blind_torus_gap():
 
 
 def test_unperturbed_sphere_closes_every_drift_vertex(monkeypatch):
-    # the 12 vertices of the icosahedron are the seeds, each closed by its
-    # one drift sample, which Newton takes as its first map
+    # the 12 vertices of the icosahedron each close by their one drift
+    # sample, with one return time: the census is the whole orbit space, one
+    # seed at vertex 0, which Newton closes with its sample as its first map
+    times = recording_drift_return_times(monkeypatch)
     calls = counting_return_maps(monkeypatch)
     rep = run_experiment(ExperimentConfig(kappa=1.0, strength=1.0, grid_density=3))
-    assert rep.seed_ids == [f"vertex_{v}" for v in range(12)]
+    assert rep.seed_ids == ["vertex_0"] and rep.orbit_count == rep.seeds_attempted == 1
+    assert rep.closed_vertices == len(times[0]) == 12 and len(times) == 1
+    assert np.ptp(times[0]) < 1e-8 and rep.periods == [times[0][0]]
     assert len(calls) == 12
     assert np.max(np.abs(np.array(rep.magnetic_lengths) - rep.reference)) < TOL_ORBIT
     assert rep.zoll_flag and rep.all_verdicts() == ["PASS"] * 3

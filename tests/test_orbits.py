@@ -16,7 +16,8 @@ from magsys_lab import orbits as orbits_mod
 from magsys_lab.dynamics import pack_state
 from magsys_lab.orbits import Orbit
 
-from instruments import counting_return_maps, loop_distance, map_states
+from instruments import (counting_return_maps, loop_distance, map_states,
+                         recording_drift_return_times)
 
 # frozen from the independent latitude-circle root-finding oracle
 # (axisymmetric conformal factor; see test_syslab for the oracle itself)
@@ -550,12 +551,35 @@ class TestEnumerate:
             orbits_mod.MAX_ITER
 
     @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
-    def test_zoll_family_one_period(self, kappa, s):
+    def test_zoll_family_one_period(self, kappa, s, monkeypatch):
+        # every drift vertex closes, and their return times agree: the census
+        # is the whole orbit space, one orbit, vertex 0's
         sys = make_model(kappa, s)
+        times = recording_drift_return_times(monkeypatch)
         found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
-        assert len(found) >= 2
-        periods = [orb.period for orb in found]
-        assert max(periods) - min(periods) < 1e-8
+        assert len(found) == found.seeds_attempted == 1
+        assert found.closed_vertices == len(times[0]) == {1.0: 12, 0.0: 16, -1.0: 9}[kappa]
+        assert max(times[0]) - min(times[0]) < 1e-8
+        assert found[0].period == times[0][0] and found[0].seed_id == "vertex_0"
+
+    def test_a_vertex_off_the_common_period_runs_every_seed(self, monkeypatch):
+        # one drift sample's return time 5 tol short of the others': every
+        # vertex still closes, but not with one period, so every vertex is a
+        # seed, as on a census of isolated zeros
+        plain = orbits_mod.return_map
+
+        def shifted(sys, state, *args, **kw):
+            out = plain(sys, state, *args, **kw)
+            if isinstance(state, list):
+                end, t_ret, path = out[5]
+                out[5] = end, t_ret - 5e-9, path
+            return out
+
+        monkeypatch.setattr(orbits_mod, "return_map", shifted)
+        sys = make_model(1.0, 1.0)
+        found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
+        assert found.seeds_attempted == found.closed_vertices == len(found) == 12
+        assert sorted(o.seed_id for o in found) == sorted(f"vertex_{v}" for v in range(12))
 
     def test_perturbed_sphere_two_orbits(self):
         sysp = perturbed_sphere(0.05)
@@ -567,28 +591,38 @@ class TestEnumerate:
     def test_census_carries_lengths_and_seed_count(self):
         # the lengths that order the census are the ones reports print, so
         # no caller has to compute them a second time
-        # the Zoll torus closes at every vertex of the drift's 4 x 4 tiling
+        # the Zoll torus closes at every vertex of the drift's 4 x 4 tiling,
+        # with one period: one seed and one orbit for its whole orbit space
         sys = make_model(0.0, 1.0)
         found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
-        assert found.seeds_attempted == len(sys.surface.orbit_space_tiling(sys, True)[0]) == 16
+        assert found.closed_vertices == len(sys.surface.orbit_space_tiling(sys, True)[0]) == 16
+        assert found.seeds_attempted == len(found) == 1
         assert found.magnetic_lengths == [magnetic_length(sys, orb) for orb in found]
 
     def test_order_ignores_rounding_noise_in_the_lengths(self, monkeypatch):
-        # the Zoll torus circles share one length up to rounding noise.  A
-        # jitter falling along the grid reverses a sort by the raw length at
-        # 1e-14 per seed, and one by the length as reports print it (12
-        # digits) at 2e-11; lengths within tol of each other keep the seed
-        # order.  At 2e-9 per seed they lie more than tol apart and sort.
+        # on the blind torus (s = 1/j_{0,1}) two translates of one orbit share
+        # l = 7.54584081481, 2e-12 apart, and come first in seed order.  A
+        # jitter of 1e-14 per seed, falling along the seeds, leaves them
+        # sorted; one of 2e-11 reverses a sort by the raw length and one by
+        # the length as reports print it (12 digits), and lengths within tol
+        # of each other keep the seed order.  At 2e-9 per seed the pair lies
+        # more than tol apart and sorts, and the other two orbits keep their
+        # places.
         from magsys_lab import functionals
-        sys = make_model(0.0, 1.0)
+        sys = conformal_perturb(make_model(0.0, 1.0 / 2.404825557695773), "torus_cos_x", 0.05,
+                                normalize=True)
         plain = enumerate_orbits(sys, grid_density=2, tol=1e-9)
         grid = orbits_mod._drift_brackets(sys, 1e-9)[0]
-        assert len(plain) >= 2
         in_seed_order = [o.seed_id for o in plain]
-        assert in_seed_order == [sid for sid in grid if sid in set(in_seed_order)]
+        assert len(plain) == 4 and plain.magnetic_lengths[0] == pytest.approx(7.54584081481,
+                                                                              abs=1e-9)
+        assert 0.0 < plain.magnetic_lengths[1] - plain.magnetic_lengths[0] < 1e-11
+        assert in_seed_order[:2] == [sid for sid in grid if sid in set(in_seed_order[:2])]
+        pair_reversed = in_seed_order[1::-1] + in_seed_order[2:]
         exact = functionals.magnetic_length
-        for step, expected in ((1e-14, in_seed_order), (2e-11, in_seed_order),
-                               (2e-9, in_seed_order[::-1])):
+        for step, expected, in_order in ((1e-14, in_seed_order, True),
+                                         (2e-11, in_seed_order, False),
+                                         (2e-9, pair_reversed, True)):
             calls = []
 
             def jittered(sys, orb):
@@ -598,7 +632,7 @@ class TestEnumerate:
             monkeypatch.setattr(functionals, "magnetic_length", jittered)
             found = enumerate_orbits(sys, grid_density=2, tol=1e-9)
             assert [o.seed_id for o in found] == expected, step
-            assert (found.magnetic_lengths == sorted(found.magnetic_lengths)) == (step > 1e-9)
+            assert (found.magnetic_lengths == sorted(found.magnetic_lengths)) == in_order, step
 
     def test_dedup_idempotence(self):
         sysp = perturbed_sphere(0.05)

@@ -14,6 +14,8 @@ from magsys_lab.geometry import AREA_TOL
 from magsys_lab.syslab import build_system, run_experiment_full
 from magsys_lab.zollref import full_coefficient, kahler_leading_constant
 
+from instruments import recording_drift_return_times
+
 
 def latitude_circle_oracle(eps, s=1.0):
     """Independent prediction of the two surviving magnetic lengths.
@@ -80,12 +82,18 @@ class TestZollRuns:
 
     @pytest.mark.parametrize("grid_density", [2, 3])
     @pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
-    def test_lengths_within_a_tenth_of_the_orbit_tolerance(self, kappa, s, grid_density):
+    def test_lengths_within_a_tenth_of_the_orbit_tolerance(self, kappa, s, grid_density,
+                                                           monkeypatch):
         # every Zoll circle has length ref: the maps' tolerance, a tenth of
-        # tol_orbit, keeps the whole pipeline's error below tol_orbit / 10
+        # tol_orbit, keeps the whole pipeline's error below tol_orbit / 10.
+        # Every drift vertex closes with one return time, so the census is
+        # the whole orbit space, one orbit
+        times = recording_drift_return_times(monkeypatch)
         cfg = zoll_cfg(kappa, s, grid_density=grid_density)
         rep = run_experiment(cfg)
-        assert rep.orbit_count >= 2
+        assert rep.orbit_count == 1
+        assert rep.closed_vertices == len(times[0]) == {1.0: 12, 0.0: 16, -1.0: 9}[kappa]
+        assert max(times[0]) - min(times[0]) < 1e-8
         assert max(abs(ell - rep.reference) for ell in rep.magnetic_lengths) < cfg.tol_orbit / 10
 
 
@@ -139,8 +147,18 @@ class TestPerturbedRuns:
                                perturbation_name="sphere_harmonic_z",
                                eps=0.01, normalize=False, grid_density=2)
         rep = run_experiment(cfg)
-        with pytest.raises(ValidationError):
+        assert rep.vol_g != rep.vol_g0
+        with pytest.raises(ValidationError, match="area vol_g0"):
             check_two_sided(rep)
+
+    def test_two_sided_accepts_an_eta_only_run(self):
+        # sigma0 + eps d(eta) leaves the metric g0: unnormalised, its area is
+        # vol_g0 exactly, and the check agrees with the run's own verdict
+        cfg = ExperimentConfig(kappa=1.0, strength=1.0, eta_name="sphere_eta_axial", eps=0.05,
+                               normalize=False)
+        rep = run_experiment(cfg)
+        assert rep.vol_g == rep.vol_g0
+        assert check_two_sided(rep) == rep.verdict_two_sided == "PASS"
 
     def test_fail_verdict_is_data(self):
         rep = run_experiment(zoll_cfg(1.0, 1.0))
@@ -211,40 +229,42 @@ class TestReproducibility:
 # rotations of one orbit); the census seeds one representative per critical
 # manifold of the orbit-space average, and each of its lengths is one of the
 # recorded ones within tol_orbit.  The Zoll hyperbolic model's row was
-# recorded with the exact Jacobian from every start of a grid; the census now
-# seeds the 9 vertices of the drift's tiling, each of which closes, and
-# each of its lengths is one of the recorded ones.  Only the unperturbed
-# model is Zoll.
+# recorded with the exact Jacobian from every start of a grid; each of the 9
+# vertices of the drift's tiling closes, with one return time, so the census
+# is the whole orbit space, seeded at vertex 0 alone, and its length is one
+# of the recorded ones.  Only the unperturbed model is Zoll.  The last entry
+# of each row is its census's closed drift vertices.
 FD_NEWTON_RECORD = {
     "sphere": (dict(kappa=1.0, strength=1.0, perturbation_name="sphere_harmonic_z",
                     eps=0.05, grid_density=3),
                2, "PASS", ["cell_14", "cell_9"],
-               [2.4446766734808882, 2.7586394964029424]),
+               [2.4446766734808882, 2.7586394964029424], 0),
     "torus": (dict(kappa=0.0, strength=1.0, perturbation_name="torus_cos_x",
                    eps=0.05, grid_density=4),
               2, "PASS", ["contour_0", "contour_72"],
               [2.8989133495542205, 2.8989133495542214, 2.898913349554222,
                2.8989133495542796, 3.3787699424992415, 3.378769942499278,
-               3.3787699424992805, 3.378769942499283]),
+               3.3787699424992805, 3.378769942499283], 0),
     "hyperbolic": (dict(kappa=-1.0, strength=2.0, perturbation_name="hyperbolic_bump",
                         perturbation_coeffs=(1.0, 0.5), eps=0.05, grid_density=3),
                    2, "FAIL", ["contour_32", "vertex_0"],
                    [1.736375621675979, 1.7372459945494019, 1.7372459945506056,
-                    1.7372459945506975]),
+                    1.7372459945506975], 0),
     "zoll_hyperbolic": (dict(kappa=-1.0, strength=2.0, grid_density=3),
-                        9, "PASS", sorted(f"vertex_{v}" for v in range(9)),
+                        1, "PASS", ["vertex_0"],
                         [1.6835744289140913, 1.6835744289142034, 1.683574428914704,
                          1.6835744289515693, 1.683574428951599, 1.6835744289517414,
-                         1.6835744289538663]),
+                         1.6835744289538663], 9),
 }
 
 
 class TestVariationalNewtonPipeline:
     @pytest.mark.parametrize("name", sorted(FD_NEWTON_RECORD))
     def test_same_census_as_finite_difference_newton(self, name):
-        cfg, count, verdict, seeds, lengths = FD_NEWTON_RECORD[name]
+        cfg, count, verdict, seeds, lengths, closed = FD_NEWTON_RECORD[name]
         rep = run_experiment(ExperimentConfig(**cfg))
         assert rep.orbit_count == count
+        assert rep.closed_vertices == closed
         assert rep.all_verdicts() == [verdict] * 3
         assert rep.zoll_flag is (cfg.get("eps", 0.0) == 0.0)
         # seeds whose lengths agree to ~1e-13 may swap places in the census

@@ -79,7 +79,7 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     # the RHS count is checked against the stepper's own nfev over every solve
     from magsys_lab import dynamics, orbits
     plain_map, plain_rhs, nfev = orbits.return_map, dynamics.rhs, []
-    plain_average = orbits.orbit_space_average
+    plain_average, plain_build = orbits.orbit_space_average, orbits._build_orbit
     for module in (orbits, dynamics):
         solve = module.solve_ivp
 
@@ -98,12 +98,15 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
     # the 12 x 12 tiling's gradient stencils, 5 circles each, and the 3 x 3
     # models of its two starts, at rest there
     assert run["abar_circles"] == 144 * 5 + 2 * 9
+    assert run["orbits_built"] == 2                   # one per line, each closed once
     assert orbits.return_map is plain_map
     assert orbits.rhs is dynamics.rhs is plain_rhs
     assert orbits.orbit_space_average is plain_average
+    assert orbits._build_orbit is plain_build
     # a call with a list of states counts one map per member, whether the map
     # takes (sys, section, state) or (sys, state); a call of the orbit-space
-    # average one circle per row, a stacked solve one solve per member
+    # average one circle per row, a stacked solve one solve per member, a
+    # call of the orbit builder one orbit
     def with_section(sys, section, state, tol=1e-10, path=math.inf):
         return state
 
@@ -119,6 +122,7 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
         package = types.SimpleNamespace(
             orbits=types.SimpleNamespace(return_map=plain_map,
                                          orbit_space_average=lambda sys, c: c,
+                                         _build_orbit=lambda *args, **kw: None,
                                          solve_ivp=lambda f, span, y0, **kw: y0),
             dynamics=types.SimpleNamespace(rhs=plain_rhs,
                                            solve_ivp=lambda f, span, y0, **kw: y0))
@@ -129,7 +133,9 @@ def test_run_configs_counts_return_maps_and_rhs_evaluations(tmp_path, monkeypatc
             package.orbits.orbit_space_average("sys", [[0.0, 1.0]] * 5)
             package.orbits.solve_ivp(None, (0.0, 1.0), np.zeros((3, 4)), rtol=1e-9)
             package.dynamics.solve_ivp(None, (0.0, 1.0), np.zeros(4))
+            package.orbits._build_orbit("sys", "center", 1.0, "path", "seed")
         assert counts["return_maps"] == 6, plain_map.__name__
         assert counts["abar_circles"] == 9
         assert counts["solves"] == 4
+        assert counts["orbits_built"] == 1
         assert package.orbits.return_map is plain_map

@@ -19,14 +19,16 @@ error reports only), a torus ``volume`` run, and ``constants`` and
 NAME restricts the run to those configs.
 
 Each run's exit code, stdout and stderr go to ``OUT/<name>/run.json``, with
-four work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
+five work counts: ``return_maps``, the maps of ``orbits.return_map`` (one per
 member of a call with a list of states, else one per call; the states are
 found by the map's own signature, ``(sys, state)`` or the older ``(sys,
 section, state)``), ``solves``, the
 solves of ``solve_ivp`` where ``orbits`` and ``dynamics`` call it (one per
 member of a stack, counted alike), ``rhs_evals``, the calls of the closures
 that the ``rhs`` factory returns there, and ``abar_circles``, the rows (one
-Zoll circle each) passed to ``orbits.orbit_space_average``.  All are counted by
+Zoll circle each) passed to ``orbits.orbit_space_average``, and
+``orbits_built``, the calls of ``orbits._build_orbit`` (one per orbit that
+Newton closed and sampled, kept by the census or not).  All are counted by
 rebinding those module attributes for the run (restored afterwards), so the
 tool runs unchanged on any tree that has them.  ``python3 tools/compare_reports.py OLD
 NEW`` on the OUT directories of two trees compares them with the report
@@ -126,13 +128,14 @@ def all_configs():
 
 @contextlib.contextmanager
 def counting(package):
-    """Count return maps, solves, RHS evaluations and orbit-space circles in
-    ``package`` (the imported magsys_lab) while the block runs; yields the
-    dict of counts."""
-    counts = {"return_maps": 0, "solves": 0, "rhs_evals": 0, "abar_circles": 0}
+    """Count return maps, solves, RHS evaluations, orbit-space circles and
+    orbits built in ``package`` (the imported magsys_lab) while the block
+    runs; yields the dict of counts."""
+    counts = {"return_maps": 0, "solves": 0, "rhs_evals": 0, "abar_circles": 0,
+              "orbits_built": 0}
     orbits, dynamics = package.orbits, package.dynamics
     plain_map, plain_rhs = orbits.return_map, dynamics.rhs
-    plain_average = orbits.orbit_space_average
+    plain_average, plain_build = orbits.orbit_space_average, orbits._build_orbit
     plain_solves = orbits.solve_ivp, dynamics.solve_ivp
     map_signature = inspect.signature(plain_map)
 
@@ -159,14 +162,18 @@ def counting(package):
         counts["abar_circles"] += len(c)
         return plain_average(sys, c)
 
+    def build_orbit(*args, **kw):
+        counts["orbits_built"] += 1
+        return plain_build(*args, **kw)
+
     orbits.return_map, orbits.rhs, dynamics.rhs = return_map, rhs, rhs
-    orbits.orbit_space_average = orbit_space_average
+    orbits.orbit_space_average, orbits._build_orbit = orbit_space_average, build_orbit
     orbits.solve_ivp, dynamics.solve_ivp = map(solving, plain_solves)
     try:
         yield counts
     finally:
         orbits.return_map, orbits.rhs, dynamics.rhs = plain_map, plain_rhs, plain_rhs
-        orbits.orbit_space_average = plain_average
+        orbits.orbit_space_average, orbits._build_orbit = plain_average, plain_build
         orbits.solve_ivp, dynamics.solve_ivp = plain_solves
 
 
