@@ -412,15 +412,14 @@ class SphereChart(ChartOps):
             at = self._perturbation(sys)
 
         def f(t, y):
-            L = y.tolist()
-            q0, q1, q2, v0, v1, v2 = L
+            q0, q1, q2, v0, v1, v2 = y
             vv = v0 * v0 + v1 * v1 + v2 * v2
             c = -vv * kappa
             a0, a1, a2 = c * q0, c * q1, c * q2
             n0, n1, n2 = q0 * sk, q1 * sk, q2 * sk
             sb = s1
             if perturbed:
-                (l0, l1, l2), b = at(L[:3])
+                (l0, l1, l2), b = at((q0, q1, q2))
                 dn = l0 * n0 + l1 * n1 + l2 * n2
                 dv = -2.0 * (l0 * v0 + l1 * v1 + l2 * v2)
                 a0 += dv * v0 + vv * (l0 - dn * n0)
@@ -428,7 +427,7 @@ class SphereChart(ChartOps):
                 a2 += dv * v2 + vv * (l2 - dn * n2)
                 sb = s * b
             jv0, jv1, jv2 = n1 * v2 - n2 * v1, n2 * v0 - n0 * v2, n0 * v1 - n1 * v0
-            return np.array([v0, v1, v2, a0 + sb * jv0, a1 + sb * jv1, a2 + sb * jv2])
+            return v0, v1, v2, a0 + sb * jv0, a1 + sb * jv1, a2 + sb * jv2
 
         return f
 
@@ -577,22 +576,21 @@ class _PlanarChart(ChartOps):
             at = self._perturbation(sys)
 
         def f(t, y):
-            L = y.tolist()
-            r, _, v0, v1 = L
+            r, p, v0, v1 = y
             w, wp = w_wp(r)
             w, wp = float(w), float(wp)
             sb = s1
             a0 = w * wp * (v1 * v1)
             a1 = -2.0 * (wp / w) * v0 * v1
             if perturbed:
-                (l0, l1), b = at(L[:2])
+                (l0, l1), b = at((r, p))
                 dv = -2.0 * (l0 * v0 + l1 * v1)
                 w2 = w * w
                 vv = v0 * v0 + w2 * (v1 * v1)
                 a0 += dv * v0 + vv * l0
                 a1 += dv * v1 + vv * (l1 / w2)
                 sb = s * b
-            return np.array([v0, v1, a0 + sb * (-w * v1), a1 + sb * (v0 / w)])
+            return v0, v1, a0 + sb * (-w * v1), a1 + sb * (v0 / w)
 
         return f
 

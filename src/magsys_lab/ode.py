@@ -68,7 +68,8 @@ class OdeStack(list):
 
 def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, dense_output=False,
               event=None):
-    """Integrate y' = fun(t, y) over t_span = (t0, t1), no step longer than max_step.
+    """Integrate y' = fun(t, y) over t_span = (t0, t1), no step longer than max_step;
+    fun is given y as a list of floats and may return any sequence of floats.
     With event, a function g(t, y), stop at the first root of g on a step where g goes
     from <= 0 to >= 0.  A step shorter than the float spacing of t fails the solve.
     dense_output True gives sol, the dense output, and a predicate keep(t, y) gives it
@@ -93,15 +94,15 @@ def _solve(fun, t, t_bound, rtol, atol, max_step, dense_output, y, event):
     it computes for the crossing step at once, and for the rest where it keeps sol."""
     if t == t_bound:                          # no step: the state is y0 throughout
         return OdeResult(t, y, 0, True, "empty interval", lambda s: np.outer(y, np.ones_like(s)))
-    n, f, direction = y.size, fun(t, y), math.copysign(1.0, t_bound - t)
+    n, f, direction = y.size, np.asarray(fun(t, y.tolist())), math.copysign(1.0, t_bound - t)
     # the first step (Hairer et al., sec. II.4)
     interval, scale = abs(t_bound - t), atol + np.abs(y) * rtol
     d0, d1 = (np.linalg.norm(v / scale) / n ** 0.5 for v in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = fun(t + h0 * direction, y + h0 * direction * f)
+    f1 = fun(t + h0 * direction, (y + h0 * direction * f).tolist())
     d2 = np.linalg.norm((f1 - f) / scale) / n ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    h_abs, nfev = min(100 * h0, h1, interval, max_step), 2
+    h_abs, nfev = float(min(100 * h0, h1, interval, max_step)), 2   # no np.float64 in the stages
     steps, crossed, t_event, y_event = [], False, None, None
     g, keep = event and event(t, y), bool(dense_output)
     while direction * (t - t_bound) < 0 and not crossed:
@@ -144,17 +145,21 @@ def _solve(fun, t, t_bound, rtol, atol, max_step, dense_output, y, event):
 
 def _step_one(fun, solve, rtol, atol, request=None):
     """The OdeResult of the generator solve run alone, from its pending try request if
-    it has one, each stage sum by np.dot."""
+    it has one, each stage sum by np.dot and y + sum * h in Python floats, as numpy's
+    elementwise * and + round it."""
     try:
         request = request or next(solve)
         K = np.empty((16, request[2].size))
         KT = [K[:s].T for s in range(14)]
         while True:
             t, h, y, K[0] = request
+            ys = y.tolist()
             for s in range(1, 12):
-                K[s] = fun(t + NODES[s] * h, y + np.dot(KT[s], ROWS[s]) * h)
-            y_new = y + h * np.dot(KT[12], B)
-            K[12] = f_new = fun(t + h, y_new)
+                K[s] = fun(t + NODES[s] * h,
+                           [a + b * h for a, b in zip(ys, np.dot(KT[s], ROWS[s]).tolist())])
+            ys = [a + h * b for a, b in zip(ys, np.dot(KT[12], B).tolist())]
+            K[12] = f_new = fun(t + h, ys)
+            y_new = np.array(ys)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             request = solve.send((y_new, f_new, np.dot(KT[13], E5) / scale,
                                   np.dot(KT[13], E3) / scale, K))
@@ -185,9 +190,9 @@ def _step_stack(fun, solves, rtol, atol):
         KT, K[:, 0] = [K[:, :s].transpose(0, 2, 1) for s in range(14)], fs
         for s in range(1, 12):
             Ys = Y + np.matmul(KT[s], ROWS[s]) * H
-            K[:, s] = [fun(t + NODES[s] * h, y) for t, h, y in zip(ts, hs, Ys)]
+            K[:, s] = [fun(t + NODES[s] * h, y) for t, h, y in zip(ts, hs, Ys.tolist())]
         Y_new = Y + H * np.matmul(KT[12], B)
-        K[:, 12] = F_new = [fun(t + h, y) for t, h, y in zip(ts, hs, Y_new)]
+        K[:, 12] = F_new = [fun(t + h, y) for t, h, y in zip(ts, hs, Y_new.tolist())]
         scale = atol + np.maximum(np.abs(Y), np.abs(Y_new)) * rtol
         err5, err3 = np.matmul(KT[13], E5) / scale, np.matmul(KT[13], E3) / scale
         for j, i in enumerate(live):
@@ -201,7 +206,8 @@ def _late_stages(fun, t0, t1, y0, K):
     h = t1 - t0
     for s in (13, 14, 15):
         Ys = y0 + np.matmul(K[:, :s].transpose(0, 2, 1), ROWS[s]) * h[:, None]
-        K[:, s] = [fun(t + NODES[s] * dt, y) for t, dt, y in zip(t0.tolist(), h.tolist(), Ys)]
+        K[:, s] = [fun(t + NODES[s] * dt, y) for t, dt, y in zip(t0.tolist(), h.tolist(),
+                                                                 Ys.tolist())]
     return 3 * len(K)
 
 

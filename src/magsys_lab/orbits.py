@@ -113,7 +113,7 @@ def return_map(sys, state: TangentState, tol=1e-10, path=math.inf):
 
     With a list of states, each member's (state, return time, path) or
     exception, by one stacked solve (``ode.solve_ivp``), bit for bit its own
-    map's.
+    map's; path may then be a list, one per member.
     """
     if isinstance(state, list):
         return _return_maps(sys, state, tol, path)
@@ -130,13 +130,14 @@ def _return_maps(sys, states, tol, path):
     t_ref, d = reference_period(sys), sys.surface.dim
     (rtol, atol), head = stepper_tolerances(tol), 0.3 * t_ref
     sections = [_section(sys, st) for st in states]
+    paths = path if isinstance(path, list) else [path] * len(states)
     sols = solve_ivp(
         rhs(sys), (0.0, 2.0 * t_ref), np.reshape([pack_state(st) for st in states], (-1, 2 * d)),
         rtol=rtol, atol=atol, max_step=0.2 * t_ref,
         event=[lambda t, y, sec=sec: _section_value(sys, sec, y[:d]) if t >= head else 1.0
                for sec in sections],
-        dense_output=[path is not None and (lambda t, y, st=st: state_distance(
-            sys, tangent_state(sys, y[:d], y[d:]), st) <= path) for st in states])
+        dense_output=[p is not None and (lambda t, y, st=st, p=p: state_distance(
+            sys, tangent_state(sys, y[:d], y[d:]), st) <= p) for st, p in zip(states, paths)])
     out = []
     for sol in sols:
         if not sol.success:
@@ -188,7 +189,8 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
     two maps of the forward-difference Jacobian, at that tolerance divided
     by DRIFT_FD_STEP and without a path, so a seed that already closes costs
     one map, and none given first_map, the (state, return time, path) of
-    its map at x = 0 (a closed drift sample's, from ``_drift_brackets``).
+    its map at x = 0 (a closed drift sample's, from ``_drift_brackets``);
+    one with no path runs again, with one, once the period window holds.
     Raises DivergedFromFamily when the seed's return residual exceeds the
     short-loop gate or an iterate loses the section; NoConvergence when the
     iteration budget runs out or the step vanishes.
@@ -204,6 +206,8 @@ def find_closed_orbit(sys, seed: TangentState, tol=ExperimentConfig.tol_orbit,
         c, start = start_at(x)
         end, t_ret, path = mapped or return_map(
             sys, start, tol=ivp_tol / DRIFT_FD_STEP if fd else ivp_tol, path=None if fd else tol)
+        if mapped and path is None:           # that map again, from its start, bit for bit
+            path = lambda times: return_map(sys, start, tol=ivp_tol)[2](times)  # noqa: E731
         back = surface.orbit_space_point(sys, end.position, end.velocity)
         return (basis.T @ surface.orbit_space_gap(c, back), state_distance(sys, end, start),
                 (c, t_ret, path))
@@ -267,7 +271,7 @@ def _newton_start(sys, seed):
 def _build_orbit(sys, center, period, path, seed_id, iterations=0):
     """The Orbit of one period over the orbit-space point center, sampled from
     the ``path`` of the plain return map that closed it, whose return time is
-    period."""
+    period; path is not called outside the period window."""
     t_ref = reference_period(sys)
     if abs(period - t_ref) > SHORT_LOOP_PERIOD_WINDOW * t_ref:
         raise DivergedFromFamily(
@@ -417,15 +421,17 @@ def _drift_brackets(sys, tol):
     """(ids, points, first maps, closed vertices) bracketing the zeros of the
     drift D on the chart's coarse tiling: D at each vertex from the first map
     of Newton from it (from the Zoll state that ``_newton_start`` builds at
-    x = 0), all in one ``return_map`` call; a vertex whose map closes (state
-    residual <= tol) is a zero, and its seed takes that map as its first (the
-    others' are None).  Where every vertex closes and their return times
-    agree within tol, the zeros are the whole orbit space, one critical
-    manifold (a Zoll family), and vertex 0 alone is its seed."""
+    x = 0), all in one ``return_map`` call, with a path for vertex 0 alone; a
+    vertex whose map closes (state residual <= tol) is a zero, and its seed
+    takes that map as its first (the others' are None).  Where every vertex
+    closes and their return times agree within tol, the zeros are the whole
+    orbit space, one critical manifold (a Zoll family), and vertex 0 alone
+    is its seed."""
     surface = sys.surface
     points, cells, _ = surface.orbit_space_tiling(sys, drift=True)
     at0 = [_newton_start(sys, surface.zoll_state(sys, c))[1](np.zeros(2)) for c in points]
-    maps = return_map(sys, [st for _, st in at0], tol=_map_tol(tol), path=tol)
+    maps = return_map(sys, [st for _, st in at0], tol=_map_tol(tol),
+                      path=[tol] + [None] * (len(at0) - 1))
     field, zero = np.full(points.shape, np.nan), np.zeros(len(points), dtype=bool)
     for v, ((c, start), mapped) in enumerate(zip(at0, maps)):
         if not isinstance(mapped, Exception):

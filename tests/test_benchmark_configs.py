@@ -1,6 +1,6 @@
 """The benchmark's workload configs stay valid inputs of the program, the
 functions its tracer rebinds still exist, the package neither imports nor
-loads scipy, and the perturbed census workloads keep their return-map budget
+loads scipy, and the census workloads keep their return-map and RHS budgets
 and recorded lengths.
 
 perfbench/ holds no package modules; workloads.py is read and run here and
@@ -114,13 +114,17 @@ def test_setup_loads_no_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
-# return maps a perturbed census workload may take: Newton runs only from the
-# critical points of the orbit-space average, about 4 maps each
-CENSUS_RETURN_MAPS = {"census-perturbed-sphere": 12, "census-perturbed-torus": 16}
-# RHS evaluations of the whole census: 4183 and 6732 with the maps at a tenth
-# of tol_orbit and the Jacobian maps at ivp_tol / DRIFT_FD_STEP; 5083 and 8295
-# with the maps at a hundredth, 6115 and 9891 with every map there
-CENSUS_RHS_EVALS = {"census-perturbed-sphere": 4400, "census-perturbed-torus": 7000}
+# return maps a census workload may take: on the perturbed ones Newton runs
+# only from the critical points of the orbit-space average, about 4 maps
+# each; on the Zoll sphere the 12 drift samples close with one period, and
+# vertex 0's map, the one that keeps a path, closes its one seed
+CENSUS_RETURN_MAPS = {"census-perturbed-sphere": 12, "census-perturbed-torus": 16,
+                      "census-zoll-sphere": 12}
+# RHS evaluations of the whole census: 3290 and 5361 with the maps at a tenth
+# of tol_orbit and the Jacobian maps at ivp_tol / DRIFT_FD_STEP; 3999 on the
+# Zoll sphere, 4836 with a path (dense-output stages) for each drift sample
+CENSUS_RHS_EVALS = {"census-perturbed-sphere": 3400, "census-perturbed-torus": 5500,
+                    "census-zoll-sphere": 4000}
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_RETURN_MAPS))

@@ -82,6 +82,17 @@ def test_horocycle_threshold_keeps_its_error(grid_density):
         run_experiment(cfg)
 
 
+def test_horocycle_threshold_refuses_its_seeds_on_the_drift_maps(monkeypatch):
+    # every one of the 9 drift samples closes, not with one period, so each is
+    # a seed whose first map is its sample's; the period window refuses each
+    # on that map, before a seed without a path would map again to sample it
+    maps = counting_return_maps(monkeypatch)
+    cfg = ExperimentConfig(strength=1.0001, grid_density=2, **BUMP)
+    with pytest.raises(NoOrbitsFound, match=r"no closed orbits from 9 seeds; eps may exceed"):
+        run_experiment(cfg)
+    assert len(maps) == 9
+
+
 BLIND_TORUS = dict(kappa=0.0, strength=1.0 / 2.404825557695773, perturbation_name="torus_cos_x",
                    eps=0.05)
 SPHERE_Z_SLOW = dict(SPHERE_Z, strength=0.01, eps=0.05)

@@ -96,6 +96,35 @@ def test_stacked_maps_are_each_member_s_own(kappa):
     assert kinds == ({"tuple"} if kappa is not None else {"tuple", "NoReturn"})
 
 
+@pytest.mark.parametrize("kappa,s", [(1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)])
+def test_stacked_maps_take_a_path_per_member(kappa, s, monkeypatch):
+    # one stacked call with a path for member 0 alone, as the drift's samples
+    # run: every Zoll state over the drift's tiling closes within 1e-9, and
+    # member 0 keeps its own map's path, bit for bit; every other member
+    # keeps none and costs what its plain map costs
+    sys = make_model(kappa, s)
+    states = [sys.surface.zoll_state(sys, c)
+              for c in sys.surface.orbit_space_tiling(sys, drift=True)[0]]
+    solves, plain = [], orbits_mod.solve_ivp
+    monkeypatch.setattr(orbits_mod, "solve_ivp",
+                        lambda *args, **kw: solves.append(plain(*args, **kw)) or solves[-1])
+    results = return_map(sys, states, path=[1e-9] + [None] * (len(states) - 1))
+    (stack,) = solves
+    for i, (st, res, sol) in enumerate(zip(states, results, stack)):
+        solves.clear()
+        own = return_map(sys, st, path=1e-9 if i == 0 else None)
+        assert state_distance(sys, res[0], st) <= 1e-9
+        assert (pack_state(res[0]).tobytes(), res[1]) == (pack_state(own[0]).tobytes(), own[1])
+        assert sol.nfev == solves[0].nfev
+        if i == 0:
+            times = np.linspace(0.0, res[1], 257)
+            assert res[2](times).tobytes() == own[2](times).tobytes()
+            return_map(sys, st, path=None)
+            assert sol.nfev > solves[-1].nfev
+        else:
+            assert res[2] is own[2] is None
+
+
 def counting_rhs(monkeypatch):
     """The list of the times at which the closures of orbits.rhs are called."""
     calls, plain_rhs = [], orbits_mod.rhs
